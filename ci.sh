@@ -31,6 +31,21 @@ if [ "${1:-}" = "bench-diff" ]; then
   exit 0
 fi
 
+# Runs a gtest binary under a --gtest_filter and fails when the filter
+# selects no test, so a renamed test cannot silently empty a leg.
+run_filtered() {
+  local bin="$1" filter="$2" out
+  if ! out="$("$bin" --gtest_filter="$filter" 2>&1)"; then
+    echo "$out"
+    return 1
+  fi
+  echo "$out" | grep -E '^\[  PASSED  \]'
+  if ! grep -Eq '^\[  PASSED  \] [1-9][0-9]* tests?' <<<"$out"; then
+    echo "ci.sh: filter '$filter' ran no test in $bin"
+    return 1
+  fi
+}
+
 echo "== release build =="
 cmake -B build -S .
 cmake --build build -j "$JOBS"
@@ -39,16 +54,18 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 echo "== SIMD backend matrix (scalar vs dispatched) =="
 KERNEL_FILTER='KernelTest.*:TopKAccumulatorTest.*:SimdTest.*'
 POOL_FILTER='ActiveTest.GeneratedPoolMatchesBruteForceMutualTopN:ActiveTest.RepeatedSelectionIsDeterministic'
-ALIGN_FILTER='MetricsTest.*:JointModelTest.Incremental*'
+ALIGN_FILTER='MetricsTest.*:JointModelTest.*'
+CORE_FILTER='EntitySimilarityPathTest.*'
 for backend in scalar ""; do
   if [ -n "$backend" ]; then
     echo "-- DAAKG_SIMD=$backend --"
   else
     echo "-- dispatched default --"
   fi
-  DAAKG_SIMD="$backend" ./build/tests/tensor_test --gtest_filter="$KERNEL_FILTER"
-  DAAKG_SIMD="$backend" ./build/tests/active_test --gtest_filter="$POOL_FILTER"
-  DAAKG_SIMD="$backend" ./build/tests/align_test --gtest_filter="$ALIGN_FILTER"
+  DAAKG_SIMD="$backend" run_filtered ./build/tests/tensor_test "$KERNEL_FILTER"
+  DAAKG_SIMD="$backend" run_filtered ./build/tests/active_test "$POOL_FILTER"
+  DAAKG_SIMD="$backend" run_filtered ./build/tests/align_test "$ALIGN_FILTER"
+  DAAKG_SIMD="$backend" run_filtered ./build/tests/core_test "$CORE_FILTER"
 done
 
 echo "== candidate-index backend matrix (exact vs ivf) =="
@@ -59,8 +76,8 @@ echo "== candidate-index backend matrix (exact vs ivf) =="
 for index_backend in exact ivf; do
   echo "-- DAAKG_INDEX=$index_backend --"
   DAAKG_INDEX="$index_backend" ./build/tests/index_test
-  DAAKG_INDEX="$index_backend" ./build/tests/active_test \
-    --gtest_filter='ActiveTest.GeneratedPoolMatchesBruteForceMutualTopN:ActiveTest.RepeatedGenerateReusesCachedIndex:ActiveTest.IvfPool*'
+  DAAKG_INDEX="$index_backend" run_filtered ./build/tests/active_test \
+    'ActiveTest.GeneratedPoolMatchesBruteForceMutualTopN:ActiveTest.RepeatedGenerateReusesCachedIndex:ActiveTest.IvfPool*'
 done
 
 echo "== sanitizer build (ASan+UBSan) =="
@@ -70,16 +87,18 @@ ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
 echo "== sanitizer build (TSan, concurrency-heavy tests) =="
 cmake -B build-tsan -S . -DDAAKG_SANITIZE=thread
-cmake --build build-tsan -j "$JOBS" --target common_test tensor_test active_test infer_test align_test index_test obs_test
-./build-tsan/tests/common_test --gtest_filter='ThreadPoolTest.*'
+cmake --build build-tsan -j "$JOBS" --target common_test tensor_test active_test infer_test align_test index_test obs_test core_test
+run_filtered ./build-tsan/tests/common_test 'ThreadPoolTest.*'
 # Concurrent span emission across ParallelFor fan-out, session start/stop
 # races against in-flight writers, and the pool telemetry counters.
-./build-tsan/tests/obs_test --gtest_filter='TraceTest.*:PoolTelemetryTest.*'
-./build-tsan/tests/tensor_test --gtest_filter='KernelTest.*:TopKAccumulatorTest.*:SimdTest.*'
-./build-tsan/tests/active_test --gtest_filter='ActiveTest.GeneratedPoolMatchesBruteForceMutualTopN:ActiveTest.RepeatedSelectionIsDeterministic'
-./build-tsan/tests/infer_test --gtest_filter='InferTest.PowerFromEveryNodeConcurrently'
-./build-tsan/tests/align_test --gtest_filter='JointModelTest.Incremental*:MetricsTest.Streaming*'
+run_filtered ./build-tsan/tests/obs_test 'TraceTest.*:PoolTelemetryTest.*'
+run_filtered ./build-tsan/tests/tensor_test 'KernelTest.*:TopKAccumulatorTest.*:SimdTest.*'
+run_filtered ./build-tsan/tests/active_test 'ActiveTest.GeneratedPoolMatchesBruteForceMutualTopN:ActiveTest.RepeatedSelectionIsDeterministic'
+run_filtered ./build-tsan/tests/infer_test 'InferTest.PowerFromEveryNodeConcurrently'
+# Block-parallel entity statistics and the index-based entity consumers.
+run_filtered ./build-tsan/tests/align_test 'JointModelTest.*:MetricsTest.Streaming*'
+run_filtered ./build-tsan/tests/core_test "$CORE_FILTER"
 # Parallel k-means assignment + sharded IVF queries (row-parallel writers).
-./build-tsan/tests/index_test --gtest_filter='IvfIndexTest.*:ExactIndexTest.QueryTopKMatchesBlockedSimTopK:ExactIndexTest.GreedyMatchingParity'
+run_filtered ./build-tsan/tests/index_test 'IvfIndexTest.*:ExactIndexTest.QueryTopKMatchesBlockedSimTopK:ExactIndexTest.GreedyMatchingParity'
 
 echo "ci.sh: all green"

@@ -119,7 +119,7 @@ float JointAlignmentModel::Sim(const ElementPair& pair) const {
 // Caches
 // --------------------------------------------------------------------------
 
-void JointAlignmentModel::ComputeEntitySimMatrix() {
+void JointAlignmentModel::ComputeEntityStats() {
   const size_t n1 = kg1().num_entities();
   const size_t n2 = kg2().num_entities();
   const size_t dim = model1_->dim();
@@ -133,210 +133,36 @@ void JointAlignmentModel::ComputeEntitySimMatrix() {
     repr2_.SetRow(e, model2_->EntityRepr(static_cast<EntityId>(e)));
   });
 
-  // mapped1 = repr1 * A_ent^T, then unit-normalize both sides and take the
-  // dot products (cosines).
-  mapped1_ = Matrix(n1, dim);
-  pool.ParallelFor(n1, [this](size_t e) {
-    mapped1_.SetRow(e, a_ent_.Multiply(repr1_.Row(e)));
-  });
-
-  Matrix unit1 = mapped1_;
-  Matrix unit2 = repr2_;
-  auto normalize_rows = [](Matrix* m) {
-    for (size_t r = 0; r < m->rows(); ++r) {
-      float* row = m->RowData(r);
-      double sq = 0.0;
-      for (size_t c = 0; c < m->cols(); ++c) {
-        sq += static_cast<double>(row[c]) * row[c];
-      }
-      const float inv =
-          sq > 0.0 ? static_cast<float>(1.0 / std::sqrt(sq)) : 0.0f;
-      for (size_t c = 0; c < m->cols(); ++c) row[c] *= inv;
-    }
+  // unit1 = normalize(repr1 * A_ent^T), unit2 = normalize(repr2): their
+  // dot products are the cosines of Eq. 4.
+  auto normalize_row = [dim](Matrix* m, size_t r) {
+    float* row = m->RowData(r);
+    double sq = 0.0;
+    for (size_t c = 0; c < dim; ++c) sq += static_cast<double>(row[c]) * row[c];
+    const float inv = sq > 0.0 ? static_cast<float>(1.0 / std::sqrt(sq)) : 0.0f;
+    for (size_t c = 0; c < dim; ++c) row[c] *= inv;
   };
-  normalize_rows(&unit1);
-  normalize_rows(&unit2);
+  unit1_ = Matrix(n1, dim);
+  pool.ParallelFor(n1, [&](size_t e) {
+    unit1_.SetRow(e, a_ent_.Multiply(repr1_.Row(e)));
+    normalize_row(&unit1_, e);
+  });
+  Matrix unit2 = repr2_;
+  pool.ParallelFor(n2, [&](size_t e) { normalize_row(&unit2, e); });
 
-  // Unit rows make the blocked A * B^T exactly the cosine matrix.
-  RefreshEntitySimFromUnits(unit1, unit2);
+  ent_stats_ = BlockedSimStats(unit1_, unit2, config_.z_ent);
+  CandidateIndexConfig index_cfg;
+  index_cfg.backend = IndexChoice::kExact;
+  auto index = CandidateIndex::Build(std::move(unit2), index_cfg);
+  DAAKG_CHECK(index.ok()) << index.status();
+  entity_index_ = std::move(*index);
 
-  // Entity weights (Eq. 6): best similarity in the other KG. Computed from
-  // the (possibly incrementally refreshed) cache; staleness is bounded by
-  // the refresh threshold.
-  weight1_.assign(n1, -1.0f);
-  weight2_.assign(n2, -1.0f);
-  for (size_t r = 0; r < n1; ++r) {
-    const float* row = ent_sim_.RowData(r);
-    for (size_t c = 0; c < n2; ++c) {
-      weight1_[r] = std::max(weight1_[r], row[c]);
-      weight2_[c] = std::max(weight2_[c], row[c]);
-    }
-  }
-  // Clamp to [0, 1]: a best-match cosine below zero means "surely dangling".
-  for (auto& w : weight1_) w = std::max(w, 0.0f);
-  for (auto& w : weight2_) w = std::max(w, 0.0f);
-}
-
-void JointAlignmentModel::RefreshEntitySimFromUnits(const Matrix& unit1,
-                                                    const Matrix& unit2) {
-  static obs::Counter* full_refreshes = obs::GlobalMetrics().GetCounter(
-      "daakg.align.ent_sim_full_refreshes");
-  static obs::Counter* incr_refreshes = obs::GlobalMetrics().GetCounter(
-      "daakg.align.ent_sim_incremental_refreshes");
-  static obs::Counter* rows_refreshed_total = obs::GlobalMetrics().GetCounter(
-      "daakg.align.ent_sim_rows_refreshed");
-  static obs::Counter* rows_skipped_total = obs::GlobalMetrics().GetCounter(
-      "daakg.align.ent_sim_rows_skipped");
-  static obs::Counter* cols_patched_total = obs::GlobalMetrics().GetCounter(
-      "daakg.align.ent_sim_cols_patched");
-  static obs::Gauge* refresh_fraction = obs::GlobalMetrics().GetGauge(
-      "daakg.align.ent_sim_refresh_fraction");
-
-  const size_t n1 = unit1.rows();
-  const size_t n2 = unit2.rows();
-  const size_t dim = unit1.cols();
-  ent_sim_refresh_stats_ = {};
-  ent_sim_refresh_stats_.rows_total = n1;
-
-  const bool can_incremental =
-      config_.incremental_ent_sim && have_prev_units_ &&
-      prev_unit1_.rows() == n1 && prev_unit2_.rows() == n2 &&
-      prev_unit1_.cols() == dim && prev_unit2_.cols() == dim &&
-      ent_sim_.rows() == n1 && ent_sim_.cols() == n2;
-  if (can_incremental) {
-    const float thr = std::max(config_.ent_sim_refresh_threshold, 0.0f);
-    const double thr_sq = static_cast<double>(thr) * thr;
-    // Drift of each unit row against the snapshot it was last computed
-    // with. Rows (and columns) that stayed within the threshold since
-    // their snapshot keep their cached cells; every kept cell is then
-    // within 4 * threshold of the exact cosine (each side's current and
-    // last-written rows are both within threshold of the shared snapshot,
-    // and all rows are unit-norm).
-    std::vector<char> row_moved(n1, 0);
-    std::vector<char> col_moved(n2, 0);
-    ThreadPool& pool = GlobalThreadPool();
-    auto moved = [thr_sq, dim](const Matrix& now, const Matrix& prev,
-                               size_t r) -> char {
-      const float* a = now.RowData(r);
-      const float* b = prev.RowData(r);
-      double acc = 0.0;
-      for (size_t i = 0; i < dim; ++i) {
-        const double d = static_cast<double>(a[i]) - b[i];
-        acc += d * d;
-      }
-      return acc > thr_sq;
-    };
-    pool.ParallelFor(n1, [&](size_t r) {
-      row_moved[r] = moved(unit1, prev_unit1_, r);
-    });
-    pool.ParallelFor(n2, [&](size_t c) {
-      col_moved[c] = moved(unit2, prev_unit2_, c);
-    });
-
-    const size_t band = std::max<size_t>(1, config_.ent_sim_band_rows);
-    const size_t num_bands = (n1 + band - 1) / band;
-    std::vector<char> band_dirty(num_bands, 0);
-    size_t rows_to_refresh = 0;
-    for (size_t bi = 0; bi < num_bands; ++bi) {
-      const size_t begin = bi * band;
-      const size_t end = std::min(n1, begin + band);
-      for (size_t r = begin; r < end; ++r) {
-        if (row_moved[r]) {
-          band_dirty[bi] = 1;
-          break;
-        }
-      }
-      if (band_dirty[bi]) rows_to_refresh += end - begin;
-    }
-    size_t moved_cols = 0;
-    for (size_t c = 0; c < n2; ++c) moved_cols += col_moved[c] != 0;
-
-    const double frac = std::clamp(
-        static_cast<double>(config_.ent_sim_full_refresh_fraction), 0.0, 1.0);
-    if (static_cast<double>(rows_to_refresh) <= frac * static_cast<double>(n1) &&
-        static_cast<double>(moved_cols) <= frac * static_cast<double>(n2)) {
-      // Recompute contiguous runs of dirty bands through the row-range
-      // kernel; snapshot exactly the rows that were rewritten.
-      obs::TraceSpan band_span("align.ent_sim_band_refresh", "align");
-      band_span.AddArg("rows", static_cast<double>(rows_to_refresh));
-      band_span.AddArg("cols_patched", static_cast<double>(moved_cols));
-      for (size_t bi = 0; bi < num_bands;) {
-        if (!band_dirty[bi]) {
-          ++bi;
-          continue;
-        }
-        size_t bj = bi;
-        while (bj < num_bands && band_dirty[bj]) ++bj;
-        const size_t begin = bi * band;
-        const size_t end = std::min(n1, bj * band);
-        BlockedMatMulNTRows(unit1, unit2, begin, end, &ent_sim_);
-        for (size_t r = begin; r < end; ++r) {
-          std::copy_n(unit1.RowData(r), dim, prev_unit1_.RowData(r));
-        }
-        bi = bj;
-      }
-      // Patch moved KG2 columns in the rows that kept their band, through
-      // the candidate index's exact-scoring primitive: an ExactIndex over
-      // unit2 scores exactly the requested rows with the dispatched dot,
-      // which is bitwise identical to the band kernel's cells within a
-      // backend, so patched and band-refreshed cells agree exactly.
-      if (moved_cols > 0) {
-        obs::TraceSpan patch_span("align.ent_sim_col_patch", "align");
-        patch_span.AddArg("cols", static_cast<double>(moved_cols));
-        std::vector<uint32_t> patch_cols;
-        patch_cols.reserve(moved_cols);
-        for (size_t c = 0; c < n2; ++c) {
-          if (col_moved[c]) patch_cols.push_back(static_cast<uint32_t>(c));
-        }
-        CandidateIndexConfig patch_cfg;
-        patch_cfg.backend = IndexChoice::kExact;
-        auto col_index = CandidateIndex::Build(unit2, patch_cfg);
-        DAAKG_CHECK(col_index.ok()) << col_index.status();
-        const CandidateIndex& index = **col_index;
-        pool.ParallelForShards(n1, [&](size_t /*shard*/, size_t begin,
-                                       size_t end) {
-          std::vector<float> scores(patch_cols.size());
-          for (size_t r = begin; r < end; ++r) {
-            if (band_dirty[r / band]) continue;
-            index.ScoreRows(unit1.RowData(r), patch_cols, scores.data());
-            float* row = ent_sim_.RowData(r);
-            for (size_t j = 0; j < patch_cols.size(); ++j) {
-              row[patch_cols[j]] = scores[j];
-            }
-          }
-        });
-        for (uint32_t c : patch_cols) {
-          std::copy_n(unit2.RowData(c), dim, prev_unit2_.RowData(c));
-        }
-      }
-      ent_sim_refresh_stats_.incremental = true;
-      ent_sim_refresh_stats_.rows_refreshed = rows_to_refresh;
-      ent_sim_refresh_stats_.cols_patched = moved_cols;
-      incr_refreshes->Increment();
-      rows_refreshed_total->Increment(rows_to_refresh);
-      rows_skipped_total->Increment(n1 - rows_to_refresh);
-      cols_patched_total->Increment(moved_cols);
-      refresh_fraction->Set(
-          n1 > 0 ? static_cast<double>(rows_to_refresh) / n1 : 0.0);
-      return;
-    }
-  }
-
-  // Full refresh: first call, incremental disabled, shape change, or too
-  // much movement for the incremental path to pay off. The unit snapshots
-  // are stored unconditionally — unit_mapped1()/unit_repr2() consumers
-  // (index-based matching at scale) need them even when the incremental
-  // policy is off; have_prev_units_ still gates the incremental path.
-  obs::TraceSpan full_span("align.ent_sim_full_refresh", "align");
-  full_span.AddArg("rows", static_cast<double>(n1));
-  BlockedMatMulNT(unit1, unit2, &ent_sim_);
-  prev_unit1_ = unit1;
-  prev_unit2_ = unit2;
-  have_prev_units_ = config_.incremental_ent_sim;
-  ent_sim_refresh_stats_.rows_refreshed = n1;
-  full_refreshes->Increment();
-  rows_refreshed_total->Increment(n1);
-  refresh_fraction->Set(n1 > 0 ? 1.0 : 0.0);
+  // Entity weights (Eq. 6): best similarity in the other KG, clamped to
+  // [0, 1] — a best-match cosine below zero means "surely dangling".
+  weight1_ = ent_stats_.row_max;
+  weight2_ = ent_stats_.col_max;
+  for (float& w : weight1_) w = std::max(w, 0.0f);
+  for (float& w : weight2_) w = std::max(w, 0.0f);
 }
 
 void JointAlignmentModel::ComputeMeanEmbeddings() {
@@ -446,50 +272,6 @@ void JointAlignmentModel::ComputeSchemaSimMatrices() {
   }
 }
 
-void JointAlignmentModel::ComputeCalibrationDenominators() {
-  auto row_lse = [](const Matrix& sim, double z) {
-    std::vector<double> out(sim.rows());
-    GlobalThreadPool().ParallelFor(sim.rows(), [&sim, &out, z](size_t r) {
-      const float* row = sim.RowData(r);
-      double max_l = -1e30;
-      for (size_t c = 0; c < sim.cols(); ++c) {
-        max_l = std::max(max_l, static_cast<double>(row[c]) / z);
-      }
-      double acc = 0.0;
-      for (size_t c = 0; c < sim.cols(); ++c) {
-        acc += std::exp(static_cast<double>(row[c]) / z - max_l);
-      }
-      out[r] = max_l + std::log(acc);
-    });
-    return out;
-  };
-  auto col_lse = [](const Matrix& sim, double z) {
-    std::vector<double> max_l(sim.cols(), -1e30);
-    for (size_t r = 0; r < sim.rows(); ++r) {
-      const float* row = sim.RowData(r);
-      for (size_t c = 0; c < sim.cols(); ++c) {
-        max_l[c] = std::max(max_l[c], static_cast<double>(row[c]) / z);
-      }
-    }
-    std::vector<double> acc(sim.cols(), 0.0);
-    for (size_t r = 0; r < sim.rows(); ++r) {
-      const float* row = sim.RowData(r);
-      for (size_t c = 0; c < sim.cols(); ++c) {
-        acc[c] += std::exp(static_cast<double>(row[c]) / z - max_l[c]);
-      }
-    }
-    std::vector<double> out(sim.cols());
-    for (size_t c = 0; c < sim.cols(); ++c) out[c] = max_l[c] + std::log(acc[c]);
-    return out;
-  };
-  ent_row_lse_ = row_lse(ent_sim_, config_.z_ent);
-  ent_col_lse_ = col_lse(ent_sim_, config_.z_ent);
-  rel_row_lse_ = row_lse(rel_sim_, config_.z_rel);
-  rel_col_lse_ = col_lse(rel_sim_, config_.z_rel);
-  cls_row_lse_ = row_lse(cls_sim_, config_.z_cls);
-  cls_col_lse_ = col_lse(cls_sim_, config_.z_cls);
-}
-
 void JointAlignmentModel::RefreshCaches() {
   static obs::Histogram* refresh_timing =
       obs::GlobalMetrics().GetHistogram("daakg.align.refresh_caches_seconds");
@@ -499,7 +281,7 @@ void JointAlignmentModel::RefreshCaches() {
   refresh_count->Increment();
   {
     obs::TraceSpan sub("align.entity_sim", "align");
-    ComputeEntitySimMatrix();
+    ComputeEntityStats();
   }
   {
     obs::TraceSpan sub("align.mean_embeddings", "align");
@@ -512,7 +294,8 @@ void JointAlignmentModel::RefreshCaches() {
   }
   {
     obs::TraceSpan sub("align.calibration", "align");
-    ComputeCalibrationDenominators();
+    rel_stats_ = DenseSimStats(rel_sim_, config_.z_rel);
+    cls_stats_ = DenseSimStats(cls_sim_, config_.z_cls);
   }
 }
 
@@ -530,33 +313,29 @@ Vector JointAlignmentModel::MappedRelationVec1(const Vector& v) const {
 
 double JointAlignmentModel::MatchProbability(const ElementPair& pair) const {
   DAAKG_CHECK(caches_ready_);
-  const Matrix* sim = nullptr;
-  const std::vector<double>* row_lse = nullptr;
-  const std::vector<double>* col_lse = nullptr;
+  float sim = 0.0f;
+  const SimStats* stats = nullptr;
   double z = 1.0;
   switch (pair.kind) {
     case ElementKind::kEntity:
-      sim = &ent_sim_;
-      row_lse = &ent_row_lse_;
-      col_lse = &ent_col_lse_;
+      sim = entity_index_->Score(unit1_.RowData(pair.first), pair.second);
+      stats = &ent_stats_;
       z = config_.z_ent;
       break;
     case ElementKind::kRelation:
-      sim = &rel_sim_;
-      row_lse = &rel_row_lse_;
-      col_lse = &rel_col_lse_;
+      sim = rel_sim_(pair.first, pair.second);
+      stats = &rel_stats_;
       z = config_.z_rel;
       break;
     case ElementKind::kClass:
-      sim = &cls_sim_;
-      row_lse = &cls_row_lse_;
-      col_lse = &cls_col_lse_;
+      sim = cls_sim_(pair.first, pair.second);
+      stats = &cls_stats_;
       z = config_.z_cls;
       break;
   }
-  const double s = static_cast<double>((*sim)(pair.first, pair.second)) / z;
-  const double p_fwd = std::exp(s - (*row_lse)[pair.first]);
-  const double p_bwd = std::exp(s - (*col_lse)[pair.second]);
+  const double s = static_cast<double>(sim) / z;
+  const double p_fwd = std::exp(s - stats->row_lse[pair.first]);
+  const double p_bwd = std::exp(s - stats->col_lse[pair.second]);
   return std::min(p_fwd, p_bwd);  // Eq. 12
 }
 
@@ -849,24 +628,23 @@ JointAlignmentModel::MineSemiSupervision() const {
   DAAKG_CHECK(caches_ready_);
   std::vector<std::pair<ElementPair, double>> mined;
 
-  auto mine_matrix = [this, &mined](const Matrix& sim, ElementKind kind) {
-    // Candidates above tau, then greedy one-to-one conflict resolution
-    // ("we discard the pairs with lower similarity scores").
+  // Candidates above tau in row-major order, then greedy one-to-one
+  // conflict resolution ("we discard the pairs with lower similarity
+  // scores"). Entity rows come from the index, which returns cells >= a
+  // float threshold; every float cell > tau is >= float(tau).
+  auto mine = [&](const std::vector<std::vector<ScoredIndex>>& rows,
+                  size_t cols, ElementKind kind) {
     std::vector<std::tuple<float, uint32_t, uint32_t>> cands;
-    for (size_t r = 0; r < sim.rows(); ++r) {
-      const float* row = sim.RowData(r);
-      for (size_t c = 0; c < sim.cols(); ++c) {
-        if (row[c] > config_.tau) {
-          cands.emplace_back(row[c], static_cast<uint32_t>(r),
-                             static_cast<uint32_t>(c));
-        }
+    for (uint32_t r = 0; r < rows.size(); ++r) {
+      for (const ScoredIndex& e : rows[r]) {
+        if (e.score > config_.tau) cands.emplace_back(e.score, r, e.index);
       }
     }
     std::sort(cands.begin(), cands.end(), [](const auto& a, const auto& b) {
       return std::get<0>(a) > std::get<0>(b);
     });
-    std::vector<bool> used_r(sim.rows(), false);
-    std::vector<bool> used_c(sim.cols(), false);
+    std::vector<bool> used_r(rows.size(), false);
+    std::vector<bool> used_c(cols, false);
     for (const auto& [score, r, c] : cands) {
       if (used_r[r] || used_c[c]) continue;
       used_r[r] = true;
@@ -874,9 +652,19 @@ JointAlignmentModel::MineSemiSupervision() const {
       mined.push_back({ElementPair{kind, r, c}, static_cast<double>(score)});
     }
   };
-  mine_matrix(ent_sim_, ElementKind::kEntity);
-  mine_matrix(rel_sim_, ElementKind::kRelation);
-  mine_matrix(cls_sim_, ElementKind::kClass);
+  auto matrix_rows = [](const Matrix& sim) {
+    std::vector<std::vector<ScoredIndex>> rows(sim.rows());
+    for (uint32_t r = 0; r < sim.rows(); ++r) {
+      for (uint32_t c = 0; c < sim.cols(); ++c) {
+        rows[r].push_back({c, sim(r, c)});
+      }
+    }
+    return rows;
+  };
+  mine(entity_index_->QueryAbove(unit1_, static_cast<float>(config_.tau)),
+       entity_index_->base().rows(), ElementKind::kEntity);
+  mine(matrix_rows(rel_sim_), rel_sim_.cols(), ElementKind::kRelation);
+  mine(matrix_rows(cls_sim_), cls_sim_.cols(), ElementKind::kClass);
   return mined;
 }
 

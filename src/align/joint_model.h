@@ -1,14 +1,17 @@
 #ifndef DAAKG_ALIGN_JOINT_MODEL_H_
 #define DAAKG_ALIGN_JOINT_MODEL_H_
 
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "embedding/entity_class_model.h"
 #include "embedding/kge_model.h"
+#include "index/candidate_index.h"
 #include "kg/alignment_task.h"
 #include "tensor/matrix.h"
+#include "tensor/topk.h"
 
 namespace daakg {
 
@@ -43,22 +46,6 @@ struct JointAlignConfig {
   double focal_gamma = 2.0;    // focal-loss focus (fine-tuning)
   bool use_mean_embeddings = true;   // Table 5 ablation switch
   bool update_embeddings = true;     // backprop alignment loss into KGE
-  // --- entity-similarity cache refresh policy ----------------------------
-  // When true, RefreshCaches() recomputes only the row bands of the cached
-  // ent_sim_ whose unit-normalized source rows moved more than
-  // `ent_sim_refresh_threshold` since they were last computed (plus
-  // per-column patches for moved KG2 rows); every cached cell then stays
-  // within 4 * threshold of the exact cosine (see DESIGN.md, "Incremental
-  // entity-similarity refresh"). False forces the bit-exact full recompute
-  // every round.
-  bool incremental_ent_sim = true;
-  float ent_sim_refresh_threshold = 1e-3f;
-  // Rows are refreshed in bands of this many rows (amortizes the tiled
-  // kernel's column-tile reloads across neighboring moved rows).
-  size_t ent_sim_band_rows = 64;
-  // Fall back to a full refresh when more than this fraction of rows or of
-  // columns moved — incremental bookkeeping would cost more than it saves.
-  float ent_sim_full_refresh_fraction = 0.5f;
   uint64_t seed = 29;
 };
 
@@ -72,9 +59,13 @@ struct JointAlignConfig {
 // with dangling-aware entity weights (Eq. 6), weighted relation mean
 // embeddings (Eq. 7) and class mean embeddings (Eq. 9).
 //
-// The model caches full similarity matrices after RefreshCaches(); the
-// cached matrices also drive probability calibration (Eqs. 11-12), pool
-// generation and semi-supervision mining.
+// RefreshCaches() keeps the unit-normalized entity rows of both sides
+// (O((|E1| + |E2|) dim) memory) and streams their cosines once for the row
+// and column maxima (Eq. 6) and log-sum-exps (Eqs. 11-12); the |E1| x |E2|
+// entity similarity matrix is never stored. Entity consumers (calibration,
+// mining, evaluation, matching) score cells from the unit rows through an
+// exact CandidateIndex. The schema-sized relation and class similarity
+// matrices are cached densely.
 class JointAlignmentModel {
  public:
   // `ec1`/`ec2` may be null ("w/o class embeddings" ablation: class
@@ -99,38 +90,29 @@ class JointAlignmentModel {
   float Sim(const ElementPair& pair) const;
 
   // --- caches -------------------------------------------------------------
-  // Recomputes representations, similarity matrices, entity weights
-  // (Eq. 6), relation/class mean embeddings (Eqs. 7, 9) and calibration
-  // denominators. Cost O(|E1| |E2| dim); parallelized.
+  // Recomputes entity representations and their unit rows, entity weights
+  // (Eq. 6), relation/class mean embeddings (Eqs. 7, 9), the schema
+  // similarity matrices and the calibration log-sum-exps. One parallel
+  // O(|E1| |E2| dim) pass over the entity cosines; nothing quadratic is
+  // stored.
   void RefreshCaches();
   bool caches_ready() const { return caches_ready_; }
 
-  const Matrix& entity_sim() const { return ent_sim_; }
   const Matrix& relation_sim() const { return rel_sim_; }
   const Matrix& class_sim() const { return cls_sim_; }
 
-  // Unit-row snapshots the cached ent_sim_ cells were computed against:
-  // row r of unit_mapped1() is the unit-normalized mapped KG1 entity row,
-  // row c of unit_repr2() the unit-normalized KG2 entity row. Exact after a
-  // full refresh; under the incremental policy each row is within
-  // ent_sim_refresh_threshold of the current representation. Valid after
-  // RefreshCaches(). These are the rows index-based entity matching builds
-  // its CandidateIndex from (reusing the snapshots the incremental refresh
-  // already keeps).
-  const Matrix& unit_mapped1() const { return prev_unit1_; }
-  const Matrix& unit_repr2() const { return prev_unit2_; }
-
-  // What the last ent_sim_ refresh actually recomputed.
-  struct EntSimRefreshStats {
-    bool incremental = false;   // false: full recompute (first call,
-                                // fallback, or incremental_ent_sim off)
-    size_t rows_total = 0;
-    size_t rows_refreshed = 0;  // rows recomputed via row-band matmul
-    size_t cols_patched = 0;    // moved columns rewritten in skipped rows
-  };
-  const EntSimRefreshStats& ent_sim_refresh_stats() const {
-    return ent_sim_refresh_stats_;
-  }
+  // Row r of unit_mapped1() is the unit-normalized mapped KG1 entity row
+  // A_ent e_r, row c of unit_repr2() the unit-normalized KG2 entity row, as
+  // of the last RefreshCaches(); their dot products are the entity cosines.
+  // entity_index() is an exact index over unit_repr2(): querying it with
+  // unit_mapped1() rows scans the entity similarity matrix without
+  // materializing it.
+  const Matrix& unit_mapped1() const { return unit1_; }
+  const Matrix& unit_repr2() const { return entity_index().base(); }
+  const CandidateIndex& entity_index() const { return *entity_index_; }
+  // Row (KG1) and column (KG2) maxima and log-sum-exps (temperature z_ent)
+  // of the entity cosines, from the last RefreshCaches().
+  const SimStats& entity_stats() const { return ent_stats_; }
 
   float EntityWeight1(EntityId e1) const { return weight1_[e1]; }
   float EntityWeight2(EntityId e2) const { return weight2_[e2]; }
@@ -160,7 +142,8 @@ class JointAlignmentModel {
 
   // --- probability calibration (Eqs. 11-12) -------------------------------
   // min(Pr[x'|x], Pr[x|x']) under temperature-scaled softmax over the
-  // cached similarity rows/columns.
+  // similarity rows/columns: the pair's cosine against the cached
+  // log-sum-exps.
   double MatchProbability(const ElementPair& pair) const;
 
   // --- training ------------------------------------------------------------
@@ -169,9 +152,9 @@ class JointAlignmentModel {
   // variant is used (fine-tuning). Returns the mean loss.
   double TrainEpoch(const SeedAlignment& seed, Rng* rng, bool focal);
 
-  // Semi-supervision (Eq. 10): mines element pairs with cached similarity
-  // > tau, resolves one-to-one conflicts by score, and returns them with
-  // their soft labels S0.
+  // Semi-supervision (Eq. 10): mines element pairs with similarity > tau
+  // as of the last RefreshCaches(), resolves one-to-one conflicts by score,
+  // and returns them with their soft labels S0.
   std::vector<std::pair<ElementPair, double>> MineSemiSupervision() const;
 
   // One epoch over mined semi-supervised pairs: ascends S0 * S(x, x').
@@ -198,14 +181,11 @@ class JointAlignmentModel {
   // semi-supervised objective of Eq. 10).
   void AscendPairSimilarity(const ElementPair& pair, double weight, float lr);
 
-  void ComputeEntitySimMatrix();
-  // Fills ent_sim_ = unit1 * unit2^T, either wholesale or — when the
-  // incremental policy allows — only the row bands / columns whose unit
-  // rows drifted beyond the configured threshold since their snapshot.
-  void RefreshEntitySimFromUnits(const Matrix& unit1, const Matrix& unit2);
+  // Entity representations, unit rows, the streamed entity statistics and
+  // the Eq. 6 weights derived from them.
+  void ComputeEntityStats();
   void ComputeMeanEmbeddings();
   void ComputeSchemaSimMatrices();
-  void ComputeCalibrationDenominators();
 
   // Class representation from the EC model, or empty if ec is null.
   Vector ClassRepr(int side, ClassId c) const;
@@ -229,16 +209,8 @@ class JointAlignmentModel {
   bool caches_ready_ = false;
   Matrix repr1_;     // |E1| x dim
   Matrix repr2_;     // |E2| x dim
-  Matrix mapped1_;   // |E1| x dim  (A_ent * repr1)
-  Matrix ent_sim_;   // |E1| x |E2| cosine
-  // Unit-row snapshots the cached ent_sim_ cells were computed against:
-  // prev_unit1_ row r is updated only when row r is actually refreshed,
-  // prev_unit2_ row c only when column c is patched (or on full refresh),
-  // so per-cell drift stays bounded across rounds of skipped work.
-  Matrix prev_unit1_;
-  Matrix prev_unit2_;
-  bool have_prev_units_ = false;
-  EntSimRefreshStats ent_sim_refresh_stats_;
+  Matrix unit1_;     // |E1| x dim  unit-normalized A_ent * repr1
+  std::unique_ptr<CandidateIndex> entity_index_;  // exact, over unit repr2
   Matrix rel_sim_;   // base relations only
   Matrix cls_sim_;
   std::vector<float> weight1_;  // Eq. 6
@@ -252,10 +224,8 @@ class JointAlignmentModel {
   // Stale per-epoch snapshots for hard-negative mining.
   Matrix mining_mapped1_;  // A_ent * repr1 at epoch start
   Matrix mining_repr2_;
-  // Log-sum-exp denominators for Eq. 11, rows (1->2) and columns (2->1).
-  std::vector<double> ent_row_lse_, ent_col_lse_;
-  std::vector<double> rel_row_lse_, rel_col_lse_;
-  std::vector<double> cls_row_lse_, cls_col_lse_;
+  // Row (1->2) and column (2->1) maxima and log-sum-exps for Eq. 11.
+  SimStats ent_stats_, rel_stats_, cls_stats_;
 };
 
 }  // namespace daakg

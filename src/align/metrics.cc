@@ -5,29 +5,24 @@
 #include <tuple>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "index/candidate_index.h"
 #include "tensor/topk.h"
 
 namespace daakg {
 
-RankingMetrics EvaluateRanking(
-    const Matrix& sim,
-    const std::vector<std::pair<uint32_t, uint32_t>>& test_pairs) {
+namespace {
+
+// H@1 / H@10 / MRR from each test pair's count of strictly better cells,
+// folded in test-pair order.
+RankingMetrics FoldRanks(const std::vector<size_t>& greater) {
   RankingMetrics m;
-  for (const auto& [first, second] : test_pairs) {
-    DAAKG_CHECK_LT(first, sim.rows());
-    DAAKG_CHECK_LT(second, sim.cols());
-    const float* row = sim.RowData(first);
-    const float target = row[second];
-    // Entries strictly above the target outrank it; the target's own cell
-    // compares equal, so no index needs excluding.
-    const size_t rank = 1 + CountGreater(row, sim.cols(), target);
+  for (size_t g : greater) {
+    const size_t rank = 1 + g;
     if (rank == 1) m.hits_at_1 += 1.0;
     if (rank <= 10) m.hits_at_10 += 1.0;
     m.mrr += 1.0 / static_cast<double>(rank);
-    ++m.num_queries;
   }
+  m.num_queries = greater.size();
   if (m.num_queries > 0) {
     const double n = static_cast<double>(m.num_queries);
     m.hits_at_1 /= n;
@@ -37,28 +32,77 @@ RankingMetrics EvaluateRanking(
   return m;
 }
 
-RankingMetrics EvaluateRankingStreaming(
-    const Matrix& a, const Matrix& b,
-    const std::vector<std::pair<uint32_t, uint32_t>>& test_pairs,
-    const BlockedKernelOptions& options) {
-  RankingMetrics m;
-  if (test_pairs.empty()) return m;
-  DAAKG_CHECK_EQ(a.cols(), b.cols());
-  // Pin the exact backend: this signature's bit-identity contract must hold
-  // regardless of any process-wide DAAKG_INDEX override.
-  CandidateIndexConfig cfg;
-  cfg.backend = IndexChoice::kExact;
-  cfg.kernel = options;
-  auto index = CandidateIndex::Build(b, cfg);
-  DAAKG_CHECK(index.ok()) << index.status();
-  return EvaluateRankingStreaming(**index, a, test_pairs);
+// Shared tail of the greedy one-to-one matching: sort by score (descending;
+// the sort sees the cells in row-major order, so equal scores resolve the
+// same way for every producer of that order) and sweep.
+std::vector<std::pair<uint32_t, uint32_t>> GreedySweep(
+    std::vector<std::tuple<float, uint32_t, uint32_t>>&& cells, size_t rows,
+    size_t cols) {
+  std::sort(cells.begin(), cells.end(), [](const auto& a, const auto& b) {
+    return std::get<0>(a) > std::get<0>(b);
+  });
+  std::vector<bool> used_row(rows, false);
+  std::vector<bool> used_col(cols, false);
+  std::vector<std::pair<uint32_t, uint32_t>> matches;
+  for (const auto& [score, r, c] : cells) {
+    (void)score;
+    if (used_row[r] || used_col[c]) continue;
+    used_row[r] = true;
+    used_col[c] = true;
+    matches.emplace_back(r, c);
+  }
+  return matches;
+}
+
+// Precision / recall / F1 of `predicted` against `gold_pairs`.
+PrfMetrics ScoreMatches(
+    const std::vector<std::pair<uint32_t, uint32_t>>& predicted,
+    const std::vector<std::pair<uint32_t, uint32_t>>& gold_pairs) {
+  PrfMetrics m;
+  m.num_predicted = predicted.size();
+  std::vector<std::pair<uint32_t, uint32_t>> gold_sorted = gold_pairs;
+  std::sort(gold_sorted.begin(), gold_sorted.end());
+  for (const auto& p : predicted) {
+    if (std::binary_search(gold_sorted.begin(), gold_sorted.end(), p)) {
+      ++m.num_correct;
+    }
+  }
+  if (m.num_predicted > 0) {
+    m.precision = static_cast<double>(m.num_correct) /
+                  static_cast<double>(m.num_predicted);
+  }
+  if (!gold_pairs.empty()) {
+    m.recall = static_cast<double>(m.num_correct) /
+               static_cast<double>(gold_pairs.size());
+  }
+  if (m.precision + m.recall > 0.0) {
+    m.f1 = 2.0 * m.precision * m.recall / (m.precision + m.recall);
+  }
+  return m;
+}
+
+}  // namespace
+
+RankingMetrics EvaluateRanking(
+    const Matrix& sim,
+    const std::vector<std::pair<uint32_t, uint32_t>>& test_pairs) {
+  std::vector<size_t> greater;
+  greater.reserve(test_pairs.size());
+  for (const auto& [first, second] : test_pairs) {
+    DAAKG_CHECK_LT(first, sim.rows());
+    DAAKG_CHECK_LT(second, sim.cols());
+    const float* row = sim.RowData(first);
+    // Entries strictly above the target outrank it; the target's own cell
+    // compares equal, so no index needs excluding.
+    greater.push_back(CountGreater(row, sim.cols(), row[second]));
+  }
+  return FoldRanks(greater);
 }
 
 RankingMetrics EvaluateRankingStreaming(
     const CandidateIndex& index, const Matrix& a,
     const std::vector<std::pair<uint32_t, uint32_t>>& test_pairs) {
-  RankingMetrics m;
-  if (test_pairs.empty()) return m;
+  if (test_pairs.empty()) return RankingMetrics();
   const Matrix& b = index.base();
   DAAKG_CHECK_EQ(a.cols(), b.cols());
   const size_t num_queries = test_pairs.size();
@@ -92,80 +136,18 @@ RankingMetrics EvaluateRankingStreaming(
                                          test_pairs[q].second);
   }
 
-  const std::vector<size_t> greater = index.CountAbove(aq, rank_queries);
-
-  // Fold ranks in the original test-pair order (same summation order as
-  // the materialized path).
-  for (size_t q = 0; q < num_queries; ++q) {
-    const size_t rank = 1 + greater[q];
-    if (rank == 1) m.hits_at_1 += 1.0;
-    if (rank <= 10) m.hits_at_10 += 1.0;
-    m.mrr += 1.0 / static_cast<double>(rank);
-    ++m.num_queries;
-  }
-  const double n = static_cast<double>(m.num_queries);
-  m.hits_at_1 /= n;
-  m.hits_at_10 /= n;
-  m.mrr /= n;
-  return m;
+  return FoldRanks(index.CountAbove(aq, rank_queries));
 }
-
-namespace {
-
-// Shared tail of the greedy one-to-one matching: sort by score (descending;
-// the sort sees the cells in row-major order, so equal scores resolve the
-// same way for every producer of that order) and sweep.
-std::vector<std::pair<uint32_t, uint32_t>> GreedySweep(
-    std::vector<std::tuple<float, uint32_t, uint32_t>>&& cells, size_t rows,
-    size_t cols) {
-  std::sort(cells.begin(), cells.end(), [](const auto& a, const auto& b) {
-    return std::get<0>(a) > std::get<0>(b);
-  });
-  std::vector<bool> used_row(rows, false);
-  std::vector<bool> used_col(cols, false);
-  std::vector<std::pair<uint32_t, uint32_t>> matches;
-  for (const auto& [score, r, c] : cells) {
-    (void)score;
-    if (used_row[r] || used_col[c]) continue;
-    used_row[r] = true;
-    used_col[c] = true;
-    matches.emplace_back(r, c);
-  }
-  return matches;
-}
-
-}  // namespace
 
 std::vector<std::pair<uint32_t, uint32_t>> GreedyOneToOneMatches(
     const Matrix& sim, float threshold) {
-  // Sweep the matrix in row blocks, each shard collecting its rows' cells
-  // above threshold locally; shard buffers concatenate in shard order, so
-  // the combined sequence is the same row-major order a serial scan
-  // produces (and hence the sort and greedy sweep below see identical
-  // input).
-  ThreadPool& pool = GlobalThreadPool();
-  const size_t shards = std::min(sim.rows(), pool.num_threads());
-  std::vector<std::vector<std::tuple<float, uint32_t, uint32_t>>> shard_cells(
-      std::max<size_t>(shards, 1));
-  pool.ParallelForShards(
-      sim.rows(), [&](size_t shard, size_t begin, size_t end) {
-        auto& cells = shard_cells[shard];
-        for (size_t r = begin; r < end; ++r) {
-          const float* row = sim.RowData(r);
-          for (size_t c = 0; c < sim.cols(); ++c) {
-            if (row[c] >= threshold) {
-              cells.emplace_back(row[c], static_cast<uint32_t>(r),
-                                 static_cast<uint32_t>(c));
-            }
-          }
-        }
-      });
-  size_t total = 0;
-  for (const auto& cells : shard_cells) total += cells.size();
+  // Qualifying cells in row-major order, the order the index variant
+  // produces too.
   std::vector<std::tuple<float, uint32_t, uint32_t>> cells;
-  cells.reserve(total);
-  for (auto& shard : shard_cells) {
-    cells.insert(cells.end(), shard.begin(), shard.end());
+  for (uint32_t r = 0; r < sim.rows(); ++r) {
+    for (uint32_t c = 0; c < sim.cols(); ++c) {
+      if (sim(r, c) >= threshold) cells.emplace_back(sim(r, c), r, c);
+    }
   }
   return GreedySweep(std::move(cells), sim.rows(), sim.cols());
 }
@@ -193,28 +175,15 @@ PrfMetrics EvaluateGreedyMatching(
     const Matrix& sim,
     const std::vector<std::pair<uint32_t, uint32_t>>& gold_pairs,
     float threshold) {
-  auto predicted = GreedyOneToOneMatches(sim, threshold);
-  PrfMetrics m;
-  m.num_predicted = predicted.size();
-  std::vector<std::pair<uint32_t, uint32_t>> gold_sorted = gold_pairs;
-  std::sort(gold_sorted.begin(), gold_sorted.end());
-  for (const auto& p : predicted) {
-    if (std::binary_search(gold_sorted.begin(), gold_sorted.end(), p)) {
-      ++m.num_correct;
-    }
-  }
-  if (m.num_predicted > 0) {
-    m.precision = static_cast<double>(m.num_correct) /
-                  static_cast<double>(m.num_predicted);
-  }
-  if (!gold_pairs.empty()) {
-    m.recall = static_cast<double>(m.num_correct) /
-               static_cast<double>(gold_pairs.size());
-  }
-  if (m.precision + m.recall > 0.0) {
-    m.f1 = 2.0 * m.precision * m.recall / (m.precision + m.recall);
-  }
-  return m;
+  return ScoreMatches(GreedyOneToOneMatches(sim, threshold), gold_pairs);
+}
+
+PrfMetrics EvaluateGreedyMatching(
+    const CandidateIndex& index, const Matrix& queries,
+    const std::vector<std::pair<uint32_t, uint32_t>>& gold_pairs,
+    float threshold) {
+  return ScoreMatches(GreedyOneToOneMatches(index, queries, threshold),
+                      gold_pairs);
 }
 
 }  // namespace daakg

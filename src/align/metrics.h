@@ -37,23 +37,12 @@ RankingMetrics EvaluateRanking(
     const Matrix& sim,
     const std::vector<std::pair<uint32_t, uint32_t>>& test_pairs);
 
-// Streaming variant: computes the same metrics directly from the embedding
-// matrices `a` (|X1| x dim) and `b` (|X2| x dim) without materializing the
-// |X1| x |X2| similarity matrix — the query path runs through an ExactIndex
-// over `b` (pinned exact regardless of DAAKG_INDEX, preserving this
-// signature's contract). Bit-identical to EvaluateRanking on
-// BlockedMatMulNT(a, b) under the same options: tile cells and the target
-// cell come from the same dispatched kernels, and per-query ranks are
-// folded in the original test-pair order. Peak extra memory is
-// O(|X2| * dim + unique_rows * dim), not O(|X1| * |X2|).
-RankingMetrics EvaluateRankingStreaming(
-    const Matrix& a, const Matrix& b,
-    const std::vector<std::pair<uint32_t, uint32_t>>& test_pairs,
-    const BlockedKernelOptions& options = {});
-
-// Index-based variant: ranks each test pair's target among the candidate
-// scores the index produces for query row `first` of `a`. With an exact
-// backend this equals the materialized path bit-for-bit; with an IVF
+// Streaming variant: ranks each test pair's target among the candidate
+// scores the index produces for query row `first` of `a`, without
+// materializing a * base^T (extra memory O(unique_rows * dim)). With an
+// exact backend this equals EvaluateRanking on BlockedMatMulNT(a, base)
+// bit-for-bit: tile cells and the target cell come from the same
+// dispatched kernels, and ranks fold in test-pair order; with an IVF
 // backend only probed rows can outrank the target, so ranks are optimistic
 // in proportion to the index's recall. `index.base()` must hold the rows of
 // `b` (pairs' `second` indexes into it).
@@ -68,6 +57,13 @@ RankingMetrics EvaluateRankingStreaming(
 // the paper counts all predictions; we follow the paper).
 PrfMetrics EvaluateGreedyMatching(
     const Matrix& sim,
+    const std::vector<std::pair<uint32_t, uint32_t>>& gold_pairs,
+    float threshold);
+
+// Index-based variant: the predictions of GreedyOneToOneMatches(index,
+// queries, threshold), scored the same way.
+PrfMetrics EvaluateGreedyMatching(
+    const CandidateIndex& index, const Matrix& queries,
     const std::vector<std::pair<uint32_t, uint32_t>>& gold_pairs,
     float threshold);
 

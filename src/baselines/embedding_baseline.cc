@@ -7,6 +7,7 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "tensor/topk.h"
 
 namespace daakg {
 namespace {
@@ -230,8 +231,10 @@ BaselineResult EmbeddingBaseline::Run(const SeedAlignment& seed) {
   BaselineResult result;
   result.name = config_.name;
 
-  // Similarity matrices for evaluation, with optional literal blending.
-  Matrix ent_sim = joint.entity_sim();
+  // Similarity matrices for evaluation, with optional literal blending
+  // (which needs the dense entity matrix).
+  Matrix ent_sim;
+  BlockedMatMulNT(joint.unit_mapped1(), joint.unit_repr2(), &ent_sim);
   Matrix rel_sim = joint.relation_sim();
   if (config_.name_view_weight > 0.0) {
     std::vector<std::string> names1(transformed_.kg1.num_entities());

@@ -20,7 +20,6 @@ inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 void Rng::Seed(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& s : state_) s = SplitMix64(&sm);
-  zipf_n_ = 0;
 }
 
 uint64_t Rng::NextUint64() {
@@ -61,21 +60,20 @@ double Rng::NextGaussian() {
 
 size_t Rng::NextZipf(size_t n, double s) {
   DAAKG_CHECK_GT(n, 0u);
-  if (n != zipf_n_ || s != zipf_s_) {
-    zipf_cdf_.resize(n);
+  std::vector<double>& cdf = zipf_cdfs_[{n, s}];
+  if (cdf.empty()) {
+    cdf.resize(n);
     double acc = 0.0;
     for (size_t i = 0; i < n; ++i) {
       acc += 1.0 / std::pow(static_cast<double>(i + 1), s);
-      zipf_cdf_[i] = acc;
+      cdf[i] = acc;
     }
-    for (auto& c : zipf_cdf_) c /= acc;
-    zipf_n_ = n;
-    zipf_s_ = s;
+    for (auto& c : cdf) c /= acc;
   }
   double u = NextDouble();
-  auto it = std::lower_bound(zipf_cdf_.begin(), zipf_cdf_.end(), u);
-  return static_cast<size_t>(std::min<ptrdiff_t>(
-      it - zipf_cdf_.begin(), static_cast<ptrdiff_t>(n) - 1));
+  auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  return static_cast<size_t>(
+      std::min<ptrdiff_t>(it - cdf.begin(), static_cast<ptrdiff_t>(n) - 1));
 }
 
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {

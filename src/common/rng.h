@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <cmath>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -48,8 +50,9 @@ class Rng {
   bool NextBernoulli(double p) { return NextDouble() < p; }
 
   // Draws from Zipf distribution over {0, ..., n-1} with exponent s > 0.
-  // Smaller indexes are more likely. Uses cached CDF per (n, s); cheap for
-  // repeated draws with identical parameters.
+  // Smaller indexes are more likely. The O(n) CDF is built once per
+  // distinct (n, s) and kept, so interleaving parameters stays O(log n) a
+  // draw.
   size_t NextZipf(size_t n, double s);
 
   // Fisher-Yates shuffle.
@@ -71,10 +74,8 @@ class Rng {
 
  private:
   uint64_t state_[4];
-  // Cached Zipf CDF for the last (n, s) used.
-  std::vector<double> zipf_cdf_;
-  size_t zipf_n_ = 0;
-  double zipf_s_ = 0.0;
+  // Zipf CDFs by (n, s).
+  std::map<std::pair<size_t, double>, std::vector<double>> zipf_cdfs_;
 };
 
 }  // namespace daakg

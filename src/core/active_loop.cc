@@ -148,7 +148,8 @@ std::vector<ActiveRoundReport> ActiveAlignmentLoop::Run() {
     {
       obs::TraceSpan refresh_span("core.round_refresh", "core", nullptr,
                                   obs::TimingMode::kAlways);
-      aligner_->RefreshCaches();
+      // Train/FineTune end with a refresh; only stale caches need one.
+      if (!aligner_->joint()->caches_ready()) aligner_->RefreshCaches();
       window.refresh_seconds += refresh_span.Finish();
     }
 

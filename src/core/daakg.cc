@@ -1,6 +1,9 @@
 #include "core/daakg.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -83,17 +86,16 @@ Status DaakgConfig::Validate() const {
   if (align.tau < 0.0 || align.tau > 1.0) {
     return InvalidArgumentError("align.tau must be in [0, 1]");
   }
-  if (align.ent_sim_refresh_threshold < 0.0f) {
-    return InvalidArgumentError(
-        "align.ent_sim_refresh_threshold must be non-negative");
-  }
-  if (align.ent_sim_band_rows == 0) {
-    return InvalidArgumentError("align.ent_sim_band_rows must be positive");
-  }
-  if (align.ent_sim_full_refresh_fraction < 0.0f ||
-      align.ent_sim_full_refresh_fraction > 1.0f) {
-    return InvalidArgumentError(
-        "align.ent_sim_full_refresh_fraction must be in [0, 1]");
+  // Calibration sums exp((s - 1) / z) over cosines s >= -1, so a
+  // temperature must keep exp(-2 / z) a normal double (z >= ~0.0029).
+  for (const auto& [name, z] : {std::pair{"align.z_ent", align.z_ent},
+                                std::pair{"align.z_rel", align.z_rel},
+                                std::pair{"align.z_cls", align.z_cls}}) {
+    if (!(std::isfinite(z) && z > 0.0 &&
+          std::exp(-2.0 / z) >= std::numeric_limits<double>::min())) {
+      return InvalidArgumentError(std::string(name) +
+                                  " must be finite and at least ~0.0029");
+    }
   }
   if (fine_tune_epochs <= 0) {
     return InvalidArgumentError("fine_tune_epochs must be positive");
@@ -259,11 +261,13 @@ EvalResult DaakgAligner::Evaluate() {
   auto rel_test = TestPairs(task_->gold_relations, labeled_.relations);
   auto cls_test = TestPairs(task_->gold_classes, labeled_.classes);
 
-  out.ent_rank = EvaluateRanking(joint_->entity_sim(), ent_test);
+  const CandidateIndex& ent_index = joint_->entity_index();
+  out.ent_rank =
+      EvaluateRankingStreaming(ent_index, joint_->unit_mapped1(), ent_test);
   out.rel_rank = EvaluateRanking(joint_->relation_sim(), rel_test);
   out.cls_rank = EvaluateRanking(joint_->class_sim(), cls_test);
-  out.ent_prf = EvaluateGreedyMatching(joint_->entity_sim(), ent_test,
-                                       config_.match_threshold);
+  out.ent_prf = EvaluateGreedyMatching(ent_index, joint_->unit_mapped1(),
+                                       ent_test, config_.match_threshold);
   out.rel_prf = EvaluateGreedyMatching(joint_->relation_sim(), rel_test,
                                        config_.match_threshold);
   out.cls_prf = EvaluateGreedyMatching(joint_->class_sim(), cls_test,
@@ -275,27 +279,13 @@ DaakgAligner::Alignment DaakgAligner::ExtractAlignment() {
   obs::TraceSpan span("core.extract_alignment", "core");
   if (!joint_->caches_ready()) joint_->RefreshCaches();
   Alignment out;
-  // Entity matching goes through the candidate index when an IVF backend is
-  // in force and the base is large enough to benefit; otherwise the cached
-  // similarity matrix is swept directly (bit-identical to the pre-index
-  // path). Relation/class matrices are schema-sized — always direct.
-  bool entities_done = false;
-  if (ResolveIndexBackend(config_.index.backend) == IndexBackendKind::kIvf &&
-      joint_->unit_repr2().rows() >= config_.index.min_rows_for_ann) {
-    auto index = CandidateIndex::Build(joint_->unit_repr2(), config_.index);
-    DAAKG_CHECK(index.ok()) << index.status();
-    for (const auto& [a, b] :
-         GreedyOneToOneMatches(**index, joint_->unit_mapped1(),
-                               config_.match_threshold)) {
-      out.entities.emplace_back(a, b);
-    }
-    entities_done = true;
-  }
-  if (!entities_done) {
-    for (const auto& [a, b] : GreedyOneToOneMatches(joint_->entity_sim(),
-                                                    config_.match_threshold)) {
-      out.entities.emplace_back(a, b);
-    }
+  // Entities match through an index over the unit rows (config_.index picks
+  // the backend); the schema-sized relation and class matrices directly.
+  auto index = CandidateIndex::Build(joint_->unit_repr2(), config_.index);
+  DAAKG_CHECK(index.ok()) << index.status();
+  for (const auto& [a, b] : GreedyOneToOneMatches(
+           **index, joint_->unit_mapped1(), config_.match_threshold)) {
+    out.entities.emplace_back(a, b);
   }
   for (const auto& [a, b] : GreedyOneToOneMatches(joint_->relation_sim(),
                                                   config_.match_threshold)) {

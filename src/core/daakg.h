@@ -32,11 +32,10 @@ struct DaakgConfig {
   // Greedy-matching similarity threshold used when extracting/evaluating
   // final alignments (F1).
   float match_threshold = 0.5f;
-  // Candidate index for ExtractAlignment's entity matching. The default
-  // (kAuto => exact unless DAAKG_INDEX=ivf) keeps the cached-matrix path
-  // bit-for-bit; an IVF backend matches from the joint model's unit-row
-  // snapshots through the index instead, skipping the quadratic scan on
-  // bases of at least index.min_rows_for_ann rows.
+  // Candidate index for ExtractAlignment's entity matching over the joint
+  // model's unit rows. The default (kAuto => exact unless DAAKG_INDEX=ivf)
+  // is the full scan; an IVF backend skips it on bases of at least
+  // index.min_rows_for_ann rows.
   CandidateIndexConfig index;
   uint64_t seed = 17;
 

@@ -157,16 +157,6 @@ float CandidateIndex::Score(const float* query, uint32_t base_row) const {
   return ops.dot(query, base_.RowData(base_row), base_.cols());
 }
 
-void CandidateIndex::ScoreRows(const float* query,
-                               const std::vector<uint32_t>& base_rows,
-                               float* out) const {
-  const simd::Ops& ops = simd::Resolve(config_.kernel.backend);
-  const size_t dim = base_.cols();
-  for (size_t i = 0; i < base_rows.size(); ++i) {
-    out[i] = ops.dot(query, base_.RowData(base_rows[i]), dim);
-  }
-}
-
 StatusOr<std::unique_ptr<CandidateIndex>> CandidateIndex::Build(
     Matrix base, const CandidateIndexConfig& config) {
   static obs::Counter* builds =

@@ -125,12 +125,10 @@ class CandidateIndex {
       const Matrix& queries, const std::vector<RankQuery>& rank_queries)
       const = 0;
 
-  // Exact score of one base row / a set of base rows against `query`
-  // (dim == base().cols()), via the configured dispatched dot kernel.
-  // Available on every backend — this is the exact re-scoring primitive.
+  // Exact score of one base row against `query` (dim == base().cols()),
+  // via the configured dispatched dot kernel. Available on every backend —
+  // this is the exact re-scoring primitive.
   float Score(const float* query, uint32_t base_row) const;
-  void ScoreRows(const float* query, const std::vector<uint32_t>& base_rows,
-                 float* out) const;
 
   // Builds an index over `base` (taken by value; move in to avoid the
   // copy). Resolves the backend per `config.backend` and applies the

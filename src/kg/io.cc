@@ -1,6 +1,8 @@
 #include "kg/io.h"
 
+#include <filesystem>
 #include <sstream>
+#include <system_error>
 
 #include "common/file_util.h"
 #include "common/string_util.h"
@@ -30,12 +32,10 @@ StatusOr<std::vector<std::pair<std::string, std::string>>> LoadNamePairs(
   return pairs;
 }
 
-}  // namespace
-
-StatusOr<KnowledgeGraph> LoadKgFromTsv(const std::string& path,
-                                       const std::string& type_relation) {
+// Adds the relational and type triplets of a triples file to `kg`.
+Status ParseTriples(const std::string& path, const std::string& type_relation,
+                    KnowledgeGraph* kg) {
   DAAKG_ASSIGN_OR_RETURN(std::vector<std::string> lines, ReadLines(path));
-  KnowledgeGraph kg;
   for (size_t i = 0; i < lines.size(); ++i) {
     if (SkippableLine(lines[i])) continue;
     std::vector<std::string> fields = StrSplit(lines[i], '\t');
@@ -44,16 +44,79 @@ StatusOr<KnowledgeGraph> LoadKgFromTsv(const std::string& path,
           "%s:%zu: expected 3 tab-separated fields, got %zu", path.c_str(),
           i + 1, fields.size()));
     }
-    EntityId head = kg.AddEntity(fields[0]);
+    EntityId head = kg->AddEntity(fields[0]);
     if (fields[1] == type_relation) {
-      ClassId cls = kg.AddClass(fields[2]);
-      kg.AddTypeTriplet(head, cls);
+      ClassId cls = kg->AddClass(fields[2]);
+      kg->AddTypeTriplet(head, cls);
     } else {
-      RelationId rel = kg.AddRelation(fields[1]);
-      EntityId tail = kg.AddEntity(fields[2]);
-      kg.AddTriplet(head, rel, tail);
+      RelationId rel = kg->AddRelation(fields[1]);
+      EntityId tail = kg->AddEntity(fields[2]);
+      kg->AddTriplet(head, rel, tail);
     }
   }
+  return Status::Ok();
+}
+
+// Vocabulary files of a task directory: one name per line, in id order.
+std::string VocabPath(const std::string& dir, const char* kg,
+                      const char* kind) {
+  return dir + "/" + kg + "_" + kind + ".tsv";
+}
+
+// Loads `<dir>/<kg>_triples.tsv`. When the vocabulary files exist their
+// names are added first, so ids (and elements without triplets) survive.
+StatusOr<KnowledgeGraph> LoadTaskKg(const std::string& dir,
+                                    const char* kg_name) {
+  KnowledgeGraph kg;
+  // `add` returns the element's id, which must be its line number.
+  auto add_names = [&](const char* kind, auto add) -> Status {
+    const std::string path = VocabPath(dir, kg_name, kind);
+    if (!FileExists(path)) return Status::Ok();
+    DAAKG_ASSIGN_OR_RETURN(std::vector<std::string> names, ReadLines(path));
+    for (size_t i = 0; i < names.size(); ++i) {
+      if (add(names[i]) != i) {
+        return InvalidArgumentError(path + ": duplicate name " + names[i]);
+      }
+    }
+    return Status::Ok();
+  };
+  DAAKG_RETURN_IF_ERROR(add_names(
+      "entities", [&](const std::string& n) { return kg.AddEntity(n); }));
+  DAAKG_RETURN_IF_ERROR(add_names(
+      "relations", [&](const std::string& n) { return kg.AddRelation(n); }));
+  DAAKG_RETURN_IF_ERROR(add_names(
+      "classes", [&](const std::string& n) { return kg.AddClass(n); }));
+  DAAKG_RETURN_IF_ERROR(ParseTriples(
+      dir + "/" + kg_name + "_triples.tsv", kDefaultTypeRelation, &kg));
+  DAAKG_RETURN_IF_ERROR(kg.Finalize());
+  return kg;
+}
+
+Status SaveTaskKg(const KnowledgeGraph& kg, const std::string& dir,
+                  const char* kg_name) {
+  auto write_names = [&](const char* kind, size_t n, auto name_of) {
+    std::ostringstream out;
+    for (uint32_t i = 0; i < n; ++i) out << name_of(i) << '\n';
+    return WriteStringToFile(VocabPath(dir, kg_name, kind), out.str());
+  };
+  DAAKG_RETURN_IF_ERROR(write_names(
+      "entities", kg.num_entities(),
+      [&](uint32_t e) -> const std::string& { return kg.entity_name(e); }));
+  DAAKG_RETURN_IF_ERROR(write_names(
+      "relations", kg.num_base_relations(),
+      [&](uint32_t r) -> const std::string& { return kg.relation_name(r); }));
+  DAAKG_RETURN_IF_ERROR(write_names(
+      "classes", kg.num_classes(),
+      [&](uint32_t c) -> const std::string& { return kg.class_name(c); }));
+  return SaveKgToTsv(kg, dir + "/" + kg_name + "_triples.tsv");
+}
+
+}  // namespace
+
+StatusOr<KnowledgeGraph> LoadKgFromTsv(const std::string& path,
+                                       const std::string& type_relation) {
+  KnowledgeGraph kg;
+  DAAKG_RETURN_IF_ERROR(ParseTriples(path, type_relation, &kg));
   DAAKG_RETURN_IF_ERROR(kg.Finalize());
   return kg;
 }
@@ -76,8 +139,8 @@ Status SaveKgToTsv(const KnowledgeGraph& kg, const std::string& path,
 StatusOr<AlignmentTask> LoadAlignmentTask(const std::string& dir) {
   AlignmentTask task;
   task.name = dir;
-  DAAKG_ASSIGN_OR_RETURN(task.kg1, LoadKgFromTsv(dir + "/kg1_triples.tsv"));
-  DAAKG_ASSIGN_OR_RETURN(task.kg2, LoadKgFromTsv(dir + "/kg2_triples.tsv"));
+  DAAKG_ASSIGN_OR_RETURN(task.kg1, LoadTaskKg(dir, "kg1"));
+  DAAKG_ASSIGN_OR_RETURN(task.kg2, LoadTaskKg(dir, "kg2"));
 
   DAAKG_ASSIGN_OR_RETURN(auto ent_pairs,
                          LoadNamePairs(dir + "/ent_matches.tsv"));
@@ -124,8 +187,13 @@ StatusOr<AlignmentTask> LoadAlignmentTask(const std::string& dir) {
 }
 
 Status SaveAlignmentTask(const AlignmentTask& task, const std::string& dir) {
-  DAAKG_RETURN_IF_ERROR(SaveKgToTsv(task.kg1, dir + "/kg1_triples.tsv"));
-  DAAKG_RETURN_IF_ERROR(SaveKgToTsv(task.kg2, dir + "/kg2_triples.tsv"));
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    return IoError("cannot create directory " + dir + ": " + ec.message());
+  }
+  DAAKG_RETURN_IF_ERROR(SaveTaskKg(task.kg1, dir, "kg1"));
+  DAAKG_RETURN_IF_ERROR(SaveTaskKg(task.kg2, dir, "kg2"));
 
   std::ostringstream ents;
   for (const auto& [e1, e2] : task.gold_entities) {

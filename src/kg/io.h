@@ -32,10 +32,16 @@ Status SaveKgToTsv(const KnowledgeGraph& kg, const std::string& path,
 // Loads a full task from a directory containing:
 //   kg1_triples.tsv  kg2_triples.tsv
 //   ent_matches.tsv  rel_matches.tsv  cls_matches.tsv
-// (the two schema match files are optional).
+//   kgN_entities.tsv kgN_relations.tsv kgN_classes.tsv  (N = 1, 2)
+// The schema match files and the vocabulary files are optional. A
+// vocabulary file lists one name per line in id order (base relations
+// only); its names are added before the triples are read, so ids and
+// elements without any triplet survive a save/load round trip. Without
+// vocabulary files ids follow first appearance in the triples file.
 StatusOr<AlignmentTask> LoadAlignmentTask(const std::string& dir);
 
-// Writes a task into `dir` (which must exist) in the layout above.
+// Writes a task into `dir` (created if missing) in the layout above,
+// vocabulary files included.
 Status SaveAlignmentTask(const AlignmentTask& task, const std::string& dir);
 
 }  // namespace daakg

@@ -22,21 +22,12 @@ bool CpuHasAvx2Fma() {
 #endif
 }
 
-// True when the env var is set to a non-empty value other than "0".
-bool EnvFlagSet(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
-}
-
 const Ops& ResolveActive() {
   const Ops* avx2 = Avx2OpsOrNull();
   const Ops* chosen = nullptr;
   std::string why;
   const char* env = std::getenv("DAAKG_SIMD");
-  if (EnvFlagSet("DAAKG_FORCE_SCALAR")) {
-    chosen = &ScalarOps();
-    why = "DAAKG_FORCE_SCALAR";
-  } else if (env != nullptr && env[0] != '\0') {
+  if (env != nullptr && env[0] != '\0') {
     if (std::strcmp(env, "scalar") == 0) {
       chosen = &ScalarOps();
       why = "DAAKG_SIMD=scalar";

@@ -60,7 +60,7 @@ const Ops* Avx2OpsOrNull();
 inline bool Avx2Available() { return Avx2OpsOrNull() != nullptr; }
 
 // The process-wide backend: best available unless overridden by the
-// environment (DAAKG_SIMD=scalar|avx2, or DAAKG_FORCE_SCALAR=1). Resolved
+// environment (DAAKG_SIMD=scalar|avx2). Resolved
 // once on first use; logs the detected/selected backend.
 const Ops& ActiveOps();
 

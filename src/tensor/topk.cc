@@ -1,6 +1,7 @@
 #include "tensor/topk.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "common/logging.h"
@@ -232,13 +233,6 @@ SimTopK BlockedSimTopK(const Matrix& a, const Matrix& b, size_t row_k,
 
 void BlockedMatMulNT(const Matrix& a, const Matrix& b, Matrix* out,
                      const BlockedKernelOptions& options) {
-  *out = Matrix(a.rows(), b.rows());
-  BlockedMatMulNTRows(a, b, 0, a.rows(), out, options);
-}
-
-void BlockedMatMulNTRows(const Matrix& a, const Matrix& b, size_t row_begin,
-                         size_t row_end, Matrix* out,
-                         const BlockedKernelOptions& options) {
   static obs::Histogram* timing =
       obs::GlobalMetrics().GetHistogram("daakg.tensor.matmul_nt_seconds");
   static obs::Counter* cells =
@@ -246,18 +240,15 @@ void BlockedMatMulNTRows(const Matrix& a, const Matrix& b, size_t row_begin,
   obs::TraceSpan span("tensor.matmul_nt", "tensor", timing);
 
   DAAKG_CHECK_EQ(a.cols(), b.cols());
-  DAAKG_CHECK_EQ(out->rows(), a.rows());
-  DAAKG_CHECK_EQ(out->cols(), b.rows());
-  DAAKG_CHECK_LE(row_begin, row_end);
-  DAAKG_CHECK_LE(row_end, a.rows());
+  *out = Matrix(a.rows(), b.rows());
   const simd::Ops& ops = simd::Resolve(options.backend);
+  const size_t n1 = a.rows();
   const size_t n2 = b.rows();
-  const size_t num_rows = row_end - row_begin;
-  if (num_rows == 0 || n2 == 0) return;
+  if (n1 == 0 || n2 == 0) return;
   CountKernelDispatch(ops);
-  cells->Increment(static_cast<uint64_t>(num_rows) * n2);
+  cells->Increment(static_cast<uint64_t>(n1) * n2);
 
-  auto run_rows = [&](size_t begin, size_t end) {
+  auto run_rows = [&](size_t /*shard*/, size_t begin, size_t end) {
     TiledSimWalk(a, b, begin, end, ops, options,
                  [&](size_t r, size_t c, const float* sims, size_t count) {
                    float* row = out->RowData(r) + c;
@@ -265,15 +256,105 @@ void BlockedMatMulNTRows(const Matrix& a, const Matrix& b, size_t row_begin,
                  });
   };
   if (options.parallel) {
-    // ParallelForShards hands out [0, num_rows); offset back into the
-    // requested row window.
-    GlobalThreadPool().ParallelForShards(
-        num_rows, [&](size_t /*shard*/, size_t begin, size_t end) {
-          run_rows(row_begin + begin, row_begin + end);
-        });
+    GlobalThreadPool().ParallelForShards(n1, run_rows);
   } else {
-    run_rows(row_begin, row_end);
+    run_rows(0, 0, n1);
   }
+}
+
+namespace {
+
+// Rows per column-partial block of the statistics pass. A fixed block size
+// (not the shard layout) fixes the column summation order.
+constexpr size_t kStatsRowBlock = 256;
+
+// The one statistics routine. walk_rows(begin, end, visit) must call
+// visit(r, c0, sims, count) for every cell of rows [begin, end), each row's
+// tiles in ascending c0 order and, per column, rows in ascending order.
+// Row blocks run in waves of one block per thread; each block owns a column
+// partial, and the partials are folded in block order after each wave.
+template <typename WalkRows>
+SimStats StreamSimStats(size_t n1, size_t n2, double z, bool parallel,
+                        WalkRows&& walk_rows) {
+  constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+  // row_lse / col_lse hold the sums of exp((s - 1) / z) until the end.
+  SimStats out{std::vector<float>(n1, kNegInf), std::vector<float>(n2, kNegInf),
+               std::vector<double>(n1, 0.0), std::vector<double>(n2, 0.0)};
+
+  struct Partial {
+    std::vector<double> sum;
+    std::vector<float> max;
+  };
+  ThreadPool& pool = GlobalThreadPool();
+  const size_t num_blocks = (n1 + kStatsRowBlock - 1) / kStatsRowBlock;
+  const size_t wave =
+      std::min(num_blocks, parallel ? pool.num_threads() : size_t{1});
+  std::vector<Partial> partials(wave);
+  for (size_t b0 = 0; b0 < num_blocks; b0 += wave) {
+    const size_t blocks = std::min(wave, num_blocks - b0);
+    auto run_block = [&](size_t i) {
+      Partial& p = partials[i];
+      p.sum.assign(n2, 0.0);
+      p.max.assign(n2, kNegInf);
+      const size_t begin = (b0 + i) * kStatsRowBlock;
+      const size_t end = std::min(n1, begin + kStatsRowBlock);
+      walk_rows(begin, end, [&](size_t r, size_t c0, const float* sims,
+                                size_t count) {
+        float rmax = out.row_max[r];
+        double rsum = out.row_lse[r];
+        double* csum = p.sum.data() + c0;
+        float* cmax = p.max.data() + c0;
+        for (size_t j = 0; j < count; ++j) {
+          const float s = sims[j];
+          const double e = std::exp((static_cast<double>(s) - 1.0) / z);
+          rsum += e;
+          csum[j] += e;
+          rmax = std::max(rmax, s);
+          cmax[j] = std::max(cmax[j], s);
+        }
+        out.row_max[r] = rmax;
+        out.row_lse[r] = rsum;
+      });
+    };
+    pool.ParallelFor(blocks, run_block);
+    for (size_t i = 0; i < blocks; ++i) {
+      for (size_t c = 0; c < n2; ++c) {
+        out.col_lse[c] += partials[i].sum[c];
+        out.col_max[c] = std::max(out.col_max[c], partials[i].max[c]);
+      }
+    }
+  }
+
+  for (double& v : out.row_lse) v = 1.0 / z + std::log(v);
+  for (double& v : out.col_lse) v = 1.0 / z + std::log(v);
+  return out;
+}
+
+}  // namespace
+
+SimStats BlockedSimStats(const Matrix& a, const Matrix& b, double z,
+                         const BlockedKernelOptions& options) {
+  static obs::Counter* cells =
+      obs::GlobalMetrics().GetCounter("daakg.tensor.sim_cells");
+  obs::TraceSpan span("tensor.sim_stats", "tensor");
+  DAAKG_CHECK_EQ(a.cols(), b.cols());
+  const simd::Ops& ops = simd::Resolve(options.backend);
+  if (a.rows() > 0 && b.rows() > 0) CountKernelDispatch(ops);
+  cells->Increment(static_cast<uint64_t>(a.rows()) * b.rows());
+  return StreamSimStats(
+      a.rows(), b.rows(), z, options.parallel,
+      [&](size_t begin, size_t end, auto&& visit) {
+        TiledSimWalk(a, b, begin, end, ops, options, visit);
+      });
+}
+
+SimStats DenseSimStats(const Matrix& sim, double z) {
+  return StreamSimStats(sim.rows(), sim.cols(), z, /*parallel=*/false,
+                        [&](size_t begin, size_t end, auto&& visit) {
+                          for (size_t r = begin; r < end; ++r) {
+                            visit(r, 0, sim.RowData(r), sim.cols());
+                          }
+                        });
 }
 
 void BlockedSimVisit(const Matrix& a, const Matrix& b,

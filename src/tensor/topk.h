@@ -95,17 +95,37 @@ SimTopK BlockedSimTopK(const Matrix& a, const Matrix& b, size_t row_k,
 
 // Blocked dense product out = a * b^T (out is resized to
 // a.rows() x b.rows()). Same tiling and inner loop as BlockedSimTopK, for
-// callers that do need the full matrix (e.g. the entity-similarity cache).
+// callers that do need the full matrix (e.g. name-blended baselines).
 void BlockedMatMulNT(const Matrix& a, const Matrix& b, Matrix* out,
                      const BlockedKernelOptions& options = {});
 
-// Row-range variant: recomputes only rows [row_begin, row_end) of
-// out = a * b^T, leaving every other row of `out` untouched. `out` must
-// already be a.rows() x b.rows(). This is what lets the entity-similarity
-// cache refresh individual row bands instead of the whole matrix.
-void BlockedMatMulNTRows(const Matrix& a, const Matrix& b, size_t row_begin,
-                         size_t row_end, Matrix* out,
+// Row and column statistics of a similarity matrix S: the maxima and the
+// log-sum-exps of S / z (the Eq. 6 entity weights and the Eqs. 11-12
+// calibration denominators). Entries are assumed <= 1 (cosines), so
+//
+//   LSE = 1/z + log sum exp((s - 1) / z)
+//
+// needs no max pass: every term is <= 1 and is computed once per cell for
+// both the row and the column sum. A term underflows only below
+// exp(-2/z), which DaakgConfig::Validate keeps in the normal range.
+struct SimStats {
+  std::vector<float> row_max;
+  std::vector<float> col_max;
+  std::vector<double> row_lse;
+  std::vector<double> col_lse;
+};
+
+// Streams S = a * b^T through the tiles of BlockedSimVisit and returns its
+// statistics without materializing S: extra memory is O(threads * b.rows())
+// for column partials. Column sums are kept per fixed block of rows and
+// folded in block order, so the result is bitwise independent of the thread
+// count and of options.parallel. Cells are the BlockedMatMulNT cells.
+SimStats BlockedSimStats(const Matrix& a, const Matrix& b, double z,
                          const BlockedKernelOptions& options = {});
+
+// The same statistics, by the same routine, over a materialized matrix
+// (the small relation and class similarity matrices).
+SimStats DenseSimStats(const Matrix& sim, double z);
 
 // Streams the tiles of a * b^T without materializing anything, invoking
 // visit(r, c0, sims, count) once per (row, tile) with `count` consecutive

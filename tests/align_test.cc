@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include "align/joint_model.h"
 #include "align/losses.h"
@@ -280,7 +282,12 @@ TEST(MetricsTest, StreamingRankingBitMatchesMaterialized) {
     options.parallel = v.parallel;
     options.row_block = v.row_block;
     options.col_block = v.col_block;
-    const RankingMetrics got = EvaluateRankingStreaming(a, b, test, options);
+    CandidateIndexConfig cfg;
+    cfg.backend = IndexChoice::kExact;
+    cfg.kernel = options;
+    auto index = CandidateIndex::Build(b, cfg);
+    ASSERT_TRUE(index.ok());
+    const RankingMetrics got = EvaluateRankingStreaming(**index, a, test);
     EXPECT_EQ(got.num_queries, want.num_queries);
     EXPECT_EQ(got.hits_at_1, want.hits_at_1);
     EXPECT_EQ(got.hits_at_10, want.hits_at_10);
@@ -290,7 +297,9 @@ TEST(MetricsTest, StreamingRankingBitMatchesMaterialized) {
 
 TEST(MetricsTest, StreamingRankingEmptyTestSet) {
   Matrix a(4, 3), b(5, 3);
-  RankingMetrics m = EvaluateRankingStreaming(a, b, {});
+  auto index = CandidateIndex::Build(b, CandidateIndexConfig{});
+  ASSERT_TRUE(index.ok());
+  RankingMetrics m = EvaluateRankingStreaming(**index, a, {});
   EXPECT_EQ(m.num_queries, 0u);
   EXPECT_DOUBLE_EQ(m.mrr, 0.0);
 }
@@ -382,23 +391,27 @@ TEST_F(JointModelTest, SimilaritiesBounded) {
 
 TEST_F(JointModelTest, CachedEntitySimMatchesFreshComputation) {
   joint_->RefreshCaches();
+  const Matrix& unit1 = joint_->unit_mapped1();
+  const Matrix& unit2 = joint_->unit_repr2();
   for (uint32_t e1 = 0; e1 < 10; ++e1) {
     for (uint32_t e2 = 0; e2 < 10; ++e2) {
-      EXPECT_NEAR(joint_->entity_sim()(e1, e2), joint_->EntitySim(e1, e2),
-                  1e-4f);
+      EXPECT_NEAR(DotUnrolled(unit1.RowData(e1), unit2.RowData(e2),
+                              unit1.cols()),
+                  joint_->EntitySim(e1, e2), 1e-4f);
     }
   }
 }
 
 TEST_F(JointModelTest, EntityWeightsAreRowAndColumnMaxima) {
   joint_->RefreshCaches();
-  const Matrix& sim = joint_->entity_sim();
+  Matrix sim;
+  BlockedMatMulNT(joint_->unit_mapped1(), joint_->unit_repr2(), &sim);
   for (uint32_t e1 = 0; e1 < 10; ++e1) {
     float row_max = -2.0f;
     for (size_t c = 0; c < sim.cols(); ++c) {
       row_max = std::max(row_max, sim(e1, c));
     }
-    EXPECT_NEAR(joint_->EntityWeight1(e1), std::max(row_max, 0.0f), 1e-5f);
+    EXPECT_EQ(joint_->EntityWeight1(e1), std::max(row_max, 0.0f));
   }
 }
 
@@ -475,212 +488,6 @@ TEST_F(JointModelTest, SemiEpochPullsMinedPairsUp) {
   float before = joint_->EntitySim(1, 1);
   for (int e = 0; e < 10; ++e) joint_->TrainSemiEpoch(semi, &rng);
   EXPECT_GT(joint_->EntitySim(1, 1), before);
-}
-
-// Builds the exact unit1 * unit2^T cosine matrix for the model's current
-// parameters, mirroring ComputeEntitySimMatrix's arithmetic bit for bit
-// (same gemv, same double-accumulated normalization, same blocked kernel),
-// i.e. exactly what a full cache refresh would write.
-void ExactUnitMatrices(const JointAlignmentModel& joint, const KgeModel& m1,
-                       const KgeModel& m2, Matrix* unit1, Matrix* unit2) {
-  const size_t n1 = m1.kg().num_entities();
-  const size_t n2 = m2.kg().num_entities();
-  const size_t dim = m1.dim();
-  *unit1 = Matrix(n1, dim);
-  *unit2 = Matrix(n2, dim);
-  for (size_t e = 0; e < n1; ++e) {
-    unit1->SetRow(e, joint.a_ent().Multiply(
-                         m1.EntityRepr(static_cast<EntityId>(e))));
-  }
-  for (size_t e = 0; e < n2; ++e) {
-    unit2->SetRow(e, m2.EntityRepr(static_cast<EntityId>(e)));
-  }
-  auto normalize_rows = [](Matrix* m) {
-    for (size_t r = 0; r < m->rows(); ++r) {
-      float* row = m->RowData(r);
-      double sq = 0.0;
-      for (size_t c = 0; c < m->cols(); ++c) {
-        sq += static_cast<double>(row[c]) * row[c];
-      }
-      const float inv =
-          sq > 0.0 ? static_cast<float>(1.0 / std::sqrt(sq)) : 0.0f;
-      for (size_t c = 0; c < m->cols(); ++c) row[c] *= inv;
-    }
-  };
-  normalize_rows(unit1);
-  normalize_rows(unit2);
-}
-
-Matrix ExactEntitySimMatrix(const JointAlignmentModel& joint,
-                            const KgeModel& m1, const KgeModel& m2) {
-  Matrix unit1, unit2;
-  ExactUnitMatrices(joint, m1, m2, &unit1, &unit2);
-  Matrix sim;
-  BlockedMatMulNT(unit1, unit2, &sim);
-  return sim;
-}
-
-TEST_F(JointModelTest, IncrementalRefreshSkipsUnmovedRowsBitExactly) {
-  JointAlignConfig cfg;
-  cfg.ent_sim_band_rows = 8;
-  JointAlignmentModel incr(model1_.get(), model2_.get(), ec1_.get(),
-                           ec2_.get(), cfg);
-  JointAlignConfig full_cfg = cfg;
-  full_cfg.incremental_ent_sim = false;
-  JointAlignmentModel control(model1_.get(), model2_.get(), ec1_.get(),
-                              ec2_.get(), full_cfg);
-  // Same init seed: the two models' mapping matrices are bit-identical, and
-  // they share the underlying KGE models, so a full refresh of either
-  // writes the same cache.
-  Rng rng_a(54), rng_b(54);
-  incr.Init(&rng_a);
-  control.Init(&rng_b);
-
-  incr.RefreshCaches();
-  EXPECT_FALSE(incr.ent_sim_refresh_stats().incremental);  // first: full
-
-  // Nothing moved: the incremental path must recompute nothing.
-  incr.RefreshCaches();
-  ASSERT_TRUE(incr.ent_sim_refresh_stats().incremental);
-  EXPECT_EQ(incr.ent_sim_refresh_stats().rows_refreshed, 0u);
-  EXPECT_EQ(incr.ent_sim_refresh_stats().cols_patched, 0u);
-
-  // Move one entity per side well past the threshold. Only the moved KG1
-  // row's band refreshes; the moved KG2 column patches into skipped rows.
-  Vector g1(model1_->dim());
-  Vector g2(model2_->dim());
-  Rng grng(56);
-  g1.InitGaussian(&grng, 1.0f);
-  g2.InitGaussian(&grng, 1.0f);
-  model1_->BackpropEntityRepr(3, g1, 0.5f);
-  model2_->BackpropEntityRepr(7, g2, 0.5f);
-
-  incr.RefreshCaches();
-  control.RefreshCaches();
-  const auto& stats = incr.ent_sim_refresh_stats();
-  ASSERT_TRUE(stats.incremental);
-  EXPECT_GE(stats.rows_refreshed, 1u);
-  EXPECT_LE(stats.rows_refreshed, cfg.ent_sim_band_rows);
-  EXPECT_EQ(stats.cols_patched, 1u);
-  EXPECT_LT(stats.rows_refreshed * 10, stats.rows_total * 3);  // < 30%
-
-  // Unmoved inputs are bit-identical to the last refresh and moved cells
-  // are recomputed through the same kernels, so the incrementally
-  // maintained cache equals the bit-exact control everywhere.
-  const Matrix& got = incr.entity_sim();
-  const Matrix& want = control.entity_sim();
-  ASSERT_EQ(got.rows(), want.rows());
-  ASSERT_EQ(got.cols(), want.cols());
-  for (size_t r = 0; r < got.rows(); ++r) {
-    for (size_t c = 0; c < got.cols(); ++c) {
-      ASSERT_EQ(got(r, c), want(r, c)) << "cell (" << r << ", " << c << ")";
-    }
-  }
-}
-
-TEST_F(JointModelTest, IncrementalRefreshStalenessWithinDocumentedBound) {
-  JointAlignConfig cfg;
-  cfg.ent_sim_band_rows = 8;
-  cfg.ent_sim_refresh_threshold = 0.05f;
-  JointAlignmentModel joint(model1_.get(), model2_.get(), ec1_.get(),
-                            ec2_.get(), cfg);
-  Rng rng(57);
-  joint.Init(&rng);
-  joint.RefreshCaches();
-
-  // Nudge every entity below the refresh threshold: cached cells go stale
-  // but must stay within the documented 4 * threshold of the exact cosine.
-  Rng grng(58);
-  for (uint32_t e = 0; e < task_.kg1.num_entities(); ++e) {
-    Vector g(model1_->dim());
-    g.InitGaussian(&grng, 1.0f);
-    model1_->BackpropEntityRepr(e, g, 0.004f);
-  }
-  for (uint32_t e = 0; e < task_.kg2.num_entities(); ++e) {
-    Vector g(model2_->dim());
-    g.InitGaussian(&grng, 1.0f);
-    model2_->BackpropEntityRepr(e, g, 0.004f);
-  }
-  joint.RefreshCaches();
-  const auto& stats = joint.ent_sim_refresh_stats();
-  ASSERT_TRUE(stats.incremental);
-  EXPECT_LT(stats.rows_refreshed, stats.rows_total);
-
-  const Matrix exact =
-      ExactEntitySimMatrix(joint, *model1_, *model2_);
-  const float bound = 4.0f * cfg.ent_sim_refresh_threshold + 1e-5f;
-  float max_err = 0.0f;
-  for (size_t r = 0; r < exact.rows(); ++r) {
-    for (size_t c = 0; c < exact.cols(); ++c) {
-      max_err = std::max(max_err,
-                         std::abs(joint.entity_sim()(r, c) - exact(r, c)));
-    }
-  }
-  EXPECT_LE(max_err, bound);
-}
-
-TEST_F(JointModelTest, IncrementalRefreshDisabledAlwaysRecomputesFully) {
-  JointAlignConfig cfg;
-  cfg.incremental_ent_sim = false;
-  JointAlignmentModel joint(model1_.get(), model2_.get(), ec1_.get(),
-                            ec2_.get(), cfg);
-  Rng rng(59);
-  joint.Init(&rng);
-  for (int i = 0; i < 3; ++i) {
-    joint.RefreshCaches();
-    EXPECT_FALSE(joint.ent_sim_refresh_stats().incremental);
-    EXPECT_EQ(joint.ent_sim_refresh_stats().rows_refreshed,
-              joint.ent_sim_refresh_stats().rows_total);
-  }
-}
-
-TEST_F(JointModelTest, IncrementalRefreshConvergedTailMatchesFullRefresh) {
-  JointAlignConfig cfg;
-  cfg.ent_sim_band_rows = 8;
-  cfg.ent_sim_refresh_threshold = 1e-3f;
-  JointAlignmentModel joint(model1_.get(), model2_.get(), ec1_.get(),
-                            ec2_.get(), cfg);
-  Rng rng(60);
-  joint.Init(&rng);
-  SeedAlignment seed = task_.SampleSeed(0.3, &rng);
-  for (int e = 0; e < 20; ++e) joint.TrainEpoch(seed, &rng, false);
-  joint.RefreshCaches();  // full refresh; snapshots now current
-
-  // Converged tail: most entities receive negligible updates (orders of
-  // magnitude below the refresh threshold in unit space) while a handful
-  // keep moving — the regime the incremental policy is built for.
-  Rng grng(61);
-  auto nudge = [&](KgeModel* model, EntityId e, float lr) {
-    Vector g(model->dim());
-    g.InitGaussian(&grng, 1.0f);
-    model->BackpropEntityRepr(e, g, lr);
-  };
-  for (uint32_t e = 0; e < task_.kg1.num_entities(); ++e) {
-    nudge(model1_.get(), e, 2e-6f);
-  }
-  for (uint32_t e = 0; e < task_.kg2.num_entities(); ++e) {
-    nudge(model2_.get(), e, 2e-6f);
-  }
-  for (EntityId e : {4u, 5u, 6u}) nudge(model1_.get(), e, 0.05f);
-  for (EntityId e : {10u, 70u}) nudge(model2_.get(), e, 0.05f);
-
-  joint.RefreshCaches();
-  const auto& stats = joint.ent_sim_refresh_stats();
-  ASSERT_TRUE(stats.incremental);
-  EXPECT_GE(stats.rows_refreshed, 1u);
-  EXPECT_LT(stats.rows_refreshed * 10, stats.rows_total * 3);  // < 30%
-  EXPECT_EQ(stats.cols_patched, 2u);
-
-  // End-of-round ranking metrics from the incrementally maintained cache
-  // match a bit-exact full recompute of the same parameters within 1e-4.
-  const Matrix exact = ExactEntitySimMatrix(joint, *model1_, *model2_);
-  std::vector<std::pair<uint32_t, uint32_t>> gold(
-      task_.gold_entities.begin(), task_.gold_entities.end());
-  const RankingMetrics want = EvaluateRanking(exact, gold);
-  const RankingMetrics got = EvaluateRanking(joint.entity_sim(), gold);
-  EXPECT_NEAR(got.hits_at_1, want.hits_at_1, 1e-4);
-  EXPECT_NEAR(got.hits_at_10, want.hits_at_10, 1e-4);
-  EXPECT_NEAR(got.mrr, want.mrr, 1e-4);
 }
 
 TEST(JointModelNoEcTest, ClassSimFallsBackToMeans) {

@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <set>
+#include <tuple>
+#include <vector>
 
 #include "core/active_loop.h"
 #include "core/daakg.h"
+#include "obs/metrics.h"
+#include "tensor/topk.h"
 #include "tests/test_util.h"
 
 namespace daakg {
@@ -65,6 +73,23 @@ TEST(DaakgConfigTest, RejectsBadValues) {
   cfg = FastConfig();
   cfg.kge_model = static_cast<KgeModelKind>(99);
   expect_invalid(cfg);
+  // Calibration temperatures: positive, finite, and large enough that
+  // exp(-2 / z) stays a normal double.
+  for (double bad : {0.0, -0.1, std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN(), 0.002}) {
+    cfg = FastConfig();
+    cfg.align.z_ent = bad;
+    expect_invalid(cfg);
+    cfg = FastConfig();
+    cfg.align.z_rel = bad;
+    expect_invalid(cfg);
+    cfg = FastConfig();
+    cfg.align.z_cls = bad;
+    expect_invalid(cfg);
+  }
+  cfg = FastConfig();
+  cfg.align.z_ent = 0.003;
+  EXPECT_TRUE(cfg.Validate().ok());
 }
 
 TEST(DaakgAlignerTest, CreateRejectsInvalidConfigWithoutAborting) {
@@ -268,6 +293,111 @@ TEST_P(ModelPipelineTest, TrainsAndEvaluates) {
 INSTANTIATE_TEST_SUITE_P(Models, ModelPipelineTest,
                          ::testing::Values("transe", "rotate", "compgcn"));
 
+// The streamed entity path (unit rows, one statistics pass, exact index)
+// against a reference that materializes the entity similarity matrix and
+// applies the two-pass formulas.
+TEST(EntitySimilarityPathTest, MatchesDenseReference) {
+  AlignmentTask task = SmallSyntheticTask();
+  DaakgConfig cfg = FastConfig();
+  cfg.align.tau = 0.6;  // low enough that mining finds entity pairs
+  DaakgAligner aligner(&task, cfg);
+  Rng rng(9);
+  aligner.Train(task.SampleSeed(0.3, &rng));
+  const JointAlignmentModel& joint = *aligner.joint();
+  ASSERT_TRUE(joint.caches_ready());
+  Matrix sim;
+  BlockedMatMulNT(joint.unit_mapped1(), joint.unit_repr2(), &sim);
+
+  // Weights are the clamped row/column maxima; LSEs the max-shifted
+  // two-pass log-sum-exps.
+  const double z = cfg.align.z_ent;
+  const SimStats& stats = joint.entity_stats();
+  auto check = [z](const std::vector<float>& v, float weight, double lse) {
+    double m = -1e30;
+    for (float x : v) m = std::max(m, static_cast<double>(x) / z);
+    double acc = 0.0;
+    for (float x : v) acc += std::exp(static_cast<double>(x) / z - m);
+    EXPECT_EQ(weight, std::max(*std::max_element(v.begin(), v.end()), 0.0f));
+    EXPECT_NEAR(lse, m + std::log(acc), 1e-12 * std::abs(m + std::log(acc)));
+  };
+  for (uint32_t r = 0; r < sim.rows(); ++r) {
+    check(std::vector<float>(sim.RowData(r), sim.RowData(r) + sim.cols()),
+          joint.EntityWeight1(r), stats.row_lse[r]);
+  }
+  for (uint32_t c = 0; c < sim.cols(); ++c) {
+    std::vector<float> col(sim.rows());
+    for (size_t r = 0; r < sim.rows(); ++r) col[r] = sim(r, c);
+    check(col, joint.EntityWeight2(c), stats.col_lse[c]);
+  }
+
+  // Calibrated probabilities (Eqs. 11-12) from the same cells.
+  for (uint32_t e = 0; e < 20; ++e) {
+    const double s = static_cast<double>(sim(e, e)) / z;
+    const double want = std::min(std::exp(s - stats.row_lse[e]),
+                                 std::exp(s - stats.col_lse[e]));
+    EXPECT_EQ(joint.MatchProbability(ElementPair{ElementKind::kEntity, e, e}),
+              want);
+  }
+
+  // The statistics pass does not depend on the thread count.
+  BlockedKernelOptions serial;
+  serial.parallel = false;
+  const SimStats again =
+      BlockedSimStats(joint.unit_mapped1(), joint.unit_repr2(), z, serial);
+  EXPECT_EQ(again.row_lse, stats.row_lse);
+  EXPECT_EQ(again.col_lse, stats.col_lse);
+  EXPECT_EQ(again.row_max, stats.row_max);
+  EXPECT_EQ(again.col_max, stats.col_max);
+
+  // Evaluate() on the gold pairs outside the labeled set.
+  std::set<std::pair<EntityId, EntityId>> labeled(
+      aligner.labeled().entities.begin(), aligner.labeled().entities.end());
+  std::vector<std::pair<uint32_t, uint32_t>> test;
+  for (const auto& p : task.gold_entities) {
+    if (labeled.count(p) == 0) test.push_back(p);
+  }
+  const EvalResult eval = aligner.Evaluate();
+  const RankingMetrics rank = EvaluateRanking(sim, test);
+  const PrfMetrics prf = EvaluateGreedyMatching(sim, test, cfg.match_threshold);
+  EXPECT_EQ(eval.ent_rank.hits_at_1, rank.hits_at_1);
+  EXPECT_EQ(eval.ent_rank.mrr, rank.mrr);
+  EXPECT_EQ(eval.ent_prf.f1, prf.f1);
+
+  // ExtractAlignment() entities.
+  std::vector<std::pair<uint32_t, uint32_t>> extracted;
+  for (const auto& p : aligner.ExtractAlignment().entities) {
+    extracted.push_back(p);
+  }
+  EXPECT_EQ(extracted, GreedyOneToOneMatches(sim, cfg.match_threshold));
+
+  // MineSemiSupervision() entities: cells > tau in row-major order, sorted
+  // by score, swept one-to-one.
+  std::vector<std::tuple<float, uint32_t, uint32_t>> cands;
+  for (uint32_t r = 0; r < sim.rows(); ++r) {
+    for (uint32_t c = 0; c < sim.cols(); ++c) {
+      if (sim(r, c) > cfg.align.tau) cands.emplace_back(sim(r, c), r, c);
+    }
+  }
+  std::sort(cands.begin(), cands.end(), [](const auto& a, const auto& b) {
+    return std::get<0>(a) > std::get<0>(b);
+  });
+  std::vector<bool> used_r(sim.rows()), used_c(sim.cols());
+  std::vector<std::tuple<uint32_t, uint32_t, double>> want_mined;
+  for (const auto& [score, r, c] : cands) {
+    if (used_r[r] || used_c[c]) continue;
+    used_r[r] = used_c[c] = true;
+    want_mined.emplace_back(r, c, score);
+  }
+  std::vector<std::tuple<uint32_t, uint32_t, double>> mined;
+  for (const auto& [pair, score] : joint.MineSemiSupervision()) {
+    if (pair.kind == ElementKind::kEntity) {
+      mined.emplace_back(pair.first, pair.second, score);
+    }
+  }
+  ASSERT_FALSE(want_mined.empty());
+  EXPECT_EQ(mined, want_mined);
+}
+
 // ---------------------------------------------------------------------------
 // Active learning loop
 // ---------------------------------------------------------------------------
@@ -296,6 +426,55 @@ TEST(ActiveLoopTest, RunsToCheckpointsAndReports) {
   EXPECT_GT(reports[0].telemetry.pool_size, 0u);
   EXPECT_GE(reports[0].telemetry.pool_build_seconds, 0.0);
   EXPECT_GE(reports[0].telemetry.selection_seconds, 0.0);
+}
+
+TEST(ActiveLoopTest, RoundsReuseCachesLeftReadyByTraining) {
+  AlignmentTask task = SmallSyntheticTask();
+  DaakgConfig cfg = FastConfig();
+  cfg.align.semi_rounds = 0;  // one refresh per Train / FineTune
+  DaakgAligner aligner(&task, cfg);
+  GoldOracle oracle(&task);
+  DaakgStrategy strategy(/*use_partitioning=*/true);
+  ActiveLoopConfig loop_cfg;
+  loop_cfg.batch_size = 25;
+  loop_cfg.initial_seed_fraction = 0.05;
+  loop_cfg.report_fractions = {0.1, 0.2};
+  loop_cfg.pool.top_n = 8;
+  obs::Counter* refreshes =
+      obs::GlobalMetrics().GetCounter("daakg.align.refresh_caches_calls");
+  obs::Histogram* fine_tunes =
+      obs::GlobalMetrics().GetHistogram("daakg.core.fine_tune_seconds");
+  const uint64_t refreshes_before = refreshes->Value();
+  const uint64_t fine_tunes_before = fine_tunes->Count();
+  ActiveAlignmentLoop loop(&task, &aligner, &strategy, &oracle, loop_cfg);
+  const auto reports = loop.Run();
+  size_t rounds = 0;
+  for (const auto& r : reports) rounds += r.telemetry.rounds;
+  ASSERT_EQ(rounds, 3u);
+  // Train and every FineTune end with a refresh; the rounds add none (a
+  // refresh at the start of each round used to make this 1 + 3 + 3).
+  EXPECT_EQ(fine_tunes->Count() - fine_tunes_before, 3u);
+  EXPECT_EQ(refreshes->Value() - refreshes_before, 1u + 3u);
+
+  // The reports are those of the loop that refreshed every round.
+  auto summary = [](const ActiveRoundReport& r) {
+    const EvalResult& e = r.eval;
+    return std::vector<double>{
+        static_cast<double>(r.labels_used),
+        static_cast<double>(r.matches_found), e.ent_rank.hits_at_1,
+        e.ent_rank.mrr, e.ent_prf.f1, e.rel_rank.hits_at_1, e.rel_prf.f1,
+        e.cls_rank.hits_at_1, e.cls_prf.f1};
+  };
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(summary(reports[0]),
+            (std::vector<double>{31, 10, 0.12048192771084337,
+                                 0.21727288299419079, 0.060150375939849628,
+                                 0.5, 0.28571428571428575, 0.66666666666666663,
+                                 0.8571428571428571}));
+  EXPECT_EQ(summary(reports[1]),
+            (std::vector<double>{81, 20, 0.14473684210526316,
+                                 0.26063246469584983, 0.1021897810218978, 0.0,
+                                 0.2857142857142857, 1.0, 0.74999999999999989}));
 }
 
 TEST(ActiveLoopTest, DaakgStrategyMakesProgressUnderBudget) {

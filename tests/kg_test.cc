@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <set>
+#include <string>
 
 #include "common/file_util.h"
 #include "kg/alignment_task.h"
 #include "kg/io.h"
 #include "kg/knowledge_graph.h"
 #include "kg/stats.h"
+#include "kg/synthetic.h"
 #include "tests/test_util.h"
 
 namespace daakg {
@@ -147,10 +150,20 @@ TEST(KgIoTest, MalformedLineIsError) {
 TEST(KgIoTest, TaskRoundTrip) {
   AlignmentTask task = MirrorTask();
   std::string dir = ::testing::TempDir() + "/daakg_task";
-  ASSERT_EQ(system(("mkdir -p " + dir).c_str()), 0);
   ASSERT_TRUE(SaveAlignmentTask(task, dir).ok());
+  // A vocabulary file naming one element twice cannot give ids.
+  ASSERT_TRUE(WriteStringToFile(dir + "/kg1_entities.tsv", "a\nb\na\n").ok());
+  EXPECT_EQ(LoadAlignmentTask(dir).status().code(),
+            StatusCode::kInvalidArgument);
+  // Directories written before the vocabulary files existed hold triples
+  // only; they still load, with ids in first-appearance order.
+  for (const char* kg : {"kg1", "kg2"}) {
+    for (const char* kind : {"entities", "relations", "classes"}) {
+      std::filesystem::remove(dir + "/" + kg + "_" + kind + ".tsv");
+    }
+  }
   auto loaded = LoadAlignmentTask(dir);
-  ASSERT_TRUE(loaded.ok());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->kg1.num_entities(), task.kg1.num_entities());
   EXPECT_EQ(loaded->kg1.num_base_relations(), task.kg1.num_base_relations());
   EXPECT_EQ(loaded->kg2.num_classes(), task.kg2.num_classes());
@@ -163,6 +176,54 @@ TEST(KgIoTest, TaskRoundTrip) {
               true);
     EXPECT_TRUE(loaded->IsGoldEntityMatch(e1, e2));
   }
+}
+
+void ExpectSameKg(const KnowledgeGraph& got, const KnowledgeGraph& want) {
+  ASSERT_EQ(got.num_entities(), want.num_entities());
+  ASSERT_EQ(got.num_relations(), want.num_relations());
+  ASSERT_EQ(got.num_base_relations(), want.num_base_relations());
+  ASSERT_EQ(got.num_classes(), want.num_classes());
+  for (EntityId e = 0; e < want.num_entities(); ++e) {
+    ASSERT_EQ(got.entity_name(e), want.entity_name(e)) << "entity " << e;
+  }
+  for (RelationId r = 0; r < want.num_relations(); ++r) {
+    ASSERT_EQ(got.relation_name(r), want.relation_name(r)) << "relation " << r;
+  }
+  for (ClassId c = 0; c < want.num_classes(); ++c) {
+    ASSERT_EQ(got.class_name(c), want.class_name(c)) << "class " << c;
+  }
+  EXPECT_EQ(got.triplets(), want.triplets());
+  EXPECT_EQ(got.type_triplets(), want.type_triplets());
+}
+
+// Generated tasks hold entities without any triplet; the vocabulary files
+// keep them, and every id, across a save/load round trip.
+TEST(KgIoTest, GeneratedTasksRoundTripLosslessly) {
+  const std::string root = ::testing::TempDir() + "/daakg_roundtrip";
+  for (BenchmarkDataset dataset :
+       {BenchmarkDataset::kDW, BenchmarkDataset::kDY, BenchmarkDataset::kEnDe,
+        BenchmarkDataset::kEnFr}) {
+    for (uint64_t seed : {17u, 1u}) {
+      SCOPED_TRACE(std::string(BenchmarkDatasetName(dataset)) + " seed " +
+                   std::to_string(seed));
+      auto task = MakeBenchmarkTask(dataset, 0.2, seed);
+      ASSERT_TRUE(task.ok()) << task.status();
+      // A directory that does not exist yet is created.
+      const std::string dir = root + "/" +
+                              BenchmarkDatasetName(dataset) + "_" +
+                              std::to_string(seed);
+      std::filesystem::remove_all(dir);
+      ASSERT_TRUE(SaveAlignmentTask(*task, dir).ok());
+      auto loaded = LoadAlignmentTask(dir);
+      ASSERT_TRUE(loaded.ok()) << loaded.status();
+      ExpectSameKg(loaded->kg1, task->kg1);
+      ExpectSameKg(loaded->kg2, task->kg2);
+      EXPECT_EQ(loaded->gold_entities, task->gold_entities);
+      EXPECT_EQ(loaded->gold_relations, task->gold_relations);
+      EXPECT_EQ(loaded->gold_classes, task->gold_classes);
+    }
+  }
+  std::filesystem::remove_all(root);
 }
 
 // ---------------------------------------------------------------------------

@@ -184,6 +184,54 @@ TEST_P(BenchmarkDatasetTest, SpecShapeFollowsPaperRatios) {
   }
 }
 
+// FNV-1a over the 64-bit little-endian bytes of `v`.
+uint64_t Fnv1a(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xFF;
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+// Pins the generator's output: caching the Zipf CDFs must not change a
+// single draw.
+TEST(SyntheticTest, BenchmarkTasksArePinned) {
+  struct Pin {
+    BenchmarkDataset dataset;
+    double scale;
+    uint64_t triplets;
+    uint64_t type_triplets;
+  };
+  const Pin pins[] = {
+      {BenchmarkDataset::kDW, 0.2, 0x0DBA361DED57058DULL, 0x24D5728185F25690ULL},
+      {BenchmarkDataset::kDW, 1.0, 0x896D36A6E286B047ULL, 0x261450A33488C791ULL},
+      {BenchmarkDataset::kDY, 0.2, 0x2DC5A8DF3478F8F5ULL, 0x4DB32080C1CDAD0BULL},
+      {BenchmarkDataset::kDY, 1.0, 0x2F0CEB620C6412ADULL, 0x7FCAEF0C82175099ULL},
+      {BenchmarkDataset::kEnDe, 0.2, 0x9217574BF3B68B0DULL, 0xF2CA2BDC6CB21B8FULL},
+      {BenchmarkDataset::kEnDe, 1.0, 0x226E6FDF0931E17DULL, 0xC0F796D5A61E31E6ULL},
+      {BenchmarkDataset::kEnFr, 0.2, 0xA63B9ED76D52AB55ULL, 0x84F361B273D1E274ULL},
+      {BenchmarkDataset::kEnFr, 1.0, 0x51E6301AA7080A27ULL, 0x164230DB61407891ULL},
+  };
+  for (const Pin& pin : pins) {
+    auto task = MakeBenchmarkTask(pin.dataset, pin.scale, 17);
+    ASSERT_TRUE(task.ok()) << task.status();
+    uint64_t triplets = 0xCBF29CE484222325ULL;
+    uint64_t types = triplets;
+    for (const KnowledgeGraph* kg : {&task->kg1, &task->kg2}) {
+      for (const Triplet& t : kg->triplets()) {
+        triplets = Fnv1a(Fnv1a(Fnv1a(triplets, t.head), t.relation), t.tail);
+      }
+      for (const TypeTriplet& t : kg->type_triplets()) {
+        types = Fnv1a(Fnv1a(types, t.entity), t.cls);
+      }
+    }
+    EXPECT_EQ(triplets, pin.triplets)
+        << BenchmarkDatasetName(pin.dataset) << " scale " << pin.scale;
+    EXPECT_EQ(types, pin.type_triplets)
+        << BenchmarkDatasetName(pin.dataset) << " scale " << pin.scale;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllDatasets, BenchmarkDatasetTest,
                          ::testing::Values(BenchmarkDataset::kDW,
                                            BenchmarkDataset::kDY,

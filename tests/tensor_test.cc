@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <tuple>
 
 #include "common/rng.h"
 #include "embedding/gradcheck.h"
@@ -511,36 +513,59 @@ TEST(KernelTest, BlockedMatMulNTMatchesNaive) {
   }
 }
 
-TEST(KernelTest, BlockedMatMulNTRowsTouchesOnlyRequestedRows) {
+TEST(KernelTest, BlockedSimStatsMatchTwoPassReference) {
   Rng rng(18);
-  Matrix a(41, 13), b(23, 13);
-  a.InitGaussian(&rng, 1.0f);
-  b.InitGaussian(&rng, 1.0f);
-  Matrix full;
-  BlockedMatMulNT(a, b, &full);
+  // Unit rows (cells are cosines); several 256-row statistics blocks and
+  // ragged tiles on both sides.
+  Matrix a(600, 13), b(301, 13);
+  for (Matrix* m : {&a, &b}) {
+    m->InitGaussian(&rng, 1.0f);
+    for (size_t r = 0; r < m->rows(); ++r) {
+      Vector v = m->Row(r);
+      v.Normalize();
+      m->SetRow(r, v);
+    }
+  }
+  Matrix sim;
+  BlockedMatMulNT(a, b, &sim);
+  const double z = 0.05;
+  const SimStats stats = BlockedSimStats(a, b, z);
+  // Max-shifted two-pass log-sum-exp over a row or column of cells.
+  auto check = [&](const std::vector<float>& v, float max, double lse) {
+    double m = -1e30;
+    for (float x : v) m = std::max(m, static_cast<double>(x) / z);
+    double acc = 0.0;
+    for (float x : v) acc += std::exp(static_cast<double>(x) / z - m);
+    EXPECT_EQ(max, *std::max_element(v.begin(), v.end()));
+    EXPECT_NEAR(lse, m + std::log(acc), 1e-12 * std::abs(m + std::log(acc)));
+  };
+  for (size_t r = 0; r < sim.rows(); ++r) {
+    check(std::vector<float>(sim.RowData(r), sim.RowData(r) + sim.cols()),
+          stats.row_max[r], stats.row_lse[r]);
+  }
+  for (size_t c = 0; c < sim.cols(); ++c) {
+    std::vector<float> col(sim.rows());
+    for (size_t r = 0; r < sim.rows(); ++r) col[r] = sim(r, c);
+    check(col, stats.col_max[c], stats.col_lse[c]);
+  }
 
-  const float kSentinel = -1234.5f;
-  for (bool parallel : {false, true}) {
+  // Bitwise the same over the materialized cells, serially, and for any
+  // tile shape.
+  auto expect_same = [&](const SimStats& got) {
+    EXPECT_EQ(got.row_max, stats.row_max);
+    EXPECT_EQ(got.col_max, stats.col_max);
+    EXPECT_EQ(got.row_lse, stats.row_lse);
+    EXPECT_EQ(got.col_lse, stats.col_lse);
+  };
+  expect_same(DenseSimStats(sim, z));
+  for (auto [parallel, row_block, col_block] :
+       {std::tuple{false, 64, 256}, std::tuple{true, 5, 7},
+        std::tuple{false, 3, 11}}) {
     BlockedKernelOptions options;
     options.parallel = parallel;
-    Matrix out(a.rows(), b.rows());
-    out.Fill(kSentinel);
-    // Two disjoint bands, one of them the ragged final band.
-    BlockedMatMulNTRows(a, b, 5, 17, &out, options);
-    BlockedMatMulNTRows(a, b, 33, 41, &out, options);
-    for (size_t r = 0; r < out.rows(); ++r) {
-      const bool in_band = (r >= 5 && r < 17) || r >= 33;
-      for (size_t c = 0; c < out.cols(); ++c) {
-        if (in_band) {
-          // Band cells must be bitwise what the full product computes.
-          EXPECT_EQ(out(r, c), full(r, c))
-              << "parallel=" << parallel << " r=" << r << " c=" << c;
-        } else {
-          EXPECT_EQ(out(r, c), kSentinel)
-              << "parallel=" << parallel << " r=" << r << " c=" << c;
-        }
-      }
-    }
+    options.row_block = row_block;
+    options.col_block = col_block;
+    expect_same(BlockedSimStats(a, b, z, options));
   }
 }
 
