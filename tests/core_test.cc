@@ -249,6 +249,10 @@ struct AblationCase {
   int semi_rounds;
 };
 
+// Print the case by name: gtest's default byte dump would put the string
+// literal's address (different in every process) into the listed test name.
+void PrintTo(const AblationCase& c, std::ostream* os) { *os << c.name; }
+
 class AblationTest : public ::testing::TestWithParam<AblationCase> {};
 
 TEST_P(AblationTest, RunsEndToEnd) {
