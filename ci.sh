@@ -4,7 +4,8 @@
 # (thread pool, blocked kernels, pool generation, selection, IVF k-means).
 # A SIMD backend matrix leg then re-runs the kernel-sensitive subset under
 # DAAKG_SIMD=scalar and the dispatched default to pin down cross-backend
-# determinism of pool, matching and selection outputs, and a candidate-index
+# determinism of pool, matching and selection outputs (and each backend's
+# pinned training output), and a candidate-index
 # matrix leg re-runs the index subset under DAAKG_INDEX=exact and =ivf.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -55,7 +56,7 @@ echo "== SIMD backend matrix (scalar vs dispatched) =="
 KERNEL_FILTER='KernelTest.*:TopKAccumulatorTest.*:SimdTest.*'
 POOL_FILTER='ActiveTest.GeneratedPoolMatchesBruteForceMutualTopN:ActiveTest.RepeatedSelectionIsDeterministic'
 ALIGN_FILTER='MetricsTest.*:JointModelTest.*'
-CORE_FILTER='EntitySimilarityPathTest.*'
+CORE_FILTER='EntitySimilarityPathTest.*:Models/TrainingGoldenTest.*'
 for backend in scalar ""; do
   if [ -n "$backend" ]; then
     echo "-- DAAKG_SIMD=$backend --"
@@ -87,7 +88,7 @@ ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
 echo "== sanitizer build (TSan, concurrency-heavy tests) =="
 cmake -B build-tsan -S . -DDAAKG_SANITIZE=thread
-cmake --build build-tsan -j "$JOBS" --target common_test tensor_test active_test infer_test align_test index_test obs_test core_test
+cmake --build build-tsan -j "$JOBS" --target common_test tensor_test active_test infer_test align_test index_test obs_test core_test embedding_test
 run_filtered ./build-tsan/tests/common_test 'ThreadPoolTest.*'
 # Concurrent span emission across ParallelFor fan-out, session start/stop
 # races against in-flight writers, and the pool telemetry counters.
@@ -98,6 +99,8 @@ run_filtered ./build-tsan/tests/infer_test 'InferTest.PowerFromEveryNodeConcurre
 # Block-parallel entity statistics and the index-based entity consumers.
 run_filtered ./build-tsan/tests/align_test 'JointModelTest.*:MetricsTest.Streaming*'
 run_filtered ./build-tsan/tests/core_test "$CORE_FILTER"
+# KG1 and KG2 train their KGE epochs side by side on the pool.
+run_filtered ./build-tsan/tests/embedding_test 'KgeTrainerTest.*'
 # Parallel k-means assignment + sharded IVF queries (row-parallel writers).
 run_filtered ./build-tsan/tests/index_test 'IvfIndexTest.*:ExactIndexTest.QueryTopKMatchesBlockedSimTopK:ExactIndexTest.GreedyMatchingParity'
 

@@ -10,11 +10,33 @@
 #include "index/candidate_index.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
+#include "tensor/simd/simd.h"
 #include "tensor/topk.h"
 
 namespace daakg {
 namespace {
 constexpr float kNormEps = 1e-12f;
+
+// Vector::Norm() of a span: squares summed in double, in order.
+float SpanNorm(const float* x, size_t n) {
+  double acc = 0.0;
+  for (size_t i = 0; i < n; ++i) acc += static_cast<double>(x[i]) * x[i];
+  return std::sqrt(static_cast<float>(acc));
+}
+
+// Cosine(q, rows.Row(ids[j])) into out[j] for j < n, given Norm(q) and the
+// rows' norms. The dot products are Vector::Dot's, several rows at a time.
+void SnapshotCosines(const float* q, float q_norm, const Matrix& rows,
+                     const std::vector<float>& row_norms, const EntityId* ids,
+                     size_t n, float* out) {
+  simd::ActiveOps().dot_rows_f64(q, rows.RowData(0), rows.cols(), ids, n,
+                                 rows.cols(), out);
+  for (size_t j = 0; j < n; ++j) {
+    const float nr = row_norms[ids[j]];
+    out[j] = (q_norm == 0.0f || nr == 0.0f) ? 0.0f : out[j] / (q_norm * nr);
+  }
+}
+
 }  // namespace
 
 JointAlignmentModel::JointAlignmentModel(KgeModel* model1, KgeModel* model2,
@@ -33,6 +55,20 @@ JointAlignmentModel::JointAlignmentModel(KgeModel* model1, KgeModel* model2,
   const size_t cdim =
       ec1_ != nullptr ? ec1_->class_dim() : model1->config().class_dim;
   a_cls_ = Matrix(cdim, cdim);
+
+  EntityStep& s = entity_step_;
+  for (Vector* v : {&s.x1, &s.u, &s.v, &s.d_mapped, &s.d_second, &s.gx, &s.gy,
+                    &s.diff}) {
+    v->Resize(dim);
+  }
+  const size_t num_negs =
+      static_cast<size_t>(std::max(0, config_.num_negatives));
+  s.negs.assign(num_negs, EntityNeg{0, 0, Vector(dim), Vector(dim),
+                                    Vector(dim), Vector(dim), false});
+  s.s_negs.assign(num_negs, 0.0);
+  s.cands.assign(
+      static_cast<size_t>(std::max(1, config_.hard_negative_candidates)), 0);
+  s.cand_sims.assign(s.cands.size(), 0.0f);
 }
 
 void JointAlignmentModel::Init(Rng* rng) {
@@ -55,13 +91,28 @@ void JointAlignmentModel::Init(Rng* rng) {
 JointAlignmentModel::CosineGrad JointAlignmentModel::CosineWithGrad(
     const Vector& mapped, const Vector& y) {
   CosineGrad out;
-  const float nu = mapped.Norm() + kNormEps;
-  const float nv = y.Norm() + kNormEps;
-  const float dot = mapped.Dot(y);
-  out.sim = dot / (nu * nv);
-  out.d_mapped = y * (1.0f / (nu * nv)) - mapped * (out.sim / (nu * nu));
-  out.d_second = mapped * (1.0f / (nu * nv)) - y * (out.sim / (nv * nv));
+  out.d_mapped = Vector(mapped.dim());
+  out.d_second = Vector(y.dim());
+  out.sim = CosineGradInto(mapped, mapped.Norm(), y, y.Norm(), &out.d_mapped,
+                           &out.d_second);
   return out;
+}
+
+float JointAlignmentModel::CosineGradInto(const Vector& mapped,
+                                          float mapped_norm, const Vector& y,
+                                          float y_norm, Vector* d_mapped,
+                                          Vector* d_second) {
+  const float nu = mapped_norm + kNormEps;
+  const float nv = y_norm + kNormEps;
+  const float sim = mapped.Dot(y) / (nu * nv);
+  const float inv = 1.0f / (nu * nv);
+  const float ku = sim / (nu * nu);
+  const float kv = sim / (nv * nv);
+  for (size_t i = 0; i < y.dim(); ++i) {
+    (*d_mapped)[i] = y[i] * inv - mapped[i] * ku;
+    (*d_second)[i] = mapped[i] * inv - y[i] * kv;
+  }
+  return sim;
 }
 
 float JointAlignmentModel::EntitySim(EntityId e1, EntityId e2) const {
@@ -127,10 +178,10 @@ void JointAlignmentModel::ComputeEntityStats() {
   repr2_ = Matrix(n2, dim);
   ThreadPool& pool = GlobalThreadPool();
   pool.ParallelFor(n1, [this](size_t e) {
-    repr1_.SetRow(e, model1_->EntityRepr(static_cast<EntityId>(e)));
+    model1_->EntityReprInto(static_cast<EntityId>(e), repr1_.RowData(e));
   });
   pool.ParallelFor(n2, [this](size_t e) {
-    repr2_.SetRow(e, model2_->EntityRepr(static_cast<EntityId>(e)));
+    model2_->EntityReprInto(static_cast<EntityId>(e), repr2_.RowData(e));
   });
 
   // unit1 = normalize(repr1 * A_ent^T), unit2 = normalize(repr2): their
@@ -144,7 +195,7 @@ void JointAlignmentModel::ComputeEntityStats() {
   };
   unit1_ = Matrix(n1, dim);
   pool.ParallelFor(n1, [&](size_t e) {
-    unit1_.SetRow(e, a_ent_.Multiply(repr1_.Row(e)));
+    a_ent_.MultiplyInto(repr1_.RowData(e), unit1_.RowData(e));
     normalize_row(&unit1_, e);
   });
   Matrix unit2 = repr2_;
@@ -343,110 +394,113 @@ double JointAlignmentModel::MatchProbability(const ElementPair& pair) const {
 // Training
 // --------------------------------------------------------------------------
 
+void JointAlignmentModel::ApplyEntityGrad(EntityId a, EntityId b,
+                                          const Vector& d_mapped,
+                                          const Vector& d_second,
+                                          const Vector& xa, float coef,
+                                          float lr) {
+  // d loss / d A_ent += coef * d_mapped x_a^T; the KG1 side's gradient goes
+  // through the updated A_ent.
+  if (!config_.update_embeddings) {
+    a_ent_.AddOuter(-lr * coef, d_mapped, xa);
+    return;
+  }
+  EntityStep& s = entity_step_;
+  a_ent_.AddOuterThenTransposeMultiply(-lr * coef, d_mapped.data(), xa.data(),
+                                       s.gx.data());
+  s.gx *= coef;
+  model1_->BackpropEntityRepr(a, s.gx, lr);
+  s.gy = d_second;
+  s.gy *= coef;
+  model2_->BackpropEntityRepr(b, s.gy, lr);
+}
+
 double JointAlignmentModel::TrainEntityPair(EntityId e1, EntityId e2, Rng* rng,
                                             bool focal, float lr) {
-  Vector x1 = model1_->EntityRepr(e1);
-  Vector u = a_ent_.Multiply(x1);
-  Vector v = model2_->EntityRepr(e2);
-  CosineGrad pos = CosineWithGrad(u, v);
+  EntityStep& s = entity_step_;
+  const size_t num_negs = s.negs.size();
+  const size_t candidates = s.cands.size();
 
-  // Negatives: corrupt either side of the match (the M~_ent of Eq. 5).
-  struct Neg {
-    EntityId n1;
-    EntityId n2;
-    CosineGrad grad;
-    Vector x1;  // repr of the (possibly corrupted) KG1 side
-  };
-  std::vector<Neg> negs;
-  std::vector<double> s_negs;
-  const int candidates = std::max(1, config_.hard_negative_candidates);
-  // Hard negatives are *picked* against the per-epoch mining snapshot
-  // (cheap, slightly stale); gradients are then computed fresh.
-  const bool snap = !mining_mapped1_.empty() && !mining_repr2_.empty();
-  for (int k = 0; k < config_.num_negatives; ++k) {
-    Neg neg;
-    if (rng->NextBernoulli(0.5)) {
-      neg.n1 = e1;
-      neg.x1 = x1;
-      float best_sim = -2.0f;
-      EntityId best = 0;
-      for (int c = 0; c < candidates; ++c) {
-        EntityId cand =
-            static_cast<EntityId>(rng->NextUint64(kg2().num_entities()));
-        if (cand == e2) continue;
-        const float s = snap ? Cosine(u, mining_repr2_.Row(cand))
-                             : Cosine(u, model2_->EntityRepr(cand));
-        if (s > best_sim) {
-          best_sim = s;
-          best = cand;
-        }
-      }
-      neg.n2 = best;
-      neg.grad = CosineWithGrad(u, model2_->EntityRepr(neg.n2));
-    } else {
-      neg.n2 = e2;
-      float best_sim = -2.0f;
-      EntityId best = 0;
-      for (int c = 0; c < candidates; ++c) {
-        EntityId cand =
-            static_cast<EntityId>(rng->NextUint64(kg1().num_entities()));
-        if (cand == e1) continue;
-        const float s =
-            snap ? Cosine(mining_mapped1_.Row(cand), v)
-                 : Cosine(a_ent_.Multiply(model1_->EntityRepr(cand)), v);
-        if (s > best_sim) {
-          best_sim = s;
-          best = cand;
-        }
-      }
-      neg.n1 = best;
-      neg.x1 = model1_->EntityRepr(neg.n1);
-      neg.grad = CosineWithGrad(a_ent_.Multiply(neg.x1), v);
+  model1_->EntityReprInto(e1, s.x1.data());
+  a_ent_.MultiplyInto(s.x1.data(), s.u.data());
+  model2_->EntityReprInto(e2, s.v.data());
+  const float u_norm = s.u.Norm();
+  const float v_norm = s.v.Norm();
+  const float pos_sim =
+      CosineGradInto(s.u, u_norm, s.v, v_norm, &s.d_mapped, &s.d_second);
+
+  // Negatives: corrupt either side of the match (the M~_ent of Eq. 5). Each
+  // is the most similar of `candidates` uniform draws (strict >: the first
+  // best wins), *picked* against the per-epoch mining snapshot (cheap,
+  // slightly stale); gradients are then computed fresh. All of a
+  // negative's draws come before its scoring, which consumes no randomness.
+  for (size_t k = 0; k < num_negs; ++k) {
+    EntityNeg& neg = s.negs[k];
+    neg.corrupt_second = rng->NextBernoulli(0.5);
+    const size_t n_other =
+        neg.corrupt_second ? kg2().num_entities() : kg1().num_entities();
+    const EntityId keep = neg.corrupt_second ? e2 : e1;
+    for (EntityId& cand : s.cands) {
+      cand = static_cast<EntityId>(rng->NextUint64(n_other));
     }
-    s_negs.push_back(neg.grad.sim);
-    negs.push_back(std::move(neg));
+    if (neg.corrupt_second) {
+      SnapshotCosines(s.u.data(), u_norm, mining_repr2_, mining_norm2_,
+                      s.cands.data(), candidates, s.cand_sims.data());
+    } else {
+      SnapshotCosines(s.v.data(), v_norm, mining_mapped1_, mining_norm1_,
+                      s.cands.data(), candidates, s.cand_sims.data());
+    }
+    float best_sim = -2.0f;
+    EntityId best = 0;
+    for (size_t c = 0; c < candidates; ++c) {
+      if (s.cands[c] == keep) continue;
+      if (s.cand_sims[c] > best_sim) {
+        best_sim = s.cand_sims[c];
+        best = s.cands[c];
+      }
+    }
+    if (neg.corrupt_second) {
+      neg.n1 = e1;
+      neg.n2 = best;
+      model2_->EntityReprInto(neg.n2, neg.y.data());
+      s.s_negs[k] = CosineGradInto(s.u, u_norm, neg.y, neg.y.Norm(),
+                                        &neg.d_mapped, &neg.d_second);
+    } else {
+      neg.n1 = best;
+      neg.n2 = e2;
+      model1_->EntityReprInto(neg.n1, neg.x1.data());
+      a_ent_.MultiplyInto(neg.x1.data(), neg.y.data());  // A_ent x1
+      s.s_negs[k] = CosineGradInto(neg.y, neg.y.Norm(), s.v, v_norm,
+                                        &neg.d_mapped, &neg.d_second);
+    }
   }
 
   ContrastiveGrad cg =
-      focal ? FocalContrastive(pos.sim, s_negs, config_.loss_sharpness,
+      focal ? FocalContrastive(pos_sim, s.s_negs, config_.loss_sharpness,
                                config_.focal_gamma)
-            : SoftmaxContrastive(pos.sim, s_negs, config_.loss_sharpness);
+            : SoftmaxContrastive(pos_sim, s.s_negs, config_.loss_sharpness);
 
-  // Positive term.
-  auto apply_entity_grads = [this, lr](EntityId a, EntityId b,
-                                       const CosineGrad& g, const Vector& xa,
-                                       double coef) {
-    if (coef == 0.0) return;
-    const float c = static_cast<float>(coef);
-    // d loss / d A_ent += coef * d_mapped x_a^T.
-    a_ent_.AddOuter(-lr * c, g.d_mapped, xa);
-    if (config_.update_embeddings) {
-      Vector gx = a_ent_.TransposeMultiply(g.d_mapped);
-      gx *= c;
-      model1_->BackpropEntityRepr(a, gx, lr);
-      Vector gy = g.d_second * c;
-      model2_->BackpropEntityRepr(b, gy, lr);
-    }
-  };
-  apply_entity_grads(e1, e2, pos, x1, cg.d_pos);
-  for (size_t j = 0; j < negs.size(); ++j) {
-    apply_entity_grads(negs[j].n1, negs[j].n2, negs[j].grad, negs[j].x1,
-                       cg.d_negs[j]);
+  if (cg.d_pos != 0.0) {
+    ApplyEntityGrad(e1, e2, s.d_mapped, s.d_second, s.x1,
+                    static_cast<float>(cg.d_pos), lr);
+  }
+  for (size_t j = 0; j < num_negs; ++j) {
+    if (cg.d_negs[j] == 0.0) continue;
+    const EntityNeg& neg = s.negs[j];
+    ApplyEntityGrad(neg.n1, neg.n2, neg.d_mapped, neg.d_second,
+                    neg.corrupt_second ? s.x1 : neg.x1,
+                    static_cast<float>(cg.d_negs[j]), lr);
   }
 
   // Auxiliary L2 pull on the positive match (see JointAlignConfig).
   if (config_.l2_pull_weight > 0.0f) {
-    const float w = config_.l2_pull_weight;
-    Vector diff = u - v;  // A x1 - x2
     // d/dA = 2 w diff x1^T; d/dx1 = 2 w A^T diff; d/dx2 = -2 w diff.
-    a_ent_.AddOuter(-lr * 2.0f * w, diff, x1);
-    if (config_.update_embeddings) {
-      Vector gx = a_ent_.TransposeMultiply(diff);
-      gx *= 2.0f * w;
-      model1_->BackpropEntityRepr(e1, gx, lr);
-      Vector gy = diff * (-2.0f * w);
-      model2_->BackpropEntityRepr(e2, gy, lr);
-    }
+    s.diff = s.u;
+    s.diff -= s.v;  // A x1 - x2
+    s.d_second = s.diff;
+    s.d_second *= -1.0f;
+    ApplyEntityGrad(e1, e2, s.diff, s.d_second, s.x1,
+                    2.0f * config_.l2_pull_weight, lr);
   }
   return cg.loss;
 }
@@ -581,13 +635,21 @@ void JointAlignmentModel::RefreshMiningSnapshot() {
   const size_t dim = model1_->dim();
   if (mining_mapped1_.rows() != n1) mining_mapped1_ = Matrix(n1, dim);
   if (mining_repr2_.rows() != n2) mining_repr2_ = Matrix(n2, dim);
+  mining_norm1_.resize(n1);
+  mining_norm2_.resize(n2);
   ThreadPool& pool = GlobalThreadPool();
-  pool.ParallelFor(n1, [this](size_t e) {
-    mining_mapped1_.SetRow(
-        e, a_ent_.Multiply(model1_->EntityRepr(static_cast<EntityId>(e))));
+  pool.ParallelForShards(n1, [&](size_t, size_t begin, size_t end) {
+    std::vector<float> repr(dim);
+    for (size_t e = begin; e < end; ++e) {
+      model1_->EntityReprInto(static_cast<EntityId>(e), repr.data());
+      a_ent_.MultiplyInto(repr.data(), mining_mapped1_.RowData(e));
+      mining_norm1_[e] = SpanNorm(mining_mapped1_.RowData(e), dim);
+    }
   });
-  pool.ParallelFor(n2, [this](size_t e) {
-    mining_repr2_.SetRow(e, model2_->EntityRepr(static_cast<EntityId>(e)));
+  pool.ParallelFor(n2, [&](size_t e) {
+    model2_->EntityReprInto(static_cast<EntityId>(e),
+                            mining_repr2_.RowData(e));
+    mining_norm2_[e] = SpanNorm(mining_repr2_.RowData(e), dim);
   });
 }
 
@@ -675,18 +737,14 @@ void JointAlignmentModel::AscendPairSimilarity(const ElementPair& pair,
   const float coef = static_cast<float>(-weight);
   switch (pair.kind) {
     case ElementKind::kEntity: {
-      Vector x1 = model1_->EntityRepr(pair.first);
-      Vector u = a_ent_.Multiply(x1);
-      Vector v = model2_->EntityRepr(pair.second);
-      CosineGrad g = CosineWithGrad(u, v);
-      a_ent_.AddOuter(-lr * coef, g.d_mapped, x1);
-      if (config_.update_embeddings) {
-        Vector gx = a_ent_.TransposeMultiply(g.d_mapped);
-        gx *= coef;
-        model1_->BackpropEntityRepr(pair.first, gx, lr);
-        Vector gy = g.d_second * coef;
-        model2_->BackpropEntityRepr(pair.second, gy, lr);
-      }
+      EntityStep& s = entity_step_;
+      model1_->EntityReprInto(pair.first, s.x1.data());
+      a_ent_.MultiplyInto(s.x1.data(), s.u.data());
+      model2_->EntityReprInto(pair.second, s.v.data());
+      CosineGradInto(s.u, s.u.Norm(), s.v, s.v.Norm(), &s.d_mapped,
+                     &s.d_second);
+      ApplyEntityGrad(pair.first, pair.second, s.d_mapped, s.d_second, s.x1,
+                      coef, lr);
       break;
     }
     case ElementKind::kRelation: {

@@ -168,10 +168,21 @@ class JointAlignmentModel {
     Vector d_second;  // d sim / d y
   };
   static CosineGrad CosineWithGrad(const Vector& mapped, const Vector& y);
+  // CosineWithGrad() given the inputs' norms (Vector::Norm()), into
+  // caller buffers of the inputs' dimension; returns the similarity.
+  static float CosineGradInto(const Vector& mapped, float mapped_norm,
+                              const Vector& y, float y_norm, Vector* d_mapped,
+                              Vector* d_second);
 
   // Applies one contrastive step for an entity match; returns the loss.
   double TrainEntityPair(EntityId e1, EntityId e2, Rng* rng, bool focal,
                          float lr);
+  // One SGD step with coefficient `coef` on an entity pair's cosine
+  // gradient: A_ent -= lr coef d_mapped xa^T, then (update_embeddings) KG1
+  // entity a descends coef A_ent^T d_mapped, KG2 entity b coef d_second.
+  void ApplyEntityGrad(EntityId a, EntityId b, const Vector& d_mapped,
+                       const Vector& d_second, const Vector& xa, float coef,
+                       float lr);
   double TrainRelationPair(RelationId r1, RelationId r2, Rng* rng, bool focal,
                            float lr);
   double TrainClassPair(ClassId c1, ClassId c2, Rng* rng, bool focal,
@@ -221,9 +232,33 @@ class JointAlignmentModel {
   std::vector<Vector> cls_mean2_;
   std::vector<double> rel_wsum1_, rel_wsum2_;
   std::vector<double> cls_wsum1_, cls_wsum2_;
-  // Stale per-epoch snapshots for hard-negative mining.
+  // Stale per-epoch snapshots for hard-negative mining, with row norms.
   Matrix mining_mapped1_;  // A_ent * repr1 at epoch start
   Matrix mining_repr2_;
+  std::vector<float> mining_norm1_;
+  std::vector<float> mining_norm2_;
+
+  // Per-step buffers of the entity training path, sized at construction:
+  // TrainEntityPair and AscendPairSimilarity allocate nothing.
+  struct EntityNeg {
+    EntityId n1;
+    EntityId n2;
+    Vector x1;        // repr of a corrupted KG1 side
+    Vector y;         // repr of a corrupted KG2 side, or A_ent x1
+    Vector d_mapped;  // cosine gradients, as in CosineGrad
+    Vector d_second;
+    bool corrupt_second;  // n2 corrupted (n1 == e1, whose repr is x1)
+  };
+  struct EntityStep {
+    Vector x1, u, v;  // repr of e1, A_ent x1, repr of e2
+    Vector d_mapped, d_second;
+    Vector gx, gy, diff;
+    std::vector<EntityNeg> negs;  // config().num_negatives
+    std::vector<double> s_negs;
+    std::vector<EntityId> cands;  // config().hard_negative_candidates
+    std::vector<float> cand_sims;
+  };
+  EntityStep entity_step_;
   // Row (1->2) and column (2->1) maxima and log-sum-exps for Eq. 11.
   SimStats ent_stats_, rel_stats_, cls_stats_;
 };

@@ -207,15 +207,10 @@ BaselineResult EmbeddingBaseline::Run(const SeedAlignment& seed) {
   Rng t1 = rng.Fork();
   Rng t2 = rng.Fork();
   Rng a_rng = rng.Fork();
-  KgeTrainStats stats;
-  for (int e = 0; e < config_.kge.epochs; ++e) {
-    trainer1.TrainEpoch(&t1, &stats);
-    trainer2.TrainEpoch(&t2, &stats);
-  }
+  TrainSideBySide(&trainer1, &t1, &trainer2, &t2, config_.kge.epochs);
   std::vector<std::pair<ElementPair, double>> mined;
   for (int round = 0; round < align_cfg.align_epochs; ++round) {
-    trainer1.TrainEpoch(&t1, &stats);
-    trainer2.TrainEpoch(&t2, &stats);
+    TrainSideBySide(&trainer1, &t1, &trainer2, &t2, /*epochs=*/1);
     for (int k = 0; k < align_cfg.joint_epochs_per_round; ++k) {
       joint.TrainEpoch(mapped_seed, &a_rng, /*focal=*/false);
     }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <cstdlib>
 #include <utility>
 
 #include "common/logging.h"
@@ -162,8 +164,26 @@ void ThreadPool::ParallelForShards(
   }
 }
 
+size_t ParseThreadCount(const char* value) {
+  if (value == nullptr || value[0] < '0' || value[0] > '9') return 0;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(value, &end, 10);
+  if (errno != 0 || *end != '\0' || n == 0 || n > kMaxPoolThreads) return 0;
+  return static_cast<size_t>(n);
+}
+
 ThreadPool& GlobalThreadPool() {
-  static ThreadPool* pool = new ThreadPool();
+  static ThreadPool* pool = [] {
+    const char* env = std::getenv("DAAKG_THREADS");
+    const size_t threads = ParseThreadCount(env);
+    if (threads == 0 && env != nullptr) {
+      LOG_WARNING << "Unrecognized DAAKG_THREADS value '" << env
+                  << "' (expected an integer in [1, " << kMaxPoolThreads
+                  << "]); using the hardware concurrency";
+    }
+    return new ThreadPool(threads);
+  }();
   return *pool;
 }
 

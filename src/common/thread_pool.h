@@ -117,7 +117,18 @@ class ThreadPool {
   bool shutting_down_ = false;
 };
 
-// Returns a lazily constructed process-wide pool sized to the hardware.
+// Largest worker count ParseThreadCount accepts.
+inline constexpr size_t kMaxPoolThreads = 256;
+
+// Parses a DAAKG_THREADS value: a decimal integer in [1, kMaxPoolThreads]
+// yields that count; anything else (null, empty, signs, trailing text,
+// zero, too large) yields 0.
+size_t ParseThreadCount(const char* value);
+
+// Returns a lazily constructed process-wide pool. Its size is read once, at
+// first use, from DAAKG_THREADS (see ParseThreadCount); when that is unset
+// or invalid (invalid values log a warning) the pool is sized to the
+// hardware concurrency.
 ThreadPool& GlobalThreadPool();
 
 }  // namespace daakg

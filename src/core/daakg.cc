@@ -143,18 +143,14 @@ void DaakgAligner::WarmStartKge() {
   kge_rng2_ = rng_.Fork();
   trainer1_ = std::make_unique<KgeTrainer>(model1_.get(), ec1_.get());
   trainer2_ = std::make_unique<KgeTrainer>(model2_.get(), ec2_.get());
-  KgeTrainStats stats;
-  for (int e = 0; e < config_.kge.epochs; ++e) {
-    trainer1_->TrainEpoch(&kge_rng1_, &stats);
-    trainer2_->TrainEpoch(&kge_rng2_, &stats);
-  }
+  TrainSideBySide(trainer1_.get(), &kge_rng1_, trainer2_.get(), &kge_rng2_,
+                  config_.kge.epochs);
   kge_trained_ = true;
 }
 
 void DaakgAligner::KgeEpoch() {
-  KgeTrainStats stats;
-  trainer1_->TrainEpoch(&kge_rng1_, &stats);
-  trainer2_->TrainEpoch(&kge_rng2_, &stats);
+  TrainSideBySide(trainer1_.get(), &kge_rng1_, trainer2_.get(), &kge_rng2_,
+                  /*epochs=*/1);
 }
 
 void DaakgAligner::JointRound(const SeedAlignment& train_set, bool focal) {

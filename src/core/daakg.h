@@ -101,6 +101,9 @@ class DaakgAligner {
   const JointAlignmentModel* joint() const { return joint_.get(); }
   KgeModel* model1() { return model1_.get(); }
   KgeModel* model2() { return model2_.get(); }
+  // Entity-class models; null when config().use_class_embeddings is false.
+  const EntityClassModel* ec1() const { return ec1_.get(); }
+  const EntityClassModel* ec2() const { return ec2_.get(); }
   const SeedAlignment& labeled() const { return labeled_; }
 
  private:

@@ -57,14 +57,32 @@ void CompGcn::RefreshAggregation() {
 }
 
 Vector CompGcn::Encode(EntityId e) const {
-  return EncodeBase(entities_.Row(e), e);
+  Vector enc(config_.dim);
+  EncodeInto(entities_.RowData(e), e, enc.data());
+  return enc;
 }
 
 Vector CompGcn::EncodeBase(const Vector& base, EntityId e) const {
-  Vector enc = w_self_.Multiply(base);
-  Vector mixed = w_nbr_.Multiply(messages_.Row(e));
-  enc += mixed;
+  Vector enc(config_.dim);
+  EncodeInto(base.data(), e, enc.data());
   return enc;
+}
+
+void CompGcn::EncodeInto(const float* base, EntityId e, float* out) const {
+  // Both matrix-vector products row by row, their two dot products side by
+  // side; each sums in column order, in double, as Matrix::Multiply does.
+  const float* msg = messages_.RowData(e);
+  for (size_t r = 0; r < config_.dim; ++r) {
+    const float* ws = w_self_.RowData(r);
+    const float* wn = w_nbr_.RowData(r);
+    double acc_self = 0.0;
+    double acc_nbr = 0.0;
+    for (size_t c = 0; c < config_.dim; ++c) {
+      acc_self += static_cast<double>(ws[c]) * base[c];
+      acc_nbr += static_cast<double>(wn[c]) * msg[c];
+    }
+    out[r] = static_cast<float>(acc_self) + static_cast<float>(acc_nbr);
+  }
 }
 
 float CompGcn::Score(EntityId head, RelationId relation, EntityId tail) const {
@@ -144,7 +162,9 @@ float CompGcn::TrainPair(const Triplet& pos, EntityId negative_tail,
   return loss;
 }
 
-Vector CompGcn::EntityRepr(EntityId e) const { return Encode(e); }
+void CompGcn::EntityReprInto(EntityId e, float* out) const {
+  EncodeInto(entities_.RowData(e), e, out);
+}
 
 void CompGcn::BackpropEntityRepr(EntityId e, const Vector& grad, float lr) {
   Vector base_grad = w_self_.TransposeMultiply(grad);

@@ -39,7 +39,7 @@ class CompGcn : public KgeModel {
                   float lr) override;
 
   // The GNN-encoded representation (what the alignment model compares).
-  Vector EntityRepr(EntityId e) const override;
+  void EntityReprInto(EntityId e, float* out) const override;
 
   // Routes a gradient on the encoded representation into the base
   // embedding via W_self^T (stale aggregation: no neighbor gradients).
@@ -64,6 +64,8 @@ class CompGcn : public KgeModel {
   // Encoded vector for an arbitrary base embedding at entity slot `e`
   // (uses e's cached message); used by the bound estimator.
   Vector EncodeBase(const Vector& base, EntityId e) const;
+  // W_self base + W_nbr m_e into `out` (dim() floats, aliasing neither).
+  void EncodeInto(const float* base, EntityId e, float* out) const;
 
   Matrix w_self_;
   Matrix w_nbr_;

@@ -58,11 +58,19 @@ class EntityClassModel {
   // FFNN(e): projects the (current) base embedding of e.
   Vector Project(EntityId e) const;
 
+  // TrainPair's per-step buffers (class_dim-sized p, z and g_p; dim-sized
+  // g_e), allocated once: a model is trained from one thread at a time.
+  struct StepScratch {
+    Vector p_pos, p_neg, z_pos, z_neg, gp_pos, gp_neg;
+    Vector ge_pos, ge_neg;
+  };
+
   KgeModel* kge_;
   KgeConfig config_;
   Matrix projection_;  // class_dim x dim
   Matrix scales_;      // num_classes x class_dim   (w_c, diagonal of W_c)
   Matrix centers_;     // num_classes x class_dim   (b_c)
+  StepScratch scratch_;
 };
 
 }  // namespace daakg

@@ -1,5 +1,7 @@
 #include "embedding/kge_model.h"
 
+#include <algorithm>
+
 #include "embedding/compgcn.h"
 #include "embedding/rotate.h"
 #include "embedding/transe.h"
@@ -19,7 +21,16 @@ void KgeModel::Init(Rng* rng) {
   NormalizeEntities();
 }
 
-Vector KgeModel::EntityRepr(EntityId e) const { return entities_.Row(e); }
+Vector KgeModel::EntityRepr(EntityId e) const {
+  Vector out(dim());
+  EntityReprInto(e, out.data());
+  return out;
+}
+
+void KgeModel::EntityReprInto(EntityId e, float* out) const {
+  const float* row = entities_.RowData(e);
+  std::copy(row, row + dim(), out);
+}
 
 Vector KgeModel::RelationRepr(RelationId r) const { return relations_.Row(r); }
 

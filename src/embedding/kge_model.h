@@ -85,7 +85,9 @@ class KgeModel {
   // Representation of an entity used by the alignment model. For geometric
   // models this is the base embedding; CompGCN returns the GNN-encoded
   // vector.
-  virtual Vector EntityRepr(EntityId e) const;
+  Vector EntityRepr(EntityId e) const;
+  // EntityRepr(e) written into `out` (dim() floats, not model storage).
+  virtual void EntityReprInto(EntityId e, float* out) const;
 
   // Representation of a relation used by the alignment model.
   virtual Vector RelationRepr(RelationId r) const;

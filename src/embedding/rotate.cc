@@ -54,15 +54,31 @@ float RotatE::Score(EntityId head, RelationId relation, EntityId tail) const {
 }
 
 float RotatE::TrainPair(const Triplet& pos, EntityId negative_tail, float lr) {
-  const float f_pos = Score(pos.head, pos.relation, pos.tail);
-  const float f_neg = Score(pos.head, pos.relation, negative_tail);
-  const float loss = config_.margin_er + f_pos - f_neg;
-  if (loss <= 0.0f) return 0.0f;
-
   float* h = entities_.RowData(pos.head);
   float* ph = relations_.RowData(pos.relation);
   float* t = entities_.RowData(pos.tail);
   float* tn = entities_.RowData(negative_tail);
+
+  // Score() of both triplets in one pass: one rotation of h, two
+  // independent accumulators, each summing in Score()'s order.
+  double sq_pos = 0.0;
+  double sq_neg = 0.0;
+  for (size_t k = 0; k < half_dim_; ++k) {
+    const float c = std::cos(ph[k]);
+    const float s = std::sin(ph[k]);
+    const float hr_re = h[2 * k] * c - h[2 * k + 1] * s;
+    const float hr_im = h[2 * k] * s + h[2 * k + 1] * c;
+    const double pre = static_cast<double>(hr_re) - t[2 * k];
+    const double pim = static_cast<double>(hr_im) - t[2 * k + 1];
+    const double nre = static_cast<double>(hr_re) - tn[2 * k];
+    const double nim = static_cast<double>(hr_im) - tn[2 * k + 1];
+    sq_pos += pre * pre + pim * pim;
+    sq_neg += nre * nre + nim * nim;
+  }
+  const float f_pos = static_cast<float>(std::sqrt(sq_pos));
+  const float f_neg = static_cast<float>(std::sqrt(sq_neg));
+  const float loss = config_.margin_er + f_pos - f_neg;
+  if (loss <= 0.0f) return 0.0f;
   const float inv_pos = 1.0f / (f_pos + kEps);
   const float inv_neg = 1.0f / (f_neg + kEps);
 

@@ -3,6 +3,7 @@
 #include <numeric>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "embedding/negative_sampler.h"
 #include "obs/trace.h"
 
@@ -73,6 +74,20 @@ KgeTrainStats KgeTrainer::Train(Rng* rng) {
   for (int epoch = 0; epoch < model_->config().epochs; ++epoch) {
     TrainEpoch(rng, &stats);
   }
+  return stats;
+}
+
+std::array<KgeTrainStats, 2> TrainSideBySide(KgeTrainer* trainer1, Rng* rng1,
+                                             KgeTrainer* trainer2, Rng* rng2,
+                                             int epochs) {
+  KgeTrainer* trainers[2] = {trainer1, trainer2};
+  Rng* rngs[2] = {rng1, rng2};
+  std::array<KgeTrainStats, 2> stats;
+  GlobalThreadPool().ParallelFor(2, [&](size_t side) {
+    for (int e = 0; e < epochs; ++e) {
+      trainers[side]->TrainEpoch(rngs[side], &stats[side]);
+    }
+  });
   return stats;
 }
 

@@ -1,6 +1,8 @@
 #ifndef DAAKG_EMBEDDING_TRAINER_H_
 #define DAAKG_EMBEDDING_TRAINER_H_
 
+#include <array>
+
 #include "common/rng.h"
 #include "embedding/entity_class_model.h"
 #include "embedding/kge_model.h"
@@ -35,6 +37,15 @@ class KgeTrainer {
   KgeModel* model_;
   EntityClassModel* ec_model_;
 };
+
+// Runs `epochs` epochs of `trainer1` drawing from `rng1` and, at the same
+// time, of `trainer2` drawing from `rng2`: two tasks on the global thread
+// pool, one per side. The trainers must touch disjoint parameters (one per
+// KG; models and entity-class models are per KG), so each side ends exactly
+// as it would have run alone. Returns each side's stats.
+std::array<KgeTrainStats, 2> TrainSideBySide(KgeTrainer* trainer1, Rng* rng1,
+                                             KgeTrainer* trainer2, Rng* rng2,
+                                             int epochs);
 
 }  // namespace daakg
 

@@ -20,15 +20,26 @@ float TransE::Score(EntityId head, RelationId relation, EntityId tail) const {
 }
 
 float TransE::TrainPair(const Triplet& pos, EntityId negative_tail, float lr) {
-  const float f_pos = Score(pos.head, pos.relation, pos.tail);
-  const float f_neg = Score(pos.head, pos.relation, negative_tail);
-  const float loss = config_.margin_er + f_pos - f_neg;
-  if (loss <= 0.0f) return 0.0f;
-
   float* h = entities_.RowData(pos.head);
   float* r = relations_.RowData(pos.relation);
   float* t = entities_.RowData(pos.tail);
   float* tn = entities_.RowData(negative_tail);
+
+  // Score() of both triplets in one pass: two independent accumulators,
+  // each summing in Score()'s order.
+  double sq_pos = 0.0;
+  double sq_neg = 0.0;
+  for (size_t i = 0; i < config_.dim; ++i) {
+    const double hr = static_cast<double>(h[i]) + r[i];
+    const double diff_pos = hr - t[i];
+    const double diff_neg = hr - tn[i];
+    sq_pos += diff_pos * diff_pos;
+    sq_neg += diff_neg * diff_neg;
+  }
+  const float f_pos = static_cast<float>(std::sqrt(sq_pos));
+  const float f_neg = static_cast<float>(std::sqrt(sq_neg));
+  const float loss = config_.margin_er + f_pos - f_neg;
+  if (loss <= 0.0f) return 0.0f;
 
   const float inv_pos = 1.0f / (f_pos + kEps);
   const float inv_neg = 1.0f / (f_neg + kEps);

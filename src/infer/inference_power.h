@@ -20,7 +20,8 @@ struct InferenceConfig {
   // when evaluating Eq. (20) (relation-pair sources).
   double likely_match_prob = 0.5;
   // When true (default), path costs are rescaled after precomputation so
-  // the 20th-percentile edge reaches power ~0.9. The paper's absolute
+  // the finite edge cost at `calibration_percentile` (a fraction: the
+  // default 0.02 is the 2nd percentile) reaches power ~0.9. The paper's absolute
   // kappa = 0.8 presumes fully converged GPU-scale embeddings whose score
   // residuals approach 0; CPU-scale training leaves a constant residual
   // floor, so the *ranking* of bounds is meaningful but the absolute scale
@@ -49,10 +50,18 @@ float AlternativeEntitySlack(size_t parallel_edges1, size_t parallel_edges2);
 // Sect. 5.2 on top of an alignment graph and a trained joint model.
 //
 // Path-based powers (entity pair -> entity pair, Eqs. 13-19) use per-edge
-// costs c = ||A_rel r~ - r~'|| + d + d' and a mu-hop bounded shortest-path
-// search. Summing per-edge costs upper-bounds the paper's path difference
-// (which norms the summed difference vectors), so the reported power is a
-// conservative lower bound — see DESIGN.md.
+// costs and a mu-hop bounded shortest-path search. The paper's edge cost
+// is ||A_rel r~ - r~'|| + d + d' (Eq. 15); ComputeEdgeCost instead uses
+//
+//   c = rel_diff_weight * (1 - S(r, r')) + residual_weight * (d + d')
+//       + alt_penalty * (parallel edges beyond the first, per side),
+//
+// with S the joint model's relation similarity of the base relations and
+// d, d' the sampled edge bounds (Eq. 14). Path cost is the sum of edge
+// costs. The paper norms the summed difference vectors (Eq. 19); a sum of
+// per-edge norms would upper-bound that, but with the substituted edge
+// cost the reported power is not proven to be a lower bound of the
+// paper's — see DESIGN.md.
 class InferenceEngine {
  public:
   // All pointees must outlive the engine; `model` must have fresh caches.

@@ -78,11 +78,25 @@ Status KnowledgeGraph::Finalize() {
   // Adjacency and relation->pairs indexes.
   adjacency_.assign(entity_names_.size(), {});
   relation_triplets_.assign(relation_names_.size(), {});
-  triplet_set_.reserve(triplets_.size() * 2);
   for (const Triplet& t : triplets_) {
     adjacency_[t.head].push_back(Neighbor{t.relation, t.tail});
     relation_triplets_[t.relation].emplace_back(t.head, t.tail);
-    triplet_set_[t] = true;
+  }
+  // Membership index: every head's (relation, tail) keys, sorted, in one
+  // array (CSR by head).
+  triplet_offsets_.assign(entity_names_.size() + 1, 0);
+  for (const Triplet& t : triplets_) ++triplet_offsets_[t.head + 1];
+  for (size_t e = 0; e < entity_names_.size(); ++e) {
+    triplet_offsets_[e + 1] += triplet_offsets_[e];
+  }
+  triplet_keys_.resize(triplets_.size());
+  std::vector<size_t> next(triplet_offsets_.begin(), triplet_offsets_.end() - 1);
+  for (const Triplet& t : triplets_) {
+    triplet_keys_[next[t.head]++] = TripletKey(t.relation, t.tail);
+  }
+  for (size_t e = 0; e < entity_names_.size(); ++e) {
+    std::sort(triplet_keys_.begin() + triplet_offsets_[e],
+              triplet_keys_.begin() + triplet_offsets_[e + 1]);
   }
 
   // Class membership indexes.
@@ -124,7 +138,10 @@ ClassId KnowledgeGraph::FindClass(std::string_view name) const {
 bool KnowledgeGraph::HasTriplet(EntityId head, RelationId relation,
                                 EntityId tail) const {
   DAAKG_CHECK(finalized_);
-  return triplet_set_.count(Triplet{head, relation, tail}) > 0;
+  if (head >= entity_names_.size()) return false;
+  return std::binary_search(triplet_keys_.begin() + triplet_offsets_[head],
+                            triplet_keys_.begin() + triplet_offsets_[head + 1],
+                            TripletKey(relation, tail));
 }
 
 bool KnowledgeGraph::HasType(EntityId e, ClassId c) const {

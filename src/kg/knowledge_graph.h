@@ -1,6 +1,7 @@
 #ifndef DAAKG_KG_KNOWLEDGE_GRAPH_H_
 #define DAAKG_KG_KNOWLEDGE_GRAPH_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -108,7 +109,8 @@ class KnowledgeGraph {
   // True if `r` is a synthetic reverse relation.
   bool IsReverseRelation(RelationId r) const { return r >= num_base_relations_; }
 
-  // True if the relational triplet exists (hash lookup; built in Finalize()).
+  // True if the relational triplet exists (binary search among the head's
+  // edges; index built in Finalize()).
   bool HasTriplet(EntityId head, RelationId relation, EntityId tail) const;
   // True if entity `e` has class `c`.
   bool HasType(EntityId e, ClassId c) const;
@@ -130,7 +132,13 @@ class KnowledgeGraph {
   std::vector<std::vector<EntityId>> class_entities_;
   std::vector<std::vector<std::pair<EntityId, EntityId>>> relation_triplets_;
   std::vector<RelationId> reverse_relation_;
-  std::unordered_map<Triplet, bool, TripletHash> triplet_set_;
+  // HasTriplet index: the sorted TripletKey(relation, tail) of head h's
+  // triplets are triplet_keys_[triplet_offsets_[h], triplet_offsets_[h+1]).
+  static uint64_t TripletKey(RelationId relation, EntityId tail) {
+    return (static_cast<uint64_t>(relation) << 32) | tail;
+  }
+  std::vector<size_t> triplet_offsets_;
+  std::vector<uint64_t> triplet_keys_;
 
   size_t num_base_relations_ = 0;
   bool finalized_ = false;

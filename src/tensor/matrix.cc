@@ -72,42 +72,48 @@ void Matrix::Axpy(float alpha, const Matrix& other) {
 Vector Matrix::Multiply(const Vector& x) const {
   DAAKG_CHECK_EQ(x.dim(), cols_);
   Vector y(rows_);
-  for (size_t r = 0; r < rows_; ++r) {
-    const float* row = RowData(r);
-    double acc = 0.0;
-    for (size_t c = 0; c < cols_; ++c) {
-      acc += static_cast<double>(row[c]) * x[c];
-    }
-    y[r] = static_cast<float>(acc);
-  }
+  MultiplyInto(x.data(), y.data());
   return y;
+}
+
+void Matrix::MultiplyInto(const float* x, float* y) const {
+  simd::ActiveOps().dot_rows_f64(x, data_.data(), cols_, nullptr, rows_, cols_,
+                                 y);
 }
 
 Vector Matrix::TransposeMultiply(const Vector& x) const {
   DAAKG_CHECK_EQ(x.dim(), rows_);
   Vector y(cols_);
+  const simd::Ops& ops = simd::ActiveOps();
   for (size_t r = 0; r < rows_; ++r) {
-    const float* row = RowData(r);
     const float xr = x[r];
     if (xr == 0.0f) continue;
-    for (size_t c = 0; c < cols_; ++c) y[c] += xr * row[c];
+    ops.axpy(xr, RowData(r), y.data(), cols_);
   }
   return y;
+}
+
+void Matrix::AddOuterThenTransposeMultiply(float alpha, const float* a,
+                                           const float* b, float* y) {
+  const simd::Ops& ops = simd::ActiveOps();
+  std::fill(y, y + cols_, 0.0f);
+  for (size_t r = 0; r < rows_; ++r) {
+    float* row = RowData(r);
+    const float ar = alpha * a[r];
+    if (ar != 0.0f) ops.axpy(ar, b, row, cols_);
+    if (a[r] != 0.0f) ops.axpy(a[r], row, y, cols_);
+  }
 }
 
 Matrix Matrix::Multiply(const Matrix& other) const {
   DAAKG_CHECK_EQ(cols_, other.rows_);
   Matrix out(rows_, other.cols_);
+  const simd::Ops& ops = simd::ActiveOps();
   for (size_t i = 0; i < rows_; ++i) {
     const float* a_row = RowData(i);
-    float* out_row = out.RowData(i);
     for (size_t k = 0; k < cols_; ++k) {
-      const float a = a_row[k];
-      if (a == 0.0f) continue;
-      const float* b_row = other.RowData(k);
-      for (size_t j = 0; j < other.cols_; ++j) {
-        out_row[j] += a * b_row[j];
-      }
+      if (a_row[k] == 0.0f) continue;
+      ops.axpy(a_row[k], other.RowData(k), out.RowData(i), other.cols_);
     }
   }
   return out;
@@ -126,11 +132,11 @@ Matrix Matrix::Transposed() const {
 void Matrix::AddOuter(float alpha, const Vector& a, const Vector& b) {
   DAAKG_CHECK_EQ(a.dim(), rows_);
   DAAKG_CHECK_EQ(b.dim(), cols_);
+  const simd::Ops& ops = simd::ActiveOps();
   for (size_t r = 0; r < rows_; ++r) {
     const float ar = alpha * a[r];
     if (ar == 0.0f) continue;
-    float* row = RowData(r);
-    for (size_t c = 0; c < cols_; ++c) row[c] += ar * b[c];
+    ops.axpy(ar, b.data(), RowData(r), cols_);
   }
 }
 

@@ -51,6 +51,10 @@ class Matrix {
 
   // y = this * x  (dims: rows x cols * cols -> rows).
   Vector Multiply(const Vector& x) const;
+  // Multiply() into caller storage: x holds cols() floats, y rows() floats
+  // (y must not alias x). Each row's products are summed in double, in
+  // column order, on every SIMD backend (simd::Ops::dot_rows_f64).
+  void MultiplyInto(const float* x, float* y) const;
   // y = this^T * x (dims: cols x rows * rows -> cols).
   Vector TransposeMultiply(const Vector& x) const;
   // C = this * other.
@@ -60,6 +64,12 @@ class Matrix {
   // Adds alpha * a * b^T (outer product) to this; a.dim()==rows,
   // b.dim()==cols. The core update for mapping-matrix gradients.
   void AddOuter(float alpha, const Vector& a, const Vector& b);
+  // AddOuter(alpha, a, b) followed by y = this^T * a on the updated matrix,
+  // in one pass over the rows (row r is updated, then accumulated), with
+  // the arithmetic of the two calls. a holds rows() floats, b and y cols()
+  // floats; none may alias the matrix, and y may alias neither a nor b.
+  void AddOuterThenTransposeMultiply(float alpha, const float* a,
+                                     const float* b, float* y);
 
   // Frobenius norm.
   float Norm() const;

@@ -75,12 +75,47 @@ size_t CountGreaterScalar(const float* values, size_t n, float threshold) {
   return count;
 }
 
+// Four rows side by side: four independent dependency chains, each row
+// still summing its products in index order.
+void DotRowsF64Scalar(const float* a, const float* base, size_t stride,
+                      const uint32_t* ids, size_t num_rows, size_t n,
+                      float* out) {
+  auto row = [&](size_t j) {
+    return base + (ids != nullptr ? ids[j] : j) * stride;
+  };
+  size_t j = 0;
+  for (; j + 4 <= num_rows; j += 4) {
+    const float* r0 = row(j);
+    const float* r1 = row(j + 1);
+    const float* r2 = row(j + 2);
+    const float* r3 = row(j + 3);
+    double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      const double ai = a[i];
+      acc0 += ai * r0[i];
+      acc1 += ai * r1[i];
+      acc2 += ai * r2[i];
+      acc3 += ai * r3[i];
+    }
+    out[j] = static_cast<float>(acc0);
+    out[j + 1] = static_cast<float>(acc1);
+    out[j + 2] = static_cast<float>(acc2);
+    out[j + 3] = static_cast<float>(acc3);
+  }
+  for (; j < num_rows; ++j) {
+    const float* r = row(j);
+    double acc = 0.0;
+    for (size_t i = 0; i < n; ++i) acc += static_cast<double>(a[i]) * r[i];
+    out[j] = static_cast<float>(acc);
+  }
+}
+
 }  // namespace
 
 const Ops& ScalarOps() {
   static const Ops ops = {Backend::kScalar, "scalar",    DotScalar,
                           Dot4Scalar,       AxpyScalar, ScaleScalar,
-                          CountGreaterScalar};
+                          CountGreaterScalar, DotRowsF64Scalar};
   return ops;
 }
 

@@ -404,6 +404,17 @@ TEST(ThreadPoolTest, SubmitFromTaskThenWaitDrains) {
   EXPECT_EQ(counter.load(), 16);
 }
 
+TEST(ThreadPoolTest, ParseThreadCountAcceptsOnlyPositiveIntegers) {
+  EXPECT_EQ(ParseThreadCount("1"), 1u);
+  EXPECT_EQ(ParseThreadCount("8"), 8u);
+  EXPECT_EQ(ParseThreadCount("256"), kMaxPoolThreads);
+  for (const char* bad : {"", "0", "-2", "+3", " 4", "4 ", "4x", "two", "257",
+                          "99999999999999999999999"}) {
+    EXPECT_EQ(ParseThreadCount(bad), 0u) << "'" << bad << "'";
+  }
+  EXPECT_EQ(ParseThreadCount(nullptr), 0u);
+}
+
 TEST(ThreadPoolTest, SingleThreadPoolRunsNestedWorkInline) {
   ThreadPool pool(1);
   std::atomic<int> total{0};

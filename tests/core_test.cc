@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <set>
@@ -10,7 +11,9 @@
 
 #include "core/active_loop.h"
 #include "core/daakg.h"
+#include "embedding/compgcn.h"
 #include "obs/metrics.h"
+#include "tensor/simd/simd.h"
 #include "tensor/topk.h"
 #include "tests/test_util.h"
 
@@ -401,6 +404,107 @@ TEST(EntitySimilarityPathTest, MatchesDenseReference) {
   ASSERT_FALSE(want_mined.empty());
   EXPECT_EQ(mined, want_mined);
 }
+
+// ---------------------------------------------------------------------------
+// Golden training output
+// ---------------------------------------------------------------------------
+
+// FNV-1a over the bit patterns of a matrix's shape and entries.
+uint64_t HashMatrix(uint64_t h, const Matrix& m) {
+  auto mix = [&h](uint64_t word, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h = (h ^ ((word >> (8 * i)) & 0xFF)) * 0x100000001B3ULL;
+    }
+  };
+  mix(m.rows(), 8);
+  mix(m.cols(), 8);
+  for (size_t r = 0; r < m.rows(); ++r) {
+    for (size_t c = 0; c < m.cols(); ++c) {
+      uint32_t bits;
+      const float v = m(r, c);
+      std::memcpy(&bits, &v, sizeof(bits));
+      mix(bits, 4);
+    }
+  }
+  return h;
+}
+
+// Every trained parameter of the aligner: both KGE models (plus CompGCN's
+// weight matrices), both entity-class models and the three mapping
+// matrices.
+uint64_t TrainedParameterHash(const DaakgAligner& aligner) {
+  uint64_t h = 0xCBF29CE484222325ULL;
+  for (const KgeModel* m : {aligner.joint()->kg1_model(),
+                            aligner.joint()->kg2_model()}) {
+    h = HashMatrix(h, m->entities());
+    h = HashMatrix(h, m->relations());
+    if (const auto* gcn = dynamic_cast<const CompGcn*>(m)) {
+      h = HashMatrix(h, gcn->w_self());
+      h = HashMatrix(h, gcn->w_nbr());
+    }
+  }
+  for (const EntityClassModel* ec : {aligner.ec1(), aligner.ec2()}) {
+    h = HashMatrix(h, ec->projection());
+    h = HashMatrix(h, ec->scales());
+    h = HashMatrix(h, ec->centers());
+  }
+  h = HashMatrix(h, aligner.joint()->a_ent());
+  h = HashMatrix(h, aligner.joint()->a_rel());
+  return HashMatrix(h, aligner.joint()->a_cls());
+}
+
+// Mining scores entity cells with the dispatched dot kernel, whose rounding
+// differs between backends (tensor/simd/simd.h), so each backend has its
+// own pin.
+struct GoldenCase {
+  const char* model;
+  uint64_t scalar_hash;
+  uint64_t avx2_hash;
+};
+
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.model; }
+
+class TrainingGoldenTest : public ::testing::TestWithParam<GoldenCase> {};
+
+// Pins the trained parameters bit for bit: a faster training path must
+// keep every reduction's order. The pins hold at any DAAKG_THREADS.
+TEST_P(TrainingGoldenTest, TrainedParametersArePinned) {
+  AlignmentTask task = SmallSyntheticTask();
+  DaakgConfig cfg = FastConfig();
+  auto kind = ParseKgeModelKind(GetParam().model);
+  ASSERT_TRUE(kind.ok()) << kind.status();
+  cfg.kge_model = kind.value();
+  cfg.align.align_epochs = 10;
+  cfg.align.tau = 0.6;  // low enough that semi-supervision mines pairs
+  auto aligner = DaakgAligner::Create(&task, cfg);
+  ASSERT_TRUE(aligner.ok()) << aligner.status();
+  Rng rng(10);
+  const SeedAlignment seed = task.SampleSeed(0.2, &rng);
+  (*aligner)->Train(seed);
+
+  SeedAlignment batch;
+  const auto unlabeled = task.TestEntityMatches(seed);
+  ASSERT_GE(unlabeled.size(), 6u);
+  batch.entities.assign(unlabeled.begin(), unlabeled.begin() + 6);
+  batch.relations.push_back(task.gold_relations.back());
+  batch.classes.push_back(task.gold_classes.back());
+  (*aligner)->FineTune(batch);
+
+  const uint64_t want = simd::ActiveOps().backend == simd::Backend::kScalar
+                            ? GetParam().scalar_hash
+                            : GetParam().avx2_hash;
+  const uint64_t got = TrainedParameterHash(**aligner);
+  EXPECT_EQ(got, want) << std::hex << "0x" << got << " on "
+                       << simd::ActiveOps().name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Models, TrainingGoldenTest,
+    ::testing::Values(
+        GoldenCase{"transe", 0xDF7405575B3102F8ULL, 0x974BF9337D8A6005ULL},
+        GoldenCase{"rotate", 0x41DB93B4FF9A61F4ULL, 0x317A3DA146E49643ULL},
+        GoldenCase{"compgcn", 0x3E313E4EDFD4EDD0ULL, 0xBD392D40D31F83E9ULL}),
+    [](const auto& info) { return std::string(info.param.model); });
 
 // ---------------------------------------------------------------------------
 // Active learning loop

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <utility>
 
 #include "embedding/entity_class_model.h"
 #include "embedding/gradcheck.h"
@@ -355,6 +357,54 @@ TEST(KgeTrainerTest, TrainReportsEpochCount) {
   KgeTrainer trainer(model.get(), nullptr);
   KgeTrainStats stats = trainer.Train(&rng);
   EXPECT_EQ(stats.epochs, 4);
+}
+
+// Two KGs' trainers (with entity-class models) run side by side end where
+// the same trainers run one after the other, bit for bit, per model kind.
+TEST(KgeTrainerTest, SideBySideMatchesSequential) {
+  AlignmentTask task = SmallSyntheticTask();
+  for (const char* name : {"transe", "rotate", "compgcn"}) {
+    struct Side {
+      std::unique_ptr<KgeModel> model;
+      std::unique_ptr<EntityClassModel> ec;
+      std::unique_ptr<KgeTrainer> trainer;
+      Rng rng{0};
+    };
+    auto make = [&](const KnowledgeGraph* kg, uint64_t seed) {
+      Side side;
+      side.model = MakeKgeModel(name, kg, TestConfig()).value();
+      side.ec = std::make_unique<EntityClassModel>(side.model.get(),
+                                                   TestConfig());
+      Rng init(seed);
+      side.model->Init(&init);
+      side.ec->Init(&init);
+      side.trainer =
+          std::make_unique<KgeTrainer>(side.model.get(), side.ec.get());
+      side.rng = Rng(seed + 1);
+      return side;
+    };
+    Side seq1 = make(&task.kg1, 31), seq2 = make(&task.kg2, 41);
+    Side par1 = make(&task.kg1, 31), par2 = make(&task.kg2, 41);
+    KgeTrainStats want1, want2;
+    for (int e = 0; e < 3; ++e) {
+      seq1.trainer->TrainEpoch(&seq1.rng, &want1);
+      seq2.trainer->TrainEpoch(&seq2.rng, &want2);
+    }
+    const auto got = TrainSideBySide(par1.trainer.get(), &par1.rng,
+                                     par2.trainer.get(), &par2.rng, 3);
+    EXPECT_EQ(got[0].epochs, 3) << name;
+    EXPECT_EQ(got[1].epochs, 3) << name;
+    EXPECT_EQ(got[0].final_er_loss, want1.final_er_loss) << name;
+    EXPECT_EQ(got[1].final_ec_loss, want2.final_ec_loss) << name;
+    for (auto [seq, par] : {std::pair{&seq1, &par1}, std::pair{&seq2, &par2}}) {
+      EXPECT_TRUE(seq->model->entities() == par->model->entities()) << name;
+      EXPECT_TRUE(seq->model->relations() == par->model->relations()) << name;
+      EXPECT_TRUE(seq->ec->projection() == par->ec->projection()) << name;
+      EXPECT_TRUE(seq->ec->scales() == par->ec->scales()) << name;
+      EXPECT_TRUE(seq->ec->centers() == par->ec->centers()) << name;
+      EXPECT_EQ(seq->rng.NextUint64(), par->rng.NextUint64()) << name;
+    }
+  }
 }
 
 TEST(KgeFactoryTest, KnownNamesConstruct) {

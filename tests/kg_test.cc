@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <set>
 #include <string>
+#include <tuple>
 
 #include "common/file_util.h"
 #include "kg/alignment_task.h"
@@ -65,6 +66,39 @@ TEST(KnowledgeGraphTest, FinalizeAddsReverseTriplets) {
   EXPECT_TRUE(kg.HasTriplet(a, r, b));
   EXPECT_TRUE(kg.HasTriplet(b, kg.ReverseOf(r), a));
   EXPECT_FALSE(kg.HasTriplet(b, r, a));
+}
+
+// HasTriplet against a set of every triplet, on a generated task: each
+// triplet is found, and so is nothing else among (head, relation, tail)
+// probes that vary one field, plus out-of-range heads.
+TEST(KnowledgeGraphTest, HasTripletMatchesTripletSet) {
+  AlignmentTask task = testing_util::SmallSyntheticTask();
+  for (const KnowledgeGraph* kg : {&task.kg1, &task.kg2}) {
+    std::set<std::tuple<EntityId, RelationId, EntityId>> all;
+    for (const Triplet& t : kg->triplets()) {
+      all.emplace(t.head, t.relation, t.tail);
+    }
+    for (const Triplet& t : kg->triplets()) {
+      EXPECT_TRUE(kg->HasTriplet(t.head, t.relation, t.tail));
+    }
+    const auto n = static_cast<EntityId>(kg->num_entities());
+    const auto m = static_cast<RelationId>(kg->num_relations());
+    size_t absent = 0;
+    for (const Triplet& t : kg->triplets()) {
+      for (EntityId tail = 0; tail < n; ++tail) {
+        const bool want = all.count({t.head, t.relation, tail}) > 0;
+        EXPECT_EQ(kg->HasTriplet(t.head, t.relation, tail), want);
+        absent += want ? 0 : 1;
+      }
+      for (RelationId r = 0; r < m; ++r) {
+        EXPECT_EQ(kg->HasTriplet(t.head, r, t.tail),
+                  all.count({t.head, r, t.tail}) > 0);
+      }
+    }
+    EXPECT_GT(absent, 0u);
+    EXPECT_FALSE(kg->HasTriplet(n, 0, 0));
+    EXPECT_FALSE(kg->HasTriplet(kInvalidId, 0, 0));
+  }
 }
 
 TEST(KnowledgeGraphTest, AdjacencyIncludesBothDirections) {

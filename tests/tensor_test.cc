@@ -186,6 +186,27 @@ TEST(MatrixTest, AddOuterMatchesManual) {
   EXPECT_FLOAT_EQ(m(1, 1), 30.0f);
 }
 
+TEST(MatrixTest, AddOuterThenTransposeMultiplyMatchesTwoCalls) {
+  Rng rng(46);
+  for (size_t rows : {1u, 5u, 16u}) {
+    for (size_t cols : {1u, 9u, 64u}) {
+      Matrix m(rows, cols);
+      m.InitGaussian(&rng, 1.0f);
+      Vector a(rows), b(cols);
+      a.InitGaussian(&rng, 1.0f);
+      b.InitGaussian(&rng, 1.0f);
+      a[0] = 0.0f;  // a zero coefficient skips both the update and the sum
+      Matrix want = m;
+      want.AddOuter(-0.05f, a, b);
+      const Vector want_y = want.TransposeMultiply(a);
+      Vector y(cols, 7.0f);
+      m.AddOuterThenTransposeMultiply(-0.05f, a.data(), b.data(), y.data());
+      EXPECT_TRUE(m == want) << rows << "x" << cols;
+      EXPECT_EQ(y, want_y) << rows << "x" << cols;
+    }
+  }
+}
+
 TEST(MatrixTest, FrobeniusNorm) {
   Matrix m(2, 2);
   m(0, 0) = 3;
@@ -728,6 +749,40 @@ TEST(SimdTest, ElementwiseKernelsAreBitIdenticalAcrossBackends) {
       scalar.scale(ys.data(), n, alpha);
       avx2.scale(yv.data(), n, alpha);
       EXPECT_EQ(ys, yv) << "alpha=" << alpha << " n=" << n;
+    }
+  }
+}
+
+// dot_rows_f64 is Vector::Dot's ordered double sum on every backend, bit
+// for bit, for contiguous and for indexed rows and ragged shapes.
+TEST(SimdTest, DotRowsF64MatchesOrderedDoubleSumOnEveryBackend) {
+  Rng rng(45);
+  std::vector<const simd::Ops*> tables = {&simd::ScalarOps()};
+  if (simd::Avx2Available()) tables.push_back(simd::Avx2OpsOrNull());
+  for (size_t n : {0u, 1u, 3u, 4u, 5u, 16u, 19u, 64u}) {
+    for (size_t num_rows : {1u, 3u, 4u, 7u, 8u, 12u, 17u}) {
+      Matrix rows(num_rows + 5, n);
+      rows.InitGaussian(&rng, 1.0f);
+      Vector a(n);
+      a.InitGaussian(&rng, 1.0f);
+      std::vector<uint32_t> ids(num_rows);
+      for (auto& id : ids) id = static_cast<uint32_t>(rng.NextUint64(num_rows + 5));
+      for (bool indexed : {false, true}) {
+        std::vector<float> want(num_rows);
+        for (size_t j = 0; j < num_rows; ++j) {
+          Vector row(n);
+          for (size_t i = 0; i < n; ++i) row[i] = rows(indexed ? ids[j] : j, i);
+          want[j] = a.Dot(row);
+        }
+        for (const simd::Ops* ops : tables) {
+          std::vector<float> got(num_rows, -1.0f);
+          ops->dot_rows_f64(a.data(), rows.RowData(0), n,
+                            indexed ? ids.data() : nullptr, num_rows, n,
+                            got.data());
+          EXPECT_EQ(got, want) << ops->name << " n=" << n
+                               << " rows=" << num_rows << " ids=" << indexed;
+        }
+      }
     }
   }
 }
