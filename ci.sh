@@ -5,7 +5,7 @@
 # A SIMD backend matrix leg then re-runs the kernel-sensitive subset under
 # DAAKG_SIMD=scalar and the dispatched default to pin down cross-backend
 # determinism of pool, matching and selection outputs (and each backend's
-# pinned training output), and a candidate-index
+# pinned training and selection outputs), and a candidate-index
 # matrix leg re-runs the index subset under DAAKG_INDEX=exact and =ivf.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -56,7 +56,8 @@ echo "== SIMD backend matrix (scalar vs dispatched) =="
 KERNEL_FILTER='KernelTest.*:TopKAccumulatorTest.*:SimdTest.*'
 POOL_FILTER='ActiveTest.GeneratedPoolMatchesBruteForceMutualTopN:ActiveTest.RepeatedSelectionIsDeterministic'
 ALIGN_FILTER='MetricsTest.*:JointModelTest.*'
-CORE_FILTER='EntitySimilarityPathTest.*:Models/TrainingGoldenTest.*'
+CORE_FILTER='EntitySimilarityPathTest.*:Models/TrainingGoldenTest.*:SelectionGoldenTest.*'
+GRAPH_FILTER='AlignmentGraphTest.*'
 for backend in scalar ""; do
   if [ -n "$backend" ]; then
     echo "-- DAAKG_SIMD=$backend --"
@@ -67,6 +68,7 @@ for backend in scalar ""; do
   DAAKG_SIMD="$backend" run_filtered ./build/tests/active_test "$POOL_FILTER"
   DAAKG_SIMD="$backend" run_filtered ./build/tests/align_test "$ALIGN_FILTER"
   DAAKG_SIMD="$backend" run_filtered ./build/tests/core_test "$CORE_FILTER"
+  DAAKG_SIMD="$backend" run_filtered ./build/tests/infer_test "$GRAPH_FILTER"
 done
 
 echo "== candidate-index backend matrix (exact vs ivf) =="
@@ -95,7 +97,10 @@ run_filtered ./build-tsan/tests/common_test 'ThreadPoolTest.*'
 run_filtered ./build-tsan/tests/obs_test 'TraceTest.*:PoolTelemetryTest.*'
 run_filtered ./build-tsan/tests/tensor_test 'KernelTest.*:TopKAccumulatorTest.*:SimdTest.*'
 run_filtered ./build-tsan/tests/active_test 'ActiveTest.GeneratedPoolMatchesBruteForceMutualTopN:ActiveTest.RepeatedSelectionIsDeterministic'
-run_filtered ./build-tsan/tests/infer_test 'InferTest.PowerFromEveryNodeConcurrently'
+# The alignment graph is built node-parallel; schema gradients and edge
+# costs are filled in parallel (SelectionGoldenTest, in CORE_FILTER, runs
+# the whole round).
+run_filtered ./build-tsan/tests/infer_test "InferTest.PowerFromEveryNodeConcurrently:$GRAPH_FILTER"
 # Block-parallel entity statistics and the index-based entity consumers.
 run_filtered ./build-tsan/tests/align_test 'JointModelTest.*:MetricsTest.Streaming*'
 run_filtered ./build-tsan/tests/core_test "$CORE_FILTER"

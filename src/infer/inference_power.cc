@@ -12,6 +12,18 @@
 namespace daakg {
 namespace {
 constexpr float kInfCost = std::numeric_limits<float>::infinity();
+
+// ||coef * g||^2 computed as Vector::SquaredNorm computes it for the scaled
+// copy g * coef: each scaled element rounded to float, squares summed in
+// double, the sum rounded to float.
+double ScaledSquaredNorm(const Vector& g, float coef) {
+  double acc = 0.0;
+  for (size_t i = 0; i < g.dim(); ++i) {
+    const float x = g[i] * coef;
+    acc += static_cast<double>(x) * x;
+  }
+  return static_cast<double>(static_cast<float>(acc));
+}
 }  // namespace
 
 InferenceEngine::InferenceEngine(const AlignmentGraph* graph,
@@ -58,14 +70,17 @@ void InferenceEngine::EnsureBound(int side, EntityId head, RelationId rel,
   if (cache.find(key) != cache.end()) return;
   const KgeModel& model =
       side == 1 ? *model_->kg1_model() : *model_->kg2_model();
-  EdgeBound bound;
+  // No cost reads r~, but estimating it consumes rng_, so it is still
+  // estimated: the bounds of later edges depend on that RNG order.
+  Vector r_tilde;
+  float d = 0.0f;
   model.EstimateEdgeBound(head, rel, tail, config_.bound_samples, &rng_,
-                          &bound.r_tilde, &bound.d);
-  cache.emplace(key, std::move(bound));
+                          &r_tilde, &d);
+  cache.emplace(key, d);
 }
 
-const InferenceEngine::EdgeBound& InferenceEngine::BoundFor(
-    int side, EntityId head, RelationId rel, EntityId tail) const {
+float InferenceEngine::BoundFor(int side, EntityId head, RelationId rel,
+                                EntityId tail) const {
   const auto& cache = side == 1 ? bounds1_ : bounds2_;
   auto it = cache.find(Triplet{head, rel, tail});
   // Every reachable bound is populated by PrecomputeEdgeCosts; a miss here
@@ -87,8 +102,8 @@ float InferenceEngine::ComputeEdgeCost(uint32_t node,
   RelationId r1, r2;
   ResolveEdgeRelations(src, dst, rel, &r1, &r2);
 
-  const EdgeBound& b1 = BoundFor(1, src.first, r1, dst.first);
-  const EdgeBound& b2 = BoundFor(2, src.second, r2, dst.second);
+  const float d1 = BoundFor(1, src.first, r1, dst.first);
+  const float d2 = BoundFor(2, src.second, r2, dst.second);
 
   // The relation-difference term of Eq. (15). Raw Euclidean distance
   // between r~ vectors mixes magnitude effects that the cosine-trained
@@ -100,7 +115,7 @@ float InferenceEngine::ComputeEdgeCost(uint32_t node,
   const RelationId r2b = kg2.IsReverseRelation(r2) ? kg2.ReverseOf(r2) : r2;
   const float rel_diff =
       config_.rel_diff_weight * (1.0f - model_->relation_sim()(r1b, r2b)) +
-      config_.residual_weight * (b1.d + b2.d);
+      config_.residual_weight * (d1 + d2);
 
   // The d terms of Eq. (15) must cover "the size of the space of possible
   // entities" (Sect. 5.2): when the head emits several edges with the same
@@ -159,24 +174,40 @@ void InferenceEngine::PrecomputeEdgeCosts() {
   // Phase 2: per-edge costs against the now read-only caches (parallel).
   {
     obs::TraceSpan costs_span("infer.edge_costs", "infer");
-    costs_.assign(n, {});
-    GlobalThreadPool().ParallelFor(n, [this](size_t node) {
-      const auto& out = graph_->Out(static_cast<uint32_t>(node));
-      auto& row = costs_[node];
-      row.resize(out.size());
+    costs_.resize(graph_->num_edges());
+    GlobalThreadPool().ParallelFor(n, [this](size_t i) {
+      const uint32_t node = static_cast<uint32_t>(i);
+      const auto out = graph_->Out(node);
+      float* row = costs_.data() + graph_->FirstEdge(node);
       for (size_t k = 0; k < out.size(); ++k) {
-        row[k] = ComputeEdgeCost(static_cast<uint32_t>(node), out[k]);
+        row[k] = ComputeEdgeCost(node, out[k]);
       }
+    });
+  }
+
+  // Phase 3: the gradient pieces of Eqs. (21)-(22), once per schema pair
+  // (parallel; reads only the model).
+  {
+    obs::TraceSpan grads_span("infer.schema_gradients", "infer");
+    schema_slots_.assign(n, kInvalidId);
+    std::vector<uint32_t> schema_nodes;
+    for (uint32_t node = 0; node < n; ++node) {
+      if (graph_->pool()[node].kind == ElementKind::kEntity) continue;
+      schema_slots_[node] = static_cast<uint32_t>(schema_nodes.size());
+      schema_nodes.push_back(node);
+    }
+    schema_gradients_.resize(schema_nodes.size());
+    GlobalThreadPool().ParallelFor(schema_nodes.size(), [&](size_t slot) {
+      schema_gradients_[slot] =
+          ComputeSchemaGradient(graph_->pool()[schema_nodes[slot]]);
     });
   }
 
   cost_scale_ = 1.0f;
   if (config_.auto_calibrate_costs) {
     std::vector<float> finite;
-    for (const auto& row : costs_) {
-      for (float c : row) {
-        if (std::isfinite(c)) finite.push_back(c);
-      }
+    for (float c : costs_) {
+      if (std::isfinite(c)) finite.push_back(c);
     }
     if (!finite.empty()) {
       const size_t idx = static_cast<size_t>(
@@ -188,10 +219,8 @@ void InferenceEngine::PrecomputeEdgeCosts() {
       const float reference = std::max(finite[idx], 1e-4f);
       // Map the reference cost to power ~0.9 (cost 1/9).
       cost_scale_ = std::clamp((1.0f / 9.0f) / reference, 1e-3f, 1e3f);
-      for (auto& row : costs_) {
-        for (float& c : row) {
-          if (std::isfinite(c)) c *= cost_scale_;
-        }
+      for (float& c : costs_) {
+        if (std::isfinite(c)) c *= cost_scale_;
       }
     }
   }
@@ -200,7 +229,7 @@ void InferenceEngine::PrecomputeEdgeCosts() {
 
 float InferenceEngine::EdgeCost(uint32_t node, size_t edge_index) const {
   DAAKG_CHECK(costs_ready_);
-  return costs_[node][edge_index];
+  return costs_[graph_->FirstEdge(node) + edge_index];
 }
 
 PowerRow InferenceEngine::PowerFrom(uint32_t src) const {
@@ -219,9 +248,10 @@ PowerRow InferenceEngine::PowerFrom(uint32_t src) const {
     for (int hop = 0; hop < config_.max_hops && !frontier.empty(); ++hop) {
       std::unordered_map<uint32_t, float> next;
       for (const auto& [node, cost] : frontier) {
-        const auto& edges = graph_->Out(node);
+        const auto edges = graph_->Out(node);
+        const float* costs = costs_.data() + graph_->FirstEdge(node);
         for (size_t k = 0; k < edges.size(); ++k) {
-          const float c = costs_[node][k];
+          const float c = costs[k];
           if (!std::isfinite(c)) continue;
           const float nc = cost + c;
           if (nc > max_cost) continue;
@@ -243,17 +273,17 @@ PowerRow InferenceEngine::PowerFrom(uint32_t src) const {
 
     // --- 1-hop gradient powers (Eqs. 21-22) --------------------------------
     std::unordered_map<uint32_t, float> schema_power;
-    const auto& edges = graph_->Out(src);
-    for (size_t k = 0; k < edges.size(); ++k) {
-      const AlignmentGraph::Edge& e = edges[k];
+    for (const AlignmentGraph::Edge& e : graph_->Out(src)) {
       if (e.rel_pair == AlignmentGraph::kTypeLabel) {
         const float p =
-            PowerEntityToClass(src_pair, graph_->pool()[e.target]);
+            PowerEntityToClass(src_pair, graph_->pool()[e.target],
+                               *PrecomputedGradient(e.target));
         auto& slot = schema_power[e.target];
         slot = std::max(slot, p);
       } else {
         const float p = PowerEntityToRelation(
-            src_pair, graph_->pool()[e.rel_pair], graph_->pool()[e.target]);
+            src_pair, graph_->pool()[e.rel_pair], graph_->pool()[e.target],
+            *PrecomputedGradient(e.rel_pair));
         auto& slot = schema_power[e.rel_pair];
         slot = std::max(slot, p);
       }
@@ -282,13 +312,12 @@ PowerRow InferenceEngine::PowerFrom(uint32_t src) const {
       const ElementPair& tp = graph_->pool()[to];
       RelationId r1, r2;
       ResolveEdgeRelations(sp, tp, src_pair, &r1, &r2);
-      const EdgeBound& b1 = BoundFor(1, sp.first, r1, tp.first);
-      const EdgeBound& b2 = BoundFor(2, sp.second, r2, tp.second);
+      const float d1 = BoundFor(1, sp.first, r1, tp.first);
+      const float d2 = BoundFor(2, sp.second, r2, tp.second);
       // Same units as the path costs: the labeled relation match zeroes
       // the relation-difference term, leaving the weighted residuals.
       const float power =
-          1.0f / (1.0f + cost_scale_ * config_.residual_weight *
-                             (b1.d + b2.d));
+          1.0f / (1.0f + cost_scale_ * config_.residual_weight * (d1 + d2));
       auto& slot = target_power[to];
       slot = std::max(slot, power);
     }
@@ -309,15 +338,17 @@ std::vector<InferenceEngine::OneHopPower> InferenceEngine::OneHopPowers(
   std::vector<OneHopPower> out;
   const ElementPair& src = graph_->pool()[node];
   if (src.kind != ElementKind::kEntity) return out;
-  const auto& edges = graph_->Out(node);
+  const auto edges = graph_->Out(node);
+  const float* costs = costs_.data() + graph_->FirstEdge(node);
   out.reserve(edges.size());
   for (size_t k = 0; k < edges.size(); ++k) {
     const AlignmentGraph::Edge& e = edges[k];
     float power;
     if (e.rel_pair == AlignmentGraph::kTypeLabel) {
-      power = PowerEntityToClass(src, graph_->pool()[e.target]);
+      power = PowerEntityToClass(src, graph_->pool()[e.target],
+                                 *PrecomputedGradient(e.target));
     } else {
-      power = 1.0f / (1.0f + costs_[node][k]);
+      power = 1.0f / (1.0f + costs[k]);
     }
     if (power > 0.0f) {
       out.push_back(OneHopPower{e.target, e.rel_pair, power});
@@ -326,8 +357,45 @@ std::vector<InferenceEngine::OneHopPower> InferenceEngine::OneHopPowers(
   return out;
 }
 
+InferenceEngine::SchemaGradient InferenceEngine::ComputeSchemaGradient(
+    const ElementPair& schema_pair) const {
+  // S(c, c') or S(r, r') through its mean-embedding branch.
+  const bool is_class = schema_pair.kind == ElementKind::kClass;
+  const uint32_t a = schema_pair.first;
+  const uint32_t b = schema_pair.second;
+  Vector u = model_->a_ent().Multiply(is_class ? model_->ClassMean1(a)
+                                               : model_->RelationMean1(a));
+  const Vector& v = is_class ? model_->ClassMean2(b) : model_->RelationMean2(b);
+  SchemaGradient grad;
+  Vector du;
+  const float s_mean = CosineWithGradients(u, v, &du, &grad.dv);
+  const float s_full =
+      is_class ? model_->class_sim()(a, b) : model_->relation_sim()(a, b);
+  grad.other_branch_wins = s_full > s_mean + 1e-6f;
+  grad.a_ent_t_du = model_->a_ent().TransposeMultiply(du);
+  return grad;
+}
+
+const InferenceEngine::SchemaGradient* InferenceEngine::PrecomputedGradient(
+    uint32_t node) const {
+  if (!costs_ready_) return nullptr;
+  const uint32_t slot = schema_slots_[node];
+  return slot == kInvalidId ? nullptr : &schema_gradients_[slot];
+}
+
 float InferenceEngine::PowerEntityToClass(const ElementPair& entity_pair,
                                           const ElementPair& class_pair) const {
+  const uint32_t node = graph_->IndexOf(class_pair);
+  const SchemaGradient* grad =
+      node == kInvalidId ? nullptr : PrecomputedGradient(node);
+  if (grad != nullptr) return PowerEntityToClass(entity_pair, class_pair, *grad);
+  return PowerEntityToClass(entity_pair, class_pair,
+                            ComputeSchemaGradient(class_pair));
+}
+
+float InferenceEngine::PowerEntityToClass(const ElementPair& entity_pair,
+                                          const ElementPair& class_pair,
+                                          const SchemaGradient& grad) const {
   // Eq. (21): || grad_{e, e'} S(c, c') ||, which is non-zero only through
   // the mean-embedding branch of S(c, c').
   const KnowledgeGraph& kg1 = graph_->task().kg1;
@@ -339,30 +407,18 @@ float InferenceEngine::PowerEntityToClass(const ElementPair& entity_pair,
   const bool member1 = kg1.HasType(e1, c1);
   const bool member2 = kg2.HasType(e2, c2);
   if (!member1 && !member2) return 0.0f;
-
-  Vector u = model_->a_ent().Multiply(model_->ClassMean1(c1));
-  const Vector& v = model_->ClassMean2(c2);
-  Vector du;
-  Vector dv;
-  const float s_mean = CosineWithGradients(u, v, &du, &dv);
-  // Subgradient through max(): if the class-embedding branch wins, the
-  // entity gradient is zero.
-  const float s_full = model_->class_sim()(c1, c2);
-  if (s_full > s_mean + 1e-6f) return 0.0f;
+  if (grad.other_branch_wins) return 0.0f;
 
   double sq = 0.0;
   if (member1 && model_->ClassMeanWeightSum1(c1) > 0.0) {
     const float coef = model_->EntityWeight1(e1) /
                        static_cast<float>(model_->ClassMeanWeightSum1(c1));
-    Vector g = model_->a_ent().TransposeMultiply(du);
-    g *= coef;
-    sq += static_cast<double>(g.SquaredNorm());
+    sq += ScaledSquaredNorm(grad.a_ent_t_du, coef);
   }
   if (member2 && model_->ClassMeanWeightSum2(c2) > 0.0) {
     const float coef = model_->EntityWeight2(e2) /
                        static_cast<float>(model_->ClassMeanWeightSum2(c2));
-    Vector g = dv * coef;
-    sq += static_cast<double>(g.SquaredNorm());
+    sq += ScaledSquaredNorm(grad.dv, coef);
   }
   return std::min(1.0f, static_cast<float>(std::sqrt(sq)));
 }
@@ -370,35 +426,38 @@ float InferenceEngine::PowerEntityToClass(const ElementPair& entity_pair,
 float InferenceEngine::PowerEntityToRelation(
     const ElementPair& entity_pair, const ElementPair& rel_pair,
     const ElementPair& target_pair) const {
+  const uint32_t node = graph_->IndexOf(rel_pair);
+  const SchemaGradient* grad =
+      node == kInvalidId ? nullptr : PrecomputedGradient(node);
+  if (grad != nullptr) {
+    return PowerEntityToRelation(entity_pair, rel_pair, target_pair, *grad);
+  }
+  return PowerEntityToRelation(entity_pair, rel_pair, target_pair,
+                               ComputeSchemaGradient(rel_pair));
+}
+
+float InferenceEngine::PowerEntityToRelation(
+    const ElementPair& entity_pair, const ElementPair& rel_pair,
+    const ElementPair& target_pair, const SchemaGradient& grad) const {
   // Eq. (22): || grad_{e''-e, e'''-e'} S(r, r') || through the
   // mean-embedding branch of S(r, r').
+  if (grad.other_branch_wins) return 0.0f;
   const RelationId r1 = rel_pair.first;
   const RelationId r2 = rel_pair.second;
-  Vector u = model_->a_ent().Multiply(model_->RelationMean1(r1));
-  const Vector& v = model_->RelationMean2(r2);
-  Vector du;
-  Vector dv;
-  const float s_mean = CosineWithGradients(u, v, &du, &dv);
-  const float s_full = model_->relation_sim()(r1, r2);
-  if (s_full > s_mean + 1e-6f) return 0.0f;
-
   double sq = 0.0;
   if (model_->RelationMeanWeightSum1(r1) > 0.0) {
     const float w = std::min(model_->EntityWeight1(entity_pair.first),
                              model_->EntityWeight1(target_pair.first));
     const float coef =
         w / static_cast<float>(model_->RelationMeanWeightSum1(r1));
-    Vector g = model_->a_ent().TransposeMultiply(du);
-    g *= coef;
-    sq += static_cast<double>(g.SquaredNorm());
+    sq += ScaledSquaredNorm(grad.a_ent_t_du, coef);
   }
   if (model_->RelationMeanWeightSum2(r2) > 0.0) {
     const float w = std::min(model_->EntityWeight2(entity_pair.second),
                              model_->EntityWeight2(target_pair.second));
     const float coef =
         w / static_cast<float>(model_->RelationMeanWeightSum2(r2));
-    Vector g = dv * coef;
-    sq += static_cast<double>(g.SquaredNorm());
+    sq += ScaledSquaredNorm(grad.dv, coef);
   }
   return std::min(1.0f, static_cast<float>(std::sqrt(sq)));
 }

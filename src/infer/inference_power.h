@@ -74,8 +74,10 @@ class InferenceEngine {
   // Precomputes every relational edge's cost. First populates the per-side
   // edge-bound caches for every triplet any cost or power computation can
   // reach (sequentially — bound estimation consumes the engine's RNG), then
-  // computes costs in parallel against the now read-only caches. Must be
-  // called before any power query.
+  // computes costs in parallel against the now read-only caches, and the
+  // gradient pieces of Eqs. (21)-(22) once per schema pair of the pool.
+  // Must be called before any power query except the two gradient-based
+  // powers below.
   void PrecomputeEdgeCosts();
 
   // Cost of the k-th outgoing edge of `node` (kTypeLabel edges have no
@@ -107,7 +109,10 @@ class InferenceEngine {
   // graph-partitioning selection (Algorithm 2).
   std::vector<OneHopPower> OneHopPowers(uint32_t node) const;
 
-  // Gradient-based powers, exposed for tests and the Table 6 bench.
+  // Gradient-based powers, exposed for tests and the Table 6 bench. After
+  // PrecomputeEdgeCosts a schema pair of the pool reads its precomputed
+  // gradient pieces; any other pair computes them on the spot, with the
+  // same result.
   float PowerEntityToClass(const ElementPair& entity_pair,
                            const ElementPair& class_pair) const;  // Eq. 21
   float PowerEntityToRelation(const ElementPair& entity_pair,
@@ -115,24 +120,42 @@ class InferenceEngine {
                               const ElementPair& target_pair) const;  // Eq. 22
 
  private:
-  // (r~, d) of Eqs. (13)-(14) for one KG edge, cached per side.
-  struct EdgeBound {
-    Vector r_tilde;
-    float d;
+  // The parts of Eqs. (21)-(22) that depend only on the schema pair
+  // (c, c') or (r, r'): with u = A_ent mean1 and v = mean2, the gradients
+  // du, dv of S_mean = cos(u, v). The entity-pair terms only scale them.
+  struct SchemaGradient {
+    // S(.,.) > S_mean + 1e-6: the max() is won by the other branch, so the
+    // entity gradient is zero.
+    bool other_branch_wins = false;
+    Vector a_ent_t_du;  // A_ent^T du
+    Vector dv;
   };
+  // Computes the pieces for a relation or class pair from the model.
+  SchemaGradient ComputeSchemaGradient(const ElementPair& schema_pair) const;
+  // The precomputed gradient of pool node `node`, or nullptr when it has
+  // none (not precomputed yet, or not a schema pair).
+  const SchemaGradient* PrecomputedGradient(uint32_t node) const;
+  // Eqs. (21) and (22) from the pair's pieces.
+  float PowerEntityToClass(const ElementPair& entity_pair,
+                           const ElementPair& class_pair,
+                           const SchemaGradient& grad) const;
+  float PowerEntityToRelation(const ElementPair& entity_pair,
+                              const ElementPair& rel_pair,
+                              const ElementPair& target_pair,
+                              const SchemaGradient& grad) const;
   // Resolves the actual (possibly reverse) relations behind the labeled
   // relation pair `rel` of an edge src -> dst.
   void ResolveEdgeRelations(const ElementPair& src, const ElementPair& dst,
                             const ElementPair& rel, RelationId* r1,
                             RelationId* r2) const;
-  // Estimates and caches the bound for one KG edge if absent. Only called
-  // from PrecomputeEdgeCosts (single-threaded): estimation consumes rng_.
+  // Estimates and caches the bound d of Eq. (14) for one KG edge if absent.
+  // Only called from PrecomputeEdgeCosts (single-threaded): estimation
+  // consumes rng_.
   void EnsureBound(int side, EntityId head, RelationId rel, EntityId tail);
   // Read-only cache lookup; DAAKG_CHECK-fails on a miss. PowerFrom and
   // ComputeEdgeCost run under ParallelFor, so this must never mutate —
   // PrecomputeEdgeCosts pre-populates every reachable key.
-  const EdgeBound& BoundFor(int side, EntityId head, RelationId rel,
-                            EntityId tail) const;
+  float BoundFor(int side, EntityId head, RelationId rel, EntityId tail) const;
   float ComputeEdgeCost(uint32_t node, const AlignmentGraph::Edge& edge) const;
 
   const AlignmentGraph* graph_;
@@ -147,14 +170,19 @@ class InferenceEngine {
   obs::Counter* power_entries_;
   obs::Histogram* precompute_timing_;
 
-  // costs_[node][k] parallels graph_->Out(node).
-  std::vector<std::vector<float>> costs_;
+  // Cost of the k-th outgoing edge of `node` at
+  // costs_[graph_->FirstEdge(node) + k], parallel to the graph's edges.
+  std::vector<float> costs_;
   float cost_scale_ = 1.0f;  // see auto_calibrate_costs
   bool costs_ready_ = false;
 
-  // Written only by PrecomputeEdgeCosts; read-only afterwards (BoundFor).
-  std::unordered_map<Triplet, EdgeBound, TripletHash> bounds1_;
-  std::unordered_map<Triplet, EdgeBound, TripletHash> bounds2_;
+  // Written only by PrecomputeEdgeCosts; read-only afterwards (BoundFor,
+  // PrecomputedGradient). schema_slots_[node] indexes schema_gradients_, or
+  // is kInvalidId.
+  std::unordered_map<Triplet, float, TripletHash> bounds1_;
+  std::unordered_map<Triplet, float, TripletHash> bounds2_;
+  std::vector<uint32_t> schema_slots_;
+  std::vector<SchemaGradient> schema_gradients_;
 };
 
 }  // namespace daakg

@@ -9,6 +9,7 @@
 #include <tuple>
 #include <vector>
 
+#include "active/selection.h"
 #include "core/active_loop.h"
 #include "core/daakg.h"
 #include "embedding/compgcn.h"
@@ -505,6 +506,94 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{"rotate", 0x41DB93B4FF9A61F4ULL, 0x317A3DA146E49643ULL},
         GoldenCase{"compgcn", 0x3E313E4EDFD4EDD0ULL, 0xBD392D40D31F83E9ULL}),
     [](const auto& info) { return std::string(info.param.model); });
+
+// Pins what both selection algorithms choose over three planning rounds on
+// D-Y (scale 0.2, seed 17): every round rebuilds pool, alignment graph and
+// edge costs, runs PartitionSelect and GreedySelect, and labels the
+// partition batch, with no retraining in between (the batch-plan shape). A
+// faster graph build or power path must keep every batch and every
+// objective bit for bit. Training differs between SIMD backends (see
+// TrainingGoldenTest), so each backend has its own pin; the pins hold at
+// any DAAKG_THREADS.
+TEST(SelectionGoldenTest, PlanningRoundsArePinned) {
+  auto task = MakeBenchmarkTask(BenchmarkDataset::kDY, 0.2, 17);
+  ASSERT_TRUE(task.ok()) << task.status();
+  auto aligner = DaakgAligner::Create(&task.value(), FastConfig());
+  ASSERT_TRUE(aligner.ok()) << aligner.status();
+  Rng rng(17);
+  const SeedAlignment seed = task->SampleSeed(0.2, &rng);
+  (*aligner)->Train(seed);
+
+  auto key = [](ElementKind kind, uint32_t a, uint32_t b) {
+    return std::make_tuple(static_cast<int>(kind), a, b);
+  };
+  std::set<std::tuple<int, uint32_t, uint32_t>> labeled_keys;
+  for (const auto& [a, b] : seed.entities) {
+    labeled_keys.insert(key(ElementKind::kEntity, a, b));
+  }
+  for (const auto& [a, b] : seed.relations) {
+    labeled_keys.insert(key(ElementKind::kRelation, a, b));
+  }
+  for (const auto& [a, b] : seed.classes) {
+    labeled_keys.insert(key(ElementKind::kClass, a, b));
+  }
+
+  uint64_t h = 0xCBF29CE484222325ULL;
+  auto mix = [&h](uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((word >> (8 * i)) & 0xFF)) * 0x100000001B3ULL;
+    }
+  };
+  auto mix_result = [&](const SelectionResult& result,
+                        const std::vector<ElementPair>& pool) {
+    mix(result.selected.size());
+    for (uint32_t q : result.selected) {
+      mix(static_cast<uint64_t>(pool[q].kind));
+      mix(pool[q].first);
+      mix(pool[q].second);
+    }
+    uint64_t bits;
+    std::memcpy(&bits, &result.objective, sizeof(bits));
+    mix(bits);
+  };
+
+  PoolConfig pool_cfg;
+  pool_cfg.top_n = 10;
+  SelectionConfig select_cfg;
+  select_cfg.batch_size = 20;
+  const JointAlignmentModel* joint = (*aligner)->joint();
+  for (int round = 0; round < 3; ++round) {
+    PoolGenerator generator(&task.value(), joint, pool_cfg);
+    const std::vector<ElementPair> pool = generator.Generate();
+    AlignmentGraph graph(&task.value(), pool);
+    InferenceEngine engine(&graph, joint, (*aligner)->config().infer);
+    engine.PrecomputeEdgeCosts();
+    std::vector<bool> labeled(pool.size());
+    for (size_t i = 0; i < pool.size(); ++i) {
+      labeled[i] =
+          labeled_keys.count(key(pool[i].kind, pool[i].first, pool[i].second));
+    }
+    const SelectionContext ctx{&engine, joint, &labeled};
+    const SelectionResult partition = PartitionSelect(ctx, select_cfg);
+    const SelectionResult greedy = GreedySelect(ctx, select_cfg);
+    ASSERT_EQ(partition.selected.size(), select_cfg.batch_size);
+    ASSERT_EQ(greedy.selected.size(), select_cfg.batch_size);
+    mix(pool.size());
+    mix(graph.num_edges());
+    mix(partition.num_groups);
+    mix_result(partition, pool);
+    mix_result(greedy, pool);
+    for (uint32_t q : partition.selected) {
+      labeled_keys.insert(key(pool[q].kind, pool[q].first, pool[q].second));
+    }
+  }
+
+  const uint64_t want = simd::ActiveOps().backend == simd::Backend::kScalar
+                            ? 0x4DDC4DF2F5C430EAULL
+                            : 0x6925928EEF1E995DULL;
+  EXPECT_EQ(h, want) << std::hex << "0x" << h << " on "
+                     << simd::ActiveOps().name;
+}
 
 // ---------------------------------------------------------------------------
 // Active learning loop

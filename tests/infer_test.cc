@@ -3,17 +3,43 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "embedding/trainer.h"
 #include "infer/alignment_graph.h"
 #include "infer/inference_power.h"
+#include "kg/synthetic.h"
 #include "tests/test_util.h"
 
 namespace daakg {
 namespace {
 
 using testing_util::MirrorTask;
+
+// The mirror task's pool: all 6x6 entity pairs, all relation pairs and all
+// class pairs.
+std::vector<ElementPair> MirrorPool() {
+  std::vector<ElementPair> pool;
+  for (uint32_t e1 = 0; e1 < 6; ++e1) {
+    for (uint32_t e2 = 0; e2 < 6; ++e2) {
+      pool.push_back(ElementPair{ElementKind::kEntity, e1, e2});
+    }
+  }
+  for (uint32_t r1 = 0; r1 < 2; ++r1) {
+    for (uint32_t r2 = 0; r2 < 2; ++r2) {
+      pool.push_back(ElementPair{ElementKind::kRelation, r1, r2});
+    }
+  }
+  for (uint32_t c1 = 0; c1 < 2; ++c1) {
+    for (uint32_t c2 = 0; c2 < 2; ++c2) {
+      pool.push_back(ElementPair{ElementKind::kClass, c1, c2});
+    }
+  }
+  return pool;
+}
 
 // Fixture: the handcrafted mirror task with a trained joint model and a
 // pool containing the identity pairs (plus all schema pairs).
@@ -40,22 +66,7 @@ class InferTest : public ::testing::Test {
     t1.Train(&r1);
     t2.Train(&r2);
 
-    // Pool: all entity pairs (6x6) + all relation pairs + all class pairs.
-    for (uint32_t e1 = 0; e1 < 6; ++e1) {
-      for (uint32_t e2 = 0; e2 < 6; ++e2) {
-        pool_.push_back(ElementPair{ElementKind::kEntity, e1, e2});
-      }
-    }
-    for (uint32_t r1 = 0; r1 < 2; ++r1) {
-      for (uint32_t r2 = 0; r2 < 2; ++r2) {
-        pool_.push_back(ElementPair{ElementKind::kRelation, r1, r2});
-      }
-    }
-    for (uint32_t c1 = 0; c1 < 2; ++c1) {
-      for (uint32_t c2 = 0; c2 < 2; ++c2) {
-        pool_.push_back(ElementPair{ElementKind::kClass, c1, c2});
-      }
-    }
+    pool_ = MirrorPool();
     joint_->RefreshCaches();
     graph_ = std::make_unique<AlignmentGraph>(&task_, pool_);
   }
@@ -399,6 +410,154 @@ TEST_F(InferTest, PowerFromEveryNodeConcurrently) {
     second[q] = engine.PowerFrom(static_cast<uint32_t>(q)).size();
   });
   EXPECT_EQ(entry_counts, second);
+}
+
+// ---------------------------------------------------------------------------
+// Alignment graph against the hash-based reference join
+// ---------------------------------------------------------------------------
+
+// The graph as the first, hash-based join built it: every pair of the two
+// entities' outgoing edges probes a pair index for its relation pair and its
+// target pair.
+struct ReferenceGraph {
+  std::unordered_map<ElementPair, uint32_t, ElementPairHash> index;
+  std::vector<std::vector<AlignmentGraph::Edge>> out;
+  std::unordered_map<uint32_t, std::vector<std::pair<uint32_t, uint32_t>>>
+      rel_pair_edges;
+  size_t num_edges = 0;
+};
+
+ReferenceGraph ReferenceJoin(const AlignmentTask& task,
+                             const std::vector<ElementPair>& pool) {
+  ReferenceGraph ref;
+  for (uint32_t i = 0; i < pool.size(); ++i) ref.index.emplace(pool[i], i);
+  ref.out.assign(pool.size(), {});
+  const KnowledgeGraph& kg1 = task.kg1;
+  const KnowledgeGraph& kg2 = task.kg2;
+  auto base1 = [&kg1](RelationId r) {
+    return kg1.IsReverseRelation(r) ? kg1.ReverseOf(r) : r;
+  };
+  auto base2 = [&kg2](RelationId r) {
+    return kg2.IsReverseRelation(r) ? kg2.ReverseOf(r) : r;
+  };
+  for (uint32_t node = 0; node < pool.size(); ++node) {
+    const ElementPair& pair = pool[node];
+    if (pair.kind != ElementKind::kEntity) continue;
+    for (const auto& n1 : kg1.Neighbors(pair.first)) {
+      const bool rev1 = kg1.IsReverseRelation(n1.relation);
+      for (const auto& n2 : kg2.Neighbors(pair.second)) {
+        if (kg2.IsReverseRelation(n2.relation) != rev1) continue;
+        auto rel_it = ref.index.find(ElementPair{
+            ElementKind::kRelation, base1(n1.relation), base2(n2.relation)});
+        if (rel_it == ref.index.end()) continue;
+        auto tgt_it = ref.index.find(
+            ElementPair{ElementKind::kEntity, n1.tail, n2.tail});
+        if (tgt_it == ref.index.end()) continue;
+        ref.out[node].push_back(
+            AlignmentGraph::Edge{tgt_it->second, rel_it->second});
+        ref.rel_pair_edges[rel_it->second].emplace_back(node, tgt_it->second);
+        ++ref.num_edges;
+      }
+    }
+    for (ClassId c1 : kg1.ClassesOf(pair.first)) {
+      for (ClassId c2 : kg2.ClassesOf(pair.second)) {
+        auto it = ref.index.find(ElementPair{ElementKind::kClass, c1, c2});
+        if (it == ref.index.end()) continue;
+        ref.out[node].push_back(
+            AlignmentGraph::Edge{it->second, AlignmentGraph::kTypeLabel});
+        ++ref.num_edges;
+      }
+    }
+  }
+  return ref;
+}
+
+// Asserts the graph over `pool` equals the reference join edge for edge, in
+// order, and returns its edge count.
+size_t ExpectMatchesReferenceJoin(const AlignmentTask& task,
+                                  const std::vector<ElementPair>& pool) {
+  const AlignmentGraph graph(&task, pool);
+  const ReferenceGraph ref = ReferenceJoin(task, pool);
+  EXPECT_EQ(graph.num_edges(), ref.num_edges) << task.name;
+  for (uint32_t node = 0; node < pool.size(); ++node) {
+    EXPECT_EQ(graph.IndexOf(pool[node]), ref.index.at(pool[node]))
+        << task.name << " node " << node;
+    const auto out = graph.Out(node);
+    const auto& want = ref.out[node];
+    EXPECT_EQ(out.size(), want.size()) << task.name << " node " << node;
+    for (size_t k = 0; k < std::min(out.size(), want.size()); ++k) {
+      EXPECT_EQ(out[k].target, want[k].target)
+          << task.name << " node " << node << " edge " << k;
+      EXPECT_EQ(out[k].rel_pair, want[k].rel_pair)
+          << task.name << " node " << node << " edge " << k;
+    }
+    using NodePairs = std::vector<std::pair<uint32_t, uint32_t>>;
+    const auto labeled = graph.EdgesOfRelationPair(node);
+    const auto it = ref.rel_pair_edges.find(node);
+    const NodePairs want_labeled =
+        it == ref.rel_pair_edges.end() ? NodePairs{} : it->second;
+    EXPECT_EQ(NodePairs(labeled.begin(), labeled.end()), want_labeled)
+        << task.name << " label node " << node;
+  }
+  return graph.num_edges();
+}
+
+// A pool shaped like the generator's, without a trained model: each KG1
+// entity pairs with its gold partner, the gold partners of its first
+// neighbours (structurally close, often wrong) and two random KG2 entities,
+// repeats included. All schema pairs, a few reverse relation pairs (which
+// label no edge), then a shuffle so schema and entity nodes interleave.
+std::vector<ElementPair> NearGoldPool(const AlignmentTask& task, Rng* rng) {
+  const KnowledgeGraph& kg1 = task.kg1;
+  const KnowledgeGraph& kg2 = task.kg2;
+  std::vector<EntityId> gold(kg1.num_entities(), kInvalidId);
+  for (const auto& [e1, e2] : task.gold_entities) gold[e1] = e2;
+  std::vector<ElementPair> pool;
+  auto add_entity_pair = [&pool](EntityId e1, EntityId e2) {
+    if (e2 != kInvalidId) pool.push_back({ElementKind::kEntity, e1, e2});
+  };
+  for (EntityId e1 = 0; e1 < kg1.num_entities(); ++e1) {
+    add_entity_pair(e1, gold[e1]);
+    const auto& nbrs = kg1.Neighbors(e1);
+    for (size_t k = 0; k < std::min<size_t>(3, nbrs.size()); ++k) {
+      add_entity_pair(e1, gold[nbrs[k].tail]);
+    }
+    for (int k = 0; k < 2; ++k) {
+      add_entity_pair(e1, static_cast<EntityId>(
+                              rng->NextUint64(kg2.num_entities())));
+    }
+  }
+  for (RelationId r1 = 0; r1 < kg1.num_base_relations(); ++r1) {
+    for (RelationId r2 = 0; r2 < kg2.num_base_relations(); ++r2) {
+      pool.push_back({ElementKind::kRelation, r1, r2});
+    }
+  }
+  pool.push_back({ElementKind::kRelation, kg1.ReverseOf(0), kg2.ReverseOf(0)});
+  pool.push_back({ElementKind::kRelation, 0, kg2.ReverseOf(0)});
+  for (ClassId c1 = 0; c1 < kg1.num_classes(); ++c1) {
+    for (ClassId c2 = 0; c2 < kg2.num_classes(); ++c2) {
+      pool.push_back({ElementKind::kClass, c1, c2});
+    }
+  }
+  rng->Shuffle(&pool);
+  return pool;
+}
+
+TEST(AlignmentGraphTest, MatchesReferenceJoin) {
+  // The hand-built mirror task: reverse-relation and type edges.
+  EXPECT_GT(ExpectMatchesReferenceJoin(MirrorTask(), MirrorPool()), 0u);
+  for (BenchmarkDataset dataset :
+       {BenchmarkDataset::kDW, BenchmarkDataset::kDY, BenchmarkDataset::kEnDe,
+        BenchmarkDataset::kEnFr}) {
+    for (uint64_t seed : {17u, 1u}) {
+      auto task = MakeBenchmarkTask(dataset, 0.2, seed);
+      ASSERT_TRUE(task.ok()) << task.status();
+      Rng rng(seed);
+      const std::vector<ElementPair> pool = NearGoldPool(*task, &rng);
+      EXPECT_GT(ExpectMatchesReferenceJoin(*task, pool), pool.size())
+          << task->name << " seed " << seed;
+    }
+  }
 }
 
 }  // namespace
