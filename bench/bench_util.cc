@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "common/timer.h"
 #include "obs/json_exporter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -59,7 +58,8 @@ DaakgConfig DaakgBenchConfig(const std::string& model, const BenchEnv& env) {
 
 BaselineResult RunDaakg(const AlignmentTask& task, const DaakgConfig& config,
                         const BenchEnv& env, const std::string& row_name) {
-  WallTimer timer;
+  obs::TraceSpan span("bench.run_daakg", "bench", nullptr,
+                      obs::TimingMode::kAlways);
   DaakgAligner aligner(&task, config);
   Rng rng(env.seed ^ 0x5EEDULL);
   SeedAlignment seed = task.SampleSeed(env.seed_fraction, &rng);
@@ -67,22 +67,17 @@ BaselineResult RunDaakg(const AlignmentTask& task, const DaakgConfig& config,
   BaselineResult result;
   result.name = row_name;
   result.eval = aligner.Evaluate();
-  result.train_seconds = timer.ElapsedSeconds();
+  result.train_seconds = span.Finish();
   return result;
 }
 
 BenchArgs ParseBenchArgs(int argc, char** argv) {
   BenchArgs args;
   constexpr const char kMetricsFlag[] = "--metrics_json=";
-  constexpr const char kIndexFlag[] = "--index_json=";
   constexpr const char kTraceFlag[] = "--trace_json=";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], kMetricsFlag, sizeof(kMetricsFlag) - 1) == 0) {
       args.metrics_json = argv[i] + sizeof(kMetricsFlag) - 1;
-      continue;
-    }
-    if (std::strncmp(argv[i], kIndexFlag, sizeof(kIndexFlag) - 1) == 0) {
-      args.index_json = argv[i] + sizeof(kIndexFlag) - 1;
       continue;
     }
     if (std::strncmp(argv[i], kTraceFlag, sizeof(kTraceFlag) - 1) == 0) {
@@ -90,7 +85,7 @@ BenchArgs ParseBenchArgs(int argc, char** argv) {
       continue;
     }
     LOG_FATAL << "unknown argument: " << argv[i] << " (usage: " << argv[0]
-              << " [--metrics_json=<path>] [--index_json=<path>]"
+              << " [--metrics_json=<path>]"
               << " [--trace_json=<path>])";
   }
   if (!args.trace_json.empty()) {

@@ -39,15 +39,11 @@ DaakgConfig DaakgBenchConfig(const std::string& model, const BenchEnv& env);
 // Command-line flags shared by the bench mains:
 //   --metrics_json=<path>   dump the global metrics registry as JSON on
 //                           MaybeDumpMetrics()
-//   --index_json=<path>     fig6_pool_recall only: write the candidate-index
-//                           backend sweep (recall vs exact + speedup per
-//                           (nlist, nprobe) point) as JSON
 //   --trace_json=<path>     start a structured-trace session for the whole
 //                           bench run and export Chrome trace-event JSON
 //                           (Perfetto-loadable) at exit
 struct BenchArgs {
   std::string metrics_json;
-  std::string index_json;
   std::string trace_json;
 };
 

@@ -6,278 +6,17 @@
 // Expected shape: recall grows with N and saturates; the D-Y analogue lags
 // the other datasets because its schema-poor second side makes signatures
 // less discriminating.
-//
-// On top of the paper figure, this bench measures the candidate-index
-// backend tradeoff (--index_json writes it machine-readable):
-//   * per dataset, the IVF pool's recall of the exact pool's entity pairs
-//     and its query speedup over the exact blocked pass, per
-//     (nlist, nprobe) point;
-//   * a synthetic scale sweep on clustered unit signatures, where the
-//     crossover to IVF being faster in wall-clock is visible (bench-scale
-//     KGs are small enough that the exact pass usually wins there).
 
 #include <cstdio>
-#include <set>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "active/pool.h"
 #include "bench/bench_util.h"
-#include "common/logging.h"
 #include "common/rng.h"
-#include "common/timer.h"
-#include "index/candidate_index.h"
-
-namespace {
-
-using namespace daakg;
-using namespace daakg::bench;
-
-// One measured (nlist, nprobe) point of the per-dataset backend sweep.
-struct DatasetPoint {
-  size_t nlist = 0;   // configured (0 = auto)
-  size_t nprobe = 0;
-  bool is_default = false;
-  size_t nlist_effective = 0;
-  double recall_vs_exact = 0.0;  // entity-pair overlap with the exact pool
-  double gold_recall = 0.0;      // Fig. 6 measurement through this backend
-  double build_seconds = 0.0;
-  double query_seconds = 0.0;
-  double speedup_query = 0.0;    // exact_query_seconds / query_seconds
-};
-
-struct DatasetSweep {
-  std::string name;
-  double exact_query_seconds = 0.0;
-  double gold_recall_exact = 0.0;
-  std::vector<DatasetPoint> points;
-};
-
-struct SyntheticPoint {
-  size_t rows = 0;
-  size_t queries = 0;
-  size_t dim = 0;
-  size_t nlist_effective = 0;
-  double recall_vs_exact = 0.0;  // top-K overlap, K = 25
-  double exact_seconds = 0.0;
-  double ivf_build_seconds = 0.0;
-  double ivf_query_seconds = 0.0;
-  double speedup_query = 0.0;
-  double speedup_total = 0.0;    // exact / (ivf build + query)
-};
-
-std::set<std::pair<uint32_t, uint32_t>> EntityPairs(
-    const std::vector<ElementPair>& pool) {
-  std::set<std::pair<uint32_t, uint32_t>> pairs;
-  for (const auto& p : pool) {
-    if (p.kind == ElementKind::kEntity) pairs.emplace(p.first, p.second);
-  }
-  return pairs;
-}
-
-// Clustered unit rows — the shape schema signatures take (see the matching
-// generator in tests/index_test.cc).
-Matrix ClusteredUnitMatrix(size_t rows, size_t cols, size_t clusters,
-                           double noise, uint64_t seed) {
-  Rng rng(seed);
-  Matrix centers(clusters, cols);
-  for (size_t k = 0; k < clusters; ++k) {
-    float* row = centers.RowData(k);
-    for (size_t c = 0; c < cols; ++c) {
-      row[c] = static_cast<float>(rng.NextGaussian());
-    }
-    UnitNormalizeRow(row, cols);
-  }
-  Matrix m(rows, cols);
-  for (size_t r = 0; r < rows; ++r) {
-    const float* center = centers.RowData(rng.NextUint64(clusters));
-    float* row = m.RowData(r);
-    for (size_t c = 0; c < cols; ++c) {
-      row[c] = center[c] + static_cast<float>(rng.NextGaussian() * noise);
-    }
-    UnitNormalizeRow(row, cols);
-  }
-  return m;
-}
-
-DatasetSweep SweepDatasetBackends(const AlignmentTask& task,
-                                  const JointAlignmentModel* joint) {
-  DatasetSweep sweep;
-  sweep.name = task.name;
-
-  // Exact reference: warm the generator once (signatures + index build),
-  // then time a pure query pass.
-  PoolConfig exact_cfg;
-  exact_cfg.index.backend = IndexChoice::kExact;
-  PoolGenerator exact_gen(&task, joint, exact_cfg);
-  std::vector<ElementPair> exact_pool = exact_gen.Generate();
-  WallTimer exact_timer;
-  exact_pool = exact_gen.Generate();
-  sweep.exact_query_seconds = exact_timer.ElapsedSeconds();
-  sweep.gold_recall_exact = exact_gen.EntityPairRecall(exact_pool);
-  const auto exact_pairs = EntityPairs(exact_pool);
-
-  const struct {
-    size_t nlist, nprobe;
-    bool is_default;
-  } kGrid[] = {{0, 2, false}, {0, 4, false}, {0, 8, true}, {32, 8, false}};
-  for (const auto& g : kGrid) {
-    PoolConfig cfg;
-    cfg.index.backend = IndexChoice::kIvf;
-    cfg.index.min_rows_for_ann = 0;  // force IVF at bench scale
-    cfg.index.nlist = g.nlist;
-    cfg.index.nprobe = g.nprobe;
-    PoolGenerator gen(&task, joint, cfg);
-    WallTimer build_timer;
-    std::vector<ElementPair> pool = gen.Generate();  // signatures + build
-    const double warm_seconds = build_timer.ElapsedSeconds();
-    WallTimer query_timer;
-    pool = gen.Generate();
-    DatasetPoint point;
-    point.nlist = g.nlist;
-    point.nprobe = g.nprobe;
-    point.is_default = g.is_default;
-    point.nlist_effective = gen.index().build_stats().nlist;
-    point.query_seconds = query_timer.ElapsedSeconds();
-    point.build_seconds = gen.index().build_stats().build_seconds;
-    (void)warm_seconds;
-    point.gold_recall = gen.EntityPairRecall(pool);
-    const auto ivf_pairs = EntityPairs(pool);
-    size_t hit = 0;
-    for (const auto& p : exact_pairs) hit += ivf_pairs.count(p);
-    point.recall_vs_exact =
-        exact_pairs.empty()
-            ? 1.0
-            : static_cast<double>(hit) / static_cast<double>(exact_pairs.size());
-    point.speedup_query = point.query_seconds > 0.0
-                              ? sweep.exact_query_seconds / point.query_seconds
-                              : 0.0;
-    sweep.points.push_back(point);
-  }
-  return sweep;
-}
-
-SyntheticPoint SweepSyntheticSize(size_t rows, size_t dim, uint64_t seed) {
-  SyntheticPoint point;
-  point.rows = rows;
-  point.queries = rows;
-  point.dim = dim;
-  const size_t kTopK = 25;
-  // ~125 rows per cluster: the top-25 neighborhood stays inside a cluster,
-  // and the auto nlist (~sqrt(rows)) subdivides rather than merges clusters
-  // — the regime the IVF probe is designed for.
-  const size_t clusters = rows / 125 + 8;
-  Matrix base = ClusteredUnitMatrix(rows, dim, clusters, 0.05, seed);
-  Matrix queries = ClusteredUnitMatrix(rows, dim, clusters, 0.05, seed ^ 0xA5);
-
-  CandidateIndexConfig exact_cfg;
-  exact_cfg.backend = IndexChoice::kExact;
-  auto exact = CandidateIndex::Build(base, exact_cfg);
-  DAAKG_CHECK(exact.ok()) << exact.status();
-  WallTimer exact_timer;
-  const SimTopK exact_topk = (*exact)->QueryTopK(queries, kTopK, 0);
-  point.exact_seconds = exact_timer.ElapsedSeconds();
-
-  CandidateIndexConfig ivf_cfg;  // defaults: nlist auto, nprobe 8
-  ivf_cfg.backend = IndexChoice::kIvf;
-  ivf_cfg.min_rows_for_ann = 0;
-  auto ivf = CandidateIndex::Build(std::move(base), ivf_cfg);
-  DAAKG_CHECK(ivf.ok()) << ivf.status();
-  point.nlist_effective = (*ivf)->build_stats().nlist;
-  point.ivf_build_seconds = (*ivf)->build_stats().build_seconds;
-  WallTimer ivf_timer;
-  const SimTopK ivf_topk = (*ivf)->QueryTopK(queries, kTopK, 0);
-  point.ivf_query_seconds = ivf_timer.ElapsedSeconds();
-
-  size_t hit = 0, total = 0;
-  for (size_t r = 0; r < queries.rows(); ++r) {
-    std::set<uint32_t> ivf_set;
-    for (const ScoredIndex& e : ivf_topk.row_topk[r]) ivf_set.insert(e.index);
-    for (const ScoredIndex& e : exact_topk.row_topk[r]) {
-      ++total;
-      hit += ivf_set.count(e.index);
-    }
-  }
-  point.recall_vs_exact =
-      total == 0 ? 1.0
-                 : static_cast<double>(hit) / static_cast<double>(total);
-  point.speedup_query = point.ivf_query_seconds > 0.0
-                            ? point.exact_seconds / point.ivf_query_seconds
-                            : 0.0;
-  const double ivf_total = point.ivf_build_seconds + point.ivf_query_seconds;
-  point.speedup_total =
-      ivf_total > 0.0 ? point.exact_seconds / ivf_total : 0.0;
-  return point;
-}
-
-void WriteIndexJson(const std::string& path,
-                    const std::vector<DatasetSweep>& sweeps,
-                    const std::vector<SyntheticPoint>& synthetic) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    LOG_FATAL << "cannot open " << path;
-  }
-  std::fprintf(f, "{\n  \"datasets\": [\n");
-  for (size_t i = 0; i < sweeps.size(); ++i) {
-    const DatasetSweep& s = sweeps[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"exact_query_seconds\": %.6f, "
-                 "\"gold_recall_exact\": %.4f, \"points\": [\n",
-                 s.name.c_str(), s.exact_query_seconds, s.gold_recall_exact);
-    for (size_t j = 0; j < s.points.size(); ++j) {
-      const DatasetPoint& p = s.points[j];
-      std::fprintf(
-          f,
-          "      {\"nlist\": %zu, \"nprobe\": %zu, \"default\": %s, "
-          "\"nlist_effective\": %zu, \"recall_vs_exact\": %.4f, "
-          "\"gold_recall\": %.4f, \"build_seconds\": %.6f, "
-          "\"query_seconds\": %.6f, \"speedup_query\": %.3f}%s\n",
-          p.nlist, p.nprobe, p.is_default ? "true" : "false",
-          p.nlist_effective, p.recall_vs_exact, p.gold_recall,
-          p.build_seconds, p.query_seconds, p.speedup_query,
-          j + 1 < s.points.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]}%s\n", i + 1 < sweeps.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"synthetic\": [\n");
-  for (size_t i = 0; i < synthetic.size(); ++i) {
-    const SyntheticPoint& p = synthetic[i];
-    std::fprintf(
-        f,
-        "    {\"rows\": %zu, \"queries\": %zu, \"dim\": %zu, "
-        "\"nlist_effective\": %zu, \"recall_vs_exact\": %.4f, "
-        "\"exact_seconds\": %.6f, \"ivf_build_seconds\": %.6f, "
-        "\"ivf_query_seconds\": %.6f, \"speedup_query\": %.3f, "
-        "\"speedup_total\": %.3f}%s\n",
-        p.rows, p.queries, p.dim, p.nlist_effective, p.recall_vs_exact,
-        p.exact_seconds, p.ivf_build_seconds, p.ivf_query_seconds,
-        p.speedup_query, p.speedup_total,
-        i + 1 < synthetic.size() ? "," : "");
-  }
-  // Acceptance summary: the default-point recall floor across datasets and
-  // the total-wall-clock speedup at the largest synthetic size.
-  double min_default_recall = 1.0;
-  for (const DatasetSweep& s : sweeps) {
-    for (const DatasetPoint& p : s.points) {
-      if (p.is_default && p.recall_vs_exact < min_default_recall) {
-        min_default_recall = p.recall_vs_exact;
-      }
-    }
-  }
-  const double largest_speedup =
-      synthetic.empty() ? 0.0 : synthetic.back().speedup_total;
-  std::fprintf(f,
-               "  ],\n  \"acceptance\": {\"default_point_min_recall\": %.4f, "
-               "\"largest_synthetic_speedup_total\": %.3f}\n}\n",
-               min_default_recall, largest_speedup);
-  std::fclose(f);
-  std::printf("index sweep written to %s\n", path.c_str());
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
+  using namespace daakg;
+  using namespace daakg::bench;
   const BenchArgs args = ParseBenchArgs(argc, argv);
   BenchEnv env = BenchEnv::FromEnv();
   std::printf("=== Figure 6: pool recall vs N (scale %.2f) ===\n", env.scale);
@@ -294,7 +33,6 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  std::vector<DatasetSweep> sweeps;
   for (BenchmarkDataset dataset : AllDatasets()) {
     AlignmentTask task = MakeTask(dataset, env);
     DaakgConfig cfg = DaakgBenchConfig("transe", env);
@@ -314,47 +52,10 @@ int main(int argc, char** argv) {
       std::fflush(stdout);
     }
     std::printf("\n");
-
-    sweeps.push_back(SweepDatasetBackends(task, aligner.joint()));
   }
   std::printf("\nPaper: >= 0.806 recall at N=1000 on D-W/EN-DE/EN-FR; "
               "0.652-0.688 on D-Y.\n");
 
-  std::printf("\n=== Candidate-index backends (pool top_n default) ===\n");
-  std::printf("%-8s %-14s %10s %10s %10s %10s\n", "Dataset", "backend",
-              "recall", "gold", "query(s)", "speedup");
-  for (const DatasetSweep& s : sweeps) {
-    std::printf("%-8s %-14s %10.3f %10.3f %10.6f %10s\n", s.name.c_str(),
-                "exact", 1.0, s.gold_recall_exact, s.exact_query_seconds, "-");
-    for (const DatasetPoint& p : s.points) {
-      char label[64];
-      std::snprintf(label, sizeof(label), "ivf %zu/%zu%s", p.nlist_effective,
-                    p.nprobe, p.is_default ? "*" : "");
-      std::printf("%-8s %-14s %10.3f %10.3f %10.6f %9.2fx\n", s.name.c_str(),
-                  label, p.recall_vs_exact, p.gold_recall, p.query_seconds,
-                  p.speedup_query);
-    }
-  }
-  std::printf("(* = default config; nlist shown as effective/auto value)\n");
-
-  std::printf("\n=== Synthetic scale sweep (clustered unit signatures, "
-              "dim 64, IVF defaults) ===\n");
-  std::printf("%8s %8s %10s %10s %10s %10s %10s\n", "rows", "nlist", "recall",
-              "exact(s)", "build(s)", "query(s)", "speedup");
-  std::vector<SyntheticPoint> synthetic;
-  for (size_t rows : {2000u, 6000u, 16000u}) {
-    SyntheticPoint p = SweepSyntheticSize(rows, 64, env.seed ^ rows);
-    std::printf("%8zu %8zu %10.3f %10.4f %10.4f %10.4f %9.2fx\n", p.rows,
-                p.nlist_effective, p.recall_vs_exact, p.exact_seconds,
-                p.ivf_build_seconds, p.ivf_query_seconds, p.speedup_total);
-    std::fflush(stdout);
-    synthetic.push_back(p);
-  }
-  std::printf("(speedup = exact / (IVF build + query) wall-clock)\n");
-
-  if (!args.index_json.empty()) {
-    WriteIndexJson(args.index_json, sweeps, synthetic);
-  }
-  daakg::bench::MaybeDumpMetrics(args);
+  MaybeDumpMetrics(args);
   return 0;
 }

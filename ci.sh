@@ -1,33 +1,30 @@
 #!/usr/bin/env bash
 # Tier-1 verification, three times over: a plain release build, an
 # ASan+UBSan build, and a TSan build focused on the concurrent paths
-# (thread pool, blocked kernels, pool generation, selection, IVF k-means).
-# A SIMD backend matrix leg then re-runs the kernel-sensitive subset under
-# DAAKG_SIMD=scalar and the dispatched default to pin down cross-backend
-# determinism of pool, matching and selection outputs (and each backend's
-# pinned training and selection outputs), and a candidate-index
-# matrix leg re-runs the index subset under DAAKG_INDEX=exact and =ivf.
+# (thread pool, blocked kernels, index queries, pool generation,
+# selection). A SIMD backend matrix leg then re-runs the kernel-sensitive
+# subset under DAAKG_SIMD=scalar and the dispatched default to pin down
+# cross-backend determinism of pool, matching and selection outputs (and
+# each backend's pinned training and selection outputs).
 set -euo pipefail
 cd "$(dirname "$0")"
 
 JOBS="${JOBS:-$(nproc)}"
 
-# Opt-in bench regression gate: `./ci.sh bench-diff` rebuilds the two
-# machine-readable benches, re-runs them into a scratch dir, and fails if
-# throughput / recall regress >15% against the committed baselines
-# (BENCH_kernels.json, BENCH_index.json). Kept out of the default legs
-# because bench runs are minutes-long and noisy on loaded machines.
+# Opt-in bench regression gate: `./ci.sh bench-diff` rebuilds the kernel
+# micro-bench, re-runs it into a scratch dir, and fails if throughput
+# regresses >15% against the committed baseline (BENCH_kernels.json). Kept
+# out of the default legs because bench runs are minutes-long and noisy on
+# loaded machines.
 if [ "${1:-}" = "bench-diff" ]; then
   echo "== bench regression gate =="
   cmake -B build -S .
-  cmake --build build -j "$JOBS" --target micro_kernels fig6_pool_recall
+  cmake --build build -j "$JOBS" --target micro_kernels
   FRESH="$(mktemp -d)"
   trap 'rm -rf "$FRESH"' EXIT
   ./build/bench/micro_kernels \
     --benchmark_out="$FRESH/kernels.json" --benchmark_out_format=json
-  ./build/bench/fig6_pool_recall --index_json="$FRESH/index.json"
   python3 tools/bench_diff.py kernels BENCH_kernels.json "$FRESH/kernels.json"
-  python3 tools/bench_diff.py index BENCH_index.json "$FRESH/index.json"
   echo "ci.sh bench-diff: all green"
   exit 0
 fi
@@ -71,18 +68,6 @@ for backend in scalar ""; do
   DAAKG_SIMD="$backend" run_filtered ./build/tests/infer_test "$GRAPH_FILTER"
 done
 
-echo "== candidate-index backend matrix (exact vs ivf) =="
-# The process-wide DAAKG_INDEX override only steers kAuto call sites; the
-# index tests pin explicit backends where bit-parity is asserted, so the
-# whole suite must hold under either override (plus pool parity, whose
-# default-config generator follows the override).
-for index_backend in exact ivf; do
-  echo "-- DAAKG_INDEX=$index_backend --"
-  DAAKG_INDEX="$index_backend" ./build/tests/index_test
-  DAAKG_INDEX="$index_backend" run_filtered ./build/tests/active_test \
-    'ActiveTest.GeneratedPoolMatchesBruteForceMutualTopN:ActiveTest.RepeatedGenerateReusesCachedIndex:ActiveTest.IvfPool*'
-done
-
 echo "== sanitizer build (ASan+UBSan) =="
 cmake -B build-asan -S . -DDAAKG_SANITIZE=ON
 cmake --build build-asan -j "$JOBS"
@@ -106,7 +91,7 @@ run_filtered ./build-tsan/tests/align_test 'JointModelTest.*:MetricsTest.Streami
 run_filtered ./build-tsan/tests/core_test "$CORE_FILTER"
 # KG1 and KG2 train their KGE epochs side by side on the pool.
 run_filtered ./build-tsan/tests/embedding_test 'KgeTrainerTest.*'
-# Parallel k-means assignment + sharded IVF queries (row-parallel writers).
-run_filtered ./build-tsan/tests/index_test 'IvfIndexTest.*:ExactIndexTest.QueryTopKMatchesBlockedSimTopK:ExactIndexTest.GreedyMatchingParity'
+# Sharded index queries (row-parallel writers).
+run_filtered ./build-tsan/tests/index_test 'ExactIndexTest.QueryTopKMatchesBlockedSimTopK:ExactIndexTest.GreedyMatchingParity'
 
 echo "ci.sh: all green"

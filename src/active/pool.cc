@@ -107,7 +107,7 @@ void PoolGenerator::EnsureIndex() const {
     sig2.SetRow(e, Signature(2, static_cast<EntityId>(e)));
   });
 
-  CandidateIndexConfig index_cfg = config_.index;
+  CandidateIndexConfig index_cfg;
   index_cfg.normalize = true;
   auto built = CandidateIndex::Build(std::move(sig2), index_cfg);
   DAAKG_CHECK(built.ok()) << built.status();
@@ -137,10 +137,9 @@ std::vector<ElementPair> PoolGenerator::Generate(size_t top_n) const {
   const size_t n2 = task_->kg2.num_entities();
   const size_t n = std::min(top_n, n2);
 
-  // Top-N lists in both directions from one pass through the index: the
-  // exact backend streams the similarity matrix with per-row and
-  // per-column top-N state (neither the n1 x n2 buffer nor its transpose
-  // is materialized); the IVF backend scores only the probed lists.
+  // Top-N lists in both directions from one pass through the index, which
+  // streams the similarity matrix with per-row and per-column top-N state
+  // (neither the n1 x n2 buffer nor its transpose is materialized).
   const size_t n_rev = std::min(top_n, n1);
   SimTopK topk = index_->QueryTopK(queries_, n, n_rev);
   std::vector<std::unordered_set<uint32_t>> top2(n2);

@@ -16,12 +16,6 @@ struct PoolConfig {
   // Top-N nearest neighbors by schema signature per entity (Sect. 6.1;
   // paper uses N = 1000 at 100k entities — scale accordingly).
   size_t top_n = 25;
-  // Candidate index backing the mutual top-N search over schema
-  // signatures. The default (kAuto, i.e. exact unless DAAKG_INDEX=ivf)
-  // reproduces the pre-index blocked pass bit-for-bit; IVF trades bounded
-  // recall for sub-quadratic scaling (bench/fig6_pool_recall measures the
-  // tradeoff).
-  CandidateIndexConfig index;
 };
 
 // Element pair pool generation (Sect. 6.1).

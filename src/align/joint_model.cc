@@ -202,9 +202,7 @@ void JointAlignmentModel::ComputeEntityStats() {
   pool.ParallelFor(n2, [&](size_t e) { normalize_row(&unit2, e); });
 
   ent_stats_ = BlockedSimStats(unit1_, unit2, config_.z_ent);
-  CandidateIndexConfig index_cfg;
-  index_cfg.backend = IndexChoice::kExact;
-  auto index = CandidateIndex::Build(std::move(unit2), index_cfg);
+  auto index = CandidateIndex::Build(std::move(unit2), CandidateIndexConfig{});
   DAAKG_CHECK(index.ok()) << index.status();
   entity_index_ = std::move(*index);
 
@@ -401,10 +399,6 @@ void JointAlignmentModel::ApplyEntityGrad(EntityId a, EntityId b,
                                           float lr) {
   // d loss / d A_ent += coef * d_mapped x_a^T; the KG1 side's gradient goes
   // through the updated A_ent.
-  if (!config_.update_embeddings) {
-    a_ent_.AddOuter(-lr * coef, d_mapped, xa);
-    return;
-  }
   EntityStep& s = entity_step_;
   a_ent_.AddOuterThenTransposeMultiply(-lr * coef, d_mapped.data(), xa.data(),
                                        s.gx.data());
@@ -554,13 +548,11 @@ double JointAlignmentModel::TrainRelationPair(RelationId r1, RelationId r2,
     if (coef == 0.0) return;
     const float c = static_cast<float>(coef);
     a_rel_.AddOuter(-lr * c, g.d_mapped, xa);
-    if (config_.update_embeddings) {
-      Vector gx = a_rel_.TransposeMultiply(g.d_mapped);
-      gx *= c;
-      model1_->BackpropRelationRepr(a, gx, lr);
-      Vector gy = g.d_second * c;
-      model2_->BackpropRelationRepr(b, gy, lr);
-    }
+    Vector gx = a_rel_.TransposeMultiply(g.d_mapped);
+    gx *= c;
+    model1_->BackpropRelationRepr(a, gx, lr);
+    Vector gy = g.d_second * c;
+    model2_->BackpropRelationRepr(b, gy, lr);
   };
   apply(r1, r2, pos, x1, cg.d_pos);
   for (size_t j = 0; j < negs.size(); ++j) {
@@ -614,13 +606,11 @@ double JointAlignmentModel::TrainClassPair(ClassId c1, ClassId c2, Rng* rng,
     if (coef == 0.0) return;
     const float c = static_cast<float>(coef);
     a_cls_.AddOuter(-lr * c, g.d_mapped, xa);
-    if (config_.update_embeddings) {
-      Vector gx = a_cls_.TransposeMultiply(g.d_mapped);
-      gx *= c;
-      ec1_->BackpropClassRepr(a, gx, lr);
-      Vector gy = g.d_second * c;
-      ec2_->BackpropClassRepr(b, gy, lr);
-    }
+    Vector gx = a_cls_.TransposeMultiply(g.d_mapped);
+    gx *= c;
+    ec1_->BackpropClassRepr(a, gx, lr);
+    Vector gy = g.d_second * c;
+    ec2_->BackpropClassRepr(b, gy, lr);
   };
   apply(c1, c2, pos, x1, cg.d_pos);
   for (size_t j = 0; j < negs.size(); ++j) {
@@ -753,13 +743,11 @@ void JointAlignmentModel::AscendPairSimilarity(const ElementPair& pair,
       Vector v = model2_->RelationRepr(pair.second);
       CosineGrad g = CosineWithGrad(u, v);
       a_rel_.AddOuter(-lr * coef, g.d_mapped, x1);
-      if (config_.update_embeddings) {
-        Vector gx = a_rel_.TransposeMultiply(g.d_mapped);
-        gx *= coef;
-        model1_->BackpropRelationRepr(pair.first, gx, lr);
-        Vector gy = g.d_second * coef;
-        model2_->BackpropRelationRepr(pair.second, gy, lr);
-      }
+      Vector gx = a_rel_.TransposeMultiply(g.d_mapped);
+      gx *= coef;
+      model1_->BackpropRelationRepr(pair.first, gx, lr);
+      Vector gy = g.d_second * coef;
+      model2_->BackpropRelationRepr(pair.second, gy, lr);
       break;
     }
     case ElementKind::kClass: {
@@ -769,13 +757,11 @@ void JointAlignmentModel::AscendPairSimilarity(const ElementPair& pair,
       Vector v = ec2_->ClassRepr(pair.second);
       CosineGrad g = CosineWithGrad(u, v);
       a_cls_.AddOuter(-lr * coef, g.d_mapped, x1);
-      if (config_.update_embeddings) {
-        Vector gx = a_cls_.TransposeMultiply(g.d_mapped);
-        gx *= coef;
-        ec1_->BackpropClassRepr(pair.first, gx, lr);
-        Vector gy = g.d_second * coef;
-        ec2_->BackpropClassRepr(pair.second, gy, lr);
-      }
+      Vector gx = a_cls_.TransposeMultiply(g.d_mapped);
+      gx *= coef;
+      ec1_->BackpropClassRepr(pair.first, gx, lr);
+      Vector gy = g.d_second * coef;
+      ec2_->BackpropClassRepr(pair.second, gy, lr);
       break;
     }
   }

@@ -45,7 +45,6 @@ struct JointAlignConfig {
   double z_cls = 0.1;
   double focal_gamma = 2.0;    // focal-loss focus (fine-tuning)
   bool use_mean_embeddings = true;   // Table 5 ablation switch
-  bool update_embeddings = true;     // backprop alignment loss into KGE
   uint64_t seed = 29;
 };
 
@@ -63,8 +62,8 @@ struct JointAlignConfig {
 // (O((|E1| + |E2|) dim) memory) and streams their cosines once for the row
 // and column maxima (Eq. 6) and log-sum-exps (Eqs. 11-12); the |E1| x |E2|
 // entity similarity matrix is never stored. Entity consumers (calibration,
-// mining, evaluation, matching) score cells from the unit rows through an
-// exact CandidateIndex. The schema-sized relation and class similarity
+// mining, evaluation, matching) score cells from the unit rows through a
+// CandidateIndex. The schema-sized relation and class similarity
 // matrices are cached densely.
 class JointAlignmentModel {
  public:
@@ -104,7 +103,7 @@ class JointAlignmentModel {
   // Row r of unit_mapped1() is the unit-normalized mapped KG1 entity row
   // A_ent e_r, row c of unit_repr2() the unit-normalized KG2 entity row, as
   // of the last RefreshCaches(); their dot products are the entity cosines.
-  // entity_index() is an exact index over unit_repr2(): querying it with
+  // entity_index() is an index over unit_repr2(): querying it with
   // unit_mapped1() rows scans the entity similarity matrix without
   // materializing it.
   const Matrix& unit_mapped1() const { return unit1_; }
@@ -178,8 +177,8 @@ class JointAlignmentModel {
   double TrainEntityPair(EntityId e1, EntityId e2, Rng* rng, bool focal,
                          float lr);
   // One SGD step with coefficient `coef` on an entity pair's cosine
-  // gradient: A_ent -= lr coef d_mapped xa^T, then (update_embeddings) KG1
-  // entity a descends coef A_ent^T d_mapped, KG2 entity b coef d_second.
+  // gradient: A_ent -= lr coef d_mapped xa^T, then KG1 entity a descends
+  // coef A_ent^T d_mapped, KG2 entity b coef d_second.
   void ApplyEntityGrad(EntityId a, EntityId b, const Vector& d_mapped,
                        const Vector& d_second, const Vector& xa, float coef,
                        float lr);

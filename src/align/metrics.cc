@@ -124,10 +124,9 @@ RankingMetrics EvaluateRankingStreaming(
     std::copy_n(a.RowData(unique_rows[i]), a.cols(), aq.RowData(i));
   }
 
-  // Targets via the index's exact-scoring primitive — the same dispatched
-  // dot that is bitwise identical to the exact backend's tile cells, so
-  // the target equals the value the materialized path reads out of its
-  // row.
+  // Targets via the index's single-cell primitive — the same dispatched
+  // dot as the index's tile cells, so the target equals the value the
+  // materialized path reads out of its row.
   std::vector<RankQuery> rank_queries(num_queries);
   for (size_t q = 0; q < num_queries; ++q) {
     rank_queries[q].query_row =
@@ -156,8 +155,8 @@ std::vector<std::pair<uint32_t, uint32_t>> GreedyOneToOneMatches(
     const CandidateIndex& index, const Matrix& queries, float threshold) {
   // QueryAbove returns each row's qualifying cells in ascending base-row
   // order; concatenating rows in order reproduces the row-major cell
-  // sequence of the matrix variant (bitwise, for an exact backend), so the
-  // shared sweep behaves identically.
+  // sequence of the matrix variant bitwise, so the shared sweep behaves
+  // identically.
   const auto rows = index.QueryAbove(queries, threshold);
   size_t total = 0;
   for (const auto& row : rows) total += row.size();

@@ -39,13 +39,11 @@ RankingMetrics EvaluateRanking(
 
 // Streaming variant: ranks each test pair's target among the candidate
 // scores the index produces for query row `first` of `a`, without
-// materializing a * base^T (extra memory O(unique_rows * dim)). With an
-// exact backend this equals EvaluateRanking on BlockedMatMulNT(a, base)
-// bit-for-bit: tile cells and the target cell come from the same
-// dispatched kernels, and ranks fold in test-pair order; with an IVF
-// backend only probed rows can outrank the target, so ranks are optimistic
-// in proportion to the index's recall. `index.base()` must hold the rows of
-// `b` (pairs' `second` indexes into it).
+// materializing a * base^T (extra memory O(unique_rows * dim)). It equals
+// EvaluateRanking on BlockedMatMulNT(a, base) bit-for-bit: tile cells and
+// the target cell come from the same dispatched kernels, and ranks fold in
+// test-pair order. `index.base()` must hold the rows of `b` (pairs'
+// `second` indexes into it).
 RankingMetrics EvaluateRankingStreaming(
     const CandidateIndex& index, const Matrix& a,
     const std::vector<std::pair<uint32_t, uint32_t>>& test_pairs);
@@ -72,11 +70,9 @@ std::vector<std::pair<uint32_t, uint32_t>> GreedyOneToOneMatches(
     const Matrix& sim, float threshold);
 
 // Index-based variant: candidate cells come from index.QueryAbove(queries,
-// threshold) instead of a materialized matrix. With an exact backend the
-// cell sequence matches the matrix scan's row-major order bit-for-bit, so
-// the result is identical to GreedyOneToOneMatches(queries * base^T, thr);
-// an IVF backend restricts candidates to probed lists (scores of surviving
-// cells stay exact).
+// threshold) instead of a materialized matrix. The cell sequence matches
+// the matrix scan's row-major order bit-for-bit, so the result is identical
+// to GreedyOneToOneMatches(queries * base^T, thr).
 std::vector<std::pair<uint32_t, uint32_t>> GreedyOneToOneMatches(
     const CandidateIndex& index, const Matrix& queries, float threshold);
 

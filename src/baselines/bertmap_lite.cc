@@ -6,7 +6,7 @@
 
 #include "align/metrics.h"
 #include "common/string_util.h"
-#include "common/timer.h"
+#include "obs/trace.h"
 
 namespace daakg {
 namespace {
@@ -53,7 +53,8 @@ BertMapLite::BertMapLite(const AlignmentTask* task,
     : task_(task), config_(config) {}
 
 BaselineResult BertMapLite::Run(const SeedAlignment& seed) {
-  WallTimer timer;
+  obs::TraceSpan span("baselines.bertmap_lite", "baselines", nullptr,
+                      obs::TimingMode::kAlways);
   const KnowledgeGraph& kg1 = task_->kg1;
   const KnowledgeGraph& kg2 = task_->kg2;
   const size_t k1 = kg1.num_classes();
@@ -99,7 +100,7 @@ BaselineResult BertMapLite::Run(const SeedAlignment& seed) {
   result.eval.cls_rank = EvaluateRanking(sim, cls_test);
   result.eval.cls_prf =
       EvaluateGreedyMatching(sim, cls_test, config_.output_threshold);
-  result.train_seconds = timer.ElapsedSeconds();
+  result.train_seconds = span.Finish();
   return result;
 }
 

@@ -6,7 +6,7 @@
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "common/timer.h"
+#include "obs/trace.h"
 #include "tensor/topk.h"
 
 namespace daakg {
@@ -171,7 +171,8 @@ void EmbeddingBaseline::BuildTransformedTask() {
 }
 
 BaselineResult EmbeddingBaseline::Run(const SeedAlignment& seed) {
-  WallTimer timer;
+  obs::TraceSpan span("baselines.embedding", "baselines", nullptr,
+                      obs::TimingMode::kAlways);
   Rng rng(config_.seed ^ 0xB45EULL);
 
   KgeConfig kge_cfg = config_.kge;
@@ -290,7 +291,7 @@ BaselineResult EmbeddingBaseline::Run(const SeedAlignment& seed) {
   result.eval.ent_prf = EvaluateGreedyMatching(ent_sim, ent_test, thr);
   result.eval.rel_prf = EvaluateGreedyMatching(rel_sim, rel_test, thr);
   result.eval.cls_prf = EvaluateGreedyMatching(cls_sim, cls_test, thr);
-  result.train_seconds = timer.ElapsedSeconds();
+  result.train_seconds = span.Finish();
   return result;
 }
 

@@ -7,7 +7,7 @@
 
 #include "align/metrics.h"
 #include "common/string_util.h"
-#include "common/timer.h"
+#include "obs/trace.h"
 
 namespace daakg {
 namespace {
@@ -52,7 +52,8 @@ Paris::Paris(const AlignmentTask* task, const ParisConfig& config)
     : task_(task), config_(config) {}
 
 BaselineResult Paris::Run(const SeedAlignment& seed) {
-  WallTimer timer;
+  obs::TraceSpan span("baselines.paris", "baselines", nullptr,
+                      obs::TimingMode::kAlways);
   const KnowledgeGraph& kg1 = task_->kg1;
   const KnowledgeGraph& kg2 = task_->kg2;
   const size_t n1 = kg1.num_entities();
@@ -224,7 +225,7 @@ BaselineResult Paris::Run(const SeedAlignment& seed) {
       EvaluateGreedyMatching(rel_sim, rel_test, config_.output_threshold);
   result.eval.cls_prf =
       EvaluateGreedyMatching(cls_sim, cls_test, config_.output_threshold);
-  result.train_seconds = timer.ElapsedSeconds();
+  result.train_seconds = span.Finish();
   return result;
 }
 

@@ -38,7 +38,6 @@ Status ActiveLoopConfig::Validate() const {
   if (pool.top_n == 0) {
     return InvalidArgumentError("pool.top_n must be positive");
   }
-  DAAKG_RETURN_IF_ERROR(pool.index.Validate());
   return Status::Ok();
 }
 

@@ -103,7 +103,6 @@ Status DaakgConfig::Validate() const {
   if (match_threshold < 0.0f || match_threshold > 1.0f) {
     return InvalidArgumentError("match_threshold must be in [0, 1]");
   }
-  DAAKG_RETURN_IF_ERROR(index.Validate());
   return Status::Ok();
 }
 
@@ -275,12 +274,11 @@ DaakgAligner::Alignment DaakgAligner::ExtractAlignment() {
   obs::TraceSpan span("core.extract_alignment", "core");
   if (!joint_->caches_ready()) joint_->RefreshCaches();
   Alignment out;
-  // Entities match through an index over the unit rows (config_.index picks
-  // the backend); the schema-sized relation and class matrices directly.
-  auto index = CandidateIndex::Build(joint_->unit_repr2(), config_.index);
-  DAAKG_CHECK(index.ok()) << index.status();
-  for (const auto& [a, b] : GreedyOneToOneMatches(
-           **index, joint_->unit_mapped1(), config_.match_threshold)) {
+  // Entities match through the joint model's index over the unit rows; the
+  // schema-sized relation and class matrices directly.
+  for (const auto& [a, b] :
+       GreedyOneToOneMatches(joint_->entity_index(), joint_->unit_mapped1(),
+                             config_.match_threshold)) {
     out.entities.emplace_back(a, b);
   }
   for (const auto& [a, b] : GreedyOneToOneMatches(joint_->relation_sim(),

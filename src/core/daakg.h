@@ -7,7 +7,6 @@
 
 #include "align/joint_model.h"
 #include "align/metrics.h"
-#include "index/candidate_index.h"
 #include "embedding/entity_class_model.h"
 #include "embedding/kge_model.h"
 #include "embedding/trainer.h"
@@ -32,11 +31,6 @@ struct DaakgConfig {
   // Greedy-matching similarity threshold used when extracting/evaluating
   // final alignments (F1).
   float match_threshold = 0.5f;
-  // Candidate index for ExtractAlignment's entity matching over the joint
-  // model's unit rows. The default (kAuto => exact unless DAAKG_INDEX=ivf)
-  // is the full scan; an IVF backend skips it on bases of at least
-  // index.min_rows_for_ann rows.
-  CandidateIndexConfig index;
   uint64_t seed = 17;
 
   // Rejects configurations the pipeline cannot run (non-positive

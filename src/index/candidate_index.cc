@@ -1,129 +1,38 @@
 #include "index/candidate_index.h"
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 #include <utility>
 
-#include "common/logging.h"
 #include "common/thread_pool.h"
-#include "index/internal.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/simd/simd.h"
 
 namespace daakg {
-
-Status CandidateIndexConfig::Validate() const {
-  switch (backend) {
-    case IndexChoice::kAuto:
-    case IndexChoice::kExact:
-    case IndexChoice::kIvf:
-      break;
-    default:
-      return InvalidArgumentError("index.backend holds an out-of-range value");
-  }
-  if (nprobe == 0) {
-    return InvalidArgumentError("index.nprobe must be positive");
-  }
-  if (nlist > 0 && nprobe > nlist) {
-    return InvalidArgumentError("index.nprobe must not exceed index.nlist");
-  }
-  if (kmeans_iters <= 0) {
-    return InvalidArgumentError("index.kmeans_iters must be positive");
-  }
-  return Status::Ok();
-}
-
-bool ParseIndexChoice(const char* value, IndexChoice* out) {
-  if (value == nullptr) return false;
-  if (std::strcmp(value, "exact") == 0) {
-    *out = IndexChoice::kExact;
-    return true;
-  }
-  if (std::strcmp(value, "ivf") == 0) {
-    *out = IndexChoice::kIvf;
-    return true;
-  }
-  if (std::strcmp(value, "auto") == 0) {
-    *out = IndexChoice::kAuto;
-    return true;
-  }
-  return false;
-}
-
-const char* IndexBackendName(IndexBackendKind kind) {
-  switch (kind) {
-    case IndexBackendKind::kExact:
-      return "exact";
-    case IndexBackendKind::kIvf:
-      return "ivf";
-  }
-  return "unknown";
-}
-
-const char* IndexChoiceName(IndexChoice choice) {
-  switch (choice) {
-    case IndexChoice::kAuto:
-      return "auto";
-    case IndexChoice::kExact:
-      return "exact";
-    case IndexChoice::kIvf:
-      return "ivf";
-  }
-  return "unknown";
-}
-
 namespace {
 
-// The kAuto backend, decided once per process from DAAKG_INDEX — same shape
-// as the DAAKG_SIMD resolution in tensor/simd/dispatch.cc: log the decision,
-// warn on unrecognized values, publish a gauge.
-IndexBackendKind ResolveAutoBackend() {
-  IndexBackendKind kind = IndexBackendKind::kExact;
-  std::string why = "default";
-  const char* env = std::getenv("DAAKG_INDEX");
-  if (env != nullptr && env[0] != '\0') {
-    IndexChoice choice = IndexChoice::kAuto;
-    if (ParseIndexChoice(env, &choice) && choice != IndexChoice::kAuto) {
-      kind = choice == IndexChoice::kIvf ? IndexBackendKind::kIvf
-                                         : IndexBackendKind::kExact;
-      why = std::string("DAAKG_INDEX=") + env;
-    } else {
-      LOG_WARNING << "Unrecognized DAAKG_INDEX value '" << env
-                  << "' (expected exact|ivf); using exact";
-      why = "default (bad DAAKG_INDEX)";
-    }
-  }
-  LOG_INFO << "index: auto candidate-index backend '" << IndexBackendName(kind)
-           << "' selected (" << why << ")";
-  obs::GlobalMetrics()
-      .GetGauge("daakg.index.auto_backend")
-      ->Set(static_cast<double>(kind));
-  return kind;
+// Counts one query batch that scored `cells` similarity cells.
+void RecordQuery(uint64_t cells) {
+  static obs::Counter* queries =
+      obs::GlobalMetrics().GetCounter("daakg.index.queries");
+  static obs::Counter* scored =
+      obs::GlobalMetrics().GetCounter("daakg.index.scored_cells");
+  queries->Increment();
+  scored->Increment(cells);
 }
 
-}  // namespace
-
-IndexBackendKind ResolveIndexBackend(IndexChoice choice) {
-  switch (choice) {
-    case IndexChoice::kExact:
-      return IndexBackendKind::kExact;
-    case IndexChoice::kIvf:
-      return IndexBackendKind::kIvf;
-    case IndexChoice::kAuto:
-      break;
-  }
-  static const IndexBackendKind auto_kind = ResolveAutoBackend();
-  return auto_kind;
+obs::Histogram* QueryTiming() {
+  static obs::Histogram* timing =
+      obs::GlobalMetrics().GetHistogram("daakg.index.query_seconds");
+  return timing;
 }
 
+// Unit-normalizes `row` in place (zero rows untouched). Exact
+// Vector::Normalize arithmetic: double-accumulated squared norm narrowed to
+// float, float sqrt, then one reciprocal multiply per element (the
+// dispatched scale kernel is bit-identical to this loop on every backend —
+// rounding contract in tensor/simd/simd.h).
 void UnitNormalizeRow(float* row, size_t dim) {
-  // Exact Vector::Normalize arithmetic: double-accumulated squared norm
-  // narrowed to float, float sqrt, then one reciprocal multiply per element
-  // (the dispatched scale kernel is bit-identical to this loop on every
-  // backend — rounding contract in tensor/simd/simd.h).
   double acc = 0.0;
   for (size_t i = 0; i < dim; ++i) {
     acc += static_cast<double>(row[i]) * row[i];
@@ -141,20 +50,11 @@ void UnitNormalizeRows(Matrix* m) {
       m->rows(), [m, dim](size_t r) { UnitNormalizeRow(m->RowData(r), dim); });
 }
 
+}  // namespace
+
 CandidateIndex::CandidateIndex(Matrix base, const CandidateIndexConfig& config)
     : base_(std::move(base)), config_(config) {
   if (config_.normalize) UnitNormalizeRows(&base_);
-  build_stats_.rows = base_.rows();
-  build_stats_.dim = base_.cols();
-}
-
-const char* CandidateIndex::name() const {
-  return IndexBackendName(backend());
-}
-
-float CandidateIndex::Score(const float* query, uint32_t base_row) const {
-  const simd::Ops& ops = simd::Resolve(config_.kernel.backend);
-  return ops.dot(query, base_.RowData(base_row), base_.cols());
 }
 
 StatusOr<std::unique_ptr<CandidateIndex>> CandidateIndex::Build(
@@ -163,66 +63,82 @@ StatusOr<std::unique_ptr<CandidateIndex>> CandidateIndex::Build(
       obs::GlobalMetrics().GetCounter("daakg.index.builds");
   static obs::Histogram* build_timing =
       obs::GlobalMetrics().GetHistogram("daakg.index.build_seconds");
-  static obs::Counter* fallbacks =
-      obs::GlobalMetrics().GetCounter("daakg.index.ann_fallbacks");
-  static obs::Gauge* nlist_gauge =
-      obs::GlobalMetrics().GetGauge("daakg.index.nlist");
-  DAAKG_RETURN_IF_ERROR(config.Validate());
   if (base.rows() == 0 || base.cols() == 0) {
     return InvalidArgumentError("index base must be non-empty");
   }
-  // Fused timing: the span feeds the build histogram and build_stats_ gets
-  // the identical duration from Finish() (kAlways: stats need it regardless
-  // of tracing).
-  obs::TraceSpan span("index.build", "index", build_timing,
-                      obs::TimingMode::kAlways);
+  obs::TraceSpan span("index.build", "index", build_timing);
   span.AddArg("rows", static_cast<double>(base.rows()));
-  IndexBackendKind kind = ResolveIndexBackend(config.backend);
-  bool fallback = false;
-  if (kind == IndexBackendKind::kIvf && base.rows() < config.min_rows_for_ann) {
-    kind = IndexBackendKind::kExact;
-    fallback = true;
-    fallbacks->Increment();
-  }
-  std::unique_ptr<CandidateIndex> out =
-      kind == IndexBackendKind::kIvf
-          ? index_internal::MakeIvfIndex(std::move(base), config)
-          : index_internal::MakeExactIndex(std::move(base), config);
-  out->build_stats_.ann_fallback = fallback;
-  span.AddArg("nlist", static_cast<double>(out->build_stats_.nlist));
-  out->build_stats_.build_seconds = span.Finish();
   builds->Increment();
-  nlist_gauge->Set(static_cast<double>(out->build_stats_.nlist));
+  return std::unique_ptr<CandidateIndex>(
+      new CandidateIndex(std::move(base), config));
+}
+
+float CandidateIndex::Score(const float* query, uint32_t base_row) const {
+  const simd::Ops& ops = simd::Resolve(config_.kernel.backend);
+  return ops.dot(query, base_.RowData(base_row), base_.cols());
+}
+
+SimTopK CandidateIndex::QueryTopK(const Matrix& queries, size_t row_k,
+                                  size_t col_k) const {
+  static obs::Counter* candidates =
+      obs::GlobalMetrics().GetCounter("daakg.index.candidates");
+  obs::TraceSpan span("index.query_topk", "index", QueryTiming());
+  span.AddArg("queries", static_cast<double>(queries.rows()));
+  SimTopK out = BlockedSimTopK(queries, base_, row_k, col_k, config_.kernel);
+  RecordQuery(static_cast<uint64_t>(queries.rows()) * base_.rows());
+  uint64_t count = 0;
+  for (const auto& row : out.row_topk) count += row.size();
+  for (const auto& col : out.col_topk) count += col.size();
+  candidates->Increment(count);
   return out;
 }
 
-namespace index_internal {
-
-void RecordQuery(uint64_t scored_cells, uint64_t total_cells, double seconds) {
-  static obs::Counter* queries =
-      obs::GlobalMetrics().GetCounter("daakg.index.queries");
-  static obs::Counter* scored =
-      obs::GlobalMetrics().GetCounter("daakg.index.scored_cells");
-  static obs::Counter* total =
-      obs::GlobalMetrics().GetCounter("daakg.index.total_cells");
-  static obs::Histogram* query_timing =
-      obs::GlobalMetrics().GetHistogram("daakg.index.query_seconds");
-  static obs::Gauge* probed_fraction =
-      obs::GlobalMetrics().GetGauge("daakg.index.probed_fraction");
-  queries->Increment();
-  scored->Increment(scored_cells);
-  total->Increment(total_cells);
-  query_timing->Record(seconds);
-  probed_fraction->Set(total_cells > 0 ? static_cast<double>(scored_cells) /
-                                             static_cast<double>(total_cells)
-                                       : 0.0);
+std::vector<std::vector<ScoredIndex>> CandidateIndex::QueryAbove(
+    const Matrix& queries, float threshold) const {
+  obs::TraceSpan span("index.query_above", "index", QueryTiming());
+  span.AddArg("queries", static_cast<double>(queries.rows()));
+  std::vector<std::vector<ScoredIndex>> out(queries.rows());
+  // All tiles of one query row arrive from a single shard in ascending
+  // column order, so each out[r] is built in ascending base-row order with
+  // no synchronization.
+  BlockedSimVisit(
+      queries, base_,
+      [&out, threshold](size_t r, size_t c0, const float* sims,
+                        size_t count) {
+        auto& row = out[r];
+        for (size_t i = 0; i < count; ++i) {
+          if (sims[i] >= threshold) {
+            row.push_back(ScoredIndex{static_cast<uint32_t>(c0 + i), sims[i]});
+          }
+        }
+      },
+      config_.kernel);
+  RecordQuery(static_cast<uint64_t>(queries.rows()) * base_.rows());
+  return out;
 }
 
-void RecordCandidates(uint64_t count) {
-  static obs::Counter* candidates =
-      obs::GlobalMetrics().GetCounter("daakg.index.candidates");
-  candidates->Increment(count);
+std::vector<size_t> CandidateIndex::CountAbove(
+    const Matrix& queries, const std::vector<RankQuery>& rank_queries) const {
+  obs::TraceSpan span("index.count_above", "index", QueryTiming());
+  span.AddArg("queries", static_cast<double>(rank_queries.size()));
+  std::vector<size_t> greater(rank_queries.size(), 0);
+  std::vector<std::vector<size_t>> of_row(queries.rows());
+  for (size_t i = 0; i < rank_queries.size(); ++i) {
+    of_row[rank_queries[i].query_row].push_back(i);
+  }
+  const simd::Ops& ops = simd::Resolve(config_.kernel.backend);
+  // Same single-writer structure as QueryAbove: every greater[i] is only
+  // touched by the shard owning query row rank_queries[i].query_row.
+  BlockedSimVisit(
+      queries, base_,
+      [&](size_t r, size_t /*c0*/, const float* sims, size_t count) {
+        for (size_t i : of_row[r]) {
+          greater[i] += ops.count_greater(sims, count, rank_queries[i].target);
+        }
+      },
+      config_.kernel);
+  RecordQuery(static_cast<uint64_t>(queries.rows()) * base_.rows());
+  return greater;
 }
 
-}  // namespace index_internal
 }  // namespace daakg

@@ -24,7 +24,7 @@ namespace obs {
 //     allocation;
 //   * a TraceSpan carrying a histogram (or TimingMode::kAlways) reads the
 //     clock even when tracing is off, because the histogram sample / returned
-//     elapsed time is needed regardless — the same cost ScopedTimer paid;
+//     elapsed time is needed regardless;
 //   * with tracing enabled, emitting a span is two clock reads plus one
 //     single-writer slot write into the calling thread's buffer; when the
 //     buffer fills, new events are dropped (drop-newest) and counted.

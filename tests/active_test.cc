@@ -201,30 +201,6 @@ TEST_F(ActiveTest, RepeatedGenerateReusesCachedIndex) {
   EXPECT_EQ(&gen.index(), index_after_first);
 }
 
-TEST_F(ActiveTest, IvfPoolGenerationIsDeterministicAndKeepsSchemaPairs) {
-  PoolConfig pcfg;
-  pcfg.top_n = 10;
-  pcfg.index.backend = IndexChoice::kIvf;
-  pcfg.index.min_rows_for_ann = 0;
-  pcfg.index.nlist = 4;
-  pcfg.index.nprobe = 2;
-  PoolGenerator g1(&task_, joint_.get(), pcfg);
-  PoolGenerator g2(&task_, joint_.get(), pcfg);
-  const std::vector<ElementPair> p1 = g1.Generate();
-  const std::vector<ElementPair> p2 = g2.Generate();
-  EXPECT_EQ(g1.index().backend(), IndexBackendKind::kIvf);
-  EXPECT_EQ(p1, p2);
-  // Schema pairs are exhaustive regardless of the entity backend.
-  size_t rel_pairs = 0, cls_pairs = 0;
-  for (const auto& p : p1) {
-    if (p.kind == ElementKind::kRelation) ++rel_pairs;
-    if (p.kind == ElementKind::kClass) ++cls_pairs;
-  }
-  EXPECT_EQ(rel_pairs, task_.kg1.num_base_relations() *
-                           task_.kg2.num_base_relations());
-  EXPECT_EQ(cls_pairs, task_.kg1.num_classes() * task_.kg2.num_classes());
-}
-
 // ---------------------------------------------------------------------------
 // Selection algorithms
 // ---------------------------------------------------------------------------

@@ -283,7 +283,6 @@ TEST(MetricsTest, StreamingRankingBitMatchesMaterialized) {
     options.row_block = v.row_block;
     options.col_block = v.col_block;
     CandidateIndexConfig cfg;
-    cfg.backend = IndexChoice::kExact;
     cfg.kernel = options;
     auto index = CandidateIndex::Build(b, cfg);
     ASSERT_TRUE(index.ok());

@@ -17,7 +17,6 @@
 #include "core/daakg.h"
 #include "obs/json_exporter.h"
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
 #include "obs/trace.h"
 #include "tests/test_util.h"
 
@@ -406,26 +405,6 @@ TEST(MetricsRegistryTest, ConcurrentRegistrationIsSafe) {
   uint64_t total = 0;
   for (const auto& [name, c] : registry.Counters()) total += c->Value();
   EXPECT_EQ(total, seen.size());
-}
-
-// ---------------------------------------------------------------------------
-// ScopedTimer
-// ---------------------------------------------------------------------------
-
-TEST(ScopedTimerTest, RecordsOnDestruction) {
-  MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("span");
-  {
-    ScopedTimer span(h);
-    EXPECT_GE(span.Elapsed(), 0.0);
-  }
-  EXPECT_EQ(h->Count(), 1u);
-  EXPECT_GE(h->Sum(), 0.0);
-  {
-    ScopedTimer span(&registry, "span");
-    span.Cancel();
-  }
-  EXPECT_EQ(h->Count(), 1u);  // cancelled span records nothing
 }
 
 // ---------------------------------------------------------------------------

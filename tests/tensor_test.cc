@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <tuple>
 
@@ -10,7 +9,6 @@
 #include "embedding/gradcheck.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
-#include "tensor/serialize.h"
 #include "tensor/topk.h"
 #include "tensor/vector.h"
 
@@ -285,52 +283,6 @@ TEST(OpsTest, TopKClampsK) {
 TEST(OpsTest, ArgMax) {
   EXPECT_EQ(ArgMax({1.0f, 5.0f, 3.0f}), 1u);
   EXPECT_EQ(ArgMax({}), static_cast<size_t>(-1));
-}
-
-// ---------------------------------------------------------------------------
-// Serialization
-// ---------------------------------------------------------------------------
-
-TEST(SerializeTest, VectorRoundTrip) {
-  std::string path = ::testing::TempDir() + "/daakg_vec.bin";
-  Rng rng(9);
-  Vector v(17);
-  v.InitGaussian(&rng, 2.0f);
-  ASSERT_TRUE(SaveVector(v, path).ok());
-  auto loaded = LoadVector(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(*loaded, v);
-  std::remove(path.c_str());
-}
-
-TEST(SerializeTest, MatrixRoundTrip) {
-  std::string path = ::testing::TempDir() + "/daakg_mat.bin";
-  Rng rng(10);
-  Matrix m(5, 9);
-  m.InitGaussian(&rng, 1.0f);
-  ASSERT_TRUE(SaveMatrix(m, path).ok());
-  auto loaded = LoadMatrix(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(*loaded, m);
-  std::remove(path.c_str());
-}
-
-TEST(SerializeTest, MagicMismatchRejected) {
-  std::string path = ::testing::TempDir() + "/daakg_magic.bin";
-  Vector v(3, 1.0f);
-  ASSERT_TRUE(SaveVector(v, path).ok());
-  EXPECT_FALSE(LoadMatrix(path).ok());  // vector file read as matrix
-  std::remove(path.c_str());
-}
-
-TEST(SerializeTest, EmptyMatrixRoundTrip) {
-  std::string path = ::testing::TempDir() + "/daakg_empty.bin";
-  Matrix m;
-  ASSERT_TRUE(SaveMatrix(m, path).ok());
-  auto loaded = LoadMatrix(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->rows(), 0u);
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,19 +1,12 @@
 #!/usr/bin/env python3
 """Compare fresh bench JSON against the committed baselines.
 
-Two modes, matched to the two baseline files in the repo root:
+One mode, matched to the baseline file in the repo root:
 
   kernels  google-benchmark JSON (BENCH_kernels.json). Per-benchmark
            throughput is items_per_second when reported, else 1/real_time.
            A benchmark regresses when fresh throughput falls below
            base * (1 - threshold).
-
-  index    candidate-index sweep JSON (BENCH_index.json). Dataset points are
-           keyed (dataset, nlist, nprobe) and compared on recall_vs_exact
-           and speedup_query; synthetic rows are keyed by `rows` and
-           compared on recall_vs_exact and speedup_total. Recall compares
-           on absolute delta scaled by the threshold (recall is already a
-           ratio in [0, 1]); speedups compare like throughput.
 
 Exit status is 1 when any metric regresses past the threshold, with a
 table of regressions on stdout. Benchmarks present on only one side are
@@ -23,8 +16,7 @@ an AVX2 baseline) is warned about, since it makes throughput deltas
 meaningless.
 
 Usage:
-  tools/bench_diff.py kernels BENCH_kernels.json fresh_kernels.json
-  tools/bench_diff.py index BENCH_index.json fresh_index.json [--threshold=0.15]
+  tools/bench_diff.py kernels BENCH_kernels.json fresh_kernels.json [--threshold=0.15]
 """
 
 import json
@@ -90,50 +82,6 @@ def diff_kernels(base_doc, fresh_doc, base_path, fresh_path, threshold):
     return regressions, warnings
 
 
-def index_points(doc, path):
-    """Flattens an index-sweep doc into {key: {metric: value}}."""
-    points = {}
-    for ds in doc.get("datasets", []):
-        for p in ds.get("points", []):
-            key = f"{ds.get('name')}/nlist={p.get('nlist')}/nprobe={p.get('nprobe')}"
-            points[key] = {"recall_vs_exact": p.get("recall_vs_exact"),
-                           "speedup_query": p.get("speedup_query")}
-    for row in doc.get("synthetic", []):
-        key = f"synthetic/rows={row.get('rows')}"
-        points[key] = {"recall_vs_exact": row.get("recall_vs_exact"),
-                       "speedup_total": row.get("speedup_total")}
-    if not points:
-        sys.exit(f"bench_diff: {path} has no datasets[].points or synthetic[] "
-                 "entries (not an index-sweep JSON?)")
-    return points
-
-
-def diff_index(base_doc, fresh_doc, base_path, fresh_path, threshold):
-    base = index_points(base_doc, base_path)
-    fresh = index_points(fresh_doc, fresh_path)
-    regressions = []
-    warnings = []
-    for key in sorted(base):
-        if key not in fresh:
-            warnings.append(f"removed point (not in fresh run): {key}")
-            continue
-        for metric, bv in base[key].items():
-            fv = fresh[key].get(metric)
-            if bv is None or fv is None:
-                continue
-            if metric == "recall_vs_exact":
-                # Recall is a ratio in [0, 1]; an absolute drop of
-                # `threshold` (default 0.15) is a catastrophic recall loss.
-                if fv < bv - threshold:
-                    regressions.append((f"index:{key}", metric, bv, fv))
-            else:  # speedup metrics behave like throughput
-                if fv < bv * (1.0 - threshold):
-                    regressions.append((f"index:{key}", metric, bv, fv))
-    for key in sorted(set(fresh) - set(base)):
-        warnings.append(f"new point (no baseline): {key}")
-    return regressions, warnings
-
-
 def main(argv):
     args = [a for a in argv[1:] if not a.startswith("--")]
     threshold = DEFAULT_THRESHOLD
@@ -142,17 +90,13 @@ def main(argv):
             threshold = float(a.split("=", 1)[1])
         elif a.startswith("--"):
             sys.exit(f"bench_diff: unknown flag {a}\n\n{__doc__}")
-    if len(args) != 3 or args[0] not in ("kernels", "index"):
+    if len(args) != 3 or args[0] != "kernels":
         sys.exit(__doc__)
     mode, base_path, fresh_path = args
     base_doc, fresh_doc = load(base_path), load(fresh_path)
 
-    if mode == "kernels":
-        regressions, warnings = diff_kernels(base_doc, fresh_doc, base_path,
-                                             fresh_path, threshold)
-    else:
-        regressions, warnings = diff_index(base_doc, fresh_doc, base_path,
-                                           fresh_path, threshold)
+    regressions, warnings = diff_kernels(base_doc, fresh_doc, base_path,
+                                         fresh_path, threshold)
 
     for w in warnings:
         print(f"bench_diff: WARNING: {w}")
