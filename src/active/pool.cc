@@ -142,16 +142,17 @@ std::vector<ElementPair> PoolGenerator::Generate(size_t top_n) const {
   // (neither the n1 x n2 buffer nor its transpose is materialized).
   const size_t n_rev = std::min(top_n, n1);
   SimTopK topk = index_->QueryTopK(queries_, n, n_rev);
-  std::vector<std::unordered_set<uint32_t>> top2(n2);
-  for (size_t c = 0; c < n2; ++c) {
-    for (const ScoredIndex& e : topk.col_topk[c]) top2[c].insert(e.index);
-  }
 
+  // Mutual top-N: e2 is among e1's top N and e1 among e2's, found by a scan
+  // of e2's at most N column entries.
   std::vector<ElementPair> out;
   for (uint32_t e1 = 0; e1 < n1; ++e1) {
     for (const ScoredIndex& cand : topk.row_topk[e1]) {
       const uint32_t e2 = cand.index;
-      if (top2[e2].count(e1) > 0) {
+      const std::vector<ScoredIndex>& col = topk.col_topk[e2];
+      if (std::any_of(col.begin(), col.end(), [e1](const ScoredIndex& e) {
+            return e.index == e1;
+          })) {
         out.push_back(ElementPair{ElementKind::kEntity, e1, e2});
       }
     }

@@ -162,13 +162,16 @@ SelectionResult PartitionSelect(const SelectionContext& ctx,
       // rho, so we use the aggregate fraction (total outer power over
       // total power), which preserves the intent -- split groups that trap
       // too much inference power inside -- while letting rho control the
-      // granularity (see DESIGN.md).
+      // granularity (see DESIGN.md). The same pass counts the labels of the
+      // intra-group edges for the split below, in member then edge order.
       double inner = 0.0;
       double outer = 0.0;
+      std::unordered_map<uint32_t, size_t> label_count;
       for (uint32_t q : members[i]) {
         for (const auto& hp : onehop[q]) {
           if (group_of[hp.target] == i) {
             inner += hp.power;
+            ++label_count[hp.label];
           } else {
             outer += hp.power;
           }
@@ -179,12 +182,6 @@ SelectionResult PartitionSelect(const SelectionContext& ctx,
       }
 
       // Split by the relation pair labeling the most intra-group edges.
-      std::unordered_map<uint32_t, size_t> label_count;
-      for (uint32_t q : members[i]) {
-        for (const auto& hp : onehop[q]) {
-          if (group_of[hp.target] == i) ++label_count[hp.label];
-        }
-      }
       uint32_t best_label = AlignmentGraph::kTypeLabel;
       size_t best_count = 0;
       for (const auto& [label, count] : label_count) {

@@ -72,6 +72,7 @@ JointAlignmentModel::JointAlignmentModel(KgeModel* model1, KgeModel* model2,
 }
 
 void JointAlignmentModel::Init(Rng* rng) {
+  ++version_;
   // Identity + noise: similar embedding spaces start roughly aligned and
   // training refines the map.
   a_ent_.SetIdentity();
@@ -125,7 +126,7 @@ float JointAlignmentModel::RelationSim(RelationId r1, RelationId r2) const {
   Vector u = a_rel_.Multiply(model1_->RelationRepr(r1));
   Vector v = model2_->RelationRepr(r2);
   float sim = Cosine(u, v);
-  if (config_.use_mean_embeddings && caches_ready_) {
+  if (config_.use_mean_embeddings && caches_ready()) {
     Vector mu = a_ent_.Multiply(rel_mean1_[r1]);
     sim = std::max(sim, Cosine(mu, rel_mean2_[r2]));
   }
@@ -146,7 +147,7 @@ float JointAlignmentModel::ClassSim(ClassId c1, ClassId c2) const {
     sim = std::max(sim, Cosine(u, ec2_->ClassRepr(c2)));
     have_any = true;
   }
-  if ((config_.use_mean_embeddings || ec1_ == nullptr) && caches_ready_) {
+  if ((config_.use_mean_embeddings || ec1_ == nullptr) && caches_ready()) {
     Vector mu = a_ent_.Multiply(cls_mean1_[c1]);
     sim = std::max(sim, Cosine(mu, cls_mean2_[c2]));
     have_any = true;
@@ -216,71 +217,91 @@ void JointAlignmentModel::ComputeEntityStats() {
 
 void JointAlignmentModel::ComputeMeanEmbeddings() {
   const size_t dim = model1_->dim();
-  auto relation_means = [dim](const KgeModel& model,
-                              const std::vector<float>& weights,
-                              std::vector<double>* wsums) {
-    const KnowledgeGraph& kg = model.kg();
-    std::vector<Vector> means(kg.num_base_relations(), Vector(dim));
-    wsums->assign(kg.num_base_relations(), 0.0);
-    for (size_t r = 0; r < kg.num_base_relations(); ++r) {
-      const auto& pairs = kg.TripletsOf(static_cast<RelationId>(r));
-      Vector acc(dim);
-      double total_w = 0.0;
+  // Eq. 7 for one relation of `model`: the weighted mean of the local-optimum
+  // relation vectors of its triplets.
+  auto relation_mean = [dim](const KgeModel& model,
+                             const std::vector<float>& weights, size_t r,
+                             Vector* mean, double* wsum) {
+    const auto& pairs = model.kg().TripletsOf(static_cast<RelationId>(r));
+    Vector acc(dim);
+    double total_w = 0.0;
+    for (const auto& [h, t] : pairs) {
+      const float w = std::min(weights[h], weights[t]);
+      if (w <= 0.0f) continue;
+      acc.Axpy(w, model.LocalOptimumRelation(h, t));
+      total_w += w;
+    }
+    if (total_w > 0.0) {
+      acc *= static_cast<float>(1.0 / total_w);
+    } else if (!pairs.empty()) {
+      // All incident entities look dangling; fall back to the unweighted
+      // mean so the vector is still informative.
       for (const auto& [h, t] : pairs) {
-        const float w = std::min(weights[h], weights[t]);
-        if (w <= 0.0f) continue;
-        acc.Axpy(w, model.LocalOptimumRelation(h, t));
-        total_w += w;
+        acc += model.LocalOptimumRelation(h, t);
       }
-      if (total_w > 0.0) {
-        acc *= static_cast<float>(1.0 / total_w);
-      } else if (!pairs.empty()) {
-        // All incident entities look dangling; fall back to the unweighted
-        // mean so the vector is still informative.
-        for (const auto& [h, t] : pairs) {
-          acc += model.LocalOptimumRelation(h, t);
-        }
-        acc *= 1.0f / static_cast<float>(pairs.size());
-        total_w = static_cast<double>(pairs.size());
-      }
-      (*wsums)[r] = total_w;
-      means[r] = std::move(acc);
+      acc *= 1.0f / static_cast<float>(pairs.size());
+      total_w = static_cast<double>(pairs.size());
     }
-    return means;
+    *wsum = total_w;
+    *mean = std::move(acc);
   };
-  rel_mean1_ = relation_means(*model1_, weight1_, &rel_wsum1_);
-  rel_mean2_ = relation_means(*model2_, weight2_, &rel_wsum2_);
+  // Eq. 9 for one class: the weighted mean of its members' representations.
+  auto class_mean = [dim](const KnowledgeGraph& kg, const Matrix& reprs,
+                          const std::vector<float>& weights, size_t c,
+                          Vector* mean, double* wsum) {
+    const auto& members = kg.EntitiesOf(static_cast<ClassId>(c));
+    Vector acc(dim);
+    double total_w = 0.0;
+    for (EntityId e : members) {
+      const float w = weights[e];
+      if (w <= 0.0f) continue;
+      acc.Axpy(w, reprs.Row(e));
+      total_w += w;
+    }
+    if (total_w > 0.0) {
+      acc *= static_cast<float>(1.0 / total_w);
+    } else if (!members.empty()) {
+      for (EntityId e : members) acc += reprs.Row(e);
+      acc *= 1.0f / static_cast<float>(members.size());
+      total_w = static_cast<double>(members.size());
+    }
+    *wsum = total_w;
+    *mean = std::move(acc);
+  };
 
-  auto class_means = [dim](const KgeModel& model, const Matrix& reprs,
-                           const std::vector<float>& weights,
-                           std::vector<double>* wsums) {
-    const KnowledgeGraph& kg = model.kg();
-    std::vector<Vector> means(kg.num_classes(), Vector(dim));
-    wsums->assign(kg.num_classes(), 0.0);
-    for (size_t c = 0; c < kg.num_classes(); ++c) {
-      const auto& members = kg.EntitiesOf(static_cast<ClassId>(c));
-      Vector acc(dim);
-      double total_w = 0.0;
-      for (EntityId e : members) {
-        const float w = weights[e];
-        if (w <= 0.0f) continue;
-        acc.Axpy(w, reprs.Row(e));
-        total_w += w;
-      }
-      if (total_w > 0.0) {
-        acc *= static_cast<float>(1.0 / total_w);
-      } else if (!members.empty()) {
-        for (EntityId e : members) acc += reprs.Row(e);
-        acc *= 1.0f / static_cast<float>(members.size());
-        total_w = static_cast<double>(members.size());
-      }
-      (*wsums)[c] = total_w;
-      means[c] = std::move(acc);
+  const size_t m1 = kg1().num_base_relations();
+  const size_t m2 = kg2().num_base_relations();
+  const size_t k1 = kg1().num_classes();
+  const size_t k2 = kg2().num_classes();
+  rel_mean1_.assign(m1, Vector());
+  rel_mean2_.assign(m2, Vector());
+  cls_mean1_.assign(k1, Vector());
+  cls_mean2_.assign(k2, Vector());
+  rel_wsum1_.assign(m1, 0.0);
+  rel_wsum2_.assign(m2, 0.0);
+  cls_wsum1_.assign(k1, 0.0);
+  cls_wsum2_.assign(k2, 0.0);
+  // One task per relation and per class of either side. Each mean
+  // accumulates in its sequential order, so the means do not depend on the
+  // thread count.
+  GlobalThreadPool().ParallelFor(m1 + m2 + k1 + k2, [&](size_t i) {
+    if (i < m1) {
+      relation_mean(*model1_, weight1_, i, &rel_mean1_[i], &rel_wsum1_[i]);
+      return;
     }
-    return means;
-  };
-  cls_mean1_ = class_means(*model1_, repr1_, weight1_, &cls_wsum1_);
-  cls_mean2_ = class_means(*model2_, repr2_, weight2_, &cls_wsum2_);
+    i -= m1;
+    if (i < m2) {
+      relation_mean(*model2_, weight2_, i, &rel_mean2_[i], &rel_wsum2_[i]);
+      return;
+    }
+    i -= m2;
+    if (i < k1) {
+      class_mean(kg1(), repr1_, weight1_, i, &cls_mean1_[i], &cls_wsum1_[i]);
+      return;
+    }
+    i -= k1;
+    class_mean(kg2(), repr2_, weight2_, i, &cls_mean2_[i], &cls_wsum2_[i]);
+  });
 }
 
 void JointAlignmentModel::ComputeSchemaSimMatrices() {
@@ -321,11 +342,19 @@ void JointAlignmentModel::ComputeSchemaSimMatrices() {
   }
 }
 
+std::array<uint64_t, 5> JointAlignmentModel::ParamVersions() const {
+  return {version_, model1_->version(), model2_->version(),
+          ec1_ != nullptr ? ec1_->version() : 0,
+          ec2_ != nullptr ? ec2_->version() : 0};
+}
+
 void JointAlignmentModel::RefreshCaches() {
   static obs::Histogram* refresh_timing =
       obs::GlobalMetrics().GetHistogram("daakg.align.refresh_caches_seconds");
   static obs::Counter* refresh_count =
       obs::GlobalMetrics().GetCounter("daakg.align.refresh_caches_calls");
+  const std::array<uint64_t, 5> versions = ParamVersions();
+  if (cached_versions_ == versions) return;  // no parameter moved
   obs::TraceSpan span("align.refresh_caches", "align", refresh_timing);
   refresh_count->Increment();
   {
@@ -336,7 +365,6 @@ void JointAlignmentModel::RefreshCaches() {
     obs::TraceSpan sub("align.mean_embeddings", "align");
     ComputeMeanEmbeddings();
   }
-  caches_ready_ = true;  // schema sims below may consult mean embeddings
   {
     obs::TraceSpan sub("align.schema_sims", "align");
     ComputeSchemaSimMatrices();
@@ -346,6 +374,7 @@ void JointAlignmentModel::RefreshCaches() {
     rel_stats_ = DenseSimStats(rel_sim_, config_.z_rel);
     cls_stats_ = DenseSimStats(cls_sim_, config_.z_cls);
   }
+  cached_versions_ = versions;
 }
 
 Vector JointAlignmentModel::MappedEntityRepr1(EntityId e1) const {
@@ -361,7 +390,7 @@ Vector JointAlignmentModel::MappedRelationVec1(const Vector& v) const {
 }
 
 double JointAlignmentModel::MatchProbability(const ElementPair& pair) const {
-  DAAKG_CHECK(caches_ready_);
+  DAAKG_CHECK(caches_ready());
   float sim = 0.0f;
   const SimStats* stats = nullptr;
   double z = 1.0;
@@ -646,7 +675,7 @@ void JointAlignmentModel::RefreshMiningSnapshot() {
 double JointAlignmentModel::TrainEpoch(const SeedAlignment& seed, Rng* rng,
                                        bool focal) {
   obs::TraceSpan span("align.joint_epoch", "align");
-  caches_ready_ = false;  // parameters move; cached sims go stale
+  ++version_;  // parameters move; cached sims go stale
   RefreshMiningSnapshot();
   double total = 0.0;
   size_t steps = 0;
@@ -677,7 +706,7 @@ double JointAlignmentModel::TrainEpoch(const SeedAlignment& seed, Rng* rng,
 
 std::vector<std::pair<ElementPair, double>>
 JointAlignmentModel::MineSemiSupervision() const {
-  DAAKG_CHECK(caches_ready_);
+  DAAKG_CHECK(caches_ready());
   std::vector<std::pair<ElementPair, double>> mined;
 
   // Candidates above tau in row-major order, then greedy one-to-one
@@ -769,7 +798,7 @@ void JointAlignmentModel::AscendPairSimilarity(const ElementPair& pair,
 
 double JointAlignmentModel::TrainSemiEpoch(
     const std::vector<std::pair<ElementPair, double>>& semi, Rng* rng) {
-  caches_ready_ = false;
+  ++version_;
   std::vector<size_t> order(semi.size());
   std::iota(order.begin(), order.end(), 0);
   rng->Shuffle(&order);

@@ -1,7 +1,9 @@
 #ifndef DAAKG_ALIGN_JOINT_MODEL_H_
 #define DAAKG_ALIGN_JOINT_MODEL_H_
 
+#include <array>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -76,6 +78,10 @@ class JointAlignmentModel {
 
   void Init(Rng* rng);
 
+  // Version of the mapping matrices A_ent / A_rel / A_cls: Init, TrainEpoch
+  // and TrainSemiEpoch increment it.
+  uint64_t version() const { return version_; }
+
   const JointAlignConfig& config() const { return config_; }
   const KnowledgeGraph& kg1() const { return model1_->kg(); }
   const KnowledgeGraph& kg2() const { return model2_->kg(); }
@@ -89,13 +95,19 @@ class JointAlignmentModel {
   float Sim(const ElementPair& pair) const;
 
   // --- caches -------------------------------------------------------------
-  // Recomputes entity representations and their unit rows, entity weights
-  // (Eq. 6), relation/class mean embeddings (Eqs. 7, 9), the schema
-  // similarity matrices and the calibration log-sum-exps. One parallel
-  // O(|E1| |E2| dim) pass over the entity cosines; nothing quadratic is
-  // stored.
+  // Brings the caches up to date with the parameters: entity
+  // representations and their unit rows, entity weights (Eq. 6),
+  // relation/class mean embeddings (Eqs. 7, 9), the schema similarity
+  // matrices and the calibration log-sum-exps. The caches are keyed on the
+  // parameter versions of this model, both KGE models and both
+  // entity-class models: when none has changed since the last
+  // recomputation, the call returns at once. A recomputation is one
+  // parallel O(|E1| |E2| dim) pass over the entity cosines; nothing
+  // quadratic is stored. daakg.align.refresh_caches_calls counts
+  // recomputations only.
   void RefreshCaches();
-  bool caches_ready() const { return caches_ready_; }
+  // True when the caches were computed from the current parameters.
+  bool caches_ready() const { return cached_versions_ == ParamVersions(); }
 
   const Matrix& relation_sim() const { return rel_sim_; }
   const Matrix& class_sim() const { return cls_sim_; }
@@ -197,6 +209,10 @@ class JointAlignmentModel {
   void ComputeMeanEmbeddings();
   void ComputeSchemaSimMatrices();
 
+  // The versions of every parameter the caches read: this model's, both
+  // KGE models' and both entity-class models' (0 for an absent one).
+  std::array<uint64_t, 5> ParamVersions() const;
+
   // Class representation from the EC model, or empty if ec is null.
   Vector ClassRepr(int side, ClassId c) const;
 
@@ -214,9 +230,11 @@ class JointAlignmentModel {
   Matrix a_ent_;  // dim x dim
   Matrix a_rel_;  // dim x dim
   Matrix a_cls_;  // class_dim x class_dim
+  uint64_t version_ = 0;
 
-  // Caches (valid while caches_ready_).
-  bool caches_ready_ = false;
+  // Caches, valid while caches_ready(): computed from the parameters of
+  // cached_versions_ (none yet when empty).
+  std::optional<std::array<uint64_t, 5>> cached_versions_;
   Matrix repr1_;     // |E1| x dim
   Matrix repr2_;     // |E2| x dim
   Matrix unit1_;     // |E1| x dim  unit-normalized A_ent * repr1

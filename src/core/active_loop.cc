@@ -147,8 +147,9 @@ std::vector<ActiveRoundReport> ActiveAlignmentLoop::Run() {
     {
       obs::TraceSpan refresh_span("core.round_refresh", "core", nullptr,
                                   obs::TimingMode::kAlways);
-      // Train/FineTune end with a refresh; only stale caches need one.
-      if (!aligner_->joint()->caches_ready()) aligner_->RefreshCaches();
+      // Train/FineTune end with a refresh, so this one returns at once
+      // unless a parameter moved since.
+      aligner_->RefreshCaches();
       window.refresh_seconds += refresh_span.Finish();
     }
 

@@ -250,7 +250,7 @@ void DaakgAligner::FineTune(const SeedAlignment& new_matches) {
 
 EvalResult DaakgAligner::Evaluate() {
   obs::TraceSpan span("core.evaluate", "core");
-  if (!joint_->caches_ready()) joint_->RefreshCaches();
+  joint_->RefreshCaches();
   EvalResult out;
   auto ent_test = TestPairs(task_->gold_entities, labeled_.entities);
   auto rel_test = TestPairs(task_->gold_relations, labeled_.relations);
@@ -272,7 +272,7 @@ EvalResult DaakgAligner::Evaluate() {
 
 DaakgAligner::Alignment DaakgAligner::ExtractAlignment() {
   obs::TraceSpan span("core.extract_alignment", "core");
-  if (!joint_->caches_ready()) joint_->RefreshCaches();
+  joint_->RefreshCaches();
   Alignment out;
   // Entities match through the joint model's index over the unit rows; the
   // schema-sized relation and class matrices directly.

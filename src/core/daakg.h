@@ -75,7 +75,8 @@ class DaakgAligner {
   // labeled set, then optionally one semi-supervision round.
   void FineTune(const SeedAlignment& new_matches);
 
-  // Refreshes similarity caches (delegates to the joint model).
+  // Brings the similarity caches up to date (delegates to the joint model;
+  // returns at once when no parameter moved since the last refresh).
   void RefreshCaches() { joint_->RefreshCaches(); }
 
   // Evaluation against the task's gold matches, excluding the labeled set

@@ -35,6 +35,7 @@ void CompGcn::Init(Rng* rng) {
 }
 
 void CompGcn::RefreshAggregation() {
+  BumpVersion();
   const size_t cap = config_.max_neighbors;
   for (size_t e = 0; e < kg_->num_entities(); ++e) {
     const auto& nbrs = kg_->Neighbors(static_cast<EntityId>(e));
@@ -99,6 +100,7 @@ float CompGcn::Score(EntityId head, RelationId relation, EntityId tail) const {
 
 float CompGcn::TrainPair(const Triplet& pos, EntityId negative_tail,
                          float lr) {
+  BumpVersion();
   Vector eh = Encode(pos.head);
   Vector et = Encode(pos.tail);
   Vector etn = Encode(negative_tail);
@@ -167,6 +169,7 @@ void CompGcn::EntityReprInto(EntityId e, float* out) const {
 }
 
 void CompGcn::BackpropEntityRepr(EntityId e, const Vector& grad, float lr) {
+  BumpVersion();
   Vector base_grad = w_self_.TransposeMultiply(grad);
   entities_.RowAxpy(e, -lr, base_grad);
 }

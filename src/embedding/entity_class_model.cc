@@ -24,6 +24,7 @@ EntityClassModel::EntityClassModel(KgeModel* kge, const KgeConfig& config)
 }
 
 void EntityClassModel::Init(Rng* rng) {
+  ++version_;
   projection_.InitXavier(rng);
   scales_.Fill(1.0f);
   // Small noise so classes start distinguishable.
@@ -51,6 +52,7 @@ float EntityClassModel::Score(EntityId e, ClassId c) const {
 
 float EntityClassModel::TrainPair(EntityId pos_entity, EntityId neg_entity,
                                   ClassId c, float lr) {
+  ++version_;
   Matrix* entities = kge_->mutable_entities();
   // Pre-step base embeddings: no entity row changes before the last use.
   const float* base_pos = entities->RowData(pos_entity);

@@ -32,6 +32,11 @@ class EntityClassModel {
   const KnowledgeGraph& kg() const { return kge_->kg(); }
   size_t class_dim() const { return config_.class_dim; }
 
+  // Version of this model's own parameters (projection, scales, centers):
+  // Init, TrainPair and BackpropClassRepr increment it. TrainPair also
+  // writes the KGE entity table, which bumps the KgeModel's version.
+  uint64_t version() const { return version_; }
+
   // f_ec(e, c) >= 0; ~0 when e plausibly belongs to c.
   float Score(EntityId e, ClassId c) const;
 
@@ -47,6 +52,7 @@ class EntityClassModel {
   // One SGD step on a gradient arriving at ClassRepr(c) from the alignment
   // loss.
   void BackpropClassRepr(ClassId c, const Vector& grad, float lr) {
+    ++version_;
     centers_.RowAxpy(c, -lr, grad);
   }
 
@@ -71,6 +77,10 @@ class EntityClassModel {
   Matrix scales_;      // num_classes x class_dim   (w_c, diagonal of W_c)
   Matrix centers_;     // num_classes x class_dim   (b_c)
   StepScratch scratch_;
+  // TrainPair bumps the version at every step while the other KG's model
+  // trains on another thread (TrainSideBySide); its own cache line keeps
+  // those writes from stalling reads of a neighbouring object.
+  alignas(64) uint64_t version_ = 0;
 };
 
 }  // namespace daakg

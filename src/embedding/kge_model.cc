@@ -16,6 +16,7 @@ KgeModel::KgeModel(const KnowledgeGraph* kg, const KgeConfig& config)
 }
 
 void KgeModel::Init(Rng* rng) {
+  BumpVersion();
   entities_.InitXavier(rng);
   relations_.InitXavier(rng);
   NormalizeEntities();
@@ -35,15 +36,18 @@ void KgeModel::EntityReprInto(EntityId e, float* out) const {
 Vector KgeModel::RelationRepr(RelationId r) const { return relations_.Row(r); }
 
 void KgeModel::BackpropEntityRepr(EntityId e, const Vector& grad, float lr) {
+  BumpVersion();
   entities_.RowAxpy(e, -lr, grad);
 }
 
 void KgeModel::BackpropRelationRepr(RelationId r, const Vector& grad,
                                     float lr) {
+  BumpVersion();
   relations_.RowAxpy(r, -lr, grad);
 }
 
 void KgeModel::NormalizeEntities() {
+  BumpVersion();
   for (size_t e = 0; e < entities_.rows(); ++e) {
     float* row = entities_.RowData(e);
     double sq = 0.0;
@@ -59,6 +63,7 @@ void KgeModel::NormalizeEntities() {
 }
 
 void KgeModel::NormalizeRelations() {
+  BumpVersion();
   for (size_t r = 0; r < relations_.rows(); ++r) {
     float* row = relations_.RowData(r);
     double sq = 0.0;

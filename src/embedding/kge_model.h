@@ -65,6 +65,14 @@ class KgeModel {
   const KgeConfig& config() const { return config_; }
   size_t dim() const { return config_.dim; }
 
+  // Parameter version: every non-const call that can change a parameter
+  // increments it (Init, TrainPair, the Backprop hooks, the normalizers,
+  // mutable_entities() / mutable_relations() when called, and CompGCN's
+  // aggregation refresh; CompGCN's weights count as parameters). An
+  // unchanged version means unchanged parameters, so caches derived from
+  // them are still valid.
+  uint64_t version() const { return version_; }
+
   // Randomly initializes all parameters.
   virtual void Init(Rng* rng);
 
@@ -117,9 +125,15 @@ class KgeModel {
   // --- raw parameter access (used by the entity-class model and the
   // --- alignment model, which co-train entity embeddings) ---------------
   const Matrix& entities() const { return entities_; }
-  Matrix* mutable_entities() { return &entities_; }
+  Matrix* mutable_entities() {
+    BumpVersion();
+    return &entities_;
+  }
   const Matrix& relations() const { return relations_; }
-  Matrix* mutable_relations() { return &relations_; }
+  Matrix* mutable_relations() {
+    BumpVersion();
+    return &relations_;
+  }
 
   Vector EntityVec(EntityId e) const { return entities_.Row(e); }
   Vector RelationVec(RelationId r) const { return relations_.Row(r); }
@@ -136,10 +150,18 @@ class KgeModel {
   virtual void NormalizeRelations();
 
  protected:
+  // Called by every mutator, before or while it writes a parameter.
+  void BumpVersion() { ++version_; }
+
   const KnowledgeGraph* kg_;
   KgeConfig config_;
   Matrix entities_;   // num_entities x dim
   Matrix relations_;  // num_relations x dim (incl. reverse relations)
+
+ private:
+  // Bumped at every training step; on its own cache line for the reason
+  // given at EntityClassModel::version_.
+  alignas(64) uint64_t version_ = 0;
 };
 
 // Factory by model kind. Never fails for a valid enumerator; an

@@ -15,6 +15,7 @@ RotatE::RotatE(const KnowledgeGraph* kg, const KgeConfig& config)
 }
 
 void RotatE::Init(Rng* rng) {
+  BumpVersion();
   entities_.InitXavier(rng);
   NormalizeEntities();
   // Phases uniform in [-pi, pi).
@@ -28,6 +29,7 @@ void RotatE::Init(Rng* rng) {
 }
 
 void RotatE::NormalizeRelations() {
+  BumpVersion();
   for (size_t r = 0; r < relations_.rows(); ++r) {
     float* ph = relations_.RowData(r);
     for (size_t k = 0; k < half_dim_; ++k) {
@@ -54,6 +56,7 @@ float RotatE::Score(EntityId head, RelationId relation, EntityId tail) const {
 }
 
 float RotatE::TrainPair(const Triplet& pos, EntityId negative_tail, float lr) {
+  BumpVersion();
   float* h = entities_.RowData(pos.head);
   float* ph = relations_.RowData(pos.relation);
   float* t = entities_.RowData(pos.tail);
@@ -128,6 +131,7 @@ Vector RotatE::RelationRepr(RelationId r) const {
 
 void RotatE::BackpropRelationRepr(RelationId r, const Vector& grad,
                                   float lr) {
+  BumpVersion();
   // repr_k = (cos theta_k, sin theta_k); d repr / d theta = (-sin, cos).
   float* ph = relations_.RowData(r);
   for (size_t k = 0; k < half_dim_; ++k) {

@@ -20,6 +20,7 @@ float TransE::Score(EntityId head, RelationId relation, EntityId tail) const {
 }
 
 float TransE::TrainPair(const Triplet& pos, EntityId negative_tail, float lr) {
+  BumpVersion();
   float* h = entities_.RowData(pos.head);
   float* r = relations_.RowData(pos.relation);
   float* t = entities_.RowData(pos.tail);

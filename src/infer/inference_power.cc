@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "common/thread_pool.h"
 #include "obs/trace.h"
@@ -24,12 +24,29 @@ double ScaledSquaredNorm(const Vector& g, float coef) {
   }
   return static_cast<double>(static_cast<float>(acc));
 }
+
+// One SplitMix64 step from state z.
+uint64_t Mix64(uint64_t z) {
+  z += 0x9E3779B97F4A7C15ULL;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+// Seed of the bound stream of one (side, triplet): a function of the
+// engine's seed and the triplet alone, never of the order of estimation.
+uint64_t BoundSeed(uint64_t seed, int side, EntityId head, RelationId rel,
+                   EntityId tail) {
+  uint64_t x = Mix64(seed ^ static_cast<uint64_t>(side));
+  x = Mix64(x ^ ((static_cast<uint64_t>(head) << 32) | tail));
+  return Mix64(x ^ rel);
+}
 }  // namespace
 
 InferenceEngine::InferenceEngine(const AlignmentGraph* graph,
                                  const JointAlignmentModel* model,
                                  const InferenceConfig& config)
-    : graph_(graph), model_(model), config_(config), rng_(config.seed) {
+    : graph_(graph), model_(model), config_(config) {
   DAAKG_CHECK(model->caches_ready());
   obs::MetricsRegistry& metrics = obs::GlobalMetrics();
   power_from_calls_ = metrics.GetCounter("daakg.infer.power_from_calls");
@@ -63,31 +80,36 @@ void InferenceEngine::ResolveEdgeRelations(const ElementPair& src,
   if (!kg2.HasTriplet(src.second, *r2, dst.second)) *r2 = kg2.ReverseOf(*r2);
 }
 
-void InferenceEngine::EnsureBound(int side, EntityId head, RelationId rel,
-                                  EntityId tail) {
-  auto& cache = side == 1 ? bounds1_ : bounds2_;
-  const Triplet key{head, rel, tail};
-  if (cache.find(key) != cache.end()) return;
+void InferenceEngine::EstimateBound(int side, EntityId head, RelationId rel,
+                                    EntityId tail,
+                                    std::vector<std::atomic<bool>>* claimed) {
+  const KnowledgeGraph& kg =
+      side == 1 ? graph_->task().kg1 : graph_->task().kg2;
+  const size_t slot = kg.TripletIndex(head, rel, tail);
+  DAAKG_CHECK(slot != KnowledgeGraph::kNoTriplet);
+  if ((*claimed)[slot].exchange(true)) return;
   const KgeModel& model =
       side == 1 ? *model_->kg1_model() : *model_->kg2_model();
-  // No cost reads r~, but estimating it consumes rng_, so it is still
-  // estimated: the bounds of later edges depend on that RNG order.
+  // No cost reads r~; EstimateEdgeBound computes it alongside d.
+  Rng rng(BoundSeed(config_.seed, side, head, rel, tail));
   Vector r_tilde;
   float d = 0.0f;
-  model.EstimateEdgeBound(head, rel, tail, config_.bound_samples, &rng_,
+  model.EstimateEdgeBound(head, rel, tail, config_.bound_samples, &rng,
                           &r_tilde, &d);
-  cache.emplace(key, d);
+  (side == 1 ? bounds1_ : bounds2_)[slot] = d;
 }
 
 float InferenceEngine::BoundFor(int side, EntityId head, RelationId rel,
                                 EntityId tail) const {
-  const auto& cache = side == 1 ? bounds1_ : bounds2_;
-  auto it = cache.find(Triplet{head, rel, tail});
-  // Every reachable bound is populated by PrecomputeEdgeCosts; a miss here
-  // would be a concurrent cache mutation under ParallelFor, which is
-  // exactly the race this lookup-only design rules out.
-  DAAKG_CHECK(it != cache.end());
-  return it->second;
+  const KnowledgeGraph& kg =
+      side == 1 ? graph_->task().kg1 : graph_->task().kg2;
+  const size_t slot = kg.TripletIndex(head, rel, tail);
+  DAAKG_CHECK(slot != KnowledgeGraph::kNoTriplet);
+  const float d = (side == 1 ? bounds1_ : bounds2_)[slot];
+  // PrecomputeEdgeCosts estimates the bound of every triplet an edge
+  // resolves to; anything else is a caller's error.
+  DAAKG_CHECK(d != kNotEstimated);
+  return d;
 }
 
 float InferenceEngine::ComputeEdgeCost(uint32_t node,
@@ -140,35 +162,34 @@ void InferenceEngine::PrecomputeEdgeCosts() {
   const size_t n = graph_->num_nodes();
   span.AddArg("nodes", static_cast<double>(n));
 
-  // Phase 1: populate the bound caches for every triplet any later cost or
-  // power computation resolves to. Graph edges and the per-relation-pair
-  // edge lists resolve to the same triplets, but both are walked so the
-  // "read-only after precompute" invariant is explicit rather than
-  // incidental. Sequential: EstimateEdgeBound consumes rng_.
-  auto ensure_edge_bounds = [this](const ElementPair& src,
-                                   const ElementPair& dst,
-                                   const ElementPair& rel) {
-    RelationId r1, r2;
-    ResolveEdgeRelations(src, dst, rel, &r1, &r2);
-    EnsureBound(1, src.first, r1, dst.first);
-    EnsureBound(2, src.second, r2, dst.second);
-  };
+  // Phase 1 (parallel): the bound of every triplet a relational edge
+  // resolves to, estimated once per distinct (side, triplet) into arrays
+  // parallel to the KGs' triplets. The per-relation-pair edge lists of
+  // PowerFrom are these same edges, so every later lookup finds its bound.
+  // Each bound draws from its own seeded stream, so the result does not
+  // depend on which thread claims a triplet first.
   {
     obs::TraceSpan bounds_span("infer.edge_bounds", "infer");
-    for (uint32_t node = 0; node < n; ++node) {
+    const size_t t1 = graph_->task().kg1.num_triplets();
+    const size_t t2 = graph_->task().kg2.num_triplets();
+    bounds1_.assign(t1, kNotEstimated);
+    bounds2_.assign(t2, kNotEstimated);
+    std::vector<std::atomic<bool>> claimed1(t1);
+    std::vector<std::atomic<bool>> claimed2(t2);
+    GlobalThreadPool().ParallelFor(n, [&](size_t i) {
+      const uint32_t node = static_cast<uint32_t>(i);
+      const ElementPair& src = graph_->pool()[node];
       for (const AlignmentGraph::Edge& edge : graph_->Out(node)) {
         if (edge.rel_pair == AlignmentGraph::kTypeLabel) continue;
-        ensure_edge_bounds(graph_->pool()[node], graph_->pool()[edge.target],
-                           graph_->pool()[edge.rel_pair]);
+        const ElementPair& dst = graph_->pool()[edge.target];
+        RelationId r1 = 0;
+        RelationId r2 = 0;
+        ResolveEdgeRelations(src, dst, graph_->pool()[edge.rel_pair], &r1,
+                             &r2);
+        EstimateBound(1, src.first, r1, dst.first, &claimed1);
+        EstimateBound(2, src.second, r2, dst.second, &claimed2);
       }
-    }
-    for (uint32_t node = 0; node < n; ++node) {
-      if (graph_->pool()[node].kind != ElementKind::kRelation) continue;
-      for (const auto& [from, to] : graph_->EdgesOfRelationPair(node)) {
-        ensure_edge_bounds(graph_->pool()[from], graph_->pool()[to],
-                           graph_->pool()[node]);
-      }
-    }
+    });
   }
 
   // Phase 2: per-edge costs against the now read-only caches (parallel).

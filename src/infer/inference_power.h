@@ -1,7 +1,7 @@
 #ifndef DAAKG_INFER_INFERENCE_POWER_H_
 #define DAAKG_INFER_INFERENCE_POWER_H_
 
-#include <unordered_map>
+#include <atomic>
 #include <utility>
 #include <vector>
 
@@ -34,6 +34,7 @@ struct InferenceConfig {
   float rel_diff_weight = 2.0f;
   float residual_weight = 0.2f;
   float alt_penalty = 1.0f;
+  // Seeds the per-triplet streams of the sampled edge bounds (Eq. 14).
   uint64_t seed = 41;
 };
 
@@ -71,13 +72,14 @@ class InferenceEngine {
   const AlignmentGraph& graph() const { return *graph_; }
   const InferenceConfig& config() const { return config_; }
 
-  // Precomputes every relational edge's cost. First populates the per-side
-  // edge-bound caches for every triplet any cost or power computation can
-  // reach (sequentially — bound estimation consumes the engine's RNG), then
-  // computes costs in parallel against the now read-only caches, and the
-  // gradient pieces of Eqs. (21)-(22) once per schema pair of the pool.
-  // Must be called before any power query except the two gradient-based
-  // powers below.
+  // Precomputes every relational edge's cost. First estimates, in
+  // parallel, the bound of every KG triplet an edge resolves to, once per
+  // distinct (side, triplet), each from its own RNG stream seeded by
+  // config.seed, the side and the triplet (so no bound depends on the
+  // visiting order or the thread count); then computes costs in parallel
+  // against the now read-only bounds, and the gradient pieces of
+  // Eqs. (21)-(22) once per schema pair of the pool. Must be called before
+  // any power query except the two gradient-based powers below.
   void PrecomputeEdgeCosts();
 
   // Cost of the k-th outgoing edge of `node` (kTypeLabel edges have no
@@ -148,20 +150,21 @@ class InferenceEngine {
   void ResolveEdgeRelations(const ElementPair& src, const ElementPair& dst,
                             const ElementPair& rel, RelationId* r1,
                             RelationId* r2) const;
-  // Estimates and caches the bound d of Eq. (14) for one KG edge if absent.
-  // Only called from PrecomputeEdgeCosts (single-threaded): estimation
-  // consumes rng_.
-  void EnsureBound(int side, EntityId head, RelationId rel, EntityId tail);
-  // Read-only cache lookup; DAAKG_CHECK-fails on a miss. PowerFrom and
-  // ComputeEdgeCost run under ParallelFor, so this must never mutate —
-  // PrecomputeEdgeCosts pre-populates every reachable key.
+  // Estimates the bound d of Eq. (14) for one KG triplet unless another
+  // call claimed it first (`claimed` is parallel to the KG's triplets).
+  // Safe to call concurrently: each bound is written by the one call that
+  // claims it.
+  void EstimateBound(int side, EntityId head, RelationId rel, EntityId tail,
+                     std::vector<std::atomic<bool>>* claimed);
+  // Read-only bound lookup; DAAKG_CHECK-fails on a triplet that
+  // PrecomputeEdgeCosts did not estimate. PowerFrom and ComputeEdgeCost run
+  // under ParallelFor, so this must never mutate.
   float BoundFor(int side, EntityId head, RelationId rel, EntityId tail) const;
   float ComputeEdgeCost(uint32_t node, const AlignmentGraph::Edge& edge) const;
 
   const AlignmentGraph* graph_;
   const JointAlignmentModel* model_;
   InferenceConfig config_;
-  Rng rng_;
 
   // Metric handles hoisted at construction: PowerFrom() runs inside
   // ParallelFor, so the registry's registration mutex must stay off the
@@ -177,10 +180,12 @@ class InferenceEngine {
   bool costs_ready_ = false;
 
   // Written only by PrecomputeEdgeCosts; read-only afterwards (BoundFor,
-  // PrecomputedGradient). schema_slots_[node] indexes schema_gradients_, or
-  // is kInvalidId.
-  std::unordered_map<Triplet, float, TripletHash> bounds1_;
-  std::unordered_map<Triplet, float, TripletHash> bounds2_;
+  // PrecomputedGradient). bounds1_[i] / bounds2_[i] is the bound of the
+  // KG1 / KG2 triplet with TripletIndex i, or kNotEstimated.
+  // schema_slots_[node] indexes schema_gradients_, or is kInvalidId.
+  static constexpr float kNotEstimated = -1.0f;
+  std::vector<float> bounds1_;
+  std::vector<float> bounds2_;
   std::vector<uint32_t> schema_slots_;
   std::vector<SchemaGradient> schema_gradients_;
 };

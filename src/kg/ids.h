@@ -36,15 +36,6 @@ struct TypeTriplet {
   }
 };
 
-struct TripletHash {
-  size_t operator()(const Triplet& t) const {
-    size_t h = t.head;
-    h = h * 0x9E3779B1u + t.relation;
-    h = h * 0x9E3779B1u + t.tail;
-    return h;
-  }
-};
-
 // Kind of a KG element; element pairs in the active-learning pool carry one.
 enum class ElementKind { kEntity = 0, kRelation = 1, kClass = 2 };
 

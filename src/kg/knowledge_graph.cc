@@ -137,11 +137,19 @@ ClassId KnowledgeGraph::FindClass(std::string_view name) const {
 
 bool KnowledgeGraph::HasTriplet(EntityId head, RelationId relation,
                                 EntityId tail) const {
+  return TripletIndex(head, relation, tail) != kNoTriplet;
+}
+
+size_t KnowledgeGraph::TripletIndex(EntityId head, RelationId relation,
+                                    EntityId tail) const {
   DAAKG_CHECK(finalized_);
-  if (head >= entity_names_.size()) return false;
-  return std::binary_search(triplet_keys_.begin() + triplet_offsets_[head],
-                            triplet_keys_.begin() + triplet_offsets_[head + 1],
-                            TripletKey(relation, tail));
+  if (head >= entity_names_.size()) return kNoTriplet;
+  const auto first = triplet_keys_.begin() + triplet_offsets_[head];
+  const auto last = triplet_keys_.begin() + triplet_offsets_[head + 1];
+  const uint64_t key = TripletKey(relation, tail);
+  const auto it = std::lower_bound(first, last, key);
+  if (it == last || *it != key) return kNoTriplet;
+  return static_cast<size_t>(it - triplet_keys_.begin());
 }
 
 bool KnowledgeGraph::HasType(EntityId e, ClassId c) const {

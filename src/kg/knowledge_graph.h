@@ -112,6 +112,12 @@ class KnowledgeGraph {
   // True if the relational triplet exists (binary search among the head's
   // edges; index built in Finalize()).
   bool HasTriplet(EntityId head, RelationId relation, EntityId tail) const;
+  // The relational triplet's index in [0, num_triplets()), or kNoTriplet
+  // if it does not exist: its position in the HasTriplet index, so
+  // distinct triplets have distinct indexes (a duplicated triplet has its
+  // first copy's). Lets callers keep per-triplet data in flat arrays.
+  static constexpr size_t kNoTriplet = static_cast<size_t>(-1);
+  size_t TripletIndex(EntityId head, RelationId relation, EntityId tail) const;
   // True if entity `e` has class `c`.
   bool HasType(EntityId e, ClassId c) const;
 

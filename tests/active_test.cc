@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <set>
 
@@ -10,6 +11,7 @@
 #include "active/strategies.h"
 #include "embedding/trainer.h"
 #include "tensor/ops.h"
+#include "tensor/simd/simd.h"
 #include "tensor/topk.h"
 #include "tests/test_util.h"
 
@@ -279,6 +281,39 @@ TEST_F(ActiveTest, PartitionSelectionKeepsMostInferencePower) {
     // exact objective.
     EXPECT_GE(exact_part, 0.1 * exact_greedy);
   }
+}
+
+// Pins the groups and the batch PartitionSelect reaches at several rho. The
+// splitting loop picks the label of the most intra-group edges and breaks
+// ties by the order in which it counted them, so a faster loop must count
+// in the same member and edge order to keep these.
+TEST_F(ActiveTest, PartitionSplitsArePinned) {
+  uint64_t h = 0xCBF29CE484222325ULL;
+  auto mix = [&h](uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((word >> (8 * i)) & 0xFF)) * 0x100000001B3ULL;
+    }
+  };
+  size_t max_groups = 0;
+  for (double rho : {0.5, 0.8, 0.9, 0.99}) {
+    SelectionConfig cfg;
+    cfg.batch_size = 10;
+    cfg.rho = rho;
+    const SelectionResult result = PartitionSelect(ctx_, cfg);
+    max_groups = std::max(max_groups, result.num_groups);
+    mix(result.num_groups);
+    for (uint32_t q : result.selected) mix(q);
+    uint64_t bits;
+    std::memcpy(&bits, &result.objective, sizeof(bits));
+    mix(bits);
+  }
+  EXPECT_GT(max_groups, 1u);  // some rho splits
+  // Training differs between SIMD backends, so each has its own pin.
+  const uint64_t want = simd::ActiveOps().backend == simd::Backend::kScalar
+                            ? 0xA7BB807ED025FE56ULL
+                            : 0x0E546C5E9544EBCDULL;
+  EXPECT_EQ(h, want) << std::hex << "0x" << h << " on "
+                     << simd::ActiveOps().name;
 }
 
 // Concurrency stress: both selectors evaluate PowerFrom under ParallelFor

@@ -2,13 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "align/joint_model.h"
 #include "align/losses.h"
 #include "align/metrics.h"
 #include "embedding/trainer.h"
+#include "obs/metrics.h"
 #include "tensor/simd/simd.h"
 #include "tests/test_util.h"
 
@@ -343,33 +347,51 @@ TEST(MetricsTest, GreedyMatchingInvariantAcrossSimdBackends) {
 // Joint alignment model
 // ---------------------------------------------------------------------------
 
-class JointModelTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    task_ = SmallSyntheticTask();
+// TransE and entity-class models of both KGs under a joint model, with the
+// KGE side warm-started. Two stacks built over the same task hold equal
+// parameters.
+struct JointModelStack {
+  explicit JointModelStack(const AlignmentTask& task) {
     KgeConfig kge;
     kge.dim = 16;
     kge.class_dim = 8;
     kge.epochs = 8;
-    model1_ = MakeKgeModel(KgeModelKind::kTransE, &task_.kg1, kge);
-    model2_ = MakeKgeModel(KgeModelKind::kTransE, &task_.kg2, kge);
-    ec1_ = std::make_unique<EntityClassModel>(model1_.get(), kge);
-    ec2_ = std::make_unique<EntityClassModel>(model2_.get(), kge);
+    model1 = MakeKgeModel(KgeModelKind::kTransE, &task.kg1, kge);
+    model2 = MakeKgeModel(KgeModelKind::kTransE, &task.kg2, kge);
+    ec1 = std::make_unique<EntityClassModel>(model1.get(), kge);
+    ec2 = std::make_unique<EntityClassModel>(model2.get(), kge);
     JointAlignConfig cfg;
     cfg.align_epochs = 10;
-    joint_ = std::make_unique<JointAlignmentModel>(
-        model1_.get(), model2_.get(), ec1_.get(), ec2_.get(), cfg);
+    joint = std::make_unique<JointAlignmentModel>(model1.get(), model2.get(),
+                                                  ec1.get(), ec2.get(), cfg);
     Rng rng(44);
-    model1_->Init(&rng);
-    model2_->Init(&rng);
-    ec1_->Init(&rng);
-    ec2_->Init(&rng);
-    joint_->Init(&rng);
-    KgeTrainer t1(model1_.get(), ec1_.get());
-    KgeTrainer t2(model2_.get(), ec2_.get());
+    model1->Init(&rng);
+    model2->Init(&rng);
+    ec1->Init(&rng);
+    ec2->Init(&rng);
+    joint->Init(&rng);
+    KgeTrainer t1(model1.get(), ec1.get());
+    KgeTrainer t2(model2.get(), ec2.get());
     Rng r1(45), r2(46);
     t1.Train(&r1);
     t2.Train(&r2);
+  }
+
+  std::unique_ptr<KgeModel> model1, model2;
+  std::unique_ptr<EntityClassModel> ec1, ec2;
+  std::unique_ptr<JointAlignmentModel> joint;
+};
+
+class JointModelTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    task_ = SmallSyntheticTask();
+    JointModelStack stack(task_);
+    model1_ = std::move(stack.model1);
+    model2_ = std::move(stack.model2);
+    ec1_ = std::move(stack.ec1);
+    ec2_ = std::move(stack.ec2);
+    joint_ = std::move(stack.joint);
   }
 
   AlignmentTask task_;
@@ -377,6 +399,55 @@ class JointModelTest : public ::testing::Test {
   std::unique_ptr<EntityClassModel> ec1_, ec2_;
   std::unique_ptr<JointAlignmentModel> joint_;
 };
+
+// Every cache RefreshCaches() fills, compared for equality.
+void ExpectSameCaches(const JointAlignmentModel& got,
+                      const JointAlignmentModel& want) {
+  EXPECT_TRUE(got.unit_mapped1() == want.unit_mapped1());
+  EXPECT_TRUE(got.unit_repr2() == want.unit_repr2());
+  EXPECT_EQ(got.entity_stats().row_max, want.entity_stats().row_max);
+  EXPECT_EQ(got.entity_stats().col_max, want.entity_stats().col_max);
+  EXPECT_EQ(got.entity_stats().row_lse, want.entity_stats().row_lse);
+  EXPECT_EQ(got.entity_stats().col_lse, want.entity_stats().col_lse);
+  EXPECT_TRUE(got.relation_sim() == want.relation_sim());
+  EXPECT_TRUE(got.class_sim() == want.class_sim());
+  const KnowledgeGraph& kg1 = got.kg1();
+  const KnowledgeGraph& kg2 = got.kg2();
+  for (EntityId e = 0; e < kg1.num_entities(); ++e) {
+    EXPECT_EQ(got.EntityWeight1(e), want.EntityWeight1(e));
+  }
+  for (EntityId e = 0; e < kg2.num_entities(); ++e) {
+    EXPECT_EQ(got.EntityWeight2(e), want.EntityWeight2(e));
+  }
+  for (RelationId r = 0; r < kg1.num_base_relations(); ++r) {
+    EXPECT_TRUE(got.RelationMean1(r) == want.RelationMean1(r));
+    EXPECT_EQ(got.RelationMeanWeightSum1(r), want.RelationMeanWeightSum1(r));
+  }
+  for (RelationId r = 0; r < kg2.num_base_relations(); ++r) {
+    EXPECT_TRUE(got.RelationMean2(r) == want.RelationMean2(r));
+    EXPECT_EQ(got.RelationMeanWeightSum2(r), want.RelationMeanWeightSum2(r));
+  }
+  for (ClassId c = 0; c < kg1.num_classes(); ++c) {
+    EXPECT_TRUE(got.ClassMean1(c) == want.ClassMean1(c));
+    EXPECT_EQ(got.ClassMeanWeightSum1(c), want.ClassMeanWeightSum1(c));
+  }
+  for (ClassId c = 0; c < kg2.num_classes(); ++c) {
+    EXPECT_TRUE(got.ClassMean2(c) == want.ClassMean2(c));
+    EXPECT_EQ(got.ClassMeanWeightSum2(c), want.ClassMeanWeightSum2(c));
+  }
+  // The relation and class calibration log-sum-exps, through the pairs'
+  // probabilities.
+  for (ElementKind kind : {ElementKind::kRelation, ElementKind::kClass}) {
+    const Matrix& sim =
+        kind == ElementKind::kRelation ? got.relation_sim() : got.class_sim();
+    for (uint32_t a = 0; a < sim.rows(); ++a) {
+      for (uint32_t b = 0; b < sim.cols(); ++b) {
+        const ElementPair pair{kind, a, b};
+        EXPECT_EQ(got.MatchProbability(pair), want.MatchProbability(pair));
+      }
+    }
+  }
+}
 
 TEST_F(JointModelTest, SimilaritiesBounded) {
   joint_->RefreshCaches();
@@ -452,6 +523,103 @@ TEST_F(JointModelTest, TrainEpochInvalidatesCaches) {
   SeedAlignment seed = task_.SampleSeed(0.2, &rng);
   joint_->TrainEpoch(seed, &rng, false);
   EXPECT_FALSE(joint_->caches_ready());
+}
+
+// A refresh after any change of a parameter recomputes the caches: they
+// equal those of a model that went through the same change without a
+// refresh before it. The paths between them move the version of every
+// model the caches read; "joint init" and "class backprop" move only the
+// joint model's and an entity-class model's.
+TEST_F(JointModelTest, RefreshAfterEveryMutatorMatchesFreshModel) {
+  Rng seed_rng(49);
+  const SeedAlignment seed = task_.SampleSeed(0.2, &seed_rng);
+  const std::vector<std::pair<ElementPair, double>> semi = {
+      {ElementPair{ElementKind::kEntity, 1, 1}, 1.0},
+      {ElementPair{ElementKind::kRelation, 0, 0}, 0.9},
+      {ElementPair{ElementKind::kClass, 0, 0}, 0.8}};
+  using Mutator = std::function<void(JointModelStack*)>;
+  const std::vector<std::pair<std::string, Mutator>> mutators = {
+      {"kge epoch",
+       [](JointModelStack* s) {
+         KgeTrainer trainer(s->model2.get(), nullptr);
+         Rng rng(60);
+         KgeTrainStats stats;
+         trainer.TrainEpoch(&rng, &stats);
+       }},
+      {"mutable_entities",
+       [](JointModelStack* s) {
+         s->model1->mutable_entities()->RowData(3)[0] += 0.5f;
+       }},
+      {"mutable_relations",
+       [](JointModelStack* s) {
+         s->model2->mutable_relations()->RowData(0)[1] -= 0.5f;
+       }},
+      {"entity-class epoch",
+       [](JointModelStack* s) {
+         const KnowledgeGraph& kg = s->model1->kg();
+         for (const TypeTriplet& tt : kg.type_triplets()) {
+           s->ec1->TrainPair(tt.entity, (tt.entity + 7) % kg.num_entities(),
+                             tt.cls, 0.05f);
+         }
+       }},
+      {"class backprop",
+       [](JointModelStack* s) {
+         Vector grad(s->ec2->class_dim());
+         grad.Fill(0.1f);
+         s->ec2->BackpropClassRepr(0, grad, 0.5f);
+       }},
+      {"joint init",
+       [](JointModelStack* s) {
+         Rng rng(63);
+         s->joint->Init(&rng);
+       }},
+      {"joint epoch",
+       [&seed](JointModelStack* s) {
+         Rng rng(61);
+         s->joint->TrainEpoch(seed, &rng, /*focal=*/false);
+       }},
+      {"semi epoch",
+       [&semi](JointModelStack* s) {
+         Rng rng(62);
+         s->joint->TrainSemiEpoch(semi, &rng);
+       }},
+  };
+  obs::Counter* refreshes =
+      obs::GlobalMetrics().GetCounter("daakg.align.refresh_caches_calls");
+  for (const auto& [name, mutate] : mutators) {
+    SCOPED_TRACE(name);
+    JointModelStack refreshed(task_);
+    refreshed.joint->RefreshCaches();
+    mutate(&refreshed);
+    EXPECT_FALSE(refreshed.joint->caches_ready());
+    const uint64_t before = refreshes->Value();
+    refreshed.joint->RefreshCaches();
+    EXPECT_EQ(refreshes->Value() - before, 1u);
+    EXPECT_TRUE(refreshed.joint->caches_ready());
+
+    JointModelStack fresh(task_);
+    mutate(&fresh);
+    fresh.joint->RefreshCaches();
+    ExpectSameCaches(*refreshed.joint, *fresh.joint);
+  }
+}
+
+TEST_F(JointModelTest, RefreshWithoutChangeIsSkipped) {
+  obs::Counter* refreshes =
+      obs::GlobalMetrics().GetCounter("daakg.align.refresh_caches_calls");
+  EXPECT_FALSE(joint_->caches_ready());
+  uint64_t before = refreshes->Value();
+  joint_->RefreshCaches();
+  EXPECT_EQ(refreshes->Value() - before, 1u);
+  EXPECT_TRUE(joint_->caches_ready());
+  // Reads, however many, change no version.
+  (void)joint_->MineSemiSupervision();
+  (void)joint_->RelationSim(0, 0);
+  before = refreshes->Value();
+  joint_->RefreshCaches();
+  joint_->RefreshCaches();
+  EXPECT_EQ(refreshes->Value() - before, 0u);
+  EXPECT_TRUE(joint_->caches_ready());
 }
 
 TEST_F(JointModelTest, SemiMiningRespectsTauAndOneToOne) {

@@ -648,8 +648,9 @@ TEST(ActiveLoopTest, RoundsReuseCachesLeftReadyByTraining) {
   size_t rounds = 0;
   for (const auto& r : reports) rounds += r.telemetry.rounds;
   ASSERT_EQ(rounds, 3u);
-  // Train and every FineTune end with a refresh; the rounds add none (a
-  // refresh at the start of each round used to make this 1 + 3 + 3).
+  // Train and every FineTune end with a refresh; each round's refresh finds
+  // no parameter moved since and recomputes nothing (a recomputation at the
+  // start of each round used to make this 1 + 3 + 3).
   EXPECT_EQ(fine_tunes->Count() - fine_tunes_before, 3u);
   EXPECT_EQ(refreshes->Value() - refreshes_before, 1u + 3u);
 

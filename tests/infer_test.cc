@@ -2,16 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "active/pool.h"
 #include "common/thread_pool.h"
 #include "embedding/trainer.h"
 #include "infer/alignment_graph.h"
 #include "infer/inference_power.h"
 #include "kg/synthetic.h"
+#include "tensor/simd/simd.h"
 #include "tests/test_util.h"
 
 namespace daakg {
@@ -410,6 +413,88 @@ TEST_F(InferTest, PowerFromEveryNodeConcurrently) {
     second[q] = engine.PowerFrom(static_cast<uint32_t>(q)).size();
   });
   EXPECT_EQ(entry_counts, second);
+}
+
+// Pins the edge costs and the relation-pair power rows of one planning
+// round on a synthetic task, for every KGE geometry. Edge bounds are
+// estimated in parallel, one RNG stream per (side, triplet), so the pins
+// must hold at any DAAKG_THREADS: a ctest copy runs this test on a
+// one-thread pool. Training differs between SIMD backends, so each backend
+// has its own pins.
+TEST_F(InferTest, EdgeCostsDoNotDependOnThreadCount) {
+  struct Case {
+    KgeModelKind kind;
+    uint64_t scalar_hash;
+    uint64_t avx2_hash;
+  };
+  const Case cases[] = {
+      {KgeModelKind::kTransE, 0x9FAEF6EF9A269FCFULL, 0xDFB123797846E4BFULL},
+      {KgeModelKind::kRotatE, 0xA91C068E0E2C02B2ULL, 0x039BBBC774B8E359ULL},
+      {KgeModelKind::kCompGcn, 0xBBA6F6489873B106ULL, 0x339DBB16FB6548D9ULL},
+  };
+  const AlignmentTask task = testing_util::SmallSyntheticTask();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(KgeModelKindToString(c.kind));
+    KgeConfig kge;
+    kge.dim = 16;
+    kge.epochs = 5;
+    auto model1 = MakeKgeModel(c.kind, &task.kg1, kge);
+    auto model2 = MakeKgeModel(c.kind, &task.kg2, kge);
+    Rng rng(71);
+    model1->Init(&rng);
+    model2->Init(&rng);
+    JointAlignmentModel joint(model1.get(), model2.get(), nullptr, nullptr,
+                              JointAlignConfig{});
+    joint.Init(&rng);
+    KgeTrainer t1(model1.get(), nullptr);
+    KgeTrainer t2(model2.get(), nullptr);
+    Rng r1(72), r2(73);
+    t1.Train(&r1);
+    t2.Train(&r2);
+    joint.RefreshCaches();
+
+    PoolConfig pool_cfg;
+    pool_cfg.top_n = 8;
+    const std::vector<ElementPair> pool =
+        PoolGenerator(&task, &joint, pool_cfg).Generate();
+    const AlignmentGraph graph(&task, pool);
+    InferenceEngine engine(&graph, &joint, InferenceConfig{});
+    engine.PrecomputeEdgeCosts();
+
+    uint64_t h = 0xCBF29CE484222325ULL;
+    auto mix = [&h](uint64_t word) {
+      for (int i = 0; i < 8; ++i) {
+        h = (h ^ ((word >> (8 * i)) & 0xFF)) * 0x100000001B3ULL;
+      }
+    };
+    auto mix_float = [&mix](float v) {
+      uint32_t bits;
+      std::memcpy(&bits, &v, sizeof(bits));
+      mix(bits);
+    };
+    mix(pool.size());
+    mix(graph.num_edges());
+    size_t finite = 0;
+    for (uint32_t node = 0; node < graph.num_nodes(); ++node) {
+      for (size_t k = 0; k < graph.Out(node).size(); ++k) {
+        const float cost = engine.EdgeCost(node, k);
+        finite += std::isfinite(cost);
+        mix_float(cost);
+      }
+      // Relation-pair sources read the bounds again (Eq. 20).
+      if (pool[node].kind != ElementKind::kRelation) continue;
+      for (const auto& [target, power] : engine.PowerFrom(node)) {
+        mix(target);
+        mix_float(power);
+      }
+    }
+    EXPECT_GT(finite, 0u);
+    const uint64_t want = simd::ActiveOps().backend == simd::Backend::kScalar
+                              ? c.scalar_hash
+                              : c.avx2_hash;
+    EXPECT_EQ(h, want) << std::hex << "0x" << h << " on "
+                       << simd::ActiveOps().name;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <string>
 #include <tuple>
@@ -70,7 +71,8 @@ TEST(KnowledgeGraphTest, FinalizeAddsReverseTriplets) {
 
 // HasTriplet against a set of every triplet, on a generated task: each
 // triplet is found, and so is nothing else among (head, relation, tail)
-// probes that vary one field, plus out-of-range heads.
+// probes that vary one field, plus out-of-range heads. TripletIndex, which
+// HasTriplet is built on, numbers the distinct triplets.
 TEST(KnowledgeGraphTest, HasTripletMatchesTripletSet) {
   AlignmentTask task = testing_util::SmallSyntheticTask();
   for (const KnowledgeGraph* kg : {&task.kg1, &task.kg2}) {
@@ -98,6 +100,18 @@ TEST(KnowledgeGraphTest, HasTripletMatchesTripletSet) {
     EXPECT_GT(absent, 0u);
     EXPECT_FALSE(kg->HasTriplet(n, 0, 0));
     EXPECT_FALSE(kg->HasTriplet(kInvalidId, 0, 0));
+
+    // TripletIndex gives distinct triplets distinct indexes below
+    // num_triplets(), and an absent one kNoTriplet.
+    std::map<size_t, std::tuple<EntityId, RelationId, EntityId>> by_index;
+    for (const Triplet& t : kg->triplets()) {
+      const size_t i = kg->TripletIndex(t.head, t.relation, t.tail);
+      ASSERT_LT(i, kg->num_triplets());
+      const auto key = std::make_tuple(t.head, t.relation, t.tail);
+      EXPECT_EQ(by_index.emplace(i, key).first->second, key);
+    }
+    EXPECT_EQ(by_index.size(), all.size());
+    EXPECT_EQ(kg->TripletIndex(n, 0, 0), KnowledgeGraph::kNoTriplet);
   }
 }
 
