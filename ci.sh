@@ -51,7 +51,8 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 
 echo "== SIMD backend matrix (scalar vs dispatched) =="
 KERNEL_FILTER='KernelTest.*:TopKAccumulatorTest.*:SimdTest.*'
-POOL_FILTER='ActiveTest.GeneratedPoolMatchesBruteForceMutualTopN:ActiveTest.RepeatedSelectionIsDeterministic:ActiveTest.PartitionSplitsArePinned'
+# The last two check the pool slot shared across generators.
+POOL_FILTER='ActiveTest.GeneratedPoolMatchesBruteForceMutualTopN:ActiveTest.RepeatedSelectionIsDeterministic:ActiveTest.PartitionSplitsArePinned:ActiveTest.UnchangedModelSharesPoolAcrossGenerators:ActiveTest.PoolAfterEveryMutatorMatchesFreshModel'
 # JointModelTest.* includes the version-keyed refresh tests.
 ALIGN_FILTER='MetricsTest.*:JointModelTest.*'
 CORE_FILTER='EntitySimilarityPathTest.*:Models/TrainingGoldenTest.*:SelectionGoldenTest.*'

@@ -1,6 +1,7 @@
 #include "active/pool.h"
 
 #include <algorithm>
+#include <mutex>
 #include <unordered_set>
 
 #include "common/thread_pool.h"
@@ -9,66 +10,73 @@
 
 namespace daakg {
 
+namespace {
+
+// Eq. 25 weights of one side's rows (KG1: `along_rows`) or columns (KG2) of
+// a schema similarity matrix: the best similarity to the other side,
+// clamped at 0.
+std::vector<float> MaxSims(const Matrix& sim, bool along_rows) {
+  std::vector<float> w(along_rows ? sim.rows() : sim.cols(), -1.0f);
+  for (size_t r = 0; r < sim.rows(); ++r) {
+    const float* row = sim.RowData(r);
+    for (size_t c = 0; c < sim.cols(); ++c) {
+      float& best = w[along_rows ? r : c];
+      best = std::max(best, row[c]);
+    }
+  }
+  for (float& x : w) x = std::max(x, 0.0f);
+  return w;
+}
+
+}  // namespace
+
 PoolGenerator::PoolGenerator(const AlignmentTask* task,
                              const JointAlignmentModel* model,
                              const PoolConfig& config)
-    : task_(task), model_(model), config_(config) {
-  DAAKG_CHECK(model->caches_ready());
-}
+    : task_(task),
+      model_(model),
+      config_(config),
+      rel_w1_(MaxSims(model->relation_sim(), true)),
+      rel_w2_(MaxSims(model->relation_sim(), false)),
+      cls_w1_(MaxSims(model->class_sim(), true)),
+      cls_w2_(MaxSims(model->class_sim(), false)),
+      cache_(model->pool_cache()) {}
 
 Vector PoolGenerator::Signature(int side, EntityId e) const {
   const KnowledgeGraph& kg = side == 1 ? task_->kg1 : task_->kg2;
-  const Matrix& rel_sim = model_->relation_sim();
-  const Matrix& cls_sim = model_->class_sim();
+  const std::vector<float>& rel_w = side == 1 ? rel_w1_ : rel_w2_;
+  const std::vector<float>& cls_w = side == 1 ? cls_w1_ : cls_w2_;
   const size_t dim = model_->kg1_model()->dim();
 
   // Relation half: weighted mean of rbar over incident base relations
   // (Eq. 24 left), weights w_r = max similarity to the other side's
   // relations (Eq. 25).
   Vector rel_part(dim);
-  double rel_w = 0.0;
+  double rel_sum = 0.0;
   for (const auto& nb : kg.Neighbors(e)) {
     RelationId r = nb.relation;
     if (kg.IsReverseRelation(r)) r = kg.ReverseOf(r);
-    float w = -1.0f;
-    if (side == 1) {
-      const float* row = rel_sim.RowData(r);
-      for (size_t c = 0; c < rel_sim.cols(); ++c) w = std::max(w, row[c]);
-    } else {
-      for (size_t r1 = 0; r1 < rel_sim.rows(); ++r1) {
-        w = std::max(w, rel_sim(r1, r));
-      }
-    }
-    w = std::max(w, 0.0f);
+    const float w = rel_w[r];
     if (w <= 0.0f) continue;
     const Vector& mean =
         side == 1 ? model_->RelationMean1(r) : model_->RelationMean2(r);
     rel_part.Axpy(w, mean);
-    rel_w += w;
+    rel_sum += w;
   }
-  if (rel_w > 0.0) rel_part *= static_cast<float>(1.0 / rel_w);
+  if (rel_sum > 0.0) rel_part *= static_cast<float>(1.0 / rel_sum);
 
   // Class half (Eq. 24 right).
   Vector cls_part(dim);
-  double cls_w = 0.0;
+  double cls_sum = 0.0;
   for (ClassId c : kg.ClassesOf(e)) {
-    float w = -1.0f;
-    if (side == 1) {
-      const float* row = cls_sim.RowData(c);
-      for (size_t j = 0; j < cls_sim.cols(); ++j) w = std::max(w, row[j]);
-    } else {
-      for (size_t c1 = 0; c1 < cls_sim.rows(); ++c1) {
-        w = std::max(w, cls_sim(c1, c));
-      }
-    }
-    w = std::max(w, 0.0f);
+    const float w = cls_w[c];
     if (w <= 0.0f) continue;
     const Vector& mean =
         side == 1 ? model_->ClassMean1(c) : model_->ClassMean2(c);
     cls_part.Axpy(w, mean);
-    cls_w += w;
+    cls_sum += w;
   }
-  if (cls_w > 0.0) cls_part *= static_cast<float>(1.0 / cls_w);
+  if (cls_sum > 0.0) cls_part *= static_cast<float>(1.0 / cls_sum);
 
   // Mean embeddings live in their own KG's entity space; map side 1 through
   // A_ent (as every cross-KG comparison of means does, cf. Eqs. 7-9) so the
@@ -81,8 +89,8 @@ Vector PoolGenerator::Signature(int side, EntityId e) const {
   return Concat(rel_part, cls_part);
 }
 
-void PoolGenerator::EnsureIndex() const {
-  if (index_ != nullptr) return;
+void PoolGenerator::EnsureIndexLocked() const {
+  if (cache_->index != nullptr) return;
   static obs::Histogram* sig_timing = obs::GlobalMetrics().GetHistogram(
       "daakg.active.pool_signature_seconds");
   obs::TraceSpan span("active.pool_signatures", "active", sig_timing);
@@ -95,13 +103,14 @@ void PoolGenerator::EnsureIndex() const {
   // Signatures (parallel). The KG1 side is unit-normalized here; the KG2
   // side is normalized inside the index build (config.normalize) with the
   // exact same arithmetic, so either placement yields bitwise-equal rows.
-  queries_ = Matrix(n1, sig_dim);
+  Matrix& queries = cache_->queries;
+  queries = Matrix(n1, sig_dim);
   Matrix sig2(n2, sig_dim);
   ThreadPool& pool = GlobalThreadPool();
-  pool.ParallelFor(n1, [this](size_t e) {
+  pool.ParallelFor(n1, [this, &queries](size_t e) {
     Vector s = Signature(1, static_cast<EntityId>(e));
     s.Normalize();
-    queries_.SetRow(e, s);
+    queries.SetRow(e, s);
   });
   pool.ParallelFor(n2, [this, &sig2](size_t e) {
     sig2.SetRow(e, Signature(2, static_cast<EntityId>(e)));
@@ -111,12 +120,13 @@ void PoolGenerator::EnsureIndex() const {
   index_cfg.normalize = true;
   auto built = CandidateIndex::Build(std::move(sig2), index_cfg);
   DAAKG_CHECK(built.ok()) << built.status();
-  index_ = std::move(built.value());
+  cache_->index = std::move(built.value());
 }
 
 const CandidateIndex& PoolGenerator::index() const {
-  EnsureIndex();
-  return *index_;
+  std::lock_guard<std::mutex> lock(cache_->mu);
+  EnsureIndexLocked();
+  return *cache_->index;  // built once; never replaced in this slot
 }
 
 std::vector<ElementPair> PoolGenerator::Generate() const {
@@ -132,7 +142,18 @@ std::vector<ElementPair> PoolGenerator::Generate(size_t top_n) const {
       obs::GlobalMetrics().GetGauge("daakg.active.pool_size");
   obs::TraceSpan span("active.pool_generate", "active", build_timing);
   span.AddArg("top_n", static_cast<double>(top_n));
-  EnsureIndex();
+  std::lock_guard<std::mutex> lock(cache_->mu);
+  if (cache_->top_n != top_n) {
+    EnsureIndexLocked();
+    cache_->pool = CutPoolLocked(top_n);
+    cache_->top_n = top_n;
+  }
+  candidates->Increment(cache_->pool.size());
+  pool_size->Set(static_cast<double>(cache_->pool.size()));
+  return cache_->pool;
+}
+
+std::vector<ElementPair> PoolGenerator::CutPoolLocked(size_t top_n) const {
   const size_t n1 = task_->kg1.num_entities();
   const size_t n2 = task_->kg2.num_entities();
   const size_t n = std::min(top_n, n2);
@@ -141,7 +162,7 @@ std::vector<ElementPair> PoolGenerator::Generate(size_t top_n) const {
   // streams the similarity matrix with per-row and per-column top-N state
   // (neither the n1 x n2 buffer nor its transpose is materialized).
   const size_t n_rev = std::min(top_n, n1);
-  SimTopK topk = index_->QueryTopK(queries_, n, n_rev);
+  SimTopK topk = cache_->index->QueryTopK(cache_->queries, n, n_rev);
 
   // Mutual top-N: e2 is among e1's top N and e1 among e2's, found by a scan
   // of e2's at most N column entries.
@@ -167,8 +188,6 @@ std::vector<ElementPair> PoolGenerator::Generate(size_t top_n) const {
       out.push_back(ElementPair{ElementKind::kClass, c1, c2});
     }
   }
-  candidates->Increment(out.size());
-  pool_size->Set(static_cast<double>(out.size()));
   return out;
 }
 

@@ -27,13 +27,18 @@ struct PoolConfig {
 // the pool keeps (e, e') iff e' is among the top-N signature neighbors of e
 // AND e is among the top-N of e'; all relation and class pairs are kept.
 //
-// Signatures are computed and unit-normalized once per generator: the KG2
-// side lives inside a CandidateIndex (normalization hoisted into the index
-// build), the KG1 side in a cached query matrix. Repeated Generate() calls
-// — e.g. a top-N sweep — reuse both instead of recomputing the signatures.
+// The signatures depend only on the model's caches, so they are computed
+// and unit-normalized once per cache generation, into the model's pool slot
+// (JointAlignmentModel::pool_cache()): the KG1 side as a query matrix, the
+// KG2 side inside a CandidateIndex (normalization hoisted into the index
+// build). Every generator on an unchanged model shares them, and the slot
+// keeps the last generated pool as well: planning several batches without
+// retraining, or a repeated top-N, reuses it instead of cutting it again.
+// RefreshCaches() releases the slot when it recomputes.
 class PoolGenerator {
  public:
-  // `model` must have fresh caches (mean embeddings, schema similarities).
+  // `model` must have fresh caches (mean embeddings, schema similarities),
+  // and they must not be recomputed while the generator is in use.
   PoolGenerator(const AlignmentTask* task, const JointAlignmentModel* model,
                 const PoolConfig& config);
 
@@ -43,11 +48,11 @@ class PoolGenerator {
   // Generates the pool. Entity pairs first, then relation pairs, then class
   // pairs (relation pairs cover base relations only).
   std::vector<ElementPair> Generate() const;
-  // Same, with an explicit top-N cut-off (sweeps reuse the cached index).
+  // Same, with an explicit top-N cut-off (sweeps reuse the shared index).
   std::vector<ElementPair> Generate(size_t top_n) const;
 
-  // The signature index over KG2 (built on first use; exposed for benches
-  // and tests).
+  // The signature index over KG2, shared through the model's pool slot
+  // (built on its first use; exposed for benches and tests).
   const CandidateIndex& index() const;
 
   // Recall of gold entity matches inside the generated pool — the Fig. 6
@@ -55,15 +60,20 @@ class PoolGenerator {
   double EntityPairRecall(const std::vector<ElementPair>& pool) const;
 
  private:
-  // Builds the KG1 query matrix and the KG2 signature index once.
-  void EnsureIndex() const;
+  // Fills the slot's KG1 query matrix and KG2 signature index once; the
+  // caller holds cache_->mu.
+  void EnsureIndexLocked() const;
+  // The pool at `top_n` from the slot's signatures; the caller holds
+  // cache_->mu.
+  std::vector<ElementPair> CutPoolLocked(size_t top_n) const;
 
   const AlignmentTask* task_;
   const JointAlignmentModel* model_;
   PoolConfig config_;
-  // Lazy caches (PoolGenerator is not used concurrently).
-  mutable Matrix queries_;  // unit KG1 signatures
-  mutable std::unique_ptr<CandidateIndex> index_;  // over unit KG2 signatures
+  // Eq. 25 weights per side: the best schema similarity of each base
+  // relation and class to the other side's, clamped at 0.
+  std::vector<float> rel_w1_, rel_w2_, cls_w1_, cls_w2_;
+  std::shared_ptr<PoolCache> cache_;  // the model's pool slot
 };
 
 }  // namespace daakg

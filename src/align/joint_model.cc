@@ -358,6 +358,12 @@ void JointAlignmentModel::RefreshCaches() {
   obs::TraceSpan span("align.refresh_caches", "align", refresh_timing);
   refresh_count->Increment();
   {
+    // The pool data of the old caches goes first, so no two generations
+    // of it are held by the model at once.
+    std::lock_guard<std::mutex> lock(pool_cache_mu_);
+    pool_cache_.reset();
+  }
+  {
     obs::TraceSpan sub("align.entity_sim", "align");
     ComputeEntityStats();
   }
@@ -375,6 +381,13 @@ void JointAlignmentModel::RefreshCaches() {
     cls_stats_ = DenseSimStats(cls_sim_, config_.z_cls);
   }
   cached_versions_ = versions;
+}
+
+std::shared_ptr<PoolCache> JointAlignmentModel::pool_cache() const {
+  DAAKG_CHECK(caches_ready());
+  std::lock_guard<std::mutex> lock(pool_cache_mu_);
+  if (pool_cache_ == nullptr) pool_cache_ = std::make_shared<PoolCache>();
+  return pool_cache_;
 }
 
 Vector JointAlignmentModel::MappedEntityRepr1(EntityId e1) const {

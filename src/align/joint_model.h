@@ -3,6 +3,7 @@
 
 #include <array>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -48,6 +49,18 @@ struct JointAlignConfig {
   double focal_gamma = 2.0;    // focal-loss focus (fine-tuning)
   bool use_mean_embeddings = true;   // Table 5 ablation switch
   uint64_t seed = 29;
+};
+
+// Candidate-pool data derived from one generation of the model's caches
+// (Sect. 6.1): the unit schema signatures and the last pool cut from them.
+// PoolGenerator fills it lazily; every generator of the generation shares
+// it. `mu` guards every field.
+struct PoolCache {
+  std::mutex mu;
+  Matrix queries;                         // unit KG1 signatures
+  std::unique_ptr<CandidateIndex> index;  // over unit KG2 signatures
+  std::optional<size_t> top_n;            // the top-N `pool` was cut at
+  std::vector<ElementPair> pool;
 };
 
 // The embedding-based joint alignment model (Fig. 3): learnable mapping
@@ -108,6 +121,11 @@ class JointAlignmentModel {
   void RefreshCaches();
   // True when the caches were computed from the current parameters.
   bool caches_ready() const { return cached_versions_ == ParamVersions(); }
+
+  // The candidate-pool slot of the current caches, created empty on the
+  // first call after a recomputation and shared by every caller until the
+  // next one, which releases it. Requires caches_ready(); thread-safe.
+  std::shared_ptr<PoolCache> pool_cache() const;
 
   const Matrix& relation_sim() const { return rel_sim_; }
   const Matrix& class_sim() const { return cls_sim_; }
@@ -249,6 +267,10 @@ class JointAlignmentModel {
   std::vector<Vector> cls_mean2_;
   std::vector<double> rel_wsum1_, rel_wsum2_;
   std::vector<double> cls_wsum1_, cls_wsum2_;
+  // The pool slot of cached_versions_ (none yet when null); RefreshCaches()
+  // releases it when it recomputes.
+  mutable std::mutex pool_cache_mu_;
+  mutable std::shared_ptr<PoolCache> pool_cache_;
   // Stale per-epoch snapshots for hard-negative mining, with row norms.
   Matrix mining_mapped1_;  // A_ent * repr1 at epoch start
   Matrix mining_repr2_;

@@ -153,7 +153,8 @@ std::vector<ActiveRoundReport> ActiveAlignmentLoop::Run() {
       window.refresh_seconds += refresh_span.Finish();
     }
 
-    // Rebuild pool / graph / engine against the refreshed model.
+    // Pool (reused while no parameter moved), graph and engine against the
+    // refreshed model.
     obs::TraceSpan pool_span("core.round_pool_build", "core", nullptr,
                              obs::TimingMode::kAlways);
     PoolGenerator pool_gen(task_, aligner_->joint(), config_.pool);

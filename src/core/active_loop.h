@@ -51,8 +51,10 @@ struct ActiveRoundReport {
 
 // Drives pool generation -> batch selection -> oracle labeling ->
 // fine-tuning until the last report checkpoint is reached (Sect. 2.2
-// workflow). The pool, alignment graph and inference engine are rebuilt
-// each round from the refreshed model.
+// workflow). The alignment graph and inference engine are rebuilt each
+// round from the refreshed model; the pool is reused from the model's pool
+// slot while no parameter moved (a round whose batch found no match skips
+// fine-tuning) and cut afresh otherwise.
 class ActiveAlignmentLoop {
  public:
   // Validated construction: null-checks every raw-pointer dependency and

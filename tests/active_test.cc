@@ -2,14 +2,18 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "active/oracle.h"
 #include "active/pool.h"
 #include "active/selection.h"
 #include "active/strategies.h"
 #include "embedding/trainer.h"
+#include "obs/metrics.h"
 #include "tensor/ops.h"
 #include "tensor/simd/simd.h"
 #include "tensor/topk.h"
@@ -20,33 +24,47 @@ namespace {
 
 using testing_util::SmallSyntheticTask;
 
+// A trained TransE joint model on `task` with fresh caches; the same
+// construction gives the same parameters.
+struct TrainedJointStack {
+  explicit TrainedJointStack(const AlignmentTask& task) {
+    KgeConfig kge;
+    kge.dim = 16;
+    kge.class_dim = 8;
+    kge.epochs = 10;
+    model1 = MakeKgeModel(KgeModelKind::kTransE, &task.kg1, kge);
+    model2 = MakeKgeModel(KgeModelKind::kTransE, &task.kg2, kge);
+    Rng rng(61);
+    model1->Init(&rng);
+    model2->Init(&rng);
+    JointAlignConfig jcfg;
+    joint = std::make_unique<JointAlignmentModel>(model1.get(), model2.get(),
+                                                  nullptr, nullptr, jcfg);
+    joint->Init(&rng);
+    KgeTrainer t1(model1.get(), nullptr);
+    KgeTrainer t2(model2.get(), nullptr);
+    Rng r1(62), r2(63);
+    t1.Train(&r1);
+    t2.Train(&r2);
+    SeedAlignment seed = task.SampleSeed(0.2, &rng);
+    for (int e = 0; e < 15; ++e) joint->TrainEpoch(seed, &rng, false);
+    joint->RefreshCaches();
+  }
+
+  std::unique_ptr<KgeModel> model1, model2;
+  std::unique_ptr<JointAlignmentModel> joint;
+};
+
 // Shared fixture: small synthetic task with a trained joint model, a pool,
 // an alignment graph and an inference engine.
 class ActiveTest : public ::testing::Test {
  protected:
   void SetUp() override {
     task_ = SmallSyntheticTask();
-    KgeConfig kge;
-    kge.dim = 16;
-    kge.class_dim = 8;
-    kge.epochs = 10;
-    model1_ = MakeKgeModel(KgeModelKind::kTransE, &task_.kg1, kge);
-    model2_ = MakeKgeModel(KgeModelKind::kTransE, &task_.kg2, kge);
-    Rng rng(61);
-    model1_->Init(&rng);
-    model2_->Init(&rng);
-    JointAlignConfig jcfg;
-    joint_ = std::make_unique<JointAlignmentModel>(
-        model1_.get(), model2_.get(), nullptr, nullptr, jcfg);
-    joint_->Init(&rng);
-    KgeTrainer t1(model1_.get(), nullptr);
-    KgeTrainer t2(model2_.get(), nullptr);
-    Rng r1(62), r2(63);
-    t1.Train(&r1);
-    t2.Train(&r2);
-    SeedAlignment seed = task_.SampleSeed(0.2, &rng);
-    for (int e = 0; e < 15; ++e) joint_->TrainEpoch(seed, &rng, false);
-    joint_->RefreshCaches();
+    TrainedJointStack stack(task_);
+    model1_ = std::move(stack.model1);
+    model2_ = std::move(stack.model2);
+    joint_ = std::move(stack.joint);
 
     PoolConfig pcfg;
     pcfg.top_n = 10;
@@ -187,8 +205,9 @@ TEST_F(ActiveTest, GeneratedPoolMatchesBruteForceMutualTopN) {
 
 TEST_F(ActiveTest, RepeatedGenerateReusesCachedIndex) {
   // Signatures and their normalized/index forms are computed once per
-  // generator; repeated Generate() calls (the per-N sweep in
-  // bench/fig6_pool_recall) must reuse them and stay deterministic.
+  // cache generation, in the model's pool slot; repeated Generate() calls
+  // (the per-N sweep in bench/fig6_pool_recall) must reuse them and stay
+  // deterministic.
   PoolConfig pcfg;
   pcfg.top_n = 10;
   PoolGenerator gen(&task_, joint_.get(), pcfg);
@@ -197,10 +216,102 @@ TEST_F(ActiveTest, RepeatedGenerateReusesCachedIndex) {
   const std::vector<ElementPair> second = gen.Generate();
   EXPECT_EQ(&gen.index(), index_after_first);  // no rebuild
   EXPECT_EQ(first, second);
-  EXPECT_EQ(first, pool_);  // identical to the fixture's fresh generator
+  EXPECT_EQ(first, pool_);  // identical to the fixture's generator's pool
   // The explicit-top_n overload with the configured value is the same pool.
   EXPECT_EQ(gen.Generate(pcfg.top_n), first);
   EXPECT_EQ(&gen.index(), index_after_first);
+}
+
+TEST_F(ActiveTest, UnchangedModelSharesPoolAcrossGenerators) {
+  // Generators on an unchanged model share the signatures, the index and
+  // the last pool through the model's pool slot: the signatures are built
+  // once, and every pool equals one from a model that never cached any.
+  obs::Histogram* signature_builds = obs::GlobalMetrics().GetHistogram(
+      "daakg.active.pool_signature_seconds");
+  TrainedJointStack stack(task_);
+  PoolConfig pcfg;
+  pcfg.top_n = 10;
+  const uint64_t builds_before = signature_builds->Count();
+  const PoolGenerator a(&task_, stack.joint.get(), pcfg);
+  const PoolGenerator b(&task_, stack.joint.get(), pcfg);
+  const std::vector<ElementPair> pool_a = a.Generate();
+  const std::vector<ElementPair> pool_b = b.Generate();
+  EXPECT_EQ(&a.index(), &b.index());
+  EXPECT_EQ(signature_builds->Count() - builds_before, 1u);
+  EXPECT_EQ(pool_a, pool_b);
+  EXPECT_EQ(pool_a, pool_);
+
+  // A changed top-N replaces the kept pool; alternating generators and
+  // cut-offs never hands out a pool of another top-N.
+  const std::vector<std::pair<const PoolGenerator*, size_t>> calls = {
+      {&a, 10}, {&b, 25}, {&a, 10}, {&a, 25}, {&b, 10}};
+  for (const auto& [gen, top_n] : calls) {
+    SCOPED_TRACE(top_n);
+    TrainedJointStack uncached(task_);
+    const PoolGenerator reference(&task_, uncached.joint.get(), pcfg);
+    EXPECT_EQ(gen->Generate(top_n), reference.Generate(top_n));
+  }
+  EXPECT_EQ(&a.index(), &b.index());
+  EXPECT_EQ(signature_builds->Count() - builds_before, 1u + calls.size());
+}
+
+TEST_F(ActiveTest, PoolAfterEveryMutatorMatchesFreshModel) {
+  // A pool generated before a parameter moves must not be served after the
+  // refresh that follows: the pool then equals the one of a model that
+  // took the same step without an earlier pool.
+  Rng seed_rng(71);
+  const SeedAlignment seed = task_.SampleSeed(0.2, &seed_rng);
+  const std::vector<std::pair<ElementPair, double>> semi = {
+      {ElementPair{ElementKind::kEntity, 1, 1}, 1.0},
+      {ElementPair{ElementKind::kRelation, 0, 0}, 0.9},
+      {ElementPair{ElementKind::kClass, 0, 0}, 0.8}};
+  using Mutator = std::function<void(TrainedJointStack*)>;
+  const std::vector<std::pair<std::string, Mutator>> mutators = {
+      {"joint epoch",
+       [&seed](TrainedJointStack* s) {
+         Rng rng(72);
+         s->joint->TrainEpoch(seed, &rng, /*focal=*/false);
+       }},
+      {"semi epoch",
+       [&semi](TrainedJointStack* s) {
+         Rng rng(73);
+         s->joint->TrainSemiEpoch(semi, &rng);
+       }},
+      {"kge pair",
+       [](TrainedJointStack* s) {
+         const Triplet& t = s->model2->kg().triplets()[0];
+         s->model2->TrainPair(t, (t.tail + 1) % s->model2->kg().num_entities(),
+                              0.5f);
+       }},
+      {"mutable_entities",
+       [](TrainedJointStack* s) {
+         s->model1->mutable_entities()->RowData(3)[0] += 0.5f;
+       }},
+      {"joint init",
+       [](TrainedJointStack* s) {
+         Rng rng(74);
+         s->joint->Init(&rng);
+       }},
+  };
+  PoolConfig pcfg;
+  pcfg.top_n = 10;
+  for (const auto& [name, mutate] : mutators) {
+    SCOPED_TRACE(name);
+    TrainedJointStack pooled(task_);
+    const std::vector<ElementPair> before =
+        PoolGenerator(&task_, pooled.joint.get(), pcfg).Generate();
+    mutate(&pooled);
+    pooled.joint->RefreshCaches();
+    const std::vector<ElementPair> after =
+        PoolGenerator(&task_, pooled.joint.get(), pcfg).Generate();
+
+    TrainedJointStack fresh(task_);
+    mutate(&fresh);
+    fresh.joint->RefreshCaches();
+    EXPECT_EQ(after,
+              PoolGenerator(&task_, fresh.joint.get(), pcfg).Generate());
+    EXPECT_NE(after, before);
+  }
 }
 
 // ---------------------------------------------------------------------------
