@@ -367,9 +367,11 @@ void BM_InferencePowerQuery(benchmark::State& state) {
     return true;
   }();
   (void)precomputed;
+  HopSearch search(graph->num_nodes());
   uint32_t q = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine->PowerFrom(q % graph->num_nodes()));
+    benchmark::DoNotOptimize(
+        engine->PowerFrom(q % graph->num_nodes(), &search));
     ++q;
   }
 }

@@ -51,8 +51,10 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 
 echo "== SIMD backend matrix (scalar vs dispatched) =="
 KERNEL_FILTER='KernelTest.*:TopKAccumulatorTest.*:SimdTest.*'
-# The last two check the pool slot shared across generators.
-POOL_FILTER='ActiveTest.GeneratedPoolMatchesBruteForceMutualTopN:ActiveTest.RepeatedSelectionIsDeterministic:ActiveTest.PartitionSplitsArePinned:ActiveTest.UnchangedModelSharesPoolAcrossGenerators:ActiveTest.PoolAfterEveryMutatorMatchesFreshModel'
+# The two after PartitionSplitsArePinned check the pool slot shared across
+# generators; the last two check both selection searches (PowerFrom and
+# PartitionSelect) against their hash-based references.
+POOL_FILTER='ActiveTest.GeneratedPoolMatchesBruteForceMutualTopN:ActiveTest.RepeatedSelectionIsDeterministic:ActiveTest.PartitionSplitsArePinned:ActiveTest.UnchangedModelSharesPoolAcrossGenerators:ActiveTest.PoolAfterEveryMutatorMatchesFreshModel:ActiveTest.PowerFromMatchesReferenceSearch:PartitionSelectTest.MatchesReferenceImplementation'
 # JointModelTest.* includes the version-keyed refresh tests.
 ALIGN_FILTER='MetricsTest.*:JointModelTest.*'
 CORE_FILTER='EntitySimilarityPathTest.*:Models/TrainingGoldenTest.*:SelectionGoldenTest.*'

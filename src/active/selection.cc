@@ -1,13 +1,12 @@
 #include "active/selection.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <queue>
 #include <unordered_map>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "infer/hop_search.h"
 #include "obs/trace.h"
 
 namespace daakg {
@@ -35,18 +34,14 @@ struct GroupEntry {
 };
 
 // Generic lazy greedy over per-candidate gain rows; rows are re-evaluated
-// against the shared expected-power accumulator `M` keyed by `key_of` the
-// row entries.
-template <typename Entry>
-SelectionResult LazyGreedy(
-    const SelectionContext& ctx, const SelectionConfig& config,
-    const std::vector<std::vector<Entry>>& rows,
-    const std::vector<double>& prob,
-    const std::function<double(const std::vector<Entry>&,
-                               const std::vector<float>&)>& gain_fn,
-    const std::function<void(const std::vector<Entry>&, double,
-                             std::vector<float>*)>& commit_fn,
-    size_t m_size) {
+// against the shared expected-power accumulator `m`. gain(row, m) is a
+// row's gain, commit(row, pr, &m) folds a selected row into `m`.
+template <typename Row, typename Gain, typename Commit>
+SelectionResult LazyGreedy(const SelectionContext& ctx,
+                           const SelectionConfig& config,
+                           const std::vector<Row>& rows,
+                           const std::vector<double>& prob, const Gain& gain,
+                           const Commit& commit, size_t m_size) {
   SelectionResult result;
   std::vector<float> m(m_size, 0.0f);
 
@@ -55,7 +50,7 @@ SelectionResult LazyGreedy(
   for (uint32_t q = 0; q < rows.size(); ++q) {
     if ((*ctx.labeled)[q]) continue;
     if (rows[q].empty()) continue;
-    queue.emplace(prob[q] * gain_fn(rows[q], m), q);
+    queue.emplace(prob[q] * gain(rows[q], m), q);
   }
 
   std::vector<bool> taken(rows.size(), false);
@@ -63,7 +58,7 @@ SelectionResult LazyGreedy(
     auto [g, q] = queue.top();
     queue.pop();
     if (taken[q]) continue;
-    const double fresh = prob[q] * gain_fn(rows[q], m);
+    const double fresh = prob[q] * gain(rows[q], m);
     if (!queue.empty() && fresh + kLazyEps < queue.top().first) {
       queue.emplace(fresh, q);
       continue;
@@ -71,7 +66,7 @@ SelectionResult LazyGreedy(
     taken[q] = true;
     result.selected.push_back(q);
     result.objective += fresh;
-    commit_fn(rows[q], prob[q], &m);
+    commit(rows[q], prob[q], &m);
   }
   return result;
 }
@@ -90,16 +85,23 @@ SelectionResult GreedySelect(const SelectionContext& ctx,
 
   // Line 2 of Algorithm 1: power rows for every candidate (the brute-force
   // step). PowerFrom is read-only once edge costs are precomputed, so the
-  // rows can be computed in parallel.
+  // rows can be computed in parallel, each shard on its own search scratch.
   std::vector<PowerRow> rows(n);
   std::vector<double> prob(n, 0.0);
-  GlobalThreadPool().ParallelFor(n, [&](size_t q) {
-    if ((*ctx.labeled)[q]) return;
-    rows[q] = ctx.engine->PowerFrom(static_cast<uint32_t>(q));
-    prob[q] =
-        ctx.model->MatchProbability(ctx.engine->graph().pool()[q]);
-  });
+  GlobalThreadPool().ParallelForShards(
+      n, [&](size_t, size_t begin, size_t end) {
+        HopSearch search(n);
+        for (size_t q = begin; q < end; ++q) {
+          if ((*ctx.labeled)[q]) continue;
+          rows[q] = ctx.engine->PowerFrom(static_cast<uint32_t>(q), &search);
+          prob[q] =
+              ctx.model->MatchProbability(ctx.engine->graph().pool()[q]);
+        }
+      });
 
+  // Every row entry has its own target, so the order of a row does not
+  // matter to `m`; see DESIGN.md §8 for why it does not matter to the gain
+  // either.
   auto gain = [](const PowerRow& row, const std::vector<float>& m) {
     double g = 0.0;
     for (const auto& [q2, p] : row) g += std::max(0.0f, p - m[q2]);
@@ -110,8 +112,7 @@ SelectionResult GreedySelect(const SelectionContext& ctx,
       (*m)[q2] += static_cast<float>(pr) * std::max(0.0f, p - (*m)[q2]);
     }
   };
-  SelectionResult result = LazyGreedy<std::pair<uint32_t, float>>(
-      ctx, config, rows, prob, gain, commit, n);
+  SelectionResult result = LazyGreedy(ctx, config, rows, prob, gain, commit, n);
   result.seconds = span.Finish();
   RecordSelection(result);
   return result;
@@ -127,10 +128,12 @@ SelectionResult PartitionSelect(const SelectionContext& ctx,
   const int mu = ctx.engine->config().max_hops;
 
   // --- 1-hop powers for every entity pair --------------------------------
-  std::vector<std::vector<InferenceEngine::OneHopPower>> onehop(n);
-  GlobalThreadPool().ParallelFor(n, [&](size_t q) {
-    onehop[q] = ctx.engine->OneHopPowers(static_cast<uint32_t>(q));
-  });
+  const InferenceEngine::OneHopCsr onehop = ctx.engine->OneHopPowers();
+
+  // Labels index the dense counts at their pool node; type edges at n.
+  auto label_slot = [n](uint32_t label) {
+    return label == AlignmentGraph::kTypeLabel ? n : size_t{label};
+  };
 
   // --- partition splitting (Lines 2-14) -----------------------------------
   // Entity pairs start in group 0; every schema pair is its own singleton
@@ -150,6 +153,9 @@ SelectionResult PartitionSelect(const SelectionContext& ctx,
   }
 
   std::vector<bool> frozen(members.size(), false);
+  std::vector<size_t> label_count(n + 1, 0);  // by label slot
+  std::vector<uint32_t> seen_labels;          // first-seen order
+  std::vector<uint8_t> moving(n, 0);
   bool flag = true;
   size_t splits = 0;  // schema singletons inflate num_groups; cap *splits*
   while (flag && splits < kMaxSplits) {
@@ -166,41 +172,72 @@ SelectionResult PartitionSelect(const SelectionContext& ctx,
       // intra-group edges for the split below, in member then edge order.
       double inner = 0.0;
       double outer = 0.0;
-      std::unordered_map<uint32_t, size_t> label_count;
       for (uint32_t q : members[i]) {
-        for (const auto& hp : onehop[q]) {
-          if (group_of[hp.target] == i) {
-            inner += hp.power;
-            ++label_count[hp.label];
+        for (uint32_t e = onehop.offsets[q]; e < onehop.offsets[q + 1]; ++e) {
+          if (group_of[onehop.target[e]] == i) {
+            inner += onehop.power[e];
+            if (label_count[label_slot(onehop.label[e])]++ == 0) {
+              seen_labels.push_back(onehop.label[e]);
+            }
           } else {
-            outer += hp.power;
+            outer += onehop.power[e];
           }
         }
       }
-      if (inner + outer <= 0.0 || outer / (inner + outer) >= config.rho) {
-        continue;
-      }
-
       // Split by the relation pair labeling the most intra-group edges.
+      // Ties go to the first in the iteration order of a hash map that
+      // gets the distinct labels in first-seen order. That order depends on
+      // the insertion sequence only, so ties resolve as in a map that
+      // counts every intra-group edge (DESIGN.md §8).
       uint32_t best_label = AlignmentGraph::kTypeLabel;
       size_t best_count = 0;
-      for (const auto& [label, count] : label_count) {
-        if (count > best_count) {
-          best_count = count;
-          best_label = label;
+      const bool split =
+          !(inner + outer <= 0.0 || outer / (inner + outer) >= config.rho);
+      if (split) {
+        std::unordered_map<uint32_t, size_t> counts;
+        for (uint32_t label : seen_labels) {
+          counts.emplace(label, label_count[label_slot(label)]);
+        }
+        for (const auto& [label, count] : counts) {
+          if (count > best_count) {
+            best_count = count;
+            best_label = label;
+          }
+        }
+      }
+      for (uint32_t label : seen_labels) label_count[label_slot(label)] = 0;
+      seen_labels.clear();
+      if (!split) continue;
+
+      // Members with an intra-group one-hop entry of the best label move
+      // out. The graph lists the best label's edges: a type edge leads to a
+      // class pair, alone in its group, so a label with a count is a
+      // relation pair's. Each candidate source is checked against its
+      // entries, since an edge without positive power has none.
+      DAAKG_CHECK(best_count == 0 || best_label != AlignmentGraph::kTypeLabel);
+      auto moves = [&](uint32_t q) {
+        for (uint32_t e = onehop.offsets[q]; e < onehop.offsets[q + 1]; ++e) {
+          if (onehop.label[e] == best_label &&
+              group_of[onehop.target[e]] == i) {
+            return true;
+          }
+        }
+        return false;
+      };
+      if (best_count > 0) {
+        for (const auto& [source, target] :
+             graph.EdgesOfRelationPair(best_label)) {
+          if (!moving[source] && group_of[source] == i &&
+              group_of[target] == i && moves(source)) {
+            moving[source] = 1;
+          }
         }
       }
       std::vector<uint32_t> moved;
       std::vector<uint32_t> kept;
       for (uint32_t q : members[i]) {
-        bool has_label_edge = false;
-        for (const auto& hp : onehop[q]) {
-          if (hp.label == best_label && group_of[hp.target] == i) {
-            has_label_edge = true;
-            break;
-          }
-        }
-        (has_label_edge ? moved : kept).push_back(q);
+        (moving[q] ? moved : kept).push_back(q);
+        moving[q] = 0;
       }
       if (moved.empty() || kept.empty()) {
         frozen[i] = true;  // degenerate split: stop refining this group
@@ -223,86 +260,80 @@ SelectionResult PartitionSelect(const SelectionContext& ctx,
     if (!(*ctx.labeled)[q]) ++group_size[group_of[q]];
   }
 
-  // --- coarse graph: min edge cost between groups --------------------------
-  auto key = [](uint32_t a, uint32_t b) {
-    return (static_cast<uint64_t>(a) << 32) | b;
-  };
-  std::unordered_map<uint64_t, float> coarse_cost;
-  for (uint32_t q = 0; q < n; ++q) {
-    const uint32_t ga = group_of[q];
-    for (const auto& hp : onehop[q]) {
-      const uint32_t gb = group_of[hp.target];
-      if (ga == gb) continue;  // self-loops are the approximation loss
-      const float cost = 1.0f / hp.power - 1.0f;
-      auto [it, inserted] = coarse_cost.emplace(key(ga, gb), cost);
-      if (!inserted) it->second = std::min(it->second, cost);
-    }
-  }
-  std::vector<std::vector<std::pair<uint32_t, float>>> coarse_adj(num_groups);
-  for (const auto& [k, cost] : coarse_cost) {
-    coarse_adj[static_cast<uint32_t>(k >> 32)].emplace_back(
-        static_cast<uint32_t>(k & 0xFFFFFFFFu), cost);
-  }
-
   const float power_floor =
       static_cast<float>(ctx.engine->config().power_floor);
   const float max_cost = 1.0f / power_floor - 1.0f + 1e-6f;
 
+  // --- coarse graph: min edge cost between groups --------------------------
+  // One CSR row per group, its targets in first-reached order, built on a
+  // dense per-group minimum over the members' cross-group entries.
+  std::vector<uint32_t> coarse_offsets(num_groups + 1, 0);
+  std::vector<std::pair<uint32_t, float>> coarse_adj;
+  {
+    HopSearch least(num_groups);
+    for (uint32_t ga = 0; ga < num_groups; ++ga) {
+      for (uint32_t q : members[ga]) {
+        for (uint32_t e = onehop.offsets[q]; e < onehop.offsets[q + 1]; ++e) {
+          const uint32_t gb = group_of[onehop.target[e]];
+          if (ga == gb) continue;  // self-loops are the approximation loss
+          least.Lower(gb, 1.0f / onehop.power[e] - 1.0f);
+        }
+      }
+      for (uint32_t gb : least.touched()) {
+        coarse_adj.emplace_back(gb, least.cost(gb));
+      }
+      least.Reset();
+      coarse_offsets[ga + 1] = static_cast<uint32_t>(coarse_adj.size());
+    }
+  }
+
   // --- estimated power rows (Line 15) --------------------------------------
   std::vector<std::vector<GroupEntry>> rows(n);
   std::vector<double> prob(n, 0.0);
-  GlobalThreadPool().ParallelFor(n, [&](size_t qi) {
-    const uint32_t q = static_cast<uint32_t>(qi);
-    if ((*ctx.labeled)[q]) return;
-    prob[q] = ctx.model->MatchProbability(graph.pool()[q]);
+  GlobalThreadPool().ParallelForShards(
+      n, [&](size_t, size_t begin, size_t end) {
+        HopSearch search(num_groups);
+        for (size_t qi = begin; qi < end; ++qi) {
+          const uint32_t q = static_cast<uint32_t>(qi);
+          if ((*ctx.labeled)[q]) continue;
+          prob[q] = ctx.model->MatchProbability(graph.pool()[q]);
 
-    std::unordered_map<uint32_t, float> best;  // group -> min cost
-    const ElementPair& pair = graph.pool()[q];
-    if (pair.kind == ElementKind::kEntity) {
-      for (const auto& hp : onehop[q]) {
-        const float cost = 1.0f / hp.power - 1.0f;
-        if (cost > max_cost) continue;
-        const uint32_t g = group_of[hp.target];
-        auto [it, inserted] = best.emplace(g, cost);
-        if (!inserted) it->second = std::min(it->second, cost);
-      }
-    } else if (pair.kind == ElementKind::kRelation) {
-      // Relation sources are cheap to evaluate exactly (Eq. 20).
-      for (const auto& [node, power] : ctx.engine->PowerFrom(q)) {
-        const float cost = 1.0f / power - 1.0f;
-        const uint32_t g = group_of[node];
-        auto [it, inserted] = best.emplace(g, cost);
-        if (!inserted) it->second = std::min(it->second, cost);
-      }
-    } else {
-      return;  // class pairs: no outgoing inference
-    }
-
-    // mu-1 further hops over the coarse graph.
-    std::unordered_map<uint32_t, float> frontier = best;
-    for (int hop = 1; hop < mu && !frontier.empty(); ++hop) {
-      std::unordered_map<uint32_t, float> next;
-      for (const auto& [g, cost] : frontier) {
-        for (const auto& [h, c] : coarse_adj[g]) {
-          const float nc = cost + c;
-          if (nc > max_cost) continue;
-          auto it = best.find(h);
-          if (it == best.end() || nc < it->second) {
-            best[h] = nc;
-            next[h] = nc;
+          const ElementPair& pair = graph.pool()[q];
+          if (pair.kind == ElementKind::kEntity) {
+            for (uint32_t e = onehop.offsets[q]; e < onehop.offsets[q + 1];
+                 ++e) {
+              const float cost = 1.0f / onehop.power[e] - 1.0f;
+              if (cost > max_cost) continue;
+              search.Lower(group_of[onehop.target[e]], cost);
+            }
+          } else if (pair.kind == ElementKind::kRelation) {
+            // Relation sources are cheap to evaluate exactly (Eq. 20).
+            for (const auto& [node, power] : ctx.engine->PowerFrom(q)) {
+              search.Lower(group_of[node], 1.0f / power - 1.0f);
+            }
+          } else {
+            continue;  // class pairs: no outgoing inference
           }
-        }
-      }
-      frontier = std::move(next);
-    }
-    for (const auto& [g, cost] : best) {
-      const float power = 1.0f / (1.0f + cost);
-      if (power > power_floor && group_size[g] > 0) {
-        rows[qi].push_back(GroupEntry{g, power, group_size[g]});
-      }
-    }
-  });
 
+          // mu-1 further hops over the coarse graph.
+          search.Run(mu - 1, max_cost, [&](uint32_t g, auto&& relax) {
+            for (uint32_t k = coarse_offsets[g]; k < coarse_offsets[g + 1];
+                 ++k) {
+              relax(coarse_adj[k].first, coarse_adj[k].second);
+            }
+          });
+          for (uint32_t g : search.touched()) {
+            const float power = 1.0f / (1.0f + search.cost(g));
+            if (power > power_floor && group_size[g] > 0) {
+              rows[qi].push_back(GroupEntry{g, power, group_size[g]});
+            }
+          }
+          search.Reset();
+        }
+      });
+
+  // As for GreedySelect, the order of a row's entries matters to neither
+  // the gain nor `m` (DESIGN.md §8).
   auto gain = [](const std::vector<GroupEntry>& row,
                  const std::vector<float>& m) {
     double g = 0.0;
@@ -318,8 +349,8 @@ SelectionResult PartitionSelect(const SelectionContext& ctx,
           static_cast<float>(pr) * std::max(0.0f, e.power - (*m)[e.group]);
     }
   };
-  SelectionResult result = LazyGreedy<GroupEntry>(ctx, config, rows, prob,
-                                                  gain, commit, num_groups);
+  SelectionResult result =
+      LazyGreedy(ctx, config, rows, prob, gain, commit, num_groups);
   result.num_groups = num_groups;
   result.seconds = span.Finish();
   obs::GlobalMetrics()
@@ -333,12 +364,13 @@ double EvaluateSelectionObjective(const SelectionContext& ctx,
                                   const std::vector<uint32_t>& selected) {
   const size_t n = ctx.engine->graph().num_nodes();
   std::vector<float> m(n, 0.0f);
+  HopSearch search(n);
   double total = 0.0;
   for (uint32_t q : selected) {
     const double pr =
         ctx.model->MatchProbability(ctx.engine->graph().pool()[q]);
     double gain = 0.0;
-    for (const auto& [q2, p] : ctx.engine->PowerFrom(q)) {
+    for (const auto& [q2, p] : ctx.engine->PowerFrom(q, &search)) {
       const float delta = std::max(0.0f, p - m[q2]);
       gain += delta;
       m[q2] += static_cast<float>(pr) * delta;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 
 #include "common/thread_pool.h"
@@ -253,7 +254,7 @@ float InferenceEngine::EdgeCost(uint32_t node, size_t edge_index) const {
   return costs_[graph_->FirstEdge(node) + edge_index];
 }
 
-PowerRow InferenceEngine::PowerFrom(uint32_t src) const {
+PowerRow InferenceEngine::PowerFrom(uint32_t src, HopSearch* scratch) const {
   DAAKG_CHECK(costs_ready_);
   power_from_calls_->Increment();
   PowerRow out;
@@ -262,56 +263,46 @@ PowerRow InferenceEngine::PowerFrom(uint32_t src) const {
       static_cast<float>(1.0 / config_.power_floor - 1.0) + 1e-6f;
 
   if (src_pair.kind == ElementKind::kEntity) {
+    std::optional<HopSearch> local;
+    HopSearch& search =
+        scratch != nullptr ? *scratch : local.emplace(graph_->num_nodes());
     // --- path powers to entity pairs (Eq. 19), mu-hop bounded -------------
-    std::unordered_map<uint32_t, float> best;
-    std::unordered_map<uint32_t, float> frontier{{src, 0.0f}};
-    best[src] = 0.0f;
-    for (int hop = 0; hop < config_.max_hops && !frontier.empty(); ++hop) {
-      std::unordered_map<uint32_t, float> next;
-      for (const auto& [node, cost] : frontier) {
-        const auto edges = graph_->Out(node);
-        const float* costs = costs_.data() + graph_->FirstEdge(node);
-        for (size_t k = 0; k < edges.size(); ++k) {
-          const float c = costs[k];
-          if (!std::isfinite(c)) continue;
-          const float nc = cost + c;
-          if (nc > max_cost) continue;
-          const uint32_t tgt = edges[k].target;
-          auto it = best.find(tgt);
-          if (it == best.end() || nc < it->second) {
-            best[tgt] = nc;
-            next[tgt] = nc;
-          }
-        }
+    search.Lower(src, 0.0f);
+    search.Run(config_.max_hops, max_cost, [&](uint32_t node, auto&& relax) {
+      const auto edges = graph_->Out(node);
+      const float* costs = costs_.data() + graph_->FirstEdge(node);
+      for (size_t k = 0; k < edges.size(); ++k) {
+        if (std::isfinite(costs[k])) relax(edges[k].target, costs[k]);
       }
-      frontier = std::move(next);
-    }
-    for (const auto& [node, cost] : best) {
+    });
+    for (uint32_t node : search.touched()) {
       if (node == src) continue;
-      const float power = 1.0f / (1.0f + cost);
+      const float power = 1.0f / (1.0f + search.cost(node));
       if (power > config_.power_floor) out.emplace_back(node, power);
     }
+    search.Reset();
 
     // --- 1-hop gradient powers (Eqs. 21-22) --------------------------------
-    std::unordered_map<uint32_t, float> schema_power;
+    // The strongest power per schema node, kept on the same scratch as its
+    // least negation (gradient powers are never negative).
     for (const AlignmentGraph::Edge& e : graph_->Out(src)) {
       if (e.rel_pair == AlignmentGraph::kTypeLabel) {
-        const float p =
-            PowerEntityToClass(src_pair, graph_->pool()[e.target],
-                               *PrecomputedGradient(e.target));
-        auto& slot = schema_power[e.target];
-        slot = std::max(slot, p);
+        search.Lower(e.target,
+                     -PowerEntityToClass(src_pair, graph_->pool()[e.target],
+                                         *PrecomputedGradient(e.target)));
       } else {
-        const float p = PowerEntityToRelation(
-            src_pair, graph_->pool()[e.rel_pair], graph_->pool()[e.target],
-            *PrecomputedGradient(e.rel_pair));
-        auto& slot = schema_power[e.rel_pair];
-        slot = std::max(slot, p);
+        search.Lower(e.rel_pair,
+                     -PowerEntityToRelation(
+                         src_pair, graph_->pool()[e.rel_pair],
+                         graph_->pool()[e.target],
+                         *PrecomputedGradient(e.rel_pair)));
       }
     }
-    for (const auto& [node, power] : schema_power) {
+    for (uint32_t node : search.touched()) {
+      const float power = -search.cost(node);
       if (power > config_.power_floor) out.emplace_back(node, power);
     }
+    search.Reset();
     power_entries_->Increment(out.size());
     return out;
   }
@@ -353,29 +344,54 @@ PowerRow InferenceEngine::PowerFrom(uint32_t src) const {
   return out;
 }
 
-std::vector<InferenceEngine::OneHopPower> InferenceEngine::OneHopPowers(
-    uint32_t node) const {
+InferenceEngine::OneHopCsr InferenceEngine::OneHopPowers() const {
   DAAKG_CHECK(costs_ready_);
-  std::vector<OneHopPower> out;
-  const ElementPair& src = graph_->pool()[node];
-  if (src.kind != ElementKind::kEntity) return out;
-  const auto edges = graph_->Out(node);
-  const float* costs = costs_.data() + graph_->FirstEdge(node);
-  out.reserve(edges.size());
-  for (size_t k = 0; k < edges.size(); ++k) {
-    const AlignmentGraph::Edge& e = edges[k];
-    float power;
-    if (e.rel_pair == AlignmentGraph::kTypeLabel) {
-      power = PowerEntityToClass(src, graph_->pool()[e.target],
-                                 *PrecomputedGradient(e.target));
-    } else {
-      power = 1.0f / (1.0f + costs[k]);
+  const size_t n = graph_->num_nodes();
+  // The power of every edge first, in place of its entry (0 for edges of
+  // non-entity sources, which have none), with each node's count of
+  // positive ones at offsets[node + 1]; then one pass moves the kept
+  // entries down to their CSR slots.
+  OneHopCsr csr;
+  csr.power.assign(graph_->num_edges(), 0.0f);
+  csr.offsets.assign(n + 1, 0);
+  GlobalThreadPool().ParallelFor(n, [&](size_t i) {
+    const uint32_t node = static_cast<uint32_t>(i);
+    const ElementPair& src = graph_->pool()[node];
+    if (src.kind != ElementKind::kEntity) return;
+    const auto edges = graph_->Out(node);
+    const float* costs = costs_.data() + graph_->FirstEdge(node);
+    float* power = csr.power.data() + graph_->FirstEdge(node);
+    uint32_t kept = 0;
+    for (size_t k = 0; k < edges.size(); ++k) {
+      const AlignmentGraph::Edge& e = edges[k];
+      power[k] = e.rel_pair == AlignmentGraph::kTypeLabel
+                     ? PowerEntityToClass(src, graph_->pool()[e.target],
+                                          *PrecomputedGradient(e.target))
+                     : 1.0f / (1.0f + costs[k]);
+      kept += power[k] > 0.0f;
     }
-    if (power > 0.0f) {
-      out.push_back(OneHopPower{e.target, e.rel_pair, power});
+    csr.offsets[node + 1] = kept;
+  });
+  for (size_t node = 0; node < n; ++node) {
+    csr.offsets[node + 1] += csr.offsets[node];
+  }
+  csr.target.resize(csr.offsets[n]);
+  csr.label.resize(csr.offsets[n]);
+  size_t at = 0;
+  for (uint32_t node = 0; node < n; ++node) {
+    const auto edges = graph_->Out(node);
+    const size_t first = graph_->FirstEdge(node);
+    for (size_t k = 0; k < edges.size(); ++k) {
+      const float power = csr.power[first + k];
+      if (!(power > 0.0f)) continue;
+      csr.target[at] = edges[k].target;
+      csr.label[at] = edges[k].rel_pair;
+      csr.power[at] = power;  // at <= first + k
+      ++at;
     }
   }
-  return out;
+  csr.power.resize(at);
+  return csr;
 }
 
 InferenceEngine::SchemaGradient InferenceEngine::ComputeSchemaGradient(

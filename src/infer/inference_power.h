@@ -7,6 +7,7 @@
 
 #include "align/joint_model.h"
 #include "infer/alignment_graph.h"
+#include "infer/hop_search.h"
 #include "obs/metrics.h"
 
 namespace daakg {
@@ -95,21 +96,25 @@ class InferenceEngine {
   //    source entity pair is a likely match;
   //  * class-pair source: none (the paper defines no outgoing inference
   //    from class pairs).
-  PowerRow PowerFrom(uint32_t src) const;
+  // Entity sources search on `scratch` (sized graph().num_nodes(), left
+  // reset) when given, on a fresh one otherwise; callers that query many
+  // sources keep one per thread. Row order is unspecified.
+  PowerRow PowerFrom(uint32_t src, HopSearch* scratch = nullptr) const;
 
-  // A labeled one-hop power entry: one outgoing alignment-graph edge of a
-  // node, with its relation-pair label (kTypeLabel for type edges) and the
-  // 1-hop inference power along it.
-  struct OneHopPower {
-    uint32_t target;
-    uint32_t label;
-    float power;
+  // The 1-hop powers of every pool node, one entry per outgoing
+  // alignment-graph edge with positive power, as one CSR: entries
+  // [offsets[q], offsets[q + 1]) are node q's, in edge order, each with its
+  // target, its relation-pair label (kTypeLabel for type edges) and the
+  // 1-hop power along it: 1/(1+cost) along relational edges, the gradient
+  // power (Eq. 21) along type edges. Only entity pairs have entries. Used by
+  // the graph-partitioning selection (Algorithm 2).
+  struct OneHopCsr {
+    std::vector<uint32_t> offsets;
+    std::vector<uint32_t> target;
+    std::vector<uint32_t> label;
+    std::vector<float> power;
   };
-
-  // All 1-hop powers from `node`: path power 1/(1+cost) along relational
-  // edges, gradient power (Eq. 21) along type edges. Used by the
-  // graph-partitioning selection (Algorithm 2).
-  std::vector<OneHopPower> OneHopPowers(uint32_t node) const;
+  OneHopCsr OneHopPowers() const;
 
   // Gradient-based powers, exposed for tests and the Table 6 bench. After
   // PrecomputeEdgeCosts a schema pair of the pool reads its precomputed

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <queue>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "active/oracle.h"
@@ -395,9 +398,12 @@ TEST_F(ActiveTest, PartitionSelectionKeepsMostInferencePower) {
 }
 
 // Pins the groups and the batch PartitionSelect reaches at several rho. The
-// splitting loop picks the label of the most intra-group edges and breaks
-// ties by the order in which it counted them, so a faster loop must count
-// in the same member and edge order to keep these.
+// splitting loop picks the label of the most intra-group edges; a tie goes
+// to the label first in the iteration order of an unordered_map that gets
+// the distinct labels in first-seen (member then edge) order. Counting or
+// inserting in another order changes these pins: filling the tie-break map
+// in reverse first-seen order fails this test and
+// PartitionSelectTest.MatchesReferenceImplementation.
 TEST_F(ActiveTest, PartitionSplitsArePinned) {
   uint64_t h = 0xCBF29CE484222325ULL;
   auto mix = [&h](uint64_t word) {
@@ -441,6 +447,394 @@ TEST_F(ActiveTest, RepeatedSelectionIsDeterministic) {
     EXPECT_EQ(GreedySelect(ctx_, cfg).selected, greedy0.selected) << iter;
     EXPECT_EQ(PartitionSelect(ctx_, cfg).selected, part0.selected) << iter;
   }
+}
+
+// The power row of an entity-pair source as first computed: the mu-hop
+// search on best/frontier/next hash maps, then the strongest gradient power
+// per schema node in a hash map. Sorted, since row order is unspecified.
+PowerRow ReferenceEntityPowerRow(const InferenceEngine& engine, uint32_t src) {
+  const AlignmentGraph& graph = engine.graph();
+  const InferenceConfig& config = engine.config();
+  const float max_cost =
+      static_cast<float>(1.0 / config.power_floor - 1.0) + 1e-6f;
+  PowerRow out;
+  std::unordered_map<uint32_t, float> best;
+  std::unordered_map<uint32_t, float> frontier{{src, 0.0f}};
+  best[src] = 0.0f;
+  for (int hop = 0; hop < config.max_hops && !frontier.empty(); ++hop) {
+    std::unordered_map<uint32_t, float> next;
+    for (const auto& [node, cost] : frontier) {
+      const auto edges = graph.Out(node);
+      for (size_t k = 0; k < edges.size(); ++k) {
+        const float c = engine.EdgeCost(node, k);
+        if (!std::isfinite(c)) continue;
+        const float nc = cost + c;
+        if (nc > max_cost) continue;
+        const uint32_t tgt = edges[k].target;
+        auto it = best.find(tgt);
+        if (it == best.end() || nc < it->second) {
+          best[tgt] = nc;
+          next[tgt] = nc;
+        }
+      }
+    }
+    frontier = std::move(next);
+  }
+  for (const auto& [node, cost] : best) {
+    if (node == src) continue;
+    const float power = 1.0f / (1.0f + cost);
+    if (power > config.power_floor) out.emplace_back(node, power);
+  }
+  const ElementPair& src_pair = graph.pool()[src];
+  std::unordered_map<uint32_t, float> schema_power;
+  for (const AlignmentGraph::Edge& e : graph.Out(src)) {
+    if (e.rel_pair == AlignmentGraph::kTypeLabel) {
+      auto& slot = schema_power[e.target];
+      slot = std::max(slot, engine.PowerEntityToClass(
+                                src_pair, graph.pool()[e.target]));
+    } else {
+      auto& slot = schema_power[e.rel_pair];
+      slot = std::max(slot, engine.PowerEntityToRelation(
+                                src_pair, graph.pool()[e.rel_pair],
+                                graph.pool()[e.target]));
+    }
+  }
+  for (const auto& [node, power] : schema_power) {
+    if (power > config.power_floor) out.emplace_back(node, power);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// PowerFrom's dense search finds the reference's entries, bit for bit, from
+// every entity-pair source, on one scratch reused across sources.
+TEST_F(ActiveTest, PowerFromMatchesReferenceSearch) {
+  HopSearch search(graph_->num_nodes());
+  size_t entries = 0;
+  for (uint32_t q = 0; q < graph_->num_nodes(); ++q) {
+    if (pool_[q].kind != ElementKind::kEntity) continue;
+    PowerRow got = engine_->PowerFrom(q, &search);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, ReferenceEntityPowerRow(*engine_, q)) << "node " << q;
+    entries += got.size();
+  }
+  EXPECT_GT(entries, graph_->num_nodes());
+}
+
+// ---------------------------------------------------------------------------
+// Algorithm 2 against the first, hash-based implementation
+// ---------------------------------------------------------------------------
+
+// A one-hop power entry as the first implementation kept them: one vector
+// per node.
+struct ReferenceOneHop {
+  uint32_t target;
+  uint32_t label;
+  float power;
+};
+
+// The lazy greedy loop of the first implementation, gain and commit behind
+// std::function.
+template <typename Entry>
+SelectionResult ReferenceLazyGreedy(
+    const SelectionContext& ctx, const SelectionConfig& config,
+    const std::vector<std::vector<Entry>>& rows,
+    const std::vector<double>& prob,
+    const std::function<double(const std::vector<Entry>&,
+                               const std::vector<float>&)>& gain_fn,
+    const std::function<void(const std::vector<Entry>&, double,
+                             std::vector<float>*)>& commit_fn,
+    size_t m_size) {
+  constexpr float kLazyEps = 1e-9f;
+  SelectionResult result;
+  std::vector<float> m(m_size, 0.0f);
+  using Item = std::pair<double, uint32_t>;
+  std::priority_queue<Item> queue;
+  for (uint32_t q = 0; q < rows.size(); ++q) {
+    if ((*ctx.labeled)[q]) continue;
+    if (rows[q].empty()) continue;
+    queue.emplace(prob[q] * gain_fn(rows[q], m), q);
+  }
+  std::vector<bool> taken(rows.size(), false);
+  while (result.selected.size() < config.batch_size && !queue.empty()) {
+    auto [g, q] = queue.top();
+    queue.pop();
+    if (taken[q]) continue;
+    const double fresh = prob[q] * gain_fn(rows[q], m);
+    if (!queue.empty() && fresh + kLazyEps < queue.top().first) {
+      queue.emplace(fresh, q);
+      continue;
+    }
+    taken[q] = true;
+    result.selected.push_back(q);
+    result.objective += fresh;
+    commit_fn(rows[q], prob[q], &m);
+  }
+  return result;
+}
+
+// Algorithm 2 as first written: per-node one-hop vectors, the label counts
+// and the coarse graph in hash maps, and the mu-1-hop coarse search on
+// per-source best/frontier/next hash maps.
+SelectionResult ReferencePartitionSelect(const SelectionContext& ctx,
+                                         const SelectionConfig& config) {
+  struct GroupEntry {
+    uint32_t group;
+    float power;
+    uint32_t count;
+  };
+  constexpr size_t kMaxSplits = 512;
+  const AlignmentGraph& graph = ctx.engine->graph();
+  const size_t n = graph.num_nodes();
+  const int mu = ctx.engine->config().max_hops;
+
+  std::vector<std::vector<ReferenceOneHop>> onehop(n);
+  for (uint32_t q = 0; q < n; ++q) {
+    const ElementPair& src = graph.pool()[q];
+    if (src.kind != ElementKind::kEntity) continue;
+    const auto edges = graph.Out(q);
+    for (size_t k = 0; k < edges.size(); ++k) {
+      const AlignmentGraph::Edge& e = edges[k];
+      const float power =
+          e.rel_pair == AlignmentGraph::kTypeLabel
+              ? ctx.engine->PowerEntityToClass(src, graph.pool()[e.target])
+              : 1.0f / (1.0f + ctx.engine->EdgeCost(q, k));
+      if (power > 0.0f) onehop[q].push_back({e.target, e.rel_pair, power});
+    }
+  }
+
+  std::vector<uint32_t> group_of(n, 0);
+  uint32_t num_groups = 1;
+  std::vector<std::vector<uint32_t>> members(1);
+  for (uint32_t q = 0; q < n; ++q) {
+    if (graph.pool()[q].kind == ElementKind::kEntity) {
+      group_of[q] = 0;
+      members[0].push_back(q);
+    } else {
+      group_of[q] = num_groups;
+      members.push_back({q});
+      ++num_groups;
+    }
+  }
+  std::vector<bool> frozen(members.size(), false);
+  bool flag = true;
+  size_t splits = 0;
+  while (flag && splits < kMaxSplits) {
+    flag = false;
+    for (uint32_t i = 0; i < num_groups; ++i) {
+      if (frozen[i] || members[i].size() < 2) continue;
+      double inner = 0.0;
+      double outer = 0.0;
+      std::unordered_map<uint32_t, size_t> label_count;
+      for (uint32_t q : members[i]) {
+        for (const auto& hp : onehop[q]) {
+          if (group_of[hp.target] == i) {
+            inner += hp.power;
+            ++label_count[hp.label];
+          } else {
+            outer += hp.power;
+          }
+        }
+      }
+      if (inner + outer <= 0.0 || outer / (inner + outer) >= config.rho) {
+        continue;
+      }
+      uint32_t best_label = AlignmentGraph::kTypeLabel;
+      size_t best_count = 0;
+      for (const auto& [label, count] : label_count) {
+        if (count > best_count) {
+          best_count = count;
+          best_label = label;
+        }
+      }
+      std::vector<uint32_t> moved;
+      std::vector<uint32_t> kept;
+      for (uint32_t q : members[i]) {
+        bool has_label_edge = false;
+        for (const auto& hp : onehop[q]) {
+          if (hp.label == best_label && group_of[hp.target] == i) {
+            has_label_edge = true;
+            break;
+          }
+        }
+        (has_label_edge ? moved : kept).push_back(q);
+      }
+      if (moved.empty() || kept.empty()) {
+        frozen[i] = true;
+        continue;
+      }
+      members[i] = std::move(kept);
+      for (uint32_t q : moved) group_of[q] = num_groups;
+      members.push_back(std::move(moved));
+      frozen.push_back(false);
+      ++num_groups;
+      ++splits;
+      flag = true;
+      break;
+    }
+  }
+
+  std::vector<uint32_t> group_size(num_groups, 0);
+  for (uint32_t q = 0; q < n; ++q) {
+    if (!(*ctx.labeled)[q]) ++group_size[group_of[q]];
+  }
+  auto key = [](uint32_t a, uint32_t b) {
+    return (static_cast<uint64_t>(a) << 32) | b;
+  };
+  std::unordered_map<uint64_t, float> coarse_cost;
+  for (uint32_t q = 0; q < n; ++q) {
+    const uint32_t ga = group_of[q];
+    for (const auto& hp : onehop[q]) {
+      const uint32_t gb = group_of[hp.target];
+      if (ga == gb) continue;
+      const float cost = 1.0f / hp.power - 1.0f;
+      auto [it, inserted] = coarse_cost.emplace(key(ga, gb), cost);
+      if (!inserted) it->second = std::min(it->second, cost);
+    }
+  }
+  std::vector<std::vector<std::pair<uint32_t, float>>> coarse_adj(num_groups);
+  for (const auto& [k, cost] : coarse_cost) {
+    coarse_adj[static_cast<uint32_t>(k >> 32)].emplace_back(
+        static_cast<uint32_t>(k & 0xFFFFFFFFu), cost);
+  }
+  const float power_floor =
+      static_cast<float>(ctx.engine->config().power_floor);
+  const float max_cost = 1.0f / power_floor - 1.0f + 1e-6f;
+
+  std::vector<std::vector<GroupEntry>> rows(n);
+  std::vector<double> prob(n, 0.0);
+  for (uint32_t q = 0; q < n; ++q) {
+    if ((*ctx.labeled)[q]) continue;
+    prob[q] = ctx.model->MatchProbability(graph.pool()[q]);
+    std::unordered_map<uint32_t, float> best;
+    const ElementPair& pair = graph.pool()[q];
+    if (pair.kind == ElementKind::kEntity) {
+      for (const auto& hp : onehop[q]) {
+        const float cost = 1.0f / hp.power - 1.0f;
+        if (cost > max_cost) continue;
+        const uint32_t g = group_of[hp.target];
+        auto [it, inserted] = best.emplace(g, cost);
+        if (!inserted) it->second = std::min(it->second, cost);
+      }
+    } else if (pair.kind == ElementKind::kRelation) {
+      for (const auto& [node, power] : ctx.engine->PowerFrom(q)) {
+        const float cost = 1.0f / power - 1.0f;
+        const uint32_t g = group_of[node];
+        auto [it, inserted] = best.emplace(g, cost);
+        if (!inserted) it->second = std::min(it->second, cost);
+      }
+    } else {
+      continue;
+    }
+    std::unordered_map<uint32_t, float> frontier = best;
+    for (int hop = 1; hop < mu && !frontier.empty(); ++hop) {
+      std::unordered_map<uint32_t, float> next;
+      for (const auto& [g, cost] : frontier) {
+        for (const auto& [h, c] : coarse_adj[g]) {
+          const float nc = cost + c;
+          if (nc > max_cost) continue;
+          auto it = best.find(h);
+          if (it == best.end() || nc < it->second) {
+            best[h] = nc;
+            next[h] = nc;
+          }
+        }
+      }
+      frontier = std::move(next);
+    }
+    for (const auto& [g, cost] : best) {
+      const float power = 1.0f / (1.0f + cost);
+      if (power > power_floor && group_size[g] > 0) {
+        rows[q].push_back(GroupEntry{g, power, group_size[g]});
+      }
+    }
+  }
+
+  auto gain = [](const std::vector<GroupEntry>& row,
+                 const std::vector<float>& m) {
+    double g = 0.0;
+    for (const auto& e : row) {
+      g += static_cast<double>(e.count) * std::max(0.0f, e.power - m[e.group]);
+    }
+    return g;
+  };
+  auto commit = [](const std::vector<GroupEntry>& row, double pr,
+                   std::vector<float>* m) {
+    for (const auto& e : row) {
+      (*m)[e.group] +=
+          static_cast<float>(pr) * std::max(0.0f, e.power - (*m)[e.group]);
+    }
+  };
+  SelectionResult result = ReferenceLazyGreedy<GroupEntry>(
+      ctx, config, rows, prob, gain, commit, num_groups);
+  result.num_groups = num_groups;
+  return result;
+}
+
+// PartitionSelect gives the reference's batch, objective bits and group
+// count on every dataset analogue, at two task seeds, two engine configs,
+// four rho and three labeled masks. Registered again at DAAKG_THREADS=1.
+TEST(PartitionSelectTest, MatchesReferenceImplementation) {
+  size_t split_cases = 0;
+  for (BenchmarkDataset dataset :
+       {BenchmarkDataset::kDW, BenchmarkDataset::kDY, BenchmarkDataset::kEnDe,
+        BenchmarkDataset::kEnFr}) {
+    for (uint64_t seed : {17u, 1u}) {
+      auto task = MakeBenchmarkTask(dataset, 0.2, seed);
+      ASSERT_TRUE(task.ok()) << task.status();
+      TrainedJointStack stack(task.value());
+      PoolConfig pcfg;
+      pcfg.top_n = 10;
+      const std::vector<ElementPair> pool =
+          PoolGenerator(&task.value(), stack.joint.get(), pcfg).Generate();
+      const AlignmentGraph graph(&task.value(), pool);
+      // The default engine, and the fixture's: a low power floor and few
+      // hops, so the hop bound, not the cost bound, ends most paths.
+      InferenceConfig short_paths;
+      short_paths.power_floor = 0.05;
+      short_paths.max_hops = 3;
+      for (const InferenceConfig& icfg : {InferenceConfig{}, short_paths}) {
+        InferenceEngine engine(&graph, stack.joint.get(), icfg);
+        engine.PrecomputeEdgeCosts();
+
+        const size_t n = pool.size();
+        const size_t schema_nodes = static_cast<size_t>(std::count_if(
+            pool.begin(), pool.end(), [](const ElementPair& pair) {
+              return pair.kind != ElementKind::kEntity;
+            }));
+        std::vector<std::vector<bool>> masks(3, std::vector<bool>(n, false));
+        for (size_t q = 0; q < n; q += 7) masks[1][q] = true;
+        masks[2].assign(n, true);
+        for (size_t k = 0; k < 15; ++k) masks[2][k * n / 15] = false;
+
+        for (size_t mask = 0; mask < masks.size(); ++mask) {
+          const SelectionContext ctx{&engine, stack.joint.get(), &masks[mask]};
+          for (double rho : {0.5, 0.8, 0.9, 0.99}) {
+            SCOPED_TRACE(testing::Message()
+                         << BenchmarkDatasetName(dataset) << " seed " << seed
+                         << " floor " << icfg.power_floor << " mask " << mask
+                         << " rho " << rho);
+            SelectionConfig cfg;
+            cfg.batch_size = 20;
+            cfg.rho = rho;
+            const SelectionResult want = ReferencePartitionSelect(ctx, cfg);
+            const SelectionResult got = PartitionSelect(ctx, cfg);
+            EXPECT_EQ(got.selected, want.selected);
+            uint64_t got_bits;
+            uint64_t want_bits;
+            std::memcpy(&got_bits, &got.objective, sizeof(got_bits));
+            std::memcpy(&want_bits, &want.objective, sizeof(want_bits));
+            EXPECT_EQ(got_bits, want_bits);
+            EXPECT_EQ(got.num_groups, want.num_groups);
+            EXPECT_FALSE(got.selected.empty());
+            // Entity pairs start as one group, schema pairs as singletons.
+            split_cases += got.num_groups > 1 + schema_nodes;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(split_cases, 96u);  // most of the 192 cases split
 }
 
 // ---------------------------------------------------------------------------

@@ -269,27 +269,37 @@ TEST_F(InferTest, GradientPowersBounded) {
   EXPECT_LE(pr, 1.0f);
 }
 
+// The one-hop CSR holds, per node and in edge order, exactly the edges with
+// positive power: 1/(1+cost) along relational edges, Eq. (21) along type
+// edges.
 TEST_F(InferTest, OneHopPowersMatchEdgeCosts) {
   InferenceEngine engine(graph_.get(), joint_.get(), EngineConfig());
   engine.PrecomputeEdgeCosts();
-  uint32_t src = graph_->IndexOf(ElementPair{ElementKind::kEntity, 0, 0});
-  auto onehop = engine.OneHopPowers(src);
-  const auto& out = graph_->Out(src);
-  for (const auto& hp : onehop) {
-    // Find the matching edge and verify the power.
-    bool matched = false;
+  const InferenceEngine::OneHopCsr onehop = engine.OneHopPowers();
+  ASSERT_EQ(onehop.offsets.size(), graph_->num_nodes() + 1);
+  ASSERT_EQ(onehop.target.size(), onehop.offsets.back());
+  ASSERT_EQ(onehop.label.size(), onehop.offsets.back());
+  ASSERT_EQ(onehop.power.size(), onehop.offsets.back());
+  size_t relational = 0;
+  for (uint32_t q = 0; q < graph_->num_nodes(); ++q) {
+    const auto out = graph_->Out(q);
+    uint32_t e = onehop.offsets[q];
     for (size_t k = 0; k < out.size(); ++k) {
-      if (out[k].target != hp.target || out[k].rel_pair != hp.label) continue;
-      if (hp.label == AlignmentGraph::kTypeLabel) {
-        matched = true;  // gradient power, checked elsewhere
-      } else if (std::fabs(hp.power -
-                           1.0f / (1.0f + engine.EdgeCost(src, k))) < 1e-5f) {
-        matched = true;
-      }
-      if (matched) break;
+      const bool type = out[k].rel_pair == AlignmentGraph::kTypeLabel;
+      const float power =
+          type ? engine.PowerEntityToClass(pool_[q], pool_[out[k].target])
+               : 1.0f / (1.0f + engine.EdgeCost(q, k));
+      if (!(power > 0.0f)) continue;
+      ASSERT_LT(e, onehop.offsets[q + 1]) << "node " << q;
+      EXPECT_EQ(onehop.target[e], out[k].target);
+      EXPECT_EQ(onehop.label[e], out[k].rel_pair);
+      EXPECT_EQ(onehop.power[e], power);
+      relational += !type;
+      ++e;
     }
-    EXPECT_TRUE(matched);
+    EXPECT_EQ(e, onehop.offsets[q + 1]) << "node " << q;
   }
+  EXPECT_GT(relational, 0u);
 }
 
 TEST_F(InferTest, RelationPairSourceUsesLikelyMatches) {
