@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
                 ResultHeader().c_str());
 
     {
-      Paris paris(&task, ParisConfig());
+      Paris paris(&task);
       std::printf("%s\n", FormatResultRow(paris.Run(seed)).c_str());
     }
 
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     }
 
     {
-      BertMapLite bertmap(&task, BertMapLiteConfig());
+      BertMapLite bertmap(&task);
       std::printf("%s\n", FormatResultRow(bertmap.Run(seed)).c_str());
     }
 

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     SeedAlignment seed = task.SampleSeed(env.seed_fraction, &rng);
 
     {
-      Paris paris(&task, ParisConfig());
+      Paris paris(&task);
       row_of("PARIS").secs[col] = paris.Run(seed).train_seconds;
     }
     {
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
       row_of("MTransE").secs[col] = baseline.Run(seed).train_seconds;
     }
     {
-      BertMapLite bertmap(&task, BertMapLiteConfig());
+      BertMapLite bertmap(&task);
       row_of("BERTMap").secs[col] = bertmap.Run(seed).train_seconds;
     }
     for (const char* model : {"transe", "rotate", "compgcn"}) {

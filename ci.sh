@@ -2,10 +2,12 @@
 # Tier-1 verification, three times over: a plain release build, an
 # ASan+UBSan build, and a TSan build focused on the concurrent paths
 # (thread pool, blocked kernels, index queries, pool generation,
-# selection). A SIMD backend matrix leg then re-runs the kernel-sensitive
-# subset under DAAKG_SIMD=scalar and the dispatched default to pin down
-# cross-backend determinism of pool, matching and selection outputs (and
-# each backend's pinned training and selection outputs).
+# selection). A perfbench smoke leg builds the end-to-end benchmark
+# against the library and runs each workload once for a second. A SIMD
+# backend matrix leg then re-runs the kernel-sensitive subset under
+# DAAKG_SIMD=scalar and the dispatched default to pin down cross-backend
+# determinism of pool, matching and selection outputs (and each backend's
+# pinned training and selection outputs).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -48,6 +50,23 @@ echo "== release build =="
 cmake -B build -S .
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+
+echo "== perfbench smoke (compiles perfbench/ against the library) =="
+# One short run per benchmark workload; each must check every output
+# correct (its result line reports failed == 0).
+for workload in active-loop batch-plan; do
+  result="$(python3 perfbench/run.py --workload "$workload" --seconds 1 |
+            tail -n 1)"
+  python3 - "$workload" "$result" <<'PY'
+import json, sys
+workload, line = sys.argv[1], sys.argv[2]
+result = json.loads(line)
+print(f"perfbench {workload}: attempted {result['attempted']}, "
+      f"failed {result['failed']}")
+if result["failed"] != 0:
+    sys.exit(f"ci.sh: perfbench {workload} reported failed operations")
+PY
+done
 
 echo "== SIMD backend matrix (scalar vs dispatched) =="
 KERNEL_FILTER='KernelTest.*:TopKAccumulatorTest.*:SimdTest.*'

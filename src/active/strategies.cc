@@ -9,6 +9,12 @@
 namespace daakg {
 namespace {
 
+// PageRank damping factor and power iterations.
+constexpr double kDamping = 0.85;
+constexpr int kIterations = 30;
+// ActiveEA: weight of the neighbors' mean uncertainty.
+constexpr double kNeighborWeight = 0.5;
+
 // Top `batch_size` unlabeled nodes by `score`, descending.
 std::vector<uint32_t> TopUnlabeled(const SelectionContext& ctx,
                                    const std::vector<float>& score,
@@ -67,19 +73,19 @@ std::vector<uint32_t> PageRankStrategy::SelectBatch(
   const size_t n = graph.num_nodes();
   std::vector<float> rank(n, 1.0f / static_cast<float>(n));
   std::vector<float> next(n);
-  for (int it = 0; it < iterations_; ++it) {
+  for (int it = 0; it < kIterations; ++it) {
     std::fill(next.begin(), next.end(),
-              static_cast<float>((1.0 - damping_) / static_cast<double>(n)));
+              static_cast<float>((1.0 - kDamping) / static_cast<double>(n)));
     for (uint32_t q = 0; q < n; ++q) {
       const auto& out = graph.Out(q);
       if (out.empty()) {
         // Dangling mass spreads uniformly; approximated by self-retention
         // to keep the iteration O(E).
-        next[q] += static_cast<float>(damping_) * rank[q];
+        next[q] += static_cast<float>(kDamping) * rank[q];
         continue;
       }
-      const float share =
-          static_cast<float>(damping_) * rank[q] / static_cast<float>(out.size());
+      const float share = static_cast<float>(kDamping) * rank[q] /
+                          static_cast<float>(out.size());
       for (const auto& e : out) next[e.target] += share;
     }
     std::swap(rank, next);
@@ -110,7 +116,7 @@ std::vector<uint32_t> ActiveEaStrategy::SelectBatch(
     if (out.empty()) continue;
     float nb = 0.0f;
     for (const auto& e : out) nb += own[e.target];
-    score[q] += static_cast<float>(neighbor_weight_) * nb /
+    score[q] += static_cast<float>(kNeighborWeight) * nb /
                 static_cast<float>(out.size());
   }
   return TopUnlabeled(ctx, score, batch_size);
@@ -121,7 +127,6 @@ std::vector<uint32_t> DaakgStrategy::SelectBatch(const SelectionContext& ctx,
                                                  Rng* /*rng*/) {
   SelectionConfig config;
   config.batch_size = batch_size;
-  config.rho = rho_;
   SelectionResult result = use_partitioning_ ? PartitionSelect(ctx, config)
                                              : GreedySelect(ctx, config);
   return result.selected;

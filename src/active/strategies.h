@@ -42,15 +42,9 @@ class DegreeStrategy : public SelectionStrategy {
 // Highest PageRank score on the alignment graph.
 class PageRankStrategy : public SelectionStrategy {
  public:
-  explicit PageRankStrategy(double damping = 0.85, int iterations = 30)
-      : damping_(damping), iterations_(iterations) {}
   std::string name() const override { return "PageRank"; }
   std::vector<uint32_t> SelectBatch(const SelectionContext& ctx,
                                     size_t batch_size, Rng* rng) override;
-
- private:
-  double damping_;
-  int iterations_;
 };
 
 // Largest prediction entropy of the calibrated match probability
@@ -68,21 +62,17 @@ class UncertaintyStrategy : public SelectionStrategy {
 // uncertainty.
 class ActiveEaStrategy : public SelectionStrategy {
  public:
-  explicit ActiveEaStrategy(double neighbor_weight = 0.5)
-      : neighbor_weight_(neighbor_weight) {}
   std::string name() const override { return "ActiveEA"; }
   std::vector<uint32_t> SelectBatch(const SelectionContext& ctx,
                                     size_t batch_size, Rng* rng) override;
-
- private:
-  double neighbor_weight_;
 };
 
-// DAAKG batch selection, Algorithm 1 (greedy) or Algorithm 2 (partition).
+// DAAKG batch selection, Algorithm 1 (greedy) or Algorithm 2 (partition,
+// with the default SelectionConfig::rho).
 class DaakgStrategy : public SelectionStrategy {
  public:
-  explicit DaakgStrategy(bool use_partitioning, double rho = 0.9)
-      : use_partitioning_(use_partitioning), rho_(rho) {}
+  explicit DaakgStrategy(bool use_partitioning)
+      : use_partitioning_(use_partitioning) {}
   std::string name() const override {
     return use_partitioning_ ? "DAAKG" : "DAAKG-greedy";
   }
@@ -91,7 +81,6 @@ class DaakgStrategy : public SelectionStrategy {
 
  private:
   bool use_partitioning_;
-  double rho_;
 };
 
 // All Fig. 5 strategies, DAAKG last.

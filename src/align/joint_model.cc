@@ -17,6 +17,19 @@ namespace daakg {
 namespace {
 constexpr float kNormEps = 1e-12f;
 
+constexpr float kAlignLr = 0.05f;
+constexpr int kNumNegatives = 10;  // negatives per labeled match
+// Hard-negative mining (normalized hard sample mining of Dual-AMN): each
+// entity negative is the most similar of this many uniform candidates.
+constexpr int kHardNegativeCandidates = 12;
+constexpr double kLossSharpness = 10.0;  // cosine -> logit scale, Eqs. (5), (8)
+// Weight of the auxiliary MTransE-style L2 pull ||A_ent e - e'||^2 on
+// labeled entity matches. The contrastive loss shapes *directions*; the
+// L2 term co-locates matches in absolute position, which is what lets
+// rotation-based geometries (RotatE) propagate alignment to neighbors.
+constexpr float kL2PullWeight = 0.3f;
+constexpr double kSemiLrScale = 0.5;  // semi terms get a reduced learning rate
+
 // Vector::Norm() of a span: squares summed in double, in order.
 float SpanNorm(const float* x, size_t n) {
   double acc = 0.0;
@@ -61,13 +74,11 @@ JointAlignmentModel::JointAlignmentModel(KgeModel* model1, KgeModel* model2,
                     &s.diff}) {
     v->Resize(dim);
   }
-  const size_t num_negs =
-      static_cast<size_t>(std::max(0, config_.num_negatives));
+  const size_t num_negs = static_cast<size_t>(kNumNegatives);
   s.negs.assign(num_negs, EntityNeg{0, 0, Vector(dim), Vector(dim),
                                     Vector(dim), Vector(dim), false});
   s.s_negs.assign(num_negs, 0.0);
-  s.cands.assign(
-      static_cast<size_t>(std::max(1, config_.hard_negative_candidates)), 0);
+  s.cands.assign(static_cast<size_t>(kHardNegativeCandidates), 0);
   s.cand_sims.assign(s.cands.size(), 0.0f);
 }
 
@@ -398,10 +409,6 @@ Vector JointAlignmentModel::EntityRepr2(EntityId e2) const {
   return model2_->EntityRepr(e2);
 }
 
-Vector JointAlignmentModel::MappedRelationVec1(const Vector& v) const {
-  return a_rel_.Multiply(v);
-}
-
 double JointAlignmentModel::MatchProbability(const ElementPair& pair) const {
   DAAKG_CHECK(caches_ready());
   float sim = 0.0f;
@@ -512,9 +519,9 @@ double JointAlignmentModel::TrainEntityPair(EntityId e1, EntityId e2, Rng* rng,
   }
 
   ContrastiveGrad cg =
-      focal ? FocalContrastive(pos_sim, s.s_negs, config_.loss_sharpness,
+      focal ? FocalContrastive(pos_sim, s.s_negs, kLossSharpness,
                                config_.focal_gamma)
-            : SoftmaxContrastive(pos_sim, s.s_negs, config_.loss_sharpness);
+            : SoftmaxContrastive(pos_sim, s.s_negs, kLossSharpness);
 
   if (cg.d_pos != 0.0) {
     ApplyEntityGrad(e1, e2, s.d_mapped, s.d_second, s.x1,
@@ -528,16 +535,13 @@ double JointAlignmentModel::TrainEntityPair(EntityId e1, EntityId e2, Rng* rng,
                     static_cast<float>(cg.d_negs[j]), lr);
   }
 
-  // Auxiliary L2 pull on the positive match (see JointAlignConfig).
-  if (config_.l2_pull_weight > 0.0f) {
-    // d/dA = 2 w diff x1^T; d/dx1 = 2 w A^T diff; d/dx2 = -2 w diff.
-    s.diff = s.u;
-    s.diff -= s.v;  // A x1 - x2
-    s.d_second = s.diff;
-    s.d_second *= -1.0f;
-    ApplyEntityGrad(e1, e2, s.diff, s.d_second, s.x1,
-                    2.0f * config_.l2_pull_weight, lr);
-  }
+  // Auxiliary L2 pull on the positive match (see kL2PullWeight).
+  // d/dA = 2 w diff x1^T; d/dx1 = 2 w A^T diff; d/dx2 = -2 w diff.
+  s.diff = s.u;
+  s.diff -= s.v;  // A x1 - x2
+  s.d_second = s.diff;
+  s.d_second *= -1.0f;
+  ApplyEntityGrad(e1, e2, s.diff, s.d_second, s.x1, 2.0f * kL2PullWeight, lr);
   return cg.loss;
 }
 
@@ -563,7 +567,7 @@ double JointAlignmentModel::TrainRelationPair(RelationId r1, RelationId r2,
   };
   std::vector<Neg> negs;
   std::vector<double> s_negs;
-  for (int k = 0; k < config_.num_negatives; ++k) {
+  for (int k = 0; k < kNumNegatives; ++k) {
     Neg neg;
     if (rng->NextBernoulli(0.5) || m1 < 2) {
       neg.n1 = r1;
@@ -581,9 +585,9 @@ double JointAlignmentModel::TrainRelationPair(RelationId r1, RelationId r2,
   }
 
   ContrastiveGrad cg =
-      focal ? FocalContrastive(pos.sim, s_negs, config_.loss_sharpness,
+      focal ? FocalContrastive(pos.sim, s_negs, kLossSharpness,
                                config_.focal_gamma)
-            : SoftmaxContrastive(pos.sim, s_negs, config_.loss_sharpness);
+            : SoftmaxContrastive(pos.sim, s_negs, kLossSharpness);
 
   auto apply = [this, lr](RelationId a, RelationId b, const CosineGrad& g,
                           const Vector& xa, double coef) {
@@ -621,7 +625,7 @@ double JointAlignmentModel::TrainClassPair(ClassId c1, ClassId c2, Rng* rng,
   };
   std::vector<Neg> negs;
   std::vector<double> s_negs;
-  for (int k = 0; k < config_.num_negatives; ++k) {
+  for (int k = 0; k < kNumNegatives; ++k) {
     Neg neg;
     if (rng->NextBernoulli(0.5) || k1 < 2) {
       neg.n1 = c1;
@@ -639,9 +643,9 @@ double JointAlignmentModel::TrainClassPair(ClassId c1, ClassId c2, Rng* rng,
   }
 
   ContrastiveGrad cg =
-      focal ? FocalContrastive(pos.sim, s_negs, config_.loss_sharpness,
+      focal ? FocalContrastive(pos.sim, s_negs, kLossSharpness,
                                config_.focal_gamma)
-            : SoftmaxContrastive(pos.sim, s_negs, config_.loss_sharpness);
+            : SoftmaxContrastive(pos.sim, s_negs, kLossSharpness);
 
   auto apply = [this, lr](ClassId a, ClassId b, const CosineGrad& g,
                           const Vector& xa, double coef) {
@@ -692,7 +696,7 @@ double JointAlignmentModel::TrainEpoch(const SeedAlignment& seed, Rng* rng,
   RefreshMiningSnapshot();
   double total = 0.0;
   size_t steps = 0;
-  const float lr = config_.align_lr;
+  const float lr = kAlignLr;
 
   std::vector<size_t> order(seed.entities.size());
   std::iota(order.begin(), order.end(), 0);
@@ -815,8 +819,7 @@ double JointAlignmentModel::TrainSemiEpoch(
   std::vector<size_t> order(semi.size());
   std::iota(order.begin(), order.end(), 0);
   rng->Shuffle(&order);
-  const float lr =
-      config_.align_lr * static_cast<float>(config_.semi_lr_scale);
+  const float lr = kAlignLr * static_cast<float>(kSemiLrScale);
   double total = 0.0;
   for (size_t i : order) {
     const auto& [pair, s0] = semi[i];

@@ -18,31 +18,22 @@
 
 namespace daakg {
 
-// Hyper-parameters of the joint alignment model (Sect. 4.2).
+// Semi-supervision cadence: mining re-runs every `kSemiEvery` training
+// rounds once a third of the rounds have elapsed (DAAKG and the
+// bootstrapping baselines alike).
+inline constexpr int kSemiEvery = 12;
+
+// Hyper-parameters of the joint alignment model (Sect. 4.2). The fixed
+// training details (learning rate, negatives, loss sharpness, L2 pull) are
+// constants in joint_model.cc.
 struct JointAlignConfig {
-  float align_lr = 0.05f;
   // Joint training rounds: each round interleaves one KGE epoch per KG with
   // `joint_epochs_per_round` alignment epochs, so the embedding spaces
   // co-evolve with the mapping (Sect. 4.2's joint training).
   int align_epochs = 150;
   int joint_epochs_per_round = 3;
-  // Semi-supervision cadence: mining re-runs every `semi_every` rounds once
-  // a third of the rounds have elapsed.
-  int semi_every = 12;
-  int num_negatives = 10;      // negatives per labeled match
-  // Hard-negative mining (normalized hard sample mining of Dual-AMN):
-  // each negative is the most similar of this many uniform candidates.
-  // 1 = plain uniform sampling.
-  int hard_negative_candidates = 12;
-  double loss_sharpness = 10.0;  // cosine -> logit scale in Eqs. (5), (8)
-  // Weight of the auxiliary MTransE-style L2 pull ||A_ent e - e'||^2 on
-  // labeled entity matches. The contrastive loss shapes *directions*; the
-  // L2 term co-locates matches in absolute position, which is what lets
-  // rotation-based geometries (RotatE) propagate alignment to neighbors.
-  float l2_pull_weight = 0.3f;
   double tau = 0.9;            // semi-supervision similarity threshold
   int semi_rounds = 1;         // 0 disables semi-supervision (Table 5)
-  double semi_lr_scale = 0.5;  // semi terms get a reduced learning rate
   double z_ent = 0.05;         // calibration temperatures (Sect. 7.1)
   double z_rel = 0.1;
   double z_cls = 0.1;
@@ -149,7 +140,6 @@ class JointAlignmentModel {
   // Mapped / raw representations used by the inference-power module.
   Vector MappedEntityRepr1(EntityId e1) const;
   Vector EntityRepr2(EntityId e2) const;
-  Vector MappedRelationVec1(const Vector& r_vec_in_kg1_space) const;
 
   const Matrix& a_ent() const { return a_ent_; }
   const Matrix& a_rel() const { return a_rel_; }
@@ -292,9 +282,9 @@ class JointAlignmentModel {
     Vector x1, u, v;  // repr of e1, A_ent x1, repr of e2
     Vector d_mapped, d_second;
     Vector gx, gy, diff;
-    std::vector<EntityNeg> negs;  // config().num_negatives
+    std::vector<EntityNeg> negs;  // kNumNegatives
     std::vector<double> s_negs;
-    std::vector<EntityId> cands;  // config().hard_negative_candidates
+    std::vector<EntityId> cands;  // kHardNegativeCandidates
     std::vector<float> cand_sims;
   };
   EntityStep entity_step_;

@@ -11,6 +11,10 @@
 namespace daakg {
 namespace {
 
+// Blend of token-set vs char-n-gram similarity.
+constexpr double kTokenWeight = 0.5;
+constexpr float kOutputThreshold = 0.4f;  // greedy-matching threshold for F1
+
 // Splits a class label into lower-cased alphanumeric tokens (underscores,
 // digits and camel-case boundaries separate tokens).
 std::vector<std::string> Tokenize(const std::string& name) {
@@ -48,9 +52,7 @@ double TokenJaccard(const std::vector<std::string>& a,
 
 }  // namespace
 
-BertMapLite::BertMapLite(const AlignmentTask* task,
-                         const BertMapLiteConfig& config)
-    : task_(task), config_(config) {}
+BertMapLite::BertMapLite(const AlignmentTask* task) : task_(task) {}
 
 BaselineResult BertMapLite::Run(const SeedAlignment& seed) {
   obs::TraceSpan span("baselines.bertmap_lite", "baselines", nullptr,
@@ -72,8 +74,8 @@ BaselineResult BertMapLite::Run(const SeedAlignment& seed) {
       const double token_sim = TokenJaccard(tok1, tok2[c2]);
       const double char_sim =
           NgramJaccard(name1, kg2.class_name(static_cast<ClassId>(c2)), 3);
-      sim(c1, c2) = static_cast<float>(config_.token_weight * token_sim +
-                                       (1.0 - config_.token_weight) * char_sim);
+      sim(c1, c2) = static_cast<float>(kTokenWeight * token_sim +
+                                       (1.0 - kTokenWeight) * char_sim);
     }
   }
   // Repair step: labeled seed classes are pinned to 1 (semi-supervised
@@ -99,7 +101,7 @@ BaselineResult BertMapLite::Run(const SeedAlignment& seed) {
   }
   result.eval.cls_rank = EvaluateRanking(sim, cls_test);
   result.eval.cls_prf =
-      EvaluateGreedyMatching(sim, cls_test, config_.output_threshold);
+      EvaluateGreedyMatching(sim, cls_test, kOutputThreshold);
   result.train_seconds = span.Finish();
   return result;
 }

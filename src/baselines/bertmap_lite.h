@@ -13,21 +13,15 @@ namespace daakg {
 // BERT weights are available; see DESIGN.md). Like the original, it is
 // strong when class names share a language and collapses on cross-lingual
 // names, which is exactly the behaviour Table 3 records.
-struct BertMapLiteConfig {
-  double token_weight = 0.5;  // blend of token-set vs char-n-gram similarity
-  float output_threshold = 0.4f;
-};
-
 class BertMapLite {
  public:
-  BertMapLite(const AlignmentTask* task, const BertMapLiteConfig& config);
+  explicit BertMapLite(const AlignmentTask* task);
 
   // Classes only: entity/relation metrics in the result stay zero.
   BaselineResult Run(const SeedAlignment& seed);
 
  private:
   const AlignmentTask* task_;
-  BertMapLiteConfig config_;
 };
 
 }  // namespace daakg

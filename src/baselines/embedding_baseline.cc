@@ -13,6 +13,8 @@ namespace daakg {
 namespace {
 
 constexpr char kTypeRelName[] = "__type__";
+// RSN path augmentation: how many composite relations to add.
+constexpr size_t kPathAugmentRelations = 8;
 
 template <typename PairT>
 std::vector<std::pair<uint32_t, uint32_t>> TestPairsExcluding(
@@ -122,8 +124,7 @@ std::vector<EntityId> TransformKg(const KnowledgeGraph& in,
                                                       pattern_count.end());
     std::sort(patterns.begin(), patterns.end(),
               [](const auto& a, const auto& b) { return a.second > b.second; });
-    patterns.resize(
-        std::min(patterns.size(), config.path_augment_relations));
+    patterns.resize(std::min(patterns.size(), kPathAugmentRelations));
     std::unordered_map<uint64_t, RelationId> composite;
     for (const auto& [key, count] : patterns) {
       (void)count;
@@ -216,7 +217,7 @@ BaselineResult EmbeddingBaseline::Run(const SeedAlignment& seed) {
       joint.TrainEpoch(mapped_seed, &a_rng, /*focal=*/false);
     }
     if (config_.semi_rounds > 0 && round >= align_cfg.align_epochs / 3 &&
-        (round - align_cfg.align_epochs / 3) % align_cfg.semi_every == 0) {
+        (round - align_cfg.align_epochs / 3) % kSemiEvery == 0) {
       joint.RefreshCaches();
       mined = joint.MineSemiSupervision();
     }

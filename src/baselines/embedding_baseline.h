@@ -32,7 +32,6 @@ struct EmbeddingBaselineConfig {
   int semi_rounds = 0;               // bootstrapping rounds
   size_t max_neighbors = 12;         // GNN aggregation width
   bool path_augmentation = false;    // RSN: composite 2-hop relations
-  size_t path_augment_relations = 8; // how many composite relations to add
   double name_view_weight = 0.0;     // AttrE / MultiKE literal blending
   KgeConfig kge;
   JointAlignConfig align;

@@ -12,6 +12,11 @@
 namespace daakg {
 namespace {
 
+constexpr int kIterations = 4;
+constexpr double kNameAnchorThreshold = 0.82;  // edit-similarity cut-off
+constexpr double kNameAnchorProb = 0.85;
+constexpr float kOutputThreshold = 0.3f;  // greedy-matching threshold for F1
+
 uint64_t Key(uint32_t a, uint32_t b) {
   return (static_cast<uint64_t>(a) << 32) | b;
 }
@@ -48,8 +53,7 @@ std::vector<std::pair<uint32_t, uint32_t>> TestPairsExcluding(
 
 }  // namespace
 
-Paris::Paris(const AlignmentTask* task, const ParisConfig& config)
-    : task_(task), config_(config) {}
+Paris::Paris(const AlignmentTask* task) : task_(task) {}
 
 BaselineResult Paris::Run(const SeedAlignment& seed) {
   obs::TraceSpan span("baselines.paris", "baselines", nullptr,
@@ -79,7 +83,7 @@ BaselineResult Paris::Run(const SeedAlignment& seed) {
       const std::string& name1 = kg1.entity_name(static_cast<EntityId>(e1));
       const size_t len = name1.size();
       const size_t max_edits =
-          static_cast<size_t>((1.0 - config_.name_anchor_threshold) *
+          static_cast<size_t>((1.0 - kNameAnchorThreshold) *
                               static_cast<double>(len)) + 1;
       for (size_t l = len > max_edits ? len - max_edits : 0;
            l <= len + max_edits; ++l) {
@@ -88,10 +92,9 @@ BaselineResult Paris::Run(const SeedAlignment& seed) {
         for (EntityId e2 : it->second) {
           const double sim =
               EditSimilarity(name1, kg2.entity_name(e2));
-          if (sim >= config_.name_anchor_threshold) {
+          if (sim >= kNameAnchorThreshold) {
             auto& slot = ent_prob[Key(static_cast<uint32_t>(e1), e2)];
-            slot = std::max(slot, static_cast<float>(
-                                      config_.name_anchor_prob * sim));
+            slot = std::max(slot, static_cast<float>(kNameAnchorProb * sim));
           }
         }
       }
@@ -116,7 +119,7 @@ BaselineResult Paris::Run(const SeedAlignment& seed) {
   };
   refresh_best();
 
-  for (int iter = 0; iter < config_.iterations; ++iter) {
+  for (int iter = 0; iter < kIterations; ++iter) {
     // --- relation equivalence ---------------------------------------------
     // count(r1, r2) = sum of P(h=h') P(t=t') over aligned edges, using the
     // current best matches as the alignment.
@@ -220,11 +223,11 @@ BaselineResult Paris::Run(const SeedAlignment& seed) {
   result.eval.rel_rank = EvaluateRanking(rel_sim, rel_test);
   result.eval.cls_rank = EvaluateRanking(cls_sim, cls_test);
   result.eval.ent_prf =
-      EvaluateGreedyMatching(ent_sim, ent_test, config_.output_threshold);
+      EvaluateGreedyMatching(ent_sim, ent_test, kOutputThreshold);
   result.eval.rel_prf =
-      EvaluateGreedyMatching(rel_sim, rel_test, config_.output_threshold);
+      EvaluateGreedyMatching(rel_sim, rel_test, kOutputThreshold);
   result.eval.cls_prf =
-      EvaluateGreedyMatching(cls_sim, cls_test, config_.output_threshold);
+      EvaluateGreedyMatching(cls_sim, cls_test, kOutputThreshold);
   result.train_seconds = span.Finish();
   return result;
 }

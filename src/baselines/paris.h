@@ -22,22 +22,14 @@ namespace daakg {
 // bootstraps from shared literal values; the synthetic benchmark KGs carry
 // no literals beyond names, so PARIS-lite is anchored on name similarity
 // plus the same seed matches every supervised competitor receives.
-struct ParisConfig {
-  int iterations = 4;
-  double name_anchor_threshold = 0.82;  // edit-similarity anchor cut-off
-  double name_anchor_prob = 0.85;
-  float output_threshold = 0.3f;  // greedy-matching threshold for F1
-};
-
 class Paris {
  public:
-  Paris(const AlignmentTask* task, const ParisConfig& config);
+  explicit Paris(const AlignmentTask* task);
 
   BaselineResult Run(const SeedAlignment& seed);
 
  private:
   const AlignmentTask* task_;
-  ParisConfig config_;
 };
 
 }  // namespace daakg

@@ -37,12 +37,6 @@ class Rng {
   // Uniform integer in [0, bound). Precondition: bound > 0.
   uint64_t NextUint64(uint64_t bound);
 
-  // Uniform integer in [lo, hi). Precondition: lo < hi.
-  int64_t NextInt(int64_t lo, int64_t hi) {
-    DAAKG_CHECK_LT(lo, hi);
-    return lo + static_cast<int64_t>(NextUint64(static_cast<uint64_t>(hi - lo)));
-  }
-
   // Standard normal via Box-Muller.
   double NextGaussian();
 

@@ -114,11 +114,13 @@ std::vector<ActiveRoundReport> ActiveAlignmentLoop::Run() {
   // Phase wall-times accumulated since the previous checkpoint; attached
   // to the next report and then restarted.
   RoundTelemetry window;
-  auto maybe_report = [&]() {
+  // Reports every checkpoint the matched fraction has reached; with `all`,
+  // every checkpoint left.
+  auto report_checkpoints = [&](bool all) {
     const double fraction = static_cast<double>(matches_found) /
                             static_cast<double>(total_matches);
     while (next_report < config_.report_fractions.size() &&
-           fraction >= config_.report_fractions[next_report]) {
+           (all || fraction >= config_.report_fractions[next_report])) {
       ActiveRoundReport report;
       report.fraction = config_.report_fractions[next_report];
       report.labels_used = queries;
@@ -134,7 +136,7 @@ std::vector<ActiveRoundReport> ActiveAlignmentLoop::Run() {
       window.pool_size = last_pool;
     }
   };
-  maybe_report();
+  report_checkpoints(/*all=*/false);
 
   while (next_report < config_.report_fractions.size() &&
          queries < max_queries) {
@@ -216,24 +218,12 @@ std::vector<ActiveRoundReport> ActiveAlignmentLoop::Run() {
       aligner_->FineTune(new_matches);
       window.fine_tune_seconds += fine_tune_span.Finish();
     }
-    maybe_report();
+    report_checkpoints(/*all=*/false);
   }
 
   // If the budget ran out before the last checkpoint, report the final
   // state at the remaining checkpoints so every series has equal length.
-  while (next_report < config_.report_fractions.size()) {
-    ActiveRoundReport report;
-    report.fraction = config_.report_fractions[next_report];
-    report.labels_used = queries;
-    report.matches_found = matches_found;
-    report.eval = aligner_->Evaluate();
-    report.telemetry = window;
-    reports.push_back(std::move(report));
-    ++next_report;
-    const size_t last_pool = window.pool_size;
-    window = RoundTelemetry{};
-    window.pool_size = last_pool;
-  }
+  report_checkpoints(/*all=*/true);
   return reports;
 }
 

@@ -67,21 +67,12 @@ Status DaakgConfig::Validate() const {
   if (kge.epochs <= 0) {
     return InvalidArgumentError("kge.epochs must be positive");
   }
-  if (kge.learning_rate <= 0.0f) {
-    return InvalidArgumentError("kge.learning_rate must be positive");
-  }
-  if (kge.num_negatives <= 0) {
-    return InvalidArgumentError("kge.num_negatives must be positive");
-  }
   if (align.align_epochs <= 0) {
     return InvalidArgumentError("align.align_epochs must be positive");
   }
   if (align.joint_epochs_per_round <= 0) {
     return InvalidArgumentError(
         "align.joint_epochs_per_round must be positive");
-  }
-  if (align.align_lr <= 0.0f) {
-    return InvalidArgumentError("align.align_lr must be positive");
   }
   if (align.tau < 0.0 || align.tau > 1.0) {
     return InvalidArgumentError("align.tau must be in [0, 1]");
@@ -100,8 +91,11 @@ Status DaakgConfig::Validate() const {
   if (fine_tune_epochs <= 0) {
     return InvalidArgumentError("fine_tune_epochs must be positive");
   }
-  if (match_threshold < 0.0f || match_threshold > 1.0f) {
-    return InvalidArgumentError("match_threshold must be in [0, 1]");
+  // PrecomputeEdgeCosts indexes the sorted finite costs at this fraction.
+  const double pct = infer.calibration_percentile;
+  if (!(std::isfinite(pct) && pct >= 0.0 && pct <= 1.0)) {
+    return InvalidArgumentError(
+        "infer.calibration_percentile must be finite and in [0, 1]");
   }
   return Status::Ok();
 }
@@ -204,7 +198,7 @@ void DaakgAligner::Train(const SeedAlignment& seed) {
   const bool semi_on = config_.align.semi_rounds > 0;
   for (int round = 0; round < rounds; ++round) {
     if (semi_on && round >= rounds / 3 &&
-        (round - rounds / 3) % config_.align.semi_every == 0) {
+        (round - rounds / 3) % kSemiEvery == 0) {
       RefreshSemiSupervision();
     }
     SeedAlignment train_set;
@@ -262,11 +256,11 @@ EvalResult DaakgAligner::Evaluate() {
   out.rel_rank = EvaluateRanking(joint_->relation_sim(), rel_test);
   out.cls_rank = EvaluateRanking(joint_->class_sim(), cls_test);
   out.ent_prf = EvaluateGreedyMatching(ent_index, joint_->unit_mapped1(),
-                                       ent_test, config_.match_threshold);
+                                       ent_test, kMatchThreshold);
   out.rel_prf = EvaluateGreedyMatching(joint_->relation_sim(), rel_test,
-                                       config_.match_threshold);
+                                       kMatchThreshold);
   out.cls_prf = EvaluateGreedyMatching(joint_->class_sim(), cls_test,
-                                       config_.match_threshold);
+                                       kMatchThreshold);
   return out;
 }
 
@@ -278,15 +272,15 @@ DaakgAligner::Alignment DaakgAligner::ExtractAlignment() {
   // schema-sized relation and class matrices directly.
   for (const auto& [a, b] :
        GreedyOneToOneMatches(joint_->entity_index(), joint_->unit_mapped1(),
-                             config_.match_threshold)) {
+                             kMatchThreshold)) {
     out.entities.emplace_back(a, b);
   }
   for (const auto& [a, b] : GreedyOneToOneMatches(joint_->relation_sim(),
-                                                  config_.match_threshold)) {
+                                                  kMatchThreshold)) {
     out.relations.emplace_back(a, b);
   }
   for (const auto& [a, b] :
-       GreedyOneToOneMatches(joint_->class_sim(), config_.match_threshold)) {
+       GreedyOneToOneMatches(joint_->class_sim(), kMatchThreshold)) {
     out.classes.emplace_back(a, b);
   }
   return out;

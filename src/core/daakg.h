@@ -15,6 +15,10 @@
 
 namespace daakg {
 
+// Greedy-matching similarity threshold used when extracting/evaluating
+// final alignments (F1).
+inline constexpr float kMatchThreshold = 0.5f;
+
 // Top-level configuration of the DAAKG pipeline (Fig. 2).
 struct DaakgConfig {
   // Base entity-relation embedding model. Config files carrying a string
@@ -28,9 +32,6 @@ struct DaakgConfig {
   bool use_class_embeddings = true;
   // Epochs of focal-loss fine-tuning per active-learning round.
   int fine_tune_epochs = 10;
-  // Greedy-matching similarity threshold used when extracting/evaluating
-  // final alignments (F1).
-  float match_threshold = 0.5f;
   uint64_t seed = 17;
 
   // Rejects configurations the pipeline cannot run (non-positive

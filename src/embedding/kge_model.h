@@ -35,8 +35,6 @@ struct KgeConfig {
   size_t class_dim = 16;  // entity-class subspace dimension (paper: 50)
   float margin_er = 1.0f;  // lambda_er in Eq. (1)
   float margin_ec = 1.0f;  // lambda_ec in Eq. (3)
-  float learning_rate = 0.05f;
-  int num_negatives = 4;   // corrupted tails per positive
   int epochs = 20;  // warm-start epochs before joint training
   uint64_t seed = 13;
   // CompGCN only: neighbors sampled into the aggregation per entity.

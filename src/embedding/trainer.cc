@@ -8,6 +8,12 @@
 #include "obs/trace.h"
 
 namespace daakg {
+namespace {
+
+constexpr float kLearningRate = 0.05f;
+constexpr int kNumNegatives = 4;  // corrupted tails per positive
+
+}  // namespace
 
 void KgeTrainer::TrainEpoch(Rng* rng, KgeTrainStats* stats) {
   static obs::Histogram* epoch_timing =
@@ -16,7 +22,6 @@ void KgeTrainer::TrainEpoch(Rng* rng, KgeTrainStats* stats) {
       obs::GlobalMetrics().GetCounter("daakg.embedding.kge_train_steps");
   obs::TraceSpan span("embedding.kge_epoch", "embedding", epoch_timing);
   const KnowledgeGraph& kg = model_->kg();
-  const KgeConfig& cfg = model_->config();
   NegativeSampler sampler(&kg);
 
   model_->OnEpochStart();
@@ -31,9 +36,9 @@ void KgeTrainer::TrainEpoch(Rng* rng, KgeTrainStats* stats) {
     obs::TraceSpan er_span("embedding.er_pass", "embedding");
     for (size_t idx : order) {
       const Triplet& pos = kg.triplets()[idx];
-      for (int k = 0; k < cfg.num_negatives; ++k) {
+      for (int k = 0; k < kNumNegatives; ++k) {
         EntityId neg = sampler.CorruptTail(pos, rng);
-        er_loss += model_->TrainPair(pos, neg, cfg.learning_rate);
+        er_loss += model_->TrainPair(pos, neg, kLearningRate);
         ++er_steps;
       }
     }
@@ -50,10 +55,10 @@ void KgeTrainer::TrainEpoch(Rng* rng, KgeTrainStats* stats) {
     rng->Shuffle(&type_order);
     for (size_t idx : type_order) {
       const TypeTriplet& tt = kg.type_triplets()[idx];
-      for (int k = 0; k < cfg.num_negatives; ++k) {
+      for (int k = 0; k < kNumNegatives; ++k) {
         EntityId neg = sampler.CorruptEntityOfClass(tt.cls, rng);
         ec_loss +=
-            ec_model_->TrainPair(tt.entity, neg, tt.cls, cfg.learning_rate);
+            ec_model_->TrainPair(tt.entity, neg, tt.cls, kLearningRate);
         ++ec_steps;
       }
     }

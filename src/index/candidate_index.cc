@@ -53,8 +53,8 @@ void UnitNormalizeRows(Matrix* m) {
 }  // namespace
 
 CandidateIndex::CandidateIndex(Matrix base, const CandidateIndexConfig& config)
-    : base_(std::move(base)), config_(config) {
-  if (config_.normalize) UnitNormalizeRows(&base_);
+    : base_(std::move(base)) {
+  if (config.normalize) UnitNormalizeRows(&base_);
 }
 
 StatusOr<std::unique_ptr<CandidateIndex>> CandidateIndex::Build(
@@ -74,8 +74,7 @@ StatusOr<std::unique_ptr<CandidateIndex>> CandidateIndex::Build(
 }
 
 float CandidateIndex::Score(const float* query, uint32_t base_row) const {
-  const simd::Ops& ops = simd::Resolve(config_.kernel.backend);
-  return ops.dot(query, base_.RowData(base_row), base_.cols());
+  return simd::ActiveOps().dot(query, base_.RowData(base_row), base_.cols());
 }
 
 SimTopK CandidateIndex::QueryTopK(const Matrix& queries, size_t row_k,
@@ -84,7 +83,7 @@ SimTopK CandidateIndex::QueryTopK(const Matrix& queries, size_t row_k,
       obs::GlobalMetrics().GetCounter("daakg.index.candidates");
   obs::TraceSpan span("index.query_topk", "index", QueryTiming());
   span.AddArg("queries", static_cast<double>(queries.rows()));
-  SimTopK out = BlockedSimTopK(queries, base_, row_k, col_k, config_.kernel);
+  SimTopK out = BlockedSimTopK(queries, base_, row_k, col_k);
   RecordQuery(static_cast<uint64_t>(queries.rows()) * base_.rows());
   uint64_t count = 0;
   for (const auto& row : out.row_topk) count += row.size();
@@ -111,8 +110,7 @@ std::vector<std::vector<ScoredIndex>> CandidateIndex::QueryAbove(
             row.push_back(ScoredIndex{static_cast<uint32_t>(c0 + i), sims[i]});
           }
         }
-      },
-      config_.kernel);
+      });
   RecordQuery(static_cast<uint64_t>(queries.rows()) * base_.rows());
   return out;
 }
@@ -126,7 +124,7 @@ std::vector<size_t> CandidateIndex::CountAbove(
   for (size_t i = 0; i < rank_queries.size(); ++i) {
     of_row[rank_queries[i].query_row].push_back(i);
   }
-  const simd::Ops& ops = simd::Resolve(config_.kernel.backend);
+  const simd::Ops& ops = simd::ActiveOps();
   // Same single-writer structure as QueryAbove: every greater[i] is only
   // touched by the shard owning query row rank_queries[i].query_row.
   BlockedSimVisit(
@@ -135,8 +133,7 @@ std::vector<size_t> CandidateIndex::CountAbove(
         for (size_t i : of_row[r]) {
           greater[i] += ops.count_greater(sims, count, rank_queries[i].target);
         }
-      },
-      config_.kernel);
+      });
   RecordQuery(static_cast<uint64_t>(queries.rows()) * base_.rows());
   return greater;
 }

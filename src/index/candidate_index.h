@@ -21,15 +21,14 @@ namespace daakg {
 // CandidateIndex answers it exactly: every query method is a thin adapter
 // over the blocked streaming kernels (BlockedSimTopK / BlockedSimVisit), so
 // its outputs are bit-identical to scanning the full similarity matrix —
-// same tiles, same dispatched dot kernels.
+// same tiles (the default BlockedKernelOptions), same dispatched dot
+// kernels.
 
 struct CandidateIndexConfig {
   // Unit-normalize the base rows once at build time (dot == cosine). Uses
   // the exact arithmetic of Vector::Normalize, so rows normalized here are
   // bitwise identical to rows the caller normalized per-Vector.
   bool normalize = false;
-  // Tile shape / parallelism / SIMD backend of the underlying kernels.
-  BlockedKernelOptions kernel;
 };
 
 // One ranking query for CountAbove: how many base rows score strictly
@@ -65,7 +64,7 @@ class CandidateIndex {
       const Matrix& queries, const std::vector<RankQuery>& rank_queries) const;
 
   // Score of one base row against `query` (dim == base().cols()), via the
-  // configured dispatched dot kernel: the cell the scans above compute.
+  // dispatched dot kernel: the cell the scans above compute.
   float Score(const float* query, uint32_t base_row) const;
 
   // Builds an index over `base` (taken by value; move in to avoid the
@@ -77,7 +76,6 @@ class CandidateIndex {
   CandidateIndex(Matrix base, const CandidateIndexConfig& config);
 
   Matrix base_;
-  CandidateIndexConfig config_;
 };
 
 }  // namespace daakg

@@ -137,8 +137,8 @@ float InferenceEngine::ComputeEdgeCost(uint32_t node,
   const RelationId r1b = kg1.IsReverseRelation(r1) ? kg1.ReverseOf(r1) : r1;
   const RelationId r2b = kg2.IsReverseRelation(r2) ? kg2.ReverseOf(r2) : r2;
   const float rel_diff =
-      config_.rel_diff_weight * (1.0f - model_->relation_sim()(r1b, r2b)) +
-      config_.residual_weight * (d1 + d2);
+      kRelDiffWeight * (1.0f - model_->relation_sim()(r1b, r2b)) +
+      kResidualWeight * (d1 + d2);
 
   // The d terms of Eq. (15) must cover "the size of the space of possible
   // entities" (Sect. 5.2): when the head emits several edges with the same
@@ -154,7 +154,7 @@ float InferenceEngine::ComputeEdgeCost(uint32_t node,
   const float alternatives =
       AlternativeEntitySlack(parallel_edges(kg1, src.first, r1),
                              parallel_edges(kg2, src.second, r2));
-  return rel_diff + config_.alt_penalty * alternatives;
+  return rel_diff + kAltPenalty * alternatives;
 }
 
 void InferenceEngine::PrecomputeEdgeCosts() {
@@ -329,7 +329,7 @@ PowerRow InferenceEngine::PowerFrom(uint32_t src, HopSearch* scratch) const {
       // Same units as the path costs: the labeled relation match zeroes
       // the relation-difference term, leaving the weighted residuals.
       const float power =
-          1.0f / (1.0f + cost_scale_ * config_.residual_weight * (d1 + d2));
+          1.0f / (1.0f + cost_scale_ * kResidualWeight * (d1 + d2));
       auto& slot = target_power[to];
       slot = std::max(slot, power);
     }

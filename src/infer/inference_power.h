@@ -12,6 +12,13 @@
 
 namespace daakg {
 
+// Edge-cost composition (see InferenceEngine::ComputeEdgeCost): weights of
+// the relation-difference term, the sampled residual bounds, and the
+// per-parallel-edge alternative-entity penalty.
+inline constexpr float kRelDiffWeight = 2.0f;
+inline constexpr float kResidualWeight = 0.2f;
+inline constexpr float kAltPenalty = 1.0f;
+
 struct InferenceConfig {
   int max_hops = 5;        // mu: path length cap (Sect. 5.2)
   double kappa = 0.8;      // inference-power threshold of Eq. (23)
@@ -29,12 +36,6 @@ struct InferenceConfig {
   // must be calibrated (see DESIGN.md).
   bool auto_calibrate_costs = true;
   double calibration_percentile = 0.02;
-  // Edge-cost composition (see InferenceEngine::ComputeEdgeCost): weights
-  // of the relation-difference term, the sampled residual bounds, and the
-  // per-parallel-edge alternative-entity penalty.
-  float rel_diff_weight = 2.0f;
-  float residual_weight = 0.2f;
-  float alt_penalty = 1.0f;
   // Seeds the per-triplet streams of the sampled edge bounds (Eq. 14).
   uint64_t seed = 41;
 };
@@ -55,8 +56,8 @@ float AlternativeEntitySlack(size_t parallel_edges1, size_t parallel_edges2);
 // costs and a mu-hop bounded shortest-path search. The paper's edge cost
 // is ||A_rel r~ - r~'|| + d + d' (Eq. 15); ComputeEdgeCost instead uses
 //
-//   c = rel_diff_weight * (1 - S(r, r')) + residual_weight * (d + d')
-//       + alt_penalty * (parallel edges beyond the first, per side),
+//   c = kRelDiffWeight * (1 - S(r, r')) + kResidualWeight * (d + d')
+//       + kAltPenalty * (parallel edges beyond the first, per side),
 //
 // with S the joint model's relation similarity of the base relations and
 // d, d' the sampled edge bounds (Eq. 14). Path cost is the sum of edge

@@ -34,11 +34,6 @@ RelationId AlignmentTask::GoldRelationMatchOf1(RelationId r1) const {
   return it == gold_r1_to_r2_.end() ? kInvalidId : it->second;
 }
 
-ClassId AlignmentTask::GoldClassMatchOf1(ClassId c1) const {
-  auto it = gold_c1_to_c2_.find(c1);
-  return it == gold_c1_to_c2_.end() ? kInvalidId : it->second;
-}
-
 bool AlignmentTask::IsGoldRelationMatch(RelationId r1, RelationId r2) const {
   auto it = gold_r1_to_r2_.find(r1);
   return it != gold_r1_to_r2_.end() && it->second == r2;

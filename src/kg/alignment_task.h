@@ -50,7 +50,6 @@ class AlignmentTask {
   EntityId GoldEntityMatchOf1(EntityId e1) const;
   EntityId GoldEntityMatchOf2(EntityId e2) const;
   RelationId GoldRelationMatchOf1(RelationId r1) const;
-  ClassId GoldClassMatchOf1(ClassId c1) const;
 
   bool IsGoldEntityMatch(EntityId e1, EntityId e2) const {
     return GoldEntityMatchOf1(e1) == e2 && e2 != kInvalidId;

@@ -39,8 +39,6 @@ struct TypeTriplet {
 // Kind of a KG element; element pairs in the active-learning pool carry one.
 enum class ElementKind { kEntity = 0, kRelation = 1, kClass = 2 };
 
-const char* ElementKindToString(ElementKind kind);
-
 // A candidate correspondence between an element of KG1 (first) and an
 // element of KG2 (second), tagged with its kind.
 struct ElementPair {

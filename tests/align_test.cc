@@ -258,44 +258,30 @@ TEST(MetricsTest, GreedyMatchesBitIdenticalToSerialReference) {
 }
 
 TEST(MetricsTest, StreamingRankingBitMatchesMaterialized) {
+  // More rows than one default tile holds on either side (64 x 256), so
+  // every query's counts are summed over several tiles.
   Rng rng(73);
-  Matrix a(37, 12), b(45, 12);
+  Matrix a(70, 12), b(300, 12);
   a.InitGaussian(&rng, 1.0f);
   b.InitGaussian(&rng, 1.0f);
   std::vector<std::pair<uint32_t, uint32_t>> test;
-  for (uint32_t i = 0; i < 37; ++i) test.emplace_back(i, (i * 11) % 45);
+  for (uint32_t i = 0; i < 70; ++i) test.emplace_back(i, (i * 11) % 300);
   // Repeated query rows and boundary indices.
   test.emplace_back(0, 0);
-  test.emplace_back(0, 44);
-  test.emplace_back(36, 44);
+  test.emplace_back(0, 299);
+  test.emplace_back(69, 299);
 
   Matrix sim;
   BlockedMatMulNT(a, b, &sim);
   const RankingMetrics want = EvaluateRanking(sim, test);
 
-  struct Variant {
-    bool parallel;
-    size_t row_block;
-    size_t col_block;
-  };
-  // Defaults, plus tiny blocks so queries straddle several tiles, plus the
-  // serial shard path.
-  for (const Variant& v :
-       {Variant{true, 64, 256}, Variant{true, 5, 7}, Variant{false, 3, 11}}) {
-    BlockedKernelOptions options;
-    options.parallel = v.parallel;
-    options.row_block = v.row_block;
-    options.col_block = v.col_block;
-    CandidateIndexConfig cfg;
-    cfg.kernel = options;
-    auto index = CandidateIndex::Build(b, cfg);
-    ASSERT_TRUE(index.ok());
-    const RankingMetrics got = EvaluateRankingStreaming(**index, a, test);
-    EXPECT_EQ(got.num_queries, want.num_queries);
-    EXPECT_EQ(got.hits_at_1, want.hits_at_1);
-    EXPECT_EQ(got.hits_at_10, want.hits_at_10);
-    EXPECT_EQ(got.mrr, want.mrr);
-  }
+  auto index = CandidateIndex::Build(b, CandidateIndexConfig{});
+  ASSERT_TRUE(index.ok());
+  const RankingMetrics got = EvaluateRankingStreaming(**index, a, test);
+  EXPECT_EQ(got.num_queries, want.num_queries);
+  EXPECT_EQ(got.hits_at_1, want.hits_at_1);
+  EXPECT_EQ(got.hits_at_10, want.hits_at_10);
+  EXPECT_EQ(got.mrr, want.mrr);
 }
 
 TEST(MetricsTest, StreamingRankingEmptyTestSet) {

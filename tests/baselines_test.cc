@@ -139,7 +139,7 @@ TEST(EmbeddingBaselineTest, NameViewUselessOnOpaqueIds) {
 
 TEST(ParisTest, RunsAndScoresSanely) {
   AlignmentTask task = SmallSyntheticTask();
-  Paris paris(&task, ParisConfig());
+  Paris paris(&task);
   Rng rng(5);
   BaselineResult result = paris.Run(task.SampleSeed(0.2, &rng));
   EXPECT_EQ(result.name, "PARIS");
@@ -161,7 +161,7 @@ TEST(ParisTest, StrongWithSharedNames) {
   spec.name_policy = NamePolicy::kSharedNames;
   spec.seed = 13;
   AlignmentTask task = std::move(GenerateSyntheticTask(spec)).value();
-  Paris paris(&task, ParisConfig());
+  Paris paris(&task);
   Rng rng(6);
   BaselineResult result = paris.Run(task.SampleSeed(0.1, &rng));
   // Name anchors + propagation: most matches found.
@@ -171,7 +171,7 @@ TEST(ParisTest, StrongWithSharedNames) {
 
 TEST(ParisTest, DeterministicAcrossRuns) {
   AlignmentTask task = SmallSyntheticTask();
-  Paris paris(&task, ParisConfig());
+  Paris paris(&task);
   Rng rng1(7), rng2(7);
   BaselineResult a = paris.Run(task.SampleSeed(0.2, &rng1));
   BaselineResult b = paris.Run(task.SampleSeed(0.2, &rng2));
@@ -195,7 +195,7 @@ TEST(BertMapLiteTest, PerfectOnIdenticalClassNames) {
   spec.name_policy = NamePolicy::kSharedNames;
   spec.seed = 14;
   AlignmentTask task = std::move(GenerateSyntheticTask(spec)).value();
-  BertMapLite bertmap(&task, BertMapLiteConfig());
+  BertMapLite bertmap(&task);
   Rng rng(8);
   BaselineResult result = bertmap.Run(task.SampleSeed(0.1, &rng));
   EXPECT_GT(result.eval.cls_rank.hits_at_1, 0.7);
@@ -214,7 +214,7 @@ TEST(BertMapLiteTest, CollapsesOnObfuscatedNames) {
   spec.name_policy = NamePolicy::kObfuscated;
   spec.seed = 15;
   AlignmentTask task = std::move(GenerateSyntheticTask(spec)).value();
-  BertMapLite bertmap(&task, BertMapLiteConfig());
+  BertMapLite bertmap(&task);
   Rng rng(9);
   BaselineResult result = bertmap.Run(task.SampleSeed(0.1, &rng));
   // Cross-lingual class names defeat the lexical model (Table 3's BERTMap
@@ -224,7 +224,7 @@ TEST(BertMapLiteTest, CollapsesOnObfuscatedNames) {
 
 TEST(BertMapLiteTest, OnlyClassMetricsPopulated) {
   AlignmentTask task = SmallSyntheticTask();
-  BertMapLite bertmap(&task, BertMapLiteConfig());
+  BertMapLite bertmap(&task);
   Rng rng(10);
   BaselineResult result = bertmap.Run(task.SampleSeed(0.1, &rng));
   EXPECT_EQ(result.eval.ent_rank.num_queries, 0u);

@@ -63,12 +63,6 @@ TEST(DaakgConfigTest, RejectsBadValues) {
   cfg.fine_tune_epochs = -3;
   expect_invalid(cfg);
   cfg = FastConfig();
-  cfg.match_threshold = 1.5f;
-  expect_invalid(cfg);
-  cfg = FastConfig();
-  cfg.match_threshold = -0.1f;
-  expect_invalid(cfg);
-  cfg = FastConfig();
   cfg.align.tau = 2.0;
   expect_invalid(cfg);
   cfg = FastConfig();
@@ -94,6 +88,18 @@ TEST(DaakgConfigTest, RejectsBadValues) {
   cfg = FastConfig();
   cfg.align.z_ent = 0.003;
   EXPECT_TRUE(cfg.Validate().ok());
+  // The calibration percentile is a fraction that indexes the sorted costs.
+  for (double bad : {1.5, -0.1, std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    cfg = FastConfig();
+    cfg.infer.calibration_percentile = bad;
+    expect_invalid(cfg);
+  }
+  for (double good : {0.0, 1.0}) {
+    cfg = FastConfig();
+    cfg.infer.calibration_percentile = good;
+    EXPECT_TRUE(cfg.Validate().ok());
+  }
 }
 
 TEST(DaakgAlignerTest, CreateRejectsInvalidConfigWithoutAborting) {
@@ -366,7 +372,7 @@ TEST(EntitySimilarityPathTest, MatchesDenseReference) {
   }
   const EvalResult eval = aligner.Evaluate();
   const RankingMetrics rank = EvaluateRanking(sim, test);
-  const PrfMetrics prf = EvaluateGreedyMatching(sim, test, cfg.match_threshold);
+  const PrfMetrics prf = EvaluateGreedyMatching(sim, test, kMatchThreshold);
   EXPECT_EQ(eval.ent_rank.hits_at_1, rank.hits_at_1);
   EXPECT_EQ(eval.ent_rank.mrr, rank.mrr);
   EXPECT_EQ(eval.ent_prf.f1, prf.f1);
@@ -376,7 +382,7 @@ TEST(EntitySimilarityPathTest, MatchesDenseReference) {
   for (const auto& p : aligner.ExtractAlignment().entities) {
     extracted.push_back(p);
   }
-  EXPECT_EQ(extracted, GreedyOneToOneMatches(sim, cfg.match_threshold));
+  EXPECT_EQ(extracted, GreedyOneToOneMatches(sim, kMatchThreshold));
 
   // MineSemiSupervision() entities: cells > tau in row-major order, sorted
   // by score, swept one-to-one.

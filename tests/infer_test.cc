@@ -170,7 +170,6 @@ TEST_F(InferTest, TransEEdgeCostMatchesManualFormula) {
   engine.PrecomputeEdgeCosts();
   // Edge cost = w_rel (1 - S(r1, r2)) + w_res (d1 + d2) + w_alt (extra
   // parallel edges); for TransE the d terms are the score residuals.
-  const InferenceConfig cfg = EngineConfig();
   uint32_t src = graph_->IndexOf(ElementPair{ElementKind::kEntity, 0, 0});
   const auto& out = graph_->Out(src);
   for (size_t k = 0; k < out.size(); ++k) {
@@ -193,11 +192,11 @@ TEST_F(InferTest, TransEEdgeCostMatchesManualFormula) {
     const float alternatives = static_cast<float>(
         parallel(task_.kg1, 0, r1) - 1 + parallel(task_.kg2, 0, r2) - 1);
     float expected =
-        cfg.rel_diff_weight *
+        kRelDiffWeight *
             (1.0f - joint_->relation_sim()(rel.first, rel.second)) +
-        cfg.residual_weight * (model1_->Score(0, r1, dst.first) +
-                               model2_->Score(0, r2, dst.second)) +
-        cfg.alt_penalty * alternatives;
+        kResidualWeight * (model1_->Score(0, r1, dst.first) +
+                           model2_->Score(0, r2, dst.second)) +
+        kAltPenalty * alternatives;
     EXPECT_NEAR(engine.EdgeCost(src, k), expected, 1e-3f);
   }
 }
@@ -384,7 +383,7 @@ TEST_F(InferTest, SlackFromGenuineZeroParallelEdgeCount) {
 TEST_F(InferTest, ReverseResolvedEdgeCostsStayModest) {
   // Edges out of (c0, c0) resolve their label through the reverse relation;
   // an unsigned wrap in the alternatives term would blow these costs up to
-  // ~1.8e19 * alt_penalty.
+  // ~1.8e19 * kAltPenalty.
   InferenceEngine engine(graph_.get(), joint_.get(), EngineConfig());
   engine.PrecomputeEdgeCosts();
   uint32_t src = graph_->IndexOf(ElementPair{ElementKind::kEntity, 3, 3});
