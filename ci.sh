@@ -71,13 +71,15 @@ done
 echo "== SIMD backend matrix (scalar vs dispatched) =="
 KERNEL_FILTER='KernelTest.*:TopKAccumulatorTest.*:SimdTest.*'
 # The two after PartitionSplitsArePinned check the pool slot shared across
-# generators; the last two check both selection searches (PowerFrom and
-# PartitionSelect) against their hash-based references.
-POOL_FILTER='ActiveTest.GeneratedPoolMatchesBruteForceMutualTopN:ActiveTest.RepeatedSelectionIsDeterministic:ActiveTest.PartitionSplitsArePinned:ActiveTest.UnchangedModelSharesPoolAcrossGenerators:ActiveTest.PoolAfterEveryMutatorMatchesFreshModel:ActiveTest.PowerFromMatchesReferenceSearch:PartitionSelectTest.MatchesReferenceImplementation'
+# generators; PowerFromMatchesReferenceSearch and
+# PartitionSelectTest.* check both selection searches (PowerFrom and
+# PartitionSelect) against their hash-based references and Algorithm 2's
+# plan shared across rounds, masks and threads.
+POOL_FILTER='ActiveTest.GeneratedPoolMatchesBruteForceMutualTopN:ActiveTest.RepeatedSelectionIsDeterministic:ActiveTest.PartitionSplitsArePinned:ActiveTest.UnchangedModelSharesPoolAcrossGenerators:ActiveTest.PoolAfterEveryMutatorMatchesFreshModel:ActiveTest.PowerFromMatchesReferenceSearch:PartitionSelectTest.MatchesReferenceImplementation:PartitionSelectTest.ReusedPlanMatchesColdPlan:PartitionSelectTest.DegenerateMasksOnColdAndWarmPlans:PartitionSelectTest.ConcurrentEnginesShareOnePlan'
 # JointModelTest.* includes the version-keyed refresh tests.
 ALIGN_FILTER='MetricsTest.*:JointModelTest.*'
 CORE_FILTER='EntitySimilarityPathTest.*:Models/TrainingGoldenTest.*:SelectionGoldenTest.*'
-GRAPH_FILTER='AlignmentGraphTest.*:InferTest.EdgeCostsDoNotDependOnThreadCount'
+GRAPH_FILTER='AlignmentGraphTest.*:InferTest.EdgeCostsDoNotDependOnThreadCount:InferTest.EqualPoolSharesEdgeCosts'
 for backend in scalar ""; do
   if [ -n "$backend" ]; then
     echo "-- DAAKG_SIMD=$backend --"

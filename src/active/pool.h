@@ -28,13 +28,15 @@ struct PoolConfig {
 // AND e is among the top-N of e'; all relation and class pairs are kept.
 //
 // The signatures depend only on the model's caches, so they are computed
-// and unit-normalized once per cache generation, into the model's pool slot
-// (JointAlignmentModel::pool_cache()): the KG1 side as a query matrix, the
-// KG2 side inside a CandidateIndex (normalization hoisted into the index
-// build). Every generator on an unchanged model shares them, and the slot
-// keeps the last generated pool as well: planning several batches without
-// retraining, or a repeated top-N, reuses it instead of cutting it again.
-// RefreshCaches() releases the slot when it recomputes.
+// and unit-normalized once per cache generation, into the model's planning
+// slot (JointAlignmentModel::pool_cache()): the KG1 side as a query matrix,
+// the KG2 side inside a CandidateIndex (normalization hoisted into the
+// index build). Every generator on an unchanged model shares them, and the
+// slot keeps the last generated pool as well: planning several batches
+// without retraining, or a repeated top-N, reuses it instead of cutting it
+// again (the slot's edge costs and partition plans then serve the rest of
+// the round; see InferenceEngine and PartitionSelect). RefreshCaches()
+// releases the slot when it recomputes.
 class PoolGenerator {
  public:
   // `model` must have fresh caches (mean embeddings, schema similarities),

@@ -1,7 +1,11 @@
 #include "active/selection.h"
 
 #include <algorithm>
+#include <bit>
+#include <memory>
+#include <mutex>
 #include <queue>
+#include <span>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -24,14 +28,6 @@ void RecordSelection(const SelectionResult& result) {
 
 constexpr float kLazyEps = 1e-9f;
 constexpr size_t kMaxSplits = 512;  // safety cap for the splitting loop
-
-// A sparse estimated power row at group granularity: reaching `count` pool
-// pairs of group `group` with inference power `power` each.
-struct GroupEntry {
-  uint32_t group;
-  float power;
-  uint32_t count;
-};
 
 // Generic lazy greedy over per-candidate gain rows; rows are re-evaluated
 // against the shared expected-power accumulator `m`. gain(row, m) is a
@@ -118,17 +114,60 @@ SelectionResult GreedySelect(const SelectionContext& ctx,
   return result;
 }
 
-SelectionResult PartitionSelect(const SelectionContext& ctx,
-                                const SelectionConfig& config) {
-  obs::TraceSpan span("active.partition_select", "active", nullptr,
-                      obs::TimingMode::kAlways);
-  span.AddArg("batch_size", static_cast<double>(config.batch_size));
-  const AlignmentGraph& graph = ctx.engine->graph();
+// Algorithm 2's state for one edge-cost table and rho that does not read
+// the labeled mask (DESIGN.md §8): the one-hop powers, the split and the
+// coarse graph, built once, and each source's match probability and coarse
+// row, filled the first time a call needs them. `mu` guards every field.
+struct PartitionPlan {
+  using Entry = std::pair<uint32_t, float>;  // (group, power)
+
+  std::mutex mu;
+  bool built = false;
+  InferenceEngine::OneHopCsr onehop;
+  std::vector<uint32_t> group_of;  // per pool node
+  uint32_t num_groups = 0;
+  // CSR of the coarse graph: the least edge cost from each group to every
+  // group it reaches, in first-reached order.
+  std::vector<uint32_t> coarse_offsets;
+  std::vector<std::pair<uint32_t, float>> coarse_adj;
+  // Per pool node, once filled[q]: Pr[match] and the estimated power row
+  // (Line 15) as (group, power) entries above the power floor, in
+  // first-reached order.
+  std::vector<uint8_t> filled;
+  std::vector<double> prob;
+  std::vector<std::vector<Entry>> rows;
+};
+
+namespace {
+
+// The plan of the engine's edge-cost table at `rho`: the slot's while the
+// slot holds that table, else an unshared one.
+std::shared_ptr<PartitionPlan> PlanFor(const SelectionContext& ctx,
+                                       double rho) {
+  const std::shared_ptr<PoolCache> slot = ctx.model->pool_cache();
+  std::lock_guard<std::mutex> lock(slot->mu);
+  if (slot->edge_costs.get() != ctx.engine->edge_costs()) {
+    return std::make_shared<PartitionPlan>();
+  }
+  for (const auto& [key, plan] : slot->partitions) {
+    if (std::bit_cast<uint64_t>(key) == std::bit_cast<uint64_t>(rho)) {
+      return plan;
+    }
+  }
+  return slot->partitions
+      .emplace_back(rho, std::make_shared<PartitionPlan>())
+      .second;
+}
+
+// Lines 2-14 and the coarse graph: fills everything of `plan` but the rows.
+void BuildPartition(const InferenceEngine& engine, double rho,
+                    PartitionPlan* plan) {
+  const AlignmentGraph& graph = engine.graph();
   const size_t n = graph.num_nodes();
-  const int mu = ctx.engine->config().max_hops;
 
   // --- 1-hop powers for every entity pair --------------------------------
-  const InferenceEngine::OneHopCsr onehop = ctx.engine->OneHopPowers();
+  plan->onehop = engine.OneHopPowers();
+  const InferenceEngine::OneHopCsr& onehop = plan->onehop;
 
   // Labels index the dense counts at their pool node; type edges at n.
   auto label_slot = [n](uint32_t label) {
@@ -138,7 +177,8 @@ SelectionResult PartitionSelect(const SelectionContext& ctx,
   // --- partition splitting (Lines 2-14) -----------------------------------
   // Entity pairs start in group 0; every schema pair is its own singleton
   // group (they have no outgoing relational edges to split on).
-  std::vector<uint32_t> group_of(n, 0);
+  std::vector<uint32_t>& group_of = plan->group_of;
+  group_of.assign(n, 0);
   uint32_t num_groups = 1;
   std::vector<std::vector<uint32_t>> members(1);
   for (uint32_t q = 0; q < n; ++q) {
@@ -192,7 +232,7 @@ SelectionResult PartitionSelect(const SelectionContext& ctx,
       uint32_t best_label = AlignmentGraph::kTypeLabel;
       size_t best_count = 0;
       const bool split =
-          !(inner + outer <= 0.0 || outer / (inner + outer) >= config.rho);
+          !(inner + outer <= 0.0 || outer / (inner + outer) >= rho);
       if (split) {
         std::unordered_map<uint32_t, size_t> counts;
         for (uint32_t label : seen_labels) {
@@ -254,21 +294,14 @@ SelectionResult PartitionSelect(const SelectionContext& ctx,
     }
   }
 
-  // Unlabeled pool pairs per group: the |P_j| factor of the estimate.
-  std::vector<uint32_t> group_size(num_groups, 0);
-  for (uint32_t q = 0; q < n; ++q) {
-    if (!(*ctx.labeled)[q]) ++group_size[group_of[q]];
-  }
-
-  const float power_floor =
-      static_cast<float>(ctx.engine->config().power_floor);
-  const float max_cost = 1.0f / power_floor - 1.0f + 1e-6f;
+  plan->num_groups = num_groups;
 
   // --- coarse graph: min edge cost between groups --------------------------
   // One CSR row per group, its targets in first-reached order, built on a
   // dense per-group minimum over the members' cross-group entries.
-  std::vector<uint32_t> coarse_offsets(num_groups + 1, 0);
-  std::vector<std::pair<uint32_t, float>> coarse_adj;
+  std::vector<uint32_t>& coarse_offsets = plan->coarse_offsets;
+  std::vector<std::pair<uint32_t, float>>& coarse_adj = plan->coarse_adj;
+  coarse_offsets.assign(num_groups + 1, 0);
   {
     HopSearch least(num_groups);
     for (uint32_t ga = 0; ga < num_groups; ++ga) {
@@ -287,70 +320,141 @@ SelectionResult PartitionSelect(const SelectionContext& ctx,
     }
   }
 
-  // --- estimated power rows (Line 15) --------------------------------------
-  std::vector<std::vector<GroupEntry>> rows(n);
-  std::vector<double> prob(n, 0.0);
+  plan->filled.assign(n, 0);
+  plan->prob.assign(n, 0.0);
+  plan->rows.assign(n, {});
+  plan->built = true;
+}
+
+// Line 15 for source `q`: its match probability and its estimated power
+// row, a mu-hop search of which the first hop is exact and the rest run on
+// the coarse graph. `search` is sized to the group count and left reset.
+void FillRow(const SelectionContext& ctx, uint32_t q, HopSearch* search,
+             PartitionPlan* plan) {
+  const AlignmentGraph& graph = ctx.engine->graph();
+  const InferenceConfig& icfg = ctx.engine->config();
+  const float power_floor = static_cast<float>(icfg.power_floor);
+  const float max_cost = 1.0f / power_floor - 1.0f + 1e-6f;
+  const InferenceEngine::OneHopCsr& onehop = plan->onehop;
+  const std::vector<uint32_t>& group_of = plan->group_of;
+
+  plan->filled[q] = 1;
+  const ElementPair& pair = graph.pool()[q];
+  plan->prob[q] = ctx.model->MatchProbability(pair);
+  if (pair.kind == ElementKind::kEntity) {
+    for (uint32_t e = onehop.offsets[q]; e < onehop.offsets[q + 1]; ++e) {
+      const float cost = 1.0f / onehop.power[e] - 1.0f;
+      if (cost > max_cost) continue;
+      search->Lower(group_of[onehop.target[e]], cost);
+    }
+  } else if (pair.kind == ElementKind::kRelation) {
+    // Relation sources are cheap to evaluate exactly (Eq. 20).
+    for (const auto& [node, power] : ctx.engine->PowerFrom(q)) {
+      search->Lower(group_of[node], 1.0f / power - 1.0f);
+    }
+  } else {
+    return;  // class pairs: no outgoing inference
+  }
+
+  // mu-1 further hops over the coarse graph.
+  search->Run(icfg.max_hops - 1, max_cost, [&](uint32_t g, auto&& relax) {
+    for (uint32_t k = plan->coarse_offsets[g]; k < plan->coarse_offsets[g + 1];
+         ++k) {
+      relax(plan->coarse_adj[k].first, plan->coarse_adj[k].second);
+    }
+  });
+  // Sized exactly: the plan keeps every row while the model is unchanged.
+  auto power_of = [search](uint32_t g) {
+    return 1.0f / (1.0f + search->cost(g));
+  };
+  const std::vector<uint32_t>& touched = search->touched();
+  std::vector<PartitionPlan::Entry>& row = plan->rows[q];
+  row.reserve(static_cast<size_t>(
+      std::count_if(touched.begin(), touched.end(),
+                    [&](uint32_t g) { return power_of(g) > power_floor; })));
+  for (uint32_t g : touched) {
+    if (power_of(g) > power_floor) row.emplace_back(g, power_of(g));
+  }
+  search->Reset();
+}
+
+}  // namespace
+
+SelectionResult PartitionSelect(const SelectionContext& ctx,
+                                const SelectionConfig& config) {
+  static obs::Counter* builds =
+      obs::GlobalMetrics().GetCounter("daakg.active.partition_builds");
+  obs::TraceSpan span("active.partition_select", "active", nullptr,
+                      obs::TimingMode::kAlways);
+  span.AddArg("batch_size", static_cast<double>(config.batch_size));
+  // The plan's match probabilities are the engine's model's.
+  DAAKG_CHECK(ctx.model == ctx.engine->model());
+  const size_t n = ctx.engine->graph().num_nodes();
+  const std::vector<bool>& labeled = *ctx.labeled;
+
+  const std::shared_ptr<PartitionPlan> shared = PlanFor(ctx, config.rho);
+  PartitionPlan& plan = *shared;
+  std::lock_guard<std::mutex> lock(plan.mu);
+  if (!plan.built) {
+    builds->Increment();
+    BuildPartition(*ctx.engine, config.rho, &plan);
+  }
+  const uint32_t num_groups = plan.num_groups;
+
+  // Unlabeled pool pairs per group: the |P_j| factor of the estimate; and
+  // the unlabeled sources whose rows no call has needed yet.
+  std::vector<uint32_t> group_size(num_groups, 0);
+  std::vector<uint32_t> missing;
+  for (uint32_t q = 0; q < n; ++q) {
+    if (labeled[q]) continue;
+    ++group_size[plan.group_of[q]];
+    if (!plan.filled[q]) missing.push_back(q);
+  }
   GlobalThreadPool().ParallelForShards(
-      n, [&](size_t, size_t begin, size_t end) {
+      missing.size(), [&](size_t, size_t begin, size_t end) {
         HopSearch search(num_groups);
-        for (size_t qi = begin; qi < end; ++qi) {
-          const uint32_t q = static_cast<uint32_t>(qi);
-          if ((*ctx.labeled)[q]) continue;
-          prob[q] = ctx.model->MatchProbability(graph.pool()[q]);
-
-          const ElementPair& pair = graph.pool()[q];
-          if (pair.kind == ElementKind::kEntity) {
-            for (uint32_t e = onehop.offsets[q]; e < onehop.offsets[q + 1];
-                 ++e) {
-              const float cost = 1.0f / onehop.power[e] - 1.0f;
-              if (cost > max_cost) continue;
-              search.Lower(group_of[onehop.target[e]], cost);
-            }
-          } else if (pair.kind == ElementKind::kRelation) {
-            // Relation sources are cheap to evaluate exactly (Eq. 20).
-            for (const auto& [node, power] : ctx.engine->PowerFrom(q)) {
-              search.Lower(group_of[node], 1.0f / power - 1.0f);
-            }
-          } else {
-            continue;  // class pairs: no outgoing inference
-          }
-
-          // mu-1 further hops over the coarse graph.
-          search.Run(mu - 1, max_cost, [&](uint32_t g, auto&& relax) {
-            for (uint32_t k = coarse_offsets[g]; k < coarse_offsets[g + 1];
-                 ++k) {
-              relax(coarse_adj[k].first, coarse_adj[k].second);
-            }
-          });
-          for (uint32_t g : search.touched()) {
-            const float power = 1.0f / (1.0f + search.cost(g));
-            if (power > power_floor && group_size[g] > 0) {
-              rows[qi].push_back(GroupEntry{g, power, group_size[g]});
-            }
-          }
-          search.Reset();
+        for (size_t i = begin; i < end; ++i) {
+          FillRow(ctx, missing[i], &search, &plan);
         }
       });
 
+  // A row entry stands for the group's unlabeled pairs: the estimate of
+  // Line 15 reaches group_size[g] of them. An entry of a group without one
+  // adds nothing and is skipped, and a row left with no entry is empty, so
+  // it is never selected (DESIGN.md §8).
+  using Entry = PartitionPlan::Entry;
+  std::vector<std::span<const Entry>> rows(n);
+  for (uint32_t q = 0; q < n; ++q) {
+    const std::vector<Entry>& row = plan.rows[q];
+    if (!labeled[q] && std::any_of(row.begin(), row.end(), [&](Entry e) {
+          return group_size[e.first] > 0;
+        })) {
+      rows[q] = row;
+    }
+  }
+
   // As for GreedySelect, the order of a row's entries matters to neither
   // the gain nor `m` (DESIGN.md §8).
-  auto gain = [](const std::vector<GroupEntry>& row,
-                 const std::vector<float>& m) {
+  auto gain = [&group_size](std::span<const Entry> row,
+                            const std::vector<float>& m) {
     double g = 0.0;
-    for (const auto& e : row) {
-      g += static_cast<double>(e.count) * std::max(0.0f, e.power - m[e.group]);
+    for (const auto& [group, power] : row) {
+      if (group_size[group] == 0) continue;
+      g += static_cast<double>(group_size[group]) *
+           std::max(0.0f, power - m[group]);
     }
     return g;
   };
-  auto commit = [](const std::vector<GroupEntry>& row, double pr,
-                   std::vector<float>* m) {
-    for (const auto& e : row) {
-      (*m)[e.group] +=
-          static_cast<float>(pr) * std::max(0.0f, e.power - (*m)[e.group]);
+  auto commit = [&group_size](std::span<const Entry> row, double pr,
+                              std::vector<float>* m) {
+    for (const auto& [group, power] : row) {
+      if (group_size[group] == 0) continue;
+      (*m)[group] +=
+          static_cast<float>(pr) * std::max(0.0f, power - (*m)[group]);
     }
   };
   SelectionResult result =
-      LazyGreedy(ctx, config, rows, prob, gain, commit, num_groups);
+      LazyGreedy(ctx, config, rows, plan.prob, gain, commit, num_groups);
   result.num_groups = num_groups;
   result.seconds = span.Finish();
   obs::GlobalMetrics()

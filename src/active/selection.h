@@ -48,6 +48,14 @@ SelectionResult GreedySelect(const SelectionContext& ctx,
 // granularity (mu-hop search over the coarse graph), and runs the greedy
 // loop on the estimates. Approximation ratio rho^mu (1 - 1/e)
 // (Theorem 6.2).
+//
+// Everything but the per-group counts of unlabeled pairs and the greedy
+// loop is independent of the labeled mask. It is kept per rho in the
+// model's planning slot beside the engine's edge-cost table, so calls on
+// an unchanged model share it, each source's row filled by the first call
+// that has the source unlabeled (DESIGN.md §8). ctx.model must be the
+// engine's model, with the caches it was built on;
+// daakg.active.partition_builds counts the plans built.
 SelectionResult PartitionSelect(const SelectionContext& ctx,
                                 const SelectionConfig& config);
 

@@ -50,6 +50,26 @@ void SnapshotCosines(const float* q, float q_norm, const Matrix& rows,
   }
 }
 
+// Rows of `m` that hold a non-finite value.
+size_t NonFiniteRows(const Matrix& m) {
+  size_t bad = 0;
+  for (size_t r = 0; r < m.rows(); ++r) {
+    const float* row = m.RowData(r);
+    bad += !std::all_of(row, row + m.cols(),
+                        [](float x) { return std::isfinite(x); });
+  }
+  return bad;
+}
+
+// Cells of `m` that are not finite.
+size_t NonFiniteCells(const Matrix& m) {
+  size_t bad = 0;
+  for (size_t r = 0; r < m.rows(); ++r) {
+    for (size_t c = 0; c < m.cols(); ++c) bad += !std::isfinite(m(r, c));
+  }
+  return bad;
+}
+
 }  // namespace
 
 JointAlignmentModel::JointAlignmentModel(KgeModel* model1, KgeModel* model2,
@@ -364,13 +384,15 @@ void JointAlignmentModel::RefreshCaches() {
       obs::GlobalMetrics().GetHistogram("daakg.align.refresh_caches_seconds");
   static obs::Counter* refresh_count =
       obs::GlobalMetrics().GetCounter("daakg.align.refresh_caches_calls");
+  static obs::Gauge* nonfinite =
+      obs::GlobalMetrics().GetGauge("daakg.align.nonfinite_rows");
   const std::array<uint64_t, 5> versions = ParamVersions();
   if (cached_versions_ == versions) return;  // no parameter moved
   obs::TraceSpan span("align.refresh_caches", "align", refresh_timing);
   refresh_count->Increment();
   {
-    // The pool data of the old caches goes first, so no two generations
-    // of it are held by the model at once.
+    // The planning data of the old caches goes first, so no two
+    // generations of it are held by the model at once.
     std::lock_guard<std::mutex> lock(pool_cache_mu_);
     pool_cache_.reset();
   }
@@ -391,6 +413,10 @@ void JointAlignmentModel::RefreshCaches() {
     rel_stats_ = DenseSimStats(rel_sim_, config_.z_rel);
     cls_stats_ = DenseSimStats(cls_sim_, config_.z_cls);
   }
+  // A diverged model shows here first: every consumer reads these caches.
+  nonfinite->Set(static_cast<double>(
+      NonFiniteRows(unit1_) + NonFiniteRows(unit_repr2()) +
+      NonFiniteCells(rel_sim_) + NonFiniteCells(cls_sim_)));
   cached_versions_ = versions;
 }
 

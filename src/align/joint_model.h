@@ -42,16 +42,27 @@ struct JointAlignConfig {
   uint64_t seed = 29;
 };
 
-// Candidate-pool data derived from one generation of the model's caches
-// (Sect. 6.1): the unit schema signatures and the last pool cut from them.
-// PoolGenerator fills it lazily; every generator of the generation shares
-// it. `mu` guards every field.
+struct EdgeCostTable;  // infer/inference_power.h
+struct PartitionPlan;  // active/selection.cc
+
+// Planning data derived from one generation of the model's caches: the
+// candidate pool's unit schema signatures and the last pool cut from them
+// (Sect. 6.1), and the label-independent state of a planning round over a
+// pool (DESIGN.md §8). PoolGenerator, InferenceEngine and PartitionSelect
+// fill it lazily; every caller of the generation shares it. `mu` guards
+// every field.
 struct PoolCache {
   std::mutex mu;
   Matrix queries;                         // unit KG1 signatures
   std::unique_ptr<CandidateIndex> index;  // over unit KG2 signatures
   std::optional<size_t> top_n;            // the top-N `pool` was cut at
   std::vector<ElementPair> pool;
+  // The edge costs of the last InferenceEngine::PrecomputeEdgeCosts() that
+  // built them, with the pool, KG pair and config they were built for.
+  std::shared_ptr<const EdgeCostTable> edge_costs;
+  // Algorithm 2's label-independent state over `edge_costs`, one per rho;
+  // replacing `edge_costs` clears it.
+  std::vector<std::pair<double, std::shared_ptr<PartitionPlan>>> partitions;
 };
 
 // The embedding-based joint alignment model (Fig. 3): learnable mapping
@@ -108,14 +119,16 @@ class JointAlignmentModel {
   // recomputation, the call returns at once. A recomputation is one
   // parallel O(|E1| |E2| dim) pass over the entity cosines; nothing
   // quadratic is stored. daakg.align.refresh_caches_calls counts
-  // recomputations only.
+  // recomputations only; the gauge daakg.align.nonfinite_rows holds the
+  // last one's count of non-finite unit rows and schema similarity cells.
   void RefreshCaches();
   // True when the caches were computed from the current parameters.
   bool caches_ready() const { return cached_versions_ == ParamVersions(); }
 
-  // The candidate-pool slot of the current caches, created empty on the
-  // first call after a recomputation and shared by every caller until the
-  // next one, which releases it. Requires caches_ready(); thread-safe.
+  // The planning slot of the current caches (pool, edge costs, Algorithm
+  // 2's partitions), created empty on the first call after a recomputation
+  // and shared by every caller until the next one, which releases it.
+  // Requires caches_ready(); thread-safe.
   std::shared_ptr<PoolCache> pool_cache() const;
 
   const Matrix& relation_sim() const { return rel_sim_; }
@@ -257,8 +270,8 @@ class JointAlignmentModel {
   std::vector<Vector> cls_mean2_;
   std::vector<double> rel_wsum1_, rel_wsum2_;
   std::vector<double> cls_wsum1_, cls_wsum2_;
-  // The pool slot of cached_versions_ (none yet when null); RefreshCaches()
-  // releases it when it recomputes.
+  // The planning slot of cached_versions_ (none yet when null);
+  // RefreshCaches() releases it when it recomputes.
   mutable std::mutex pool_cache_mu_;
   mutable std::shared_ptr<PoolCache> pool_cache_;
   // Stale per-epoch snapshots for hard-negative mining, with row norms.

@@ -83,7 +83,8 @@ void InferenceEngine::ResolveEdgeRelations(const ElementPair& src,
 
 void InferenceEngine::EstimateBound(int side, EntityId head, RelationId rel,
                                     EntityId tail,
-                                    std::vector<std::atomic<bool>>* claimed) {
+                                    std::vector<std::atomic<bool>>* claimed,
+                                    std::vector<float>* bounds) const {
   const KnowledgeGraph& kg =
       side == 1 ? graph_->task().kg1 : graph_->task().kg2;
   const size_t slot = kg.TripletIndex(head, rel, tail);
@@ -97,7 +98,7 @@ void InferenceEngine::EstimateBound(int side, EntityId head, RelationId rel,
   float d = 0.0f;
   model.EstimateEdgeBound(head, rel, tail, config_.bound_samples, &rng,
                           &r_tilde, &d);
-  (side == 1 ? bounds1_ : bounds2_)[slot] = d;
+  (*bounds)[slot] = d;
 }
 
 float InferenceEngine::BoundFor(int side, EntityId head, RelationId rel,
@@ -106,10 +107,10 @@ float InferenceEngine::BoundFor(int side, EntityId head, RelationId rel,
       side == 1 ? graph_->task().kg1 : graph_->task().kg2;
   const size_t slot = kg.TripletIndex(head, rel, tail);
   DAAKG_CHECK(slot != KnowledgeGraph::kNoTriplet);
-  const float d = (side == 1 ? bounds1_ : bounds2_)[slot];
+  const float d = (side == 1 ? table_->bounds1 : table_->bounds2)[slot];
   // PrecomputeEdgeCosts estimates the bound of every triplet an edge
   // resolves to; anything else is a caller's error.
-  DAAKG_CHECK(d != kNotEstimated);
+  DAAKG_CHECK(d != EdgeCostTable::kNotEstimated);
   return d;
 }
 
@@ -158,10 +159,37 @@ float InferenceEngine::ComputeEdgeCost(uint32_t node,
 }
 
 void InferenceEngine::PrecomputeEdgeCosts() {
+  static obs::Counter* builds =
+      obs::GlobalMetrics().GetCounter("daakg.infer.edge_cost_builds");
   obs::TraceSpan span("infer.precompute_edge_costs", "infer",
                       precompute_timing_);
+  span.AddArg("nodes", static_cast<double>(graph_->num_nodes()));
+  const KnowledgeGraph* kg1 = &graph_->task().kg1;
+  const KnowledgeGraph* kg2 = &graph_->task().kg2;
+  // An equal pool over the same KGs gives the same graph, node for node and
+  // edge for edge, so the slot's table is this engine's.
+  const std::shared_ptr<PoolCache> slot = model_->pool_cache();
+  std::lock_guard<std::mutex> lock(slot->mu);
+  const std::shared_ptr<const EdgeCostTable>& kept = slot->edge_costs;
+  if (kept != nullptr && kept->kg1 == kg1 && kept->kg2 == kg2 &&
+      kept->config == config_ && kept->pool == graph_->pool()) {
+    table_ = kept;
+    return;
+  }
+  builds->Increment();
+  auto table = std::make_shared<EdgeCostTable>();
+  table->pool = graph_->pool();
+  table->kg1 = kg1;
+  table->kg2 = kg2;
+  table->config = config_;
+  table_ = table;  // BoundFor reads the bounds while the costs are built
+  BuildEdgeCosts(table.get());
+  slot->edge_costs = table_;
+  slot->partitions.clear();  // they were built over the replaced table
+}
+
+void InferenceEngine::BuildEdgeCosts(EdgeCostTable* table) {
   const size_t n = graph_->num_nodes();
-  span.AddArg("nodes", static_cast<double>(n));
 
   // Phase 1 (parallel): the bound of every triplet a relational edge
   // resolves to, estimated once per distinct (side, triplet) into arrays
@@ -173,8 +201,8 @@ void InferenceEngine::PrecomputeEdgeCosts() {
     obs::TraceSpan bounds_span("infer.edge_bounds", "infer");
     const size_t t1 = graph_->task().kg1.num_triplets();
     const size_t t2 = graph_->task().kg2.num_triplets();
-    bounds1_.assign(t1, kNotEstimated);
-    bounds2_.assign(t2, kNotEstimated);
+    table->bounds1.assign(t1, EdgeCostTable::kNotEstimated);
+    table->bounds2.assign(t2, EdgeCostTable::kNotEstimated);
     std::vector<std::atomic<bool>> claimed1(t1);
     std::vector<std::atomic<bool>> claimed2(t2);
     GlobalThreadPool().ParallelFor(n, [&](size_t i) {
@@ -187,20 +215,22 @@ void InferenceEngine::PrecomputeEdgeCosts() {
         RelationId r2 = 0;
         ResolveEdgeRelations(src, dst, graph_->pool()[edge.rel_pair], &r1,
                              &r2);
-        EstimateBound(1, src.first, r1, dst.first, &claimed1);
-        EstimateBound(2, src.second, r2, dst.second, &claimed2);
+        EstimateBound(1, src.first, r1, dst.first, &claimed1,
+                      &table->bounds1);
+        EstimateBound(2, src.second, r2, dst.second, &claimed2,
+                      &table->bounds2);
       }
     });
   }
 
-  // Phase 2: per-edge costs against the now read-only caches (parallel).
+  // Phase 2: per-edge costs against the now read-only bounds (parallel).
   {
     obs::TraceSpan costs_span("infer.edge_costs", "infer");
-    costs_.resize(graph_->num_edges());
-    GlobalThreadPool().ParallelFor(n, [this](size_t i) {
+    table->costs.resize(graph_->num_edges());
+    GlobalThreadPool().ParallelFor(n, [&](size_t i) {
       const uint32_t node = static_cast<uint32_t>(i);
       const auto out = graph_->Out(node);
-      float* row = costs_.data() + graph_->FirstEdge(node);
+      float* row = table->costs.data() + graph_->FirstEdge(node);
       for (size_t k = 0; k < out.size(); ++k) {
         row[k] = ComputeEdgeCost(node, out[k]);
       }
@@ -211,24 +241,23 @@ void InferenceEngine::PrecomputeEdgeCosts() {
   // (parallel; reads only the model).
   {
     obs::TraceSpan grads_span("infer.schema_gradients", "infer");
-    schema_slots_.assign(n, kInvalidId);
+    table->schema_slots.assign(n, kInvalidId);
     std::vector<uint32_t> schema_nodes;
     for (uint32_t node = 0; node < n; ++node) {
       if (graph_->pool()[node].kind == ElementKind::kEntity) continue;
-      schema_slots_[node] = static_cast<uint32_t>(schema_nodes.size());
+      table->schema_slots[node] = static_cast<uint32_t>(schema_nodes.size());
       schema_nodes.push_back(node);
     }
-    schema_gradients_.resize(schema_nodes.size());
+    table->schema_gradients.resize(schema_nodes.size());
     GlobalThreadPool().ParallelFor(schema_nodes.size(), [&](size_t slot) {
-      schema_gradients_[slot] =
+      table->schema_gradients[slot] =
           ComputeSchemaGradient(graph_->pool()[schema_nodes[slot]]);
     });
   }
 
-  cost_scale_ = 1.0f;
   if (config_.auto_calibrate_costs) {
     std::vector<float> finite;
-    for (float c : costs_) {
+    for (float c : table->costs) {
       if (std::isfinite(c)) finite.push_back(c);
     }
     if (!finite.empty()) {
@@ -240,22 +269,21 @@ void InferenceEngine::PrecomputeEdgeCosts() {
                        finite.end());
       const float reference = std::max(finite[idx], 1e-4f);
       // Map the reference cost to power ~0.9 (cost 1/9).
-      cost_scale_ = std::clamp((1.0f / 9.0f) / reference, 1e-3f, 1e3f);
-      for (float& c : costs_) {
-        if (std::isfinite(c)) c *= cost_scale_;
+      table->cost_scale = std::clamp((1.0f / 9.0f) / reference, 1e-3f, 1e3f);
+      for (float& c : table->costs) {
+        if (std::isfinite(c)) c *= table->cost_scale;
       }
     }
   }
-  costs_ready_ = true;
 }
 
 float InferenceEngine::EdgeCost(uint32_t node, size_t edge_index) const {
-  DAAKG_CHECK(costs_ready_);
-  return costs_[graph_->FirstEdge(node) + edge_index];
+  DAAKG_CHECK(table_ != nullptr);
+  return table_->costs[graph_->FirstEdge(node) + edge_index];
 }
 
 PowerRow InferenceEngine::PowerFrom(uint32_t src, HopSearch* scratch) const {
-  DAAKG_CHECK(costs_ready_);
+  DAAKG_CHECK(table_ != nullptr);
   power_from_calls_->Increment();
   PowerRow out;
   const ElementPair& src_pair = graph_->pool()[src];
@@ -270,7 +298,7 @@ PowerRow InferenceEngine::PowerFrom(uint32_t src, HopSearch* scratch) const {
     search.Lower(src, 0.0f);
     search.Run(config_.max_hops, max_cost, [&](uint32_t node, auto&& relax) {
       const auto edges = graph_->Out(node);
-      const float* costs = costs_.data() + graph_->FirstEdge(node);
+      const float* costs = table_->costs.data() + graph_->FirstEdge(node);
       for (size_t k = 0; k < edges.size(); ++k) {
         if (std::isfinite(costs[k])) relax(edges[k].target, costs[k]);
       }
@@ -329,7 +357,7 @@ PowerRow InferenceEngine::PowerFrom(uint32_t src, HopSearch* scratch) const {
       // Same units as the path costs: the labeled relation match zeroes
       // the relation-difference term, leaving the weighted residuals.
       const float power =
-          1.0f / (1.0f + cost_scale_ * kResidualWeight * (d1 + d2));
+          1.0f / (1.0f + table_->cost_scale * kResidualWeight * (d1 + d2));
       auto& slot = target_power[to];
       slot = std::max(slot, power);
     }
@@ -345,7 +373,7 @@ PowerRow InferenceEngine::PowerFrom(uint32_t src, HopSearch* scratch) const {
 }
 
 InferenceEngine::OneHopCsr InferenceEngine::OneHopPowers() const {
-  DAAKG_CHECK(costs_ready_);
+  DAAKG_CHECK(table_ != nullptr);
   const size_t n = graph_->num_nodes();
   // The power of every edge first, in place of its entry (0 for edges of
   // non-entity sources, which have none), with each node's count of
@@ -359,7 +387,7 @@ InferenceEngine::OneHopCsr InferenceEngine::OneHopPowers() const {
     const ElementPair& src = graph_->pool()[node];
     if (src.kind != ElementKind::kEntity) return;
     const auto edges = graph_->Out(node);
-    const float* costs = costs_.data() + graph_->FirstEdge(node);
+    const float* costs = table_->costs.data() + graph_->FirstEdge(node);
     float* power = csr.power.data() + graph_->FirstEdge(node);
     uint32_t kept = 0;
     for (size_t k = 0; k < edges.size(); ++k) {
@@ -394,7 +422,7 @@ InferenceEngine::OneHopCsr InferenceEngine::OneHopPowers() const {
   return csr;
 }
 
-InferenceEngine::SchemaGradient InferenceEngine::ComputeSchemaGradient(
+EdgeCostTable::SchemaGradient InferenceEngine::ComputeSchemaGradient(
     const ElementPair& schema_pair) const {
   // S(c, c') or S(r, r') through its mean-embedding branch.
   const bool is_class = schema_pair.kind == ElementKind::kClass;
@@ -413,11 +441,11 @@ InferenceEngine::SchemaGradient InferenceEngine::ComputeSchemaGradient(
   return grad;
 }
 
-const InferenceEngine::SchemaGradient* InferenceEngine::PrecomputedGradient(
+const EdgeCostTable::SchemaGradient* InferenceEngine::PrecomputedGradient(
     uint32_t node) const {
-  if (!costs_ready_) return nullptr;
-  const uint32_t slot = schema_slots_[node];
-  return slot == kInvalidId ? nullptr : &schema_gradients_[slot];
+  if (table_ == nullptr) return nullptr;
+  const uint32_t slot = table_->schema_slots[node];
+  return slot == kInvalidId ? nullptr : &table_->schema_gradients[slot];
 }
 
 float InferenceEngine::PowerEntityToClass(const ElementPair& entity_pair,

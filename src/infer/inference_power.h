@@ -2,6 +2,7 @@
 #define DAAKG_INFER_INFERENCE_POWER_H_
 
 #include <atomic>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -38,6 +39,45 @@ struct InferenceConfig {
   double calibration_percentile = 0.02;
   // Seeds the per-triplet streams of the sampled edge bounds (Eq. 14).
   uint64_t seed = 41;
+
+  bool operator==(const InferenceConfig&) const = default;
+};
+
+// What InferenceEngine::PrecomputeEdgeCosts() computes. It is a function of
+// the pool, the KG pair, the config and the model's caches alone, so one
+// table serves every engine over an equal pool until the model's caches are
+// recomputed: the model's planning slot (JointAlignmentModel::pool_cache())
+// keeps the last one built, and engines share it read-only.
+struct EdgeCostTable {
+  // The parts of Eqs. (21)-(22) that depend only on the schema pair
+  // (c, c') or (r, r'): with u = A_ent mean1 and v = mean2, the gradients
+  // du, dv of S_mean = cos(u, v). The entity-pair terms only scale them.
+  struct SchemaGradient {
+    // S(.,.) > S_mean + 1e-6: the max() is won by the other branch, so the
+    // entity gradient is zero.
+    bool other_branch_wins = false;
+    Vector a_ent_t_du;  // A_ent^T du
+    Vector dv;
+  };
+  static constexpr float kNotEstimated = -1.0f;
+
+  // What the table was built for.
+  std::vector<ElementPair> pool;
+  const KnowledgeGraph* kg1 = nullptr;
+  const KnowledgeGraph* kg2 = nullptr;
+  InferenceConfig config;
+
+  // Cost of the k-th outgoing edge of `node` at
+  // costs[graph.FirstEdge(node) + k], parallel to the graph's edges.
+  std::vector<float> costs;
+  float cost_scale = 1.0f;  // see InferenceConfig::auto_calibrate_costs
+  // bounds1[i] / bounds2[i] is the bound of the KG1 / KG2 triplet with
+  // TripletIndex i, or kNotEstimated.
+  std::vector<float> bounds1;
+  std::vector<float> bounds2;
+  // schema_slots[node] indexes schema_gradients, or is kInvalidId.
+  std::vector<uint32_t> schema_slots;
+  std::vector<SchemaGradient> schema_gradients;
 };
 
 // A sparse row of inference powers: (pool node index, I(q'|q)).
@@ -72,6 +112,7 @@ class InferenceEngine {
                   const InferenceConfig& config);
 
   const AlignmentGraph& graph() const { return *graph_; }
+  const JointAlignmentModel* model() const { return model_; }
   const InferenceConfig& config() const { return config_; }
 
   // Precomputes every relational edge's cost. First estimates, in
@@ -82,7 +123,14 @@ class InferenceEngine {
   // against the now read-only bounds, and the gradient pieces of
   // Eqs. (21)-(22) once per schema pair of the pool. Must be called before
   // any power query except the two gradient-based powers below.
+  //
+  // The result is an EdgeCostTable. When the model's planning slot holds
+  // one built for an equal pool, the same KG pair and an equal config, the
+  // engine adopts it instead of building its own; otherwise it builds one
+  // and leaves it in the slot. daakg.infer.edge_cost_builds counts builds.
   void PrecomputeEdgeCosts();
+  // The table of the last PrecomputeEdgeCosts(), or null before it.
+  const EdgeCostTable* edge_costs() const { return table_.get(); }
 
   // Cost of the k-th outgoing edge of `node` (kTypeLabel edges have no
   // path cost and return +inf).
@@ -128,16 +176,10 @@ class InferenceEngine {
                               const ElementPair& target_pair) const;  // Eq. 22
 
  private:
-  // The parts of Eqs. (21)-(22) that depend only on the schema pair
-  // (c, c') or (r, r'): with u = A_ent mean1 and v = mean2, the gradients
-  // du, dv of S_mean = cos(u, v). The entity-pair terms only scale them.
-  struct SchemaGradient {
-    // S(.,.) > S_mean + 1e-6: the max() is won by the other branch, so the
-    // entity gradient is zero.
-    bool other_branch_wins = false;
-    Vector a_ent_t_du;  // A_ent^T du
-    Vector dv;
-  };
+  using SchemaGradient = EdgeCostTable::SchemaGradient;
+  // Builds the table of this engine's graph into `table`, which table_
+  // already points to.
+  void BuildEdgeCosts(EdgeCostTable* table);
   // Computes the pieces for a relation or class pair from the model.
   SchemaGradient ComputeSchemaGradient(const ElementPair& schema_pair) const;
   // The precomputed gradient of pool node `node`, or nullptr when it has
@@ -156,12 +198,13 @@ class InferenceEngine {
   void ResolveEdgeRelations(const ElementPair& src, const ElementPair& dst,
                             const ElementPair& rel, RelationId* r1,
                             RelationId* r2) const;
-  // Estimates the bound d of Eq. (14) for one KG triplet unless another
-  // call claimed it first (`claimed` is parallel to the KG's triplets).
-  // Safe to call concurrently: each bound is written by the one call that
-  // claims it.
+  // Estimates the bound d of Eq. (14) for one KG triplet into `bounds`
+  // unless another call claimed it first (`claimed` and `bounds` are
+  // parallel to the KG's triplets). Safe to call concurrently: each bound is
+  // written by the one call that claims it.
   void EstimateBound(int side, EntityId head, RelationId rel, EntityId tail,
-                     std::vector<std::atomic<bool>>* claimed);
+                     std::vector<std::atomic<bool>>* claimed,
+                     std::vector<float>* bounds) const;
   // Read-only bound lookup; DAAKG_CHECK-fails on a triplet that
   // PrecomputeEdgeCosts did not estimate. PowerFrom and ComputeEdgeCost run
   // under ParallelFor, so this must never mutate.
@@ -179,21 +222,9 @@ class InferenceEngine {
   obs::Counter* power_entries_;
   obs::Histogram* precompute_timing_;
 
-  // Cost of the k-th outgoing edge of `node` at
-  // costs_[graph_->FirstEdge(node) + k], parallel to the graph's edges.
-  std::vector<float> costs_;
-  float cost_scale_ = 1.0f;  // see auto_calibrate_costs
-  bool costs_ready_ = false;
-
-  // Written only by PrecomputeEdgeCosts; read-only afterwards (BoundFor,
-  // PrecomputedGradient). bounds1_[i] / bounds2_[i] is the bound of the
-  // KG1 / KG2 triplet with TripletIndex i, or kNotEstimated.
-  // schema_slots_[node] indexes schema_gradients_, or is kInvalidId.
-  static constexpr float kNotEstimated = -1.0f;
-  std::vector<float> bounds1_;
-  std::vector<float> bounds2_;
-  std::vector<uint32_t> schema_slots_;
-  std::vector<SchemaGradient> schema_gradients_;
+  // Set by PrecomputeEdgeCosts, read-only afterwards; shared with the
+  // planning slot and every engine that adopted it.
+  std::shared_ptr<const EdgeCostTable> table_;
 };
 
 }  // namespace daakg

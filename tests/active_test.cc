@@ -8,6 +8,7 @@
 #include <queue>
 #include <set>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -771,6 +772,18 @@ SelectionResult ReferencePartitionSelect(const SelectionContext& ctx,
   return result;
 }
 
+// Batches, objective bits and group counts are equal.
+void ExpectSameSelection(const SelectionResult& got,
+                         const SelectionResult& want) {
+  EXPECT_EQ(got.selected, want.selected);
+  uint64_t got_bits;
+  uint64_t want_bits;
+  std::memcpy(&got_bits, &got.objective, sizeof(got_bits));
+  std::memcpy(&want_bits, &want.objective, sizeof(want_bits));
+  EXPECT_EQ(got_bits, want_bits);
+  EXPECT_EQ(got.num_groups, want.num_groups);
+}
+
 // PartitionSelect gives the reference's batch, objective bits and group
 // count on every dataset analogue, at two task seeds, two engine configs,
 // four rho and three labeled masks. Registered again at DAAKG_THREADS=1.
@@ -817,15 +830,8 @@ TEST(PartitionSelectTest, MatchesReferenceImplementation) {
             SelectionConfig cfg;
             cfg.batch_size = 20;
             cfg.rho = rho;
-            const SelectionResult want = ReferencePartitionSelect(ctx, cfg);
             const SelectionResult got = PartitionSelect(ctx, cfg);
-            EXPECT_EQ(got.selected, want.selected);
-            uint64_t got_bits;
-            uint64_t want_bits;
-            std::memcpy(&got_bits, &got.objective, sizeof(got_bits));
-            std::memcpy(&want_bits, &want.objective, sizeof(want_bits));
-            EXPECT_EQ(got_bits, want_bits);
-            EXPECT_EQ(got.num_groups, want.num_groups);
+            ExpectSameSelection(got, ReferencePartitionSelect(ctx, cfg));
             EXPECT_FALSE(got.selected.empty());
             // Entity pairs start as one group, schema pairs as singletons.
             split_cases += got.num_groups > 1 + schema_nodes;
@@ -835,6 +841,254 @@ TEST(PartitionSelectTest, MatchesReferenceImplementation) {
     }
   }
   EXPECT_GT(split_cases, 96u);  // most of the 192 cases split
+}
+
+// One trained model on the D-Y analogue (scale 0.2, seed 17) and its
+// top-10 pool, planned against without retraining.
+struct PlanningSession {
+  PlanningSession()
+      : task(MakeBenchmarkTask(BenchmarkDataset::kDY, 0.2, 17).value()),
+        stack(task) {
+    PoolConfig pcfg;
+    pcfg.top_n = 10;
+    pool = PoolGenerator(&task, stack.joint.get(), pcfg).Generate();
+  }
+
+  // Recomputes the model's caches without changing a value, so the next
+  // plan starts from an empty slot: it is built cold.
+  void ReleaseSlot() {
+    (void)stack.model1->mutable_entities();
+    stack.joint->RefreshCaches();
+  }
+
+  AlignmentTask task;
+  TrainedJointStack stack;
+  std::vector<ElementPair> pool;
+};
+
+obs::Counter* EdgeCostBuilds() {
+  return obs::GlobalMetrics().GetCounter("daakg.infer.edge_cost_builds");
+}
+obs::Counter* PartitionBuilds() {
+  return obs::GlobalMetrics().GetCounter("daakg.active.partition_builds");
+}
+
+// A planning session on one unchanged model, as batch-plan runs it: every
+// round builds a graph and an engine over the same pool, plans a batch and
+// labels it. Round for round, the warm plans give what cold plans give, at
+// both engine configs of the reference test and two rho; the warm session
+// makes one edge-cost build and one partition build.
+TEST(PartitionSelectTest, ReusedPlanMatchesColdPlan) {
+  PlanningSession session;
+  const JointAlignmentModel* joint = session.stack.joint.get();
+  InferenceConfig short_paths;
+  short_paths.power_floor = 0.05;
+  short_paths.max_hops = 3;
+  constexpr size_t kRounds = 6;
+  for (const InferenceConfig& icfg : {InferenceConfig{}, short_paths}) {
+    for (double rho : {0.5, 0.9}) {
+      SCOPED_TRACE(testing::Message()
+                   << "floor " << icfg.power_floor << " rho " << rho);
+      SelectionConfig cfg;
+      cfg.batch_size = 20;
+      cfg.rho = rho;
+      auto plan_round = [&](const std::vector<bool>& labeled) {
+        const AlignmentGraph graph(&session.task, session.pool);
+        InferenceEngine engine(&graph, joint, icfg);
+        engine.PrecomputeEdgeCosts();
+        return PartitionSelect(SelectionContext{&engine, joint, &labeled},
+                               cfg);
+      };
+
+      session.ReleaseSlot();
+      const uint64_t cost_builds = EdgeCostBuilds()->Value();
+      const uint64_t partition_builds = PartitionBuilds()->Value();
+      std::vector<bool> labeled(session.pool.size(), false);
+      for (size_t q = 0; q < labeled.size(); q += 7) labeled[q] = true;
+      std::vector<std::vector<bool>> masks;
+      std::vector<SelectionResult> warm;
+      for (size_t round = 0; round < kRounds; ++round) {
+        masks.push_back(labeled);
+        warm.push_back(plan_round(labeled));
+        ASSERT_FALSE(warm.back().selected.empty());
+        for (uint32_t q : warm.back().selected) labeled[q] = true;
+      }
+      EXPECT_EQ(EdgeCostBuilds()->Value() - cost_builds, 1u);
+      EXPECT_EQ(PartitionBuilds()->Value() - partition_builds, 1u);
+
+      for (size_t round = 0; round < kRounds; ++round) {
+        SCOPED_TRACE(testing::Message() << "round " << round);
+        session.ReleaseSlot();
+        ExpectSameSelection(warm[round], plan_round(masks[round]));
+      }
+      EXPECT_EQ(EdgeCostBuilds()->Value() - cost_builds, 1u + kRounds);
+      EXPECT_EQ(PartitionBuilds()->Value() - partition_builds, 1u + kRounds);
+    }
+  }
+
+  // Once an engine on another pool has replaced the slot's table, an
+  // engine still holding the old one plans on an unshared plan of its own.
+  session.ReleaseSlot();
+  const AlignmentGraph graph(&session.task, session.pool);
+  InferenceEngine engine(&graph, joint, InferenceConfig{});
+  engine.PrecomputeEdgeCosts();
+  SelectionConfig cfg;
+  cfg.batch_size = 20;
+  const std::vector<bool> none(session.pool.size(), false);
+  const SelectionContext ctx{&engine, joint, &none};
+  const SelectionResult want = PartitionSelect(ctx, cfg);
+  PoolConfig top5;
+  top5.top_n = 5;
+  const std::vector<ElementPair> other =
+      PoolGenerator(&session.task, joint, top5).Generate();
+  ASSERT_NE(other.size(), session.pool.size());
+  const AlignmentGraph other_graph(&session.task, other);
+  InferenceEngine other_engine(&other_graph, joint, InferenceConfig{});
+  other_engine.PrecomputeEdgeCosts();
+  const std::vector<bool> other_none(other.size(), false);
+  PartitionSelect(SelectionContext{&other_engine, joint, &other_none}, cfg);
+  const uint64_t partition_builds = PartitionBuilds()->Value();
+  ExpectSameSelection(PartitionSelect(ctx, cfg), want);
+  EXPECT_EQ(PartitionBuilds()->Value() - partition_builds, 1u);
+}
+
+// Degenerate masks give the reference's result on a cold plan and on a warm
+// one (planned first with nothing labeled, which fills every row):
+//  * every node labeled: an empty batch;
+//  * every node but one source: a row that reaches only groups with no
+//    unlabeled member is never selected;
+//  * a mask that un-labels nodes whose rows the earlier call did not fill.
+TEST(PartitionSelectTest, DegenerateMasksOnColdAndWarmPlans) {
+  PlanningSession session;
+  const JointAlignmentModel* joint = session.stack.joint.get();
+  const AlignmentGraph graph(&session.task, session.pool);
+  const size_t n = session.pool.size();
+  const InferenceConfig icfg;
+  SelectionConfig cfg;
+  cfg.batch_size = 20;
+  cfg.rho = 0.9;
+  // Plans on `labeled` against a fresh slot, after a first call on
+  // `earlier` if given, and checks the result against the reference.
+  auto select = [&](const std::vector<bool>& labeled,
+                    const std::vector<bool>* earlier) {
+    session.ReleaseSlot();
+    InferenceEngine engine(&graph, joint, icfg);
+    engine.PrecomputeEdgeCosts();
+    if (earlier != nullptr) {
+      PartitionSelect(SelectionContext{&engine, joint, earlier}, cfg);
+    }
+    const SelectionContext ctx{&engine, joint, &labeled};
+    const SelectionResult got = PartitionSelect(ctx, cfg);
+    ExpectSameSelection(got, ReferencePartitionSelect(ctx, cfg));
+    return got;
+  };
+  const std::vector<bool> none(n, false);
+  const std::vector<bool> all(n, true);
+
+  // Sources whose rows are not empty: entity pairs with a one-hop entry
+  // above the power floor, and relation pairs with a power row. No row
+  // reaches a relation pair's group, a singleton, so with every other node
+  // labeled a relation pair's row is left with no entry.
+  std::vector<uint32_t> sources;
+  size_t relation_sources = 0;
+  {
+    InferenceEngine engine(&graph, joint, icfg);
+    engine.PrecomputeEdgeCosts();
+    const InferenceEngine::OneHopCsr onehop = engine.OneHopPowers();
+    for (uint32_t q = 0; q < n; ++q) {
+      if (session.pool[q].kind == ElementKind::kRelation) {
+        if (relation_sources < 6 && !engine.PowerFrom(q).empty()) {
+          sources.push_back(q);
+          ++relation_sources;
+        }
+        continue;
+      }
+      if (sources.size() - relation_sources == 6) continue;
+      for (uint32_t e = onehop.offsets[q]; e < onehop.offsets[q + 1]; ++e) {
+        if (onehop.power[e] > icfg.power_floor + 0.01) {
+          sources.push_back(q);
+          break;
+        }
+      }
+    }
+  }
+  ASSERT_GT(relation_sources, 0u);
+  ASSERT_GT(sources.size(), relation_sources);
+
+  for (const std::vector<bool>* earlier :
+       {static_cast<const std::vector<bool>*>(nullptr), &none}) {
+    SCOPED_TRACE(earlier == nullptr ? "cold" : "warm");
+    EXPECT_TRUE(select(all, earlier).selected.empty());
+    size_t skipped = 0;
+    for (uint32_t q : sources) {
+      SCOPED_TRACE(testing::Message() << "all but " << q);
+      std::vector<bool> all_but_q = all;
+      all_but_q[q] = false;
+      const SelectionResult got = select(all_but_q, earlier);
+      skipped += got.selected.empty();
+      if (!got.selected.empty()) {
+        EXPECT_EQ(got.selected, std::vector<uint32_t>{q});
+      }
+    }
+    EXPECT_GT(skipped, 0u);
+  }
+
+  // The first call fills 15 rows; the second needs most of the others.
+  std::vector<bool> all_but_15 = all;
+  for (size_t k = 0; k < 15; ++k) all_but_15[k * n / 15] = false;
+  std::vector<bool> every_7th = none;
+  for (size_t q = 0; q < n; q += 7) every_7th[q] = true;
+  const SelectionResult got = select(every_7th, &all_but_15);
+  EXPECT_TRUE(std::any_of(got.selected.begin(), got.selected.end(),
+                          [&](uint32_t q) { return all_but_15[q]; }));
+}
+
+// Two threads, each with its own graph and engine over an equal pool, plan
+// on one model's slot at once: they race for the edge-cost and partition
+// builds and for the row fills, and both get a sequential run's results.
+TEST(PartitionSelectTest, ConcurrentEnginesShareOnePlan) {
+  PlanningSession session;
+  const JointAlignmentModel* joint = session.stack.joint.get();
+  const size_t n = session.pool.size();
+  std::vector<std::vector<bool>> masks(3, std::vector<bool>(n, false));
+  for (size_t q = 0; q < n; q += 7) masks[1][q] = true;
+  masks[2].assign(n, true);
+  for (size_t k = 0; k < 15; ++k) masks[2][k * n / 15] = false;
+  auto run = [&](std::vector<SelectionResult>* out) {
+    const AlignmentGraph graph(&session.task, session.pool);
+    InferenceEngine engine(&graph, joint, InferenceConfig{});
+    engine.PrecomputeEdgeCosts();
+    for (double rho : {0.5, 0.9}) {
+      SelectionConfig cfg;
+      cfg.batch_size = 20;
+      cfg.rho = rho;
+      for (const std::vector<bool>& labeled : masks) {
+        out->push_back(
+            PartitionSelect(SelectionContext{&engine, joint, &labeled}, cfg));
+      }
+    }
+  };
+  std::vector<SelectionResult> want;
+  run(&want);
+
+  session.ReleaseSlot();
+  const uint64_t cost_builds = EdgeCostBuilds()->Value();
+  const uint64_t partition_builds = PartitionBuilds()->Value();
+  std::vector<SelectionResult> a;
+  std::vector<SelectionResult> b;
+  std::thread ta(run, &a);
+  std::thread tb(run, &b);
+  ta.join();
+  tb.join();
+  EXPECT_EQ(EdgeCostBuilds()->Value() - cost_builds, 1u);
+  EXPECT_EQ(PartitionBuilds()->Value() - partition_builds, 2u);
+  ASSERT_EQ(a.size(), want.size());
+  ASSERT_EQ(b.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "call " << i);
+    ExpectSameSelection(a[i], want[i]);
+    ExpectSameSelection(b[i], want[i]);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -608,6 +608,20 @@ TEST_F(JointModelTest, RefreshWithoutChangeIsSkipped) {
   EXPECT_TRUE(joint_->caches_ready());
 }
 
+// A diverged parameter shows in the gauge of the refresh that reads it:
+// the NaN entity row makes its unit row and the schema means it feeds
+// non-finite.
+TEST_F(JointModelTest, NonFiniteRowsAreCounted) {
+  obs::Gauge* nonfinite =
+      obs::GlobalMetrics().GetGauge("daakg.align.nonfinite_rows");
+  joint_->RefreshCaches();
+  EXPECT_EQ(nonfinite->Value(), 0.0);
+  model1_->mutable_entities()->RowData(3)[0] = std::nanf("");
+  joint_->RefreshCaches();
+  EXPECT_TRUE(std::isnan(joint_->unit_mapped1()(3, 0)));
+  EXPECT_GT(nonfinite->Value(), 0.0);
+}
+
 TEST_F(JointModelTest, SemiMiningRespectsTauAndOneToOne) {
   Rng rng(50);
   SeedAlignment seed = task_.SampleSeed(0.3, &rng);

@@ -424,6 +424,72 @@ TEST_F(InferTest, PowerFromEveryNodeConcurrently) {
   EXPECT_EQ(entry_counts, second);
 }
 
+// Engines over equal pools of one unchanged model share one edge-cost
+// table, with the powers of an engine that built its own; anything the
+// table depends on builds a new one.
+TEST_F(InferTest, EqualPoolSharesEdgeCosts) {
+  obs::Counter* builds =
+      obs::GlobalMetrics().GetCounter("daakg.infer.edge_cost_builds");
+  const uint64_t before = builds->Value();
+  InferenceEngine first(graph_.get(), joint_.get(), EngineConfig());
+  first.PrecomputeEdgeCosts();
+  const AlignmentGraph twin_graph(&task_, pool_);
+  InferenceEngine twin(&twin_graph, joint_.get(), EngineConfig());
+  twin.PrecomputeEdgeCosts();
+  EXPECT_EQ(builds->Value() - before, 1u);
+  EXPECT_EQ(twin.edge_costs(), first.edge_costs());
+  for (uint32_t node = 0; node < graph_->num_nodes(); ++node) {
+    for (size_t k = 0; k < graph_->Out(node).size(); ++k) {
+      const float a = first.EdgeCost(node, k);
+      const float b = twin.EdgeCost(node, k);
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof(a)), 0) << node << " " << k;
+    }
+    EXPECT_EQ(twin.PowerFrom(node), first.PowerFrom(node)) << node;
+  }
+  const InferenceEngine::OneHopCsr want = first.OneHopPowers();
+  const InferenceEngine::OneHopCsr got = twin.OneHopPowers();
+  EXPECT_EQ(got.offsets, want.offsets);
+  EXPECT_EQ(got.target, want.target);
+  EXPECT_EQ(got.label, want.label);
+  EXPECT_EQ(got.power, want.power);
+
+  // Builds of an engine on `graph` with `cfg` while the slot holds the
+  // table of the first engine's pool and config.
+  auto builds_for = [&](const AlignmentGraph& graph,
+                        const InferenceConfig& cfg) {
+    InferenceEngine base(graph_.get(), joint_.get(), EngineConfig());
+    base.PrecomputeEdgeCosts();
+    const uint64_t at = builds->Value();
+    InferenceEngine engine(&graph, joint_.get(), cfg);
+    engine.PrecomputeEdgeCosts();
+    return builds->Value() - at;
+  };
+  EXPECT_EQ(builds_for(twin_graph, EngineConfig()), 0u);
+  InferenceConfig floor = EngineConfig();
+  floor.power_floor = 0.2;
+  EXPECT_EQ(builds_for(*graph_, floor), 1u);
+  InferenceConfig seed = EngineConfig();
+  seed.seed += 1;
+  EXPECT_EQ(builds_for(*graph_, seed), 1u);
+  PoolConfig top2;
+  top2.top_n = 2;
+  const std::vector<ElementPair> cut =
+      PoolGenerator(&task_, joint_.get(), top2).Generate();
+  ASSERT_NE(cut, pool_);
+  const AlignmentGraph cut_graph(&task_, cut);
+  EXPECT_EQ(builds_for(cut_graph, EngineConfig()), 1u);
+
+  // A parameter change: the refresh releases the slot.
+  EXPECT_EQ(builds_for(twin_graph, EngineConfig()), 0u);
+  model1_->mutable_entities()->RowData(0)[0] += 0.5f;
+  joint_->RefreshCaches();
+  const uint64_t at = builds->Value();
+  InferenceEngine moved(graph_.get(), joint_.get(), EngineConfig());
+  moved.PrecomputeEdgeCosts();
+  EXPECT_EQ(builds->Value() - at, 1u);
+  EXPECT_NE(moved.edge_costs(), first.edge_costs());
+}
+
 // Pins the edge costs and the relation-pair power rows of one planning
 // round on a synthetic task, for every KGE geometry. Edge bounds are
 // estimated in parallel, one RNG stream per (side, triplet), so the pins
