@@ -53,14 +53,12 @@ int main(int argc, char** argv) {
       row_of("PARIS").secs[col] = paris.Run(seed).train_seconds;
     }
     {
-      KgeConfig kge;
-      kge.dim = 32;
-      JointAlignConfig align;
-      align.align_epochs = 60;
       EmbeddingBaselineConfig cfg;
       cfg.name = "MTransE";
-      cfg.kge = kge;
-      cfg.align = align;
+      cfg.daakg.kge_model = KgeModelKind::kTransE;
+      cfg.daakg.kge.dim = 32;
+      cfg.daakg.align.align_epochs = 60;
+      cfg.daakg.align.semi_supervised = false;
       EmbeddingBaseline baseline(&task, cfg);
       row_of("MTransE").secs[col] = baseline.Run(seed).train_seconds;
     }
@@ -72,7 +70,7 @@ int main(int argc, char** argv) {
       DaakgConfig cfg = DaakgBenchConfig(model, env);
       row_of(std::string("DAAKG (") + model + ")").secs[col] =
           RunDaakg(task, cfg, env, model).train_seconds;
-      cfg.align.semi_rounds = 0;
+      cfg.align.semi_supervised = false;
       row_of(std::string("  w/o semi (") + model + ")").secs[col] =
           RunDaakg(task, cfg, env, model).train_seconds;
     }

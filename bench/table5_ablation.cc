@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
       {"w/o mean embeddings",
        [](DaakgConfig* c) { c->align.use_mean_embeddings = false; }},
       {"w/o semi-supervision",
-       [](DaakgConfig* c) { c->align.semi_rounds = 0; }},
+       [](DaakgConfig* c) { c->align.semi_supervised = false; }},
   };
 
   for (const char* model : {"transe", "rotate", "compgcn"}) {

@@ -48,7 +48,7 @@ int main() {
   config.kge_model = KgeModelKind::kTransE;
   config.kge.epochs = 30;
   config.align.align_epochs = 30;
-  config.align.semi_rounds = 1;
+  config.align.semi_supervised = true;
   auto aligner_or = DaakgAligner::Create(&task, config);
   if (!aligner_or.ok()) {
     std::fprintf(stderr, "bad config: %s\n",

@@ -18,11 +18,6 @@
 
 namespace daakg {
 
-// Semi-supervision cadence: mining re-runs every `kSemiEvery` training
-// rounds once a third of the rounds have elapsed (DAAKG and the
-// bootstrapping baselines alike).
-inline constexpr int kSemiEvery = 12;
-
 // Hyper-parameters of the joint alignment model (Sect. 4.2). The fixed
 // training details (learning rate, negatives, loss sharpness, L2 pull) are
 // constants in joint_model.cc.
@@ -33,7 +28,7 @@ struct JointAlignConfig {
   int align_epochs = 150;
   int joint_epochs_per_round = 3;
   double tau = 0.9;            // semi-supervision similarity threshold
-  int semi_rounds = 1;         // 0 disables semi-supervision (Table 5)
+  bool semi_supervised = true;  // false disables it (Table 5)
   double z_ent = 0.05;         // calibration temperatures (Sect. 7.1)
   double z_rel = 0.1;
   double z_cls = 0.1;

@@ -84,21 +84,7 @@ BaselineResult BertMapLite::Run(const SeedAlignment& seed) {
 
   BaselineResult result;
   result.name = "BERTMap";
-  std::vector<std::pair<uint32_t, uint32_t>> cls_test;
-  {
-    std::unordered_set<uint64_t> in_seed;
-    for (const auto& [a, b] : seed.classes) {
-      in_seed.insert((static_cast<uint64_t>(a) << 32) | b);
-    }
-    for (const auto& [a, b] : task_->gold_classes) {
-      if (in_seed.count((static_cast<uint64_t>(a) << 32) | b) == 0) {
-        cls_test.emplace_back(a, b);
-      }
-    }
-    if (cls_test.empty()) {
-      for (const auto& [a, b] : task_->gold_classes) cls_test.emplace_back(a, b);
-    }
-  }
+  const auto cls_test = TestPairs(task_->gold_classes, seed.classes);
   result.eval.cls_rank = EvaluateRanking(sim, cls_test);
   result.eval.cls_prf =
       EvaluateGreedyMatching(sim, cls_test, kOutputThreshold);

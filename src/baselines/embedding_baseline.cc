@@ -16,25 +16,6 @@ constexpr char kTypeRelName[] = "__type__";
 // RSN path augmentation: how many composite relations to add.
 constexpr size_t kPathAugmentRelations = 8;
 
-template <typename PairT>
-std::vector<std::pair<uint32_t, uint32_t>> TestPairsExcluding(
-    const std::vector<PairT>& gold, const std::vector<PairT>& seed) {
-  std::unordered_set<uint64_t> in_seed;
-  for (const auto& [a, b] : seed) {
-    in_seed.insert((static_cast<uint64_t>(a) << 32) | b);
-  }
-  std::vector<std::pair<uint32_t, uint32_t>> test;
-  for (const auto& [a, b] : gold) {
-    if (in_seed.count((static_cast<uint64_t>(a) << 32) | b) == 0) {
-      test.emplace_back(a, b);
-    }
-  }
-  if (test.empty()) {
-    for (const auto& [a, b] : gold) test.emplace_back(a, b);
-  }
-  return test;
-}
-
 // Pairwise character-bigram Jaccard similarity between two name lists.
 Matrix NameSimilarityMatrix(const std::vector<std::string>& names1,
                             const std::vector<std::string>& names2) {
@@ -155,11 +136,14 @@ std::vector<EntityId> TransformKg(const KnowledgeGraph& in,
 EmbeddingBaseline::EmbeddingBaseline(const AlignmentTask* task,
                                      const EmbeddingBaselineConfig& config)
     : task_(task), config_(config) {
+  // DAAKG-specific machinery the competitors do not have.
+  config_.daakg.use_class_embeddings = false;
+  config_.daakg.align.use_mean_embeddings = false;
   BuildTransformedTask();
 }
 
 void EmbeddingBaseline::BuildTransformedTask() {
-  Rng rng(config_.seed);
+  Rng rng(config_.daakg.seed);
   transformed_.name = task_->name + "+" + config_.name;
   cls_ent1_ = TransformKg(task_->kg1, config_, &transformed_.kg1, &rng);
   cls_ent2_ = TransformKg(task_->kg2, config_, &transformed_.kg2, &rng);
@@ -174,65 +158,33 @@ void EmbeddingBaseline::BuildTransformedTask() {
 BaselineResult EmbeddingBaseline::Run(const SeedAlignment& seed) {
   obs::TraceSpan span("baselines.embedding", "baselines", nullptr,
                       obs::TimingMode::kAlways);
-  Rng rng(config_.seed ^ 0xB45EULL);
-
-  KgeConfig kge_cfg = config_.kge;
-  kge_cfg.max_neighbors = config_.max_neighbors;
-  kge_cfg.seed = rng.NextUint64();
-  auto model1 = MakeKgeModel(config_.kge_model, &transformed_.kg1, kge_cfg);
-  kge_cfg.seed = rng.NextUint64();
-  auto model2 = MakeKgeModel(config_.kge_model, &transformed_.kg2, kge_cfg);
-  Rng init_rng = rng.Fork();
-  model1->Init(&init_rng);
-  model2->Init(&init_rng);
-
-  JointAlignConfig align_cfg = config_.align;
-  align_cfg.use_mean_embeddings = false;  // DAAKG-specific machinery
-  align_cfg.semi_rounds = config_.semi_rounds;
-  JointAlignmentModel joint(model1.get(), model2.get(), nullptr, nullptr,
-                            align_cfg);
-  joint.Init(&init_rng);
-
-  // Joint training: one KGE epoch per KG interleaved with alignment
-  // epochs (every deep competitor optimizes its embedding and alignment
-  // objectives jointly, so all baselines get the same co-evolution the
-  // DAAKG pipeline uses; see DESIGN.md).
   SeedAlignment mapped_seed;
   mapped_seed.entities = seed.entities;
   for (const auto& [c1, c2] : seed.classes) {
     mapped_seed.entities.emplace_back(cls_ent1_[c1], cls_ent2_[c2]);
   }
   mapped_seed.relations = seed.relations;
-
-  KgeTrainer trainer1(model1.get(), nullptr);
-  KgeTrainer trainer2(model2.get(), nullptr);
-  Rng t1 = rng.Fork();
-  Rng t2 = rng.Fork();
-  Rng a_rng = rng.Fork();
-  TrainSideBySide(&trainer1, &t1, &trainer2, &t2, config_.kge.epochs);
-  std::vector<std::pair<ElementPair, double>> mined;
-  for (int round = 0; round < align_cfg.align_epochs; ++round) {
-    TrainSideBySide(&trainer1, &t1, &trainer2, &t2, /*epochs=*/1);
-    for (int k = 0; k < align_cfg.joint_epochs_per_round; ++k) {
-      joint.TrainEpoch(mapped_seed, &a_rng, /*focal=*/false);
-    }
-    if (config_.semi_rounds > 0 && round >= align_cfg.align_epochs / 3 &&
-        (round - align_cfg.align_epochs / 3) % kSemiEvery == 0) {
-      joint.RefreshCaches();
-      mined = joint.MineSemiSupervision();
-    }
-    if (!mined.empty()) joint.TrainSemiEpoch(mined, &a_rng);
-  }
-  joint.RefreshCaches();
+  DaakgAligner aligner(&transformed_, config_.daakg);
+  aligner.Train(mapped_seed);
+  const JointAlignmentModel& joint = *aligner.joint();
+  const Matrix& full_rel_sim = joint.relation_sim();
 
   BaselineResult result;
   result.name = config_.name;
 
   // Similarity matrices for evaluation, with optional literal blending
-  // (which needs the dense entity matrix).
+  // (which needs the dense entity matrix). The relation matrix is trimmed
+  // to the base relations, dropping the synthetic `type` (and composite)
+  // ones.
   Matrix ent_sim;
   BlockedMatMulNT(joint.unit_mapped1(), joint.unit_repr2(), &ent_sim);
-  Matrix rel_sim = joint.relation_sim();
+  Matrix rel_sim(task_->kg1.num_base_relations(),
+                 task_->kg2.num_base_relations());
+  for (size_t a = 0; a < rel_sim.rows(); ++a) {
+    for (size_t b = 0; b < rel_sim.cols(); ++b) {
+      rel_sim(a, b) = full_rel_sim(a, b);
+    }
+  }
   if (config_.name_view_weight > 0.0) {
     std::vector<std::string> names1(transformed_.kg1.num_entities());
     std::vector<std::string> names2(transformed_.kg2.num_entities());
@@ -252,26 +204,8 @@ BaselineResult EmbeddingBaseline::Run(const SeedAlignment& seed) {
     for (size_t r = 0; r < task_->kg2.num_base_relations(); ++r) {
       rnames2.push_back(task_->kg2.relation_name(static_cast<RelationId>(r)));
     }
-    Matrix rel_trim(rnames1.size(), rnames2.size());
-    for (size_t a = 0; a < rnames1.size(); ++a) {
-      for (size_t b = 0; b < rnames2.size(); ++b) {
-        rel_trim(a, b) = rel_sim(a, b);
-      }
-    }
-    BlendInPlace(&rel_trim, NameSimilarityMatrix(rnames1, rnames2),
+    BlendInPlace(&rel_sim, NameSimilarityMatrix(rnames1, rnames2),
                  config_.name_view_weight);
-    rel_sim = std::move(rel_trim);
-  } else {
-    // Trim the synthetic `type` (and composite) relations off the
-    // evaluation matrix.
-    Matrix rel_trim(task_->kg1.num_base_relations(),
-                    task_->kg2.num_base_relations());
-    for (size_t a = 0; a < rel_trim.rows(); ++a) {
-      for (size_t b = 0; b < rel_trim.cols(); ++b) {
-        rel_trim(a, b) = rel_sim(a, b);
-      }
-    }
-    rel_sim = std::move(rel_trim);
   }
 
   // Class similarities = entity similarities of the class-entities.
@@ -282,10 +216,10 @@ BaselineResult EmbeddingBaseline::Run(const SeedAlignment& seed) {
     }
   }
 
-  const float thr = 0.5f;
-  auto ent_test = TestPairsExcluding(task_->gold_entities, seed.entities);
-  auto rel_test = TestPairsExcluding(task_->gold_relations, seed.relations);
-  auto cls_test = TestPairsExcluding(task_->gold_classes, seed.classes);
+  const float thr = kMatchThreshold;
+  auto ent_test = TestPairs(task_->gold_entities, seed.entities);
+  auto rel_test = TestPairs(task_->gold_relations, seed.relations);
+  auto cls_test = TestPairs(task_->gold_classes, seed.classes);
   result.eval.ent_rank = EvaluateRanking(ent_sim, ent_test);
   result.eval.rel_rank = EvaluateRanking(rel_sim, rel_test);
   result.eval.cls_rank = EvaluateRanking(cls_sim, cls_test);
@@ -298,61 +232,31 @@ BaselineResult EmbeddingBaseline::Run(const SeedAlignment& seed) {
 
 std::vector<EmbeddingBaselineConfig> StandardBaselineRoster(
     const KgeConfig& kge, const JointAlignConfig& align) {
-  std::vector<EmbeddingBaselineConfig> roster;
-  auto base = [&kge, &align](const std::string& name) {
+  auto base = [&kge, &align](const std::string& name, KgeModelKind model) {
     EmbeddingBaselineConfig c;
     c.name = name;
-    c.kge = kge;
-    c.align = align;
+    c.daakg.kge_model = model;
+    c.daakg.kge = kge;
+    c.daakg.align = align;
+    c.daakg.align.semi_supervised = false;
     return c;
   };
-  {
-    auto c = base("MTransE");
-    c.kge_model = KgeModelKind::kTransE;
-    roster.push_back(c);
-  }
-  {
-    auto c = base("BootEA");
-    c.kge_model = KgeModelKind::kTransE;
-    c.semi_rounds = 2;
-    roster.push_back(c);
-  }
-  {
-    auto c = base("GCN-Align");
-    c.kge_model = KgeModelKind::kCompGcn;
-    c.max_neighbors = 8;
-    roster.push_back(c);
-  }
-  {
-    auto c = base("AttrE");
-    c.kge_model = KgeModelKind::kTransE;
-    c.name_view_weight = 0.7;
-    roster.push_back(c);
-  }
-  {
-    auto c = base("RSN");
-    c.kge_model = KgeModelKind::kTransE;
-    c.path_augmentation = true;
-    roster.push_back(c);
-  }
-  {
-    auto c = base("MuGNN");
-    c.kge_model = KgeModelKind::kCompGcn;
-    c.max_neighbors = 20;
-    roster.push_back(c);
-  }
-  {
-    auto c = base("MultiKE");
-    c.kge_model = KgeModelKind::kTransE;
-    c.name_view_weight = 0.5;
-    roster.push_back(c);
-  }
-  {
-    auto c = base("KECG");
-    c.kge_model = KgeModelKind::kCompGcn;
-    c.semi_rounds = 1;
-    roster.push_back(c);
-  }
+  std::vector<EmbeddingBaselineConfig> roster;
+  roster.push_back(base("MTransE", KgeModelKind::kTransE));
+  roster.push_back(base("BootEA", KgeModelKind::kTransE));
+  roster.back().daakg.align.semi_supervised = true;
+  roster.push_back(base("GCN-Align", KgeModelKind::kCompGcn));
+  roster.back().daakg.kge.max_neighbors = 8;
+  roster.push_back(base("AttrE", KgeModelKind::kTransE));
+  roster.back().name_view_weight = 0.7;
+  roster.push_back(base("RSN", KgeModelKind::kTransE));
+  roster.back().path_augmentation = true;
+  roster.push_back(base("MuGNN", KgeModelKind::kCompGcn));
+  roster.back().daakg.kge.max_neighbors = 20;
+  roster.push_back(base("MultiKE", KgeModelKind::kTransE));
+  roster.back().name_view_weight = 0.5;
+  roster.push_back(base("KECG", KgeModelKind::kCompGcn));
+  roster.back().daakg.align.semi_supervised = true;
   return roster;
 }
 

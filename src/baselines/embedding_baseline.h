@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "align/joint_model.h"
 #include "baselines/baseline_result.h"
 #include "core/daakg.h"
 #include "kg/alignment_task.h"
@@ -14,9 +13,9 @@ namespace daakg {
 
 // Configuration of one deep entity-alignment competitor (Sect. 7.2). All
 // competitors share one skeleton — "treat classes as entities, embed, learn
-// a mapping from seed matches" — and differ in the knobs below. Each is a
-// faithful *-lite* reimplementation of the cited method's key idea (see
-// DESIGN.md for the per-method mapping):
+// a mapping from seed matches" — and differ in the knobs below, most of
+// them `daakg` fields. Each is a faithful *-lite* reimplementation of the
+// cited method's key idea (see DESIGN.md for the per-method mapping):
 //   MTransE    : TransE + linear mapping.
 //   BootEA     : MTransE + bootstrapped (semi-supervised) match mining.
 //   GCN-Align  : GNN encoder + mapping.
@@ -27,22 +26,20 @@ namespace daakg {
 //   AttrE      : literal name view blended with a weak structure view.
 //   MultiKE    : multi-view — name view + structure view, equal blend.
 struct EmbeddingBaselineConfig {
-  std::string name = "MTransE";
-  KgeModelKind kge_model = KgeModelKind::kTransE;
-  int semi_rounds = 0;               // bootstrapping rounds
-  size_t max_neighbors = 12;         // GNN aggregation width
+  std::string name;
   bool path_augmentation = false;    // RSN: composite 2-hop relations
   double name_view_weight = 0.0;     // AttrE / MultiKE literal blending
-  KgeConfig kge;
-  JointAlignConfig align;
-  uint64_t seed = 3;
+  // Model, training schedule and seed. Run() trains with DaakgAligner and
+  // turns off its class embeddings and mean embeddings.
+  DaakgConfig daakg;
 };
 
 // Runs one competitor end to end on `task` with the given seed alignment
 // and evaluates entity / relation / class alignment the same way DAAKG is
 // evaluated. Classes are folded into the entity set ("treated as entities",
 // as the paper describes for these methods), which is exactly why their
-// schema-alignment scores collapse.
+// schema-alignment scores collapse. Training is DaakgAligner::Train on the
+// transformed task, so every competitor runs DAAKG's training loop.
 class EmbeddingBaseline {
  public:
   EmbeddingBaseline(const AlignmentTask* task,

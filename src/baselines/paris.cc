@@ -36,21 +36,6 @@ std::vector<double> Functionalities(const KnowledgeGraph& kg) {
   return fun;
 }
 
-template <typename PairT>
-std::vector<std::pair<uint32_t, uint32_t>> TestPairsExcluding(
-    const std::vector<PairT>& gold, const std::vector<PairT>& seed) {
-  std::unordered_set<uint64_t> in_seed;
-  for (const auto& [a, b] : seed) in_seed.insert(Key(a, b));
-  std::vector<std::pair<uint32_t, uint32_t>> test;
-  for (const auto& [a, b] : gold) {
-    if (in_seed.count(Key(a, b)) == 0) test.emplace_back(a, b);
-  }
-  if (test.empty()) {
-    for (const auto& [a, b] : gold) test.emplace_back(a, b);
-  }
-  return test;
-}
-
 }  // namespace
 
 Paris::Paris(const AlignmentTask* task) : task_(task) {}
@@ -216,9 +201,9 @@ BaselineResult Paris::Run(const SeedAlignment& seed) {
 
   BaselineResult result;
   result.name = "PARIS";
-  auto ent_test = TestPairsExcluding(task_->gold_entities, seed.entities);
-  auto rel_test = TestPairsExcluding(task_->gold_relations, seed.relations);
-  auto cls_test = TestPairsExcluding(task_->gold_classes, seed.classes);
+  auto ent_test = TestPairs(task_->gold_entities, seed.entities);
+  auto rel_test = TestPairs(task_->gold_relations, seed.relations);
+  auto cls_test = TestPairs(task_->gold_classes, seed.classes);
   result.eval.ent_rank = EvaluateRanking(ent_sim, ent_test);
   result.eval.rel_rank = EvaluateRanking(rel_sim, rel_test);
   result.eval.cls_rank = EvaluateRanking(cls_sim, cls_test);

@@ -12,6 +12,10 @@
 namespace daakg {
 namespace {
 
+// Semi-supervision cadence: mining re-runs every `kSemiEvery` training
+// rounds once a third of the rounds have elapsed.
+constexpr int kSemiEvery = 12;
+
 // Appends `extra` to `base`, dropping duplicates.
 template <typename PairT>
 void MergePairs(std::vector<PairT>* base, const std::vector<PairT>& extra) {
@@ -24,27 +28,6 @@ void MergePairs(std::vector<PairT>* base, const std::vector<PairT>& extra) {
       base->emplace_back(a, b);
     }
   }
-}
-
-template <typename PairT>
-std::vector<std::pair<uint32_t, uint32_t>> TestPairs(
-    const std::vector<PairT>& gold, const std::vector<PairT>& labeled) {
-  std::unordered_set<uint64_t> in_seed;
-  for (const auto& [a, b] : labeled) {
-    in_seed.insert((static_cast<uint64_t>(a) << 32) | b);
-  }
-  std::vector<std::pair<uint32_t, uint32_t>> test;
-  for (const auto& [a, b] : gold) {
-    if (in_seed.count((static_cast<uint64_t>(a) << 32) | b) == 0) {
-      test.emplace_back(a, b);
-    }
-  }
-  if (test.empty()) {
-    // Tiny schemata can be fully labeled; fall back to all gold pairs so
-    // the metric remains defined.
-    for (const auto& [a, b] : gold) test.emplace_back(a, b);
-  }
-  return test;
 }
 
 }  // namespace
@@ -195,9 +178,8 @@ void DaakgAligner::Train(const SeedAlignment& seed) {
   if (!kge_trained_) WarmStartKge();
 
   const int rounds = config_.align.align_epochs;
-  const bool semi_on = config_.align.semi_rounds > 0;
-  for (int round = 0; round < rounds; ++round) {
-    if (semi_on && round >= rounds / 3 &&
+    for (int round = 0; round < rounds; ++round) {
+    if (config_.align.semi_supervised && round >= rounds / 3 &&
         (round - rounds / 3) % kSemiEvery == 0) {
       RefreshSemiSupervision();
     }
@@ -228,7 +210,7 @@ void DaakgAligner::FineTune(const SeedAlignment& new_matches) {
   for (int e = 0; e < config_.fine_tune_epochs; ++e) {
     joint_->TrainEpoch(new_matches, &rng, /*focal=*/true);
   }
-  if (config_.align.semi_rounds > 0) RefreshSemiSupervision();
+  if (config_.align.semi_supervised) RefreshSemiSupervision();
   for (int e = 0; e < std::max(1, config_.fine_tune_epochs / 2); ++e) {
     SeedAlignment train_set;
     train_set.entities = labeled_.entities;

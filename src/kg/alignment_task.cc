@@ -1,10 +1,27 @@
 #include "kg/alignment_task.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "common/logging.h"
 
 namespace daakg {
+
+std::vector<std::pair<uint32_t, uint32_t>> TestPairs(
+    const std::vector<std::pair<uint32_t, uint32_t>>& gold,
+    const std::vector<std::pair<uint32_t, uint32_t>>& labeled) {
+  std::unordered_set<uint64_t> in_labeled;
+  for (const auto& [a, b] : labeled) {
+    in_labeled.insert((static_cast<uint64_t>(a) << 32) | b);
+  }
+  std::vector<std::pair<uint32_t, uint32_t>> test;
+  for (const auto& [a, b] : gold) {
+    if (in_labeled.count((static_cast<uint64_t>(a) << 32) | b) == 0) {
+      test.emplace_back(a, b);
+    }
+  }
+  return test.empty() ? gold : test;
+}
 
 void AlignmentTask::BuildGoldIndex() {
   gold_e1_to_e2_.clear();
@@ -81,19 +98,6 @@ SeedAlignment AlignmentTask::SampleSeed(double fraction, Rng* rng) const {
   seed.relations = SampleFraction(gold_relations, fraction, rng);
   seed.classes = SampleFraction(gold_classes, fraction, rng);
   return seed;
-}
-
-std::vector<std::pair<EntityId, EntityId>> AlignmentTask::TestEntityMatches(
-    const SeedAlignment& seed) const {
-  std::unordered_map<EntityId, EntityId> in_seed;
-  for (const auto& [e1, e2] : seed.entities) in_seed[e1] = e2;
-  std::vector<std::pair<EntityId, EntityId>> test;
-  test.reserve(gold_entities.size() - seed.entities.size());
-  for (const auto& [e1, e2] : gold_entities) {
-    auto it = in_seed.find(e1);
-    if (it == in_seed.end() || it->second != e2) test.emplace_back(e1, e2);
-  }
-  return test;
 }
 
 }  // namespace daakg

@@ -20,6 +20,13 @@ struct SeedAlignment {
   std::vector<std::pair<ClassId, ClassId>> classes;
 };
 
+// The test split of one element kind: the gold pairs not in `labeled`, in
+// gold order. When `labeled` covers every gold pair (tiny schemata can be
+// fully labeled), all gold pairs, so the metric stays defined.
+std::vector<std::pair<uint32_t, uint32_t>> TestPairs(
+    const std::vector<std::pair<uint32_t, uint32_t>>& gold,
+    const std::vector<std::pair<uint32_t, uint32_t>>& labeled);
+
 // A KG alignment problem instance: two finalized KGs plus the gold
 // entity/relation/class matches between them. This is the unit every model,
 // baseline and bench in the repo consumes.
@@ -64,10 +71,6 @@ class AlignmentTask {
   // entity matches and `fraction` of the gold relation/class matches
   // (at least one of each when any exist). Deterministic given `rng`.
   SeedAlignment SampleSeed(double fraction, Rng* rng) const;
-
-  // Gold entity matches not present in `seed` — the standard test set.
-  std::vector<std::pair<EntityId, EntityId>> TestEntityMatches(
-      const SeedAlignment& seed) const;
 
  private:
   std::unordered_map<EntityId, EntityId> gold_e1_to_e2_;

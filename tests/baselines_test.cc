@@ -6,6 +6,7 @@
 #include "baselines/embedding_baseline.h"
 #include "baselines/paris.h"
 #include "kg/synthetic.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace daakg {
@@ -16,9 +17,11 @@ using testing_util::SmallSyntheticTask;
 EmbeddingBaselineConfig FastBaselineConfig(const std::string& name) {
   EmbeddingBaselineConfig cfg;
   cfg.name = name;
-  cfg.kge.dim = 16;
-  cfg.kge.epochs = 8;
-  cfg.align.align_epochs = 10;
+  cfg.daakg.kge_model = KgeModelKind::kTransE;
+  cfg.daakg.kge.dim = 16;
+  cfg.daakg.kge.epochs = 8;
+  cfg.daakg.align.align_epochs = 10;
+  cfg.daakg.align.semi_supervised = false;
   return cfg;
 }
 
@@ -48,12 +51,16 @@ TEST(BaselineRosterTest, ConfigurationsAreDistinct) {
     ADD_FAILURE() << "missing " << n;
     return roster[0];
   };
-  EXPECT_GT(find("BootEA").semi_rounds, find("MTransE").semi_rounds);
+  EXPECT_TRUE(find("BootEA").daakg.align.semi_supervised);
+  EXPECT_FALSE(find("MTransE").daakg.align.semi_supervised);
+  EXPECT_TRUE(find("KECG").daakg.align.semi_supervised);
   EXPECT_GT(find("AttrE").name_view_weight, 0.0);
   EXPECT_GT(find("MultiKE").name_view_weight, 0.0);
   EXPECT_TRUE(find("RSN").path_augmentation);
-  EXPECT_EQ(find("GCN-Align").kge_model, KgeModelKind::kCompGcn);
-  EXPECT_GT(find("MuGNN").max_neighbors, find("GCN-Align").max_neighbors);
+  EXPECT_EQ(find("MTransE").daakg.kge_model, KgeModelKind::kTransE);
+  EXPECT_EQ(find("GCN-Align").daakg.kge_model, KgeModelKind::kCompGcn);
+  EXPECT_GT(find("MuGNN").daakg.kge.max_neighbors,
+            find("GCN-Align").daakg.kge.max_neighbors);
 }
 
 TEST(EmbeddingBaselineTest, MTransELiteRunsEndToEnd) {
@@ -67,6 +74,45 @@ TEST(EmbeddingBaselineTest, MTransELiteRunsEndToEnd) {
   EXPECT_GT(result.eval.ent_rank.num_queries, 0u);
   EXPECT_GE(result.eval.ent_rank.mrr, 0.0);
   EXPECT_LE(result.eval.ent_rank.hits_at_1, 1.0);
+}
+
+void ExpectSameRanking(const RankingMetrics& a, const RankingMetrics& b) {
+  EXPECT_EQ(a.num_queries, b.num_queries);
+  EXPECT_EQ(a.hits_at_1, b.hits_at_1);
+  EXPECT_EQ(a.hits_at_10, b.hits_at_10);
+  EXPECT_EQ(a.mrr, b.mrr);
+}
+
+void ExpectSamePrf(const PrfMetrics& a, const PrfMetrics& b) {
+  EXPECT_EQ(a.precision, b.precision);
+  EXPECT_EQ(a.recall, b.recall);
+  EXPECT_EQ(a.f1, b.f1);
+  EXPECT_EQ(a.num_predicted, b.num_predicted);
+  EXPECT_EQ(a.num_correct, b.num_correct);
+}
+
+// Two runs of one config, each on its own baseline object, give the same
+// scores bit for bit (semi-supervision on, so pseudo-seeds are mined).
+TEST(EmbeddingBaselineTest, RunIsDeterministic) {
+  AlignmentTask task = SmallSyntheticTask();
+  auto cfg = FastBaselineConfig("BootEA");
+  cfg.daakg.align.semi_supervised = true;
+  cfg.daakg.align.tau = 0.6;
+  Rng rng(1);
+  const SeedAlignment seed = task.SampleSeed(0.2, &rng);
+  obs::Counter* mined =
+      obs::GlobalMetrics().GetCounter("daakg.align.semi_supervised_pairs");
+  const uint64_t mined_before = mined->Value();
+  const EvalResult a = EmbeddingBaseline(&task, cfg).Run(seed).eval;
+  const EvalResult b = EmbeddingBaseline(&task, cfg).Run(seed).eval;
+  EXPECT_GT(mined->Value(), mined_before);
+  ASSERT_GT(a.ent_rank.num_queries, 0u);
+  ExpectSameRanking(a.ent_rank, b.ent_rank);
+  ExpectSameRanking(a.rel_rank, b.rel_rank);
+  ExpectSameRanking(a.cls_rank, b.cls_rank);
+  ExpectSamePrf(a.ent_prf, b.ent_prf);
+  ExpectSamePrf(a.rel_prf, b.rel_prf);
+  ExpectSamePrf(a.cls_prf, b.cls_prf);
 }
 
 TEST(EmbeddingBaselineTest, PathAugmentationRuns) {

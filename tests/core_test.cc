@@ -256,7 +256,7 @@ struct AblationCase {
   const char* name;
   bool use_class_embeddings;
   bool use_mean_embeddings;
-  int semi_rounds;
+  bool semi_supervised;
 };
 
 // Print the case by name: gtest's default byte dump would put the string
@@ -270,7 +270,7 @@ TEST_P(AblationTest, RunsEndToEnd) {
   DaakgConfig cfg = FastConfig();
   cfg.use_class_embeddings = GetParam().use_class_embeddings;
   cfg.align.use_mean_embeddings = GetParam().use_mean_embeddings;
-  cfg.align.semi_rounds = GetParam().semi_rounds;
+  cfg.align.semi_supervised = GetParam().semi_supervised;
   DaakgAligner aligner(&task, cfg);
   Rng rng(7);
   aligner.Train(task.SampleSeed(0.2, &rng));
@@ -281,10 +281,10 @@ TEST_P(AblationTest, RunsEndToEnd) {
 
 INSTANTIATE_TEST_SUITE_P(
     Ablations, AblationTest,
-    ::testing::Values(AblationCase{"full", true, true, 1},
-                      AblationCase{"no_class_embeddings", false, true, 1},
-                      AblationCase{"no_mean_embeddings", true, false, 1},
-                      AblationCase{"no_semi", true, true, 0}),
+    ::testing::Values(AblationCase{"full", true, true, true},
+                      AblationCase{"no_class_embeddings", false, true, true},
+                      AblationCase{"no_mean_embeddings", true, false, true},
+                      AblationCase{"no_semi", true, true, false}),
     [](const auto& info) { return std::string(info.param.name); });
 
 // Every KGE model must drive the full pipeline.
@@ -490,7 +490,7 @@ TEST_P(TrainingGoldenTest, TrainedParametersArePinned) {
   (*aligner)->Train(seed);
 
   SeedAlignment batch;
-  const auto unlabeled = task.TestEntityMatches(seed);
+  const auto unlabeled = TestPairs(task.gold_entities, seed.entities);
   ASSERT_GE(unlabeled.size(), 6u);
   batch.entities.assign(unlabeled.begin(), unlabeled.begin() + 6);
   batch.relations.push_back(task.gold_relations.back());
@@ -634,7 +634,7 @@ TEST(ActiveLoopTest, RunsToCheckpointsAndReports) {
 TEST(ActiveLoopTest, RoundsReuseCachesLeftReadyByTraining) {
   AlignmentTask task = SmallSyntheticTask();
   DaakgConfig cfg = FastConfig();
-  cfg.align.semi_rounds = 0;  // one refresh per Train / FineTune
+  cfg.align.semi_supervised = false;  // one refresh per Train / FineTune
   DaakgAligner aligner(&task, cfg);
   GoldOracle oracle(&task);
   DaakgStrategy strategy(/*use_partitioning=*/true);

@@ -326,15 +326,29 @@ TEST(AlignmentTaskTest, SampleSeedDeterministicGivenRng) {
   EXPECT_EQ(s1.entities, s2.entities);
 }
 
-TEST(AlignmentTaskTest, TestEntityMatchesIsComplement) {
+TEST(AlignmentTaskTest, TestPairsExcludeLabeled) {
   AlignmentTask task = MirrorTask();
   Rng rng(4);
   SeedAlignment seed = task.SampleSeed(0.5, &rng);
-  auto test = task.TestEntityMatches(seed);
+  auto test = TestPairs(task.gold_entities, seed.entities);
   EXPECT_EQ(test.size(), task.gold_entities.size() - seed.entities.size());
   for (const auto& tp : test) {
     EXPECT_EQ(std::count(seed.entities.begin(), seed.entities.end(), tp), 0);
   }
+
+  // Partial overlap: a labeled pair that is not gold is ignored, and the
+  // rest keep gold order.
+  const std::vector<std::pair<uint32_t, uint32_t>> gold = {
+      {0, 5}, {1, 6}, {2, 7}, {3, 8}};
+  const std::vector<std::pair<uint32_t, uint32_t>> want = {{0, 5}, {3, 8}};
+  EXPECT_EQ(TestPairs(gold, {{2, 7}, {1, 6}, {0, 6}}), want);
+}
+
+TEST(AlignmentTaskTest, TestPairsFallBackToAllGold) {
+  const std::vector<std::pair<uint32_t, uint32_t>> gold = {{0, 1}, {2, 3}};
+  EXPECT_EQ(TestPairs(gold, {{2, 3}, {0, 1}, {4, 4}}), gold);
+  EXPECT_EQ(TestPairs(gold, gold), gold);
+  EXPECT_TRUE(TestPairs({}, {{0, 1}}).empty());
 }
 
 // ---------------------------------------------------------------------------
