@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification, three times over: a plain release build, an
-# ASan+UBSan build, and a TSan build focused on the concurrent paths
-# (thread pool, blocked kernels, index queries, pool generation,
-# selection). A perfbench smoke leg builds the end-to-end benchmark
-# against the library and runs each workload once for a second. A SIMD
-# backend matrix leg then re-runs the kernel-sensitive subset under
-# DAAKG_SIMD=scalar and the dispatched default to pin down cross-backend
-# determinism of pool, matching and selection outputs (and each backend's
-# pinned training and selection outputs).
+# ASan+UBSan build and a TSan build, each running the full suite. A
+# perfbench smoke leg builds the end-to-end benchmark against the library
+# and runs each workload once for a second. A SIMD backend matrix leg then
+# re-runs the kernel-sensitive subset under DAAKG_SIMD=scalar and the
+# dispatched default to pin down cross-backend determinism of pool,
+# matching and selection outputs (and each backend's pinned training and
+# selection outputs).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -98,26 +97,12 @@ cmake -B build-asan -S . -DDAAKG_SANITIZE=ON
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-echo "== sanitizer build (TSan, concurrency-heavy tests) =="
+echo "== sanitizer build (TSan) =="
+# Every target and the full suite: a data race reported anywhere aborts
+# its test.
 cmake -B build-tsan -S . -DDAAKG_SANITIZE=thread
-cmake --build build-tsan -j "$JOBS" --target common_test tensor_test active_test infer_test align_test index_test obs_test core_test embedding_test
-run_filtered ./build-tsan/tests/common_test 'ThreadPoolTest.*'
-# Concurrent span emission across ParallelFor fan-out, session start/stop
-# races against in-flight writers, and the pool telemetry counters.
-run_filtered ./build-tsan/tests/obs_test 'TraceTest.*:PoolTelemetryTest.*'
-run_filtered ./build-tsan/tests/tensor_test 'KernelTest.*:TopKAccumulatorTest.*:SimdTest.*'
-run_filtered ./build-tsan/tests/active_test "$POOL_FILTER"
-# The alignment graph is built node-parallel; edge bounds (claimed per
-# triplet), schema gradients and edge costs are filled in parallel
-# (SelectionGoldenTest, in CORE_FILTER, runs the whole round).
-run_filtered ./build-tsan/tests/infer_test "InferTest.PowerFromEveryNodeConcurrently:$GRAPH_FILTER"
-# Block-parallel entity statistics, the parallel mean embeddings, the
-# version-keyed refresh and the index-based entity consumers.
-run_filtered ./build-tsan/tests/align_test 'JointModelTest.*:MetricsTest.Streaming*'
-run_filtered ./build-tsan/tests/core_test "$CORE_FILTER"
-# KG1 and KG2 train their KGE epochs side by side on the pool.
-run_filtered ./build-tsan/tests/embedding_test 'KgeTrainerTest.*'
-# Sharded index queries (row-parallel writers).
-run_filtered ./build-tsan/tests/index_test 'ExactIndexTest.QueryTopKMatchesBlockedSimTopK:ExactIndexTest.GreedyMatchingParity'
+cmake --build build-tsan -j "$JOBS"
+TSAN_OPTIONS=halt_on_error=1 \
+  ctest --test-dir build-tsan --output-on-failure -j "$JOBS"
 
 echo "ci.sh: all green"

@@ -153,51 +153,6 @@ float JointAlignmentModel::EntitySim(EntityId e1, EntityId e2) const {
   return Cosine(u, v);
 }
 
-float JointAlignmentModel::RelationSim(RelationId r1, RelationId r2) const {
-  Vector u = a_rel_.Multiply(model1_->RelationRepr(r1));
-  Vector v = model2_->RelationRepr(r2);
-  float sim = Cosine(u, v);
-  if (config_.use_mean_embeddings && caches_ready()) {
-    Vector mu = a_ent_.Multiply(rel_mean1_[r1]);
-    sim = std::max(sim, Cosine(mu, rel_mean2_[r2]));
-  }
-  return sim;
-}
-
-Vector JointAlignmentModel::ClassRepr(int side, ClassId c) const {
-  const EntityClassModel* ec = side == 1 ? ec1_ : ec2_;
-  if (ec == nullptr) return Vector();
-  return ec->ClassRepr(c);
-}
-
-float JointAlignmentModel::ClassSim(ClassId c1, ClassId c2) const {
-  float sim = -1.0f;
-  bool have_any = false;
-  if (ec1_ != nullptr && ec2_ != nullptr) {
-    Vector u = a_cls_.Multiply(ec1_->ClassRepr(c1));
-    sim = std::max(sim, Cosine(u, ec2_->ClassRepr(c2)));
-    have_any = true;
-  }
-  if ((config_.use_mean_embeddings || ec1_ == nullptr) && caches_ready()) {
-    Vector mu = a_ent_.Multiply(cls_mean1_[c1]);
-    sim = std::max(sim, Cosine(mu, cls_mean2_[c2]));
-    have_any = true;
-  }
-  return have_any ? sim : 0.0f;
-}
-
-float JointAlignmentModel::Sim(const ElementPair& pair) const {
-  switch (pair.kind) {
-    case ElementKind::kEntity:
-      return EntitySim(pair.first, pair.second);
-    case ElementKind::kRelation:
-      return RelationSim(pair.first, pair.second);
-    case ElementKind::kClass:
-      return ClassSim(pair.first, pair.second);
-  }
-  return 0.0f;
-}
-
 // --------------------------------------------------------------------------
 // Caches
 // --------------------------------------------------------------------------
@@ -335,42 +290,57 @@ void JointAlignmentModel::ComputeMeanEmbeddings() {
   });
 }
 
-void JointAlignmentModel::ComputeSchemaSimMatrices() {
-  const size_t m1 = kg1().num_base_relations();
-  const size_t m2 = kg2().num_base_relations();
-  rel_sim_ = Matrix(m1, m2);
-  for (size_t r1 = 0; r1 < m1; ++r1) {
-    Vector u = a_rel_.Multiply(model1_->RelationRepr(static_cast<RelationId>(r1)));
-    Vector mu = a_ent_.Multiply(rel_mean1_[r1]);
-    for (size_t r2 = 0; r2 < m2; ++r2) {
-      float sim = Cosine(u, model2_->RelationRepr(static_cast<RelationId>(r2)));
-      if (config_.use_mean_embeddings) {
-        sim = std::max(sim, Cosine(mu, rel_mean2_[r2]));
-      }
-      rel_sim_(r1, r2) = sim;
-    }
+JointAlignmentModel::SchemaKind JointAlignmentModel::Schema(ElementKind kind) {
+  if (kind == ElementKind::kRelation) {
+    return {&a_rel_,
+            kg1().num_base_relations(),
+            kg2().num_base_relations(),
+            [m = model1_](uint32_t r) { return m->RelationRepr(r); },
+            [m = model2_](uint32_t r) { return m->RelationRepr(r); },
+            [m = model1_](uint32_t r, const Vector& g, float lr) {
+              m->BackpropRelationRepr(r, g, lr);
+            },
+            [m = model2_](uint32_t r, const Vector& g, float lr) {
+              m->BackpropRelationRepr(r, g, lr);
+            }};
   }
+  DAAKG_CHECK(kind == ElementKind::kClass);
+  SchemaKind out{&a_cls_, kg1().num_classes(), kg2().num_classes(),
+                 {}, {}, {}, {}};
+  if (ec1_ == nullptr || ec2_ == nullptr) return out;
+  out.repr1 = [ec = ec1_](uint32_t c) { return ec->ClassRepr(c); };
+  out.repr2 = [ec = ec2_](uint32_t c) { return ec->ClassRepr(c); };
+  out.backprop1 = [ec = ec1_](uint32_t c, const Vector& g, float lr) {
+    ec->BackpropClassRepr(c, g, lr);
+  };
+  out.backprop2 = [ec = ec2_](uint32_t c, const Vector& g, float lr) {
+    ec->BackpropClassRepr(c, g, lr);
+  };
+  return out;
+}
 
-  const size_t k1 = kg1().num_classes();
-  const size_t k2 = kg2().num_classes();
-  cls_sim_ = Matrix(k1, k2);
-  for (size_t c1 = 0; c1 < k1; ++c1) {
-    Vector u;
-    if (ec1_ != nullptr && ec2_ != nullptr) {
-      u = a_cls_.Multiply(ec1_->ClassRepr(static_cast<ClassId>(c1)));
-    }
-    Vector mu = a_ent_.Multiply(cls_mean1_[c1]);
-    for (size_t c2 = 0; c2 < k2; ++c2) {
-      float sim = -1.0f;
-      if (!u.empty()) {
-        sim = Cosine(u, ec2_->ClassRepr(static_cast<ClassId>(c2)));
+void JointAlignmentModel::ComputeSchemaSimMatrices() {
+  // S(x, x') = max(cos(A x, x'), cos(A_ent xbar, xbar')) (Fig. 3). Without
+  // representations (classes without entity-class models) only the mean
+  // branch is left; use_mean_embeddings = false drops it otherwise.
+  auto fill = [this](const SchemaKind& k, const std::vector<Vector>& mean1,
+                     const std::vector<Vector>& mean2, Matrix* sim) {
+    *sim = Matrix(k.n1, k.n2);
+    for (uint32_t x1 = 0; x1 < k.n1; ++x1) {
+      Vector u;
+      if (k.repr1) u = k.a->Multiply(k.repr1(x1));
+      Vector mu = a_ent_.Multiply(mean1[x1]);
+      for (uint32_t x2 = 0; x2 < k.n2; ++x2) {
+        float s = k.repr1 ? Cosine(u, k.repr2(x2)) : -1.0f;
+        if (config_.use_mean_embeddings || !k.repr1) {
+          s = std::max(s, Cosine(mu, mean2[x2]));
+        }
+        (*sim)(x1, x2) = s;
       }
-      if (config_.use_mean_embeddings || u.empty()) {
-        sim = std::max(sim, Cosine(mu, cls_mean2_[c2]));
-      }
-      cls_sim_(c1, c2) = sim;
     }
-  }
+  };
+  fill(Schema(ElementKind::kRelation), rel_mean1_, rel_mean2_, &rel_sim_);
+  fill(Schema(ElementKind::kClass), cls_mean1_, cls_mean2_, &cls_sim_);
 }
 
 std::array<uint64_t, 5> JointAlignmentModel::ParamVersions() const {
@@ -571,40 +541,53 @@ double JointAlignmentModel::TrainEntityPair(EntityId e1, EntityId e2, Rng* rng,
   return cg.loss;
 }
 
-double JointAlignmentModel::TrainRelationPair(RelationId r1, RelationId r2,
-                                              Rng* rng, bool focal, float lr) {
-  // Subgradient through the winning branch of the max() in S(r, r'). The
+void JointAlignmentModel::ApplySchemaGrad(const SchemaKind& k, uint32_t a,
+                                          uint32_t b, const Vector& d_mapped,
+                                          const Vector& d_second,
+                                          const Vector& xa, float coef,
+                                          float lr) {
+  k.a->AddOuter(-lr * coef, d_mapped, xa);
+  Vector gx = k.a->TransposeMultiply(d_mapped);
+  gx *= coef;
+  k.backprop1(a, gx, lr);
+  Vector gy = d_second * coef;
+  k.backprop2(b, gy, lr);
+}
+
+double JointAlignmentModel::TrainSchemaPair(const SchemaKind& k,
+                                            uint32_t first, uint32_t second,
+                                            Rng* rng, bool focal, float lr) {
+  // Subgradient through the winning branch of the max() in S(x, x'). The
   // mean-embedding branch treats the means as constants (they are rebuilt
   // from entity embeddings at the next RefreshCaches()), so only the
   // embedding branch receives parameter updates; when the mean branch wins
   // the pair still shapes A_ent via its entity constituents.
-  Vector x1 = model1_->RelationRepr(r1);
-  Vector u = a_rel_.Multiply(x1);
-  Vector v = model2_->RelationRepr(r2);
+  if (!k.repr1) return 0.0;
+  Vector x1 = k.repr1(first);
+  Vector u = k.a->Multiply(x1);
+  Vector v = k.repr2(second);
   CosineGrad pos = CosineWithGrad(u, v);
 
-  const size_t m2 = kg2().num_base_relations();
-  const size_t m1 = kg1().num_base_relations();
   struct Neg {
-    RelationId n1;
-    RelationId n2;
+    uint32_t n1;
+    uint32_t n2;
     CosineGrad grad;
     Vector x1;
   };
   std::vector<Neg> negs;
   std::vector<double> s_negs;
-  for (int k = 0; k < kNumNegatives; ++k) {
+  for (int j = 0; j < kNumNegatives; ++j) {
     Neg neg;
-    if (rng->NextBernoulli(0.5) || m1 < 2) {
-      neg.n1 = r1;
-      neg.n2 = static_cast<RelationId>(rng->NextUint64(m2));
+    if (rng->NextBernoulli(0.5) || k.n1 < 2) {
+      neg.n1 = first;
+      neg.n2 = static_cast<uint32_t>(rng->NextUint64(k.n2));
       neg.x1 = x1;
-      neg.grad = CosineWithGrad(u, model2_->RelationRepr(neg.n2));
+      neg.grad = CosineWithGrad(u, k.repr2(neg.n2));
     } else {
-      neg.n1 = static_cast<RelationId>(rng->NextUint64(m1));
-      neg.n2 = r2;
-      neg.x1 = model1_->RelationRepr(neg.n1);
-      neg.grad = CosineWithGrad(a_rel_.Multiply(neg.x1), v);
+      neg.n1 = static_cast<uint32_t>(rng->NextUint64(k.n1));
+      neg.n2 = second;
+      neg.x1 = k.repr1(neg.n1);
+      neg.grad = CosineWithGrad(k.a->Multiply(neg.x1), v);
     }
     s_negs.push_back(neg.grad.sim);
     negs.push_back(std::move(neg));
@@ -615,78 +598,15 @@ double JointAlignmentModel::TrainRelationPair(RelationId r1, RelationId r2,
                                config_.focal_gamma)
             : SoftmaxContrastive(pos.sim, s_negs, kLossSharpness);
 
-  auto apply = [this, lr](RelationId a, RelationId b, const CosineGrad& g,
-                          const Vector& xa, double coef) {
-    if (coef == 0.0) return;
-    const float c = static_cast<float>(coef);
-    a_rel_.AddOuter(-lr * c, g.d_mapped, xa);
-    Vector gx = a_rel_.TransposeMultiply(g.d_mapped);
-    gx *= c;
-    model1_->BackpropRelationRepr(a, gx, lr);
-    Vector gy = g.d_second * c;
-    model2_->BackpropRelationRepr(b, gy, lr);
-  };
-  apply(r1, r2, pos, x1, cg.d_pos);
-  for (size_t j = 0; j < negs.size(); ++j) {
-    apply(negs[j].n1, negs[j].n2, negs[j].grad, negs[j].x1, cg.d_negs[j]);
+  if (cg.d_pos != 0.0) {
+    ApplySchemaGrad(k, first, second, pos.d_mapped, pos.d_second, x1,
+                    static_cast<float>(cg.d_pos), lr);
   }
-  return cg.loss;
-}
-
-double JointAlignmentModel::TrainClassPair(ClassId c1, ClassId c2, Rng* rng,
-                                           bool focal, float lr) {
-  if (ec1_ == nullptr || ec2_ == nullptr) return 0.0;
-  Vector x1 = ec1_->ClassRepr(c1);
-  Vector u = a_cls_.Multiply(x1);
-  Vector v = ec2_->ClassRepr(c2);
-  CosineGrad pos = CosineWithGrad(u, v);
-
-  const size_t k1 = kg1().num_classes();
-  const size_t k2 = kg2().num_classes();
-  struct Neg {
-    ClassId n1;
-    ClassId n2;
-    CosineGrad grad;
-    Vector x1;
-  };
-  std::vector<Neg> negs;
-  std::vector<double> s_negs;
-  for (int k = 0; k < kNumNegatives; ++k) {
-    Neg neg;
-    if (rng->NextBernoulli(0.5) || k1 < 2) {
-      neg.n1 = c1;
-      neg.n2 = static_cast<ClassId>(rng->NextUint64(k2));
-      neg.x1 = x1;
-      neg.grad = CosineWithGrad(u, ec2_->ClassRepr(neg.n2));
-    } else {
-      neg.n1 = static_cast<ClassId>(rng->NextUint64(k1));
-      neg.n2 = c2;
-      neg.x1 = ec1_->ClassRepr(neg.n1);
-      neg.grad = CosineWithGrad(a_cls_.Multiply(neg.x1), v);
-    }
-    s_negs.push_back(neg.grad.sim);
-    negs.push_back(std::move(neg));
-  }
-
-  ContrastiveGrad cg =
-      focal ? FocalContrastive(pos.sim, s_negs, kLossSharpness,
-                               config_.focal_gamma)
-            : SoftmaxContrastive(pos.sim, s_negs, kLossSharpness);
-
-  auto apply = [this, lr](ClassId a, ClassId b, const CosineGrad& g,
-                          const Vector& xa, double coef) {
-    if (coef == 0.0) return;
-    const float c = static_cast<float>(coef);
-    a_cls_.AddOuter(-lr * c, g.d_mapped, xa);
-    Vector gx = a_cls_.TransposeMultiply(g.d_mapped);
-    gx *= c;
-    ec1_->BackpropClassRepr(a, gx, lr);
-    Vector gy = g.d_second * c;
-    ec2_->BackpropClassRepr(b, gy, lr);
-  };
-  apply(c1, c2, pos, x1, cg.d_pos);
   for (size_t j = 0; j < negs.size(); ++j) {
-    apply(negs[j].n1, negs[j].n2, negs[j].grad, negs[j].x1, cg.d_negs[j]);
+    if (cg.d_negs[j] == 0.0) continue;
+    ApplySchemaGrad(k, negs[j].n1, negs[j].n2, negs[j].grad.d_mapped,
+                    negs[j].grad.d_second, negs[j].x1,
+                    static_cast<float>(cg.d_negs[j]), lr);
   }
   return cg.loss;
 }
@@ -732,12 +652,14 @@ double JointAlignmentModel::TrainEpoch(const SeedAlignment& seed, Rng* rng,
                              rng, focal, lr);
     ++steps;
   }
+  const SchemaKind relations = Schema(ElementKind::kRelation);
   for (const auto& [r1, r2] : seed.relations) {
-    total += TrainRelationPair(r1, r2, rng, focal, lr);
+    total += TrainSchemaPair(relations, r1, r2, rng, focal, lr);
     ++steps;
   }
+  const SchemaKind classes = Schema(ElementKind::kClass);
   for (const auto& [c1, c2] : seed.classes) {
-    total += TrainClassPair(c1, c2, rng, focal, lr);
+    total += TrainSchemaPair(classes, c1, c2, rng, focal, lr);
     ++steps;
   }
   return steps > 0 ? total / static_cast<double>(steps) : 0.0;
@@ -797,62 +719,36 @@ void JointAlignmentModel::AscendPairSimilarity(const ElementPair& pair,
   // O_semi = -S0 * S(x, x'): gradient descent on it ascends S with
   // coefficient S0.
   const float coef = static_cast<float>(-weight);
-  switch (pair.kind) {
-    case ElementKind::kEntity: {
-      EntityStep& s = entity_step_;
-      model1_->EntityReprInto(pair.first, s.x1.data());
-      a_ent_.MultiplyInto(s.x1.data(), s.u.data());
-      model2_->EntityReprInto(pair.second, s.v.data());
-      CosineGradInto(s.u, s.u.Norm(), s.v, s.v.Norm(), &s.d_mapped,
-                     &s.d_second);
-      ApplyEntityGrad(pair.first, pair.second, s.d_mapped, s.d_second, s.x1,
-                      coef, lr);
-      break;
-    }
-    case ElementKind::kRelation: {
-      Vector x1 = model1_->RelationRepr(pair.first);
-      Vector u = a_rel_.Multiply(x1);
-      Vector v = model2_->RelationRepr(pair.second);
-      CosineGrad g = CosineWithGrad(u, v);
-      a_rel_.AddOuter(-lr * coef, g.d_mapped, x1);
-      Vector gx = a_rel_.TransposeMultiply(g.d_mapped);
-      gx *= coef;
-      model1_->BackpropRelationRepr(pair.first, gx, lr);
-      Vector gy = g.d_second * coef;
-      model2_->BackpropRelationRepr(pair.second, gy, lr);
-      break;
-    }
-    case ElementKind::kClass: {
-      if (ec1_ == nullptr || ec2_ == nullptr) return;
-      Vector x1 = ec1_->ClassRepr(pair.first);
-      Vector u = a_cls_.Multiply(x1);
-      Vector v = ec2_->ClassRepr(pair.second);
-      CosineGrad g = CosineWithGrad(u, v);
-      a_cls_.AddOuter(-lr * coef, g.d_mapped, x1);
-      Vector gx = a_cls_.TransposeMultiply(g.d_mapped);
-      gx *= coef;
-      ec1_->BackpropClassRepr(pair.first, gx, lr);
-      Vector gy = g.d_second * coef;
-      ec2_->BackpropClassRepr(pair.second, gy, lr);
-      break;
-    }
+  if (pair.kind == ElementKind::kEntity) {
+    EntityStep& s = entity_step_;
+    model1_->EntityReprInto(pair.first, s.x1.data());
+    a_ent_.MultiplyInto(s.x1.data(), s.u.data());
+    model2_->EntityReprInto(pair.second, s.v.data());
+    CosineGradInto(s.u, s.u.Norm(), s.v, s.v.Norm(), &s.d_mapped,
+                   &s.d_second);
+    ApplyEntityGrad(pair.first, pair.second, s.d_mapped, s.d_second, s.x1,
+                    coef, lr);
+    return;
   }
+  const SchemaKind k = Schema(pair.kind);
+  if (!k.repr1) return;
+  Vector x1 = k.repr1(pair.first);
+  CosineGrad g = CosineWithGrad(k.a->Multiply(x1), k.repr2(pair.second));
+  ApplySchemaGrad(k, pair.first, pair.second, g.d_mapped, g.d_second, x1,
+                  coef, lr);
 }
 
-double JointAlignmentModel::TrainSemiEpoch(
+void JointAlignmentModel::TrainSemiEpoch(
     const std::vector<std::pair<ElementPair, double>>& semi, Rng* rng) {
   ++version_;
   std::vector<size_t> order(semi.size());
   std::iota(order.begin(), order.end(), 0);
   rng->Shuffle(&order);
   const float lr = kAlignLr * static_cast<float>(kSemiLrScale);
-  double total = 0.0;
   for (size_t i : order) {
     const auto& [pair, s0] = semi[i];
     AscendPairSimilarity(pair, s0, lr);
-    total += -s0 * Sim(pair);
   }
-  return semi.empty() ? 0.0 : total / static_cast<double>(semi.size());
 }
 
 }  // namespace daakg

@@ -2,6 +2,7 @@
 #define DAAKG_ALIGN_JOINT_MODEL_H_
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -34,7 +35,6 @@ struct JointAlignConfig {
   double z_cls = 0.1;
   double focal_gamma = 2.0;    // focal-loss focus (fine-tuning)
   bool use_mean_embeddings = true;   // Table 5 ablation switch
-  uint64_t seed = 29;
 };
 
 struct EdgeCostTable;  // infer/inference_power.h
@@ -68,7 +68,10 @@ struct PoolCache {
 //   S(c, c') = max(cos(A_cls c, c'), cos(A_ent cbar, cbar'))
 //
 // with dangling-aware entity weights (Eq. 6), weighted relation mean
-// embeddings (Eq. 7) and class mean embeddings (Eq. 9).
+// embeddings (Eq. 7) and class mean embeddings (Eq. 9). Relations and
+// classes are the two schema kinds: one training step (Eq. 8 and its class
+// analogue), one semi-supervised step and one similarity definition serve
+// both, over a per-kind SchemaKind descriptor.
 //
 // RefreshCaches() keeps the unit-normalized entity rows of both sides
 // (O((|E1| + |E2|) dim) memory) and streams their cosines once for the row
@@ -98,11 +101,9 @@ class JointAlignmentModel {
   const KgeModel* kg1_model() const { return model1_; }
   const KgeModel* kg2_model() const { return model2_; }
 
-  // --- similarities (computed fresh from current parameters) -------------
+  // S(e, e') computed fresh from the current parameters. Schema
+  // similarities are read from relation_sim() / class_sim().
   float EntitySim(EntityId e1, EntityId e2) const;
-  float RelationSim(RelationId r1, RelationId r2) const;  // base relations
-  float ClassSim(ClassId c1, ClassId c2) const;
-  float Sim(const ElementPair& pair) const;
 
   // --- caches -------------------------------------------------------------
   // Brings the caches up to date with the parameters: entity
@@ -184,8 +185,9 @@ class JointAlignmentModel {
   // and returns them with their soft labels S0.
   std::vector<std::pair<ElementPair, double>> MineSemiSupervision() const;
 
-  // One epoch over mined semi-supervised pairs: ascends S0 * S(x, x').
-  double TrainSemiEpoch(
+  // One epoch over mined semi-supervised pairs: ascends S0 * S(x, x')
+  // through the embedding branch of each pair's similarity.
+  void TrainSemiEpoch(
       const std::vector<std::pair<ElementPair, double>>& semi, Rng* rng);
 
  private:
@@ -210,10 +212,33 @@ class JointAlignmentModel {
   void ApplyEntityGrad(EntityId a, EntityId b, const Vector& d_mapped,
                        const Vector& d_second, const Vector& xa, float coef,
                        float lr);
-  double TrainRelationPair(RelationId r1, RelationId r2, Rng* rng, bool focal,
-                           float lr);
-  double TrainClassPair(ClassId c1, ClassId c2, Rng* rng, bool focal,
-                        float lr);
+
+  // What the schema step needs of one schema kind: relations compare the
+  // KGE relation representations through A_rel, classes the entity-class
+  // centers through A_cls. The representation getters and backprop hooks
+  // are empty for classes without entity-class models; the schema step
+  // then does nothing and S(c, c') is the mean branch alone.
+  struct SchemaKind {
+    Matrix* a;
+    size_t n1;  // elements of KG1 / KG2
+    size_t n2;
+    std::function<Vector(uint32_t)> repr1;
+    std::function<Vector(uint32_t)> repr2;
+    std::function<void(uint32_t, const Vector&, float)> backprop1;
+    std::function<void(uint32_t, const Vector&, float)> backprop2;
+  };
+  // The descriptor of kRelation or kClass.
+  SchemaKind Schema(ElementKind kind);
+  // Applies one contrastive step for a relation or class match; returns
+  // the loss (0 without representations).
+  double TrainSchemaPair(const SchemaKind& k, uint32_t first,
+                         uint32_t second, Rng* rng, bool focal, float lr);
+  // One SGD step with coefficient `coef` on a schema pair's cosine
+  // gradient: A -= lr coef d_mapped xa^T, then KG1 element a descends
+  // coef A^T d_mapped (through the updated A), KG2 element b coef d_second.
+  void ApplySchemaGrad(const SchemaKind& k, uint32_t a, uint32_t b,
+                       const Vector& d_mapped, const Vector& d_second,
+                       const Vector& xa, float coef, float lr);
 
   // Gradient ascent on a single pair's similarity with weight `w` (the
   // semi-supervised objective of Eq. 10).
@@ -228,9 +253,6 @@ class JointAlignmentModel {
   // The versions of every parameter the caches read: this model's, both
   // KGE models' and both entity-class models' (0 for an absent one).
   std::array<uint64_t, 5> ParamVersions() const;
-
-  // Class representation from the EC model, or empty if ec is null.
-  Vector ClassRepr(int side, ClassId c) const;
 
   // Refreshes the per-epoch representation snapshot used only to *pick*
   // hard negatives (exact gradients are still computed on fresh
@@ -276,7 +298,8 @@ class JointAlignmentModel {
   std::vector<float> mining_norm2_;
 
   // Per-step buffers of the entity training path, sized at construction:
-  // TrainEntityPair and AscendPairSimilarity allocate nothing.
+  // TrainEntityPair and the entity branch of AscendPairSimilarity allocate
+  // nothing.
   struct EntityNeg {
     EntityId n1;
     EntityId n2;

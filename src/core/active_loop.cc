@@ -199,17 +199,7 @@ std::vector<ActiveRoundReport> ActiveAlignmentLoop::Run() {
       if (!oracle_->Label(pair)) continue;
       ++matches_found;
       oracle_matches->Increment();
-      switch (pair.kind) {
-        case ElementKind::kEntity:
-          new_matches.entities.emplace_back(pair.first, pair.second);
-          break;
-        case ElementKind::kRelation:
-          new_matches.relations.emplace_back(pair.first, pair.second);
-          break;
-        case ElementKind::kClass:
-          new_matches.classes.emplace_back(pair.first, pair.second);
-          break;
-      }
+      new_matches.Add(pair);
     }
     if (!new_matches.entities.empty() || !new_matches.relations.empty() ||
         !new_matches.classes.empty()) {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <string>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "obs/trace.h"
@@ -15,20 +14,6 @@ namespace {
 // Semi-supervision cadence: mining re-runs every `kSemiEvery` training
 // rounds once a third of the rounds have elapsed.
 constexpr int kSemiEvery = 12;
-
-// Appends `extra` to `base`, dropping duplicates.
-template <typename PairT>
-void MergePairs(std::vector<PairT>* base, const std::vector<PairT>& extra) {
-  std::unordered_set<uint64_t> seen;
-  for (const auto& [a, b] : *base) {
-    seen.insert((static_cast<uint64_t>(a) << 32) | b);
-  }
-  for (const auto& [a, b] : extra) {
-    if (seen.insert((static_cast<uint64_t>(a) << 32) | b).second) {
-      base->emplace_back(a, b);
-    }
-  }
-}
 
 }  // namespace
 
@@ -154,43 +139,29 @@ void DaakgAligner::RefreshSemiSupervision() {
   // were already resolved one-to-one during mining.
   pseudo_seeds_ = SeedAlignment();
   for (const auto& [pair, score] : semi_pairs_) {
-    if (score < config_.align.tau) continue;
-    switch (pair.kind) {
-      case ElementKind::kEntity:
-        pseudo_seeds_.entities.emplace_back(pair.first, pair.second);
-        break;
-      case ElementKind::kRelation:
-        pseudo_seeds_.relations.emplace_back(pair.first, pair.second);
-        break;
-      case ElementKind::kClass:
-        pseudo_seeds_.classes.emplace_back(pair.first, pair.second);
-        break;
-    }
+    if (score >= config_.align.tau) pseudo_seeds_.Add(pair);
   }
+}
+
+SeedAlignment DaakgAligner::TrainingSet() const {
+  SeedAlignment train_set = labeled_;
+  train_set.Merge(pseudo_seeds_);
+  return train_set;
 }
 
 void DaakgAligner::Train(const SeedAlignment& seed) {
   obs::TraceSpan span("core.train", "core");
-  MergePairs(&labeled_.entities, seed.entities);
-  MergePairs(&labeled_.relations, seed.relations);
-  MergePairs(&labeled_.classes, seed.classes);
+  labeled_.Merge(seed);
 
   if (!kge_trained_) WarmStartKge();
 
   const int rounds = config_.align.align_epochs;
-    for (int round = 0; round < rounds; ++round) {
+  for (int round = 0; round < rounds; ++round) {
     if (config_.align.semi_supervised && round >= rounds / 3 &&
         (round - rounds / 3) % kSemiEvery == 0) {
       RefreshSemiSupervision();
     }
-    SeedAlignment train_set;
-    train_set.entities = labeled_.entities;
-    train_set.relations = labeled_.relations;
-    train_set.classes = labeled_.classes;
-    MergePairs(&train_set.entities, pseudo_seeds_.entities);
-    MergePairs(&train_set.relations, pseudo_seeds_.relations);
-    MergePairs(&train_set.classes, pseudo_seeds_.classes);
-    JointRound(train_set, /*focal=*/false);
+    JointRound(TrainingSet(), /*focal=*/false);
   }
   joint_->RefreshCaches();
 }
@@ -200,9 +171,7 @@ void DaakgAligner::FineTune(const SeedAlignment& new_matches) {
       obs::GlobalMetrics().GetHistogram("daakg.core.fine_tune_seconds");
   obs::TraceSpan span("core.fine_tune", "core", fine_tune_timing);
   span.AddArg("new_entities", static_cast<double>(new_matches.entities.size()));
-  MergePairs(&labeled_.entities, new_matches.entities);
-  MergePairs(&labeled_.relations, new_matches.relations);
-  MergePairs(&labeled_.classes, new_matches.classes);
+  labeled_.Merge(new_matches);
 
   // Focal-loss pass concentrated on the new labels (Sect. 4.2), then
   // interleaved refresher rounds on everything labeled so far.
@@ -212,14 +181,7 @@ void DaakgAligner::FineTune(const SeedAlignment& new_matches) {
   }
   if (config_.align.semi_supervised) RefreshSemiSupervision();
   for (int e = 0; e < std::max(1, config_.fine_tune_epochs / 2); ++e) {
-    SeedAlignment train_set;
-    train_set.entities = labeled_.entities;
-    train_set.relations = labeled_.relations;
-    train_set.classes = labeled_.classes;
-    MergePairs(&train_set.entities, pseudo_seeds_.entities);
-    MergePairs(&train_set.relations, pseudo_seeds_.relations);
-    MergePairs(&train_set.classes, pseudo_seeds_.classes);
-    JointRound(train_set, /*focal=*/false);
+    JointRound(TrainingSet(), /*focal=*/false);
   }
   joint_->RefreshCaches();
 }

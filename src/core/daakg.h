@@ -109,6 +109,8 @@ class DaakgAligner {
   void JointRound(const SeedAlignment& train_set, bool focal);
   // Mines semi-supervision and converts the confident part to pseudo-seeds.
   void RefreshSemiSupervision();
+  // The labeled set followed by the pseudo-seeds it does not hold.
+  SeedAlignment TrainingSet() const;
 
   const AlignmentTask* task_;
   DaakgConfig config_;
@@ -120,8 +122,10 @@ class DaakgAligner {
   std::unique_ptr<JointAlignmentModel> joint_;
   std::unique_ptr<KgeTrainer> trainer1_;
   std::unique_ptr<KgeTrainer> trainer2_;
-  Rng kge_rng1_{0};
-  Rng kge_rng2_{0};
+  // KG1 and KG2 draw from these on two threads at once (TrainSideBySide):
+  // each starts its own cache line so that neither write stalls the other.
+  alignas(64) Rng kge_rng1_{0};
+  alignas(64) Rng kge_rng2_{0};
   SeedAlignment labeled_;
   // Bootstrapped supervision (Sect. 4.2): soft pairs for the Eq. 10 loss
   // and their confident subset used as pseudo-seeds.

@@ -23,6 +23,38 @@ std::vector<std::pair<uint32_t, uint32_t>> TestPairs(
   return test.empty() ? gold : test;
 }
 
+void SeedAlignment::Add(const ElementPair& pair) {
+  switch (pair.kind) {
+    case ElementKind::kEntity:
+      entities.emplace_back(pair.first, pair.second);
+      break;
+    case ElementKind::kRelation:
+      relations.emplace_back(pair.first, pair.second);
+      break;
+    case ElementKind::kClass:
+      classes.emplace_back(pair.first, pair.second);
+      break;
+  }
+}
+
+void SeedAlignment::Merge(const SeedAlignment& other) {
+  auto merge = [](std::vector<std::pair<uint32_t, uint32_t>>* base,
+                  const std::vector<std::pair<uint32_t, uint32_t>>& extra) {
+    std::unordered_set<uint64_t> seen;
+    for (const auto& [a, b] : *base) {
+      seen.insert((static_cast<uint64_t>(a) << 32) | b);
+    }
+    for (const auto& [a, b] : extra) {
+      if (seen.insert((static_cast<uint64_t>(a) << 32) | b).second) {
+        base->emplace_back(a, b);
+      }
+    }
+  };
+  merge(&entities, other.entities);
+  merge(&relations, other.relations);
+  merge(&classes, other.classes);
+}
+
 void AlignmentTask::BuildGoldIndex() {
   gold_e1_to_e2_.clear();
   gold_e2_to_e1_.clear();

@@ -18,6 +18,11 @@ struct SeedAlignment {
   std::vector<std::pair<EntityId, EntityId>> entities;
   std::vector<std::pair<RelationId, RelationId>> relations;
   std::vector<std::pair<ClassId, ClassId>> classes;
+
+  // Appends `pair` to the list of its kind.
+  void Add(const ElementPair& pair);
+  // Appends each kind's pairs of `other` not already present, in order.
+  void Merge(const SeedAlignment& other);
 };
 
 // The test split of one element kind: the gold pairs not in `labeled`, in

@@ -441,8 +441,8 @@ TEST_F(JointModelTest, SimilaritiesBounded) {
     EXPECT_GE(joint_->EntitySim(i, i), -1.0f - 1e-5f);
     EXPECT_LE(joint_->EntitySim(i, i), 1.0f + 1e-5f);
   }
-  EXPECT_LE(joint_->RelationSim(0, 0), 1.0f + 1e-5f);
-  EXPECT_LE(joint_->ClassSim(0, 0), 1.0f + 1e-5f);
+  EXPECT_LE(joint_->relation_sim()(0, 0), 1.0f + 1e-5f);
+  EXPECT_LE(joint_->class_sim()(0, 0), 1.0f + 1e-5f);
 }
 
 TEST_F(JointModelTest, CachedEntitySimMatchesFreshComputation) {
@@ -600,7 +600,7 @@ TEST_F(JointModelTest, RefreshWithoutChangeIsSkipped) {
   EXPECT_TRUE(joint_->caches_ready());
   // Reads, however many, change no version.
   (void)joint_->MineSemiSupervision();
-  (void)joint_->RelationSim(0, 0);
+  (void)joint_->relation_sim()(0, 0);
   before = refreshes->Value();
   joint_->RefreshCaches();
   joint_->RefreshCaches();
@@ -670,10 +670,8 @@ TEST(JointModelNoEcTest, ClassSimFallsBackToMeans) {
   JointAlignConfig cfg;
   JointAlignmentModel joint(m1.get(), m2.get(), nullptr, nullptr, cfg);
   joint.Init(&rng);
-  // Without caches there is no class representation at all.
-  EXPECT_FLOAT_EQ(joint.ClassSim(0, 0), 0.0f);
   joint.RefreshCaches();
-  float sim = joint.ClassSim(0, 0);
+  float sim = joint.class_sim()(0, 0);
   EXPECT_GE(sim, -1.0f - 1e-5f);
   EXPECT_LE(sim, 1.0f + 1e-5f);
 }

@@ -437,8 +437,8 @@ uint64_t HashMatrix(uint64_t h, const Matrix& m) {
 }
 
 // Every trained parameter of the aligner: both KGE models (plus CompGCN's
-// weight matrices), both entity-class models and the three mapping
-// matrices.
+// weight matrices), both entity-class models when present and the three
+// mapping matrices.
 uint64_t TrainedParameterHash(const DaakgAligner& aligner) {
   uint64_t h = 0xCBF29CE484222325ULL;
   for (const KgeModel* m : {aligner.joint()->kg1_model(),
@@ -451,6 +451,7 @@ uint64_t TrainedParameterHash(const DaakgAligner& aligner) {
     }
   }
   for (const EntityClassModel* ec : {aligner.ec1(), aligner.ec2()}) {
+    if (ec == nullptr) continue;  // use_class_embeddings = false
     h = HashMatrix(h, ec->projection());
     h = HashMatrix(h, ec->scales());
     h = HashMatrix(h, ec->centers());
@@ -460,27 +461,53 @@ uint64_t TrainedParameterHash(const DaakgAligner& aligner) {
   return HashMatrix(h, aligner.joint()->a_cls());
 }
 
+// FNV-1a over ExtractAlignment()'s entity, relation and class pairs.
+uint64_t ExtractedAlignmentHash(const DaakgAligner::Alignment& alignment) {
+  uint64_t h = 0xCBF29CE484222325ULL;
+  auto mix = [&h](uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((word >> (8 * i)) & 0xFF)) * 0x100000001B3ULL;
+    }
+  };
+  for (const auto* pairs : {&alignment.entities, &alignment.relations,
+                            &alignment.classes}) {
+    mix(pairs->size());
+    for (const auto& [a, b] : *pairs) {
+      mix(a);
+      mix(b);
+    }
+  }
+  return h;
+}
+
 // Mining scores entity cells with the dispatched dot kernel, whose rounding
 // differs between backends (tensor/simd/simd.h), so each backend has its
-// own pin.
+// own pins: one for the trained parameters, one for the extracted
+// alignment.
 struct GoldenCase {
+  const char* name;
   const char* model;
+  bool use_class_embeddings;
   uint64_t scalar_hash;
   uint64_t avx2_hash;
+  uint64_t scalar_extract_hash;
+  uint64_t avx2_extract_hash;
 };
 
-void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.model; }
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
 
 class TrainingGoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 
-// Pins the trained parameters bit for bit: a faster training path must
-// keep every reduction's order. The pins hold at any DAAKG_THREADS.
+// Pins the trained parameters and the extracted alignment bit for bit: a
+// faster training path must keep every reduction's order. The pins hold at
+// any DAAKG_THREADS.
 TEST_P(TrainingGoldenTest, TrainedParametersArePinned) {
   AlignmentTask task = SmallSyntheticTask();
   DaakgConfig cfg = FastConfig();
   auto kind = ParseKgeModelKind(GetParam().model);
   ASSERT_TRUE(kind.ok()) << kind.status();
   cfg.kge_model = kind.value();
+  cfg.use_class_embeddings = GetParam().use_class_embeddings;
   cfg.align.align_epochs = 10;
   cfg.align.tau = 0.6;  // low enough that semi-supervision mines pairs
   auto aligner = DaakgAligner::Create(&task, cfg);
@@ -497,21 +524,40 @@ TEST_P(TrainingGoldenTest, TrainedParametersArePinned) {
   batch.classes.push_back(task.gold_classes.back());
   (*aligner)->FineTune(batch);
 
-  const uint64_t want = simd::ActiveOps().backend == simd::Backend::kScalar
-                            ? GetParam().scalar_hash
-                            : GetParam().avx2_hash;
+  const bool scalar = simd::ActiveOps().backend == simd::Backend::kScalar;
+  const uint64_t want =
+      scalar ? GetParam().scalar_hash : GetParam().avx2_hash;
   const uint64_t got = TrainedParameterHash(**aligner);
   EXPECT_EQ(got, want) << std::hex << "0x" << got << " on "
                        << simd::ActiveOps().name;
+
+  const uint64_t want_extract =
+      scalar ? GetParam().scalar_extract_hash : GetParam().avx2_extract_hash;
+  const DaakgAligner::Alignment extracted = (*aligner)->ExtractAlignment();
+  EXPECT_FALSE(extracted.entities.empty());
+  const uint64_t got_extract = ExtractedAlignmentHash(extracted);
+  EXPECT_EQ(got_extract, want_extract)
+      << std::hex << "0x" << got_extract << " on " << simd::ActiveOps().name;
 }
 
+// transe_no_classes trains without entity-class models, as the embedding
+// baselines do: the class step of every epoch returns at once.
 INSTANTIATE_TEST_SUITE_P(
     Models, TrainingGoldenTest,
     ::testing::Values(
-        GoldenCase{"transe", 0xDF7405575B3102F8ULL, 0x974BF9337D8A6005ULL},
-        GoldenCase{"rotate", 0x41DB93B4FF9A61F4ULL, 0x317A3DA146E49643ULL},
-        GoldenCase{"compgcn", 0x3E313E4EDFD4EDD0ULL, 0xBD392D40D31F83E9ULL}),
-    [](const auto& info) { return std::string(info.param.model); });
+        GoldenCase{"transe", "transe", true, 0xDF7405575B3102F8ULL,
+                   0x974BF9337D8A6005ULL, 0x91FDEA968E674F29ULL,
+                   0x91FDEA968E674F29ULL},
+        GoldenCase{"rotate", "rotate", true, 0x41DB93B4FF9A61F4ULL,
+                   0x317A3DA146E49643ULL, 0x9C44709069A55033ULL,
+                   0x9C44709069A55033ULL},
+        GoldenCase{"compgcn", "compgcn", true, 0x3E313E4EDFD4EDD0ULL,
+                   0xBD392D40D31F83E9ULL, 0x283ABFBAF80D7762ULL,
+                   0x283ABFBAF80D7762ULL},
+        GoldenCase{"transe_no_classes", "transe", false,
+                   0xB2B4DFAAD2C9A040ULL, 0xD722ADB995189B1CULL,
+                   0x85633E086F42231FULL, 0x85633E086F42231FULL}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 // Pins what both selection algorithms choose over three planning rounds on
 // D-Y (scale 0.2, seed 17): every round rebuilds pool, alignment graph and
