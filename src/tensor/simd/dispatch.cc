@@ -73,20 +73,6 @@ const Ops& ActiveOps() {
   return ops;
 }
 
-const Ops& Resolve(Choice choice) {
-  switch (choice) {
-    case Choice::kScalar:
-      return ScalarOps();
-    case Choice::kAvx2: {
-      const Ops* avx2 = Avx2OpsOrNull();
-      return avx2 != nullptr ? *avx2 : ScalarOps();
-    }
-    case Choice::kAuto:
-      break;
-  }
-  return ActiveOps();
-}
-
 const char* BackendName(Backend backend) {
   switch (backend) {
     case Backend::kScalar:

@@ -3,9 +3,10 @@
 // the binary stays baseline-ISA, and dispatch.cc only routes here after
 // runtime CPU detection, so the binary cannot SIGILL on non-AVX2 hosts.
 //
-// Rounding contract (simd.h):
-//   * dot/dot4 use explicit 8-wide _mm256_fmadd_ps accumulation — they may
-//     differ from the scalar grid in the last ulps, but dot(a, b_c) is
+// Rounding contract (simd.h): every kernel matches its scalar twin in
+// kernels_scalar.cc bit for bit.
+//   * dot/dot4 use explicit 8-wide _mm256_fmadd_ps accumulation, whose
+//     order DotScalar replays lane by lane with std::fma; dot(a, b_c) is
 //     bitwise identical to column c of dot4 (same pair of accumulator
 //     chains, same join and horizontal reduce, same scalar tail).
 //   * dot_rows_f64 multiplies in double (a product of two floats is exact

@@ -1,8 +1,10 @@
-// Scalar reference kernels — the always-compiled parity baseline of the
-// dispatch table. The dot kernels keep PR 2's accumulator layout (four
-// independent lanes, (0+1)+(2+3) combine, sequential tail) so GCC's SLP
-// pass still vectorizes them at SSE width on baseline-ISA builds, and so
-// existing bit-parity tests against that layout keep holding.
+// Scalar reference kernels, the always-compiled parity baseline of the
+// dispatch table. Every kernel returns bit for bit what its AVX2 twin in
+// kernels_avx2.cc returns (simd.h rounding contract). The TU is compiled
+// with -ffp-contract=off so the compiler never fuses a mul+add on its own;
+// the only fused steps are the explicit std::fma calls of DotScalar.
+
+#include <cmath>
 
 #include "tensor/simd/simd.h"
 
@@ -10,47 +12,39 @@ namespace daakg {
 namespace simd {
 namespace {
 
+// DotAvx2's reduction order, one lane at a time: two 8-lane accumulator
+// chains over even and odd 8-blocks (a lone leftover 8-block goes into the
+// even chain), each step one fused multiply-add, exactly _mm256_fmadd_ps
+// per lane. The chains join lane-wise as even + odd, HorizontalSum's fixed
+// tree reduces the 8 lanes, and the tail adds unfused products in order.
 float DotScalar(const float* a, const float* b, size_t n) {
-  float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
+  float even[8] = {};
+  float odd[8] = {};
   size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc0 += a[i] * b[i];
-    acc1 += a[i + 1] * b[i + 1];
-    acc2 += a[i + 2] * b[i + 2];
-    acc3 += a[i + 3] * b[i + 3];
-  }
-  float acc = (acc0 + acc1) + (acc2 + acc3);
-  for (; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-// Register-tiled micro-kernel: four dot products of `a` against four `b`
-// rows at once. Each a[i..i+3] load is reused across all four columns, and
-// the 4x4 accumulator grid is exactly four independent copies of
-// DotScalar's lanes, so every out[c] is bitwise identical to
-// DotScalar(a, b_c, n).
-void Dot4Scalar(const float* a, const float* b0, const float* b1,
-                const float* b2, const float* b3, size_t n, float out[4]) {
-  float acc[4][4] = {};
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (size_t j = 0; j < 4; ++j) {
-      const float av = a[i + j];
-      acc[0][j] += av * b0[i + j];
-      acc[1][j] += av * b1[i + j];
-      acc[2][j] += av * b2[i + j];
-      acc[3][j] += av * b3[i + j];
+  for (; i + 16 <= n; i += 16) {
+    for (size_t l = 0; l < 8; ++l) {
+      even[l] = std::fma(a[i + l], b[i + l], even[l]);
+      odd[l] = std::fma(a[i + 8 + l], b[i + 8 + l], odd[l]);
     }
   }
-  for (size_t c = 0; c < 4; ++c) {
-    out[c] = (acc[c][0] + acc[c][1]) + (acc[c][2] + acc[c][3]);
+  for (; i + 8 <= n; i += 8) {
+    for (size_t l = 0; l < 8; ++l) {
+      even[l] = std::fma(a[i + l], b[i + l], even[l]);
+    }
   }
-  for (; i < n; ++i) {
-    out[0] += a[i] * b0[i];
-    out[1] += a[i] * b1[i];
-    out[2] += a[i] * b2[i];
-    out[3] += a[i] * b3[i];
-  }
+  float v[8];
+  for (size_t l = 0; l < 8; ++l) v[l] = even[l] + odd[l];
+  float out = ((v[0] + v[4]) + (v[2] + v[6])) + ((v[1] + v[5]) + (v[3] + v[7]));
+  for (; i < n; ++i) out += a[i] * b[i];
+  return out;
+}
+
+void Dot4Scalar(const float* a, const float* b0, const float* b1,
+                const float* b2, const float* b3, size_t n, float out[4]) {
+  out[0] = DotScalar(a, b0, n);
+  out[1] = DotScalar(a, b1, n);
+  out[2] = DotScalar(a, b2, n);
+  out[3] = DotScalar(a, b3, n);
 }
 
 void AxpyScalar(float alpha, const float* x, float* y, size_t n) {

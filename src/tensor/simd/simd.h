@@ -12,32 +12,29 @@ namespace simd {
 // The library is compiled for the baseline ISA; only the AVX2 kernel
 // translation unit is built with -mavx2 -mfma, and the dispatch table below
 // routes to it when the CPU actually supports both features. The scalar
-// grid stays the always-compiled parity reference.
+// kernels stay the always-compiled reference.
 //
-// Rounding contract (load-bearing — tests rely on it):
-//   * Elementwise kernels (axpy, scale) produce bit-identical results to
-//     the scalar path on every backend: each output element is one float
-//     multiply (+ one add), which rounds the same at any vector width, and
-//     the AVX2 TU is compiled with -ffp-contract=off so the compiler never
-//     fuses the mul+add into an FMA behind our back. Embedding training
-//     therefore follows the exact same trajectory on every backend.
-//   * Reduction kernels (dot, dot4) are allowed to differ from scalar in
-//     the last ulps: the AVX2 path uses 8-wide FMA accumulation. Within a
-//     backend, dot(a, b_c) is bit-identical to column c of dot4(a, b0..b3)
-//     — same lanes, same combine, same tail — so cached cells computed via
-//     either entry point agree exactly.
-//   * dot_rows_f64 is bit-identical across backends: every output is one
-//     double accumulator per row, fed in index order with exact float x
-//     float products. The AVX2 path vectorizes across rows, never within
-//     one row's sum. This is the reduction order of Vector::Dot and
-//     Matrix::Multiply, which the training path relies on.
-//   * count_greater is exact on every backend (integer result).
+// Rounding contract (load-bearing; tests rely on it): every kernel returns
+// bit-identical results on every backend, so a seed gives one run.
+//   * Reductions (dot, dot4) use one order everywhere: two 8-lane fused
+//     multiply-add chains over even and odd 8-blocks, joined lane-wise,
+//     reduced by a fixed tree and followed by an unfused sequential tail.
+//     The AVX2 path does this with _mm256_fmadd_ps; the scalar path
+//     replays it lane by lane with std::fma. dot(a, b_c) is bit-identical
+//     to column c of dot4(a, b0..b3), so cached cells computed via either
+//     entry point agree exactly.
+//   * Elementwise kernels (axpy, scale): each output element is one float
+//     multiply (+ one add), which rounds the same at any vector width. Both
+//     kernel TUs are compiled with -ffp-contract=off so the compiler never
+//     fuses the mul+add into an FMA behind our back.
+//   * dot_rows_f64: every output is one double accumulator per row, fed in
+//     index order with exact float x float products. The AVX2 path
+//     vectorizes across rows, never within one row's sum. This is the
+//     reduction order of Vector::Dot and Matrix::Multiply, which the
+//     training path relies on.
+//   * count_greater is exact (integer result).
 
 enum class Backend { kScalar = 0, kAvx2 = 1 };
-
-// Per-call backend selector (e.g. BlockedKernelOptions::backend). kAuto
-// defers to the process-wide choice made by ActiveOps().
-enum class Choice { kAuto = 0, kScalar = 1, kAvx2 = 2 };
 
 // Flat kernel table. Pointers are never null in a table returned by the
 // accessors below.
@@ -49,8 +46,7 @@ struct Ops {
   float (*dot)(const float* a, const float* b, size_t n);
   void (*dot4)(const float* a, const float* b0, const float* b1,
                const float* b2, const float* b3, size_t n, float out[4]);
-  // Elementwise: y[i] += alpha * x[i]; x[i] *= s. Bit-identical across
-  // backends (see rounding contract).
+  // Elementwise: y[i] += alpha * x[i]; x[i] *= s.
   void (*axpy)(float alpha, const float* x, float* y, size_t n);
   void (*scale)(float* x, size_t n, float s);
   // Number of values[i] strictly greater than `threshold`.
@@ -74,10 +70,6 @@ inline bool Avx2Available() { return Avx2OpsOrNull() != nullptr; }
 // environment (DAAKG_SIMD=scalar|avx2). Resolved
 // once on first use; logs the detected/selected backend.
 const Ops& ActiveOps();
-
-// Maps a per-call Choice onto a table: kAuto -> ActiveOps(); kAvx2 falls
-// back to scalar when unavailable.
-const Ops& Resolve(Choice choice);
 
 const char* BackendName(Backend backend);
 

@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "obs/trace.h"
+#include "tensor/simd/simd.h"
 
 namespace daakg {
 namespace {
@@ -83,10 +84,6 @@ std::vector<uint32_t> TopKAccumulator::SortedIndices() const {
   return out;
 }
 
-float DotUnrolled(const float* a, const float* b, size_t n) {
-  return simd::ActiveOps().dot(a, b, n);
-}
-
 size_t CountGreater(const float* values, size_t n, float threshold) {
   return simd::ActiveOps().count_greater(values, n, threshold);
 }
@@ -102,14 +99,15 @@ constexpr size_t kMaxColBlock = 512;
 // (row, tile) with the tile row's `count` consecutive similarities. Tiles
 // keep the col_block rows of `b` hot in cache while each is reused
 // row_block times. The dots for a whole tile row are computed into a local
-// buffer through the `ops` kernel table before the visitor runs — keeping
+// buffer through the active kernel table before the visitor runs — keeping
 // the micro-kernel loop free of consumer state is what lets it live in
 // vector registers. ops.dot4 column c is bitwise ops.dot(a, b_c), so the
-// 4-wide and remainder columns agree exactly within a backend.
+// 4-wide and remainder columns agree exactly.
 template <typename Visitor>
 void TiledSimWalk(const Matrix& a, const Matrix& b, size_t row_begin,
-                  size_t row_end, const simd::Ops& ops,
-                  const BlockedKernelOptions& options, Visitor&& visit) {
+                  size_t row_end, const BlockedKernelOptions& options,
+                  Visitor&& visit) {
+  const simd::Ops& ops = simd::ActiveOps();
   const size_t n2 = b.rows();
   const size_t dim = a.cols();
   const size_t row_block = std::max<size_t>(1, options.row_block);
@@ -136,16 +134,6 @@ void TiledSimWalk(const Matrix& a, const Matrix& b, size_t row_begin,
   }
 }
 
-// Per-backend dispatch counters for the blocked kernel entry points.
-void CountKernelDispatch(const simd::Ops& ops) {
-  static obs::Counter* scalar_calls =
-      obs::GlobalMetrics().GetCounter("daakg.tensor.kernel_calls_scalar");
-  static obs::Counter* avx2_calls =
-      obs::GlobalMetrics().GetCounter("daakg.tensor.kernel_calls_avx2");
-  (ops.backend == simd::Backend::kAvx2 ? avx2_calls : scalar_calls)
-      ->Increment();
-}
-
 }  // namespace
 
 SimTopK BlockedSimTopK(const Matrix& a, const Matrix& b, size_t row_k,
@@ -157,7 +145,6 @@ SimTopK BlockedSimTopK(const Matrix& a, const Matrix& b, size_t row_k,
   obs::TraceSpan span("tensor.sim_topk", "tensor", timing);
 
   DAAKG_CHECK_EQ(a.cols(), b.cols());
-  const simd::Ops& ops = simd::Resolve(options.backend);
   const size_t n1 = a.rows();
   const size_t n2 = b.rows();
   row_k = std::min(row_k, n2);
@@ -167,7 +154,6 @@ SimTopK BlockedSimTopK(const Matrix& a, const Matrix& b, size_t row_k,
   out.row_topk.resize(n1);
   out.col_topk.resize(n2);
   if (n1 == 0 || n2 == 0) return out;
-  CountKernelDispatch(ops);
   cells->Increment(static_cast<uint64_t>(n1) * n2);
 
   // Row accumulators are owned per row (disjoint across shards); column
@@ -193,7 +179,7 @@ SimTopK BlockedSimTopK(const Matrix& a, const Matrix& b, size_t row_k,
     std::vector<TopKAccumulator>& cols = shard_cols[shard];
     std::vector<float>& col_thr = shard_col_thr[shard];
     TiledSimWalk(
-        a, b, begin, end, ops, options,
+        a, b, begin, end, options,
         [&](size_t r, size_t c, const float* sims, size_t count) {
           float rt = row_thr[r];
           for (size_t j = 0; j < count; ++j) {
@@ -241,15 +227,13 @@ void BlockedMatMulNT(const Matrix& a, const Matrix& b, Matrix* out,
 
   DAAKG_CHECK_EQ(a.cols(), b.cols());
   *out = Matrix(a.rows(), b.rows());
-  const simd::Ops& ops = simd::Resolve(options.backend);
   const size_t n1 = a.rows();
   const size_t n2 = b.rows();
   if (n1 == 0 || n2 == 0) return;
-  CountKernelDispatch(ops);
   cells->Increment(static_cast<uint64_t>(n1) * n2);
 
   auto run_rows = [&](size_t /*shard*/, size_t begin, size_t end) {
-    TiledSimWalk(a, b, begin, end, ops, options,
+    TiledSimWalk(a, b, begin, end, options,
                  [&](size_t r, size_t c, const float* sims, size_t count) {
                    float* row = out->RowData(r) + c;
                    for (size_t j = 0; j < count; ++j) row[j] = sims[j];
@@ -338,13 +322,11 @@ SimStats BlockedSimStats(const Matrix& a, const Matrix& b, double z,
       obs::GlobalMetrics().GetCounter("daakg.tensor.sim_cells");
   obs::TraceSpan span("tensor.sim_stats", "tensor");
   DAAKG_CHECK_EQ(a.cols(), b.cols());
-  const simd::Ops& ops = simd::Resolve(options.backend);
-  if (a.rows() > 0 && b.rows() > 0) CountKernelDispatch(ops);
   cells->Increment(static_cast<uint64_t>(a.rows()) * b.rows());
   return StreamSimStats(
       a.rows(), b.rows(), z, options.parallel,
       [&](size_t begin, size_t end, auto&& visit) {
-        TiledSimWalk(a, b, begin, end, ops, options, visit);
+        TiledSimWalk(a, b, begin, end, options, visit);
       });
 }
 
@@ -361,17 +343,15 @@ void BlockedSimVisit(const Matrix& a, const Matrix& b,
                      const SimTileVisitor& visit,
                      const BlockedKernelOptions& options) {
   DAAKG_CHECK_EQ(a.cols(), b.cols());
-  const simd::Ops& ops = simd::Resolve(options.backend);
   const size_t n1 = a.rows();
   if (n1 == 0 || b.rows() == 0) return;
-  CountKernelDispatch(ops);
   if (options.parallel) {
     GlobalThreadPool().ParallelForShards(
         n1, [&](size_t /*shard*/, size_t begin, size_t end) {
-          TiledSimWalk(a, b, begin, end, ops, options, visit);
+          TiledSimWalk(a, b, begin, end, options, visit);
         });
   } else {
-    TiledSimWalk(a, b, 0, n1, ops, options, visit);
+    TiledSimWalk(a, b, 0, n1, options, visit);
   }
 }
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "tensor/matrix.h"
-#include "tensor/simd/simd.h"
 
 namespace daakg {
 
@@ -77,9 +76,6 @@ struct BlockedKernelOptions {
   // Shard rows across the global thread pool (per-shard column state is
   // merged after the pass). Disable for single-threaded determinism tests.
   bool parallel = true;
-  // SIMD kernel backend for this call; kAuto uses the process-wide
-  // dispatched backend (see simd/simd.h for the rounding contract).
-  simd::Choice backend = simd::Choice::kAuto;
 };
 
 // Streams sim = a * b^T (rows of `a` against rows of `b`; equal cols())
@@ -143,11 +139,6 @@ void BlockedSimVisit(const Matrix& a, const Matrix& b,
 // the rank kernel of EvaluateRanking. Dispatched to the active SIMD
 // backend; the count is exact on every backend.
 size_t CountGreater(const float* values, size_t n, float threshold);
-
-// Dot product, dispatched to the active SIMD backend. The summation order
-// differs from a naive sequential loop (and between backends), so results
-// can differ from either in the last ulps.
-float DotUnrolled(const float* a, const float* b, size_t n);
 
 }  // namespace daakg
 

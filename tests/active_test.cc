@@ -156,9 +156,9 @@ TEST_F(ActiveTest, RecallGrowsWithN) {
 TEST_F(ActiveTest, GeneratedPoolMatchesBruteForceMutualTopN) {
   // Parity with the pre-blocked-kernel algorithm: materialize the full
   // signature-similarity matrix, take TopKIndices per row and per column,
-  // keep mutual pairs. The reference scores use DotUnrolled so both sides
-  // share the same summation order — near-ties at the top-N boundary would
-  // otherwise flip on last-ulp differences (DotUnrolled itself is checked
+  // keep mutual pairs. The reference scores use the dispatched dot so both
+  // sides share the same summation order — near-ties at the top-N boundary
+  // would otherwise flip on last-ulp differences (the dot itself is checked
   // against a naive dot in tensor_test). Everything downstream of the dot —
   // tiling, streaming top-K, tie-breaks, mutual intersection — must agree
   // exactly with the seed algorithm.
@@ -182,7 +182,7 @@ TEST_F(ActiveTest, GeneratedPoolMatchesBruteForceMutualTopN) {
   Matrix sim(n1, n2);
   for (size_t r = 0; r < n1; ++r) {
     for (size_t c = 0; c < n2; ++c) {
-      sim(r, c) = DotUnrolled(sig1.RowData(r), sig2.RowData(c), dim);
+      sim(r, c) = simd::ActiveOps().dot(sig1.RowData(r), sig2.RowData(c), dim);
     }
   }
   std::vector<std::set<size_t>> col_top(n2);
@@ -426,12 +426,8 @@ TEST_F(ActiveTest, PartitionSplitsArePinned) {
     mix(bits);
   }
   EXPECT_GT(max_groups, 1u);  // some rho splits
-  // Training differs between SIMD backends, so each has its own pin.
-  const uint64_t want = simd::ActiveOps().backend == simd::Backend::kScalar
-                            ? 0xA7BB807ED025FE56ULL
-                            : 0x0E546C5E9544EBCDULL;
-  EXPECT_EQ(h, want) << std::hex << "0x" << h << " on "
-                     << simd::ActiveOps().name;
+  EXPECT_EQ(h, 0x0E546C5E9544EBCDULL)
+      << std::hex << "0x" << h << " on " << simd::ActiveOps().name;
 }
 
 // Concurrency stress: both selectors evaluate PowerFrom under ParallelFor

@@ -480,18 +480,15 @@ uint64_t ExtractedAlignmentHash(const DaakgAligner::Alignment& alignment) {
   return h;
 }
 
-// Mining scores entity cells with the dispatched dot kernel, whose rounding
-// differs between backends (tensor/simd/simd.h), so each backend has its
-// own pins: one for the trained parameters, one for the extracted
-// alignment.
+// Every SIMD backend rounds every kernel alike (tensor/simd/simd.h), so
+// each case has one pin for the trained parameters and one for the
+// extracted alignment.
 struct GoldenCase {
   const char* name;
   const char* model;
   bool use_class_embeddings;
-  uint64_t scalar_hash;
-  uint64_t avx2_hash;
-  uint64_t scalar_extract_hash;
-  uint64_t avx2_extract_hash;
+  uint64_t hash;
+  uint64_t extract_hash;
 };
 
 void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
@@ -500,7 +497,7 @@ class TrainingGoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 
 // Pins the trained parameters and the extracted alignment bit for bit: a
 // faster training path must keep every reduction's order. The pins hold at
-// any DAAKG_THREADS.
+// any DAAKG_THREADS and on every SIMD backend.
 TEST_P(TrainingGoldenTest, TrainedParametersArePinned) {
   AlignmentTask task = SmallSyntheticTask();
   DaakgConfig cfg = FastConfig();
@@ -524,19 +521,14 @@ TEST_P(TrainingGoldenTest, TrainedParametersArePinned) {
   batch.classes.push_back(task.gold_classes.back());
   (*aligner)->FineTune(batch);
 
-  const bool scalar = simd::ActiveOps().backend == simd::Backend::kScalar;
-  const uint64_t want =
-      scalar ? GetParam().scalar_hash : GetParam().avx2_hash;
   const uint64_t got = TrainedParameterHash(**aligner);
-  EXPECT_EQ(got, want) << std::hex << "0x" << got << " on "
-                       << simd::ActiveOps().name;
+  EXPECT_EQ(got, GetParam().hash)
+      << std::hex << "0x" << got << " on " << simd::ActiveOps().name;
 
-  const uint64_t want_extract =
-      scalar ? GetParam().scalar_extract_hash : GetParam().avx2_extract_hash;
   const DaakgAligner::Alignment extracted = (*aligner)->ExtractAlignment();
   EXPECT_FALSE(extracted.entities.empty());
   const uint64_t got_extract = ExtractedAlignmentHash(extracted);
-  EXPECT_EQ(got_extract, want_extract)
+  EXPECT_EQ(got_extract, GetParam().extract_hash)
       << std::hex << "0x" << got_extract << " on " << simd::ActiveOps().name;
 }
 
@@ -545,18 +537,14 @@ TEST_P(TrainingGoldenTest, TrainedParametersArePinned) {
 INSTANTIATE_TEST_SUITE_P(
     Models, TrainingGoldenTest,
     ::testing::Values(
-        GoldenCase{"transe", "transe", true, 0xDF7405575B3102F8ULL,
-                   0x974BF9337D8A6005ULL, 0x91FDEA968E674F29ULL,
+        GoldenCase{"transe", "transe", true, 0x974BF9337D8A6005ULL,
                    0x91FDEA968E674F29ULL},
-        GoldenCase{"rotate", "rotate", true, 0x41DB93B4FF9A61F4ULL,
-                   0x317A3DA146E49643ULL, 0x9C44709069A55033ULL,
+        GoldenCase{"rotate", "rotate", true, 0x317A3DA146E49643ULL,
                    0x9C44709069A55033ULL},
-        GoldenCase{"compgcn", "compgcn", true, 0x3E313E4EDFD4EDD0ULL,
-                   0xBD392D40D31F83E9ULL, 0x283ABFBAF80D7762ULL,
+        GoldenCase{"compgcn", "compgcn", true, 0xBD392D40D31F83E9ULL,
                    0x283ABFBAF80D7762ULL},
         GoldenCase{"transe_no_classes", "transe", false,
-                   0xB2B4DFAAD2C9A040ULL, 0xD722ADB995189B1CULL,
-                   0x85633E086F42231FULL, 0x85633E086F42231FULL}),
+                   0xD722ADB995189B1CULL, 0x85633E086F42231FULL}),
     [](const auto& info) { return std::string(info.param.name); });
 
 // Pins what both selection algorithms choose over three planning rounds on
@@ -564,9 +552,8 @@ INSTANTIATE_TEST_SUITE_P(
 // edge costs, runs PartitionSelect and GreedySelect, and labels the
 // partition batch, with no retraining in between (the batch-plan shape). A
 // faster graph build or power path must keep every batch and every
-// objective bit for bit. Training differs between SIMD backends (see
-// TrainingGoldenTest), so each backend has its own pin; the pins hold at
-// any DAAKG_THREADS.
+// objective bit for bit. The pin holds at any DAAKG_THREADS and on every
+// SIMD backend.
 TEST(SelectionGoldenTest, PlanningRoundsArePinned) {
   auto task = MakeBenchmarkTask(BenchmarkDataset::kDY, 0.2, 17);
   ASSERT_TRUE(task.ok()) << task.status();
@@ -640,11 +627,8 @@ TEST(SelectionGoldenTest, PlanningRoundsArePinned) {
     }
   }
 
-  const uint64_t want = simd::ActiveOps().backend == simd::Backend::kScalar
-                            ? 0x4DDC4DF2F5C430EAULL
-                            : 0x6925928EEF1E995DULL;
-  EXPECT_EQ(h, want) << std::hex << "0x" << h << " on "
-                     << simd::ActiveOps().name;
+  EXPECT_EQ(h, 0x6925928EEF1E995DULL)
+      << std::hex << "0x" << h << " on " << simd::ActiveOps().name;
 }
 
 // ---------------------------------------------------------------------------

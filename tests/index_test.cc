@@ -126,7 +126,7 @@ TEST(ExactIndexTest, ScoreMatchesDispatchedDot) {
   const Matrix a = RandomMatrix(5, 48, 51);
   const Matrix b = RandomMatrix(9, 48, 52);
   auto index = MustBuild(b, CandidateIndexConfig{});
-  const simd::Ops& ops = simd::Resolve(simd::Choice::kAuto);
+  const simd::Ops& ops = simd::ActiveOps();
   for (uint32_t row : {0u, 3u, 8u}) {
     EXPECT_EQ(index->Score(a.RowData(2), row),
               ops.dot(a.RowData(2), b.RowData(row), b.cols()));

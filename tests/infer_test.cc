@@ -494,18 +494,16 @@ TEST_F(InferTest, EqualPoolSharesEdgeCosts) {
 // round on a synthetic task, for every KGE geometry. Edge bounds are
 // estimated in parallel, one RNG stream per (side, triplet), so the pins
 // must hold at any DAAKG_THREADS: a ctest copy runs this test on a
-// one-thread pool. Training differs between SIMD backends, so each backend
-// has its own pins.
+// one-thread pool. The pins hold on every SIMD backend.
 TEST_F(InferTest, EdgeCostsDoNotDependOnThreadCount) {
   struct Case {
     KgeModelKind kind;
-    uint64_t scalar_hash;
-    uint64_t avx2_hash;
+    uint64_t hash;
   };
   const Case cases[] = {
-      {KgeModelKind::kTransE, 0x9FAEF6EF9A269FCFULL, 0xDFB123797846E4BFULL},
-      {KgeModelKind::kRotatE, 0xA91C068E0E2C02B2ULL, 0x039BBBC774B8E359ULL},
-      {KgeModelKind::kCompGcn, 0xBBA6F6489873B106ULL, 0x339DBB16FB6548D9ULL},
+      {KgeModelKind::kTransE, 0xDFB123797846E4BFULL},
+      {KgeModelKind::kRotatE, 0x039BBBC774B8E359ULL},
+      {KgeModelKind::kCompGcn, 0x339DBB16FB6548D9ULL},
   };
   const AlignmentTask task = testing_util::SmallSyntheticTask();
   for (const Case& c : cases) {
@@ -564,11 +562,8 @@ TEST_F(InferTest, EdgeCostsDoNotDependOnThreadCount) {
       }
     }
     EXPECT_GT(finite, 0u);
-    const uint64_t want = simd::ActiveOps().backend == simd::Backend::kScalar
-                              ? c.scalar_hash
-                              : c.avx2_hash;
-    EXPECT_EQ(h, want) << std::hex << "0x" << h << " on "
-                       << simd::ActiveOps().name;
+    EXPECT_EQ(h, c.hash) << std::hex << "0x" << h << " on "
+                         << simd::ActiveOps().name;
   }
 }
 

@@ -9,6 +9,7 @@
 #include "embedding/gradcheck.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
+#include "tensor/simd/simd.h"
 #include "tensor/topk.h"
 #include "tensor/vector.h"
 
@@ -357,7 +358,7 @@ TEST(TopKAccumulatorTest, ThresholdIsWeakestKeptScore) {
   EXPECT_FLOAT_EQ(acc.Threshold(), 0.5f);
 }
 
-TEST(KernelTest, DotUnrolledMatchesNaive) {
+TEST(KernelTest, ActiveDotMatchesNaive) {
   Rng rng(13);
   for (size_t n : {0u, 1u, 3u, 4u, 7u, 64u, 129u}) {
     std::vector<float> a(n), b(n);
@@ -369,7 +370,7 @@ TEST(KernelTest, DotUnrolledMatchesNaive) {
     for (size_t i = 0; i < n; ++i) {
       naive += static_cast<double>(a[i]) * b[i];
     }
-    EXPECT_NEAR(DotUnrolled(a.data(), b.data(), n), naive, 1e-4)
+    EXPECT_NEAR(simd::ActiveOps().dot(a.data(), b.data(), n), naive, 1e-4)
         << "n=" << n;
   }
 }
@@ -575,29 +576,11 @@ TEST(KernelTest, BlockedSimVisitStreamsMatMulCells) {
 // SIMD dispatch
 // ---------------------------------------------------------------------------
 
-// Tolerance for reduction kernels across backends: the AVX2 path uses
-// 8-wide FMA accumulation, so dot results may differ from the scalar grid
-// in the last ulps (simd.h rounding contract) but never by more than a few
-// ulps of the accumulated magnitude.
-constexpr float kCrossBackendDotTol = 1e-4f;
-
 TEST(SimdTest, ActiveBackendIsResolvable) {
   const simd::Ops& ops = simd::ActiveOps();
   EXPECT_TRUE(ops.backend == simd::Backend::kScalar ||
               ops.backend == simd::Backend::kAvx2);
   EXPECT_STREQ(simd::BackendName(ops.backend), ops.name);
-  // kAuto must resolve to the process-wide table.
-  EXPECT_EQ(&simd::Resolve(simd::Choice::kAuto), &ops);
-  EXPECT_EQ(simd::Resolve(simd::Choice::kScalar).backend,
-            simd::Backend::kScalar);
-  if (simd::Avx2Available()) {
-    EXPECT_EQ(simd::Resolve(simd::Choice::kAvx2).backend,
-              simd::Backend::kAvx2);
-  } else {
-    // Unavailable AVX2 must degrade to scalar, never crash.
-    EXPECT_EQ(simd::Resolve(simd::Choice::kAvx2).backend,
-              simd::Backend::kScalar);
-  }
 }
 
 TEST(SimdTest, ScalarKernelsMatchNaive) {
@@ -632,7 +615,7 @@ TEST(SimdTest, Dot4MatchesDotPerColumnOnEveryBackend) {
   Rng rng(41);
   std::vector<const simd::Ops*> tables = {&simd::ScalarOps()};
   if (simd::Avx2Available()) tables.push_back(simd::Avx2OpsOrNull());
-  // Sizes cover the 8-wide body, the 4-wide scalar grid and ragged tails.
+  // Sizes cover the 16-wide body, a lone 8-block and ragged tails.
   for (size_t n : {1u, 4u, 8u, 11u, 16u, 19u, 64u, 100u}) {
     std::vector<float> a(n), b0(n), b1(n), b2(n), b3(n);
     for (size_t i = 0; i < n; ++i) {
@@ -659,22 +642,43 @@ TEST(SimdTest, Dot4MatchesDotPerColumnOnEveryBackend) {
   }
 }
 
-TEST(SimdTest, Avx2ReductionsMatchScalarWithinTolerance) {
+// dot and dot4 return the same bits on every backend (simd.h rounding
+// contract). Columns 2 and 3 are cancellation-heavy: past the first
+// 16-block, every other 16-block repeats `a` and negates (column 3: nearly
+// negates) `b`, so each accumulator lane adds a product and then (nearly)
+// its negation. A fused multiply-add keeps the low bits of the second
+// product that a separate multiply and add would round away, so a kernel
+// that does not fuse where the other does fails here.
+TEST(SimdTest, ReductionsAreBitIdenticalAcrossBackends) {
   if (!simd::Avx2Available()) {
     GTEST_SKIP() << "AVX2+FMA not available on this host/build";
   }
   Rng rng(42);
   const simd::Ops& scalar = simd::ScalarOps();
   const simd::Ops& avx2 = *simd::Avx2OpsOrNull();
-  for (size_t n : {1u, 7u, 8u, 9u, 63u, 64u, 200u}) {
-    std::vector<float> a(n), b(n);
+  for (size_t n = 0; n <= 70; ++n) {
+    std::vector<float> a(n);
+    std::vector<std::vector<float>> b(4, std::vector<float>(n));
     for (size_t i = 0; i < n; ++i) {
-      a[i] = static_cast<float>(rng.NextDouble() - 0.5);
-      b[i] = static_cast<float>(rng.NextDouble() - 0.5);
+      a[i] = static_cast<float>(rng.NextGaussian());
+      for (auto& col : b) col[i] = static_cast<float>(rng.NextGaussian());
+      if (i >= 16 && (i / 16) % 2 == 1) {
+        a[i] = a[i - 16];
+        b[2][i] = -b[2][i - 16];
+        b[3][i] = -b[3][i - 16] * (1.0f + 0x1p-10f);
+      }
     }
-    EXPECT_NEAR(avx2.dot(a.data(), b.data(), n),
-                scalar.dot(a.data(), b.data(), n), kCrossBackendDotTol)
-        << "n=" << n;
+    float out_scalar[4], out_avx2[4];
+    scalar.dot4(a.data(), b[0].data(), b[1].data(), b[2].data(), b[3].data(),
+                n, out_scalar);
+    avx2.dot4(a.data(), b[0].data(), b[1].data(), b[2].data(), b[3].data(),
+              n, out_avx2);
+    for (size_t c = 0; c < 4; ++c) {
+      EXPECT_EQ(scalar.dot(a.data(), b[c].data(), n),
+                avx2.dot(a.data(), b[c].data(), n))
+          << "n=" << n << " column " << c;
+      EXPECT_EQ(out_scalar[c], out_avx2[c]) << "n=" << n << " column " << c;
+    }
   }
 }
 
@@ -758,49 +762,34 @@ TEST(SimdTest, CountGreaterExactOnEveryBackend) {
   }
 }
 
-// Cross-backend determinism of the blocked kernels: per-backend similarity
-// values agree within an epsilon bound, and the resulting top-K index sets
-// are identical (descending score, ties toward the lower index) on data
-// without engineered near-ties.
+// The blocked kernels' cells, and the scores in their top-K lists, are the
+// scalar reference dots bit for bit, whichever backend is active. The
+// width 27 runs one 16-block, a lone 8-block and a 3-element tail.
 TEST(SimdTest, BlockedKernelsBackendInvariant) {
-  if (!simd::Avx2Available()) {
-    GTEST_SKIP() << "AVX2+FMA not available on this host/build";
-  }
   Rng rng(45);
-  Matrix a(57, 24), b(49, 24);
+  Matrix a(57, 27), b(49, 27);
   a.InitGaussian(&rng, 1.0f);
   b.InitGaussian(&rng, 1.0f);
+  const simd::Ops& scalar = simd::ScalarOps();
 
-  BlockedKernelOptions scalar_opts, avx2_opts;
-  scalar_opts.backend = simd::Choice::kScalar;
-  avx2_opts.backend = simd::Choice::kAvx2;
-
-  Matrix out_scalar, out_avx2;
-  BlockedMatMulNT(a, b, &out_scalar, scalar_opts);
-  BlockedMatMulNT(a, b, &out_avx2, avx2_opts);
-  for (size_t r = 0; r < out_scalar.rows(); ++r) {
-    for (size_t c = 0; c < out_scalar.cols(); ++c) {
-      EXPECT_NEAR(out_scalar(r, c), out_avx2(r, c), kCrossBackendDotTol)
+  Matrix out;
+  BlockedMatMulNT(a, b, &out);
+  for (size_t r = 0; r < out.rows(); ++r) {
+    for (size_t c = 0; c < out.cols(); ++c) {
+      EXPECT_EQ(out(r, c), scalar.dot(a.RowData(r), b.RowData(c), a.cols()))
           << "r=" << r << " c=" << c;
     }
   }
 
-  SimTopK topk_scalar = BlockedSimTopK(a, b, 7, 5, scalar_opts);
-  SimTopK topk_avx2 = BlockedSimTopK(a, b, 7, 5, avx2_opts);
-  for (size_t r = 0; r < topk_scalar.row_topk.size(); ++r) {
-    ASSERT_EQ(topk_scalar.row_topk[r].size(), topk_avx2.row_topk[r].size());
-    for (size_t i = 0; i < topk_scalar.row_topk[r].size(); ++i) {
-      EXPECT_EQ(topk_scalar.row_topk[r][i].index,
-                topk_avx2.row_topk[r][i].index)
-          << "r=" << r << " i=" << i;
+  SimTopK topk = BlockedSimTopK(a, b, 7, 5);
+  for (size_t r = 0; r < topk.row_topk.size(); ++r) {
+    for (const ScoredIndex& e : topk.row_topk[r]) {
+      EXPECT_EQ(e.score, out(r, e.index)) << "r=" << r;
     }
   }
-  for (size_t c = 0; c < topk_scalar.col_topk.size(); ++c) {
-    ASSERT_EQ(topk_scalar.col_topk[c].size(), topk_avx2.col_topk[c].size());
-    for (size_t i = 0; i < topk_scalar.col_topk[c].size(); ++i) {
-      EXPECT_EQ(topk_scalar.col_topk[c][i].index,
-                topk_avx2.col_topk[c][i].index)
-          << "c=" << c << " i=" << i;
+  for (size_t c = 0; c < topk.col_topk.size(); ++c) {
+    for (const ScoredIndex& e : topk.col_topk[c]) {
+      EXPECT_EQ(e.score, out(e.index, c)) << "c=" << c;
     }
   }
 }
