@@ -134,18 +134,6 @@ BENCHMARK(BM_PoolTopK_Blocked)
     ->Args({2048, 64})
     ->Unit(benchmark::kMillisecond);
 
-void BM_BlockedMatMulNT(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  SimBenchInput& input = SimInput(n, 64);
-  Matrix out;
-  for (auto _ : state) {
-    BlockedMatMulNT(input.a, input.b, &out);
-    benchmark::DoNotOptimize(out.RowData(0));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n * n);
-}
-BENCHMARK(BM_BlockedMatMulNT)->Arg(512)->Arg(1024)->Unit(benchmark::kMillisecond);
-
 // --------------------------------------------------------------------------
 // SIMD kernel backend: the scalar reference dot kernels against the
 // runtime-dispatched backend (the same bits, see simd.h). GFLOPS counters
@@ -208,22 +196,6 @@ void BM_KernelDot4_Dispatched(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelDot4_Scalar)->Arg(64)->Arg(256);
 BENCHMARK(BM_KernelDot4_Dispatched)->Arg(64)->Arg(256);
-
-void BM_KernelMatMulNT_Dispatched(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const size_t dim = 64;
-  SimBenchInput& input = SimInput(n, dim);
-  Matrix out;
-  for (auto _ : state) {
-    BlockedMatMulNT(input.a, input.b, &out);
-    benchmark::DoNotOptimize(out.RowData(0));
-  }
-  state.counters["GFLOPS"] = benchmark::Counter(
-      2.0 * static_cast<double>(n) * n * dim * state.iterations(),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_KernelMatMulNT_Dispatched)->Arg(512)->Arg(1024)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_KernelPoolTopK_Dispatched(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

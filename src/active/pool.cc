@@ -100,9 +100,7 @@ void PoolGenerator::EnsureIndexLocked() const {
   span.AddArg("n1", static_cast<double>(n1));
   span.AddArg("n2", static_cast<double>(n2));
 
-  // Signatures (parallel). The KG1 side is unit-normalized here; the KG2
-  // side is normalized inside the index build (config.normalize) with the
-  // exact same arithmetic, so either placement yields bitwise-equal rows.
+  // Unit-normalized signatures of both sides (parallel).
   Matrix& queries = cache_->queries;
   queries = Matrix(n1, sig_dim);
   Matrix sig2(n2, sig_dim);
@@ -113,12 +111,12 @@ void PoolGenerator::EnsureIndexLocked() const {
     queries.SetRow(e, s);
   });
   pool.ParallelFor(n2, [this, &sig2](size_t e) {
-    sig2.SetRow(e, Signature(2, static_cast<EntityId>(e)));
+    Vector s = Signature(2, static_cast<EntityId>(e));
+    s.Normalize();
+    sig2.SetRow(e, s);
   });
 
-  CandidateIndexConfig index_cfg;
-  index_cfg.normalize = true;
-  auto built = CandidateIndex::Build(std::move(sig2), index_cfg);
+  auto built = CandidateIndex::Build(std::move(sig2));
   DAAKG_CHECK(built.ok()) << built.status();
   cache_->index = std::move(built.value());
 }

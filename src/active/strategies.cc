@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "tensor/ops.h"
 
 namespace daakg {
 namespace {

@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
-#include <tuple>
 
 #include "align/losses.h"
+#include "align/metrics.h"
 #include "common/thread_pool.h"
 #include "index/candidate_index.h"
 #include "obs/trace.h"
-#include "tensor/ops.h"
 #include "tensor/simd/simd.h"
 #include "tensor/topk.h"
 
@@ -189,7 +189,7 @@ void JointAlignmentModel::ComputeEntityStats() {
   pool.ParallelFor(n2, [&](size_t e) { normalize_row(&unit2, e); });
 
   ent_stats_ = BlockedSimStats(unit1_, unit2, config_.z_ent);
-  auto index = CandidateIndex::Build(std::move(unit2), CandidateIndexConfig{});
+  auto index = CandidateIndex::Build(std::move(unit2));
   DAAKG_CHECK(index.ok()) << index.status();
   entity_index_ = std::move(*index);
 
@@ -674,43 +674,27 @@ JointAlignmentModel::MineSemiSupervision() const {
   DAAKG_CHECK(caches_ready());
   std::vector<std::pair<ElementPair, double>> mined;
 
-  // Candidates above tau in row-major order, then greedy one-to-one
-  // conflict resolution ("we discard the pairs with lower similarity
-  // scores"). Entity rows come from the index, which returns cells >= a
-  // float threshold; every float cell > tau is >= float(tau).
-  auto mine = [&](const std::vector<std::vector<ScoredIndex>>& rows,
-                  size_t cols, ElementKind kind) {
-    std::vector<std::tuple<float, uint32_t, uint32_t>> cands;
-    for (uint32_t r = 0; r < rows.size(); ++r) {
-      for (const ScoredIndex& e : rows[r]) {
-        if (e.score > config_.tau) cands.emplace_back(e.score, r, e.index);
-      }
+  // Candidates above tau, greedy one-to-one conflict resolution ("we
+  // discard the pairs with lower similarity scores"), S0 read back from the
+  // cell. The sweep takes cells >= a float threshold; the smallest float
+  // above tau makes that exactly score > tau.
+  float t = static_cast<float>(config_.tau);
+  if (static_cast<double>(t) <= config_.tau) {
+    t = std::nextafter(t, std::numeric_limits<float>::infinity());
+  }
+  const CandidateIndex& index = *entity_index_;
+  for (const auto& [e1, e2] : GreedyOneToOneMatches(
+           index.QueryAbove(unit1_, t), index.base().rows())) {
+    mined.push_back({ElementPair{ElementKind::kEntity, e1, e2},
+                     index.Score(unit1_.RowData(e1), e2)});
+  }
+  for (ElementKind kind : {ElementKind::kRelation, ElementKind::kClass}) {
+    const Matrix& sim = kind == ElementKind::kRelation ? rel_sim_ : cls_sim_;
+    for (const auto& [a, b] :
+         GreedyOneToOneMatches(CellsAbove(sim, t), sim.cols())) {
+      mined.push_back({ElementPair{kind, a, b}, sim(a, b)});
     }
-    std::sort(cands.begin(), cands.end(), [](const auto& a, const auto& b) {
-      return std::get<0>(a) > std::get<0>(b);
-    });
-    std::vector<bool> used_r(rows.size(), false);
-    std::vector<bool> used_c(cols, false);
-    for (const auto& [score, r, c] : cands) {
-      if (used_r[r] || used_c[c]) continue;
-      used_r[r] = true;
-      used_c[c] = true;
-      mined.push_back({ElementPair{kind, r, c}, static_cast<double>(score)});
-    }
-  };
-  auto matrix_rows = [](const Matrix& sim) {
-    std::vector<std::vector<ScoredIndex>> rows(sim.rows());
-    for (uint32_t r = 0; r < sim.rows(); ++r) {
-      for (uint32_t c = 0; c < sim.cols(); ++c) {
-        rows[r].push_back({c, sim(r, c)});
-      }
-    }
-    return rows;
-  };
-  mine(entity_index_->QueryAbove(unit1_, static_cast<float>(config_.tau)),
-       entity_index_->base().rows(), ElementKind::kEntity);
-  mine(matrix_rows(rel_sim_), rel_sim_.cols(), ElementKind::kRelation);
-  mine(matrix_rows(cls_sim_), cls_sim_.cols(), ElementKind::kClass);
+  }
   return mined;
 }
 

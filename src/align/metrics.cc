@@ -5,15 +5,9 @@
 #include <tuple>
 
 #include "common/logging.h"
-#include "index/candidate_index.h"
-#include "tensor/topk.h"
 
 namespace daakg {
 
-namespace {
-
-// H@1 / H@10 / MRR from each test pair's count of strictly better cells,
-// folded in test-pair order.
 RankingMetrics FoldRanks(const std::vector<size_t>& greater) {
   RankingMetrics m;
   for (size_t g : greater) {
@@ -32,16 +26,21 @@ RankingMetrics FoldRanks(const std::vector<size_t>& greater) {
   return m;
 }
 
-// Shared tail of the greedy one-to-one matching: sort by score (descending;
-// the sort sees the cells in row-major order, so equal scores resolve the
-// same way for every producer of that order) and sweep.
-std::vector<std::pair<uint32_t, uint32_t>> GreedySweep(
-    std::vector<std::tuple<float, uint32_t, uint32_t>>&& cells, size_t rows,
-    size_t cols) {
+std::vector<std::pair<uint32_t, uint32_t>> GreedyOneToOneMatches(
+    const CellRows& rows, size_t cols) {
+  size_t total = 0;
+  for (const auto& row : rows) total += row.size();
+  std::vector<std::tuple<float, uint32_t, uint32_t>> cells;
+  cells.reserve(total);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (const ScoredIndex& e : rows[r]) {
+      cells.emplace_back(e.score, static_cast<uint32_t>(r), e.index);
+    }
+  }
   std::sort(cells.begin(), cells.end(), [](const auto& a, const auto& b) {
     return std::get<0>(a) > std::get<0>(b);
   });
-  std::vector<bool> used_row(rows, false);
+  std::vector<bool> used_row(rows.size(), false);
   std::vector<bool> used_col(cols, false);
   std::vector<std::pair<uint32_t, uint32_t>> matches;
   for (const auto& [score, r, c] : cells) {
@@ -54,7 +53,6 @@ std::vector<std::pair<uint32_t, uint32_t>> GreedySweep(
   return matches;
 }
 
-// Precision / recall / F1 of `predicted` against `gold_pairs`.
 PrfMetrics ScoreMatches(
     const std::vector<std::pair<uint32_t, uint32_t>>& predicted,
     const std::vector<std::pair<uint32_t, uint32_t>>& gold_pairs) {
@@ -81,9 +79,17 @@ PrfMetrics ScoreMatches(
   return m;
 }
 
-}  // namespace
+CellRows CellsAbove(const Matrix& sim, float threshold) {
+  CellRows rows(sim.rows());
+  for (uint32_t r = 0; r < sim.rows(); ++r) {
+    for (uint32_t c = 0; c < sim.cols(); ++c) {
+      if (sim(r, c) >= threshold) rows[r].push_back({c, sim(r, c)});
+    }
+  }
+  return rows;
+}
 
-RankingMetrics EvaluateRanking(
+std::vector<size_t> GreaterCounts(
     const Matrix& sim,
     const std::vector<std::pair<uint32_t, uint32_t>>& test_pairs) {
   std::vector<size_t> greater;
@@ -96,13 +102,13 @@ RankingMetrics EvaluateRanking(
     // compares equal, so no index needs excluding.
     greater.push_back(CountGreater(row, sim.cols(), row[second]));
   }
-  return FoldRanks(greater);
+  return greater;
 }
 
-RankingMetrics EvaluateRankingStreaming(
+std::vector<size_t> GreaterCounts(
     const CandidateIndex& index, const Matrix& a,
     const std::vector<std::pair<uint32_t, uint32_t>>& test_pairs) {
-  if (test_pairs.empty()) return RankingMetrics();
+  if (test_pairs.empty()) return {};
   const Matrix& b = index.base();
   DAAKG_CHECK_EQ(a.cols(), b.cols());
   const size_t num_queries = test_pairs.size();
@@ -124,9 +130,8 @@ RankingMetrics EvaluateRankingStreaming(
     std::copy_n(a.RowData(unique_rows[i]), a.cols(), aq.RowData(i));
   }
 
-  // Targets via the index's single-cell primitive — the same dispatched
-  // dot as the index's tile cells, so the target equals the value the
-  // materialized path reads out of its row.
+  // Targets via the index's single-cell primitive: the same dispatched dot
+  // as the index's tile cells, so each target is its tile cell bit for bit.
   std::vector<RankQuery> rank_queries(num_queries);
   for (size_t q = 0; q < num_queries; ++q) {
     rank_queries[q].query_row =
@@ -134,55 +139,7 @@ RankingMetrics EvaluateRankingStreaming(
     rank_queries[q].target = index.Score(aq.RowData(rank_queries[q].query_row),
                                          test_pairs[q].second);
   }
-
-  return FoldRanks(index.CountAbove(aq, rank_queries));
-}
-
-std::vector<std::pair<uint32_t, uint32_t>> GreedyOneToOneMatches(
-    const Matrix& sim, float threshold) {
-  // Qualifying cells in row-major order, the order the index variant
-  // produces too.
-  std::vector<std::tuple<float, uint32_t, uint32_t>> cells;
-  for (uint32_t r = 0; r < sim.rows(); ++r) {
-    for (uint32_t c = 0; c < sim.cols(); ++c) {
-      if (sim(r, c) >= threshold) cells.emplace_back(sim(r, c), r, c);
-    }
-  }
-  return GreedySweep(std::move(cells), sim.rows(), sim.cols());
-}
-
-std::vector<std::pair<uint32_t, uint32_t>> GreedyOneToOneMatches(
-    const CandidateIndex& index, const Matrix& queries, float threshold) {
-  // QueryAbove returns each row's qualifying cells in ascending base-row
-  // order; concatenating rows in order reproduces the row-major cell
-  // sequence of the matrix variant bitwise, so the shared sweep behaves
-  // identically.
-  const auto rows = index.QueryAbove(queries, threshold);
-  size_t total = 0;
-  for (const auto& row : rows) total += row.size();
-  std::vector<std::tuple<float, uint32_t, uint32_t>> cells;
-  cells.reserve(total);
-  for (size_t r = 0; r < rows.size(); ++r) {
-    for (const ScoredIndex& e : rows[r]) {
-      cells.emplace_back(e.score, static_cast<uint32_t>(r), e.index);
-    }
-  }
-  return GreedySweep(std::move(cells), queries.rows(), index.base().rows());
-}
-
-PrfMetrics EvaluateGreedyMatching(
-    const Matrix& sim,
-    const std::vector<std::pair<uint32_t, uint32_t>>& gold_pairs,
-    float threshold) {
-  return ScoreMatches(GreedyOneToOneMatches(sim, threshold), gold_pairs);
-}
-
-PrfMetrics EvaluateGreedyMatching(
-    const CandidateIndex& index, const Matrix& queries,
-    const std::vector<std::pair<uint32_t, uint32_t>>& gold_pairs,
-    float threshold) {
-  return ScoreMatches(GreedyOneToOneMatches(index, queries, threshold),
-                      gold_pairs);
+  return index.CountAbove(aq, rank_queries);
 }
 
 }  // namespace daakg

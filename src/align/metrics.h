@@ -13,6 +13,13 @@ namespace daakg {
 
 // Evaluation metrics of Sect. 7.1: H@k / MRR (ranking) and
 // precision / recall / F1 under the greedy one-to-one matching of [34].
+//
+// One matching core reads candidate cells only: the rank fold takes each
+// test pair's count of strictly greater cells, the greedy sweep each row's
+// cells at or above a threshold. Producers stream the entity cells
+// (CandidateIndex, the baselines' tile walks, PARIS's sparse map); the
+// schema-sized relation and class matrices go through the dense producers
+// below.
 
 struct RankingMetrics {
   double hits_at_1 = 0.0;
@@ -29,52 +36,46 @@ struct PrfMetrics {
   size_t num_correct = 0;
 };
 
-// `sim` is a full |X1| x |X2| similarity matrix; `test_pairs` hold gold
-// (first, second) index pairs. For each pair, the rank of `second` among
-// all columns of row `first` is measured (1-based, optimistic tie break
-// disabled: ties count as worse rank).
-RankingMetrics EvaluateRanking(
+// Candidate cells, one list per row: the row's (column, score) cells at or
+// above a threshold in ascending column order, the CandidateIndex::
+// QueryAbove format. Concatenated row after row they are the row-major scan
+// of the similarity matrix.
+using CellRows = std::vector<std::vector<ScoredIndex>>;
+
+// Dense producer: the cells of `sim` at or above `threshold`.
+CellRows CellsAbove(const Matrix& sim, float threshold);
+
+// Dense producer: per test pair (first, second), the number of cells of
+// row `first` of `sim` strictly greater than cell (first, second).
+std::vector<size_t> GreaterCounts(
     const Matrix& sim,
     const std::vector<std::pair<uint32_t, uint32_t>>& test_pairs);
 
-// Streaming variant: ranks each test pair's target among the candidate
-// scores the index produces for query row `first` of `a`, without
-// materializing a * base^T (extra memory O(unique_rows * dim)). It equals
-// EvaluateRanking on BlockedMatMulNT(a, base) bit-for-bit: tile cells and
-// the target cell come from the same dispatched kernels, and ranks fold in
-// test-pair order. `index.base()` must hold the rows of `b` (pairs'
-// `second` indexes into it).
-RankingMetrics EvaluateRankingStreaming(
+// Streaming producer: the same counts over the cells a * index.base()^T,
+// from the index's tile walk and its Score cell, with extra memory
+// O(unique_rows * dim). `second` indexes the base rows.
+std::vector<size_t> GreaterCounts(
     const CandidateIndex& index, const Matrix& a,
     const std::vector<std::pair<uint32_t, uint32_t>>& test_pairs);
 
-// Greedy one-to-one matching: repeatedly takes the highest-similarity
-// unused (row, col) pair with similarity >= threshold, then scores the
-// predicted set against `gold_pairs` restricted to rows/cols that appear in
-// gold (so dangling elements don't inflate the denominator is NOT done --
-// the paper counts all predictions; we follow the paper).
-PrfMetrics EvaluateGreedyMatching(
-    const Matrix& sim,
-    const std::vector<std::pair<uint32_t, uint32_t>>& gold_pairs,
-    float threshold);
+// H@1 / H@10 / MRR from each test pair's count of strictly greater cells
+// (rank 1 + count: ties with the target do not worsen it), folded in
+// test-pair order.
+RankingMetrics FoldRanks(const std::vector<size_t>& greater);
 
-// Index-based variant: the predictions of GreedyOneToOneMatches(index,
-// queries, threshold), scored the same way.
-PrfMetrics EvaluateGreedyMatching(
-    const CandidateIndex& index, const Matrix& queries,
-    const std::vector<std::pair<uint32_t, uint32_t>>& gold_pairs,
-    float threshold);
-
-// Convenience: the greedy one-to-one predicted pairs themselves.
+// Greedy one-to-one matching over `rows` (columns < cols): repeatedly takes
+// the highest-scoring cell whose row and column are both unused. Cells are
+// sorted by score from their row-major order, so equal scores resolve the
+// same way for every producer of the same cells.
 std::vector<std::pair<uint32_t, uint32_t>> GreedyOneToOneMatches(
-    const Matrix& sim, float threshold);
+    const CellRows& rows, size_t cols);
 
-// Index-based variant: candidate cells come from index.QueryAbove(queries,
-// threshold) instead of a materialized matrix. The cell sequence matches
-// the matrix scan's row-major order bit-for-bit, so the result is identical
-// to GreedyOneToOneMatches(queries * base^T, thr).
-std::vector<std::pair<uint32_t, uint32_t>> GreedyOneToOneMatches(
-    const CandidateIndex& index, const Matrix& queries, float threshold);
+// Precision / recall / F1 of `predicted` against `gold_pairs`. Every
+// prediction counts, as in the paper (dangling elements are not excluded
+// from the denominator).
+PrfMetrics ScoreMatches(
+    const std::vector<std::pair<uint32_t, uint32_t>>& predicted,
+    const std::vector<std::pair<uint32_t, uint32_t>>& gold_pairs);
 
 }  // namespace daakg
 

@@ -85,9 +85,9 @@ BaselineResult BertMapLite::Run(const SeedAlignment& seed) {
   BaselineResult result;
   result.name = "BERTMap";
   const auto cls_test = TestPairs(task_->gold_classes, seed.classes);
-  result.eval.cls_rank = EvaluateRanking(sim, cls_test);
-  result.eval.cls_prf =
-      EvaluateGreedyMatching(sim, cls_test, kOutputThreshold);
+  result.eval.cls_rank = FoldRanks(GreaterCounts(sim, cls_test));
+  result.eval.cls_prf = ScoreMatches(
+      GreedyOneToOneMatches(CellsAbove(sim, kOutputThreshold), k2), cls_test);
   result.train_seconds = span.Finish();
   return result;
 }

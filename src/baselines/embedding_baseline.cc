@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
-#include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "obs/trace.h"
 #include "tensor/topk.h"
 
@@ -16,47 +14,80 @@ constexpr char kTypeRelName[] = "__type__";
 // RSN path augmentation: how many composite relations to add.
 constexpr size_t kPathAugmentRelations = 8;
 
-// Pairwise character-bigram Jaccard similarity between two name lists.
-Matrix NameSimilarityMatrix(const std::vector<std::string>& names1,
-                            const std::vector<std::string>& names2) {
-  auto grams = [](const std::string& s) {
-    std::unordered_set<uint32_t> out;
-    for (size_t i = 0; i + 2 <= s.size(); ++i) {
-      out.insert(static_cast<uint32_t>(static_cast<unsigned char>(s[i])) << 8 |
-                 static_cast<unsigned char>(s[i + 1]));
-    }
-    return out;
-  };
-  std::vector<std::unordered_set<uint32_t>> g1(names1.size());
-  std::vector<std::unordered_set<uint32_t>> g2(names2.size());
-  for (size_t i = 0; i < names1.size(); ++i) g1[i] = grams(names1[i]);
-  for (size_t i = 0; i < names2.size(); ++i) g2[i] = grams(names2[i]);
+// The literal view of AttrE / MultiKE: the character-bigram Jaccard
+// similarity of two elements' names, blended into a structural cell as
+// (1 - w) * cell + w * jaccard. With w <= 0 the view is off: Blend
+// returns the cell.
+class NameView {
+ public:
+  NameView(std::vector<std::string> names1, std::vector<std::string> names2,
+           double weight)
+      : names1_(std::move(names1)),
+        names2_(std::move(names2)),
+        weight_(static_cast<float>(weight)) {
+    if (weight_ <= 0.0f) return;
+    for (const std::string& n : names1_) grams1_.push_back(Bigrams(n));
+    for (const std::string& n : names2_) grams2_.push_back(Bigrams(n));
+  }
 
-  Matrix sim(names1.size(), names2.size());
-  GlobalThreadPool().ParallelFor(names1.size(), [&](size_t r) {
-    float* row = sim.RowData(r);
-    for (size_t c = 0; c < names2.size(); ++c) {
-      size_t inter = 0;
-      for (uint32_t g : g1[r]) inter += g2[c].count(g);
-      const size_t uni = g1[r].size() + g2[c].size() - inter;
-      row[c] = uni == 0 ? (names1[r] == names2[c] ? 1.0f : 0.0f)
-                        : static_cast<float>(inter) / static_cast<float>(uni);
+  float Blend(float cell, size_t i, size_t j) const {
+    if (weight_ <= 0.0f) return cell;
+    return (1.0f - weight_) * cell + weight_ * Jaccard(i, j);
+  }
+
+ private:
+  // The distinct character bigrams of `name`, sorted.
+  static std::vector<uint32_t> Bigrams(const std::string& name) {
+    std::vector<uint32_t> out;
+    for (size_t i = 0; i + 2 <= name.size(); ++i) {
+      out.push_back(static_cast<uint32_t>(static_cast<unsigned char>(name[i]))
+                        << 8 |
+                    static_cast<unsigned char>(name[i + 1]));
     }
-  });
-  return sim;
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  }
+
+  float Jaccard(size_t i, size_t j) const {
+    const std::vector<uint32_t>& a = grams1_[i];
+    const std::vector<uint32_t>& b = grams2_[j];
+    size_t inter = 0;
+    for (size_t x = 0, y = 0; x < a.size() && y < b.size();) {
+      if (a[x] < b[y]) {
+        ++x;
+      } else if (b[y] < a[x]) {
+        ++y;
+      } else {
+        ++inter;
+        ++x;
+        ++y;
+      }
+    }
+    const size_t uni = a.size() + b.size() - inter;
+    return uni == 0 ? (names1_[i] == names2_[j] ? 1.0f : 0.0f)
+                    : static_cast<float>(inter) / static_cast<float>(uni);
+  }
+
+  std::vector<std::string> names1_, names2_;
+  std::vector<std::vector<uint32_t>> grams1_, grams2_;
+  float weight_;
+};
+
+std::vector<std::string> EntityNames(const KnowledgeGraph& kg) {
+  std::vector<std::string> names(kg.num_entities());
+  for (size_t e = 0; e < names.size(); ++e) {
+    names[e] = kg.entity_name(static_cast<EntityId>(e));
+  }
+  return names;
 }
 
-void BlendInPlace(Matrix* base, const Matrix& other, double w) {
-  DAAKG_CHECK_EQ(base->rows(), other.rows());
-  DAAKG_CHECK_EQ(base->cols(), other.cols());
-  const float fw = static_cast<float>(w);
-  for (size_t r = 0; r < base->rows(); ++r) {
-    float* a = base->RowData(r);
-    const float* b = other.RowData(r);
-    for (size_t c = 0; c < base->cols(); ++c) {
-      a[c] = (1.0f - fw) * a[c] + fw * b[c];
-    }
+std::vector<std::string> BaseRelationNames(const KnowledgeGraph& kg) {
+  std::vector<std::string> names(kg.num_base_relations());
+  for (size_t r = 0; r < names.size(); ++r) {
+    names[r] = kg.relation_name(static_cast<RelationId>(r));
   }
+  return names;
 }
 
 // Copies one KG into `out`, turning classes into entities connected via a
@@ -167,65 +198,74 @@ BaselineResult EmbeddingBaseline::Run(const SeedAlignment& seed) {
   DaakgAligner aligner(&transformed_, config_.daakg);
   aligner.Train(mapped_seed);
   const JointAlignmentModel& joint = *aligner.joint();
-  const Matrix& full_rel_sim = joint.relation_sim();
 
   BaselineResult result;
   result.name = config_.name;
+  const double w = config_.name_view_weight;
+  const NameView ent_names(EntityNames(transformed_.kg1),
+                           EntityNames(transformed_.kg2), w);
+  const NameView rel_names(BaseRelationNames(task_->kg1),
+                           BaseRelationNames(task_->kg2), w);
+  const Matrix& unit1 = joint.unit_mapped1();
+  const CandidateIndex& index = joint.entity_index();
+  auto ent_cell = [&](uint32_t e1, uint32_t e2) {
+    return ent_names.Blend(index.Score(unit1.RowData(e1), e2), e1, e2);
+  };
+  const float thr = kMatchThreshold;
 
-  // Similarity matrices for evaluation, with optional literal blending
-  // (which needs the dense entity matrix). The relation matrix is trimmed
-  // to the base relations, dropping the synthetic `type` (and composite)
-  // ones.
-  Matrix ent_sim;
-  BlockedMatMulNT(joint.unit_mapped1(), joint.unit_repr2(), &ent_sim);
+  // Entities: one walk over the cells unit_mapped1 * unit_repr2^T, each
+  // blended with the name view, yields every test pair's count of greater
+  // cells and every row's cells at or above the threshold. A row's tiles
+  // all come from one shard, so each row's state has a single writer.
+  auto ent_test = TestPairs(task_->gold_entities, seed.entities);
+  std::vector<float> targets(ent_test.size());
+  std::vector<std::vector<size_t>> tests_of_row(unit1.rows());
+  for (size_t i = 0; i < ent_test.size(); ++i) {
+    targets[i] = ent_cell(ent_test[i].first, ent_test[i].second);
+    tests_of_row[ent_test[i].first].push_back(i);
+  }
+  std::vector<size_t> ent_greater(ent_test.size(), 0);
+  CellRows ent_cells(unit1.rows());
+  BlockedSimVisit(unit1, index.base(), [&](size_t r, size_t c0,
+                                           const float* sims, size_t count) {
+    for (size_t j = 0; j < count; ++j) {
+      const uint32_t c = static_cast<uint32_t>(c0 + j);
+      const float cell = ent_names.Blend(sims[j], r, c);
+      if (cell >= thr) ent_cells[r].push_back({c, cell});
+      for (size_t i : tests_of_row[r]) ent_greater[i] += cell > targets[i];
+    }
+  });
+
+  // Relations: the base relations of the schema matrix, dropping the
+  // synthetic `type` (and composite) ones. Classes: the cells of the
+  // class-entities.
   Matrix rel_sim(task_->kg1.num_base_relations(),
                  task_->kg2.num_base_relations());
-  for (size_t a = 0; a < rel_sim.rows(); ++a) {
-    for (size_t b = 0; b < rel_sim.cols(); ++b) {
-      rel_sim(a, b) = full_rel_sim(a, b);
+  for (uint32_t a = 0; a < rel_sim.rows(); ++a) {
+    for (uint32_t b = 0; b < rel_sim.cols(); ++b) {
+      rel_sim(a, b) = rel_names.Blend(joint.relation_sim()(a, b), a, b);
     }
   }
-  if (config_.name_view_weight > 0.0) {
-    std::vector<std::string> names1(transformed_.kg1.num_entities());
-    std::vector<std::string> names2(transformed_.kg2.num_entities());
-    for (size_t e = 0; e < names1.size(); ++e) {
-      names1[e] = transformed_.kg1.entity_name(static_cast<EntityId>(e));
-    }
-    for (size_t e = 0; e < names2.size(); ++e) {
-      names2[e] = transformed_.kg2.entity_name(static_cast<EntityId>(e));
-    }
-    BlendInPlace(&ent_sim, NameSimilarityMatrix(names1, names2),
-                 config_.name_view_weight);
-
-    std::vector<std::string> rnames1, rnames2;
-    for (size_t r = 0; r < task_->kg1.num_base_relations(); ++r) {
-      rnames1.push_back(task_->kg1.relation_name(static_cast<RelationId>(r)));
-    }
-    for (size_t r = 0; r < task_->kg2.num_base_relations(); ++r) {
-      rnames2.push_back(task_->kg2.relation_name(static_cast<RelationId>(r)));
-    }
-    BlendInPlace(&rel_sim, NameSimilarityMatrix(rnames1, rnames2),
-                 config_.name_view_weight);
-  }
-
-  // Class similarities = entity similarities of the class-entities.
   Matrix cls_sim(task_->kg1.num_classes(), task_->kg2.num_classes());
   for (size_t c1 = 0; c1 < cls_sim.rows(); ++c1) {
     for (size_t c2 = 0; c2 < cls_sim.cols(); ++c2) {
-      cls_sim(c1, c2) = ent_sim(cls_ent1_[c1], cls_ent2_[c2]);
+      cls_sim(c1, c2) = ent_cell(cls_ent1_[c1], cls_ent2_[c2]);
     }
   }
 
-  const float thr = kMatchThreshold;
-  auto ent_test = TestPairs(task_->gold_entities, seed.entities);
   auto rel_test = TestPairs(task_->gold_relations, seed.relations);
   auto cls_test = TestPairs(task_->gold_classes, seed.classes);
-  result.eval.ent_rank = EvaluateRanking(ent_sim, ent_test);
-  result.eval.rel_rank = EvaluateRanking(rel_sim, rel_test);
-  result.eval.cls_rank = EvaluateRanking(cls_sim, cls_test);
-  result.eval.ent_prf = EvaluateGreedyMatching(ent_sim, ent_test, thr);
-  result.eval.rel_prf = EvaluateGreedyMatching(rel_sim, rel_test, thr);
-  result.eval.cls_prf = EvaluateGreedyMatching(cls_sim, cls_test, thr);
+  auto dense_prf = [thr](const Matrix& sim, const auto& test) {
+    return ScoreMatches(GreedyOneToOneMatches(CellsAbove(sim, thr), sim.cols()),
+                        test);
+  };
+  result.eval.ent_rank = FoldRanks(ent_greater);
+  result.eval.rel_rank = FoldRanks(GreaterCounts(rel_sim, rel_test));
+  result.eval.cls_rank = FoldRanks(GreaterCounts(cls_sim, cls_test));
+  result.eval.ent_prf = ScoreMatches(
+      GreedyOneToOneMatches(ent_cells, index.base().rows()), ent_test);
+  result.eval.rel_prf = dense_prf(rel_sim, rel_test);
+  result.eval.cls_prf = dense_prf(cls_sim, cls_test);
   result.train_seconds = span.Finish();
   return result;
 }

@@ -162,10 +162,17 @@ BaselineResult Paris::Run(const SeedAlignment& seed) {
     refresh_best();
   }
 
-  // --- output matrices -------------------------------------------------------
-  Matrix ent_sim(n1, n2);
-  for (const auto& [key, p] : ent_prob) {
-    ent_sim(key >> 32, key & 0xFFFFFFFFu) = p;
+  // --- output cells ----------------------------------------------------------
+  // The entity cells are ent_prob's, row by row in ascending column order;
+  // every one is >= 0, so the implicit zero cells neither outrank a target
+  // nor clear kOutputThreshold.
+  std::vector<std::pair<uint64_t, float>> sorted(ent_prob.begin(),
+                                                 ent_prob.end());
+  std::sort(sorted.begin(), sorted.end());
+  CellRows ent_cells(n1);
+  for (const auto& [key, p] : sorted) {
+    ent_cells[key >> 32].push_back(
+        {static_cast<uint32_t>(key & 0xFFFFFFFFu), p});
   }
   Matrix rel_sim(kg1.num_base_relations(), kg2.num_base_relations());
   for (size_t r1 = 0; r1 < rel_sim.rows(); ++r1) {
@@ -204,15 +211,33 @@ BaselineResult Paris::Run(const SeedAlignment& seed) {
   auto ent_test = TestPairs(task_->gold_entities, seed.entities);
   auto rel_test = TestPairs(task_->gold_relations, seed.relations);
   auto cls_test = TestPairs(task_->gold_classes, seed.classes);
-  result.eval.ent_rank = EvaluateRanking(ent_sim, ent_test);
-  result.eval.rel_rank = EvaluateRanking(rel_sim, rel_test);
-  result.eval.cls_rank = EvaluateRanking(cls_sim, cls_test);
+  std::vector<size_t> ent_greater;
+  for (const auto& [e1, e2] : ent_test) {
+    auto it = ent_prob.find(Key(e1, e2));
+    const float target = it == ent_prob.end() ? 0.0f : it->second;
+    size_t greater = 0;
+    for (const ScoredIndex& cell : ent_cells[e1]) {
+      greater += cell.score > target;
+    }
+    ent_greater.push_back(greater);
+  }
+  for (auto& row : ent_cells) {
+    std::erase_if(row, [](const ScoredIndex& cell) {
+      return cell.score < kOutputThreshold;
+    });
+  }
+  auto dense_prf = [](const Matrix& sim, const auto& test) {
+    return ScoreMatches(
+        GreedyOneToOneMatches(CellsAbove(sim, kOutputThreshold), sim.cols()),
+        test);
+  };
+  result.eval.ent_rank = FoldRanks(ent_greater);
+  result.eval.rel_rank = FoldRanks(GreaterCounts(rel_sim, rel_test));
+  result.eval.cls_rank = FoldRanks(GreaterCounts(cls_sim, cls_test));
   result.eval.ent_prf =
-      EvaluateGreedyMatching(ent_sim, ent_test, kOutputThreshold);
-  result.eval.rel_prf =
-      EvaluateGreedyMatching(rel_sim, rel_test, kOutputThreshold);
-  result.eval.cls_prf =
-      EvaluateGreedyMatching(cls_sim, cls_test, kOutputThreshold);
+      ScoreMatches(GreedyOneToOneMatches(ent_cells, n2), ent_test);
+  result.eval.rel_prf = dense_prf(rel_sim, rel_test);
+  result.eval.cls_prf = dense_prf(cls_sim, cls_test);
   result.train_seconds = span.Finish();
   return result;
 }

@@ -1,6 +1,5 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <ctime>
@@ -8,8 +7,6 @@
 
 namespace daakg {
 namespace {
-
-std::atomic<LogLevel> g_log_level{LogLevel::kInfo};
 
 // Serializes log line emission across threads.
 std::mutex& LogMutex() {
@@ -44,11 +41,7 @@ const char* Basename(const char* path) {
 
 }  // namespace
 
-LogLevel GetLogLevel() { return g_log_level.load(std::memory_order_relaxed); }
-
-void SetLogLevel(LogLevel level) {
-  g_log_level.store(level, std::memory_order_relaxed);
-}
+LogLevel GetLogLevel() { return LogLevel::kInfo; }
 
 namespace internal_logging {
 

@@ -10,9 +10,8 @@ namespace daakg {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFatal = 4 };
 
-// Global minimum log level; messages below it are dropped. Default: kInfo.
+// Minimum log level (kInfo); messages below it are dropped.
 LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
 
 namespace internal_logging {
 

@@ -10,15 +10,8 @@ namespace daakg {
 // Splits `s` on `delim`, keeping empty fields.
 std::vector<std::string> StrSplit(std::string_view s, char delim);
 
-// Joins `parts` with `sep`.
-std::string StrJoin(const std::vector<std::string>& parts,
-                    std::string_view sep);
-
 // Removes leading and trailing ASCII whitespace.
 std::string_view StrTrim(std::string_view s);
-
-// True if `s` begins with `prefix`.
-bool StrStartsWith(std::string_view s, std::string_view prefix);
 
 // printf-style formatting into a std::string.
 std::string StrFormat(const char* format, ...)

@@ -15,6 +15,22 @@ namespace {
 // rounds once a third of the rounds have elapsed.
 constexpr int kSemiEvery = 12;
 
+// The greedy one-to-one matches at kMatchThreshold: entities through the
+// joint model's index over the unit rows, relations and classes from
+// their schema-sized matrices.
+DaakgAligner::Alignment GreedyAlignment(const JointAlignmentModel& joint) {
+  const CandidateIndex& index = joint.entity_index();
+  const Matrix& rel_sim = joint.relation_sim();
+  const Matrix& cls_sim = joint.class_sim();
+  return {GreedyOneToOneMatches(
+              index.QueryAbove(joint.unit_mapped1(), kMatchThreshold),
+              index.base().rows()),
+          GreedyOneToOneMatches(CellsAbove(rel_sim, kMatchThreshold),
+                                rel_sim.cols()),
+          GreedyOneToOneMatches(CellsAbove(cls_sim, kMatchThreshold),
+                                cls_sim.cols())};
+}
+
 }  // namespace
 
 Status DaakgConfig::Validate() const {
@@ -192,40 +208,24 @@ EvalResult DaakgAligner::Evaluate() {
   auto rel_test = TestPairs(task_->gold_relations, labeled_.relations);
   auto cls_test = TestPairs(task_->gold_classes, labeled_.classes);
 
-  const CandidateIndex& ent_index = joint_->entity_index();
+  const Matrix& unit1 = joint_->unit_mapped1();
+  const Matrix& rel_sim = joint_->relation_sim();
+  const Matrix& cls_sim = joint_->class_sim();
   out.ent_rank =
-      EvaluateRankingStreaming(ent_index, joint_->unit_mapped1(), ent_test);
-  out.rel_rank = EvaluateRanking(joint_->relation_sim(), rel_test);
-  out.cls_rank = EvaluateRanking(joint_->class_sim(), cls_test);
-  out.ent_prf = EvaluateGreedyMatching(ent_index, joint_->unit_mapped1(),
-                                       ent_test, kMatchThreshold);
-  out.rel_prf = EvaluateGreedyMatching(joint_->relation_sim(), rel_test,
-                                       kMatchThreshold);
-  out.cls_prf = EvaluateGreedyMatching(joint_->class_sim(), cls_test,
-                                       kMatchThreshold);
+      FoldRanks(GreaterCounts(joint_->entity_index(), unit1, ent_test));
+  out.rel_rank = FoldRanks(GreaterCounts(rel_sim, rel_test));
+  out.cls_rank = FoldRanks(GreaterCounts(cls_sim, cls_test));
+  const Alignment predicted = GreedyAlignment(*joint_);
+  out.ent_prf = ScoreMatches(predicted.entities, ent_test);
+  out.rel_prf = ScoreMatches(predicted.relations, rel_test);
+  out.cls_prf = ScoreMatches(predicted.classes, cls_test);
   return out;
 }
 
 DaakgAligner::Alignment DaakgAligner::ExtractAlignment() {
   obs::TraceSpan span("core.extract_alignment", "core");
   joint_->RefreshCaches();
-  Alignment out;
-  // Entities match through the joint model's index over the unit rows; the
-  // schema-sized relation and class matrices directly.
-  for (const auto& [a, b] :
-       GreedyOneToOneMatches(joint_->entity_index(), joint_->unit_mapped1(),
-                             kMatchThreshold)) {
-    out.entities.emplace_back(a, b);
-  }
-  for (const auto& [a, b] : GreedyOneToOneMatches(joint_->relation_sim(),
-                                                  kMatchThreshold)) {
-    out.relations.emplace_back(a, b);
-  }
-  for (const auto& [a, b] :
-       GreedyOneToOneMatches(joint_->class_sim(), kMatchThreshold)) {
-    out.classes.emplace_back(a, b);
-  }
-  return out;
+  return GreedyAlignment(*joint_);
 }
 
 }  // namespace daakg

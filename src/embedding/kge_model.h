@@ -134,7 +134,6 @@ class KgeModel {
   }
 
   Vector EntityVec(EntityId e) const { return entities_.Row(e); }
-  Vector RelationVec(RelationId r) const { return relations_.Row(r); }
 
   // Renormalizes entity embeddings onto the unit ball (called by the
   // trainer between epochs; standard for translational models).

@@ -1,9 +1,7 @@
 #include "index/candidate_index.h"
 
-#include <cmath>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/simd/simd.h"
@@ -27,38 +25,11 @@ obs::Histogram* QueryTiming() {
   return timing;
 }
 
-// Unit-normalizes `row` in place (zero rows untouched). Exact
-// Vector::Normalize arithmetic: double-accumulated squared norm narrowed to
-// float, float sqrt, then one reciprocal multiply per element (the
-// dispatched scale kernel is bit-identical to this loop on every backend —
-// rounding contract in tensor/simd/simd.h).
-void UnitNormalizeRow(float* row, size_t dim) {
-  double acc = 0.0;
-  for (size_t i = 0; i < dim; ++i) {
-    acc += static_cast<double>(row[i]) * row[i];
-  }
-  const float n = std::sqrt(static_cast<float>(acc));
-  if (n > 0.0f) {
-    const float inv = 1.0f / n;
-    for (size_t i = 0; i < dim; ++i) row[i] *= inv;
-  }
-}
-
-void UnitNormalizeRows(Matrix* m) {
-  const size_t dim = m->cols();
-  GlobalThreadPool().ParallelFor(
-      m->rows(), [m, dim](size_t r) { UnitNormalizeRow(m->RowData(r), dim); });
-}
-
 }  // namespace
 
-CandidateIndex::CandidateIndex(Matrix base, const CandidateIndexConfig& config)
-    : base_(std::move(base)) {
-  if (config.normalize) UnitNormalizeRows(&base_);
-}
+CandidateIndex::CandidateIndex(Matrix base) : base_(std::move(base)) {}
 
-StatusOr<std::unique_ptr<CandidateIndex>> CandidateIndex::Build(
-    Matrix base, const CandidateIndexConfig& config) {
+StatusOr<std::unique_ptr<CandidateIndex>> CandidateIndex::Build(Matrix base) {
   static obs::Counter* builds =
       obs::GlobalMetrics().GetCounter("daakg.index.builds");
   static obs::Histogram* build_timing =
@@ -70,7 +41,7 @@ StatusOr<std::unique_ptr<CandidateIndex>> CandidateIndex::Build(
   span.AddArg("rows", static_cast<double>(base.rows()));
   builds->Increment();
   return std::unique_ptr<CandidateIndex>(
-      new CandidateIndex(std::move(base), config));
+      new CandidateIndex(std::move(base)));
 }
 
 float CandidateIndex::Score(const float* query, uint32_t base_row) const {

@@ -24,13 +24,6 @@ namespace daakg {
 // same tiles (the default BlockedKernelOptions), same dispatched dot
 // kernels.
 
-struct CandidateIndexConfig {
-  // Unit-normalize the base rows once at build time (dot == cosine). Uses
-  // the exact arithmetic of Vector::Normalize, so rows normalized here are
-  // bitwise identical to rows the caller normalized per-Vector.
-  bool normalize = false;
-};
-
 // One ranking query for CountAbove: how many base rows score strictly
 // greater than `target` against query row `query_row`?
 struct RankQuery {
@@ -43,7 +36,7 @@ class CandidateIndex {
   CandidateIndex(const CandidateIndex&) = delete;
   CandidateIndex& operator=(const CandidateIndex&) = delete;
 
-  // The (possibly normalized) base rows the index was built over.
+  // The base rows the index was built over.
   const Matrix& base() const { return base_; }
 
   // Top-`row_k` base rows per query row and top-`col_k` query rows per base
@@ -53,7 +46,7 @@ class CandidateIndex {
 
   // Per query row, every candidate with score >= threshold, in ascending
   // base-row order (i.e. concatenating the rows reproduces a row-major scan
-  // of the similarity matrix), bitwise identical to the BlockedMatMulNT
+  // of the similarity matrix), bitwise identical to the BlockedSimVisit
   // cells.
   std::vector<std::vector<ScoredIndex>> QueryAbove(const Matrix& queries,
                                                    float threshold) const;
@@ -69,11 +62,10 @@ class CandidateIndex {
 
   // Builds an index over `base` (taken by value; move in to avoid the
   // copy). Fails on an empty base.
-  static StatusOr<std::unique_ptr<CandidateIndex>> Build(
-      Matrix base, const CandidateIndexConfig& config);
+  static StatusOr<std::unique_ptr<CandidateIndex>> Build(Matrix base);
 
  private:
-  CandidateIndex(Matrix base, const CandidateIndexConfig& config);
+  explicit CandidateIndex(Matrix base);
 
   Matrix base_;
 };

@@ -57,13 +57,9 @@ void SeedAlignment::Merge(const SeedAlignment& other) {
 
 void AlignmentTask::BuildGoldIndex() {
   gold_e1_to_e2_.clear();
-  gold_e2_to_e1_.clear();
   gold_r1_to_r2_.clear();
   gold_c1_to_c2_.clear();
-  for (const auto& [e1, e2] : gold_entities) {
-    gold_e1_to_e2_[e1] = e2;
-    gold_e2_to_e1_[e2] = e1;
-  }
+  for (const auto& [e1, e2] : gold_entities) gold_e1_to_e2_[e1] = e2;
   for (const auto& [r1, r2] : gold_relations) gold_r1_to_r2_[r1] = r2;
   for (const auto& [c1, c2] : gold_classes) gold_c1_to_c2_[c1] = c2;
 }
@@ -71,11 +67,6 @@ void AlignmentTask::BuildGoldIndex() {
 EntityId AlignmentTask::GoldEntityMatchOf1(EntityId e1) const {
   auto it = gold_e1_to_e2_.find(e1);
   return it == gold_e1_to_e2_.end() ? kInvalidId : it->second;
-}
-
-EntityId AlignmentTask::GoldEntityMatchOf2(EntityId e2) const {
-  auto it = gold_e2_to_e1_.find(e2);
-  return it == gold_e2_to_e1_.end() ? kInvalidId : it->second;
 }
 
 RelationId AlignmentTask::GoldRelationMatchOf1(RelationId r1) const {

@@ -60,7 +60,6 @@ class AlignmentTask {
   // Gold lookups (valid after BuildGoldIndex()). Return kInvalidId when the
   // element is dangling (has no counterpart).
   EntityId GoldEntityMatchOf1(EntityId e1) const;
-  EntityId GoldEntityMatchOf2(EntityId e2) const;
   RelationId GoldRelationMatchOf1(RelationId r1) const;
 
   bool IsGoldEntityMatch(EntityId e1, EntityId e2) const {
@@ -79,7 +78,6 @@ class AlignmentTask {
 
  private:
   std::unordered_map<EntityId, EntityId> gold_e1_to_e2_;
-  std::unordered_map<EntityId, EntityId> gold_e2_to_e1_;
   std::unordered_map<RelationId, RelationId> gold_r1_to_r2_;
   std::unordered_map<ClassId, ClassId> gold_c1_to_c2_;
 };

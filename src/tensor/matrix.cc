@@ -119,16 +119,6 @@ Matrix Matrix::Multiply(const Matrix& other) const {
   return out;
 }
 
-Matrix Matrix::Transposed() const {
-  Matrix out(cols_, rows_);
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t c = 0; c < cols_; ++c) {
-      out(c, r) = (*this)(r, c);
-    }
-  }
-  return out;
-}
-
 void Matrix::AddOuter(float alpha, const Vector& a, const Vector& b) {
   DAAKG_CHECK_EQ(a.dim(), rows_);
   DAAKG_CHECK_EQ(b.dim(), cols_);

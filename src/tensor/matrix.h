@@ -59,7 +59,6 @@ class Matrix {
   Vector TransposeMultiply(const Vector& x) const;
   // C = this * other.
   Matrix Multiply(const Matrix& other) const;
-  Matrix Transposed() const;
 
   // Adds alpha * a * b^T (outer product) to this; a.dim()==rows,
   // b.dim()==cols. The core update for mapping-matrix gradients.

@@ -1,49 +1,9 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <numeric>
 
-#include "common/logging.h"
-
 namespace daakg {
-
-std::vector<double> Softmax(const std::vector<double>& logits) {
-  return SoftmaxWithTemperature(logits, 1.0);
-}
-
-std::vector<double> SoftmaxWithTemperature(const std::vector<double>& logits,
-                                           double temperature) {
-  DAAKG_CHECK_GT(temperature, 0.0);
-  std::vector<double> out(logits.size());
-  if (logits.empty()) return out;
-  double max_logit = *std::max_element(logits.begin(), logits.end());
-  double sum = 0.0;
-  for (size_t i = 0; i < logits.size(); ++i) {
-    out[i] = std::exp((logits[i] - max_logit) / temperature);
-    sum += out[i];
-  }
-  for (auto& v : out) v /= sum;
-  return out;
-}
-
-double LogSumExp(const std::vector<double>& xs) {
-  if (xs.empty()) return -std::numeric_limits<double>::infinity();
-  double max_x = *std::max_element(xs.begin(), xs.end());
-  if (!std::isfinite(max_x)) return max_x;
-  double sum = 0.0;
-  for (double x : xs) sum += std::exp(x - max_x);
-  return max_x + std::log(sum);
-}
-
-double Entropy(const std::vector<double>& probs) {
-  double h = 0.0;
-  for (double p : probs) {
-    if (p > 0.0) h -= p * std::log(p);
-  }
-  return h;
-}
 
 std::vector<size_t> TopKIndices(const std::vector<float>& scores, size_t k) {
   k = std::min(k, scores.size());
@@ -56,12 +16,6 @@ std::vector<size_t> TopKIndices(const std::vector<float>& scores, size_t k) {
                     });
   idx.resize(k);
   return idx;
-}
-
-size_t ArgMax(const std::vector<float>& scores) {
-  if (scores.empty()) return static_cast<size_t>(-1);
-  return static_cast<size_t>(
-      std::max_element(scores.begin(), scores.end()) - scores.begin());
 }
 
 }  // namespace daakg

@@ -2,34 +2,13 @@
 #define DAAKG_TENSOR_OPS_H_
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
-#include "tensor/vector.h"
-
 namespace daakg {
-
-// Numerically stable softmax over `logits`; returns a distribution summing
-// to 1. Empty input yields an empty output.
-std::vector<double> Softmax(const std::vector<double>& logits);
-
-// Softmax with temperature: softmax(logits / temperature).
-// Precondition: temperature > 0.
-std::vector<double> SoftmaxWithTemperature(const std::vector<double>& logits,
-                                           double temperature);
-
-// Numerically stable log(sum_i exp(x_i)). Returns -inf for empty input.
-double LogSumExp(const std::vector<double>& xs);
-
-// Shannon entropy (nats) of a distribution; ignores zero entries.
-double Entropy(const std::vector<double>& probs);
 
 // Indices of the k largest values in `scores`, in descending score order.
 // Ties broken by lower index. k is clamped to scores.size().
 std::vector<size_t> TopKIndices(const std::vector<float>& scores, size_t k);
-
-// Index of the maximum value (first on ties); npos on empty input.
-size_t ArgMax(const std::vector<float>& scores);
 
 }  // namespace daakg
 

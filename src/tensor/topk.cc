@@ -217,35 +217,6 @@ SimTopK BlockedSimTopK(const Matrix& a, const Matrix& b, size_t row_k,
   return out;
 }
 
-void BlockedMatMulNT(const Matrix& a, const Matrix& b, Matrix* out,
-                     const BlockedKernelOptions& options) {
-  static obs::Histogram* timing =
-      obs::GlobalMetrics().GetHistogram("daakg.tensor.matmul_nt_seconds");
-  static obs::Counter* cells =
-      obs::GlobalMetrics().GetCounter("daakg.tensor.sim_cells");
-  obs::TraceSpan span("tensor.matmul_nt", "tensor", timing);
-
-  DAAKG_CHECK_EQ(a.cols(), b.cols());
-  *out = Matrix(a.rows(), b.rows());
-  const size_t n1 = a.rows();
-  const size_t n2 = b.rows();
-  if (n1 == 0 || n2 == 0) return;
-  cells->Increment(static_cast<uint64_t>(n1) * n2);
-
-  auto run_rows = [&](size_t /*shard*/, size_t begin, size_t end) {
-    TiledSimWalk(a, b, begin, end, options,
-                 [&](size_t r, size_t c, const float* sims, size_t count) {
-                   float* row = out->RowData(r) + c;
-                   for (size_t j = 0; j < count; ++j) row[j] = sims[j];
-                 });
-  };
-  if (options.parallel) {
-    GlobalThreadPool().ParallelForShards(n1, run_rows);
-  } else {
-    run_rows(0, 0, n1);
-  }
-}
-
 namespace {
 
 // Rows per column-partial block of the statistics pass. A fixed block size

@@ -89,12 +89,6 @@ SimTopK BlockedSimTopK(const Matrix& a, const Matrix& b, size_t row_k,
                        size_t col_k,
                        const BlockedKernelOptions& options = {});
 
-// Blocked dense product out = a * b^T (out is resized to
-// a.rows() x b.rows()). Same tiling and inner loop as BlockedSimTopK, for
-// callers that do need the full matrix (e.g. name-blended baselines).
-void BlockedMatMulNT(const Matrix& a, const Matrix& b, Matrix* out,
-                     const BlockedKernelOptions& options = {});
-
 // Row and column statistics of a similarity matrix S: the maxima and the
 // log-sum-exps of S / z (the Eq. 6 entity weights and the Eqs. 11-12
 // calibration denominators). Entries are assumed <= 1 (cosines), so
@@ -115,7 +109,7 @@ struct SimStats {
 // statistics without materializing S: extra memory is O(threads * b.rows())
 // for column partials. Column sums are kept per fixed block of rows and
 // folded in block order, so the result is bitwise independent of the thread
-// count and of options.parallel. Cells are the BlockedMatMulNT cells.
+// count and of options.parallel. Cells are the BlockedSimVisit cells.
 SimStats BlockedSimStats(const Matrix& a, const Matrix& b, double z,
                          const BlockedKernelOptions& options = {});
 
@@ -127,8 +121,8 @@ SimStats DenseSimStats(const Matrix& sim, double z);
 // visit(r, c0, sims, count) once per (row, tile) with `count` consecutive
 // similarities for columns [c0, c0 + count). Rows are sharded across the
 // thread pool when options.parallel; all calls for one row come from the
-// same shard, in ascending c0 order. Cell values are bitwise identical to
-// the corresponding BlockedMatMulNT entries under the same options.
+// same shard, in ascending c0 order. Cell (r, c) is bitwise
+// simd::ActiveOps().dot(a row r, b row c) for any options.
 using SimTileVisitor =
     std::function<void(size_t r, size_t c0, const float* sims, size_t count)>;
 void BlockedSimVisit(const Matrix& a, const Matrix& b,
@@ -136,7 +130,7 @@ void BlockedSimVisit(const Matrix& a, const Matrix& b,
                      const BlockedKernelOptions& options = {});
 
 // Number of entries strictly greater than `threshold` in values[0, n) —
-// the rank kernel of EvaluateRanking. Dispatched to the active SIMD
+// the rank kernel of the metrics' greater counts. Dispatched to the active SIMD
 // backend; the count is exact on every backend.
 size_t CountGreater(const float* values, size_t n, float threshold);
 

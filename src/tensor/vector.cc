@@ -69,19 +69,9 @@ float Vector::SquaredNorm() const {
   return static_cast<float>(acc);
 }
 
-float Vector::L1Norm() const {
-  double acc = 0.0;
-  for (float v : data_) acc += std::fabs(v);
-  return static_cast<float>(acc);
-}
-
 void Vector::Normalize() {
   float n = Norm();
   if (n > 0.0f) (*this) /= n;
-}
-
-void Vector::Clip(float bound) {
-  for (auto& v : data_) v = std::clamp(v, -bound, bound);
 }
 
 void Vector::InitUniform(Rng* rng, float scale) {

@@ -56,14 +56,9 @@ class Vector {
   // Euclidean norm and its square.
   float Norm() const;
   float SquaredNorm() const;
-  // Sum of |x_i|.
-  float L1Norm() const;
 
   // Scales to unit Euclidean norm; leaves a zero vector untouched.
   void Normalize();
-
-  // Clips every coordinate into [-bound, bound].
-  void Clip(float bound);
 
   // Fills with U(-scale, scale).
   void InitUniform(Rng* rng, float scale);

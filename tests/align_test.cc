@@ -101,6 +101,17 @@ TEST(LossTest, FocalMatchesPlainAtGammaZero) {
 // Metrics
 // ---------------------------------------------------------------------------
 
+// The metrics over a materialized matrix, through the dense producers.
+RankingMetrics Rank(const Matrix& sim,
+                    const std::vector<std::pair<uint32_t, uint32_t>>& test) {
+  return FoldRanks(GreaterCounts(sim, test));
+}
+
+std::vector<std::pair<uint32_t, uint32_t>> Matches(const Matrix& sim,
+                                                   float threshold) {
+  return GreedyOneToOneMatches(CellsAbove(sim, threshold), sim.cols());
+}
+
 Matrix DiagonalSim(size_t n, float diag, float off) {
   Matrix m(n, n, off);
   for (size_t i = 0; i < n; ++i) m(i, i) = diag;
@@ -110,7 +121,7 @@ Matrix DiagonalSim(size_t n, float diag, float off) {
 TEST(MetricsTest, PerfectDiagonalRanking) {
   Matrix sim = DiagonalSim(5, 0.9f, 0.1f);
   std::vector<std::pair<uint32_t, uint32_t>> test = {{0, 0}, {3, 3}};
-  RankingMetrics m = EvaluateRanking(sim, test);
+  RankingMetrics m = Rank(sim, test);
   EXPECT_DOUBLE_EQ(m.hits_at_1, 1.0);
   EXPECT_DOUBLE_EQ(m.mrr, 1.0);
   EXPECT_EQ(m.num_queries, 2u);
@@ -121,20 +132,20 @@ TEST(MetricsTest, RankCountsStrictlyBetterOnly) {
   sim(0, 0) = 0.5f;
   sim(0, 1) = 0.9f;
   sim(0, 2) = 0.5f;  // tie with target does not worsen rank
-  RankingMetrics m = EvaluateRanking(sim, {{0, 0}});
+  RankingMetrics m = Rank(sim, {{0, 0}});
   EXPECT_DOUBLE_EQ(m.mrr, 0.5);  // rank 2
 }
 
 TEST(MetricsTest, EmptyTestSetYieldsZeroQueries) {
   Matrix sim = DiagonalSim(3, 1.0f, 0.0f);
-  RankingMetrics m = EvaluateRanking(sim, {});
+  RankingMetrics m = Rank(sim, {});
   EXPECT_EQ(m.num_queries, 0u);
   EXPECT_DOUBLE_EQ(m.hits_at_1, 0.0);
 }
 
 TEST(MetricsTest, GreedyMatchingIsOneToOne) {
   Matrix sim(3, 3, 0.9f);  // everything similar: greedy must still be 1-1
-  auto matches = GreedyOneToOneMatches(sim, 0.5f);
+  auto matches = Matches(sim, 0.5f);
   EXPECT_EQ(matches.size(), 3u);
   std::set<uint32_t> rows, cols;
   for (auto& [r, c] : matches) {
@@ -146,7 +157,7 @@ TEST(MetricsTest, GreedyMatchingIsOneToOne) {
 TEST(MetricsTest, GreedyMatchingRespectsThreshold) {
   Matrix sim(2, 2, 0.1f);
   sim(0, 0) = 0.8f;
-  auto matches = GreedyOneToOneMatches(sim, 0.5f);
+  auto matches = Matches(sim, 0.5f);
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_EQ(matches[0], (std::pair<uint32_t, uint32_t>{0, 0}));
 }
@@ -155,7 +166,7 @@ TEST(MetricsTest, GreedyMatchingPrefersHigherSimilarity) {
   Matrix sim(2, 1);
   sim(0, 0) = 0.6f;
   sim(1, 0) = 0.9f;  // row 1 wins the only column
-  auto matches = GreedyOneToOneMatches(sim, 0.5f);
+  auto matches = Matches(sim, 0.5f);
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_EQ(matches[0].first, 1u);
 }
@@ -165,7 +176,7 @@ TEST(MetricsTest, PrfComputation) {
   sim(0, 1) = 0.95f;  // creates one wrong greedy match (0,1)
   std::vector<std::pair<uint32_t, uint32_t>> gold = {
       {0, 0}, {1, 1}, {2, 2}, {3, 3}};
-  PrfMetrics m = EvaluateGreedyMatching(sim, gold, 0.5f);
+  PrfMetrics m = ScoreMatches(Matches(sim, 0.5f), gold);
   // Greedy: (0,1) first, then (2,2), (3,3); (1,1) blocked by used col? No:
   // col 1 used by (0,1), so row 1 can still take col 0? sim(1,0)=0 < thr.
   EXPECT_EQ(m.num_predicted, 3u);
@@ -178,12 +189,12 @@ TEST(MetricsTest, PrfComputation) {
 TEST(MetricsTest, PerfectPrf) {
   Matrix sim = DiagonalSim(3, 0.9f, 0.0f);
   std::vector<std::pair<uint32_t, uint32_t>> gold = {{0, 0}, {1, 1}, {2, 2}};
-  PrfMetrics m = EvaluateGreedyMatching(sim, gold, 0.5f);
+  PrfMetrics m = ScoreMatches(Matches(sim, 0.5f), gold);
   EXPECT_DOUBLE_EQ(m.f1, 1.0);
 }
 
-// Seed-algorithm copy: ranks via a per-query serial scan (what
-// EvaluateRanking did before CountGreater).
+// Seed-algorithm copy: ranks via a per-query serial scan (what the ranking
+// did before CountGreater).
 RankingMetrics RankingReference(
     const Matrix& sim,
     const std::vector<std::pair<uint32_t, uint32_t>>& test_pairs) {
@@ -217,7 +228,7 @@ TEST(MetricsTest, EvaluateRankingBitIdenticalToSerialReference) {
   sim(9, 0) = sim(9, 52);
   std::vector<std::pair<uint32_t, uint32_t>> test;
   for (uint32_t i = 0; i < 37; ++i) test.emplace_back(i, (i * 7) % 53);
-  const RankingMetrics got = EvaluateRanking(sim, test);
+  const RankingMetrics got = Rank(sim, test);
   const RankingMetrics want = RankingReference(sim, test);
   EXPECT_EQ(got.num_queries, want.num_queries);
   EXPECT_EQ(got.hits_at_1, want.hits_at_1);
@@ -254,7 +265,7 @@ TEST(MetricsTest, GreedyMatchesBitIdenticalToSerialReference) {
     used_col[c] = true;
     want.emplace_back(r, c);
   }
-  EXPECT_EQ(GreedyOneToOneMatches(sim, threshold), want);
+  EXPECT_EQ(Matches(sim, threshold), want);
 }
 
 TEST(MetricsTest, StreamingRankingBitMatchesMaterialized) {
@@ -271,13 +282,11 @@ TEST(MetricsTest, StreamingRankingBitMatchesMaterialized) {
   test.emplace_back(0, 299);
   test.emplace_back(69, 299);
 
-  Matrix sim;
-  BlockedMatMulNT(a, b, &sim);
-  const RankingMetrics want = EvaluateRanking(sim, test);
+  const RankingMetrics want = Rank(testing_util::DenseSim(a, b), test);
 
-  auto index = CandidateIndex::Build(b, CandidateIndexConfig{});
+  auto index = CandidateIndex::Build(b);
   ASSERT_TRUE(index.ok());
-  const RankingMetrics got = EvaluateRankingStreaming(**index, a, test);
+  const RankingMetrics got = FoldRanks(GreaterCounts(**index, a, test));
   EXPECT_EQ(got.num_queries, want.num_queries);
   EXPECT_EQ(got.hits_at_1, want.hits_at_1);
   EXPECT_EQ(got.hits_at_10, want.hits_at_10);
@@ -286,9 +295,9 @@ TEST(MetricsTest, StreamingRankingBitMatchesMaterialized) {
 
 TEST(MetricsTest, StreamingRankingEmptyTestSet) {
   Matrix a(4, 3), b(5, 3);
-  auto index = CandidateIndex::Build(b, CandidateIndexConfig{});
+  auto index = CandidateIndex::Build(b);
   ASSERT_TRUE(index.ok());
-  RankingMetrics m = EvaluateRankingStreaming(**index, a, {});
+  RankingMetrics m = FoldRanks(GreaterCounts(**index, a, {}));
   EXPECT_EQ(m.num_queries, 0u);
   EXPECT_DOUBLE_EQ(m.mrr, 0.0);
 }
@@ -315,18 +324,23 @@ TEST(MetricsTest, GreedyMatchingInvariantAcrossSimdBackends) {
   };
   normalize(&a);
   normalize(&b);
-  Matrix sim;
-  BlockedMatMulNT(a, b, &sim);
   Matrix sim_scalar(a.rows(), b.rows());
   for (size_t r = 0; r < a.rows(); ++r) {
     for (size_t c = 0; c < b.rows(); ++c) {
       sim_scalar(r, c) =
           simd::ScalarOps().dot(a.RowData(r), b.RowData(c), a.cols());
-      EXPECT_EQ(sim(r, c), sim_scalar(r, c)) << "r=" << r << " c=" << c;
     }
   }
-  EXPECT_EQ(GreedyOneToOneMatches(sim, 0.2f),
-            GreedyOneToOneMatches(sim_scalar, 0.2f));
+  auto index = CandidateIndex::Build(b);
+  ASSERT_TRUE(index.ok());
+  const CellRows cells = (*index)->QueryAbove(a, 0.2f);
+  for (size_t r = 0; r < cells.size(); ++r) {
+    for (const ScoredIndex& e : cells[r]) {
+      EXPECT_EQ(e.score, sim_scalar(r, e.index)) << "r=" << r;
+    }
+  }
+  EXPECT_EQ(GreedyOneToOneMatches(cells, b.rows()),
+            Matches(sim_scalar, 0.2f));
 }
 
 // ---------------------------------------------------------------------------
@@ -460,8 +474,8 @@ TEST_F(JointModelTest, CachedEntitySimMatchesFreshComputation) {
 
 TEST_F(JointModelTest, EntityWeightsAreRowAndColumnMaxima) {
   joint_->RefreshCaches();
-  Matrix sim;
-  BlockedMatMulNT(joint_->unit_mapped1(), joint_->unit_repr2(), &sim);
+  const Matrix sim =
+      testing_util::DenseSim(joint_->unit_mapped1(), joint_->unit_repr2());
   for (uint32_t e1 = 0; e1 < 10; ++e1) {
     float row_max = -2.0f;
     for (size_t c = 0; c < sim.cols(); ++c) {

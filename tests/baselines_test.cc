@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "baselines/bertmap_lite.h"
 #include "baselines/embedding_baseline.h"
@@ -276,6 +278,131 @@ TEST(BertMapLiteTest, OnlyClassMetricsPopulated) {
   EXPECT_EQ(result.eval.ent_rank.num_queries, 0u);
   EXPECT_GT(result.eval.cls_rank.num_queries, 0u);
 }
+
+// ---------------------------------------------------------------------------
+// Golden evaluation output
+// ---------------------------------------------------------------------------
+
+// Every EvalResult field, the doubles in hexadecimal floating point, so a
+// change of one bit of one metric shows.
+std::string HexEval(const EvalResult& e) {
+  std::ostringstream os;
+  os << std::hexfloat;
+  for (const RankingMetrics* r : {&e.ent_rank, &e.rel_rank, &e.cls_rank}) {
+    os << r->hits_at_1 << ' ' << r->hits_at_10 << ' ' << r->mrr << ' '
+       << r->num_queries << '\n';
+  }
+  for (const PrfMetrics* p : {&e.ent_prf, &e.rel_prf, &e.cls_prf}) {
+    os << p->precision << ' ' << p->recall << ' ' << p->f1 << ' '
+       << p->num_predicted << ' ' << p->num_correct << '\n';
+  }
+  return os.str();
+}
+
+struct BaselinePin {
+  const char* name;  // "PARIS", or an embedding baseline's config name
+  double name_view_weight;
+  bool semi_supervised;
+  const char* eval;  // HexEval of the result
+};
+
+void PrintTo(const BaselinePin& p, std::ostream* os) { *os << p.name; }
+
+class BaselineGoldenTest : public ::testing::TestWithParam<BaselinePin> {};
+
+// Pins each baseline's evaluation on D-Y (scale 0.2, seed 17): ranking and
+// greedy matching over the entity, relation and class cells, with and
+// without the name view, and with mined pseudo-seeds (BootEA). A change of
+// how the cells are produced or swept must keep every field bit for bit.
+// The pins hold at any DAAKG_THREADS and on every SIMD backend.
+TEST_P(BaselineGoldenTest, EvalResultIsPinned) {
+  const BaselinePin& pin = GetParam();
+  auto task = MakeBenchmarkTask(BenchmarkDataset::kDY, 0.2, 17);
+  ASSERT_TRUE(task.ok()) << task.status();
+  Rng rng(17);
+  const SeedAlignment seed = task->SampleSeed(0.2, &rng);
+  EvalResult eval;
+  if (std::string(pin.name) == "PARIS") {
+    eval = Paris(&task.value()).Run(seed).eval;
+  } else {
+    EmbeddingBaselineConfig cfg = FastBaselineConfig(pin.name);
+    cfg.name_view_weight = pin.name_view_weight;
+    cfg.daakg.align.semi_supervised = pin.semi_supervised;
+    cfg.daakg.align.tau = 0.6;
+    eval = EmbeddingBaseline(&task.value(), cfg).Run(seed).eval;
+  }
+  EXPECT_EQ(HexEval(eval), pin.eval);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Baselines, BaselineGoldenTest,
+    ::testing::Values(
+        BaselinePin{"MTransE", 0.0, false,
+                    "0x1.b6db6db6db6dbp-5 0x1.f6db6db6db6dbp-3 "
+                    "0x1.dbc43e3c554bep-4 224\n"
+                    "0x1.5555555555555p-2 0x1p+0 "
+                    "0x1.05b05b05b05bp-1 3\n"
+                    "0x1.3333333333333p-1 0x1p+0 "
+                    "0x1.6666666666666p-1 5\n"
+                    "0x1.0fef010fef011p-5 0x1.2492492492492p-5 "
+                    "0x1.19e0119e0119dp-5 241 8\n"
+                    "0x0p+0 0x0p+0 "
+                    "0x0p+0 2 0\n"
+                    "0x1.8p-2 0x1.3333333333333p-1 "
+                    "0x1.d89d89d89d89dp-2 8 3\n"},
+        BaselinePin{"BootEA", 0.0, true,
+                    "0x1.b6db6db6db6dbp-6 0x1.adb6db6db6db7p-3 "
+                    "0x1.4f2efdd4abd8ap-4 224\n"
+                    "0x1.5555555555555p-2 0x1p+0 "
+                    "0x1.05b05b05b05bp-1 3\n"
+                    "0x1.999999999999ap-2 0x1p+0 "
+                    "0x1.3e93e93e93e94p-1 5\n"
+                    "0x1.7b8d57f817b8dp-6 0x1.b6db6db6db6dbp-6 "
+                    "0x1.970e4f80cb873p-6 259 6\n"
+                    "0x0p+0 0x0p+0 "
+                    "0x0p+0 3 0\n"
+                    "0x1.8p-2 0x1.3333333333333p-1 "
+                    "0x1.d89d89d89d89dp-2 8 3\n"},
+        BaselinePin{"AttrE", 0.7, false,
+                    "0x1p+0 0x1p+0 "
+                    "0x1p+0 224\n"
+                    "0x1p+0 0x1p+0 "
+                    "0x1p+0 3\n"
+                    "0x1p+0 0x1p+0 "
+                    "0x1p+0 5\n"
+                    "0x1.909e175ab909ep-1 0x1.fdb6db6db6db7p-1 "
+                    "0x1.c0a0f16a1f2edp-1 285 223\n"
+                    "0x1.8p-1 0x1p+0 "
+                    "0x1.b6db6db6db6dbp-1 4 3\n"
+                    "0x1.aaaaaaaaaaaabp-1 0x1p+0 "
+                    "0x1.d1745d1745d17p-1 6 5\n"},
+        BaselinePin{"MultiKE", 0.5, false,
+                    "0x1.cp-1 0x1.fdb6db6db6db7p-1 "
+                    "0x1.d8409294cc359p-1 224\n"
+                    "0x1p+0 0x1p+0 "
+                    "0x1p+0 3\n"
+                    "0x1p+0 0x1p+0 "
+                    "0x1p+0 5\n"
+                    "0x1.7878787878788p-1 0x1.9p-1 "
+                    "0x1.83e0f83e0f83ep-1 238 175\n"
+                    "0x1.5555555555555p-1 0x1.5555555555555p-1 "
+                    "0x1.5555555555555p-1 3 2\n"
+                    "0x1.6db6db6db6db7p-1 0x1p+0 "
+                    "0x1.aaaaaaaaaaaaap-1 7 5\n"},
+        BaselinePin{"PARIS", 0.0, false,
+                    "0x1.f6db6db6db6dbp-1 0x1p+0 "
+                    "0x1.fb0c30c30c30bp-1 224\n"
+                    "0x1p+0 0x1p+0 "
+                    "0x1p+0 3\n"
+                    "0x1p+0 0x1p+0 "
+                    "0x1p+0 5\n"
+                    "0x1.95f15f15f15f1p-1 0x1.fb6db6db6db6ep-1 "
+                    "0x1.c30c30c30c30cp-1 280 222\n"
+                    "0x1.8p-1 0x1p+0 "
+                    "0x1.b6db6db6db6dbp-1 4 3\n"
+                    "0x1.6db6db6db6db7p-1 0x1p+0 "
+                    "0x1.aaaaaaaaaaaaap-1 7 5\n"}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace daakg

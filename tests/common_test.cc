@@ -87,21 +87,10 @@ TEST(StringUtilTest, SplitKeepsEmptyFields) {
   EXPECT_EQ(StrSplit("x,", ','), (std::vector<std::string>{"x", ""}));
 }
 
-TEST(StringUtilTest, JoinIsInverseOfSplit) {
-  std::vector<std::string> parts = {"alpha", "beta", "gamma"};
-  EXPECT_EQ(StrSplit(StrJoin(parts, "|"), '|'), parts);
-}
-
 TEST(StringUtilTest, Trim) {
   EXPECT_EQ(StrTrim("  x  "), "x");
   EXPECT_EQ(StrTrim("\t\n"), "");
   EXPECT_EQ(StrTrim("no-trim"), "no-trim");
-}
-
-TEST(StringUtilTest, StartsWith) {
-  EXPECT_TRUE(StrStartsWith("foobar", "foo"));
-  EXPECT_FALSE(StrStartsWith("foo", "foobar"));
-  EXPECT_TRUE(StrStartsWith("x", ""));
 }
 
 TEST(StringUtilTest, Format) {

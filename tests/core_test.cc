@@ -319,8 +319,8 @@ TEST(EntitySimilarityPathTest, MatchesDenseReference) {
   aligner.Train(task.SampleSeed(0.3, &rng));
   const JointAlignmentModel& joint = *aligner.joint();
   ASSERT_TRUE(joint.caches_ready());
-  Matrix sim;
-  BlockedMatMulNT(joint.unit_mapped1(), joint.unit_repr2(), &sim);
+  const Matrix sim =
+      testing_util::DenseSim(joint.unit_mapped1(), joint.unit_repr2());
 
   // Weights are the clamped row/column maxima; LSEs the max-shifted
   // two-pass log-sum-exps.
@@ -371,8 +371,10 @@ TEST(EntitySimilarityPathTest, MatchesDenseReference) {
     if (labeled.count(p) == 0) test.push_back(p);
   }
   const EvalResult eval = aligner.Evaluate();
-  const RankingMetrics rank = EvaluateRanking(sim, test);
-  const PrfMetrics prf = EvaluateGreedyMatching(sim, test, kMatchThreshold);
+  const auto matches =
+      GreedyOneToOneMatches(CellsAbove(sim, kMatchThreshold), sim.cols());
+  const RankingMetrics rank = FoldRanks(GreaterCounts(sim, test));
+  const PrfMetrics prf = ScoreMatches(matches, test);
   EXPECT_EQ(eval.ent_rank.hits_at_1, rank.hits_at_1);
   EXPECT_EQ(eval.ent_rank.mrr, rank.mrr);
   EXPECT_EQ(eval.ent_prf.f1, prf.f1);
@@ -382,7 +384,7 @@ TEST(EntitySimilarityPathTest, MatchesDenseReference) {
   for (const auto& p : aligner.ExtractAlignment().entities) {
     extracted.push_back(p);
   }
-  EXPECT_EQ(extracted, GreedyOneToOneMatches(sim, kMatchThreshold));
+  EXPECT_EQ(extracted, matches);
 
   // MineSemiSupervision() entities: cells > tau in row-major order, sorted
   // by score, swept one-to-one.

@@ -142,7 +142,7 @@ TEST(TransEGradientTest, ScoreGradientMatchesFiniteDifference) {
 
   // Analytic: d f / d h = (h + r - t) / f.
   Vector h = model->EntityVec(t.head);
-  Vector r = model->RelationVec(t.relation);
+  Vector r = model->relations().Row(t.relation);
   Vector tail = model->EntityVec(t.tail);
   Vector diff = h + r - tail;
   float f = diff.Norm();

@@ -9,6 +9,7 @@
 #include "index/candidate_index.h"
 #include "tensor/simd/simd.h"
 #include "tensor/topk.h"
+#include "tests/test_util.h"
 
 namespace daakg {
 namespace {
@@ -25,9 +26,8 @@ Matrix RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
   return m;
 }
 
-std::unique_ptr<CandidateIndex> MustBuild(Matrix base,
-                                          const CandidateIndexConfig& cfg) {
-  auto built = CandidateIndex::Build(std::move(base), cfg);
+std::unique_ptr<CandidateIndex> MustBuild(Matrix base) {
+  auto built = CandidateIndex::Build(std::move(base));
   EXPECT_TRUE(built.ok()) << built.status();
   return std::move(built.value());
 }
@@ -37,9 +37,8 @@ std::unique_ptr<CandidateIndex> MustBuild(Matrix base,
 // ---------------------------------------------------------------------------
 
 TEST(IndexConfigTest, BuildRejectsEmptyBase) {
-  EXPECT_FALSE(CandidateIndex::Build(Matrix(), CandidateIndexConfig{}).ok());
-  EXPECT_FALSE(
-      CandidateIndex::Build(Matrix(4, 0), CandidateIndexConfig{}).ok());
+  EXPECT_FALSE(CandidateIndex::Build(Matrix()).ok());
+  EXPECT_FALSE(CandidateIndex::Build(Matrix(4, 0)).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -49,7 +48,7 @@ TEST(IndexConfigTest, BuildRejectsEmptyBase) {
 TEST(ExactIndexTest, QueryTopKMatchesBlockedSimTopK) {
   const Matrix a = RandomMatrix(83, 24, 11);
   const Matrix b = RandomMatrix(131, 24, 12);
-  auto index = MustBuild(b, CandidateIndexConfig{});
+  auto index = MustBuild(b);
   const SimTopK expected = BlockedSimTopK(a, b, 7, 5);
   const SimTopK got = index->QueryTopK(a, 7, 5);
   // Entry-for-entry equality: same rows, same scores, same tie-break order.
@@ -66,9 +65,8 @@ TEST(ExactIndexTest, QueryTopKMatchesBlockedSimTopK) {
 TEST(ExactIndexTest, QueryAboveMatchesMaterializedScan) {
   const Matrix a = RandomMatrix(41, 16, 21);
   const Matrix b = RandomMatrix(67, 16, 22);
-  auto index = MustBuild(b, CandidateIndexConfig{});
-  Matrix sim;
-  BlockedMatMulNT(a, b, &sim);
+  auto index = MustBuild(b);
+  const Matrix sim = testing_util::DenseSim(a, b);
   const float threshold = 0.5f;
   const auto got = index->QueryAbove(a, threshold);
   ASSERT_EQ(got.size(), a.rows());
@@ -86,9 +84,8 @@ TEST(ExactIndexTest, QueryAboveMatchesMaterializedScan) {
 TEST(ExactIndexTest, CountAboveMatchesMaterializedRanks) {
   const Matrix a = RandomMatrix(29, 16, 31);
   const Matrix b = RandomMatrix(53, 16, 32);
-  auto index = MustBuild(b, CandidateIndexConfig{});
-  Matrix sim;
-  BlockedMatMulNT(a, b, &sim);
+  auto index = MustBuild(b);
+  const Matrix sim = testing_util::DenseSim(a, b);
   std::vector<RankQuery> queries;
   Rng rng(33);
   for (int i = 0; i < 40; ++i) {
@@ -108,24 +105,10 @@ TEST(ExactIndexTest, CountAboveMatchesMaterializedRanks) {
   }
 }
 
-TEST(ExactIndexTest, NormalizeAtBuildMatchesVectorNormalize) {
-  const Matrix raw = RandomMatrix(37, 24, 41);
-  CandidateIndexConfig cfg;
-  cfg.normalize = true;
-  auto index = MustBuild(raw, cfg);
-  for (size_t r = 0; r < raw.rows(); ++r) {
-    Vector v = raw.Row(r);
-    v.Normalize();
-    for (size_t c = 0; c < raw.cols(); ++c) {
-      EXPECT_EQ(index->base()(r, c), v[c]) << "row " << r << " col " << c;
-    }
-  }
-}
-
 TEST(ExactIndexTest, ScoreMatchesDispatchedDot) {
   const Matrix a = RandomMatrix(5, 48, 51);
   const Matrix b = RandomMatrix(9, 48, 52);
-  auto index = MustBuild(b, CandidateIndexConfig{});
+  auto index = MustBuild(b);
   const simd::Ops& ops = simd::ActiveOps();
   for (uint32_t row : {0u, 3u, 8u}) {
     EXPECT_EQ(index->Score(a.RowData(2), row),
@@ -141,12 +124,13 @@ TEST(ExactIndexTest, ScoreMatchesDispatchedDot) {
 TEST(ExactIndexTest, GreedyMatchingParity) {
   const Matrix a = RandomMatrix(47, 16, 61);
   const Matrix b = RandomMatrix(59, 16, 62);
-  auto index = MustBuild(b, CandidateIndexConfig{});
-  Matrix sim;
-  BlockedMatMulNT(a, b, &sim);
+  auto index = MustBuild(b);
+  const Matrix sim = testing_util::DenseSim(a, b);
   const float threshold = 0.3f;
-  const auto expected = GreedyOneToOneMatches(sim, threshold);
-  const auto got = GreedyOneToOneMatches(*index, a, threshold);
+  const auto expected =
+      GreedyOneToOneMatches(CellsAbove(sim, threshold), sim.cols());
+  const auto got =
+      GreedyOneToOneMatches(index->QueryAbove(a, threshold), b.rows());
   // Full sequence equality, not just set equality: the greedy sweep order
   // (and thus conflict resolution) must match the matrix path.
   EXPECT_EQ(got, expected);
@@ -161,15 +145,9 @@ TEST(ExactIndexTest, StreamingRankingParity) {
     pairs.emplace_back(static_cast<uint32_t>(rng.NextUint64(a.rows())),
                        static_cast<uint32_t>(rng.NextUint64(b.rows())));
   }
-  Matrix sim;
-  BlockedMatMulNT(a, b, &sim);
-  const RankingMetrics expected = EvaluateRanking(sim, pairs);
-  auto index = MustBuild(b, CandidateIndexConfig{});
-  const RankingMetrics via_index = EvaluateRankingStreaming(*index, a, pairs);
-  EXPECT_EQ(via_index.num_queries, expected.num_queries);
-  EXPECT_EQ(via_index.hits_at_1, expected.hits_at_1);
-  EXPECT_EQ(via_index.hits_at_10, expected.hits_at_10);
-  EXPECT_EQ(via_index.mrr, expected.mrr);
+  const Matrix sim = testing_util::DenseSim(a, b);
+  auto index = MustBuild(b);
+  EXPECT_EQ(GreaterCounts(*index, a, pairs), GreaterCounts(sim, pairs));
 }
 
 }  // namespace

@@ -281,7 +281,6 @@ TEST(KgIoTest, GeneratedTasksRoundTripLosslessly) {
 TEST(AlignmentTaskTest, GoldIndexLookups) {
   AlignmentTask task = MirrorTask();
   EXPECT_EQ(task.GoldEntityMatchOf1(0), 0u);
-  EXPECT_EQ(task.GoldEntityMatchOf2(3), 3u);
   EXPECT_TRUE(task.IsGoldEntityMatch(1, 1));
   EXPECT_FALSE(task.IsGoldEntityMatch(1, 2));
   EXPECT_TRUE(task.IsGoldRelationMatch(0, 0));

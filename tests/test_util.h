@@ -4,6 +4,8 @@
 #include "common/logging.h"
 #include "kg/alignment_task.h"
 #include "kg/synthetic.h"
+#include "tensor/matrix.h"
+#include "tensor/simd/simd.h"
 
 namespace daakg {
 namespace testing_util {
@@ -41,6 +43,21 @@ inline AlignmentTask MirrorTask() {
   for (uint32_t c = 0; c < 2; ++c) task.gold_classes.emplace_back(c, c);
   task.BuildGoldIndex();
   return task;
+}
+
+// Dense reference for the streamed similarity cells: sim(r, c) =
+// simd::ActiveOps().dot(a row r, b row c), computed cell by cell. The tile
+// walks compute every cell with the same kernel (an ops.dot4 column is
+// ops.dot bit for bit), so their cells equal these exactly.
+inline Matrix DenseSim(const Matrix& a, const Matrix& b) {
+  const simd::Ops& ops = simd::ActiveOps();
+  Matrix sim(a.rows(), b.rows());
+  for (size_t r = 0; r < a.rows(); ++r) {
+    for (size_t c = 0; c < b.rows(); ++c) {
+      sim(r, c) = ops.dot(a.RowData(r), b.RowData(c), a.cols());
+    }
+  }
+  return sim;
 }
 
 // A small but non-trivial synthetic task for integration tests.
