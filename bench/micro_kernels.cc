@@ -1,9 +1,10 @@
 // google-benchmark micro suites for the hot kernels of the library:
-// dense math, KG index lookups, similarity cache refresh and inference
-// power queries.
+// dense math, KG index lookups, similarity cache refresh, inference power
+// queries and the round's alignment graph build.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
 #include <utility>
 #include <vector>
@@ -257,6 +258,44 @@ void BM_KgHasTriplet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KgHasTriplet);
+
+// The round's graph build over a pool shaped like the generator's: each KG1
+// entity with its gold partner and the gold partners of its first three
+// neighbours, plus every base relation pair and every class pair.
+void BM_AlignmentGraphBuild(benchmark::State& state) {
+  const AlignmentTask& task = BenchTask();
+  std::vector<EntityId> gold(task.kg1.num_entities(), kInvalidId);
+  for (const auto& [e1, e2] : task.gold_entities) gold[e1] = e2;
+  std::vector<ElementPair> pool;
+  for (EntityId e1 = 0; e1 < task.kg1.num_entities(); ++e1) {
+    if (gold[e1] != kInvalidId) {
+      pool.push_back(ElementPair{ElementKind::kEntity, e1, gold[e1]});
+    }
+    const auto& nbrs = task.kg1.Neighbors(e1);
+    for (size_t k = 0; k < std::min<size_t>(3, nbrs.size()); ++k) {
+      const EntityId e2 = gold[nbrs[k].tail];
+      if (e2 != kInvalidId) {
+        pool.push_back(ElementPair{ElementKind::kEntity, e1, e2});
+      }
+    }
+  }
+  for (uint32_t r1 = 0; r1 < task.kg1.num_base_relations(); ++r1) {
+    for (uint32_t r2 = 0; r2 < task.kg2.num_base_relations(); ++r2) {
+      pool.push_back(ElementPair{ElementKind::kRelation, r1, r2});
+    }
+  }
+  for (uint32_t c1 = 0; c1 < task.kg1.num_classes(); ++c1) {
+    for (uint32_t c2 = 0; c2 < task.kg2.num_classes(); ++c2) {
+      pool.push_back(ElementPair{ElementKind::kClass, c1, c2});
+    }
+  }
+  for (auto _ : state) {
+    const AlignmentGraph graph(&task, pool);
+    benchmark::DoNotOptimize(graph.num_edges());
+  }
+  state.counters["nodes"] = static_cast<double>(pool.size());
+}
+BENCHMARK(BM_AlignmentGraphBuild)->Unit(benchmark::kMicrosecond);
 
 struct TrainedModels {
   std::unique_ptr<KgeModel> m1, m2;

@@ -8,19 +8,6 @@
 
 namespace daakg {
 
-// Lookup tables the join needs only while the graph is built.
-struct AlignmentGraph::JoinIndex {
-  // Label of a KG1 edge with relation r1 against a KG2 edge with relation
-  // r2, at [r1 * |R2| + r2]: the pool index of their base relation pair when
-  // both edges are forward or both reverse, else kInvalidId.
-  std::vector<uint32_t> labels;
-  size_t num_relations2 = 0;
-  // CSR of every KG2 entity's neighbours as (tail, position in
-  // kg2.Neighbors(head)), sorted by tail, then position.
-  std::vector<uint32_t> offsets;
-  std::vector<std::pair<EntityId, uint32_t>> by_tail;
-};
-
 AlignmentGraph::AlignmentGraph(const AlignmentTask* task,
                                const std::vector<ElementPair>& pool)
     : task_(task), pool_(pool) {
@@ -74,70 +61,107 @@ AlignmentGraph::AlignmentGraph(const AlignmentTask* task,
       partners_[fill[pair.first]++] = {pair.second, node};
     }
   }
-  // Sort each partner row by (KG2 id, node) and drop repeated pairs.
-  uint32_t kept = 0;
+  // Sort each partner row by (KG2 id, node). A repeated pair keeps every
+  // node, its first one first, so a binary search finds its first index.
   for (size_t e = 0; e < kg1.num_entities(); ++e) {
-    const auto begin = partners_.begin() + partner_offsets_[e];
-    const auto end = partners_.begin() + partner_offsets_[e + 1];
-    std::sort(begin, end);
-    const uint32_t row = kept;
-    for (auto it = begin; it != end; ++it) {
-      if (kept > row && partners_[kept - 1].first == it->first) continue;
-      partners_[kept++] = *it;
-    }
-    partner_offsets_[e] = row;
+    std::sort(partners_.begin() + partner_offsets_[e],
+              partners_.begin() + partner_offsets_[e + 1]);
   }
-  partner_offsets_.back() = kept;
-  partners_.resize(kept);
 
-  JoinIndex join;
-  join.num_relations2 = num_rel2;
-  join.labels.assign(num_rel1 * num_rel2, kInvalidId);
+  // Label of a KG1 edge with relation r1 against a KG2 edge with relation
+  // r2, at [r1 * |R2| + r2]: the pool index of their base relation pair when
+  // both edges are forward or both reverse, else kInvalidId.
+  std::vector<uint32_t> labels(num_rel1 * num_rel2, kInvalidId);
   for (RelationId r1 = 0; r1 < num_rel1; ++r1) {
     const bool rev1 = kg1.IsReverseRelation(r1);
     const RelationId base1 = rev1 ? kg1.ReverseOf(r1) : r1;
     for (RelationId r2 = 0; r2 < num_rel2; ++r2) {
       if (kg2.IsReverseRelation(r2) != rev1) continue;
       const RelationId base2 = rev1 ? kg2.ReverseOf(r2) : r2;
-      join.labels[r1 * num_rel2 + r2] =
-          relation_nodes_[base1 * num_rel2 + base2];
+      labels[r1 * num_rel2 + r2] = relation_nodes_[base1 * num_rel2 + base2];
     }
   }
-  join.offsets.assign(kg2.num_entities() + 1, 0);
-  for (EntityId e2 = 0; e2 < kg2.num_entities(); ++e2) {
-    join.offsets[e2 + 1] = join.offsets[e2] +
-                           static_cast<uint32_t>(kg2.Neighbors(e2).size());
-  }
-  join.by_tail.resize(join.offsets.back());
-  GlobalThreadPool().ParallelFor(kg2.num_entities(), [&](size_t e2) {
-    const auto& nbrs = kg2.Neighbors(static_cast<EntityId>(e2));
-    auto* row = join.by_tail.data() + join.offsets[e2];
-    for (uint32_t pos = 0; pos < nbrs.size(); ++pos) {
-      row[pos] = {nbrs[pos].tail, pos};
-    }
-    std::sort(row, row + nbrs.size());
-  });
 
-  // The join, one contiguous node range per shard, each into its own
-  // buffer; per-node counts give every shard its place in the CSR.
+  // The join, grouped by KG1 entity: one contiguous range of KG1 entities
+  // per shard, each joined into its own buffer in group order (entity by
+  // entity, each entity's nodes in partner-row order). Per-node counts give
+  // every node its place in the CSR.
   edge_offsets_.assign(n + 1, 0);
   struct Shard {
     size_t begin = 0;
+    size_t end = 0;
     std::vector<Edge> edges;
   };
   std::vector<Shard> shards(GlobalThreadPool().num_threads());
   GlobalThreadPool().ParallelForShards(
-      n, [&](size_t s, size_t begin, size_t end) {
+      kg1.num_entities(), [&](size_t s, size_t begin, size_t end) {
         Shard& shard = shards[s];
         shard.begin = begin;
-        std::vector<std::pair<uint32_t, uint32_t>> matched;
-        for (size_t node = begin; node < end; ++node) {
-          if (pool_[node].kind != ElementKind::kEntity) continue;
-          const size_t before = shard.edges.size();
-          BuildEntityNode(join, static_cast<uint32_t>(node), &shard.edges,
-                          &matched);
-          edge_offsets_[node + 1] =
-              static_cast<uint32_t>(shard.edges.size() - before);
+        shard.end = end;
+        // The candidate edges of one KG1 entity e1: its edge at position
+        // pos1 of kg1.Neighbors(e1), with relation r1, reaches pool node
+        // `target`, a pair (t1, t2). head[t2] starts the chain of the
+        // candidates that reach t2, linked by `next`.
+        struct Stamp {
+          uint32_t pos1, r1, target, t2, next;
+        };
+        std::vector<uint32_t> head(kg2.num_entities(), kInvalidId);
+        std::vector<Stamp> stamps;
+        // One node's relational edges, keyed by pos1 << 32 | pos2.
+        std::vector<std::pair<uint64_t, Edge>> matched;
+        for (auto e1 = static_cast<EntityId>(begin); e1 < end; ++e1) {
+          const auto group = PartnersOf(e1);
+          if (group.empty()) continue;
+          const auto& nbrs1 = kg1.Neighbors(e1);
+          for (uint32_t pos1 = 0; pos1 < nbrs1.size(); ++pos1) {
+            // A repeated pair's first node is the target; skip the others.
+            EntityId last = kInvalidId;
+            for (const auto& [t2, target] : PartnersOf(nbrs1[pos1].tail)) {
+              if (t2 == last) continue;
+              last = t2;
+              stamps.push_back(
+                  Stamp{pos1, nbrs1[pos1].relation, target, t2, head[t2]});
+              head[t2] = static_cast<uint32_t>(stamps.size() - 1);
+            }
+          }
+          for (const auto& [e2, node] : group) {
+            // Relational edges: each KG2 edge (e2, r2, t2) against the
+            // candidates that reach t2, kept where (r1, r2) labels an edge.
+            const auto& nbrs2 = kg2.Neighbors(e2);
+            matched.clear();
+            for (uint32_t pos2 = 0; pos2 < nbrs2.size(); ++pos2) {
+              for (uint32_t k = head[nbrs2[pos2].tail]; k != kInvalidId;
+                   k = stamps[k].next) {
+                const Stamp& stamp = stamps[k];
+                const uint32_t label =
+                    labels[size_t{stamp.r1} * num_rel2 + nbrs2[pos2].relation];
+                if (label == kInvalidId) continue;
+                matched.emplace_back((uint64_t{stamp.pos1} << 32) | pos2,
+                                     Edge{stamp.target, label});
+              }
+            }
+            std::sort(matched.begin(), matched.end(),
+                      [](const auto& a, const auto& b) {
+                        return a.first < b.first;
+                      });
+            const size_t before = shard.edges.size();
+            for (const auto& [key, edge] : matched) {
+              shard.edges.push_back(edge);
+            }
+            // Type edges to class pairs.
+            for (ClassId c1 : kg1.ClassesOf(e1)) {
+              const uint32_t* row = class_nodes_.data() + c1 * num_cls2;
+              for (ClassId c2 : kg2.ClassesOf(e2)) {
+                if (row[c2] != kInvalidId) {
+                  shard.edges.push_back(Edge{row[c2], kTypeLabel});
+                }
+              }
+            }
+            edge_offsets_[node + 1] =
+                static_cast<uint32_t>(shard.edges.size() - before);
+          }
+          for (const Stamp& stamp : stamps) head[stamp.t2] = kInvalidId;
+          stamps.clear();
         }
       });
   for (size_t node = 0; node < n; ++node) {
@@ -145,10 +169,17 @@ AlignmentGraph::AlignmentGraph(const AlignmentTask* task,
     DAAKG_CHECK(total < kInvalidId);
     edge_offsets_[node + 1] = static_cast<uint32_t>(total);
   }
+  // Each buffer holds its shard's nodes in group order; walk them again.
   edges_.resize(edge_offsets_.back());
   for (Shard& shard : shards) {
-    std::copy(shard.edges.begin(), shard.edges.end(),
-              edges_.begin() + edge_offsets_[shard.begin]);
+    auto from = shard.edges.cbegin();
+    for (auto e1 = static_cast<EntityId>(shard.begin); e1 < shard.end; ++e1) {
+      for (const auto& [e2, node] : PartnersOf(e1)) {
+        const auto to = from + (edge_offsets_[node + 1] - edge_offsets_[node]);
+        std::copy(from, to, edges_.begin() + edge_offsets_[node]);
+        from = to;
+      }
+    }
     shard.edges = {};
   }
 
@@ -169,55 +200,6 @@ AlignmentGraph::AlignmentGraph(const AlignmentTask* task,
     }
   }
   span.AddArg("edges", static_cast<double>(edges_.size()));
-}
-
-void AlignmentGraph::BuildEntityNode(
-    const JoinIndex& join, uint32_t node, std::vector<Edge>* out,
-    std::vector<std::pair<uint32_t, uint32_t>>* matched) const {
-  const KnowledgeGraph& kg1 = task_->kg1;
-  const KnowledgeGraph& kg2 = task_->kg2;
-  const EntityId e1 = pool_[node].first;
-  const EntityId e2 = pool_[node].second;
-  const auto& nbrs2 = kg2.Neighbors(e2);
-  const auto* by_tail_begin = join.by_tail.data() + join.offsets[e2];
-  const auto* by_tail_end = join.by_tail.data() + join.offsets[e2 + 1];
-
-  // Relational edges: for each KG1 edge (e1, r1, t1), the KG2 edges
-  // (e2, r2, t2) whose tail t2 is a pool partner of t1 and whose relation
-  // pair labels an edge, in kg2.Neighbors(e2) order.
-  for (const auto& n1 : kg1.Neighbors(e1)) {
-    const auto partners = PartnersOf(n1.tail);
-    if (partners.empty()) continue;
-    const uint32_t* labels = join.labels.data() +
-                             size_t{n1.relation} * join.num_relations2;
-    matched->clear();
-    const auto* it = by_tail_begin;
-    for (const auto& [t2, target] : partners) {
-      it = std::lower_bound(
-          it, by_tail_end, t2,
-          [](const std::pair<EntityId, uint32_t>& entry, EntityId tail) {
-            return entry.first < tail;
-          });
-      for (; it != by_tail_end && it->first == t2; ++it) {
-        if (labels[nbrs2[it->second].relation] != kInvalidId) {
-          matched->emplace_back(it->second, target);
-        }
-      }
-    }
-    std::sort(matched->begin(), matched->end());
-    for (const auto& [pos, target] : *matched) {
-      out->push_back(Edge{target, labels[nbrs2[pos].relation]});
-    }
-  }
-
-  // Type edges to class pairs.
-  const size_t num_cls2 = kg2.num_classes();
-  for (ClassId c1 : kg1.ClassesOf(e1)) {
-    const uint32_t* row = class_nodes_.data() + c1 * num_cls2;
-    for (ClassId c2 : kg2.ClassesOf(e2)) {
-      if (row[c2] != kInvalidId) out->push_back(Edge{row[c2], kTypeLabel});
-    }
-  }
 }
 
 uint32_t AlignmentGraph::IndexOf(const ElementPair& pair) const {

@@ -26,7 +26,8 @@ namespace daakg {
 // kg1.Neighbors(x) and then of the KG2 edge in kg2.Neighbors(x'); its type
 // edges follow, ordered by kg1.ClassesOf(x), then kg2.ClassesOf(x'). The
 // edges are stored as CSR (one flat array, one offset per node); see
-// DESIGN.md for the layout and the partner-driven join that builds it.
+// DESIGN.md for the layout and the join, grouped by KG1 entity, that builds
+// it.
 class AlignmentGraph {
  public:
   static constexpr uint32_t kTypeLabel = 0xFFFFFFFFu;
@@ -41,8 +42,9 @@ class AlignmentGraph {
   // relations (r1, r2) by the pool pair (r1, r2), two reverse ones by the
   // pair of their base relations (a relation pair (r1, r2) implicitly
   // licenses (r1^-1, r2^-1) edges); a forward edge never pairs with a
-  // reverse one. Nodes are built in parallel on GlobalThreadPool(); the
-  // result does not depend on the pool size.
+  // reverse one. The nodes of each KG1 entity are built together, the
+  // entities in parallel on GlobalThreadPool(); the result does not depend
+  // on the pool size.
   AlignmentGraph(const AlignmentTask* task,
                  const std::vector<ElementPair>& pool);
 
@@ -78,18 +80,13 @@ class AlignmentGraph {
 
  private:
   // The pool partners (kg2 entity, pool index) of one KG1 entity, sorted by
-  // KG2 id.
+  // KG2 id, then pool index; a repeated pair appears once per node. The
+  // join reads a row in two roles: as e1's group of nodes, and as the
+  // targets that a KG1 edge into e1 can reach.
   std::span<const std::pair<EntityId, uint32_t>> PartnersOf(EntityId e1) const {
     return {partners_.data() + partner_offsets_[e1],
             partners_.data() + partner_offsets_[e1 + 1]};
   }
-  struct JoinIndex;
-  // Appends the edges of entity-pair node `node` to `out`; `matched` is
-  // scratch.
-  void BuildEntityNode(const JoinIndex& join, uint32_t node,
-                       std::vector<Edge>* out,
-                       std::vector<std::pair<uint32_t, uint32_t>>* matched)
-      const;
 
   const AlignmentTask* task_;
   std::vector<ElementPair> pool_;
@@ -99,7 +96,7 @@ class AlignmentGraph {
   // relations.
   std::vector<uint32_t> relation_nodes_;
   std::vector<uint32_t> class_nodes_;
-  // CSR of the entity pairs' partners, by KG1 entity.
+  // CSR of the entity pairs' partners, by KG1 entity (see PartnersOf).
   std::vector<uint32_t> partner_offsets_;
   std::vector<std::pair<EntityId, uint32_t>> partners_;
 

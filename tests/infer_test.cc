@@ -698,9 +698,115 @@ std::vector<ElementPair> NearGoldPool(const AlignmentTask& task, Rng* rng) {
   return pool;
 }
 
+// A hand-built task with duplicate and parallel triplets (one (t1, t2) pair
+// then yields several (pos1, pos2) edges), self-loops and an entity with no
+// neighbours on each side. Entity i of KG1 corresponds to entity i of KG2.
+AlignmentTask MultiEdgeTask() {
+  AlignmentTask task;
+  task.name = "multi-edge";
+  auto build = [](KnowledgeGraph* kg, const char* suffix, bool second) {
+    const ClassId thing = kg->AddClass(std::string("Thing") + suffix);
+    const ClassId place = kg->AddClass(std::string("Place") + suffix);
+    const RelationId r = kg->AddRelation(std::string("r") + suffix);
+    const RelationId s = kg->AddRelation(std::string("s") + suffix);
+    std::vector<EntityId> e;
+    for (int i = 0; i < 7; ++i) {
+      e.push_back(kg->AddEntity(std::string("e") + std::to_string(i) + suffix));
+      kg->AddTypeTriplet(e.back(), i % 2 == 0 ? thing : place);
+    }
+    kg->AddTypeTriplet(e[0], place);
+    kg->AddTriplet(e[0], r, e[1]);
+    kg->AddTriplet(e[0], r, e[1]);
+    kg->AddTriplet(e[0], s, e[1]);
+    kg->AddTriplet(e[0], r, e[2]);
+    kg->AddTriplet(e[1], r, e[2]);
+    kg->AddTriplet(e[3], s, e[0]);
+    kg->AddTriplet(e[4], r, e[4]);
+    if (second) {
+      // A third KG2 relation, parallel to the others on (e0, e1), and a
+      // fourth copy of that edge.
+      const RelationId q = kg->AddRelation(std::string("q") + suffix);
+      kg->AddTriplet(e[0], q, e[1]);
+      kg->AddTriplet(e[0], r, e[1]);
+      kg->AddTriplet(e[2], s, e[5]);
+    } else {
+      kg->AddTriplet(e[5], r, e[2]);
+    }
+    // e6 has no neighbours.
+    DAAKG_CHECK(kg->Finalize().ok());
+  };
+  build(&task.kg1, "_a", false);
+  build(&task.kg2, "_b", true);
+  for (uint32_t e = 0; e < 7; ++e) task.gold_entities.emplace_back(e, e);
+  for (uint32_t r = 0; r < 2; ++r) task.gold_relations.emplace_back(r, r);
+  for (uint32_t c = 0; c < 2; ++c) task.gold_classes.emplace_back(c, c);
+  task.BuildGoldIndex();
+  return task;
+}
+
+// Appends every relation pair, reverse relations included.
+void AddRelationPairs(const AlignmentTask& task,
+                      std::vector<ElementPair>* pool) {
+  for (RelationId r1 = 0; r1 < task.kg1.num_relations(); ++r1) {
+    for (RelationId r2 = 0; r2 < task.kg2.num_relations(); ++r2) {
+      pool->push_back({ElementKind::kRelation, r1, r2});
+    }
+  }
+}
+
+// Appends every class pair.
+void AddClassPairs(const AlignmentTask& task, std::vector<ElementPair>* pool) {
+  for (ClassId c1 = 0; c1 < task.kg1.num_classes(); ++c1) {
+    for (ClassId c2 = 0; c2 < task.kg2.num_classes(); ++c2) {
+      pool->push_back({ElementKind::kClass, c1, c2});
+    }
+  }
+}
+
+// Appends (e1, e2) for every KG2 entity e2.
+void AddAllPartners(const AlignmentTask& task, EntityId e1,
+                    std::vector<ElementPair>* pool) {
+  for (EntityId e2 = 0; e2 < task.kg2.num_entities(); ++e2) {
+    pool->push_back({ElementKind::kEntity, e1, e2});
+  }
+}
+
 TEST(AlignmentGraphTest, MatchesReferenceJoin) {
   // The hand-built mirror task: reverse-relation and type edges.
   EXPECT_GT(ExpectMatchesReferenceJoin(MirrorTask(), MirrorPool()), 0u);
+
+  // Pools a join grouped by KG1 entity could get wrong.
+  const AlignmentTask multi = MultiEdgeTask();
+  EXPECT_EQ(ExpectMatchesReferenceJoin(multi, {}), 0u);
+  std::vector<ElementPair> schema_only;
+  AddRelationPairs(multi, &schema_only);
+  AddClassPairs(multi, &schema_only);
+  EXPECT_EQ(ExpectMatchesReferenceJoin(multi, schema_only), 0u);
+  // Every entity pair and every class pair, but no relation pair: type
+  // edges only.
+  std::vector<ElementPair> types_only;
+  for (EntityId e1 = 0; e1 < multi.kg1.num_entities(); ++e1) {
+    AddAllPartners(multi, e1, &types_only);
+  }
+  AddClassPairs(multi, &types_only);
+  EXPECT_GT(ExpectMatchesReferenceJoin(multi, types_only), 0u);
+  // The full cross product, schema pairs last: duplicate and parallel
+  // triplets on both sides, self-loops, and e6 without neighbours.
+  std::vector<ElementPair> full = types_only;
+  AddRelationPairs(multi, &full);
+  EXPECT_GT(ExpectMatchesReferenceJoin(multi, full), full.size());
+  // Pairs repeated at non-adjacent positions, with another pair of the same
+  // KG1 entity between them; the repeats of (e1, e1) are also targets.
+  std::vector<ElementPair> repeats = {
+      {ElementKind::kEntity, 0, 0}, {ElementKind::kEntity, 1, 1},
+      {ElementKind::kEntity, 0, 3}, {ElementKind::kEntity, 1, 2},
+      {ElementKind::kEntity, 0, 0}, {ElementKind::kEntity, 1, 1},
+      {ElementKind::kEntity, 2, 2}, {ElementKind::kEntity, 6, 6},
+      {ElementKind::kEntity, 0, 6}, {ElementKind::kEntity, 1, 1}};
+  AddRelationPairs(multi, &repeats);
+  AddClassPairs(multi, &repeats);
+  EXPECT_GT(ExpectMatchesReferenceJoin(multi, repeats), 0u);
+
   for (BenchmarkDataset dataset :
        {BenchmarkDataset::kDW, BenchmarkDataset::kDY, BenchmarkDataset::kEnDe,
         BenchmarkDataset::kEnFr}) {
@@ -713,6 +819,27 @@ TEST(AlignmentGraphTest, MatchesReferenceJoin) {
           << task->name << " seed " << seed;
     }
   }
+
+  // One KG1 entity, the one with most neighbours, and the tails of its
+  // first edges each paired with every KG2 entity: many nodes per KG1
+  // entity and long stamp chains.
+  auto task = MakeBenchmarkTask(BenchmarkDataset::kDY, 0.2, 17);
+  ASSERT_TRUE(task.ok()) << task.status();
+  EntityId hub = 0;
+  for (EntityId e1 = 0; e1 < task->kg1.num_entities(); ++e1) {
+    if (task->kg1.Neighbors(e1).size() > task->kg1.Neighbors(hub).size()) {
+      hub = e1;
+    }
+  }
+  std::vector<ElementPair> dense;
+  AddAllPartners(*task, hub, &dense);
+  const auto& hub_edges = task->kg1.Neighbors(hub);
+  for (size_t k = 0; k < std::min<size_t>(4, hub_edges.size()); ++k) {
+    AddAllPartners(*task, hub_edges[k].tail, &dense);
+  }
+  AddRelationPairs(*task, &dense);
+  AddClassPairs(*task, &dense);
+  EXPECT_GT(ExpectMatchesReferenceJoin(*task, dense), dense.size());
 }
 
 }  // namespace
