@@ -58,8 +58,7 @@ DaakgConfig DaakgBenchConfig(const std::string& model, const BenchEnv& env) {
 
 BaselineResult RunDaakg(const AlignmentTask& task, const DaakgConfig& config,
                         const BenchEnv& env, const std::string& row_name) {
-  obs::TraceSpan span("bench.run_daakg", "bench", nullptr,
-                      obs::TimingMode::kAlways);
+  obs::TraceSpan span("bench.run_daakg", "bench");
   DaakgAligner aligner(&task, config);
   Rng rng(env.seed ^ 0x5EEDULL);
   SeedAlignment seed = task.SampleSeed(env.seed_fraction, &rng);

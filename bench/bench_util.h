@@ -37,7 +37,7 @@ AlignmentTask MakeTask(BenchmarkDataset dataset, const BenchEnv& env);
 DaakgConfig DaakgBenchConfig(const std::string& model, const BenchEnv& env);
 
 // Command-line flags shared by the bench mains:
-//   --metrics_json=<path>   dump the global metrics registry as JSON on
+//   --metrics_json=<path>   dump the global counters and gauges as JSON on
 //                           MaybeDumpMetrics()
 //   --trace_json=<path>     start a structured-trace session for the whole
 //                           bench run and export Chrome trace-event JSON
@@ -50,7 +50,7 @@ struct BenchArgs {
 // Parses the flags above; unknown arguments abort with a usage message.
 BenchArgs ParseBenchArgs(int argc, char** argv);
 
-// Writes the global metrics registry to `args.metrics_json` when set.
+// Writes the global counters and gauges to `args.metrics_json` when set.
 void MaybeDumpMetrics(const BenchArgs& args);
 
 // Trains DAAKG on `task` from a fresh `seed_fraction` seed and returns the

@@ -84,8 +84,9 @@ int main(int argc, char** argv) {
   }
 
   // --- active-loop phase breakdown (the per-phase half of Table 4) --------
-  // One small DAAKG active run on D-W; this is what populates the pool /
-  // selection / oracle metrics in --metrics_json dumps.
+  // One small DAAKG active run on D-W. Its phase times are the loop's
+  // RoundTelemetry; it also feeds the pool / selection / oracle counters in
+  // --metrics_json dumps.
   {
     std::printf("\n=== Active-loop phase breakdown (D-W, transe) ===\n");
     AlignmentTask task = MakeTask(BenchmarkDataset::kDW, env);

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: a plain release build, an ASan+UBSan build and a
 # TSan build, each running the full suite. A perfbench smoke leg builds the
-# end-to-end benchmark against the library and runs each workload once for
-# a second. A SIMD leg re-runs the full release suite under
+# end-to-end benchmark against the library and runs each workload for a
+# second twice: untraced, and with --trace 1, which drives every span site
+# under a live trace session and must drop no event. A SIMD leg re-runs the full release suite under
 # DAAKG_SIMD=scalar: every backend rounds alike, so the golden tests must
 # hold their one pin on the scalar kernels too.
 set -euo pipefail
@@ -34,20 +35,28 @@ cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
 echo "== perfbench smoke (compiles perfbench/ against the library) =="
-# One short run per benchmark workload; each must check every output
-# correct (its result line reports failed == 0).
+# Two short runs per benchmark workload, untraced and traced; each must
+# check every output correct (its result line reports failed == 0), and the
+# traced one must drop no trace event (obs.trace_dropped == 0).
 for workload in active-loop batch-plan; do
-  result="$(python3 perfbench/run.py --workload "$workload" --seconds 1 |
-            tail -n 1)"
-  python3 - "$workload" "$result" <<'PY'
+  for trace in 0 1; do
+    result="$(python3 perfbench/run.py --workload "$workload" --seconds 1 \
+                --trace "$trace" | tail -n 1)"
+    python3 - "$workload" "$trace" "$result" <<'PY'
 import json, sys
-workload, line = sys.argv[1], sys.argv[2]
+workload, trace, line = sys.argv[1], sys.argv[2], sys.argv[3]
 result = json.loads(line)
-print(f"perfbench {workload}: attempted {result['attempted']}, "
-      f"failed {result['failed']}")
+run = f"perfbench {workload} --trace {trace}"
+print(f"{run}: attempted {result['attempted']}, failed {result['failed']}")
 if result["failed"] != 0:
-    sys.exit(f"ci.sh: perfbench {workload} reported failed operations")
+    sys.exit(f"ci.sh: {run} reported failed operations")
+if trace == "1":
+    dropped = result["metrics"]["obs.trace_dropped"]["value"]
+    print(f"{run}: obs.trace_dropped {dropped:g}")
+    if dropped > 0:
+        sys.exit(f"ci.sh: {run} dropped trace events")
 PY
+  done
 done
 
 echo "== SIMD leg: full suite on the scalar kernels =="

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "common/thread_pool.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/topk.h"
 
@@ -91,9 +92,7 @@ Vector PoolGenerator::Signature(int side, EntityId e) const {
 
 void PoolGenerator::EnsureIndexLocked() const {
   if (cache_->index != nullptr) return;
-  static obs::Histogram* sig_timing = obs::GlobalMetrics().GetHistogram(
-      "daakg.active.pool_signature_seconds");
-  obs::TraceSpan span("active.pool_signatures", "active", sig_timing);
+  obs::TraceSpan span("active.pool_signatures", "active");
   const size_t n1 = task_->kg1.num_entities();
   const size_t n2 = task_->kg2.num_entities();
   const size_t sig_dim = 2 * model_->kg1_model()->dim();
@@ -132,13 +131,11 @@ std::vector<ElementPair> PoolGenerator::Generate() const {
 }
 
 std::vector<ElementPair> PoolGenerator::Generate(size_t top_n) const {
-  static obs::Histogram* build_timing =
-      obs::GlobalMetrics().GetHistogram("daakg.active.pool_build_seconds");
   static obs::Counter* candidates =
       obs::GlobalMetrics().GetCounter("daakg.active.pool_candidates");
   static obs::Gauge* pool_size =
       obs::GlobalMetrics().GetGauge("daakg.active.pool_size");
-  obs::TraceSpan span("active.pool_generate", "active", build_timing);
+  obs::TraceSpan span("active.pool_generate", "active");
   span.AddArg("top_n", static_cast<double>(top_n));
   std::lock_guard<std::mutex> lock(cache_->mu);
   if (cache_->top_n != top_n) {

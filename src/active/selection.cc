@@ -11,6 +11,7 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "infer/hop_search.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace daakg {
@@ -18,11 +19,8 @@ namespace {
 
 // Shared per-batch bookkeeping of both selection algorithms.
 void RecordSelection(const SelectionResult& result) {
-  static obs::Histogram* timing =
-      obs::GlobalMetrics().GetHistogram("daakg.active.selection_seconds");
   static obs::Counter* selected =
       obs::GlobalMetrics().GetCounter("daakg.active.selected_pairs");
-  timing->Record(result.seconds);
   selected->Increment(result.selected.size());
 }
 
@@ -71,11 +69,7 @@ SelectionResult LazyGreedy(const SelectionContext& ctx,
 
 SelectionResult GreedySelect(const SelectionContext& ctx,
                              const SelectionConfig& config) {
-  // kAlways: result.seconds (and through it the selection histogram) needs
-  // the elapsed time even when tracing is off; Finish() supplies the same
-  // duration the trace event records.
-  obs::TraceSpan span("active.greedy_select", "active", nullptr,
-                      obs::TimingMode::kAlways);
+  obs::TraceSpan span("active.greedy_select", "active");
   span.AddArg("batch_size", static_cast<double>(config.batch_size));
   const size_t n = ctx.engine->graph().num_nodes();
 
@@ -384,8 +378,7 @@ SelectionResult PartitionSelect(const SelectionContext& ctx,
                                 const SelectionConfig& config) {
   static obs::Counter* builds =
       obs::GlobalMetrics().GetCounter("daakg.active.partition_builds");
-  obs::TraceSpan span("active.partition_select", "active", nullptr,
-                      obs::TimingMode::kAlways);
+  obs::TraceSpan span("active.partition_select", "active");
   span.AddArg("batch_size", static_cast<double>(config.batch_size));
   // The plan's match probabilities are the engine's model's.
   DAAKG_CHECK(ctx.model == ctx.engine->model());

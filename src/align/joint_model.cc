@@ -9,6 +9,7 @@
 #include "align/metrics.h"
 #include "common/thread_pool.h"
 #include "index/candidate_index.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/simd/simd.h"
 #include "tensor/topk.h"
@@ -350,15 +351,13 @@ std::array<uint64_t, 5> JointAlignmentModel::ParamVersions() const {
 }
 
 void JointAlignmentModel::RefreshCaches() {
-  static obs::Histogram* refresh_timing =
-      obs::GlobalMetrics().GetHistogram("daakg.align.refresh_caches_seconds");
   static obs::Counter* refresh_count =
       obs::GlobalMetrics().GetCounter("daakg.align.refresh_caches_calls");
   static obs::Gauge* nonfinite =
       obs::GlobalMetrics().GetGauge("daakg.align.nonfinite_rows");
   const std::array<uint64_t, 5> versions = ParamVersions();
   if (cached_versions_ == versions) return;  // no parameter moved
-  obs::TraceSpan span("align.refresh_caches", "align", refresh_timing);
+  obs::TraceSpan span("align.refresh_caches", "align");
   refresh_count->Increment();
   {
     // The planning data of the old caches goes first, so no two

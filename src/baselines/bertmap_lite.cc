@@ -55,8 +55,7 @@ double TokenJaccard(const std::vector<std::string>& a,
 BertMapLite::BertMapLite(const AlignmentTask* task) : task_(task) {}
 
 BaselineResult BertMapLite::Run(const SeedAlignment& seed) {
-  obs::TraceSpan span("baselines.bertmap_lite", "baselines", nullptr,
-                      obs::TimingMode::kAlways);
+  obs::TraceSpan span("baselines.bertmap_lite", "baselines");
   const KnowledgeGraph& kg1 = task_->kg1;
   const KnowledgeGraph& kg2 = task_->kg2;
   const size_t k1 = kg1.num_classes();

@@ -187,8 +187,7 @@ void EmbeddingBaseline::BuildTransformedTask() {
 }
 
 BaselineResult EmbeddingBaseline::Run(const SeedAlignment& seed) {
-  obs::TraceSpan span("baselines.embedding", "baselines", nullptr,
-                      obs::TimingMode::kAlways);
+  obs::TraceSpan span("baselines.embedding", "baselines");
   SeedAlignment mapped_seed;
   mapped_seed.entities = seed.entities;
   for (const auto& [c1, c2] : seed.classes) {

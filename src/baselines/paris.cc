@@ -41,8 +41,7 @@ std::vector<double> Functionalities(const KnowledgeGraph& kg) {
 Paris::Paris(const AlignmentTask* task) : task_(task) {}
 
 BaselineResult Paris::Run(const SeedAlignment& seed) {
-  obs::TraceSpan span("baselines.paris", "baselines", nullptr,
-                      obs::TimingMode::kAlways);
+  obs::TraceSpan span("baselines.paris", "baselines");
   const KnowledgeGraph& kg1 = task_->kg1;
   const KnowledgeGraph& kg2 = task_->kg2;
   const size_t n1 = kg1.num_entities();

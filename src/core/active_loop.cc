@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "infer/alignment_graph.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace daakg {
@@ -141,14 +142,12 @@ std::vector<ActiveRoundReport> ActiveAlignmentLoop::Run() {
   while (next_report < config_.report_fractions.size() &&
          queries < max_queries) {
     ++window.rounds;
-    // kAlways spans: the RoundTelemetry window needs phase wall-times even
-    // when tracing is off, and Finish() hands back the very duration the
-    // trace event records (one clock-read pair per phase).
+    // Each phase's Finish() feeds the RoundTelemetry window with the very
+    // duration its trace event records.
     obs::TraceSpan round_span("core.active_round", "core");
     round_span.AddArg("round", static_cast<double>(window.rounds));
     {
-      obs::TraceSpan refresh_span("core.round_refresh", "core", nullptr,
-                                  obs::TimingMode::kAlways);
+      obs::TraceSpan refresh_span("core.round_refresh", "core");
       // Train/FineTune end with a refresh, so this one returns at once
       // unless a parameter moved since.
       aligner_->RefreshCaches();
@@ -157,8 +156,7 @@ std::vector<ActiveRoundReport> ActiveAlignmentLoop::Run() {
 
     // Pool (reused while no parameter moved), graph and engine against the
     // refreshed model.
-    obs::TraceSpan pool_span("core.round_pool_build", "core", nullptr,
-                             obs::TimingMode::kAlways);
+    obs::TraceSpan pool_span("core.round_pool_build", "core");
     PoolGenerator pool_gen(task_, aligner_->joint(), config_.pool);
     std::vector<ElementPair> pool = pool_gen.Generate();
     window.pool_build_seconds += pool_span.Finish();
@@ -183,8 +181,7 @@ std::vector<ActiveRoundReport> ActiveAlignmentLoop::Run() {
     }
 
     SelectionContext ctx{&engine, aligner_->joint(), &labeled};
-    obs::TraceSpan select_span("core.round_selection", "core", nullptr,
-                               obs::TimingMode::kAlways);
+    obs::TraceSpan select_span("core.round_selection", "core");
     std::vector<uint32_t> batch =
         strategy_->SelectBatch(ctx, config_.batch_size, &rng);
     window.selection_seconds += select_span.Finish();
@@ -203,8 +200,7 @@ std::vector<ActiveRoundReport> ActiveAlignmentLoop::Run() {
     }
     if (!new_matches.entities.empty() || !new_matches.relations.empty() ||
         !new_matches.classes.empty()) {
-      obs::TraceSpan fine_tune_span("core.round_fine_tune", "core", nullptr,
-                                    obs::TimingMode::kAlways);
+      obs::TraceSpan fine_tune_span("core.round_fine_tune", "core");
       aligner_->FineTune(new_matches);
       window.fine_tune_seconds += fine_tune_span.Finish();
     }

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/logging.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace daakg {
@@ -131,9 +132,7 @@ void DaakgAligner::KgeEpoch() {
 }
 
 void DaakgAligner::JointRound(const SeedAlignment& train_set, bool focal) {
-  static obs::Histogram* round_timing =
-      obs::GlobalMetrics().GetHistogram("daakg.align.joint_round_seconds");
-  obs::TraceSpan span("core.joint_round", "core", round_timing);
+  obs::TraceSpan span("core.joint_round", "core");
   KgeEpoch();
   Rng rng = rng_.Fork();
   for (int k = 0; k < config_.align.joint_epochs_per_round; ++k) {
@@ -181,9 +180,7 @@ void DaakgAligner::Train(const SeedAlignment& seed) {
 }
 
 void DaakgAligner::FineTune(const SeedAlignment& new_matches) {
-  static obs::Histogram* fine_tune_timing =
-      obs::GlobalMetrics().GetHistogram("daakg.core.fine_tune_seconds");
-  obs::TraceSpan span("core.fine_tune", "core", fine_tune_timing);
+  obs::TraceSpan span("core.fine_tune", "core");
   span.AddArg("new_entities", static_cast<double>(new_matches.entities.size()));
   labeled_.Merge(new_matches);
 

@@ -5,6 +5,7 @@
 
 #include "common/thread_pool.h"
 #include "embedding/negative_sampler.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace daakg {
@@ -16,11 +17,9 @@ constexpr int kNumNegatives = 4;  // corrupted tails per positive
 }  // namespace
 
 void KgeTrainer::TrainEpoch(Rng* rng, KgeTrainStats* stats) {
-  static obs::Histogram* epoch_timing =
-      obs::GlobalMetrics().GetHistogram("daakg.embedding.kge_epoch_seconds");
   static obs::Counter* train_steps =
       obs::GlobalMetrics().GetCounter("daakg.embedding.kge_train_steps");
-  obs::TraceSpan span("embedding.kge_epoch", "embedding", epoch_timing);
+  obs::TraceSpan span("embedding.kge_epoch", "embedding");
   const KnowledgeGraph& kg = model_->kg();
   NegativeSampler sampler(&kg);
 

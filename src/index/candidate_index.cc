@@ -19,12 +19,6 @@ void RecordQuery(uint64_t cells) {
   scored->Increment(cells);
 }
 
-obs::Histogram* QueryTiming() {
-  static obs::Histogram* timing =
-      obs::GlobalMetrics().GetHistogram("daakg.index.query_seconds");
-  return timing;
-}
-
 }  // namespace
 
 CandidateIndex::CandidateIndex(Matrix base) : base_(std::move(base)) {}
@@ -32,12 +26,10 @@ CandidateIndex::CandidateIndex(Matrix base) : base_(std::move(base)) {}
 StatusOr<std::unique_ptr<CandidateIndex>> CandidateIndex::Build(Matrix base) {
   static obs::Counter* builds =
       obs::GlobalMetrics().GetCounter("daakg.index.builds");
-  static obs::Histogram* build_timing =
-      obs::GlobalMetrics().GetHistogram("daakg.index.build_seconds");
   if (base.rows() == 0 || base.cols() == 0) {
     return InvalidArgumentError("index base must be non-empty");
   }
-  obs::TraceSpan span("index.build", "index", build_timing);
+  obs::TraceSpan span("index.build", "index");
   span.AddArg("rows", static_cast<double>(base.rows()));
   builds->Increment();
   return std::unique_ptr<CandidateIndex>(
@@ -52,7 +44,7 @@ SimTopK CandidateIndex::QueryTopK(const Matrix& queries, size_t row_k,
                                   size_t col_k) const {
   static obs::Counter* candidates =
       obs::GlobalMetrics().GetCounter("daakg.index.candidates");
-  obs::TraceSpan span("index.query_topk", "index", QueryTiming());
+  obs::TraceSpan span("index.query_topk", "index");
   span.AddArg("queries", static_cast<double>(queries.rows()));
   SimTopK out = BlockedSimTopK(queries, base_, row_k, col_k);
   RecordQuery(static_cast<uint64_t>(queries.rows()) * base_.rows());
@@ -65,7 +57,7 @@ SimTopK CandidateIndex::QueryTopK(const Matrix& queries, size_t row_k,
 
 std::vector<std::vector<ScoredIndex>> CandidateIndex::QueryAbove(
     const Matrix& queries, float threshold) const {
-  obs::TraceSpan span("index.query_above", "index", QueryTiming());
+  obs::TraceSpan span("index.query_above", "index");
   span.AddArg("queries", static_cast<double>(queries.rows()));
   std::vector<std::vector<ScoredIndex>> out(queries.rows());
   // All tiles of one query row arrive from a single shard in ascending
@@ -88,7 +80,7 @@ std::vector<std::vector<ScoredIndex>> CandidateIndex::QueryAbove(
 
 std::vector<size_t> CandidateIndex::CountAbove(
     const Matrix& queries, const std::vector<RankQuery>& rank_queries) const {
-  obs::TraceSpan span("index.count_above", "index", QueryTiming());
+  obs::TraceSpan span("index.count_above", "index");
   span.AddArg("queries", static_cast<double>(rank_queries.size()));
   std::vector<size_t> greater(rank_queries.size(), 0);
   std::vector<std::vector<size_t>> of_row(queries.rows());

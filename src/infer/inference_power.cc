@@ -52,8 +52,6 @@ InferenceEngine::InferenceEngine(const AlignmentGraph* graph,
   obs::MetricsRegistry& metrics = obs::GlobalMetrics();
   power_from_calls_ = metrics.GetCounter("daakg.infer.power_from_calls");
   power_entries_ = metrics.GetCounter("daakg.infer.power_entries");
-  precompute_timing_ =
-      metrics.GetHistogram("daakg.infer.precompute_edge_costs_seconds");
 }
 
 float AlternativeEntitySlack(size_t parallel_edges1, size_t parallel_edges2) {
@@ -161,8 +159,7 @@ float InferenceEngine::ComputeEdgeCost(uint32_t node,
 void InferenceEngine::PrecomputeEdgeCosts() {
   static obs::Counter* builds =
       obs::GlobalMetrics().GetCounter("daakg.infer.edge_cost_builds");
-  obs::TraceSpan span("infer.precompute_edge_costs", "infer",
-                      precompute_timing_);
+  obs::TraceSpan span("infer.precompute_edge_costs", "infer");
   span.AddArg("nodes", static_cast<double>(graph_->num_nodes()));
   const KnowledgeGraph* kg1 = &graph_->task().kg1;
   const KnowledgeGraph* kg2 = &graph_->task().kg2;

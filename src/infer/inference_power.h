@@ -220,7 +220,6 @@ class InferenceEngine {
   // per-call path.
   obs::Counter* power_from_calls_;
   obs::Counter* power_entries_;
-  obs::Histogram* precompute_timing_;
 
   // Set by PrecomputeEdgeCosts, read-only afterwards; shared with the
   // planning slot and every engine that adopted it.

@@ -1,7 +1,5 @@
 #include "kg/stats.h"
 
-#include "common/string_util.h"
-
 namespace daakg {
 
 TaskStats ComputeTaskStats(const AlignmentTask& task) {
@@ -29,19 +27,6 @@ TaskStats ComputeTaskStats(const AlignmentTask& task) {
         static_cast<double>(s.triplets2) / static_cast<double>(s.entities2);
   }
   return s;
-}
-
-std::string StatsHeader() {
-  return StrFormat("%-8s %18s %14s %12s %12s %10s", "Dataset", "Entities",
-                   "Relations", "Classes", "Triplets", "Matches");
-}
-
-std::string FormatStatsRow(const TaskStats& s) {
-  return StrFormat(
-      "%-8s %8zu vs %6zu %6zu vs %4zu %5zu vs %3zu %5zu/%5zu %6zu/%zu/%zu",
-      s.name.c_str(), s.entities1, s.entities2, s.relations1, s.relations2,
-      s.classes1, s.classes2, s.triplets1, s.triplets2, s.entity_matches,
-      s.relation_matches, s.class_matches);
 }
 
 }  // namespace daakg

@@ -30,10 +30,6 @@ struct TaskStats {
 
 TaskStats ComputeTaskStats(const AlignmentTask& task);
 
-// One formatted row (fixed-width) suitable for the Table 2 bench output.
-std::string FormatStatsRow(const TaskStats& stats);
-std::string StatsHeader();
-
 }  // namespace daakg
 
 #endif  // DAAKG_KG_STATS_H_

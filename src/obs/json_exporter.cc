@@ -1,6 +1,5 @@
 #include "obs/json_exporter.h"
 
-#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -9,37 +8,6 @@
 
 namespace daakg {
 namespace obs {
-namespace {
-
-void AppendHistogram(const Histogram& h, std::string* out) {
-  out->append(StrFormat(
-      "{\"count\": %llu, \"sum\": %s, \"min\": %s, \"max\": %s, "
-      "\"mean\": %s, \"p50\": %s, \"p95\": %s, \"p99\": %s, \"buckets\": [",
-      static_cast<unsigned long long>(h.Count()), JsonNumber(h.Sum()).c_str(),
-      JsonNumber(h.Min()).c_str(), JsonNumber(h.Max()).c_str(),
-      JsonNumber(h.Mean()).c_str(), JsonNumber(h.Quantile(0.5)).c_str(),
-      JsonNumber(h.Quantile(0.95)).c_str(),
-      JsonNumber(h.Quantile(0.99)).c_str()));
-  bool first = true;
-  for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
-    const uint64_t count = h.BucketCount(i);
-    if (count == 0) continue;
-    if (!first) out->append(", ");
-    first = false;
-    const double le = Histogram::BucketUpperBound(i);
-    if (std::isinf(le)) {
-      out->append(StrFormat("{\"le\": \"+Inf\", \"count\": %llu}",
-                            static_cast<unsigned long long>(count)));
-    } else {
-      out->append(StrFormat("{\"le\": %s, \"count\": %llu}",
-                            JsonNumber(le).c_str(),
-                            static_cast<unsigned long long>(count)));
-    }
-  }
-  out->append("]}");
-}
-
-}  // namespace
 
 std::string MetricsToJson(const MetricsRegistry& registry) {
   std::string out = "{\n  \"counters\": {";
@@ -59,16 +27,6 @@ std::string MetricsToJson(const MetricsRegistry& registry) {
     first = false;
     out += StrFormat("\n    \"%s\": %s", JsonEscape(name).c_str(),
                      JsonNumber(gauge->Value()).c_str());
-  }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"histograms\": {";
-  first = true;
-  for (const auto& [name, hist] : registry.Histograms()) {
-    if (!first) out += ",";
-    first = false;
-    out += StrFormat("\n    \"%s\": ", JsonEscape(name).c_str());
-    AppendHistogram(*hist, &out);
   }
   out += first ? "}\n" : "\n  }\n";
   out += "}";

@@ -12,20 +12,12 @@ namespace obs {
 // Serializes a registry snapshot as a JSON object:
 //
 //   {
-//     "counters":   { "daakg.active.oracle_queries": 120, ... },
-//     "gauges":     { "daakg.active.pool_size": 4096.0, ... },
-//     "histograms": {
-//       "daakg.active.pool_build_seconds": {
-//         "count": 5, "sum": 0.71, "min": 0.12, "max": 0.18, "mean": 0.142,
-//         "p50": 0.139, "p95": 0.177, "p99": 0.18,
-//         "buckets": [ { "le": 0.131072, "count": 3 },
-//                      { "le": "+Inf",   "count": 2 } ]
-//       }, ...
-//     }
+//     "counters": { "daakg.active.oracle_queries": 120, ... },
+//     "gauges":   { "daakg.active.pool_size": 4096.0, ... }
 //   }
 //
-// Empty buckets are omitted; the overflow bucket's bound is the string
-// "+Inf" because JSON has no infinity literal.
+// Both sections are sorted by name. Phase times are not here: they are in
+// the trace (TraceSession) and in the telemetry structs the callers fill.
 std::string MetricsToJson(const MetricsRegistry& registry);
 
 // Writes MetricsToJson(registry) to `path` (with a trailing newline).

@@ -1,130 +1,7 @@
 #include "obs/metrics.h"
 
-#include <cmath>
-#include <limits>
-
 namespace daakg {
 namespace obs {
-namespace {
-
-// CAS add for compilers whose std::atomic<double>::fetch_add codegen is
-// suboptimal; also used for the min/max folds below.
-void AtomicAdd(std::atomic<double>* target, double delta) {
-  double cur = target->load(std::memory_order_relaxed);
-  while (!target->compare_exchange_weak(cur, cur + delta,
-                                        std::memory_order_relaxed)) {
-  }
-}
-
-void AtomicMin(std::atomic<double>* target, double value) {
-  double cur = target->load(std::memory_order_relaxed);
-  while (value < cur && !target->compare_exchange_weak(
-                            cur, value, std::memory_order_relaxed)) {
-  }
-}
-
-void AtomicMax(std::atomic<double>* target, double value) {
-  double cur = target->load(std::memory_order_relaxed);
-  while (value > cur && !target->compare_exchange_weak(
-                            cur, value, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
-void Gauge::Add(double delta) { AtomicAdd(&value_, delta); }
-
-size_t Histogram::BucketIndex(double value) {
-  if (!std::isfinite(value) || value <= kFirstUpperBound) return 0;
-  // Bucket upper bounds are inclusive, so an exact boundary (log2 integer)
-  // belongs to the bucket it bounds — hence ceil, not 1 + floor.
-  const double log2_ratio = std::log2(value / kFirstUpperBound);
-  const size_t idx = static_cast<size_t>(std::ceil(log2_ratio));
-  return idx < kNumBuckets ? idx : kNumBuckets - 1;
-}
-
-double Histogram::BucketUpperBound(size_t i) {
-  if (i + 1 >= kNumBuckets) return std::numeric_limits<double>::infinity();
-  return kFirstUpperBound * std::exp2(static_cast<double>(i));
-}
-
-void Histogram::Record(double value) {
-  if (!std::isfinite(value) || value < 0.0) value = 0.0;
-  buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
-  AtomicAdd(&sum_, value);
-  // First-sample min/max initialization races are benign: count_ is bumped
-  // last, and before the first bump Min()/Max() report 0; afterwards the CAS
-  // folds below have already run for every recorded sample.
-  if (count_.load(std::memory_order_relaxed) == 0) {
-    double expected = 0.0;
-    min_.compare_exchange_strong(expected, value, std::memory_order_relaxed);
-    expected = 0.0;
-    max_.compare_exchange_strong(expected, value, std::memory_order_relaxed);
-  }
-  AtomicMin(&min_, value);
-  AtomicMax(&max_, value);
-  count_.fetch_add(1, std::memory_order_relaxed);
-}
-
-double Histogram::Quantile(double q) const {
-  // Snapshot the buckets once so concurrent Record()s cannot move the
-  // cumulative walk mid-scan; the snapshot is internally consistent enough
-  // for an estimate (same guarantee exporters already live with).
-  std::array<uint64_t, kNumBuckets> counts;
-  uint64_t total = 0;
-  for (size_t i = 0; i < kNumBuckets; ++i) {
-    counts[i] = buckets_[i].load(std::memory_order_relaxed);
-    total += counts[i];
-  }
-  if (total == 0) return 0.0;
-  const double lo = Min();
-  const double hi = Max();
-  if (q <= 0.0) return lo;
-  if (q >= 1.0) return hi;
-  const double target = q * static_cast<double>(total);
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < kNumBuckets; ++i) {
-    if (counts[i] == 0) continue;
-    const double before = static_cast<double>(cumulative);
-    cumulative += counts[i];
-    if (static_cast<double>(cumulative) < target) continue;
-    if (i + 1 == kNumBuckets) return hi;  // overflow bucket: no upper bound
-    const double frac = (target - before) / static_cast<double>(counts[i]);
-    double value;
-    if (i == 0) {
-      // Bucket 0 spans [0, kFirstUpperBound]: interpolate linearly, a
-      // geometric walk from a 0 lower bound is degenerate.
-      value = frac * kFirstUpperBound;
-    } else {
-      // Log-scale buckets: successive bounds differ by 2x, so the natural
-      // interpolation is geometric — lower * 2^frac sweeps the bucket.
-      value = BucketUpperBound(i - 1) * std::exp2(frac);
-    }
-    return std::min(hi, std::max(lo, value));
-  }
-  return hi;
-}
-
-double Histogram::Min() const {
-  return Count() == 0 ? 0.0 : min_.load(std::memory_order_relaxed);
-}
-
-double Histogram::Max() const {
-  return Count() == 0 ? 0.0 : max_.load(std::memory_order_relaxed);
-}
-
-double Histogram::Mean() const {
-  const uint64_t n = Count();
-  return n == 0 ? 0.0 : Sum() / static_cast<double>(n);
-}
-
-void Histogram::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(0.0, std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
-}
 
 Counter* MetricsRegistry::GetCounter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -137,13 +14,6 @@ Gauge* MetricsRegistry::GetGauge(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = gauges_[std::string(name)];
   if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return slot.get();
-}
-
-Histogram* MetricsRegistry::GetHistogram(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[std::string(name)];
-  if (slot == nullptr) slot = std::make_unique<Histogram>();
   return slot.get();
 }
 
@@ -167,22 +37,10 @@ std::vector<std::pair<std::string, const Gauge*>> MetricsRegistry::Gauges()
   return out;
 }
 
-std::vector<std::pair<std::string, const Histogram*>>
-MetricsRegistry::Histograms() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, const Histogram*>> out;
-  out.reserve(histograms_.size());
-  for (const auto& [name, hist] : histograms_) {
-    out.emplace_back(name, hist.get());
-  }
-  return out;
-}
-
 void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, counter] : counters_) counter->Reset();
   for (auto& [name, gauge] : gauges_) gauge->Reset();
-  for (auto& [name, hist] : histograms_) hist->Reset();
 }
 
 MetricsRegistry& GlobalMetrics() {

@@ -1,7 +1,6 @@
 #ifndef DAAKG_OBS_METRICS_H_
 #define DAAKG_OBS_METRICS_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -18,10 +17,11 @@ namespace obs {
 // "Observability"):
 //   * handles returned by MetricsRegistry are stable for the registry's
 //     lifetime — callers hoist them out of hot loops and increment lock-free;
-//   * every mutation is a relaxed atomic op (or a short CAS loop), safe under
-//     ThreadPool fan-out; the registry mutex guards registration only;
+//   * every mutation is a relaxed atomic op, safe under ThreadPool fan-out;
+//     the registry mutex guards registration only;
 //   * names follow `daakg.<layer>.<metric>` (e.g.
-//     `daakg.active.pool_build_seconds`).
+//     `daakg.active.oracle_queries`).
+// Phase times are not metrics: they come from TraceSpan (obs/trace.h).
 
 // Monotonically increasing event count.
 class Counter {
@@ -40,7 +40,6 @@ class Counter {
 class Gauge {
  public:
   void Set(double value) { value_.store(value, std::memory_order_relaxed); }
-  void Add(double delta);
   double Value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0.0, std::memory_order_relaxed); }
 
@@ -48,57 +47,12 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-// Distribution of non-negative samples over fixed log-scale buckets.
-//
-// Bucket 0 holds samples <= kFirstUpperBound; bucket i (1 <= i <
-// kNumBuckets - 1) holds (kFirstUpperBound * 2^(i-1), kFirstUpperBound *
-// 2^i]; the last bucket is the overflow. With the defaults the range spans
-// 1 microsecond .. ~200 days when samples are seconds, which covers every
-// phase this library times.
-class Histogram {
- public:
-  static constexpr size_t kNumBuckets = 46;
-  static constexpr double kFirstUpperBound = 1e-6;
-
-  // Records one sample. Non-finite and negative samples count into bucket 0
-  // with value 0 (they indicate a caller bug but must not poison the stats).
-  void Record(double value);
-
-  uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
-  double Sum() const { return sum_.load(std::memory_order_relaxed); }
-  // Min()/Max() are 0 while Count() == 0.
-  double Min() const;
-  double Max() const;
-  double Mean() const;
-  uint64_t BucketCount(size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-  // Estimated q-quantile (q in [0, 1]) by log-scale interpolation within the
-  // bucket holding the target rank: geometric between the bucket's bounds
-  // (linear in bucket 0, whose lower bound is 0), clamped to [Min(), Max()];
-  // ranks landing in the overflow bucket return Max(). 0 while Count() == 0.
-  double Quantile(double q) const;
-  // Inclusive upper bound of bucket `i`; +infinity for the overflow bucket.
-  static double BucketUpperBound(size_t i);
-  // Index of the bucket `value` falls into.
-  static size_t BucketIndex(double value);
-
-  void Reset();
-
- private:
-  std::array<std::atomic<uint64_t>, kNumBuckets> buckets_{};
-  std::atomic<uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};  // valid while count_ > 0
-  std::atomic<double> max_{0.0};
-};
-
 // Owns named metrics. Get*() registers on first use and always returns the
 // same pointer for the same name afterwards; pointers stay valid until the
 // registry is destroyed (Reset() zeroes values in place, it never
-// deallocates). The same name may back a counter, a gauge and a histogram
-// simultaneously (they live in separate namespaces), but instrumentation
-// should not rely on that.
+// deallocates). The same name may back a counter and a gauge simultaneously
+// (they live in separate namespaces), but instrumentation should not rely on
+// that.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -107,12 +61,10 @@ class MetricsRegistry {
 
   Counter* GetCounter(std::string_view name);
   Gauge* GetGauge(std::string_view name);
-  Histogram* GetHistogram(std::string_view name);
 
   // Snapshots for exporters, sorted by name.
   std::vector<std::pair<std::string, const Counter*>> Counters() const;
   std::vector<std::pair<std::string, const Gauge*>> Gauges() const;
-  std::vector<std::pair<std::string, const Histogram*>> Histograms() const;
 
   // Zeroes every metric; previously returned handles remain valid.
   void Reset();
@@ -122,7 +74,6 @@ class MetricsRegistry {
   // std::map: node-based, so value addresses are stable across inserts.
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
 // Process-wide registry the library's built-in instrumentation writes to.

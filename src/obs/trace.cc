@@ -9,6 +9,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "obs/metrics.h"
 
 namespace daakg {
 namespace obs {
@@ -240,27 +241,20 @@ TraceGlobalInit g_trace_global_init;
 // ---------------------------------------------------------------------------
 // TraceSpan
 
-void TraceSpan::BeginTracing(const char* name, const char* cat, uint64_t gen) {
-  name_ = name;
-  cat_ = cat;
+void TraceSpan::BeginTracing(uint64_t gen) {
   gen_ = gen;
   id_ = NextSpanId();
   parent_id_ = t_parent_span_id;
   t_parent_span_id = id_;
-  // Clock read last, so setup cost is outside the measured window.
-  start_ns_ = NowNs();
 }
 
 double TraceSpan::Finish() {
-  if (finished_ || state_ == State::kIdle) return finished_seconds_;
+  if (finished_) return seconds_;
   finished_ = true;
   const uint64_t dur_ns = NowNs() - start_ns_;
-  // One integer duration feeds both sinks: the histogram sample and the
-  // trace event agree bit-for-bit.
-  const double seconds = static_cast<double>(dur_ns) * 1e-9;
-  finished_seconds_ = seconds;
-  if (histogram_ != nullptr) histogram_->Record(seconds);
-  if (state_ == State::kTracing) {
+  // The returned seconds and the trace duration come from one integer.
+  seconds_ = static_cast<double>(dur_ns) * 1e-9;
+  if (id_ != 0) {
     t_parent_span_id = parent_id_;
     TraceEvent event;
     event.name = name_;
@@ -273,7 +267,7 @@ double TraceSpan::Finish() {
     for (uint32_t i = 0; i < num_args_; ++i) event.args[i] = args_[i];
     EmitEvent(gen_, event);
   }
-  return seconds;
+  return seconds_;
 }
 
 // ---------------------------------------------------------------------------

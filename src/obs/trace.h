@@ -9,29 +9,27 @@
 #include <vector>
 
 #include "common/status.h"
-#include "obs/metrics.h"
 
 namespace daakg {
 namespace obs {
 
-// Structured tracing: RAII spans recorded into per-thread lock-free buffers
-// while a TraceSession is active, exported as Chrome trace-event JSON
-// (load the file at ui.perfetto.dev or chrome://tracing).
+// Structured tracing: RAII spans that time themselves and, while a
+// TraceSession is active, are recorded into per-thread lock-free buffers,
+// exported as Chrome trace-event JSON (load the file at ui.perfetto.dev or
+// chrome://tracing).
 //
 // Cost contract (see DESIGN.md, "Tracing"):
-//   * with tracing disabled, a TraceSpan with no histogram costs exactly one
-//     relaxed atomic load (the session generation check) — no clock read, no
-//     allocation;
-//   * a TraceSpan carrying a histogram (or TimingMode::kAlways) reads the
-//     clock even when tracing is off, because the histogram sample / returned
-//     elapsed time is needed regardless;
-//   * with tracing enabled, emitting a span is two clock reads plus one
-//     single-writer slot write into the calling thread's buffer; when the
-//     buffer fills, new events are dropped (drop-newest) and counted.
+//   * every TraceSpan reads the clock twice (construction and Finish()) and
+//     Finish() returns the elapsed seconds, traced or not;
+//   * with tracing disabled, that is all it does beyond one relaxed atomic
+//     load (the session generation check): no allocation, no event;
+//   * with tracing enabled, it also writes one event into the calling
+//     thread's buffer (single writer); when the buffer fills, new events are
+//     dropped (drop-newest) and counted.
 //
-// A span's histogram sample and its trace duration come from one clock-read
-// pair: both are derived from the same integer nanosecond duration, so the
-// exported trace and the metrics JSON agree bit-for-bit.
+// Finish()'s return value and the event's duration come from the same
+// integer nanosecond count, so a caller's telemetry and the exported trace
+// agree bit-for-bit.
 
 namespace trace_internal {
 
@@ -76,81 +74,58 @@ inline bool TraceEnabled() {
          0;
 }
 
-// Controls whether a TraceSpan reads the clock when tracing is disabled.
-enum class TimingMode {
-  // Clock is read only if tracing is active or a histogram was supplied.
-  // Finish() returns 0.0 when neither holds.
-  kLazy,
-  // Clock is always read; Finish() always returns the elapsed seconds.
-  // For call sites that feed telemetry structs besides the histogram.
-  kAlways,
-};
-
 // RAII span. `name` and `cat` must be string literals (or otherwise outlive
 // the session): they are stored by pointer, never copied. Spans nest via a
 // thread-local parent pointer and must be finished in LIFO order per thread
 // (scoped RAII usage guarantees this). Typical use:
 //
-//   static Histogram* timing =
-//       GlobalMetrics().GetHistogram("daakg.active.pool_build_seconds");
-//   TraceSpan span("active.pool_generate", "active", timing);
+//   TraceSpan span("active.pool_generate", "active");
 //   span.AddArg("top_n", top_n);
+//   ...
+//   telemetry.pool_build_seconds = span.Finish();
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name, const char* cat,
-                     Histogram* histogram = nullptr,
-                     TimingMode mode = TimingMode::kLazy)
-      : histogram_(histogram) {
+  explicit TraceSpan(const char* name, const char* cat)
+      : name_(name), cat_(cat) {
     const uint64_t gen =
         trace_internal::g_generation.load(std::memory_order_relaxed);
-    if ((gen & 1) == 0) {
-      if (histogram == nullptr && mode == TimingMode::kLazy) return;  // kIdle
-      state_ = State::kTimerOnly;
-      start_ns_ = trace_internal::NowNs();
-      return;
-    }
-    state_ = State::kTracing;
-    BeginTracing(name, cat, gen);
+    if ((gen & 1) != 0) BeginTracing(gen);
+    // Clock read last, so setup cost is outside the measured window.
+    start_ns_ = trace_internal::NowNs();
   }
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  ~TraceSpan() {
-    if (state_ != State::kIdle) Finish();
-  }
+  ~TraceSpan() { Finish(); }
 
   // Attaches a numeric argument (exported under "args" in the JSON). No-op
-  // unless this span is actively tracing; at most TraceEvent::kMaxArgs stick.
+  // unless this span is being traced; at most TraceEvent::kMaxArgs stick.
   void AddArg(const char* key, double value) {
-    if (state_ != State::kTracing || num_args_ >= TraceEvent::kMaxArgs) return;
+    if (id_ == 0 || num_args_ >= TraceEvent::kMaxArgs) return;
     args_[num_args_].key = key;
     args_[num_args_].value = value;
     ++num_args_;
   }
 
-  // Ends the span now (instead of at destruction): records the histogram
-  // sample, emits the trace event, and returns the elapsed seconds (0.0 in
-  // kLazy idle state). Idempotent; returns the first call's result after.
+  // Ends the span now (instead of at destruction): emits the trace event if
+  // traced and returns the elapsed seconds. Idempotent; returns the first
+  // call's result after.
   double Finish();
 
-  // The span id while tracing, 0 otherwise. Exposed for tests.
+  // The span id while traced, 0 otherwise. Exposed for tests.
   uint64_t id() const { return id_; }
 
  private:
-  enum class State : uint8_t { kIdle, kTimerOnly, kTracing };
+  void BeginTracing(uint64_t gen);
 
-  void BeginTracing(const char* name, const char* cat, uint64_t gen);
-
-  Histogram* histogram_;
-  const char* name_ = nullptr;
-  const char* cat_ = nullptr;
+  const char* name_;
+  const char* cat_;
   uint64_t start_ns_ = 0;
-  uint64_t id_ = 0;
+  uint64_t id_ = 0;  // nonzero iff traced
   uint64_t parent_id_ = 0;
   uint64_t gen_ = 0;
-  double finished_seconds_ = 0.0;
-  State state_ = State::kIdle;
+  double seconds_ = 0.0;
   bool finished_ = false;
   uint32_t num_args_ = 0;
   TraceEvent::Arg args_[TraceEvent::kMaxArgs];

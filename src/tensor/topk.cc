@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/simd/simd.h"
 
@@ -138,11 +139,9 @@ void TiledSimWalk(const Matrix& a, const Matrix& b, size_t row_begin,
 
 SimTopK BlockedSimTopK(const Matrix& a, const Matrix& b, size_t row_k,
                        size_t col_k, const BlockedKernelOptions& options) {
-  static obs::Histogram* timing =
-      obs::GlobalMetrics().GetHistogram("daakg.tensor.sim_topk_seconds");
   static obs::Counter* cells =
       obs::GlobalMetrics().GetCounter("daakg.tensor.sim_cells");
-  obs::TraceSpan span("tensor.sim_topk", "tensor", timing);
+  obs::TraceSpan span("tensor.sim_topk", "tensor");
 
   DAAKG_CHECK_EQ(a.cols(), b.cols());
   const size_t n1 = a.rows();

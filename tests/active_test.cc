@@ -18,6 +18,7 @@
 #include "active/strategies.h"
 #include "embedding/trainer.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "tensor/ops.h"
 #include "tensor/simd/simd.h"
 #include "tensor/topk.h"
@@ -230,18 +231,19 @@ TEST_F(ActiveTest, UnchangedModelSharesPoolAcrossGenerators) {
   // Generators on an unchanged model share the signatures, the index and
   // the last pool through the model's pool slot: the signatures are built
   // once, and every pool equals one from a model that never cached any.
-  obs::Histogram* signature_builds = obs::GlobalMetrics().GetHistogram(
-      "daakg.active.pool_signature_seconds");
+  // Signature builds are counted as active.pool_signatures spans.
   TrainedJointStack stack(task_);
   PoolConfig pcfg;
   pcfg.top_n = 10;
-  const uint64_t builds_before = signature_builds->Count();
+  ASSERT_TRUE(obs::TraceSession::Global().Start().ok());
   const PoolGenerator a(&task_, stack.joint.get(), pcfg);
   const PoolGenerator b(&task_, stack.joint.get(), pcfg);
   const std::vector<ElementPair> pool_a = a.Generate();
   const std::vector<ElementPair> pool_b = b.Generate();
   EXPECT_EQ(&a.index(), &b.index());
-  EXPECT_EQ(signature_builds->Count() - builds_before, 1u);
+  size_t signature_builds = testing_util::CountSpans(
+      obs::TraceSession::Global().Stop(), "active.pool_signatures");
+  EXPECT_EQ(signature_builds, 1u);
   EXPECT_EQ(pool_a, pool_b);
   EXPECT_EQ(pool_a, pool_);
 
@@ -249,6 +251,7 @@ TEST_F(ActiveTest, UnchangedModelSharesPoolAcrossGenerators) {
   // cut-offs never hands out a pool of another top-N.
   const std::vector<std::pair<const PoolGenerator*, size_t>> calls = {
       {&a, 10}, {&b, 25}, {&a, 10}, {&a, 25}, {&b, 10}};
+  ASSERT_TRUE(obs::TraceSession::Global().Start().ok());
   for (const auto& [gen, top_n] : calls) {
     SCOPED_TRACE(top_n);
     TrainedJointStack uncached(task_);
@@ -256,7 +259,9 @@ TEST_F(ActiveTest, UnchangedModelSharesPoolAcrossGenerators) {
     EXPECT_EQ(gen->Generate(top_n), reference.Generate(top_n));
   }
   EXPECT_EQ(&a.index(), &b.index());
-  EXPECT_EQ(signature_builds->Count() - builds_before, 1u + calls.size());
+  signature_builds += testing_util::CountSpans(
+      obs::TraceSession::Global().Stop(), "active.pool_signatures");
+  EXPECT_EQ(signature_builds, 1u + calls.size());
 }
 
 TEST_F(ActiveTest, PoolAfterEveryMutatorMatchesFreshModel) {

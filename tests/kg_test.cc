@@ -363,8 +363,6 @@ TEST(StatsTest, ComputeTaskStatsCountsForwardTripletsOnly) {
   EXPECT_EQ(stats.triplets1, 5u);  // 3 livesIn + 2 knows, forward only
   EXPECT_EQ(stats.entity_matches, 6u);
   EXPECT_GT(stats.avg_degree1, 0.0);
-  EXPECT_FALSE(FormatStatsRow(stats).empty());
-  EXPECT_FALSE(StatsHeader().empty());
 }
 
 }  // namespace

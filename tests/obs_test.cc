@@ -2,9 +2,7 @@
 
 #include <atomic>
 #include <cctype>
-#include <cmath>
 #include <cstdio>
-#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -192,142 +190,10 @@ TEST(GaugeTest, SetAddReset) {
   EXPECT_DOUBLE_EQ(g.Value(), 0.0);
   g.Set(2.5);
   EXPECT_DOUBLE_EQ(g.Value(), 2.5);
-  g.Add(-1.0);
+  g.Set(1.5);
   EXPECT_DOUBLE_EQ(g.Value(), 1.5);
   g.Reset();
   EXPECT_DOUBLE_EQ(g.Value(), 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// Histogram
-// ---------------------------------------------------------------------------
-
-TEST(HistogramTest, BucketBoundariesAreLogScale) {
-  EXPECT_DOUBLE_EQ(Histogram::BucketUpperBound(0), 1e-6);
-  EXPECT_DOUBLE_EQ(Histogram::BucketUpperBound(1), 2e-6);
-  EXPECT_DOUBLE_EQ(Histogram::BucketUpperBound(2), 4e-6);
-  EXPECT_TRUE(std::isinf(
-      Histogram::BucketUpperBound(Histogram::kNumBuckets - 1)));
-  // Every boundary (except the overflow) doubles the previous one.
-  for (size_t i = 1; i + 1 < Histogram::kNumBuckets; ++i) {
-    EXPECT_DOUBLE_EQ(Histogram::BucketUpperBound(i),
-                     2.0 * Histogram::BucketUpperBound(i - 1));
-  }
-}
-
-TEST(HistogramTest, BucketIndexMatchesBounds) {
-  EXPECT_EQ(Histogram::BucketIndex(0.0), 0u);
-  EXPECT_EQ(Histogram::BucketIndex(1e-6), 0u);
-  for (size_t i = 0; i + 1 < Histogram::kNumBuckets; ++i) {
-    const double ub = Histogram::BucketUpperBound(i);
-    // A value inside the bucket and the (inclusive) upper bound land in it.
-    EXPECT_EQ(Histogram::BucketIndex(ub), i) << "upper bound of bucket " << i;
-    EXPECT_EQ(Histogram::BucketIndex(ub * 1.5), i + 1);
-  }
-  EXPECT_EQ(Histogram::BucketIndex(1e30), Histogram::kNumBuckets - 1);
-  EXPECT_EQ(Histogram::BucketIndex(
-                std::numeric_limits<double>::infinity()),
-            0u);  // non-finite -> bucket 0
-}
-
-TEST(HistogramTest, RecordTracksStats) {
-  Histogram h;
-  EXPECT_EQ(h.Count(), 0u);
-  EXPECT_DOUBLE_EQ(h.Min(), 0.0);
-  EXPECT_DOUBLE_EQ(h.Max(), 0.0);
-  EXPECT_DOUBLE_EQ(h.Mean(), 0.0);
-  h.Record(0.5);
-  h.Record(1.5);
-  h.Record(1.0);
-  EXPECT_EQ(h.Count(), 3u);
-  EXPECT_DOUBLE_EQ(h.Sum(), 3.0);
-  EXPECT_DOUBLE_EQ(h.Min(), 0.5);
-  EXPECT_DOUBLE_EQ(h.Max(), 1.5);
-  EXPECT_DOUBLE_EQ(h.Mean(), 1.0);
-  uint64_t bucketed = 0;
-  for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
-    bucketed += h.BucketCount(i);
-  }
-  EXPECT_EQ(bucketed, 3u);
-  h.Reset();
-  EXPECT_EQ(h.Count(), 0u);
-  EXPECT_DOUBLE_EQ(h.Sum(), 0.0);
-}
-
-TEST(HistogramTest, NegativeAndNonFiniteCountAsZero) {
-  Histogram h;
-  h.Record(-1.0);
-  h.Record(std::numeric_limits<double>::quiet_NaN());
-  EXPECT_EQ(h.Count(), 2u);
-  EXPECT_EQ(h.BucketCount(0), 2u);
-  EXPECT_DOUBLE_EQ(h.Sum(), 0.0);
-}
-
-TEST(HistogramTest, QuantileInterpolatesLogBuckets) {
-  // One sample in bucket 1 ((1e-6, 2e-6]) and one in bucket 2 ((2e-6, 4e-6]):
-  // p50 lands exactly at bucket 1's upper boundary (frac = 1.0 sweeps the
-  // whole bucket geometrically: 1e-6 * 2^1 = 2e-6).
-  {
-    Histogram h;
-    h.Record(1.5e-6);
-    h.Record(3e-6);
-    EXPECT_DOUBLE_EQ(h.Quantile(0.5), 2e-6);
-    // p75: target 1.5 falls halfway through bucket 2 -> 2e-6 * 2^0.5.
-    EXPECT_DOUBLE_EQ(h.Quantile(0.75), 2e-6 * std::exp2(0.5));
-  }
-  // Four samples in bucket 3 ((4e-6, 8e-6]): p50 is the geometric midpoint
-  // of the bucket, 4e-6 * 2^0.5, inside the observed [5e-6, 6e-6] range so
-  // min/max clamping does not bite.
-  {
-    Histogram h;
-    h.Record(5e-6);
-    h.Record(5e-6);
-    h.Record(6e-6);
-    h.Record(6e-6);
-    EXPECT_DOUBLE_EQ(h.Quantile(0.5), 4e-6 * std::exp2(0.5));
-  }
-  // Bucket 0 ([0, 1e-6]) interpolates linearly: two samples, p50 target 1.0
-  // is half of the bucket's population -> 0.5 * 1e-6.
-  {
-    Histogram h;
-    h.Record(0.0);
-    h.Record(1e-6);
-    EXPECT_DOUBLE_EQ(h.Quantile(0.5), 0.5e-6);
-  }
-}
-
-TEST(HistogramTest, QuantileEdgeCases) {
-  Histogram empty;
-  EXPECT_DOUBLE_EQ(empty.Quantile(0.5), 0.0);
-
-  Histogram h;
-  h.Record(1.5e-6);
-  h.Record(3e-6);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.0), h.Min());
-  EXPECT_DOUBLE_EQ(h.Quantile(-1.0), h.Min());
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), h.Max());
-  EXPECT_DOUBLE_EQ(h.Quantile(2.0), h.Max());
-
-  // A single sample: interpolation would overshoot to the bucket boundary
-  // (2e-6), but the estimate is clamped to the observed range.
-  Histogram single;
-  single.Record(1.5e-6);
-  EXPECT_DOUBLE_EQ(single.Quantile(0.5), 1.5e-6);
-
-  // Overflow bucket has no upper bound: quantiles landing there report Max.
-  Histogram overflow;
-  overflow.Record(1e12);
-  EXPECT_DOUBLE_EQ(overflow.Quantile(0.5), 1e12);
-
-  // Quantiles are monotone in q.
-  Histogram many;
-  for (int i = 1; i <= 100; ++i) many.Record(static_cast<double>(i) * 1e-4);
-  double prev = many.Quantile(0.0);
-  for (double q = 0.1; q <= 1.0; q += 0.1) {
-    const double cur = many.Quantile(q);
-    EXPECT_GE(cur, prev) << "q=" << q;
-    prev = cur;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -353,14 +219,11 @@ TEST(MetricsRegistryTest, ResetZeroesButKeepsHandlesValid) {
   MetricsRegistry registry;
   Counter* c = registry.GetCounter("c");
   Gauge* g = registry.GetGauge("g");
-  Histogram* h = registry.GetHistogram("h");
   c->Increment(7);
   g->Set(1.25);
-  h->Record(0.1);
   registry.Reset();
   EXPECT_EQ(c->Value(), 0u);
   EXPECT_DOUBLE_EQ(g->Value(), 0.0);
-  EXPECT_EQ(h->Count(), 0u);
   // The handles still refer to the registry's live metrics.
   c->Increment();
   EXPECT_EQ(registry.GetCounter("c")->Value(), 1u);
@@ -369,27 +232,12 @@ TEST(MetricsRegistryTest, ResetZeroesButKeepsHandlesValid) {
 TEST(MetricsRegistryTest, ConcurrentIncrementsFromThreadPool) {
   MetricsRegistry registry;
   Counter* counter = registry.GetCounter("concurrent.counter");
-  Histogram* hist = registry.GetHistogram("concurrent.hist");
-  Gauge* gauge = registry.GetGauge("concurrent.gauge");
   // Use a dedicated pool so the test exercises real contention even if the
   // global pool is sized for one core.
   ThreadPool pool(4);
   constexpr size_t kIters = 20000;
-  pool.ParallelFor(kIters, [&](size_t i) {
-    counter->Increment();
-    gauge->Add(1.0);
-    hist->Record(static_cast<double>(i % 7) * 1e-3);
-  });
+  pool.ParallelFor(kIters, [counter](size_t) { counter->Increment(); });
   EXPECT_EQ(counter->Value(), kIters);
-  EXPECT_DOUBLE_EQ(gauge->Value(), static_cast<double>(kIters));
-  EXPECT_EQ(hist->Count(), kIters);
-  uint64_t bucketed = 0;
-  for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
-    bucketed += hist->BucketCount(i);
-  }
-  EXPECT_EQ(bucketed, kIters);
-  EXPECT_DOUBLE_EQ(hist->Max(), 6e-3);
-  EXPECT_DOUBLE_EQ(hist->Min(), 0.0);
 }
 
 TEST(MetricsRegistryTest, ConcurrentRegistrationIsSafe) {
@@ -418,67 +266,22 @@ TEST(JsonExporterTest, EmptyRegistryIsValidJson) {
   EXPECT_EQ(root.kind, JsonValue::kObject);
   EXPECT_TRUE(root.at("counters").object.empty());
   EXPECT_TRUE(root.at("gauges").object.empty());
-  EXPECT_TRUE(root.at("histograms").object.empty());
 }
 
 TEST(JsonExporterTest, RoundTripsValues) {
   MetricsRegistry registry;
   registry.GetCounter("daakg.test.queries")->Increment(120);
   registry.GetGauge("daakg.test.pool_size")->Set(4096.0);
-  Histogram* h = registry.GetHistogram("daakg.test.phase_seconds");
-  h->Record(0.25);
-  h->Record(0.5);
-  h->Record(1e12);  // overflow bucket
 
   JsonValue root;
   ASSERT_TRUE(JsonParser(MetricsToJson(registry)).Parse(&root));
 
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : root.object) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"counters", "gauges"}));
   EXPECT_DOUBLE_EQ(root.at("counters").at("daakg.test.queries").number, 120.0);
   EXPECT_DOUBLE_EQ(root.at("gauges").at("daakg.test.pool_size").number,
                    4096.0);
-
-  const JsonValue& hist = root.at("histograms").at("daakg.test.phase_seconds");
-  EXPECT_DOUBLE_EQ(hist.at("count").number, 3.0);
-  EXPECT_DOUBLE_EQ(hist.at("min").number, 0.25);
-  EXPECT_DOUBLE_EQ(hist.at("max").number, 1e12);
-  EXPECT_NEAR(hist.at("sum").number, 0.75 + 1e12, 1.0);
-
-  const JsonValue& buckets = hist.at("buckets");
-  ASSERT_EQ(buckets.kind, JsonValue::kArray);
-  double bucketed = 0.0;
-  bool saw_overflow = false;
-  for (const JsonValue& b : buckets.array) {
-    bucketed += b.at("count").number;
-    const JsonValue& le = b.at("le");
-    if (le.kind == JsonValue::kString) {
-      EXPECT_EQ(le.str, "+Inf");
-      saw_overflow = true;
-    }
-  }
-  EXPECT_DOUBLE_EQ(bucketed, 3.0);
-  EXPECT_TRUE(saw_overflow);
-}
-
-TEST(JsonExporterTest, ExportsQuantiles) {
-  MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("daakg.test.quantile_seconds");
-  for (int i = 1; i <= 20; ++i) h->Record(static_cast<double>(i) * 1e-3);
-
-  JsonValue root;
-  ASSERT_TRUE(JsonParser(MetricsToJson(registry)).Parse(&root));
-  const JsonValue& hist =
-      root.at("histograms").at("daakg.test.quantile_seconds");
-  // The exporter serializes Quantile(q) with %.9g: exact to 9 significant
-  // digits, so compare with a matching relative tolerance.
-  EXPECT_NEAR(hist.at("p50").number, h->Quantile(0.5),
-              1e-8 * h->Quantile(0.5));
-  EXPECT_NEAR(hist.at("p95").number, h->Quantile(0.95),
-              1e-8 * h->Quantile(0.95));
-  EXPECT_NEAR(hist.at("p99").number, h->Quantile(0.99),
-              1e-8 * h->Quantile(0.99));
-  EXPECT_LE(hist.at("p50").number, hist.at("p95").number);
-  EXPECT_LE(hist.at("p95").number, hist.at("p99").number);
-  EXPECT_LE(hist.at("p99").number, hist.at("max").number);
 }
 
 TEST(JsonExporterTest, EscapesNames) {
@@ -513,28 +316,12 @@ TEST(TraceTest, DisabledSpansRecordNothing) {
   {
     TraceSpan span("trace_disabled", "test");
     EXPECT_EQ(span.id(), 0u);
-    span.AddArg("ignored", 1.0);           // no-op when idle
-    EXPECT_DOUBLE_EQ(span.Finish(), 0.0);  // kLazy: no clock was read
+    span.AddArg("ignored", 1.0);  // no-op when not traced
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    // Untraced spans still time themselves.
+    EXPECT_GE(span.Finish(), 1e-3);
   }
   EXPECT_TRUE(TraceSession::Global().Stop().empty());
-}
-
-TEST(TraceTest, TimerOnlyModeStillRecordsHistogramWhenDisabled) {
-  EnsureNoActiveSession();
-  Histogram h;
-  double seconds = -1.0;
-  {
-    TraceSpan span("trace_timer_only", "test", &h);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    seconds = span.Finish();
-  }
-  EXPECT_EQ(h.Count(), 1u);
-  EXPECT_GT(seconds, 0.0);
-  EXPECT_DOUBLE_EQ(h.Sum(), seconds);
-  // kAlways reads the clock even with no histogram attached.
-  TraceSpan always("trace_always", "test", nullptr, TimingMode::kAlways);
-  std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_GT(always.Finish(), 0.0);
 }
 
 TEST(TraceTest, RecordsNestedSpans) {
@@ -572,23 +359,20 @@ TEST(TraceTest, RecordsNestedSpans) {
             events[0].ts_ns + events[0].dur_ns);
 }
 
-TEST(TraceTest, FusedHistogramMatchesTraceDurationBitForBit) {
+TEST(TraceTest, FinishMatchesTraceDurationBitForBit) {
   EnsureNoActiveSession();
   ASSERT_TRUE(TraceSession::Global().Start().ok());
-  Histogram h;
   double seconds = -1.0;
   {
-    TraceSpan span("trace_fused", "test", &h);
+    TraceSpan span("trace_finish", "test");
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     seconds = span.Finish();
   }
   std::vector<TraceEvent> events = TraceSession::Global().Stop();
   ASSERT_EQ(events.size(), 1u);
-  ASSERT_EQ(h.Count(), 1u);
-  // One clock-read pair feeds both sinks: the histogram sample, Finish()'s
-  // return value, and the trace duration are the same number, exactly.
-  EXPECT_DOUBLE_EQ(h.Sum(), static_cast<double>(events[0].dur_ns) * 1e-9);
-  EXPECT_DOUBLE_EQ(seconds, h.Sum());
+  // One clock-read pair feeds both: Finish()'s return value and the trace
+  // duration are the same number, exactly.
+  EXPECT_EQ(seconds, static_cast<double>(events[0].dur_ns) * 1e-9);
 }
 
 TEST(TraceTest, ParallelForSpansNestUnderEnqueuingSpan) {

@@ -1,9 +1,14 @@
 #ifndef DAAKG_TESTS_TEST_UTIL_H_
 #define DAAKG_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
+#include <string_view>
+#include <vector>
+
 #include "common/logging.h"
 #include "kg/alignment_task.h"
 #include "kg/synthetic.h"
+#include "obs/trace.h"
 #include "tensor/matrix.h"
 #include "tensor/simd/simd.h"
 
@@ -58,6 +63,14 @@ inline Matrix DenseSim(const Matrix& a, const Matrix& b) {
     }
   }
   return sim;
+}
+
+// Number of spans named `name` in a collected trace.
+inline size_t CountSpans(const std::vector<obs::TraceEvent>& events,
+                         std::string_view name) {
+  return std::count_if(
+      events.begin(), events.end(),
+      [name](const obs::TraceEvent& e) { return name == e.name; });
 }
 
 // A small but non-trivial synthetic task for integration tests.
