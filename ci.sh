@@ -5,7 +5,8 @@
 # second twice: untraced, and with --trace 1, which drives every span site
 # under a live trace session and must drop no event. A SIMD leg re-runs the full release suite under
 # DAAKG_SIMD=scalar: every backend rounds alike, so the golden tests must
-# hold their one pin on the scalar kernels too.
+# hold their one pin on the scalar kernels too, and each perfbench workload
+# must report the same quality, digit for digit, as its smoke run.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -37,11 +38,15 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 echo "== perfbench smoke (compiles perfbench/ against the library) =="
 # Two short runs per benchmark workload, untraced and traced; each must
 # check every output correct (its result line reports failed == 0), and the
-# traced one must drop no trace event (obs.trace_dropped == 0).
+# traced one must drop no trace event (obs.trace_dropped == 0). The untraced
+# result lines are kept for the SIMD leg.
+SMOKE="$(mktemp -d)"
+trap 'rm -rf "$SMOKE"' EXIT
 for workload in active-loop batch-plan; do
   for trace in 0 1; do
     result="$(python3 perfbench/run.py --workload "$workload" --seconds 1 \
                 --trace "$trace" | tail -n 1)"
+    if [ "$trace" = "0" ]; then echo "$result" > "$SMOKE/$workload.json"; fi
     python3 - "$workload" "$trace" "$result" <<'PY'
 import json, sys
 workload, trace, line = sys.argv[1], sys.argv[2], sys.argv[3]
@@ -61,6 +66,31 @@ done
 
 echo "== SIMD leg: full suite on the scalar kernels =="
 DAAKG_SIMD=scalar ctest --test-dir build --output-on-failure -j "$JOBS"
+# Each workload again on the scalar kernels. A --seconds 1 run is the
+# workload's minimum unit count on either backend, so every metric in units
+# of count or ratio (the quality metrics) must equal the smoke run's exactly.
+for workload in active-loop batch-plan; do
+  result="$(DAAKG_SIMD=scalar python3 perfbench/run.py --workload "$workload" \
+              --seconds 1 --trace 0 | tail -n 1)"
+  python3 - "$workload" "$result" "$SMOKE/$workload.json" <<'PY'
+import json, sys
+workload, line, smoke_path = sys.argv[1], sys.argv[2], sys.argv[3]
+scalar = json.loads(line)["metrics"]
+with open(smoke_path) as f:
+    smoke = json.load(f)["metrics"]
+differ = []
+for name, m in smoke.items():
+    if m["unit"] not in ("count", "ratio"):
+        continue
+    print(f"perfbench {workload} scalar: {name} {scalar[name]['value']!r}"
+          f" (smoke run {m['value']!r})")
+    if scalar[name] != m:
+        differ.append(name)
+if differ:
+    sys.exit(f"ci.sh: perfbench {workload} quality differs on the scalar "
+             f"kernels: {', '.join(differ)}")
+PY
+done
 
 echo "== sanitizer build (ASan+UBSan) =="
 cmake -B build-asan -S . -DDAAKG_SANITIZE=ON

@@ -39,13 +39,20 @@ float SpanNorm(const float* x, size_t n) {
 }
 
 // Cosine(q, rows.Row(ids[j])) into out[j] for j < n, given Norm(q) and the
-// rows' norms. The dot products are Vector::Dot's, several rows at a time.
+// rows' norms. The dot products are simd::Ops::dot's, four rows at a time
+// through dot4 (bitwise the same cells).
 void SnapshotCosines(const float* q, float q_norm, const Matrix& rows,
                      const std::vector<float>& row_norms, const EntityId* ids,
                      size_t n, float* out) {
-  simd::ActiveOps().dot_rows_f64(q, rows.RowData(0), rows.cols(), ids, n,
-                                 rows.cols(), out);
-  for (size_t j = 0; j < n; ++j) {
+  const simd::Ops& ops = simd::ActiveOps();
+  const size_t dim = rows.cols();
+  size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    ops.dot4(q, rows.RowData(ids[j]), rows.RowData(ids[j + 1]),
+             rows.RowData(ids[j + 2]), rows.RowData(ids[j + 3]), dim, out + j);
+  }
+  for (; j < n; ++j) out[j] = ops.dot(q, rows.RowData(ids[j]), dim);
+  for (j = 0; j < n; ++j) {
     const float nr = row_norms[ids[j]];
     out[j] = (q_norm == 0.0f || nr == 0.0f) ? 0.0f : out[j] / (q_norm * nr);
   }

@@ -71,7 +71,7 @@ Vector CompGcn::EncodeBase(const Vector& base, EntityId e) const {
 
 void CompGcn::EncodeInto(const float* base, EntityId e, float* out) const {
   // Both matrix-vector products row by row, their two dot products side by
-  // side; each sums in column order, in double, as Matrix::Multiply does.
+  // side; each sums in column order, in double.
   const float* msg = messages_.RowData(e);
   for (size_t r = 0; r < config_.dim; ++r) {
     const float* ws = w_self_.RowData(r);

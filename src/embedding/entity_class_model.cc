@@ -7,6 +7,15 @@
 namespace daakg {
 namespace {
 constexpr float kEps = 1e-8f;
+
+// ||w (.) p - b||: writes z = w (.) p - b into `z` (which may be `p`) and
+// takes the norm through simd::Ops::dot, so Score and TrainPair share one
+// definition.
+float ClassDistance(const float* w, const float* b, const float* p, size_t n,
+                    float* z) {
+  for (size_t i = 0; i < n; ++i) z[i] = w[i] * p[i] - b[i];
+  return std::sqrt(simd::ActiveOps().dot(z, z, n));
+}
 }  // namespace
 
 EntityClassModel::EntityClassModel(KgeModel* kge, const KgeConfig& config)
@@ -40,14 +49,8 @@ Vector EntityClassModel::Project(EntityId e) const {
 
 float EntityClassModel::Score(EntityId e, ClassId c) const {
   Vector p = Project(e);
-  const float* w = scales_.RowData(c);
-  const float* b = centers_.RowData(c);
-  double sq = 0.0;
-  for (size_t i = 0; i < config_.class_dim; ++i) {
-    double z = static_cast<double>(w[i]) * p[i] - b[i];
-    sq += z * z;
-  }
-  return static_cast<float>(std::sqrt(sq));
+  return ClassDistance(scales_.RowData(c), centers_.RowData(c), p.data(),
+                       config_.class_dim, p.data());
 }
 
 float EntityClassModel::TrainPair(EntityId pos_entity, EntityId neg_entity,
@@ -63,16 +66,10 @@ float EntityClassModel::TrainPair(EntityId pos_entity, EntityId neg_entity,
   float* w = scales_.RowData(c);
   float* b = centers_.RowData(c);
 
-  double sq_pos = 0.0;
-  double sq_neg = 0.0;
-  for (size_t i = 0; i < config_.class_dim; ++i) {
-    s.z_pos[i] = w[i] * s.p_pos[i] - b[i];
-    s.z_neg[i] = w[i] * s.p_neg[i] - b[i];
-    sq_pos += static_cast<double>(s.z_pos[i]) * s.z_pos[i];
-    sq_neg += static_cast<double>(s.z_neg[i]) * s.z_neg[i];
-  }
-  const float f_pos = static_cast<float>(std::sqrt(sq_pos));
-  const float f_neg = static_cast<float>(std::sqrt(sq_neg));
+  const float f_pos = ClassDistance(w, b, s.p_pos.data(), config_.class_dim,
+                                    s.z_pos.data());
+  const float f_neg = ClassDistance(w, b, s.p_neg.data(), config_.class_dim,
+                                    s.z_neg.data());
   const float loss = config_.margin_ec + f_pos - f_neg;
   if (loss <= 0.0f) return 0.0f;
 

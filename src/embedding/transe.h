@@ -14,7 +14,8 @@ namespace daakg {
 class TransE : public KgeModel {
  public:
   TransE(const KnowledgeGraph* kg, const KgeConfig& config)
-      : KgeModel(kg, config) {}
+      : KgeModel(kg, config),
+        scratch_{Vector(config.dim), Vector(config.dim), Vector(config.dim)} {}
 
   std::string name() const override { return "transe"; }
 
@@ -33,6 +34,15 @@ class TransE : public KgeModel {
   void EstimateEdgeBound(EntityId head, RelationId relation, EntityId tail,
                          int num_samples, Rng* rng, Vector* r_tilde,
                          float* d) const override;
+
+ private:
+  // TrainPair's per-step buffers (the residuals h + r - t and h + r - t',
+  // scaled in place into their gradients, and the head gradient), allocated
+  // once: a model is trained from one thread at a time.
+  struct StepScratch {
+    Vector res_pos, res_neg, g_h;
+  };
+  StepScratch scratch_;
 };
 
 }  // namespace daakg

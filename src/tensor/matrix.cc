@@ -77,8 +77,13 @@ Vector Matrix::Multiply(const Vector& x) const {
 }
 
 void Matrix::MultiplyInto(const float* x, float* y) const {
-  simd::ActiveOps().dot_rows_f64(x, data_.data(), cols_, nullptr, rows_, cols_,
-                                 y);
+  const simd::Ops& ops = simd::ActiveOps();
+  size_t r = 0;
+  for (; r + 4 <= rows_; r += 4) {
+    ops.dot4(x, RowData(r), RowData(r + 1), RowData(r + 2), RowData(r + 3),
+             cols_, y + r);
+  }
+  for (; r < rows_; ++r) y[r] = ops.dot(x, RowData(r), cols_);
 }
 
 Vector Matrix::TransposeMultiply(const Vector& x) const {

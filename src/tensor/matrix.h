@@ -52,8 +52,8 @@ class Matrix {
   // y = this * x  (dims: rows x cols * cols -> rows).
   Vector Multiply(const Vector& x) const;
   // Multiply() into caller storage: x holds cols() floats, y rows() floats
-  // (y must not alias x). Each row's products are summed in double, in
-  // column order, on every SIMD backend (simd::Ops::dot_rows_f64).
+  // (y must not alias x). y[r] is simd::Ops::dot(x, row r) bit for bit, on
+  // every SIMD backend; rows go four at a time through dot4.
   void MultiplyInto(const float* x, float* y) const;
   // y = this^T * x (dims: cols x rows * rows -> cols).
   Vector TransposeMultiply(const Vector& x) const;

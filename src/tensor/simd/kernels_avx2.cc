@@ -9,9 +9,6 @@
 //     order DotScalar replays lane by lane with std::fma; dot(a, b_c) is
 //     bitwise identical to column c of dot4 (same pair of accumulator
 //     chains, same join and horizontal reduce, same scalar tail).
-//   * dot_rows_f64 multiplies in double (a product of two floats is exact
-//     there) and adds every row's products in index order, vectorized
-//     across rows only, so it matches the scalar loop bit for bit.
 //   * axpy/scale use separate mul and add so every output element rounds
 //     exactly like the scalar path. -ffp-contract=off is required for
 //     that: GCC implements _mm256_mul_ps/_mm256_add_ps as plain vector
@@ -135,91 +132,12 @@ size_t CountGreaterAvx2(const float* values, size_t n, float threshold) {
   return count;
 }
 
-// Ordered double dots of `a` against B * 4 rows. Four indices at a time,
-// each row's exact products are formed in double, and every 4x4 block of
-// products is transposed so that lane k of a vector belongs to row k; each
-// lane then adds its products in index order, exactly like the scalar loop.
-template <int B>
-void DotRowBlocks(const float* a, const float* const* rows, size_t n,
-                  float* out) {
-  __m256d acc[B];
-#pragma GCC unroll 4
-  for (int b = 0; b < B; ++b) acc[b] = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d x = _mm256_cvtps_pd(_mm_loadu_ps(a + i));
-#pragma GCC unroll 4
-    for (int b = 0; b < B; ++b) {
-      const float* const* r = rows + 4 * b;
-      const __m256d p0 = _mm256_mul_pd(_mm256_cvtps_pd(_mm_loadu_ps(r[0] + i)), x);
-      const __m256d p1 = _mm256_mul_pd(_mm256_cvtps_pd(_mm_loadu_ps(r[1] + i)), x);
-      const __m256d p2 = _mm256_mul_pd(_mm256_cvtps_pd(_mm_loadu_ps(r[2] + i)), x);
-      const __m256d p3 = _mm256_mul_pd(_mm256_cvtps_pd(_mm_loadu_ps(r[3] + i)), x);
-      const __m256d t0 = _mm256_unpacklo_pd(p0, p1);  // p0[0] p1[0] p0[2] p1[2]
-      const __m256d t1 = _mm256_unpackhi_pd(p0, p1);  // p0[1] p1[1] p0[3] p1[3]
-      const __m256d t2 = _mm256_unpacklo_pd(p2, p3);
-      const __m256d t3 = _mm256_unpackhi_pd(p2, p3);
-      acc[b] = _mm256_add_pd(acc[b], _mm256_permute2f128_pd(t0, t2, 0x20));
-      acc[b] = _mm256_add_pd(acc[b], _mm256_permute2f128_pd(t1, t3, 0x20));
-      acc[b] = _mm256_add_pd(acc[b], _mm256_permute2f128_pd(t0, t2, 0x31));
-      acc[b] = _mm256_add_pd(acc[b], _mm256_permute2f128_pd(t1, t3, 0x31));
-    }
-  }
-  for (; i < n; ++i) {
-    const __m256d xi = _mm256_set1_pd(a[i]);
-#pragma GCC unroll 4
-    for (int b = 0; b < B; ++b) {
-      const __m256d v =
-          _mm256_set_pd(rows[4 * b + 3][i], rows[4 * b + 2][i],
-                        rows[4 * b + 1][i], rows[4 * b][i]);
-      acc[b] = _mm256_add_pd(acc[b], _mm256_mul_pd(v, xi));
-    }
-  }
-#pragma GCC unroll 4
-  for (int b = 0; b < B; ++b) {
-    _mm_storeu_ps(out + 4 * b, _mm256_cvtpd_ps(acc[b]));
-  }
-}
-
-void DotRowsF64Avx2(const float* a, const float* base, size_t stride,
-                    const uint32_t* ids, size_t num_rows, size_t n,
-                    float* out) {
-  const float* rows[16];
-  auto gather = [&](size_t j, size_t count) {
-    for (size_t k = 0; k < count; ++k) {
-      rows[k] = base + (ids != nullptr ? ids[j + k] : j + k) * stride;
-    }
-  };
-  // Widest blocks first: more rows side by side, more independent chains.
-  size_t j = 0;
-  for (; j + 16 <= num_rows; j += 16) {
-    gather(j, 16);
-    DotRowBlocks<4>(a, rows, n, out + j);
-  }
-  for (; j + 8 <= num_rows; j += 8) {
-    gather(j, 8);
-    DotRowBlocks<2>(a, rows, n, out + j);
-  }
-  for (; j + 4 <= num_rows; j += 4) {
-    gather(j, 4);
-    DotRowBlocks<1>(a, rows, n, out + j);
-  }
-  for (; j < num_rows; ++j) {
-    gather(j, 1);
-    double acc = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      acc += static_cast<double>(a[i]) * rows[0][i];
-    }
-    out[j] = static_cast<float>(acc);
-  }
-}
-
 }  // namespace
 
 const Ops* Avx2KernelOps() {
   static const Ops ops = {Backend::kAvx2, "avx2",    DotAvx2,
                           Dot4Avx2,       AxpyAvx2, ScaleAvx2,
-                          CountGreaterAvx2, DotRowsF64Avx2};
+                          CountGreaterAvx2};
   return &ops;
 }
 

@@ -2,7 +2,6 @@
 #define DAAKG_TENSOR_SIMD_SIMD_H_
 
 #include <cstddef>
-#include <cstdint>
 
 namespace daakg {
 namespace simd {
@@ -23,15 +22,13 @@ namespace simd {
 //     replays it lane by lane with std::fma. dot(a, b_c) is bit-identical
 //     to column c of dot4(a, b0..b3), so cached cells computed via either
 //     entry point agree exactly.
+//     Matrix::MultiplyInto, the TransE and entity-class distances and the
+//     mining snapshot's cosines take their sums from these two kernels,
+//     so training's mat-vecs and step distances have this one order.
 //   * Elementwise kernels (axpy, scale): each output element is one float
 //     multiply (+ one add), which rounds the same at any vector width. Both
 //     kernel TUs are compiled with -ffp-contract=off so the compiler never
 //     fuses the mul+add into an FMA behind our back.
-//   * dot_rows_f64: every output is one double accumulator per row, fed in
-//     index order with exact float x float products. The AVX2 path
-//     vectorizes across rows, never within one row's sum. This is the
-//     reduction order of Vector::Dot and Matrix::Multiply, which the
-//     training path relies on.
 //   * count_greater is exact (integer result).
 
 enum class Backend { kScalar = 0, kAvx2 = 1 };
@@ -51,11 +48,6 @@ struct Ops {
   void (*scale)(float* x, size_t n, float s);
   // Number of values[i] strictly greater than `threshold`.
   size_t (*count_greater)(const float* values, size_t n, float threshold);
-  // out[j] = float(sum_i double(a[i]) * double(row_j[i])) for j < num_rows,
-  // summed in index order, where row_j = base + (ids ? ids[j] : j) * stride.
-  void (*dot_rows_f64)(const float* a, const float* base, size_t stride,
-                       const uint32_t* ids, size_t num_rows, size_t n,
-                       float* out);
 };
 
 // The always-available scalar reference table.

@@ -11,7 +11,8 @@ namespace daakg {
 // which are bit-identical to the scalar loops on every backend (rounding
 // contract in simd/simd.h) — so trainers take the same trajectory whether
 // or not AVX2 is available. Reductions (Dot, norms) stay double-accumulated
-// scalar: vectorizing them would change rounding across backends.
+// scalar, summed in index order; mat-vecs and the training distances sum
+// through simd::Ops::dot/dot4 instead (Matrix::MultiplyInto).
 
 void Vector::Fill(float value) {
   std::fill(data_.begin(), data_.end(), value);

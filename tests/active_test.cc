@@ -431,7 +431,7 @@ TEST_F(ActiveTest, PartitionSplitsArePinned) {
     mix(bits);
   }
   EXPECT_GT(max_groups, 1u);  // some rho splits
-  EXPECT_EQ(h, 0x0E546C5E9544EBCDULL)
+  EXPECT_EQ(h, 0x33047938F3EDC5A4ULL)
       << std::hex << "0x" << h << " on " << simd::ActiveOps().name;
 }
 

@@ -540,14 +540,14 @@ TEST_P(TrainingGoldenTest, TrainedParametersArePinned) {
 INSTANTIATE_TEST_SUITE_P(
     Models, TrainingGoldenTest,
     ::testing::Values(
-        GoldenCase{"transe", "transe", true, 0x974BF9337D8A6005ULL,
+        GoldenCase{"transe", "transe", true, 0x7B03F7E293479D77ULL,
                    0x91FDEA968E674F29ULL},
-        GoldenCase{"rotate", "rotate", true, 0x317A3DA146E49643ULL,
+        GoldenCase{"rotate", "rotate", true, 0x85BB8F840988F194ULL,
                    0x9C44709069A55033ULL},
-        GoldenCase{"compgcn", "compgcn", true, 0xBD392D40D31F83E9ULL,
+        GoldenCase{"compgcn", "compgcn", true, 0xC767D03A2E037854ULL,
                    0x283ABFBAF80D7762ULL},
         GoldenCase{"transe_no_classes", "transe", false,
-                   0xD722ADB995189B1CULL, 0x85633E086F42231FULL}),
+                   0x9FC0C6F52C293A87ULL, 0x85633E086F42231FULL}),
     [](const auto& info) { return std::string(info.param.name); });
 
 // Pins what both selection algorithms choose over three planning rounds on
@@ -630,7 +630,7 @@ TEST(SelectionGoldenTest, PlanningRoundsArePinned) {
     }
   }
 
-  EXPECT_EQ(h, 0x6925928EEF1E995DULL)
+  EXPECT_EQ(h, 0xFFBBD3AB06731992ULL)
       << std::hex << "0x" << h << " on " << simd::ActiveOps().name;
 }
 
@@ -686,12 +686,12 @@ TEST(ActiveLoopTest, RoundsReuseCachesLeftReadyByTraining) {
       obs::TraceSession::Global().Stop(), "core.fine_tune");
   size_t rounds = 0;
   for (const auto& r : reports) rounds += r.telemetry.rounds;
-  ASSERT_EQ(rounds, 3u);
+  ASSERT_EQ(rounds, 4u);
   // Train and every FineTune end with a refresh; each round's refresh finds
   // no parameter moved since and recomputes nothing (a recomputation at the
-  // start of each round used to make this 1 + 3 + 3).
-  EXPECT_EQ(fine_tunes, 3u);
-  EXPECT_EQ(refreshes->Value() - refreshes_before, 1u + 3u);
+  // start of each round used to make this 1 + 4 + 4).
+  EXPECT_EQ(fine_tunes, 4u);
+  EXPECT_EQ(refreshes->Value() - refreshes_before, 1u + 4u);
 
   // The reports are those of the loop that refreshed every round.
   auto summary = [](const ActiveRoundReport& r) {
@@ -704,14 +704,15 @@ TEST(ActiveLoopTest, RoundsReuseCachesLeftReadyByTraining) {
   };
   ASSERT_EQ(reports.size(), 2u);
   EXPECT_EQ(summary(reports[0]),
-            (std::vector<double>{31, 10, 0.12048192771084337,
-                                 0.21727288299419079, 0.060150375939849628,
-                                 0.5, 0.28571428571428575, 0.66666666666666663,
-                                 0.8571428571428571}));
+            (std::vector<double>{56, 12, 0.073170731707317069,
+                                 0.18780346655080504, 0.061068702290076333,
+                                 0.66666666666666663, 0.22222222222222221,
+                                 0.66666666666666663, 0.66666666666666663}));
   EXPECT_EQ(summary(reports[1]),
-            (std::vector<double>{81, 20, 0.14473684210526316,
-                                 0.26063246469584983, 0.1021897810218978, 0.0,
-                                 0.2857142857142857, 1.0, 0.74999999999999989}));
+            (std::vector<double>{106, 25, 0.19718309859154928,
+                                 0.31908398685914352, 0.1702127659574468, 0.0,
+                                 0.25, 0.66666666666666663,
+                                 0.57142857142857151}));
 }
 
 TEST(ActiveLoopTest, DaakgStrategyMakesProgressUnderBudget) {

@@ -158,6 +158,30 @@ TEST(TransEGradientTest, ScoreGradientMatchesFiniteDifference) {
   EXPECT_LT(MaxRelativeError(analytic, numeric), 5e-2f);
 }
 
+// TrainPair's returned loss is margin_er + Score(pos) - Score(neg) bit for
+// bit: the step and Score share one distance (one reduction order), on
+// whichever SIMD backend is active.
+TEST(TransEGradientTest, TrainPairLossIsTheScoreMargin) {
+  AlignmentTask task = SmallSyntheticTask();
+  auto model = MakeKgeModel(KgeModelKind::kTransE, &task.kg1, TestConfig());
+  Rng rng(8);
+  model->Init(&rng);
+  NegativeSampler sampler(&task.kg1);
+  const float margin = model->config().margin_er;
+  int active = 0;
+  for (int i = 0; i < 40; ++i) {
+    const Triplet& pos =
+        task.kg1.triplets()[rng.NextUint64(task.kg1.num_triplets())];
+    const EntityId neg = sampler.CorruptTail(pos, &rng);
+    const float want = margin + model->Score(pos.head, pos.relation, pos.tail) -
+                       model->Score(pos.head, pos.relation, neg);
+    const float got = model->TrainPair(pos, neg, 0.01f);
+    EXPECT_EQ(got, want > 0.0f ? want : 0.0f) << i;
+    active += want > 0.0f;
+  }
+  EXPECT_GT(active, 10);
+}
+
 // ---------------------------------------------------------------------------
 // RotatE specifics
 // ---------------------------------------------------------------------------
@@ -280,6 +304,114 @@ TEST_F(EntityClassModelTest, TrainPairIsDescentDirection) {
     ++checked;
   }
   EXPECT_GT(checked, 5);
+}
+
+// TrainPair's returned loss is margin_ec + Score(pos) - Score(neg) bit for
+// bit, on whichever SIMD backend is active.
+TEST_F(EntityClassModelTest, TrainPairLossIsTheScoreMargin) {
+  Rng rng(21);
+  NegativeSampler sampler(&task_.kg1);
+  const float margin = TestConfig().margin_ec;
+  int active = 0;
+  for (int i = 0; i < 40; ++i) {
+    const TypeTriplet& tt = task_.kg1.type_triplets()[rng.NextUint64(
+        task_.kg1.num_type_triplets())];
+    const EntityId neg = sampler.CorruptEntityOfClass(tt.cls, &rng);
+    const float want =
+        margin + ec_->Score(tt.entity, tt.cls) - ec_->Score(neg, tt.cls);
+    const float got = ec_->TrainPair(tt.entity, neg, tt.cls, 0.01f);
+    EXPECT_EQ(got, want > 0.0f ? want : 0.0f) << i;
+    active += want > 0.0f;
+  }
+  EXPECT_GT(active, 10);
+}
+
+// TrainPair takes one SGD step on every parameter it touches: the scales
+// and center of the class, the projection and both entity rows. Each
+// group's step, divided by the learning rate, is the finite-difference
+// gradient of the Eq. 3 hinge f_ec(pos, c) - f_ec(neg, c) + margin.
+TEST_F(EntityClassModelTest, TrainPairStepMatchesFiniteDifference) {
+  const TypeTriplet& tt = task_.kg1.type_triplets()[3];
+  const ClassId c = tt.cls;
+  const EntityId pos = tt.entity;
+  const EntityId neg = pos == 0 ? 1 : 0;
+  const float margin = TestConfig().margin_ec;
+  const Matrix p0 = ec_->projection();
+  const Vector w0 = ec_->scales().Row(c);
+  const Vector b0 = ec_->centers().Row(c);
+  const Vector pos0 = model_->EntityVec(pos);
+  const Vector neg0 = model_->EntityVec(neg);
+
+  // f_ec(e, c) = ||w (.) (P e) - b|| from the parameters given.
+  auto f_ec = [](const Matrix& p, const Vector& w, const Vector& b,
+                 const Vector& e) {
+    Vector z = p.Multiply(e);
+    z.Hadamard(w);
+    z -= b;
+    return z.Norm();
+  };
+  auto loss = [&](const Matrix& p, const Vector& w, const Vector& b,
+                  const Vector& ep, const Vector& en) {
+    return margin + f_ec(p, w, b, ep) - f_ec(p, w, b, en);
+  };
+  ASSERT_GT(loss(p0, w0, b0, pos0, neg0), 0.0f);
+
+  const float lr = 1e-2f;
+  ec_->TrainPair(pos, neg, c, lr);
+  auto step = [lr](const Vector& before, const Vector& after) {
+    return (before - after) * (1.0f / lr);
+  };
+  auto flat = [](const Matrix& m) {
+    Vector v(m.rows() * m.cols());
+    for (size_t i = 0; i < v.dim(); ++i) v[i] = m(i / m.cols(), i % m.cols());
+    return v;
+  };
+  auto unflat = [&p0](const Vector& v) {
+    Matrix m(p0.rows(), p0.cols());
+    for (size_t i = 0; i < v.dim(); ++i) m(i / m.cols(), i % m.cols()) = v[i];
+    return m;
+  };
+
+  EXPECT_LT(MaxRelativeError(
+                step(w0, ec_->scales().Row(c)),
+                NumericalGradient(
+                    [&](const Vector& w) {
+                      return loss(p0, w, b0, pos0, neg0);
+                    },
+                    w0)),
+            5e-2f);
+  EXPECT_LT(MaxRelativeError(
+                step(b0, ec_->centers().Row(c)),
+                NumericalGradient(
+                    [&](const Vector& b) {
+                      return loss(p0, w0, b, pos0, neg0);
+                    },
+                    b0)),
+            5e-2f);
+  EXPECT_LT(MaxRelativeError(
+                step(flat(p0), flat(ec_->projection())),
+                NumericalGradient(
+                    [&](const Vector& p) {
+                      return loss(unflat(p), w0, b0, pos0, neg0);
+                    },
+                    flat(p0))),
+            5e-2f);
+  EXPECT_LT(MaxRelativeError(
+                step(pos0, model_->EntityVec(pos)),
+                NumericalGradient(
+                    [&](const Vector& e) {
+                      return loss(p0, w0, b0, e, neg0);
+                    },
+                    pos0)),
+            5e-2f);
+  EXPECT_LT(MaxRelativeError(
+                step(neg0, model_->EntityVec(neg)),
+                NumericalGradient(
+                    [&](const Vector& e) {
+                      return loss(p0, w0, b0, pos0, e);
+                    },
+                    neg0)),
+            5e-2f);
 }
 
 TEST_F(EntityClassModelTest, TrainingSeparatesMembersFromNonMembers) {

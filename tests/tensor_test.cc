@@ -638,34 +638,26 @@ TEST(SimdTest, ElementwiseKernelsAreBitIdenticalAcrossBackends) {
   }
 }
 
-// dot_rows_f64 is Vector::Dot's ordered double sum on every backend, bit
-// for bit, for contiguous and for indexed rows and ragged shapes.
-TEST(SimdTest, DotRowsF64MatchesOrderedDoubleSumOnEveryBackend) {
+// Matrix::MultiplyInto's row r is dot(x, row r) bit for bit, whichever
+// backend is active, on ragged shapes: rows come four at a time through
+// dot4 with a dot tail, and every backend's dot agrees bitwise.
+TEST(SimdTest, MultiplyIntoRowsAreDotsOnEveryBackend) {
   Rng rng(45);
   std::vector<const simd::Ops*> tables = {&simd::ScalarOps()};
   if (simd::Avx2Available()) tables.push_back(simd::Avx2OpsOrNull());
-  for (size_t n : {0u, 1u, 3u, 4u, 5u, 16u, 19u, 64u}) {
-    for (size_t num_rows : {1u, 3u, 4u, 7u, 8u, 12u, 17u}) {
-      Matrix rows(num_rows + 5, n);
-      rows.InitGaussian(&rng, 1.0f);
-      Vector a(n);
-      a.InitGaussian(&rng, 1.0f);
-      std::vector<uint32_t> ids(num_rows);
-      for (auto& id : ids) id = static_cast<uint32_t>(rng.NextUint64(num_rows + 5));
-      for (bool indexed : {false, true}) {
-        std::vector<float> want(num_rows);
-        for (size_t j = 0; j < num_rows; ++j) {
-          Vector row(n);
-          for (size_t i = 0; i < n; ++i) row[i] = rows(indexed ? ids[j] : j, i);
-          want[j] = a.Dot(row);
-        }
-        for (const simd::Ops* ops : tables) {
-          std::vector<float> got(num_rows, -1.0f);
-          ops->dot_rows_f64(a.data(), rows.RowData(0), n,
-                            indexed ? ids.data() : nullptr, num_rows, n,
-                            got.data());
-          EXPECT_EQ(got, want) << ops->name << " n=" << n
-                               << " rows=" << num_rows << " ids=" << indexed;
+  for (size_t cols : {0u, 1u, 7u, 19u, 64u, 67u}) {
+    for (size_t rows = 1; rows <= 9; ++rows) {
+      Matrix m(rows, cols);
+      m.InitGaussian(&rng, 1.0f);
+      Vector x(cols);
+      x.InitGaussian(&rng, 1.0f);
+      std::vector<float> y(rows, -1.0f);
+      m.MultiplyInto(x.data(), y.data());
+      for (const simd::Ops* ops : tables) {
+        for (size_t r = 0; r < rows; ++r) {
+          EXPECT_EQ(y[r], ops->dot(x.data(), m.RowData(r), cols))
+              << ops->name << " rows=" << rows << " cols=" << cols
+              << " r=" << r;
         }
       }
     }
