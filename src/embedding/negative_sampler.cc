@@ -1,21 +1,34 @@
 #include "embedding/negative_sampler.h"
 
+#include <algorithm>
+#include <span>
+
 namespace daakg {
 namespace {
 constexpr int kMaxRejections = 16;
 }  // namespace
 
-EntityId NegativeSampler::CorruptTail(const Triplet& triplet, Rng* rng) const {
+void NegativeSampler::CorruptTails(const Triplet& triplet, Rng* rng,
+                                   size_t k, EntityId* out) const {
   const size_t n = kg_->num_entities();
-  for (int attempt = 0; attempt < kMaxRejections; ++attempt) {
+  const std::span<const uint64_t> keys =
+      kg_->TripletKeys(triplet.head, triplet.relation);
+  const auto draw = [&]() {
+    for (int attempt = 0; attempt < kMaxRejections; ++attempt) {
+      EntityId cand = static_cast<EntityId>(rng->NextUint64(n));
+      if (cand == triplet.tail) continue;
+      if (!std::binary_search(
+              keys.begin(), keys.end(),
+              KnowledgeGraph::TripletKey(triplet.relation, cand))) {
+        return cand;
+      }
+    }
+    // Dense tiny graph: accept any different entity.
     EntityId cand = static_cast<EntityId>(rng->NextUint64(n));
-    if (cand == triplet.tail) continue;
-    if (!kg_->HasTriplet(triplet.head, triplet.relation, cand)) return cand;
-  }
-  // Dense tiny graph: accept any different entity.
-  EntityId cand = static_cast<EntityId>(rng->NextUint64(n));
-  if (cand == triplet.tail) cand = static_cast<EntityId>((cand + 1) % n);
-  return cand;
+    if (cand == triplet.tail) cand = static_cast<EntityId>((cand + 1) % n);
+    return cand;
+  };
+  for (size_t j = 0; j < k; ++j) out[j] = draw();
 }
 
 EntityId NegativeSampler::CorruptEntityOfClass(ClassId c, Rng* rng) const {

@@ -13,10 +13,14 @@ class NegativeSampler {
  public:
   explicit NegativeSampler(const KnowledgeGraph* kg) : kg_(kg) {}
 
-  // A random entity t' such that (h, r, t') is not in the KG. Falls back to
-  // an arbitrary different entity after a bounded number of rejections
-  // (relevant only for tiny graphs).
-  EntityId CorruptTail(const Triplet& triplet, Rng* rng) const;
+  // Writes `k` corrupted tails of `triplet` to out[0, k): each a random
+  // entity t' != t such that (h, r, t') is not in the KG, falling back to an
+  // arbitrary entity other than t after a bounded number of rejections
+  // (relevant only for tiny graphs). The draws are independent and take
+  // from `rng` in turn; the KG's keys of (h, r) are looked up once for all
+  // k.
+  void CorruptTails(const Triplet& triplet, Rng* rng, size_t k,
+                    EntityId* out) const;
 
   // A random entity e' that does not belong to class c.
   EntityId CorruptEntityOfClass(ClassId c, Rng* rng) const;

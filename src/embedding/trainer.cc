@@ -1,5 +1,6 @@
 #include "embedding/trainer.h"
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -12,7 +13,10 @@ namespace daakg {
 namespace {
 
 constexpr float kLearningRate = 0.05f;
-constexpr int kNumNegatives = 4;  // corrupted tails per positive
+constexpr size_t kNumNegatives = 4;  // corrupted tails per positive
+// Positives whose negatives the ER pass draws before stepping through them.
+// No TrainPair draws, so drawing ahead takes from the RNG in the same order.
+constexpr size_t kNegativeChunk = 256;
 
 }  // namespace
 
@@ -33,12 +37,20 @@ void KgeTrainer::TrainEpoch(Rng* rng, KgeTrainStats* stats) {
   size_t er_steps = 0;
   {
     obs::TraceSpan er_span("embedding.er_pass", "embedding");
-    for (size_t idx : order) {
-      const Triplet& pos = kg.triplets()[idx];
-      for (int k = 0; k < kNumNegatives; ++k) {
-        EntityId neg = sampler.CorruptTail(pos, rng);
-        er_loss += model_->TrainPair(pos, neg, kLearningRate);
-        ++er_steps;
+    std::vector<EntityId> negs(kNegativeChunk * kNumNegatives);
+    for (size_t begin = 0; begin < order.size(); begin += kNegativeChunk) {
+      const size_t end = std::min(order.size(), begin + kNegativeChunk);
+      for (size_t i = begin; i < end; ++i) {
+        sampler.CorruptTails(kg.triplets()[order[i]], rng, kNumNegatives,
+                             &negs[(i - begin) * kNumNegatives]);
+      }
+      for (size_t i = begin; i < end; ++i) {
+        const Triplet& pos = kg.triplets()[order[i]];
+        const EntityId* pos_negs = &negs[(i - begin) * kNumNegatives];
+        for (size_t k = 0; k < kNumNegatives; ++k) {
+          er_loss += model_->TrainPair(pos, pos_negs[k], kLearningRate);
+          ++er_steps;
+        }
       }
     }
     er_span.AddArg("steps", static_cast<double>(er_steps));
@@ -54,7 +66,7 @@ void KgeTrainer::TrainEpoch(Rng* rng, KgeTrainStats* stats) {
     rng->Shuffle(&type_order);
     for (size_t idx : type_order) {
       const TypeTriplet& tt = kg.type_triplets()[idx];
-      for (int k = 0; k < kNumNegatives; ++k) {
+      for (size_t k = 0; k < kNumNegatives; ++k) {
         EntityId neg = sampler.CorruptEntityOfClass(tt.cls, rng);
         ec_loss +=
             ec_model_->TrainPair(tt.entity, neg, tt.cls, kLearningRate);

@@ -1,6 +1,7 @@
 #include "kg/knowledge_graph.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -150,6 +151,18 @@ size_t KnowledgeGraph::TripletIndex(EntityId head, RelationId relation,
   const auto it = std::lower_bound(first, last, key);
   if (it == last || *it != key) return kNoTriplet;
   return static_cast<size_t>(it - triplet_keys_.begin());
+}
+
+std::span<const uint64_t> KnowledgeGraph::TripletKeys(
+    EntityId head, RelationId relation) const {
+  DAAKG_CHECK(finalized_);
+  if (head >= entity_names_.size()) return {};
+  const auto first = triplet_keys_.begin() + triplet_offsets_[head];
+  const auto last = triplet_keys_.begin() + triplet_offsets_[head + 1];
+  const auto lo = std::lower_bound(first, last, TripletKey(relation, 0));
+  const auto hi = std::upper_bound(
+      lo, last, TripletKey(relation, std::numeric_limits<EntityId>::max()));
+  return {lo, hi};
 }
 
 bool KnowledgeGraph::HasType(EntityId e, ClassId c) const {

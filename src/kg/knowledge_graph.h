@@ -2,6 +2,7 @@
 #define DAAKG_KG_KNOWLEDGE_GRAPH_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -118,6 +119,15 @@ class KnowledgeGraph {
   // first copy's). Lets callers keep per-triplet data in flat arrays.
   static constexpr size_t kNoTriplet = static_cast<size_t>(-1);
   size_t TripletIndex(EntityId head, RelationId relation, EntityId tail) const;
+  // The HasTriplet index's keys of head's triplets with `relation`, sorted:
+  // (head, relation, t) exists iff TripletKey(relation, t) is among them.
+  // Empty for an unknown head. Lets a caller that tests many tails of one
+  // (head, relation) search this range instead of all of head's keys.
+  std::span<const uint64_t> TripletKeys(EntityId head,
+                                        RelationId relation) const;
+  static uint64_t TripletKey(RelationId relation, EntityId tail) {
+    return (static_cast<uint64_t>(relation) << 32) | tail;
+  }
   // True if entity `e` has class `c`.
   bool HasType(EntityId e, ClassId c) const;
 
@@ -140,9 +150,6 @@ class KnowledgeGraph {
   std::vector<RelationId> reverse_relation_;
   // HasTriplet index: the sorted TripletKey(relation, tail) of head h's
   // triplets are triplet_keys_[triplet_offsets_[h], triplet_offsets_[h+1]).
-  static uint64_t TripletKey(RelationId relation, EntityId tail) {
-    return (static_cast<uint64_t>(relation) << 32) | tail;
-  }
   std::vector<size_t> triplet_offsets_;
   std::vector<uint64_t> triplet_keys_;
 

@@ -100,14 +100,8 @@ Vector Matrix::TransposeMultiply(const Vector& x) const {
 
 void Matrix::AddOuterThenTransposeMultiply(float alpha, const float* a,
                                            const float* b, float* y) {
-  const simd::Ops& ops = simd::ActiveOps();
-  std::fill(y, y + cols_, 0.0f);
-  for (size_t r = 0; r < rows_; ++r) {
-    float* row = RowData(r);
-    const float ar = alpha * a[r];
-    if (ar != 0.0f) ops.axpy(ar, b, row, cols_);
-    if (a[r] != 0.0f) ops.axpy(a[r], row, y, cols_);
-  }
+  simd::ActiveOps().add_outer_then_tmv(alpha, a, b, data_.data(), rows_,
+                                       cols_, y);
 }
 
 Matrix Matrix::Multiply(const Matrix& other) const {

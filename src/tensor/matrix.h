@@ -64,9 +64,10 @@ class Matrix {
   // b.dim()==cols. The core update for mapping-matrix gradients.
   void AddOuter(float alpha, const Vector& a, const Vector& b);
   // AddOuter(alpha, a, b) followed by y = this^T * a on the updated matrix,
-  // in one pass over the rows (row r is updated, then accumulated), with
-  // the arithmetic of the two calls. a holds rows() floats, b and y cols()
-  // floats; none may alias the matrix, and y may alias neither a nor b.
+  // in one simd::Ops::add_outer_then_tmv call (row r is updated, then
+  // accumulated), with the arithmetic of the two calls. a holds rows()
+  // floats, b and y cols() floats; none may alias the matrix, and y may
+  // alias neither a nor b.
   void AddOuterThenTransposeMultiply(float alpha, const float* a,
                                      const float* b, float* y);
 

@@ -29,6 +29,13 @@ namespace simd {
 //     multiply (+ one add), which rounds the same at any vector width. Both
 //     kernel TUs are compiled with -ffp-contract=off so the compiler never
 //     fuses the mul+add into an FMA behind our back.
+//   * Fused step kernels (transe_step, add_outer_then_tmv) do in one call
+//     what a sequence of the kernels above did, and each output element
+//     sees the same float operations, in the same order, as in that
+//     sequence: their sums take the dot order, their updates one unfused
+//     multiply and add per term, applied row after row. Rows passed to one
+//     call are either the same row or disjoint; an aliased row receives
+//     every update of every role it plays, in the documented role order.
 //   * count_greater is exact (integer result).
 
 enum class Backend { kScalar = 0, kAvx2 = 1 };
@@ -48,7 +55,32 @@ struct Ops {
   void (*scale)(float* x, size_t n, float s);
   // Number of values[i] strictly greater than `threshold`.
   size_t (*count_greater)(const float* values, size_t n, float threshold);
+
+  // One TransE margin step on the rows h, r, t (positive tail) and tn
+  // (negative tail), all of n floats. With res = h + r - t and
+  // res' = h + r - tn, f = sqrt(dot(res, res)) and f' = sqrt(dot(res',
+  // res')), it returns loss = margin + f - f'. When loss <= 0 it returns 0
+  // and writes no row; otherwise (a NaN loss included) it steps with
+  // g = res * (1 / (f + kTransEEps)), g' = res' * (1 / (f' + kTransEEps))
+  // and g_h = g - g':
+  //   h += -lr * g_h;  r += -lr * g_h;  t += lr * g;  tn += -lr * g'
+  // in that order per element, so a row that is both head and a tail sees
+  // the head's update first. Bit for bit, this is copy + axpy(1, r) +
+  // axpy(-1, t) + dot per residual, two scale calls, copy + axpy(-1, g')
+  // and four axpy calls.
+  float (*transe_step)(float* h, float* r, float* t, float* tn, size_t n,
+                       float margin, float lr);
+  // m += alpha * a b^T, then y = m^T a on the updated m, for a row-major
+  // rows x cols matrix m: row r takes axpy(alpha * a[r], b) unless
+  // alpha * a[r] == 0, then adds into y as axpy(a[r], row) unless a[r] == 0
+  // (y starts at +0). b and y hold cols floats, a rows floats; none may
+  // alias m, and y may alias neither a nor b.
+  void (*add_outer_then_tmv)(float alpha, const float* a, const float* b,
+                             float* m, size_t rows, size_t cols, float* y);
 };
+
+// transe_step's guard against a zero distance in g = res * (1 / (f + eps)).
+inline constexpr float kTransEEps = 1e-8f;
 
 // The always-available scalar reference table.
 const Ops& ScalarOps();

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "embedding/entity_class_model.h"
 #include "embedding/gradcheck.h"
@@ -57,7 +58,8 @@ TEST_P(KgeModelTest, TrainPairIsDescentDirection) {
   for (int i = 0; i < 200 && checked < 25; ++i) {
     const Triplet& pos =
         task_.kg1.triplets()[rng.NextUint64(task_.kg1.num_triplets())];
-    EntityId neg = sampler.CorruptTail(pos, &rng);
+    EntityId neg;
+    sampler.CorruptTails(pos, &rng, 1, &neg);
     const float margin = model_->config().margin_er;
     const float before = margin + model_->Score(pos.head, pos.relation, pos.tail) -
                          model_->Score(pos.head, pos.relation, neg);
@@ -83,7 +85,8 @@ TEST_P(KgeModelTest, TrainingSeparatesTrueFromCorrupted) {
   for (int i = 0; i < 200; ++i) {
     const Triplet& t =
         task_.kg1.triplets()[rng.NextUint64(task_.kg1.num_triplets())];
-    EntityId neg = sampler.CorruptTail(t, &rng);
+    EntityId neg;
+    sampler.CorruptTails(t, &rng, 1, &neg);
     true_sum += model_->Score(t.head, t.relation, t.tail);
     fake_sum += model_->Score(t.head, t.relation, neg);
     ++n;
@@ -172,7 +175,8 @@ TEST(TransEGradientTest, TrainPairLossIsTheScoreMargin) {
   for (int i = 0; i < 40; ++i) {
     const Triplet& pos =
         task.kg1.triplets()[rng.NextUint64(task.kg1.num_triplets())];
-    const EntityId neg = sampler.CorruptTail(pos, &rng);
+    EntityId neg;
+    sampler.CorruptTails(pos, &rng, 1, &neg);
     const float want = margin + model->Score(pos.head, pos.relation, pos.tail) -
                        model->Score(pos.head, pos.relation, neg);
     const float got = model->TrainPair(pos, neg, 0.01f);
@@ -442,10 +446,72 @@ TEST(NegativeSamplerTest, CorruptTailAvoidsTrueTriplets) {
   for (int i = 0; i < 100; ++i) {
     const Triplet& t =
         task.kg1.triplets()[rng.NextUint64(task.kg1.num_triplets())];
-    EntityId neg = sampler.CorruptTail(t, &rng);
+    EntityId neg;
+    sampler.CorruptTails(t, &rng, 1, &neg);
     EXPECT_NE(neg, t.tail);
     EXPECT_LT(neg, task.kg1.num_entities());
   }
+}
+
+// The single-draw sampler that CorruptTails replaced, one HasTriplet search
+// per candidate: CorruptTails must draw exactly what it drew.
+EntityId ReferenceCorruptTail(const KnowledgeGraph& kg, const Triplet& triplet,
+                              Rng* rng) {
+  const size_t n = kg.num_entities();
+  for (int attempt = 0; attempt < 16; ++attempt) {
+    EntityId cand = static_cast<EntityId>(rng->NextUint64(n));
+    if (cand == triplet.tail) continue;
+    if (!kg.HasTriplet(triplet.head, triplet.relation, cand)) return cand;
+  }
+  EntityId cand = static_cast<EntityId>(rng->NextUint64(n));
+  if (cand == triplet.tail) cand = static_cast<EntityId>((cand + 1) % n);
+  return cand;
+}
+
+// Draws k tails per triplet both ways from two copies of one RNG and
+// returns how many draws fell back to a true triplet.
+size_t ExpectCorruptTailsMatchesReference(const KnowledgeGraph& kg,
+                                          uint64_t seed) {
+  NegativeSampler sampler(&kg);
+  Rng pick(seed), rng(seed + 1), ref_rng(seed + 1);
+  size_t fallbacks = 0;
+  for (size_t k : {0u, 1u, 4u, 7u}) {
+    for (int i = 0; i < 200; ++i) {
+      const Triplet& t = kg.triplets()[pick.NextUint64(kg.num_triplets())];
+      std::vector<EntityId> got(k);
+      sampler.CorruptTails(t, &rng, k, got.data());
+      for (size_t j = 0; j < k; ++j) {
+        EXPECT_EQ(got[j], ReferenceCorruptTail(kg, t, &ref_rng))
+            << "k=" << k << " i=" << i << " j=" << j;
+        EXPECT_NE(got[j], t.tail);
+        fallbacks += kg.HasTriplet(t.head, t.relation, got[j]);
+      }
+    }
+  }
+  // Both left the RNG in the same state.
+  EXPECT_EQ(rng.NextUint64(), ref_rng.NextUint64());
+  return fallbacks;
+}
+
+TEST(NegativeSamplerTest, CorruptTailsMatchesOneSearchPerDraw) {
+  AlignmentTask task = SmallSyntheticTask();
+  EXPECT_EQ(ExpectCorruptTailsMatchesReference(task.kg1, 31), 0u);
+  EXPECT_EQ(ExpectCorruptTailsMatchesReference(task.kg2, 32), 0u);
+
+  // Three entities under two relations, every (head, tail) pair linked by
+  // both: no corrupted tail exists, so every draw takes the fallback.
+  KnowledgeGraph dense;
+  for (const char* e : {"a", "b", "c"}) dense.AddEntity(e);
+  const RelationId r0 = dense.AddRelation("r0");
+  const RelationId r1 = dense.AddRelation("r1");
+  for (EntityId h = 0; h < 3; ++h) {
+    for (EntityId t = 0; t < 3; ++t) {
+      dense.AddTriplet(h, r0, t);
+      dense.AddTriplet(h, r1, t);
+    }
+  }
+  ASSERT_TRUE(dense.Finalize().ok());
+  EXPECT_GT(ExpectCorruptTailsMatchesReference(dense, 33), 0u);
 }
 
 TEST(NegativeSamplerTest, CorruptEntityOfClassAvoidsMembersMostly) {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 
@@ -72,7 +74,8 @@ TEST(KnowledgeGraphTest, FinalizeAddsReverseTriplets) {
 // HasTriplet against a set of every triplet, on a generated task: each
 // triplet is found, and so is nothing else among (head, relation, tail)
 // probes that vary one field, plus out-of-range heads. TripletIndex, which
-// HasTriplet is built on, numbers the distinct triplets.
+// HasTriplet is built on, numbers the distinct triplets, and the
+// TripletKeys range of (head, relation) answers every probe alike.
 TEST(KnowledgeGraphTest, HasTripletMatchesTripletSet) {
   AlignmentTask task = testing_util::SmallSyntheticTask();
   for (const KnowledgeGraph* kg : {&task.kg1, &task.kg2}) {
@@ -85,21 +88,30 @@ TEST(KnowledgeGraphTest, HasTripletMatchesTripletSet) {
     }
     const auto n = static_cast<EntityId>(kg->num_entities());
     const auto m = static_cast<RelationId>(kg->num_relations());
+    const auto in_keys = [kg](EntityId h, RelationId r, EntityId t) {
+      const std::span<const uint64_t> keys = kg->TripletKeys(h, r);
+      return std::binary_search(keys.begin(), keys.end(),
+                                KnowledgeGraph::TripletKey(r, t));
+    };
     size_t absent = 0;
     for (const Triplet& t : kg->triplets()) {
       for (EntityId tail = 0; tail < n; ++tail) {
         const bool want = all.count({t.head, t.relation, tail}) > 0;
         EXPECT_EQ(kg->HasTriplet(t.head, t.relation, tail), want);
+        EXPECT_EQ(in_keys(t.head, t.relation, tail), want);
         absent += want ? 0 : 1;
       }
       for (RelationId r = 0; r < m; ++r) {
-        EXPECT_EQ(kg->HasTriplet(t.head, r, t.tail),
-                  all.count({t.head, r, t.tail}) > 0);
+        const bool want = all.count({t.head, r, t.tail}) > 0;
+        EXPECT_EQ(kg->HasTriplet(t.head, r, t.tail), want);
+        EXPECT_EQ(in_keys(t.head, r, t.tail), want);
       }
     }
     EXPECT_GT(absent, 0u);
     EXPECT_FALSE(kg->HasTriplet(n, 0, 0));
     EXPECT_FALSE(kg->HasTriplet(kInvalidId, 0, 0));
+    EXPECT_TRUE(kg->TripletKeys(n, 0).empty());
+    EXPECT_TRUE(kg->TripletKeys(kInvalidId, 0).empty());
 
     // TripletIndex gives distinct triplets distinct indexes below
     // num_triplets(), and an absent one kNoTriplet.

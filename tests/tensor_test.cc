@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <tuple>
 
 #include "common/rng.h"
@@ -714,6 +717,205 @@ TEST(SimdTest, BlockedKernelsBackendInvariant) {
   for (size_t c = 0; c < topk.col_topk.size(); ++c) {
     for (const ScoredIndex& e : topk.col_topk[c]) {
       EXPECT_EQ(e.score, out(e.index, c)) << "c=" << c;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Fused step kernels against the composed kernel calls they replace
+// ---------------------------------------------------------------------------
+
+// Every size class of the 16-wide body, a lone 8-block, the 32-column
+// blocks and the scalar tails.
+constexpr size_t kFusedSizes[] = {0,  1,  7,  8,  9,  15, 16, 17,
+                                  31, 32, 33, 63, 64, 65, 67};
+
+// The same float bits, or both NaN: a zero's sign counts (EXPECT_EQ would
+// take -0 == +0), and a NaN output matches a NaN output.
+bool SameFloat(float a, float b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::bit_cast<uint32_t>(a) == std::bit_cast<uint32_t>(b);
+}
+
+void ExpectSameFloats(const std::vector<float>& got,
+                      const std::vector<float>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(SameFloat(got[i], want[i]))
+        << what << " i=" << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+std::vector<const simd::Ops*> AllTables() {
+  std::vector<const simd::Ops*> tables = {&simd::ScalarOps()};
+  if (simd::Avx2Available()) tables.push_back(simd::Avx2OpsOrNull());
+  return tables;
+}
+
+// TransE's margin step as the composed dot/axpy/scale calls that
+// simd::Ops::transe_step replaced: both residuals first, then the
+// gradients, then the updates of h, r, t and t' in that order.
+float ComposedTransEStep(const simd::Ops& ops, float* h, float* r, float* t,
+                         float* tn, size_t n, float margin, float lr) {
+  std::vector<float> g_pos(h, h + n), g_neg(h, h + n);
+  ops.axpy(1.0f, r, g_pos.data(), n);
+  ops.axpy(-1.0f, t, g_pos.data(), n);
+  ops.axpy(1.0f, r, g_neg.data(), n);
+  ops.axpy(-1.0f, tn, g_neg.data(), n);
+  const float f_pos = std::sqrt(ops.dot(g_pos.data(), g_pos.data(), n));
+  const float f_neg = std::sqrt(ops.dot(g_neg.data(), g_neg.data(), n));
+  const float loss = margin + f_pos - f_neg;
+  if (loss <= 0.0f) return 0.0f;
+  ops.scale(g_pos.data(), n, 1.0f / (f_pos + simd::kTransEEps));
+  ops.scale(g_neg.data(), n, 1.0f / (f_neg + simd::kTransEEps));
+  std::vector<float> g_h = g_pos;
+  ops.axpy(-1.0f, g_neg.data(), g_h.data(), n);
+  ops.axpy(-lr, g_h.data(), h, n);
+  ops.axpy(-lr, g_h.data(), r, n);
+  ops.axpy(lr, g_pos.data(), t, n);
+  ops.axpy(-lr, g_neg.data(), tn, n);
+  return loss;
+}
+
+// Three entity rows and one relation row; a case names the entity rows
+// that play h, t and t', so rows alias when a case repeats an index.
+struct TransERows {
+  std::vector<float> ent, rel;
+  size_t n;
+  float* Ent(size_t row) { return ent.data() + row * n; }
+};
+
+enum class TransECase { kRandom, kZeroLoss, kNaN, kInf };
+
+TransERows MakeTransERows(size_t n, TransECase c, Rng* rng) {
+  TransERows rows{std::vector<float>(3 * n), std::vector<float>(n), n};
+  // Row values comparable to the steps, so a fused multiply-add or a
+  // reordered update rounds differently somewhere.
+  for (float& v : rows.ent) v = static_cast<float>(0.3 * rng->NextGaussian());
+  for (float& v : rows.rel) v = static_cast<float>(0.3 * rng->NextGaussian());
+  if (n == 0) return rows;
+  switch (c) {
+    case TransECase::kRandom:
+      break;
+    case TransECase::kZeroLoss:
+      // t = h + r exactly and t' far away: f = 0 and f' > margin.
+      for (size_t i = 0; i < n; ++i) {
+        rows.Ent(1)[i] = rows.Ent(0)[i] + rows.rel[i];
+        rows.Ent(2)[i] = 50.0f;
+      }
+      break;
+    case TransECase::kNaN:
+      rows.Ent(0)[n / 2] = std::numeric_limits<float>::quiet_NaN();
+      break;
+    case TransECase::kInf:
+      rows.Ent(1)[n - 1] = std::numeric_limits<float>::infinity();
+      rows.rel[0] = -std::numeric_limits<float>::infinity();
+      break;
+  }
+  return rows;
+}
+
+TEST(SimdTest, TransEStepMatchesComposedKernelsOnEveryBackend) {
+  Rng rng(47);
+  const float margin = 1.0f;
+  // (h, t, t') as entity rows: distinct, then every aliasing of the three.
+  const size_t roles[][3] = {{0, 1, 2}, {0, 0, 2}, {0, 1, 0},
+                             {0, 1, 1}, {0, 0, 0}};
+  for (size_t n : kFusedSizes) {
+    for (TransECase c : {TransECase::kRandom, TransECase::kZeroLoss,
+                         TransECase::kNaN, TransECase::kInf}) {
+      for (const auto& role : roles) {
+        const bool distinct = role[0] != role[1] && role[1] != role[2] &&
+                              role[0] != role[2];
+        if (c == TransECase::kZeroLoss && !distinct) continue;
+        for (float lr : {0.05f, 0.37f}) {
+          const TransERows start = MakeTransERows(n, c, &rng);
+          for (const simd::Ops* ops : AllTables()) {
+            TransERows fused = start, composed = start;
+            const float got = ops->transe_step(
+                fused.Ent(role[0]), fused.rel.data(), fused.Ent(role[1]),
+                fused.Ent(role[2]), n, margin, lr);
+            const float want = ComposedTransEStep(
+                *ops, composed.Ent(role[0]), composed.rel.data(),
+                composed.Ent(role[1]), composed.Ent(role[2]), n, margin, lr);
+            const std::string what =
+                std::string(ops->name) + " n=" + std::to_string(n) +
+                " case=" + std::to_string(static_cast<int>(c)) + " roles=" +
+                std::to_string(role[0]) + std::to_string(role[1]) +
+                std::to_string(role[2]) + " lr=" + std::to_string(lr);
+            EXPECT_TRUE(SameFloat(got, want))
+                << what << ": loss " << got << " vs " << want;
+            ExpectSameFloats(fused.ent, composed.ent, what + " entities");
+            ExpectSameFloats(fused.rel, composed.rel, what + " relation");
+            if (c == TransECase::kZeroLoss && n > 0) {
+              // A satisfied margin returns 0 and writes no row.
+              EXPECT_EQ(got, 0.0f) << what;
+              ExpectSameFloats(fused.ent, start.ent, what + " unwritten");
+              ExpectSameFloats(fused.rel, start.rel, what + " unwritten");
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The A_ent update and product as the composed axpy row pass that
+// simd::Ops::add_outer_then_tmv replaced.
+void ComposedAddOuterThenTmv(const simd::Ops& ops, float alpha, const float* a,
+                             const float* b, float* m, size_t rows,
+                             size_t cols, float* y) {
+  std::fill(y, y + cols, 0.0f);
+  for (size_t r = 0; r < rows; ++r) {
+    float* row = m + r * cols;
+    const float ar = alpha * a[r];
+    if (ar != 0.0f) ops.axpy(ar, b, row, cols);
+    if (a[r] != 0.0f) ops.axpy(a[r], row, y, cols);
+  }
+}
+
+TEST(SimdTest, AddOuterThenTmvMatchesComposedKernelsOnEveryBackend) {
+  Rng rng(48);
+  for (size_t cols : kFusedSizes) {
+    for (size_t rows : {1u, 5u, 64u}) {
+      for (bool non_finite : {false, true}) {
+        std::vector<float> m(rows * cols), a(rows), b(cols);
+        for (float& v : m) v = static_cast<float>(0.3 * rng.NextGaussian());
+        for (float& v : a) v = static_cast<float>(rng.NextGaussian());
+        for (float& v : b) v = static_cast<float>(0.3 * rng.NextGaussian());
+        // Zero coefficients skip both the update and the sum; -0 == 0
+        // skips too. A coefficient whose alpha * a[r] underflows to zero
+        // skips the update only.
+        a[0] = 0.0f;
+        if (rows > 1) a[1] = -0.0f;
+        if (rows > 2) a[2] = std::numeric_limits<float>::denorm_min();
+        if (non_finite && cols > 0) {
+          b[cols - 1] = std::numeric_limits<float>::infinity();
+          m[(rows - 1) * cols] = std::numeric_limits<float>::quiet_NaN();
+        }
+        for (float alpha : {-0.05f, 0.37f}) {
+          for (const simd::Ops* ops : AllTables()) {
+            std::vector<float> m_fused = m, m_composed = m;
+            std::vector<float> y_fused(cols, 7.0f), y_composed(cols, -7.0f);
+            ops->add_outer_then_tmv(alpha, a.data(), b.data(),
+                                    m_fused.data(), rows, cols,
+                                    y_fused.data());
+            ComposedAddOuterThenTmv(*ops, alpha, a.data(), b.data(),
+                                    m_composed.data(), rows, cols,
+                                    y_composed.data());
+            const std::string what =
+                std::string(ops->name) + " " + std::to_string(rows) + "x" +
+                std::to_string(cols) + " alpha=" + std::to_string(alpha) +
+                (non_finite ? " non-finite" : "");
+            ExpectSameFloats(m_fused, m_composed, what + " matrix");
+            ExpectSameFloats(y_fused, y_composed, what + " y");
+            // Row 0's zero coefficient leaves it as it was.
+            for (size_t c = 0; c < cols; ++c) {
+              EXPECT_TRUE(SameFloat(m_fused[c], m[c])) << what << " c=" << c;
+            }
+          }
+        }
+      }
     }
   }
 }
