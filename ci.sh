@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: a plain release build, an ASan+UBSan build and a
 # TSan build, each running the full suite; the two sanitizer builds also run
-# the active_alignment example end to end. A perfbench smoke leg builds the
+# the active_alignment and custom_kg examples end to end. A perfbench smoke leg builds the
 # end-to-end benchmark against the library and runs each workload for a
 # second twice: untraced, and with --trace 1, which drives every span site
 # under a live trace session and must drop no event. A SIMD leg re-runs the full release suite under
@@ -94,20 +94,24 @@ PY
 done
 
 echo "== sanitizer build (ASan+UBSan) =="
-# The full suite, then one end-to-end run of the public API: the
-# active_alignment example (Create -> Train -> active loop, two strategies).
+# The full suite, then end-to-end runs of the public API: the
+# active_alignment example (Create -> Train -> active loop, two strategies)
+# and the custom_kg example (user-built graphs, TSV save and load, Create ->
+# Train -> ExtractAlignment).
 cmake -B build-asan -S . -DDAAKG_SANITIZE=ON
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 ./build-asan/examples/active_alignment > /dev/null
+./build-asan/examples/custom_kg > /dev/null
 
 echo "== sanitizer build (TSan) =="
-# Every target, the full suite and the same end-to-end example: a data race
-# reported anywhere aborts its test or the run.
+# Every target, the full suite and the same end-to-end examples: a data
+# race reported anywhere aborts its test or the run.
 cmake -B build-tsan -S . -DDAAKG_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS"
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS"
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/examples/active_alignment > /dev/null
+TSAN_OPTIONS=halt_on_error=1 ./build-tsan/examples/custom_kg > /dev/null
 
 echo "ci.sh: all green"

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 
 #include "core/daakg.h"
@@ -106,9 +107,13 @@ int main() {
   task.gold_classes = {{0, 0}, {1, 1}};
   task.BuildGoldIndex();
 
-  // Persist and reload via the TSV layout (what real pipelines do).
-  std::string dir = "/tmp/daakg_custom_kg";
-  DAAKG_CHECK(system(("mkdir -p " + dir).c_str()) == 0);
+  // Persist and reload via the TSV layout (what real pipelines do), under a
+  // fresh temporary directory; SaveAlignmentTask creates the task directory.
+  std::string tmpl =
+      (std::filesystem::temp_directory_path() / "daakg_custom_kg.XXXXXX")
+          .string();
+  DAAKG_CHECK(mkdtemp(tmpl.data()) != nullptr);
+  const std::string dir = tmpl + "/movies";
   DAAKG_CHECK(SaveAlignmentTask(task, dir).ok());
   auto reloaded = LoadAlignmentTask(dir);
   DAAKG_CHECK(reloaded.ok());
@@ -116,6 +121,7 @@ int main() {
               "%zu gold matches\n", dir.c_str(),
               reloaded->kg1.num_entities(), reloaded->kg2.num_entities(),
               reloaded->gold_entities.size());
+  std::filesystem::remove_all(tmpl);
 
   // Tiny graphs: give DAAKG a half of the matches as seeds.
   DaakgConfig config;

@@ -90,8 +90,8 @@ Vector PoolGenerator::Signature(int side, EntityId e) const {
   return Concat(rel_part, cls_part);
 }
 
-void PoolGenerator::EnsureIndexLocked() const {
-  if (cache_->index != nullptr) return;
+void PoolGenerator::EnsureSignaturesLocked() const {
+  if (!cache_->sig2.empty()) return;
   obs::TraceSpan span("active.pool_signatures", "active");
   const size_t n1 = task_->kg1.num_entities();
   const size_t n2 = task_->kg2.num_entities();
@@ -100,30 +100,27 @@ void PoolGenerator::EnsureIndexLocked() const {
   span.AddArg("n2", static_cast<double>(n2));
 
   // Unit-normalized signatures of both sides (parallel).
-  Matrix& queries = cache_->queries;
-  queries = Matrix(n1, sig_dim);
-  Matrix sig2(n2, sig_dim);
+  Matrix& sig1 = cache_->sig1;
+  Matrix& sig2 = cache_->sig2;
+  sig1 = Matrix(n1, sig_dim);
+  sig2 = Matrix(n2, sig_dim);
   ThreadPool& pool = GlobalThreadPool();
-  pool.ParallelFor(n1, [this, &queries](size_t e) {
+  pool.ParallelFor(n1, [this, &sig1](size_t e) {
     Vector s = Signature(1, static_cast<EntityId>(e));
     s.Normalize();
-    queries.SetRow(e, s);
+    sig1.SetRow(e, s);
   });
   pool.ParallelFor(n2, [this, &sig2](size_t e) {
     Vector s = Signature(2, static_cast<EntityId>(e));
     s.Normalize();
     sig2.SetRow(e, s);
   });
-
-  auto built = CandidateIndex::Build(std::move(sig2));
-  DAAKG_CHECK(built.ok()) << built.status();
-  cache_->index = std::move(built.value());
 }
 
-const CandidateIndex& PoolGenerator::index() const {
+const Matrix& PoolGenerator::index() const {
   std::lock_guard<std::mutex> lock(cache_->mu);
-  EnsureIndexLocked();
-  return *cache_->index;  // built once; never replaced in this slot
+  EnsureSignaturesLocked();
+  return cache_->sig2;  // built once; never replaced in this slot
 }
 
 std::vector<ElementPair> PoolGenerator::Generate() const {
@@ -139,7 +136,7 @@ std::vector<ElementPair> PoolGenerator::Generate(size_t top_n) const {
   span.AddArg("top_n", static_cast<double>(top_n));
   std::lock_guard<std::mutex> lock(cache_->mu);
   if (cache_->top_n != top_n) {
-    EnsureIndexLocked();
+    EnsureSignaturesLocked();
     cache_->pool = CutPoolLocked(top_n);
     cache_->top_n = top_n;
   }
@@ -153,11 +150,17 @@ std::vector<ElementPair> PoolGenerator::CutPoolLocked(size_t top_n) const {
   const size_t n2 = task_->kg2.num_entities();
   const size_t n = std::min(top_n, n2);
 
-  // Top-N lists in both directions from one pass through the index, which
-  // streams the similarity matrix with per-row and per-column top-N state
-  // (neither the n1 x n2 buffer nor its transpose is materialized).
+  // Top-N lists in both directions from one pass of the blocked kernel,
+  // which streams the similarity matrix with per-row and per-column top-N
+  // state (neither the n1 x n2 buffer nor its transpose is materialized).
+  static obs::Counter* scored =
+      obs::GlobalMetrics().GetCounter("daakg.index.scored_cells");
   const size_t n_rev = std::min(top_n, n1);
-  SimTopK topk = cache_->index->QueryTopK(cache_->queries, n, n_rev);
+  obs::TraceSpan span("index.query_topk", "index");
+  span.AddArg("queries", static_cast<double>(n1));
+  const SimTopK topk = BlockedSimTopK(cache_->sig1, cache_->sig2, n, n_rev);
+  scored->Increment(static_cast<uint64_t>(n1) * n2);
+  span.Finish();
 
   // Mutual top-N: e2 is among e1's top N and e1 among e2's, found by a scan
   // of e2's at most N column entries.

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "align/joint_model.h"
-#include "index/candidate_index.h"
 #include "kg/alignment_task.h"
 #include "kg/ids.h"
 #include "tensor/matrix.h"
@@ -29,9 +28,8 @@ struct PoolConfig {
 //
 // The signatures depend only on the model's caches, so they are computed
 // and unit-normalized once per cache generation, into the model's planning
-// slot (JointAlignmentModel::pool_cache()): the KG1 side as a query matrix,
-// the KG2 side inside a CandidateIndex (normalization hoisted into the
-// index build). Every generator on an unchanged model shares them, and the
+// slot (JointAlignmentModel::pool_cache()), one matrix per side. Every
+// generator on an unchanged model shares them, and the
 // slot keeps the last generated pool as well: planning several batches
 // without retraining, or a repeated top-N, reuses it instead of cutting it
 // again (the slot's edge costs and partition plans then serve the rest of
@@ -50,21 +48,22 @@ class PoolGenerator {
   // Generates the pool. Entity pairs first, then relation pairs, then class
   // pairs (relation pairs cover base relations only).
   std::vector<ElementPair> Generate() const;
-  // Same, with an explicit top-N cut-off (sweeps reuse the shared index).
+  // Same, with an explicit top-N cut-off (sweeps reuse the shared
+  // signatures).
   std::vector<ElementPair> Generate(size_t top_n) const;
 
-  // The signature index over KG2, shared through the model's pool slot
-  // (built on its first use; exposed for benches and tests).
-  const CandidateIndex& index() const;
+  // The unit KG2 signatures, shared through the model's pool slot (built
+  // with the KG1 side on their first use; exposed for benches and tests).
+  const Matrix& index() const;
 
   // Recall of gold entity matches inside the generated pool — the Fig. 6
   // measurement.
   double EntityPairRecall(const std::vector<ElementPair>& pool) const;
 
  private:
-  // Fills the slot's KG1 query matrix and KG2 signature index once; the
-  // caller holds cache_->mu.
-  void EnsureIndexLocked() const;
+  // Fills the slot's unit signatures of both sides once; the caller holds
+  // cache_->mu.
+  void EnsureSignaturesLocked() const;
   // The pool at `top_n` from the slot's signatures; the caller holds
   // cache_->mu.
   std::vector<ElementPair> CutPoolLocked(size_t top_n) const;

@@ -8,7 +8,6 @@
 #include "align/losses.h"
 #include "align/metrics.h"
 #include "common/thread_pool.h"
-#include "index/candidate_index.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/simd/simd.h"
@@ -193,13 +192,10 @@ void JointAlignmentModel::ComputeEntityStats() {
     a_ent_.MultiplyInto(repr1_.RowData(e), unit1_.RowData(e));
     normalize_row(&unit1_, e);
   });
-  Matrix unit2 = repr2_;
-  pool.ParallelFor(n2, [&](size_t e) { normalize_row(&unit2, e); });
+  unit2_ = repr2_;
+  pool.ParallelFor(n2, [&](size_t e) { normalize_row(&unit2_, e); });
 
-  ent_stats_ = BlockedSimStats(unit1_, unit2, config_.z_ent);
-  auto index = CandidateIndex::Build(std::move(unit2));
-  DAAKG_CHECK(index.ok()) << index.status();
-  entity_index_ = std::move(*index);
+  ent_stats_ = BlockedSimStats(unit1_, unit2_, config_.z_ent);
 
   // Entity weights (Eq. 6): best similarity in the other KG, clamped to
   // [0, 1] — a best-match cosine below zero means "surely dangling".
@@ -418,7 +414,8 @@ double JointAlignmentModel::MatchProbability(const ElementPair& pair) const {
   double z = 1.0;
   switch (pair.kind) {
     case ElementKind::kEntity:
-      sim = entity_index_->Score(unit1_.RowData(pair.first), pair.second);
+      sim = simd::ActiveOps().dot(unit1_.RowData(pair.first),
+                                  unit2_.RowData(pair.second), unit2_.cols());
       stats = &ent_stats_;
       z = config_.z_ent;
       break;
@@ -688,11 +685,12 @@ JointAlignmentModel::MineSemiSupervision() const {
   if (static_cast<double>(t) <= config_.tau) {
     t = std::nextafter(t, std::numeric_limits<float>::infinity());
   }
-  const CandidateIndex& index = *entity_index_;
+  const simd::Ops& ops = simd::ActiveOps();
   for (const auto& [e1, e2] : GreedyOneToOneMatches(
-           index.QueryAbove(unit1_, t), index.base().rows())) {
+           CellsAbove(unit1_, unit2_, t), unit2_.rows())) {
     mined.push_back({ElementPair{ElementKind::kEntity, e1, e2},
-                     index.Score(unit1_.RowData(e1), e2)});
+                     ops.dot(unit1_.RowData(e1), unit2_.RowData(e2),
+                             unit2_.cols())});
   }
   for (ElementKind kind : {ElementKind::kRelation, ElementKind::kClass}) {
     const Matrix& sim = kind == ElementKind::kRelation ? rel_sim_ : cls_sim_;

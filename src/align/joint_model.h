@@ -12,7 +12,6 @@
 #include "common/rng.h"
 #include "embedding/entity_class_model.h"
 #include "embedding/kge_model.h"
-#include "index/candidate_index.h"
 #include "kg/alignment_task.h"
 #include "tensor/matrix.h"
 #include "tensor/topk.h"
@@ -48,9 +47,9 @@ struct PartitionPlan;  // active/selection.cc
 // every field.
 struct PoolCache {
   std::mutex mu;
-  Matrix queries;                         // unit KG1 signatures
-  std::unique_ptr<CandidateIndex> index;  // over unit KG2 signatures
-  std::optional<size_t> top_n;            // the top-N `pool` was cut at
+  Matrix sig1;                  // unit KG1 signatures
+  Matrix sig2;                  // unit KG2 signatures
+  std::optional<size_t> top_n;  // the top-N `pool` was cut at
   std::vector<ElementPair> pool;
   // The edge costs of the last InferenceEngine::PrecomputeEdgeCosts() that
   // built them, with the pool, KG pair and config they were built for.
@@ -77,9 +76,9 @@ struct PoolCache {
 // (O((|E1| + |E2|) dim) memory) and streams their cosines once for the row
 // and column maxima (Eq. 6) and log-sum-exps (Eqs. 11-12); the |E1| x |E2|
 // entity similarity matrix is never stored. Entity consumers (calibration,
-// mining, evaluation, matching) score cells from the unit rows through a
-// CandidateIndex. The schema-sized relation and class similarity
-// matrices are cached densely.
+// mining, evaluation, matching) score cells from the unit rows through the
+// blocked kernels (the streaming producers of align/metrics.h). The
+// schema-sized relation and class similarity matrices are cached densely.
 class JointAlignmentModel {
  public:
   // `ec1`/`ec2` may be null ("w/o class embeddings" ablation: class
@@ -133,12 +132,10 @@ class JointAlignmentModel {
   // Row r of unit_mapped1() is the unit-normalized mapped KG1 entity row
   // A_ent e_r, row c of unit_repr2() the unit-normalized KG2 entity row, as
   // of the last RefreshCaches(); their dot products are the entity cosines.
-  // entity_index() is an index over unit_repr2(): querying it with
-  // unit_mapped1() rows scans the entity similarity matrix without
-  // materializing it.
+  // The blocked kernels stream the entity similarity matrix from the two
+  // without materializing it.
   const Matrix& unit_mapped1() const { return unit1_; }
-  const Matrix& unit_repr2() const { return entity_index().base(); }
-  const CandidateIndex& entity_index() const { return *entity_index_; }
+  const Matrix& unit_repr2() const { return unit2_; }
   // Row (KG1) and column (KG2) maxima and log-sum-exps (temperature z_ent)
   // of the entity cosines, from the last RefreshCaches().
   const SimStats& entity_stats() const { return ent_stats_; }
@@ -276,7 +273,7 @@ class JointAlignmentModel {
   Matrix repr1_;     // |E1| x dim
   Matrix repr2_;     // |E2| x dim
   Matrix unit1_;     // |E1| x dim  unit-normalized A_ent * repr1
-  std::unique_ptr<CandidateIndex> entity_index_;  // exact, over unit repr2
+  Matrix unit2_;     // |E2| x dim  unit-normalized repr2
   Matrix rel_sim_;   // base relations only
   Matrix cls_sim_;
   std::vector<float> weight1_;  // Eq. 6

@@ -5,8 +5,20 @@
 #include <tuple>
 
 #include "common/logging.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "tensor/simd/simd.h"
 
 namespace daakg {
+namespace {
+
+void CountScoredCells(uint64_t cells) {
+  static obs::Counter* scored =
+      obs::GlobalMetrics().GetCounter("daakg.index.scored_cells");
+  scored->Increment(cells);
+}
+
+}  // namespace
 
 RankingMetrics FoldRanks(const std::vector<size_t>& greater) {
   RankingMetrics m;
@@ -105,16 +117,35 @@ std::vector<size_t> GreaterCounts(
   return greater;
 }
 
+CellRows CellsAbove(const Matrix& a, const Matrix& b, float threshold) {
+  obs::TraceSpan span("index.query_above", "index");
+  span.AddArg("queries", static_cast<double>(a.rows()));
+  CellRows rows(a.rows());
+  // All tiles of one row arrive from a single shard in ascending column
+  // order, so each rows[r] is built in ascending column order with no
+  // synchronization.
+  BlockedSimVisit(a, b,
+                  [&rows, threshold](size_t r, size_t c0, const float* sims,
+                                     size_t count) {
+                    auto& row = rows[r];
+                    for (size_t i = 0; i < count; ++i) {
+                      if (sims[i] >= threshold) {
+                        row.push_back({static_cast<uint32_t>(c0 + i), sims[i]});
+                      }
+                    }
+                  });
+  CountScoredCells(static_cast<uint64_t>(a.rows()) * b.rows());
+  return rows;
+}
+
 std::vector<size_t> GreaterCounts(
-    const CandidateIndex& index, const Matrix& a,
+    const Matrix& a, const Matrix& b,
     const std::vector<std::pair<uint32_t, uint32_t>>& test_pairs) {
   if (test_pairs.empty()) return {};
-  const Matrix& b = index.base();
   DAAKG_CHECK_EQ(a.cols(), b.cols());
-  const size_t num_queries = test_pairs.size();
   constexpr size_t kNone = std::numeric_limits<size_t>::max();
 
-  // Compact the distinct query rows so the index only scans them.
+  // Compact the distinct query rows so the walk only scans them.
   std::vector<size_t> compact_of(a.rows(), kNone);
   std::vector<uint32_t> unique_rows;
   for (const auto& [first, second] : test_pairs) {
@@ -130,16 +161,31 @@ std::vector<size_t> GreaterCounts(
     std::copy_n(a.RowData(unique_rows[i]), a.cols(), aq.RowData(i));
   }
 
-  // Targets via the index's single-cell primitive: the same dispatched dot
-  // as the index's tile cells, so each target is its tile cell bit for bit.
-  std::vector<RankQuery> rank_queries(num_queries);
-  for (size_t q = 0; q < num_queries; ++q) {
-    rank_queries[q].query_row =
-        static_cast<uint32_t>(compact_of[test_pairs[q].first]);
-    rank_queries[q].target = index.Score(aq.RowData(rank_queries[q].query_row),
-                                         test_pairs[q].second);
+  obs::TraceSpan span("index.count_above", "index");
+  span.AddArg("queries", static_cast<double>(test_pairs.size()));
+  // Each target is the dispatched dot of its two rows: its tile cell bit for
+  // bit.
+  const simd::Ops& ops = simd::ActiveOps();
+  std::vector<float> targets(test_pairs.size());
+  std::vector<std::vector<size_t>> of_row(aq.rows());
+  for (size_t i = 0; i < test_pairs.size(); ++i) {
+    const size_t row = compact_of[test_pairs[i].first];
+    targets[i] =
+        ops.dot(aq.RowData(row), b.RowData(test_pairs[i].second), b.cols());
+    of_row[row].push_back(i);
   }
-  return index.CountAbove(aq, rank_queries);
+  std::vector<size_t> greater(test_pairs.size(), 0);
+  // Same single-writer structure as CellsAbove: every greater[i] is only
+  // touched by the shard owning its query row.
+  BlockedSimVisit(aq, b,
+                  [&](size_t r, size_t /*c0*/, const float* sims,
+                      size_t count) {
+                    for (size_t i : of_row[r]) {
+                      greater[i] += ops.count_greater(sims, count, targets[i]);
+                    }
+                  });
+  CountScoredCells(static_cast<uint64_t>(aq.rows()) * b.rows());
+  return greater;
 }
 
 }  // namespace daakg

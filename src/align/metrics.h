@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "index/candidate_index.h"
 #include "tensor/matrix.h"
 #include "tensor/topk.h"
 
@@ -16,10 +15,10 @@ namespace daakg {
 //
 // One matching core reads candidate cells only: the rank fold takes each
 // test pair's count of strictly greater cells, the greedy sweep each row's
-// cells at or above a threshold. Producers stream the entity cells
-// (CandidateIndex, the baselines' tile walks, PARIS's sparse map); the
-// schema-sized relation and class matrices go through the dense producers
-// below.
+// cells at or above a threshold. The entity cells are streamed (the
+// streaming producers below, the baselines' tile walks, PARIS's sparse
+// map); the schema-sized relation and class matrices go through the dense
+// producers.
 
 struct RankingMetrics {
   double hits_at_1 = 0.0;
@@ -37,9 +36,8 @@ struct PrfMetrics {
 };
 
 // Candidate cells, one list per row: the row's (column, score) cells at or
-// above a threshold in ascending column order, the CandidateIndex::
-// QueryAbove format. Concatenated row after row they are the row-major scan
-// of the similarity matrix.
+// above a threshold in ascending column order. Concatenated row after row
+// they are the row-major scan of the similarity matrix.
 using CellRows = std::vector<std::vector<ScoredIndex>>;
 
 // Dense producer: the cells of `sim` at or above `threshold`.
@@ -51,11 +49,18 @@ std::vector<size_t> GreaterCounts(
     const Matrix& sim,
     const std::vector<std::pair<uint32_t, uint32_t>>& test_pairs);
 
-// Streaming producer: the same counts over the cells a * index.base()^T,
-// from the index's tile walk and its Score cell, with extra memory
-// O(unique_rows * dim). `second` indexes the base rows.
+// Streaming producers over the cells a * b^T (rows of `a` against rows of
+// `b`, equal cols()): the BlockedSimVisit cells, bitwise the
+// simd::ActiveOps().dot of the two rows, never materialized. Each adds its
+// scanned cells to the counter daakg.index.scored_cells.
+//
+// The cells at or above `threshold`, with extra memory O(result).
+CellRows CellsAbove(const Matrix& a, const Matrix& b, float threshold);
+// Per test pair (first row of `a`, second row of `b`), the number of cells
+// of that row strictly greater than the pair's cell. Only the distinct
+// `first` rows are scanned, with extra memory O(unique_rows * dim).
 std::vector<size_t> GreaterCounts(
-    const CandidateIndex& index, const Matrix& a,
+    const Matrix& a, const Matrix& b,
     const std::vector<std::pair<uint32_t, uint32_t>>& test_pairs);
 
 // H@1 / H@10 / MRR from each test pair's count of strictly greater cells

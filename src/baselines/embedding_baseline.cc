@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "obs/trace.h"
+#include "tensor/simd/simd.h"
 #include "tensor/topk.h"
 
 namespace daakg {
@@ -206,9 +207,11 @@ BaselineResult EmbeddingBaseline::Run(const SeedAlignment& seed) {
   const NameView rel_names(BaseRelationNames(task_->kg1),
                            BaseRelationNames(task_->kg2), w);
   const Matrix& unit1 = joint.unit_mapped1();
-  const CandidateIndex& index = joint.entity_index();
+  const Matrix& unit2 = joint.unit_repr2();
+  const simd::Ops& ops = simd::ActiveOps();
   auto ent_cell = [&](uint32_t e1, uint32_t e2) {
-    return ent_names.Blend(index.Score(unit1.RowData(e1), e2), e1, e2);
+    return ent_names.Blend(
+        ops.dot(unit1.RowData(e1), unit2.RowData(e2), unit2.cols()), e1, e2);
   };
   const float thr = kMatchThreshold;
 
@@ -225,8 +228,8 @@ BaselineResult EmbeddingBaseline::Run(const SeedAlignment& seed) {
   }
   std::vector<size_t> ent_greater(ent_test.size(), 0);
   CellRows ent_cells(unit1.rows());
-  BlockedSimVisit(unit1, index.base(), [&](size_t r, size_t c0,
-                                           const float* sims, size_t count) {
+  BlockedSimVisit(unit1, unit2, [&](size_t r, size_t c0, const float* sims,
+                                     size_t count) {
     for (size_t j = 0; j < count; ++j) {
       const uint32_t c = static_cast<uint32_t>(c0 + j);
       const float cell = ent_names.Blend(sims[j], r, c);
@@ -262,7 +265,7 @@ BaselineResult EmbeddingBaseline::Run(const SeedAlignment& seed) {
   result.eval.rel_rank = FoldRanks(GreaterCounts(rel_sim, rel_test));
   result.eval.cls_rank = FoldRanks(GreaterCounts(cls_sim, cls_test));
   result.eval.ent_prf = ScoreMatches(
-      GreedyOneToOneMatches(ent_cells, index.base().rows()), ent_test);
+      GreedyOneToOneMatches(ent_cells, unit2.rows()), ent_test);
   result.eval.rel_prf = dense_prf(rel_sim, rel_test);
   result.eval.cls_prf = dense_prf(cls_sim, cls_test);
   result.train_seconds = span.Finish();

@@ -45,21 +45,19 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
+void ThreadPool::Enqueue(std::function<void()> fn, size_t* remaining) {
   const ThreadPoolObserver* obs = PoolObserver();
   // Capture outside the lock: the hook may read thread-local trace state.
   const uint64_t context = obs != nullptr ? obs->capture_context() : 0;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     DAAKG_CHECK(!shutting_down_);
-    tasks_.push(Task{std::move(task), context});
-    ++in_flight_;
-    if (obs != nullptr) obs->on_enqueue(tasks_.size());
+    tasks_.push(Task{std::move(fn), remaining, context});
   }
   cv_.notify_all();
 }
 
-bool ThreadPool::TryRunOneTask(bool from_wait) {
+bool ThreadPool::TryRunOneTask() {
   const ThreadPoolObserver* obs = PoolObserver();
   Task task;
   {
@@ -67,30 +65,18 @@ bool ThreadPool::TryRunOneTask(bool from_wait) {
     if (tasks_.empty()) return false;
     task = std::move(tasks_.front());
     tasks_.pop();
-    if (obs != nullptr) obs->on_dequeue(tasks_.size());
   }
-  if (obs != nullptr) {
-    if (from_wait) obs->on_help_drain();
-    obs->task_begin(task.context);
-  }
+  if (obs != nullptr) obs->task_begin(task.context);
   task.fn();
   if (obs != nullptr) obs->task_end();
+  // The task's last touch of its call's state: once the count reaches 0
+  // the call may return.
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    --in_flight_;
+    --*task.remaining;
   }
   cv_.notify_all();
   return true;
-}
-
-void ThreadPool::Wait() {
-  for (;;) {
-    if (TryRunOneTask(/*from_wait=*/true)) continue;
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (in_flight_ == 0) return;
-    if (!tasks_.empty()) continue;
-    cv_.wait(lock, [this] { return in_flight_ == 0 || !tasks_.empty(); });
-  }
 }
 
 void ThreadPool::WorkerLoop() {
@@ -100,7 +86,7 @@ void ThreadPool::WorkerLoop() {
       cv_.wait(lock, [this] { return shutting_down_ || !tasks_.empty(); });
       if (tasks_.empty() && shutting_down_) return;
     }
-    TryRunOneTask(/*from_wait=*/false);
+    TryRunOneTask();
   }
 }
 
@@ -120,47 +106,35 @@ void ThreadPool::ParallelForShards(
   }
   const size_t chunk = (n + shards - 1) / shards;
 
-  // Each call gets its own completion group so the tail wait below tracks
-  // exactly this call's shards: waiting on the global in-flight count would
-  // over-wait on unrelated work (and deadlock when every worker waits).
-  auto group = std::make_shared<Group>();
-  size_t submitted = 0;
-  for (size_t s = 1; s < shards; ++s) {
-    size_t begin = s * chunk;
-    size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    ++submitted;
-  }
-  group->remaining = submitted;
-  for (size_t s = 1; s <= submitted; ++s) {
-    size_t begin = s * chunk;
-    size_t end = std::min(n, begin + chunk);
-    // &shard_fn stays valid: this call does not return before the group
-    // completes, and the decrement runs after shard_fn.
-    Submit([this, &shard_fn, group, s, begin, end] {
-      shard_fn(s, begin, end);
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        --group->remaining;
-      }
-      cv_.notify_all();
-    });
+  // Each call counts its own queued shards so the tail wait below tracks
+  // exactly them: waiting on all queued work would over-wait on unrelated
+  // calls (and deadlock when every worker waits).
+  size_t queued = 0;
+  for (size_t s = 1; s < shards && s * chunk < n; ++s) ++queued;
+  size_t remaining = queued;
+  for (size_t s = 1; s <= queued; ++s) {
+    const size_t begin = s * chunk;
+    const size_t end = std::min(n, begin + chunk);
+    // &shard_fn stays valid: this call does not return before every shard
+    // has run.
+    Enqueue([&shard_fn, s, begin, end] { shard_fn(s, begin, end); },
+            &remaining);
   }
   // The calling thread runs shard 0 itself, then help-drains queued tasks
-  // (this call's shards or anyone else's) until its own group completes.
+  // (this call's shards or anyone else's) until its own shards are done.
   shard_fn(0, 0, std::min(chunk, n));
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      if (group->remaining == 0) return;
+      if (remaining == 0) return;
       if (tasks_.empty()) {
-        cv_.wait(lock, [this, &group] {
-          return group->remaining == 0 || !tasks_.empty();
+        cv_.wait(lock, [this, &remaining] {
+          return remaining == 0 || !tasks_.empty();
         });
         continue;
       }
     }
-    TryRunOneTask(/*from_wait=*/true);
+    TryRunOneTask();
   }
 }
 

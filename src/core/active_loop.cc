@@ -47,6 +47,10 @@ StatusOr<std::unique_ptr<ActiveAlignmentLoop>> ActiveAlignmentLoop::Create(
     SelectionStrategy* strategy, Oracle* oracle,
     const ActiveLoopConfig& config) {
   if (task == nullptr) return InvalidArgumentError("task must not be null");
+  if (task->gold_entities.empty() && task->gold_relations.empty() &&
+      task->gold_classes.empty()) {
+    return InvalidArgumentError("task must have gold matches");
+  }
   if (aligner == nullptr) {
     return InvalidArgumentError("aligner must not be null");
   }

@@ -57,8 +57,9 @@ struct ActiveRoundReport {
 // fine-tuning) and cut afresh otherwise.
 class ActiveAlignmentLoop {
  public:
-  // Validated construction: null-checks every raw-pointer dependency and
-  // runs ActiveLoopConfig::Validate() up front, so misconfiguration
+  // Validated construction: null-checks every raw-pointer dependency,
+  // rejects a task without gold matches and runs
+  // ActiveLoopConfig::Validate() up front, so misconfiguration
   // surfaces before any training instead of crashing mid-run.
   static StatusOr<std::unique_ptr<ActiveAlignmentLoop>> Create(
       const AlignmentTask* task, DaakgAligner* aligner,

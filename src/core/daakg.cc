@@ -16,16 +16,16 @@ namespace {
 // rounds once a third of the rounds have elapsed.
 constexpr int kSemiEvery = 12;
 
-// The greedy one-to-one matches at kMatchThreshold: entities through the
-// joint model's index over the unit rows, relations and classes from
-// their schema-sized matrices.
+// The greedy one-to-one matches at kMatchThreshold: entities streamed from
+// the joint model's unit rows, relations and classes from their
+// schema-sized matrices.
 DaakgAligner::Alignment GreedyAlignment(const JointAlignmentModel& joint) {
-  const CandidateIndex& index = joint.entity_index();
+  const Matrix& unit2 = joint.unit_repr2();
   const Matrix& rel_sim = joint.relation_sim();
   const Matrix& cls_sim = joint.class_sim();
   return {GreedyOneToOneMatches(
-              index.QueryAbove(joint.unit_mapped1(), kMatchThreshold),
-              index.base().rows()),
+              CellsAbove(joint.unit_mapped1(), unit2, kMatchThreshold),
+              unit2.rows()),
           GreedyOneToOneMatches(CellsAbove(rel_sim, kMatchThreshold),
                                 rel_sim.cols()),
           GreedyOneToOneMatches(CellsAbove(cls_sim, kMatchThreshold),
@@ -88,6 +88,9 @@ Status DaakgConfig::Validate() const {
 StatusOr<std::unique_ptr<DaakgAligner>> DaakgAligner::Create(
     const AlignmentTask* task, const DaakgConfig& config) {
   if (task == nullptr) return InvalidArgumentError("task must not be null");
+  if (task->kg1.num_entities() == 0 || task->kg2.num_entities() == 0) {
+    return InvalidArgumentError("both KGs of the task must have entities");
+  }
   DAAKG_RETURN_IF_ERROR(config.Validate());
   return std::make_unique<DaakgAligner>(task, config);
 }
@@ -209,7 +212,7 @@ EvalResult DaakgAligner::Evaluate() {
   const Matrix& rel_sim = joint_->relation_sim();
   const Matrix& cls_sim = joint_->class_sim();
   out.ent_rank =
-      FoldRanks(GreaterCounts(joint_->entity_index(), unit1, ent_test));
+      FoldRanks(GreaterCounts(unit1, joint_->unit_repr2(), ent_test));
   out.rel_rank = FoldRanks(GreaterCounts(rel_sim, rel_test));
   out.cls_rank = FoldRanks(GreaterCounts(cls_sim, cls_test));
   const Alignment predicted = GreedyAlignment(*joint_);

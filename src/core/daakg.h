@@ -54,9 +54,9 @@ struct EvalResult {
 // FineTune() with each newly labeled batch.
 class DaakgAligner {
  public:
-  // Validated construction: checks `task` for null and `config` via
-  // DaakgConfig::Validate() before building any model state. Prefer this
-  // over the raw constructor in application code.
+  // Validated construction: checks `task` for null and for a KG without
+  // entities, and `config` via DaakgConfig::Validate(), before building any
+  // model state. Prefer this over the raw constructor in application code.
   static StatusOr<std::unique_ptr<DaakgAligner>> Create(
       const AlignmentTask* task, const DaakgConfig& config);
 

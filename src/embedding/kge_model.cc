@@ -112,12 +112,4 @@ std::unique_ptr<KgeModel> MakeKgeModel(KgeModelKind kind,
   return nullptr;
 }
 
-StatusOr<std::unique_ptr<KgeModel>> MakeKgeModel(const std::string& model_name,
-                                                 const KnowledgeGraph* kg,
-                                                 const KgeConfig& config) {
-  DAAKG_ASSIGN_OR_RETURN(const KgeModelKind kind,
-                         ParseKgeModelKind(model_name));
-  return MakeKgeModel(kind, kg, config);
-}
-
 }  // namespace daakg

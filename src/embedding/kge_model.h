@@ -168,12 +168,6 @@ std::unique_ptr<KgeModel> MakeKgeModel(KgeModelKind kind,
                                        const KnowledgeGraph* kg,
                                        const KgeConfig& config);
 
-// Factory by config-file model name: "transe", "rotate", "compgcn".
-// Unknown names flow back as InvalidArgumentError instead of LOG_FATAL.
-StatusOr<std::unique_ptr<KgeModel>> MakeKgeModel(const std::string& model_name,
-                                                 const KnowledgeGraph* kg,
-                                                 const KgeConfig& config);
-
 }  // namespace daakg
 
 #endif  // DAAKG_EMBEDDING_KGE_MODEL_H_

@@ -9,31 +9,31 @@ namespace daakg {
 
 EntityId KnowledgeGraph::AddEntity(std::string_view name) {
   DAAKG_CHECK(!finalized_);
-  auto it = entity_index_.find(std::string(name));
-  if (it != entity_index_.end()) return it->second;
+  auto it = entity_by_name_.find(std::string(name));
+  if (it != entity_by_name_.end()) return it->second;
   EntityId id = static_cast<EntityId>(entity_names_.size());
   entity_names_.emplace_back(name);
-  entity_index_.emplace(entity_names_.back(), id);
+  entity_by_name_.emplace(entity_names_.back(), id);
   return id;
 }
 
 RelationId KnowledgeGraph::AddRelation(std::string_view name) {
   DAAKG_CHECK(!finalized_);
-  auto it = relation_index_.find(std::string(name));
-  if (it != relation_index_.end()) return it->second;
+  auto it = relation_by_name_.find(std::string(name));
+  if (it != relation_by_name_.end()) return it->second;
   RelationId id = static_cast<RelationId>(relation_names_.size());
   relation_names_.emplace_back(name);
-  relation_index_.emplace(relation_names_.back(), id);
+  relation_by_name_.emplace(relation_names_.back(), id);
   return id;
 }
 
 ClassId KnowledgeGraph::AddClass(std::string_view name) {
   DAAKG_CHECK(!finalized_);
-  auto it = class_index_.find(std::string(name));
-  if (it != class_index_.end()) return it->second;
+  auto it = class_by_name_.find(std::string(name));
+  if (it != class_by_name_.end()) return it->second;
   ClassId id = static_cast<ClassId>(class_names_.size());
   class_names_.emplace_back(name);
-  class_index_.emplace(class_names_.back(), id);
+  class_by_name_.emplace(class_names_.back(), id);
   return id;
 }
 
@@ -64,7 +64,7 @@ Status KnowledgeGraph::Finalize() {
   for (size_t r = 0; r < num_base_relations_; ++r) {
     RelationId rev = static_cast<RelationId>(relation_names_.size());
     relation_names_.push_back(relation_names_[r] + "^-1");
-    relation_index_.emplace(relation_names_.back(), rev);
+    relation_by_name_.emplace(relation_names_.back(), rev);
     reverse_relation_[r] = rev;
     reverse_relation_[rev] = static_cast<RelationId>(r);
   }
@@ -122,18 +122,18 @@ Status KnowledgeGraph::Finalize() {
 }
 
 EntityId KnowledgeGraph::FindEntity(std::string_view name) const {
-  auto it = entity_index_.find(std::string(name));
-  return it == entity_index_.end() ? kInvalidId : it->second;
+  auto it = entity_by_name_.find(std::string(name));
+  return it == entity_by_name_.end() ? kInvalidId : it->second;
 }
 
 RelationId KnowledgeGraph::FindRelation(std::string_view name) const {
-  auto it = relation_index_.find(std::string(name));
-  return it == relation_index_.end() ? kInvalidId : it->second;
+  auto it = relation_by_name_.find(std::string(name));
+  return it == relation_by_name_.end() ? kInvalidId : it->second;
 }
 
 ClassId KnowledgeGraph::FindClass(std::string_view name) const {
-  auto it = class_index_.find(std::string(name));
-  return it == class_index_.end() ? kInvalidId : it->second;
+  auto it = class_by_name_.find(std::string(name));
+  return it == class_by_name_.end() ? kInvalidId : it->second;
 }
 
 bool KnowledgeGraph::HasTriplet(EntityId head, RelationId relation,

@@ -135,9 +135,9 @@ class KnowledgeGraph {
   std::vector<std::string> entity_names_;
   std::vector<std::string> relation_names_;
   std::vector<std::string> class_names_;
-  std::unordered_map<std::string, EntityId> entity_index_;
-  std::unordered_map<std::string, RelationId> relation_index_;
-  std::unordered_map<std::string, ClassId> class_index_;
+  std::unordered_map<std::string, EntityId> entity_by_name_;
+  std::unordered_map<std::string, RelationId> relation_by_name_;
+  std::unordered_map<std::string, ClassId> class_by_name_;
 
   std::vector<Triplet> triplets_;
   std::vector<TypeTriplet> type_triplets_;

@@ -122,10 +122,10 @@ void EmitEvent(uint64_t gen, const TraceEvent& event) {
 }
 
 // ---------------------------------------------------------------------------
-// ThreadPool observer: pool telemetry metrics plus a synthetic "pool.task"
-// span on the executing thread whose parent is the span that was current on
-// the submitting thread, so ParallelFor worker slices nest under their
-// enqueuing span in the exported trace.
+// ThreadPool observer: the daakg.pool.tasks_executed counter plus a
+// synthetic "pool.task" span on the executing thread whose parent is the
+// span that was current on the enqueuing thread, so ParallelFor worker
+// slices nest under their enqueuing span in the exported trace.
 
 struct TaskScope {
   uint64_t prev_parent = 0;
@@ -177,30 +177,10 @@ void PoolTaskEnd() {
   EmitEvent(scope.gen, event);
 }
 
-// on_enqueue/on_dequeue run under the pool mutex; GetCounter/GetGauge take
-// only the registry mutex (pool -> registry lock order, never reversed).
-void PoolOnEnqueue(size_t queue_depth) {
-  static Counter* submitted =
-      GlobalMetrics().GetCounter("daakg.pool.tasks_submitted");
-  static Gauge* depth = GlobalMetrics().GetGauge("daakg.pool.queue_depth");
-  submitted->Increment();
-  depth->Set(static_cast<double>(queue_depth));
-}
-
-void PoolOnDequeue(size_t queue_depth) {
-  static Gauge* depth = GlobalMetrics().GetGauge("daakg.pool.queue_depth");
-  depth->Set(static_cast<double>(queue_depth));
-}
-
-void PoolOnHelpDrain() {
-  static Counter* drained =
-      GlobalMetrics().GetCounter("daakg.pool.help_drained_tasks");
-  drained->Increment();
-}
-
 constexpr ThreadPoolObserver kPoolObserver = {
-    &PoolCaptureContext, &PoolTaskBegin,  &PoolTaskEnd,
-    &PoolOnEnqueue,      &PoolOnDequeue,  &PoolOnHelpDrain,
+    &PoolCaptureContext,
+    &PoolTaskBegin,
+    &PoolTaskEnd,
 };
 
 void ExportAtExit() {

@@ -104,20 +104,6 @@ void Matrix::AddOuterThenTransposeMultiply(float alpha, const float* a,
                                        cols_, y);
 }
 
-Matrix Matrix::Multiply(const Matrix& other) const {
-  DAAKG_CHECK_EQ(cols_, other.rows_);
-  Matrix out(rows_, other.cols_);
-  const simd::Ops& ops = simd::ActiveOps();
-  for (size_t i = 0; i < rows_; ++i) {
-    const float* a_row = RowData(i);
-    for (size_t k = 0; k < cols_; ++k) {
-      if (a_row[k] == 0.0f) continue;
-      ops.axpy(a_row[k], other.RowData(k), out.RowData(i), other.cols_);
-    }
-  }
-  return out;
-}
-
 void Matrix::AddOuter(float alpha, const Vector& a, const Vector& b) {
   DAAKG_CHECK_EQ(a.dim(), rows_);
   DAAKG_CHECK_EQ(b.dim(), cols_);

@@ -57,8 +57,6 @@ class Matrix {
   void MultiplyInto(const float* x, float* y) const;
   // y = this^T * x (dims: cols x rows * rows -> cols).
   Vector TransposeMultiply(const Vector& x) const;
-  // C = this * other.
-  Matrix Multiply(const Matrix& other) const;
 
   // Adds alpha * a * b^T (outer product) to this; a.dim()==rows,
   // b.dim()==cols. The core update for mapping-matrix gradients.

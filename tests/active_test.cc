@@ -209,7 +209,7 @@ TEST_F(ActiveTest, GeneratedPoolMatchesBruteForceMutualTopN) {
 }
 
 TEST_F(ActiveTest, RepeatedGenerateReusesCachedIndex) {
-  // Signatures and their normalized/index forms are computed once per
+  // Signatures and their normalized forms are computed once per
   // cache generation, in the model's pool slot; repeated Generate() calls
   // (the per-N sweep in bench/fig6_pool_recall) must reuse them and stay
   // deterministic.
@@ -217,20 +217,20 @@ TEST_F(ActiveTest, RepeatedGenerateReusesCachedIndex) {
   pcfg.top_n = 10;
   PoolGenerator gen(&task_, joint_.get(), pcfg);
   const std::vector<ElementPair> first = gen.Generate();
-  const CandidateIndex* index_after_first = &gen.index();
+  const float* index_after_first = gen.index().RowData(0);
   const std::vector<ElementPair> second = gen.Generate();
-  EXPECT_EQ(&gen.index(), index_after_first);  // no rebuild
+  EXPECT_EQ(gen.index().RowData(0), index_after_first);  // no rebuild
   EXPECT_EQ(first, second);
   EXPECT_EQ(first, pool_);  // identical to the fixture's generator's pool
   // The explicit-top_n overload with the configured value is the same pool.
   EXPECT_EQ(gen.Generate(pcfg.top_n), first);
-  EXPECT_EQ(&gen.index(), index_after_first);
+  EXPECT_EQ(gen.index().RowData(0), index_after_first);
 }
 
 TEST_F(ActiveTest, UnchangedModelSharesPoolAcrossGenerators) {
-  // Generators on an unchanged model share the signatures, the index and
-  // the last pool through the model's pool slot: the signatures are built
-  // once, and every pool equals one from a model that never cached any.
+  // Generators on an unchanged model share the signatures and the last pool
+  // through the model's pool slot: the signatures are built once, and
+  // every pool equals one from a model that never cached any.
   // Signature builds are counted as active.pool_signatures spans.
   TrainedJointStack stack(task_);
   PoolConfig pcfg;

@@ -281,12 +281,18 @@ TEST(MetricsTest, StreamingRankingBitMatchesMaterialized) {
   test.emplace_back(0, 0);
   test.emplace_back(0, 299);
   test.emplace_back(69, 299);
+  // Random pairs, which repeat rows and pairs alike.
+  Rng pick(75);
+  for (int i = 0; i < 50; ++i) {
+    test.emplace_back(static_cast<uint32_t>(pick.NextUint64(a.rows())),
+                      static_cast<uint32_t>(pick.NextUint64(b.rows())));
+  }
 
-  const RankingMetrics want = Rank(testing_util::DenseSim(a, b), test);
-
-  auto index = CandidateIndex::Build(b);
-  ASSERT_TRUE(index.ok());
-  const RankingMetrics got = FoldRanks(GreaterCounts(**index, a, test));
+  const Matrix sim = testing_util::DenseSim(a, b);
+  // Count for count, then the fold.
+  EXPECT_EQ(GreaterCounts(a, b, test), GreaterCounts(sim, test));
+  const RankingMetrics want = Rank(sim, test);
+  const RankingMetrics got = FoldRanks(GreaterCounts(a, b, test));
   EXPECT_EQ(got.num_queries, want.num_queries);
   EXPECT_EQ(got.hits_at_1, want.hits_at_1);
   EXPECT_EQ(got.hits_at_10, want.hits_at_10);
@@ -295,11 +301,74 @@ TEST(MetricsTest, StreamingRankingBitMatchesMaterialized) {
 
 TEST(MetricsTest, StreamingRankingEmptyTestSet) {
   Matrix a(4, 3), b(5, 3);
-  auto index = CandidateIndex::Build(b);
-  ASSERT_TRUE(index.ok());
-  RankingMetrics m = FoldRanks(GreaterCounts(**index, a, {}));
+  RankingMetrics m = FoldRanks(GreaterCounts(a, b, {}));
   EXPECT_EQ(m.num_queries, 0u);
   EXPECT_DOUBLE_EQ(m.mrr, 0.0);
+}
+
+// The streaming counts against a per-pair count over the dense cells,
+// targets taken from the dense cells too.
+TEST(MetricsTest, StreamingGreaterCountsMatchMaterializedRanks) {
+  Rng rng(31);
+  Matrix a(29, 16), b(53, 16);
+  a.InitGaussian(&rng, 1.0f);
+  b.InitGaussian(&rng, 1.0f);
+  const Matrix sim = testing_util::DenseSim(a, b);
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  Rng pick(33);
+  for (int i = 0; i < 40; ++i) {
+    pairs.emplace_back(static_cast<uint32_t>(pick.NextUint64(a.rows())),
+                       static_cast<uint32_t>(pick.NextUint64(b.rows())));
+  }
+  const std::vector<size_t> got = GreaterCounts(a, b, pairs);
+  ASSERT_EQ(got.size(), pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto [r, target_col] = pairs[i];
+    size_t expected = 0;
+    for (size_t c = 0; c < b.rows(); ++c) {
+      if (sim(r, c) > sim(r, target_col)) ++expected;
+    }
+    EXPECT_EQ(got[i], expected) << "pair " << i;
+  }
+}
+
+// The streaming cells are the dense scan's, row by row, including a cell
+// equal to the threshold (kept: the cut is >=), on shapes spanning several
+// default tiles (64 x 256) in each direction.
+TEST(MetricsTest, StreamingCellsAboveMatchMaterializedScan) {
+  Rng rng(21);
+  Matrix a(130, 16), b(520, 16);
+  a.InitGaussian(&rng, 1.0f);
+  b.InitGaussian(&rng, 1.0f);
+  const Matrix sim = testing_util::DenseSim(a, b);
+  for (const float threshold : {0.5f, sim(97, 301)}) {
+    const CellRows got = CellsAbove(a, b, threshold);
+    ASSERT_EQ(got.size(), a.rows());
+    for (size_t r = 0; r < a.rows(); ++r) {
+      std::vector<ScoredIndex> expected;
+      for (size_t c = 0; c < b.rows(); ++c) {
+        if (sim(r, c) >= threshold) {
+          expected.push_back(ScoredIndex{static_cast<uint32_t>(c), sim(r, c)});
+        }
+      }
+      EXPECT_EQ(got[r], expected) << "row " << r;
+    }
+  }
+}
+
+// Matching over the streaming cells reproduces the dense path's sequence,
+// not just its set: the sweep order (and thus conflict resolution) is the
+// same.
+TEST(MetricsTest, StreamingGreedyMatchingParity) {
+  Rng rng(61);
+  Matrix a(47, 16), b(59, 16);
+  a.InitGaussian(&rng, 1.0f);
+  b.InitGaussian(&rng, 1.0f);
+  const Matrix sim = testing_util::DenseSim(a, b);
+  for (const float threshold : {0.3f, sim(5, 7)}) {
+    EXPECT_EQ(GreedyOneToOneMatches(CellsAbove(a, b, threshold), b.rows()),
+              Matches(sim, threshold));
+  }
 }
 
 // The matcher's cells are the scalar reference cosines bit for bit on
@@ -331,9 +400,7 @@ TEST(MetricsTest, GreedyMatchingInvariantAcrossSimdBackends) {
           simd::ScalarOps().dot(a.RowData(r), b.RowData(c), a.cols());
     }
   }
-  auto index = CandidateIndex::Build(b);
-  ASSERT_TRUE(index.ok());
-  const CellRows cells = (*index)->QueryAbove(a, 0.2f);
+  const CellRows cells = CellsAbove(a, b, 0.2f);
   for (size_t r = 0; r < cells.size(); ++r) {
     for (const ScoredIndex& e : cells[r]) {
       EXPECT_EQ(e.score, sim_scalar(r, e.index)) << "r=" << r;

@@ -286,16 +286,6 @@ TEST(RngTest, ForkProducesIndependentStream) {
 // ThreadPool
 // ---------------------------------------------------------------------------
 
-TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
 TEST(ThreadPoolTest, ParallelForCoversAllIndexes) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(257);
@@ -324,11 +314,6 @@ TEST(ThreadPoolTest, ParallelForShardsPartitionIsContiguous) {
     expect_begin = e;
   }
   EXPECT_EQ(expect_begin, 100u);
-}
-
-TEST(ThreadPoolTest, WaitWithNoTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();  // must not hang
 }
 
 // Regression: before the per-call completion group, a ParallelFor issued
@@ -360,37 +345,34 @@ TEST(ThreadPoolTest, NestedParallelForShardsCoverAllIndexes) {
 }
 
 // A ParallelFor must return as soon as its own shards finish, even while
-// unrelated submitted work is still queued (no over-wait on the global
-// counter), and Wait() must still drain everything.
+// a concurrent caller's slow shards still occupy the pool (no over-wait on
+// work that is not its own).
 TEST(ThreadPoolTest, ParallelForReturnsWhileUnrelatedWorkPending) {
   ThreadPool pool(2);
+  std::atomic<int> slow_started{0};
+  std::atomic<bool> release{false};
   std::atomic<int> slow_done{0};
-  std::atomic<int> fast_done{0};
-  for (int i = 0; i < 4; ++i) {
-    pool.Submit([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Two shards of two indexes: one on the slow caller's thread, one on a
+  // worker, each parked on its first index until the release.
+  std::thread slow_caller([&] {
+    pool.ParallelFor(4, [&](size_t) {
+      slow_started.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
       slow_done.fetch_add(1);
     });
-  }
+  });
+  // Both slow shards running: none is left in the queue for the fast call
+  // to help-drain, and one worker is still free.
+  while (slow_started.load() < 2) std::this_thread::yield();
+  std::atomic<int> fast_done{0};
   pool.ParallelFor(8, [&](size_t) { fast_done.fetch_add(1); });
-  // The ParallelFor's own work is complete once it returns, regardless of
-  // the slow background tasks.
+  // The fast call's own work is complete once it returns, while the slow
+  // call's shards cannot finish before the release below.
   EXPECT_EQ(fast_done.load(), 8);
-  pool.Wait();
+  EXPECT_EQ(slow_done.load(), 0);
+  release.store(true);
+  slow_caller.join();
   EXPECT_EQ(slow_done.load(), 4);
-}
-
-TEST(ThreadPoolTest, SubmitFromTaskThenWaitDrains) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([&] {
-      counter.fetch_add(1);
-      pool.Submit([&] { counter.fetch_add(1); });
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 16);
 }
 
 TEST(ThreadPoolTest, ParseThreadCountAcceptsOnlyPositiveIntegers) {

@@ -115,6 +115,19 @@ TEST(DaakgAlignerTest, CreateRejectsInvalidConfigWithoutAborting) {
   EXPECT_EQ(null_task.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(DaakgAlignerTest, CreateRejectsTaskWithoutEntities) {
+  for (int side : {1, 2}) {
+    SCOPED_TRACE(side);
+    AlignmentTask task = SmallSyntheticTask();
+    KnowledgeGraph& kg = side == 1 ? task.kg1 : task.kg2;
+    kg = KnowledgeGraph();
+    ASSERT_TRUE(kg.Finalize().ok());
+    auto aligner = DaakgAligner::Create(&task, FastConfig());
+    ASSERT_FALSE(aligner.ok());
+    EXPECT_EQ(aligner.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(DaakgAlignerTest, CreateBuildsWorkingAligner) {
   AlignmentTask task = SmallSyntheticTask();
   auto aligner = DaakgAligner::Create(&task, FastConfig());
@@ -167,6 +180,21 @@ TEST(ActiveLoopTest, CreateNullChecksDependencies) {
   auto loop =
       ActiveAlignmentLoop::Create(&task, &aligner, &strategy, &oracle, cfg);
   EXPECT_TRUE(loop.ok()) << loop.status();
+}
+
+TEST(ActiveLoopTest, CreateRejectsTaskWithoutGoldMatches) {
+  AlignmentTask task = SmallSyntheticTask();
+  task.gold_entities.clear();
+  task.gold_relations.clear();
+  task.gold_classes.clear();
+  task.BuildGoldIndex();
+  DaakgAligner aligner(&task, FastConfig());
+  GoldOracle oracle(&task);
+  RandomStrategy strategy;
+  auto loop = ActiveAlignmentLoop::Create(&task, &aligner, &strategy, &oracle,
+                                          ActiveLoopConfig());
+  ASSERT_FALSE(loop.ok());
+  EXPECT_EQ(loop.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(DaakgAlignerTest, TrainEvaluateProducesPopulatedScores) {

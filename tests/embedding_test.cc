@@ -30,7 +30,8 @@ class KgeModelTest : public ::testing::TestWithParam<const char*> {
  protected:
   void SetUp() override {
     task_ = SmallSyntheticTask();
-    model_ = MakeKgeModel(GetParam(), &task_.kg1, TestConfig()).value();
+    model_ = MakeKgeModel(ParseKgeModelKind(GetParam()).value(), &task_.kg1,
+                          TestConfig());
     Rng rng(77);
     model_->Init(&rng);
   }
@@ -570,7 +571,8 @@ TEST(KgeTrainerTest, SideBySideMatchesSequential) {
     };
     auto make = [&](const KnowledgeGraph* kg, uint64_t seed) {
       Side side;
-      side.model = MakeKgeModel(name, kg, TestConfig()).value();
+      side.model =
+          MakeKgeModel(ParseKgeModelKind(name).value(), kg, TestConfig());
       side.ec = std::make_unique<EntityClassModel>(side.model.get(),
                                                    TestConfig());
       Rng init(seed);
@@ -608,17 +610,18 @@ TEST(KgeTrainerTest, SideBySideMatchesSequential) {
 TEST(KgeFactoryTest, KnownNamesConstruct) {
   AlignmentTask task = SmallSyntheticTask();
   for (const char* name : {"transe", "rotate", "compgcn"}) {
-    auto model = MakeKgeModel(name, &task.kg1, TestConfig());
-    ASSERT_TRUE(model.ok()) << model.status();
-    EXPECT_EQ((*model)->name(), name);
+    auto kind = ParseKgeModelKind(name);
+    ASSERT_TRUE(kind.ok()) << kind.status();
+    auto model = MakeKgeModel(*kind, &task.kg1, TestConfig());
+    ASSERT_NE(model, nullptr);
+    EXPECT_EQ(model->name(), name);
   }
 }
 
 TEST(KgeFactoryTest, UnknownNameReturnsInvalidArgument) {
-  AlignmentTask task = SmallSyntheticTask();
-  auto model = MakeKgeModel("bogus", &task.kg1, TestConfig());
-  ASSERT_FALSE(model.ok());
-  EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
+  auto kind = ParseKgeModelKind("bogus");
+  ASSERT_FALSE(kind.ok());
+  EXPECT_EQ(kind.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(KgeFactoryTest, ParseKgeModelKindRoundTrips) {

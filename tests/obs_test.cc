@@ -603,47 +603,22 @@ TEST(TraceTest, ExportsValidChromeTraceJsonFromActiveLoop) {
 // Thread-pool telemetry
 // ---------------------------------------------------------------------------
 
-TEST(PoolTelemetryTest, CountersAndGauge) {
-  Counter* submitted =
-      GlobalMetrics().GetCounter("daakg.pool.tasks_submitted");
+TEST(PoolTelemetryTest, TasksExecutedCountsQueuedShards) {
   Counter* executed = GlobalMetrics().GetCounter("daakg.pool.tasks_executed");
-  Counter* drained =
-      GlobalMetrics().GetCounter("daakg.pool.help_drained_tasks");
-  Gauge* depth = GlobalMetrics().GetGauge("daakg.pool.queue_depth");
-  const uint64_t submitted0 = submitted->Value();
-  const uint64_t executed0 = executed->Value();
-  const uint64_t drained0 = drained->Value();
-
-  ThreadPool pool(1);
-  // Park the lone worker on a flag so every queued task below can only be
-  // help-drained by the caller's Wait().
-  std::atomic<bool> worker_parked{false};
-  std::atomic<bool> release{false};
-  pool.Submit([&worker_parked, &release] {
-    worker_parked.store(true);
-    while (!release.load()) std::this_thread::yield();
-  });
-  while (!worker_parked.load()) std::this_thread::yield();
-
-  constexpr int kTasks = 8;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < kTasks; ++i) {
-    pool.Submit([&ran, &release] {
-      // The last help-drained task unparks the worker.
-      if (ran.fetch_add(1) + 1 == kTasks) release.store(true);
+  ThreadPool pool(4);
+  // Shard 0 of every call runs inline on the caller; the others are queued
+  // tasks, counted whichever thread runs them.
+  for (const auto& [n, shards] : {std::pair<size_t, size_t>{100, 4},
+                                  {3, 3},
+                                  {1, 1}}) {
+    const uint64_t executed0 = executed->Value();
+    std::atomic<size_t> covered{0};
+    pool.ParallelForShards(n, [&covered](size_t, size_t begin, size_t end) {
+      covered.fetch_add(end - begin);
     });
+    EXPECT_EQ(covered.load(), n);
+    EXPECT_EQ(executed->Value() - executed0, shards - 1) << "n=" << n;
   }
-  pool.Wait();
-
-  EXPECT_EQ(ran.load(), kTasks);
-  EXPECT_EQ(submitted->Value() - submitted0,
-            static_cast<uint64_t>(kTasks) + 1);
-  EXPECT_EQ(executed->Value() - executed0, static_cast<uint64_t>(kTasks) + 1);
-  // The worker was parked until the last task ran, so the caller drained
-  // all of them.
-  EXPECT_EQ(drained->Value() - drained0, static_cast<uint64_t>(kTasks));
-  // The queue is empty again; the gauge tracked it back down.
-  EXPECT_DOUBLE_EQ(depth->Value(), 0.0);
 }
 
 }  // namespace

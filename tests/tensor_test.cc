@@ -165,18 +165,6 @@ TEST(MatrixTest, TransposeMultiplyAgreesWithTransposed) {
   for (size_t i = 0; i < a.dim(); ++i) EXPECT_NEAR(a[i], b[i], kTol);
 }
 
-TEST(MatrixTest, MatrixProductAssociatesWithVector) {
-  Rng rng(7);
-  Matrix a(4, 5), b(5, 6);
-  a.InitGaussian(&rng, 1.0f);
-  b.InitGaussian(&rng, 1.0f);
-  Vector x(6);
-  x.InitGaussian(&rng, 1.0f);
-  Vector lhs = a.Multiply(b.Multiply(x));
-  Vector rhs = a.Multiply(b).Multiply(x);
-  for (size_t i = 0; i < lhs.dim(); ++i) EXPECT_NEAR(lhs[i], rhs[i], kTol);
-}
-
 TEST(MatrixTest, AddOuterMatchesManual) {
   Matrix m(2, 2);
   m.AddOuter(2.0f, Vector{1, 3}, Vector{4, 5});
