@@ -281,22 +281,30 @@ TEST(MetricsTest, StreamingRankingBitMatchesMaterialized) {
   test.emplace_back(0, 0);
   test.emplace_back(0, 299);
   test.emplace_back(69, 299);
-  // Random pairs, which repeat rows and pairs alike.
-  Rng pick(75);
-  for (int i = 0; i < 50; ++i) {
-    test.emplace_back(static_cast<uint32_t>(pick.NextUint64(a.rows())),
-                      static_cast<uint32_t>(pick.NextUint64(b.rows())));
-  }
 
-  const Matrix sim = testing_util::DenseSim(a, b);
-  // Count for count, then the fold.
-  EXPECT_EQ(GreaterCounts(a, b, test), GreaterCounts(sim, test));
-  const RankingMetrics want = Rank(sim, test);
+  const RankingMetrics want = Rank(testing_util::DenseSim(a, b), test);
   const RankingMetrics got = FoldRanks(GreaterCounts(a, b, test));
   EXPECT_EQ(got.num_queries, want.num_queries);
   EXPECT_EQ(got.hits_at_1, want.hits_at_1);
   EXPECT_EQ(got.hits_at_10, want.hits_at_10);
   EXPECT_EQ(got.mrr, want.mrr);
+}
+
+// Streaming and dense counts agree pair for pair over random pairs, which
+// repeat query rows and whole pairs alike.
+TEST(ExactIndexTest, StreamingRankingParity) {
+  Rng rng(71);
+  Matrix a(31, 24), b(97, 24);
+  a.InitGaussian(&rng, 1.0f);
+  b.InitGaussian(&rng, 1.0f);
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  Rng pick(73);
+  for (int i = 0; i < 50; ++i) {
+    pairs.emplace_back(static_cast<uint32_t>(pick.NextUint64(a.rows())),
+                       static_cast<uint32_t>(pick.NextUint64(b.rows())));
+  }
+  const Matrix sim = testing_util::DenseSim(a, b);
+  EXPECT_EQ(GreaterCounts(a, b, pairs), GreaterCounts(sim, pairs));
 }
 
 TEST(MetricsTest, StreamingRankingEmptyTestSet) {
