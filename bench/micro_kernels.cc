@@ -22,6 +22,7 @@
 namespace daakg {
 namespace {
 
+// Vector::Dot: one dispatched simd::Ops::dot.
 void BM_VectorDot(benchmark::State& state) {
   const size_t dim = static_cast<size_t>(state.range(0));
   Rng rng(1);
@@ -47,6 +48,7 @@ void BM_MatrixVectorMultiply(benchmark::State& state) {
 }
 BENCHMARK(BM_MatrixVectorMultiply)->Arg(32)->Arg(64)->Arg(128);
 
+// The one cosine, value only: three dispatched dots (a.b, a.a, b.b).
 void BM_Cosine(benchmark::State& state) {
   Rng rng(3);
   Vector a(64), b(64);

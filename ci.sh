@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: a plain release build, an ASan+UBSan build and a
+# Tier-1 verification: a release build that fails on any compiler warning
+# (-DDAAKG_WERROR=ON), an ASan+UBSan build and a
 # TSan build, each running the full suite; the two sanitizer builds also run
 # the active_alignment and custom_kg examples end to end. A perfbench smoke leg builds the
 # end-to-end benchmark against the library and runs each workload for a
@@ -31,8 +32,8 @@ if [ "${1:-}" = "bench-diff" ]; then
   exit 0
 fi
 
-echo "== release build =="
-cmake -B build -S .
+echo "== release build (warnings are errors) =="
+cmake -B build -S . -DDAAKG_WERROR=ON
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 

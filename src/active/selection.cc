@@ -6,7 +6,6 @@
 #include <mutex>
 #include <queue>
 #include <span>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -188,7 +187,7 @@ void BuildPartition(const InferenceEngine& engine, double rho,
 
   std::vector<bool> frozen(members.size(), false);
   std::vector<size_t> label_count(n + 1, 0);  // by label slot
-  std::vector<uint32_t> seen_labels;          // first-seen order
+  std::vector<uint32_t> seen_labels;          // distinct labels counted
   std::vector<uint8_t> moving(n, 0);
   bool flag = true;
   size_t splits = 0;  // schema singletons inflate num_groups; cap *splits*
@@ -218,22 +217,17 @@ void BuildPartition(const InferenceEngine& engine, double rho,
           }
         }
       }
-      // Split by the relation pair labeling the most intra-group edges.
-      // Ties go to the first in the iteration order of a hash map that
-      // gets the distinct labels in first-seen order. That order depends on
-      // the insertion sequence only, so ties resolve as in a map that
-      // counts every intra-group edge (DESIGN.md §8).
+      // Split by the relation pair labeling the most intra-group edges; a
+      // tie goes to the lowest label (DESIGN.md §8).
       uint32_t best_label = AlignmentGraph::kTypeLabel;
       size_t best_count = 0;
       const bool split =
           !(inner + outer <= 0.0 || outer / (inner + outer) >= rho);
       if (split) {
-        std::unordered_map<uint32_t, size_t> counts;
         for (uint32_t label : seen_labels) {
-          counts.emplace(label, label_count[label_slot(label)]);
-        }
-        for (const auto& [label, count] : counts) {
-          if (count > best_count) {
+          const size_t count = label_count[label_slot(label)];
+          if (count > best_count ||
+              (count == best_count && label < best_label)) {
             best_count = count;
             best_label = label;
           }

@@ -15,8 +15,6 @@
 
 namespace daakg {
 namespace {
-constexpr float kNormEps = 1e-12f;
-
 constexpr float kAlignLr = 0.05f;
 constexpr int kNumNegatives = 10;  // negatives per labeled match
 // Hard-negative mining (normalized hard sample mining of Dual-AMN): each
@@ -30,16 +28,9 @@ constexpr double kLossSharpness = 10.0;  // cosine -> logit scale, Eqs. (5), (8)
 constexpr float kL2PullWeight = 0.3f;
 constexpr double kSemiLrScale = 0.5;  // semi terms get a reduced learning rate
 
-// Vector::Norm() of a span: squares summed in double, in order.
-float SpanNorm(const float* x, size_t n) {
-  double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) acc += static_cast<double>(x[i]) * x[i];
-  return std::sqrt(static_cast<float>(acc));
-}
-
 // Cosine(q, rows.Row(ids[j])) into out[j] for j < n, given Norm(q) and the
 // rows' norms. The dot products are simd::Ops::dot's, four rows at a time
-// through dot4 (bitwise the same cells).
+// through dot4 (bitwise the same cells), so each cell is Cosine()'s.
 void SnapshotCosines(const float* q, float q_norm, const Matrix& rows,
                      const std::vector<float>& row_norms, const EntityId* ids,
                      size_t n, float* out) {
@@ -52,9 +43,14 @@ void SnapshotCosines(const float* q, float q_norm, const Matrix& rows,
   }
   for (; j < n; ++j) out[j] = ops.dot(q, rows.RowData(ids[j]), dim);
   for (j = 0; j < n; ++j) {
-    const float nr = row_norms[ids[j]];
-    out[j] = (q_norm == 0.0f || nr == 0.0f) ? 0.0f : out[j] / (q_norm * nr);
+    out[j] = CosineFromDot(out[j], q_norm, row_norms[ids[j]]);
   }
+}
+
+// The dimension of the class representations: the entity-class models',
+// or the configured one without them.
+size_t ClassDim(const KgeModel& model, const EntityClassModel* ec) {
+  return ec != nullptr ? ec->class_dim() : model.config().class_dim;
 }
 
 // Rows of `m` that hold a non-finite value.
@@ -79,6 +75,16 @@ size_t NonFiniteCells(const Matrix& m) {
 
 }  // namespace
 
+JointAlignmentModel::StepBuffers::StepBuffers(size_t dim)
+    : x1(dim), u(dim), v(dim), d_mapped(dim), d_second(dim), gx(dim),
+      gy(dim), diff(dim),
+      negs(static_cast<size_t>(kNumNegatives),
+           StepNeg{0, 0, Vector(dim), Vector(dim), Vector(dim), Vector(dim),
+                   false}),
+      s_negs(negs.size(), 0.0),
+      cands(static_cast<size_t>(kHardNegativeCandidates), 0),
+      cand_sims(cands.size(), 0.0f) {}
+
 JointAlignmentModel::JointAlignmentModel(KgeModel* model1, KgeModel* model2,
                                          EntityClassModel* ec1,
                                          EntityClassModel* ec2,
@@ -87,26 +93,14 @@ JointAlignmentModel::JointAlignmentModel(KgeModel* model1, KgeModel* model2,
       model2_(model2),
       ec1_(ec1),
       ec2_(ec2),
-      config_(config) {
+      config_(config),
+      a_ent_(model1->dim(), model1->dim()),
+      a_rel_(model1->dim(), model1->dim()),
+      a_cls_(ClassDim(*model1, ec1), ClassDim(*model1, ec1)),
+      entity_step_(model1->dim()),
+      rel_step_(model1->dim()),
+      cls_step_(ClassDim(*model1, ec1)) {
   DAAKG_CHECK_EQ(model1->dim(), model2->dim());
-  const size_t dim = model1->dim();
-  a_ent_ = Matrix(dim, dim);
-  a_rel_ = Matrix(dim, dim);
-  const size_t cdim =
-      ec1_ != nullptr ? ec1_->class_dim() : model1->config().class_dim;
-  a_cls_ = Matrix(cdim, cdim);
-
-  EntityStep& s = entity_step_;
-  for (Vector* v : {&s.x1, &s.u, &s.v, &s.d_mapped, &s.d_second, &s.gx, &s.gy,
-                    &s.diff}) {
-    v->Resize(dim);
-  }
-  const size_t num_negs = static_cast<size_t>(kNumNegatives);
-  s.negs.assign(num_negs, EntityNeg{0, 0, Vector(dim), Vector(dim),
-                                    Vector(dim), Vector(dim), false});
-  s.s_negs.assign(num_negs, 0.0);
-  s.cands.assign(static_cast<size_t>(kHardNegativeCandidates), 0);
-  s.cand_sims.assign(s.cands.size(), 0.0f);
 }
 
 void JointAlignmentModel::Init(Rng* rng) {
@@ -125,33 +119,6 @@ void JointAlignmentModel::Init(Rng* rng) {
   Matrix n3(a_cls_.rows(), a_cls_.cols());
   n3.InitGaussian(rng, 0.01f);
   a_cls_ += n3;
-}
-
-JointAlignmentModel::CosineGrad JointAlignmentModel::CosineWithGrad(
-    const Vector& mapped, const Vector& y) {
-  CosineGrad out;
-  out.d_mapped = Vector(mapped.dim());
-  out.d_second = Vector(y.dim());
-  out.sim = CosineGradInto(mapped, mapped.Norm(), y, y.Norm(), &out.d_mapped,
-                           &out.d_second);
-  return out;
-}
-
-float JointAlignmentModel::CosineGradInto(const Vector& mapped,
-                                          float mapped_norm, const Vector& y,
-                                          float y_norm, Vector* d_mapped,
-                                          Vector* d_second) {
-  const float nu = mapped_norm + kNormEps;
-  const float nv = y_norm + kNormEps;
-  const float sim = mapped.Dot(y) / (nu * nv);
-  const float inv = 1.0f / (nu * nv);
-  const float ku = sim / (nu * nu);
-  const float kv = sim / (nv * nv);
-  for (size_t i = 0; i < y.dim(); ++i) {
-    (*d_mapped)[i] = y[i] * inv - mapped[i] * ku;
-    (*d_second)[i] = mapped[i] * inv - y[i] * kv;
-  }
-  return sim;
 }
 
 float JointAlignmentModel::EntitySim(EntityId e1, EntityId e2) const {
@@ -178,22 +145,15 @@ void JointAlignmentModel::ComputeEntityStats() {
     model2_->EntityReprInto(static_cast<EntityId>(e), repr2_.RowData(e));
   });
 
-  // unit1 = normalize(repr1 * A_ent^T), unit2 = normalize(repr2): their
+  // unit1 = Normalize(repr1 * A_ent^T), unit2 = Normalize(repr2): their
   // dot products are the cosines of Eq. 4.
-  auto normalize_row = [dim](Matrix* m, size_t r) {
-    float* row = m->RowData(r);
-    double sq = 0.0;
-    for (size_t c = 0; c < dim; ++c) sq += static_cast<double>(row[c]) * row[c];
-    const float inv = sq > 0.0 ? static_cast<float>(1.0 / std::sqrt(sq)) : 0.0f;
-    for (size_t c = 0; c < dim; ++c) row[c] *= inv;
-  };
   unit1_ = Matrix(n1, dim);
   pool.ParallelFor(n1, [&](size_t e) {
     a_ent_.MultiplyInto(repr1_.RowData(e), unit1_.RowData(e));
-    normalize_row(&unit1_, e);
+    Normalize(unit1_.RowData(e), dim);
   });
   unit2_ = repr2_;
-  pool.ParallelFor(n2, [&](size_t e) { normalize_row(&unit2_, e); });
+  pool.ParallelFor(n2, [&](size_t e) { Normalize(unit2_.RowData(e), dim); });
 
   ent_stats_ = BlockedSimStats(unit1_, unit2_, config_.z_ent);
 
@@ -297,6 +257,7 @@ void JointAlignmentModel::ComputeMeanEmbeddings() {
 JointAlignmentModel::SchemaKind JointAlignmentModel::Schema(ElementKind kind) {
   if (kind == ElementKind::kRelation) {
     return {&a_rel_,
+            &rel_step_,
             kg1().num_base_relations(),
             kg2().num_base_relations(),
             [m = model1_](uint32_t r) { return m->RelationRepr(r); },
@@ -309,8 +270,8 @@ JointAlignmentModel::SchemaKind JointAlignmentModel::Schema(ElementKind kind) {
             }};
   }
   DAAKG_CHECK(kind == ElementKind::kClass);
-  SchemaKind out{&a_cls_, kg1().num_classes(), kg2().num_classes(),
-                 {}, {}, {}, {}};
+  SchemaKind out{&a_cls_, &cls_step_, kg1().num_classes(),
+                 kg2().num_classes(), {}, {}, {}, {}};
   if (ec1_ == nullptr || ec2_ == nullptr) return out;
   out.repr1 = [ec = ec1_](uint32_t c) { return ec->ClassRepr(c); };
   out.repr2 = [ec = ec2_](uint32_t c) { return ec->ClassRepr(c); };
@@ -447,7 +408,7 @@ void JointAlignmentModel::ApplyEntityGrad(EntityId a, EntityId b,
                                           float lr) {
   // d loss / d A_ent += coef * d_mapped x_a^T; the KG1 side's gradient goes
   // through the updated A_ent.
-  EntityStep& s = entity_step_;
+  StepBuffers& s = entity_step_;
   a_ent_.AddOuterThenTransposeMultiply(-lr * coef, d_mapped.data(), xa.data(),
                                        s.gx.data());
   s.gx *= coef;
@@ -459,17 +420,16 @@ void JointAlignmentModel::ApplyEntityGrad(EntityId a, EntityId b,
 
 double JointAlignmentModel::TrainEntityPair(EntityId e1, EntityId e2, Rng* rng,
                                             bool focal, float lr) {
-  EntityStep& s = entity_step_;
+  StepBuffers& s = entity_step_;
   const size_t num_negs = s.negs.size();
   const size_t candidates = s.cands.size();
 
   model1_->EntityReprInto(e1, s.x1.data());
   a_ent_.MultiplyInto(s.x1.data(), s.u.data());
   model2_->EntityReprInto(e2, s.v.data());
+  const float pos_sim = Cosine(s.u, s.v, &s.d_mapped, &s.d_second);
   const float u_norm = s.u.Norm();
   const float v_norm = s.v.Norm();
-  const float pos_sim =
-      CosineGradInto(s.u, u_norm, s.v, v_norm, &s.d_mapped, &s.d_second);
 
   // Negatives: corrupt either side of the match (the M~_ent of Eq. 5). Each
   // is the most similar of `candidates` uniform draws (strict >: the first
@@ -477,7 +437,7 @@ double JointAlignmentModel::TrainEntityPair(EntityId e1, EntityId e2, Rng* rng,
   // slightly stale); gradients are then computed fresh. All of a
   // negative's draws come before its scoring, which consumes no randomness.
   for (size_t k = 0; k < num_negs; ++k) {
-    EntityNeg& neg = s.negs[k];
+    StepNeg& neg = s.negs[k];
     neg.corrupt_second = rng->NextBernoulli(0.5);
     const size_t n_other =
         neg.corrupt_second ? kg2().num_entities() : kg1().num_entities();
@@ -505,15 +465,13 @@ double JointAlignmentModel::TrainEntityPair(EntityId e1, EntityId e2, Rng* rng,
       neg.n1 = e1;
       neg.n2 = best;
       model2_->EntityReprInto(neg.n2, neg.y.data());
-      s.s_negs[k] = CosineGradInto(s.u, u_norm, neg.y, neg.y.Norm(),
-                                        &neg.d_mapped, &neg.d_second);
+      s.s_negs[k] = Cosine(s.u, neg.y, &neg.d_mapped, &neg.d_second);
     } else {
       neg.n1 = best;
       neg.n2 = e2;
       model1_->EntityReprInto(neg.n1, neg.x1.data());
       a_ent_.MultiplyInto(neg.x1.data(), neg.y.data());  // A_ent x1
-      s.s_negs[k] = CosineGradInto(neg.y, neg.y.Norm(), s.v, v_norm,
-                                        &neg.d_mapped, &neg.d_second);
+      s.s_negs[k] = Cosine(neg.y, s.v, &neg.d_mapped, &neg.d_second);
     }
   }
 
@@ -528,7 +486,7 @@ double JointAlignmentModel::TrainEntityPair(EntityId e1, EntityId e2, Rng* rng,
   }
   for (size_t j = 0; j < num_negs; ++j) {
     if (cg.d_negs[j] == 0.0) continue;
-    const EntityNeg& neg = s.negs[j];
+    const StepNeg& neg = s.negs[j];
     ApplyEntityGrad(neg.n1, neg.n2, neg.d_mapped, neg.d_second,
                     neg.corrupt_second ? s.x1 : neg.x1,
                     static_cast<float>(cg.d_negs[j]), lr);
@@ -549,12 +507,14 @@ void JointAlignmentModel::ApplySchemaGrad(const SchemaKind& k, uint32_t a,
                                           const Vector& d_second,
                                           const Vector& xa, float coef,
                                           float lr) {
-  k.a->AddOuter(-lr * coef, d_mapped, xa);
-  Vector gx = k.a->TransposeMultiply(d_mapped);
-  gx *= coef;
-  k.backprop1(a, gx, lr);
-  Vector gy = d_second * coef;
-  k.backprop2(b, gy, lr);
+  StepBuffers& s = *k.step;
+  k.a->AddOuterThenTransposeMultiply(-lr * coef, d_mapped.data(), xa.data(),
+                                     s.gx.data());
+  s.gx *= coef;
+  k.backprop1(a, s.gx, lr);
+  s.gy = d_second;
+  s.gy *= coef;
+  k.backprop2(b, s.gy, lr);
 }
 
 double JointAlignmentModel::TrainSchemaPair(const SchemaKind& k,
@@ -566,49 +526,44 @@ double JointAlignmentModel::TrainSchemaPair(const SchemaKind& k,
   // embedding branch receives parameter updates; when the mean branch wins
   // the pair still shapes A_ent via its entity constituents.
   if (!k.repr1) return 0.0;
-  Vector x1 = k.repr1(first);
-  Vector u = k.a->Multiply(x1);
-  Vector v = k.repr2(second);
-  CosineGrad pos = CosineWithGrad(u, v);
+  StepBuffers& s = *k.step;
+  s.x1 = k.repr1(first);
+  k.a->MultiplyInto(s.x1.data(), s.u.data());
+  s.v = k.repr2(second);
+  const float pos_sim = Cosine(s.u, s.v, &s.d_mapped, &s.d_second);
 
-  struct Neg {
-    uint32_t n1;
-    uint32_t n2;
-    CosineGrad grad;
-    Vector x1;
-  };
-  std::vector<Neg> negs;
-  std::vector<double> s_negs;
-  for (int j = 0; j < kNumNegatives; ++j) {
-    Neg neg;
-    if (rng->NextBernoulli(0.5) || k.n1 < 2) {
+  // Negatives: uniform corruptions of either side (no mining).
+  for (size_t j = 0; j < s.negs.size(); ++j) {
+    StepNeg& neg = s.negs[j];
+    neg.corrupt_second = rng->NextBernoulli(0.5) || k.n1 < 2;
+    if (neg.corrupt_second) {
       neg.n1 = first;
       neg.n2 = static_cast<uint32_t>(rng->NextUint64(k.n2));
-      neg.x1 = x1;
-      neg.grad = CosineWithGrad(u, k.repr2(neg.n2));
+      neg.y = k.repr2(neg.n2);
+      s.s_negs[j] = Cosine(s.u, neg.y, &neg.d_mapped, &neg.d_second);
     } else {
       neg.n1 = static_cast<uint32_t>(rng->NextUint64(k.n1));
       neg.n2 = second;
       neg.x1 = k.repr1(neg.n1);
-      neg.grad = CosineWithGrad(k.a->Multiply(neg.x1), v);
+      k.a->MultiplyInto(neg.x1.data(), neg.y.data());  // A x1
+      s.s_negs[j] = Cosine(neg.y, s.v, &neg.d_mapped, &neg.d_second);
     }
-    s_negs.push_back(neg.grad.sim);
-    negs.push_back(std::move(neg));
   }
 
   ContrastiveGrad cg =
-      focal ? FocalContrastive(pos.sim, s_negs, kLossSharpness,
+      focal ? FocalContrastive(pos_sim, s.s_negs, kLossSharpness,
                                config_.focal_gamma)
-            : SoftmaxContrastive(pos.sim, s_negs, kLossSharpness);
+            : SoftmaxContrastive(pos_sim, s.s_negs, kLossSharpness);
 
   if (cg.d_pos != 0.0) {
-    ApplySchemaGrad(k, first, second, pos.d_mapped, pos.d_second, x1,
+    ApplySchemaGrad(k, first, second, s.d_mapped, s.d_second, s.x1,
                     static_cast<float>(cg.d_pos), lr);
   }
-  for (size_t j = 0; j < negs.size(); ++j) {
+  for (size_t j = 0; j < s.negs.size(); ++j) {
     if (cg.d_negs[j] == 0.0) continue;
-    ApplySchemaGrad(k, negs[j].n1, negs[j].n2, negs[j].grad.d_mapped,
-                    negs[j].grad.d_second, negs[j].x1,
+    const StepNeg& neg = s.negs[j];
+    ApplySchemaGrad(k, neg.n1, neg.n2, neg.d_mapped, neg.d_second,
+                    neg.corrupt_second ? s.x1 : neg.x1,
                     static_cast<float>(cg.d_negs[j]), lr);
   }
   return cg.loss;
@@ -628,13 +583,13 @@ void JointAlignmentModel::RefreshMiningSnapshot() {
     for (size_t e = begin; e < end; ++e) {
       model1_->EntityReprInto(static_cast<EntityId>(e), repr.data());
       a_ent_.MultiplyInto(repr.data(), mining_mapped1_.RowData(e));
-      mining_norm1_[e] = SpanNorm(mining_mapped1_.RowData(e), dim);
+      mining_norm1_[e] = Norm(mining_mapped1_.RowData(e), dim);
     }
   });
   pool.ParallelFor(n2, [&](size_t e) {
     model2_->EntityReprInto(static_cast<EntityId>(e),
                             mining_repr2_.RowData(e));
-    mining_norm2_[e] = SpanNorm(mining_repr2_.RowData(e), dim);
+    mining_norm2_[e] = Norm(mining_repr2_.RowData(e), dim);
   });
 }
 
@@ -708,21 +663,23 @@ void JointAlignmentModel::AscendPairSimilarity(const ElementPair& pair,
   // coefficient S0.
   const float coef = static_cast<float>(-weight);
   if (pair.kind == ElementKind::kEntity) {
-    EntityStep& s = entity_step_;
+    StepBuffers& s = entity_step_;
     model1_->EntityReprInto(pair.first, s.x1.data());
     a_ent_.MultiplyInto(s.x1.data(), s.u.data());
     model2_->EntityReprInto(pair.second, s.v.data());
-    CosineGradInto(s.u, s.u.Norm(), s.v, s.v.Norm(), &s.d_mapped,
-                   &s.d_second);
+    Cosine(s.u, s.v, &s.d_mapped, &s.d_second);
     ApplyEntityGrad(pair.first, pair.second, s.d_mapped, s.d_second, s.x1,
                     coef, lr);
     return;
   }
   const SchemaKind k = Schema(pair.kind);
   if (!k.repr1) return;
-  Vector x1 = k.repr1(pair.first);
-  CosineGrad g = CosineWithGrad(k.a->Multiply(x1), k.repr2(pair.second));
-  ApplySchemaGrad(k, pair.first, pair.second, g.d_mapped, g.d_second, x1,
+  StepBuffers& s = *k.step;
+  s.x1 = k.repr1(pair.first);
+  k.a->MultiplyInto(s.x1.data(), s.u.data());
+  s.v = k.repr2(pair.second);
+  Cosine(s.u, s.v, &s.d_mapped, &s.d_second);
+  ApplySchemaGrad(k, pair.first, pair.second, s.d_mapped, s.d_second, s.x1,
                   coef, lr);
 }
 

@@ -188,17 +188,29 @@ class JointAlignmentModel {
       const std::vector<std::pair<ElementPair, double>>& semi, Rng* rng);
 
  private:
-  struct CosineGrad {
-    float sim;
-    Vector d_mapped;  // d sim / d (A x)
-    Vector d_second;  // d sim / d y
+  // Per-step buffers of one training path, sized at construction to the
+  // entity dimension (entities, relations) or the class dimension
+  // (classes): the training steps and AscendPairSimilarity keep every
+  // vector they need here.
+  struct StepNeg {
+    uint32_t n1;
+    uint32_t n2;
+    Vector x1;        // repr of a corrupted KG1 side
+    Vector y;         // repr of a corrupted KG2 side, or A x1
+    Vector d_mapped;  // Cosine() gradients: d sim / d (A x), d sim / d y
+    Vector d_second;
+    bool corrupt_second;  // n2 corrupted (n1 is the match's, repr x1)
   };
-  static CosineGrad CosineWithGrad(const Vector& mapped, const Vector& y);
-  // CosineWithGrad() given the inputs' norms (Vector::Norm()), into
-  // caller buffers of the inputs' dimension; returns the similarity.
-  static float CosineGradInto(const Vector& mapped, float mapped_norm,
-                              const Vector& y, float y_norm, Vector* d_mapped,
-                              Vector* d_second);
+  struct StepBuffers {
+    explicit StepBuffers(size_t dim);
+    Vector x1, u, v;  // repr of the KG1 side, A x1, repr of the KG2 side
+    Vector d_mapped, d_second;
+    Vector gx, gy, diff;
+    std::vector<StepNeg> negs;  // kNumNegatives
+    std::vector<double> s_negs;
+    std::vector<EntityId> cands;  // kHardNegativeCandidates (entities)
+    std::vector<float> cand_sims;
+  };
 
   // Applies one contrastive step for an entity match; returns the loss.
   double TrainEntityPair(EntityId e1, EntityId e2, Rng* rng, bool focal,
@@ -217,6 +229,7 @@ class JointAlignmentModel {
   // then does nothing and S(c, c') is the mean branch alone.
   struct SchemaKind {
     Matrix* a;
+    StepBuffers* step;  // rel_step_ or cls_step_
     size_t n1;  // elements of KG1 / KG2
     size_t n2;
     std::function<Vector(uint32_t)> repr1;
@@ -294,28 +307,11 @@ class JointAlignmentModel {
   std::vector<float> mining_norm1_;
   std::vector<float> mining_norm2_;
 
-  // Per-step buffers of the entity training path, sized at construction:
-  // TrainEntityPair and the entity branch of AscendPairSimilarity allocate
-  // nothing.
-  struct EntityNeg {
-    EntityId n1;
-    EntityId n2;
-    Vector x1;        // repr of a corrupted KG1 side
-    Vector y;         // repr of a corrupted KG2 side, or A_ent x1
-    Vector d_mapped;  // cosine gradients, as in CosineGrad
-    Vector d_second;
-    bool corrupt_second;  // n2 corrupted (n1 == e1, whose repr is x1)
-  };
-  struct EntityStep {
-    Vector x1, u, v;  // repr of e1, A_ent x1, repr of e2
-    Vector d_mapped, d_second;
-    Vector gx, gy, diff;
-    std::vector<EntityNeg> negs;  // kNumNegatives
-    std::vector<double> s_negs;
-    std::vector<EntityId> cands;  // kHardNegativeCandidates
-    std::vector<float> cand_sims;
-  };
-  EntityStep entity_step_;
+  // The entity path allocates nothing; the schema paths only what their
+  // representation getters return.
+  StepBuffers entity_step_;
+  StepBuffers rel_step_;
+  StepBuffers cls_step_;
   // Row (1->2) and column (2->1) maxima and log-sum-exps for Eq. 11.
   SimStats ent_stats_, rel_stats_, cls_stats_;
 };

@@ -84,9 +84,12 @@ class StatusOr {
 
   bool ok() const { return std::holds_alternative<T>(rep_); }
 
-  const Status& status() const {
-    static const Status kOk;
-    if (ok()) return kOk;
+  // OK while a value is held. Returned by value: a reference to a
+  // function-local static OK status trips a -Wmaybe-uninitialized false
+  // positive of GCC 12 on the variant's destructor, which fails a
+  // -DDAAKG_WERROR=ON build.
+  Status status() const {
+    if (ok()) return Status::Ok();
     return std::get<Status>(rep_);
   }
 

@@ -5,8 +5,23 @@
 #include "embedding/compgcn.h"
 #include "embedding/rotate.h"
 #include "embedding/transe.h"
+#include "tensor/simd/simd.h"
 
 namespace daakg {
+namespace {
+
+// Scales each row of `m` whose norm (daakg::Norm) exceeds `max_norm` back
+// to that norm.
+void CapRowNorms(Matrix* m, float max_norm) {
+  const simd::Ops& ops = simd::ActiveOps();
+  for (size_t r = 0; r < m->rows(); ++r) {
+    float* row = m->RowData(r);
+    const float n = Norm(row, m->cols());
+    if (n > max_norm) ops.scale(row, m->cols(), max_norm / n);
+  }
+}
+
+}  // namespace
 
 KgeModel::KgeModel(const KnowledgeGraph* kg, const KgeConfig& config)
     : kg_(kg), config_(config) {
@@ -48,34 +63,12 @@ void KgeModel::BackpropRelationRepr(RelationId r, const Vector& grad,
 
 void KgeModel::NormalizeEntities() {
   BumpVersion();
-  for (size_t e = 0; e < entities_.rows(); ++e) {
-    float* row = entities_.RowData(e);
-    double sq = 0.0;
-    for (size_t i = 0; i < entities_.cols(); ++i) {
-      sq += static_cast<double>(row[i]) * row[i];
-    }
-    double n = std::sqrt(sq);
-    if (n > 1.0) {
-      float inv = static_cast<float>(1.0 / n);
-      for (size_t i = 0; i < entities_.cols(); ++i) row[i] *= inv;
-    }
-  }
+  CapRowNorms(&entities_, 1.0f);
 }
 
 void KgeModel::NormalizeRelations() {
   BumpVersion();
-  for (size_t r = 0; r < relations_.rows(); ++r) {
-    float* row = relations_.RowData(r);
-    double sq = 0.0;
-    for (size_t i = 0; i < relations_.cols(); ++i) {
-      sq += static_cast<double>(row[i]) * row[i];
-    }
-    const double n = std::sqrt(sq);
-    if (n > 2.0) {
-      const float inv = static_cast<float>(2.0 / n);
-      for (size_t i = 0; i < relations_.cols(); ++i) row[i] *= inv;
-    }
-  }
+  CapRowNorms(&relations_, 2.0f);
 }
 
 StatusOr<KgeModelKind> ParseKgeModelKind(std::string_view name) {

@@ -14,16 +14,9 @@ namespace daakg {
 namespace {
 constexpr float kInfCost = std::numeric_limits<float>::infinity();
 
-// ||coef * g||^2 computed as Vector::SquaredNorm computes it for the scaled
-// copy g * coef: each scaled element rounded to float, squares summed in
-// double, the sum rounded to float.
+// ||coef * g||^2, with g's squared norm from the dot kernel.
 double ScaledSquaredNorm(const Vector& g, float coef) {
-  double acc = 0.0;
-  for (size_t i = 0; i < g.dim(); ++i) {
-    const float x = g[i] * coef;
-    acc += static_cast<double>(x) * x;
-  }
-  return static_cast<double>(static_cast<float>(acc));
+  return static_cast<double>(coef) * coef * g.SquaredNorm();
 }
 
 // One SplitMix64 step from state z.
@@ -430,7 +423,7 @@ EdgeCostTable::SchemaGradient InferenceEngine::ComputeSchemaGradient(
   const Vector& v = is_class ? model_->ClassMean2(b) : model_->RelationMean2(b);
   SchemaGradient grad;
   Vector du;
-  const float s_mean = CosineWithGradients(u, v, &du, &grad.dv);
+  const float s_mean = Cosine(u, v, &du, &grad.dv);
   const float s_full =
       is_class ? model_->class_sim()(a, b) : model_->relation_sim()(a, b);
   grad.other_branch_wins = s_full > s_mean + 1e-6f;

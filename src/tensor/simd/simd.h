@@ -22,9 +22,10 @@ namespace simd {
 //     replays it lane by lane with std::fma. dot(a, b_c) is bit-identical
 //     to column c of dot4(a, b0..b3), so cached cells computed via either
 //     entry point agree exactly.
-//     Matrix::MultiplyInto, the TransE and entity-class distances and the
-//     mining snapshot's cosines take their sums from these two kernels,
-//     so training's mat-vecs and step distances have this one order.
+//     Matrix::MultiplyInto, the TransE and entity-class distances, and
+//     every norm and cosine (tensor/vector.h) take their sums from these
+//     two kernels, so training's mat-vecs, step distances and
+//     similarities have this one order.
 //   * Elementwise kernels (axpy, scale): each output element is one float
 //     multiply (+ one add), which rounds the same at any vector width. Both
 //     kernel TUs are compiled with -ffp-contract=off so the compiler never

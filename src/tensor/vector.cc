@@ -7,12 +7,10 @@
 
 namespace daakg {
 
-// Elementwise mutators route through the dispatched axpy/scale kernels,
-// which are bit-identical to the scalar loops on every backend (rounding
-// contract in simd/simd.h) — so trainers take the same trajectory whether
-// or not AVX2 is available. Reductions (Dot, norms) stay double-accumulated
-// scalar, summed in index order; mat-vecs and the training distances sum
-// through simd::Ops::dot/dot4 instead (Matrix::MultiplyInto).
+// Elementwise mutators route through the dispatched axpy/scale kernels and
+// every reduction (Dot, the norms, the cosine) through simd::Ops::dot; all
+// are bit-identical on every backend (rounding contract in simd/simd.h), so
+// trainers take the same trajectory whether or not AVX2 is available.
 
 void Vector::Fill(float value) {
   std::fill(data_.begin(), data_.end(), value);
@@ -54,26 +52,15 @@ void Vector::Hadamard(const Vector& other) {
 
 float Vector::Dot(const Vector& other) const {
   DAAKG_CHECK_EQ(dim(), other.dim());
-  // Accumulate in double to keep the property tests tight.
-  double acc = 0.0;
-  for (size_t i = 0; i < data_.size(); ++i) {
-    acc += static_cast<double>(data_[i]) * other.data_[i];
-  }
-  return static_cast<float>(acc);
+  return simd::ActiveOps().dot(data_.data(), other.data_.data(),
+                               data_.size());
 }
 
-float Vector::Norm() const { return std::sqrt(SquaredNorm()); }
+float Vector::Norm() const { return daakg::Norm(data_.data(), data_.size()); }
 
-float Vector::SquaredNorm() const {
-  double acc = 0.0;
-  for (float v : data_) acc += static_cast<double>(v) * v;
-  return static_cast<float>(acc);
-}
+float Vector::SquaredNorm() const { return Dot(*this); }
 
-void Vector::Normalize() {
-  float n = Norm();
-  if (n > 0.0f) (*this) /= n;
-}
+void Vector::Normalize() { daakg::Normalize(data_.data(), data_.size()); }
 
 void Vector::InitUniform(Rng* rng, float scale) {
   for (auto& v : data_) {
@@ -115,40 +102,50 @@ Vector operator*(float s, const Vector& a) { return a * s; }
 
 float Dot(const Vector& a, const Vector& b) { return a.Dot(b); }
 
-float Cosine(const Vector& a, const Vector& b) {
-  float na = a.Norm();
-  float nb = b.Norm();
-  if (na == 0.0f || nb == 0.0f) return 0.0f;
-  return a.Dot(b) / (na * nb);
+float Norm(const float* x, size_t n) {
+  return std::sqrt(simd::ActiveOps().dot(x, x, n));
 }
 
-float CosineWithGradients(const Vector& a, const Vector& b, Vector* da,
-                          Vector* db) {
-  *da = Vector(a.dim());
-  *db = Vector(b.dim());
+float CosineFromDot(float dot, float norm_a, float norm_b) {
+  // std::clamp passes NaN through (the NaN test of VectorTest pins it).
+  return std::clamp(dot / ((norm_a + kCosineEps) * (norm_b + kCosineEps)),
+                    -1.0f, 1.0f);
+}
+
+void Normalize(float* x, size_t n) {
+  simd::ActiveOps().scale(x, n, 1.0f / (Norm(x, n) + kCosineEps));
+}
+
+float Cosine(const Vector& a, const Vector& b, Vector* da, Vector* db) {
+  DAAKG_CHECK_EQ(a.dim(), b.dim());
   const float na = a.Norm();
   const float nb = b.Norm();
-  if (na == 0.0f || nb == 0.0f) return 0.0f;
-  const float sim = a.Dot(b) / (na * nb);
-  for (size_t i = 0; i < a.dim(); ++i) {
-    (*da)[i] = b[i] / (na * nb) - sim * a[i] / (na * na);
-    (*db)[i] = a[i] / (na * nb) - sim * b[i] / (nb * nb);
+  const float sim = CosineFromDot(a.Dot(b), na, nb);
+  if (da == nullptr && db == nullptr) return sim;
+  if (da != nullptr) da->Resize(a.dim());
+  if (db != nullptr) db->Resize(b.dim());
+  if (na == 0.0f || nb == 0.0f) {
+    if (da != nullptr) da->SetZero();
+    if (db != nullptr) db->SetZero();
+    return sim;
+  }
+  // d sim / d a = b / (n(a) n(b)) - sim a / n(a)^2, and alike for b.
+  const float nu = na + kCosineEps;
+  const float nv = nb + kCosineEps;
+  const float inv = 1.0f / (nu * nv);
+  const float ku = sim / (nu * nu);
+  const float kv = sim / (nv * nv);
+  if (da != nullptr) {
+    for (size_t i = 0; i < a.dim(); ++i) (*da)[i] = b[i] * inv - a[i] * ku;
+  }
+  if (db != nullptr) {
+    for (size_t i = 0; i < b.dim(); ++i) (*db)[i] = a[i] * inv - b[i] * kv;
   }
   return sim;
 }
 
 float EuclideanDistance(const Vector& a, const Vector& b) {
-  return std::sqrt(SquaredDistance(a, b));
-}
-
-float SquaredDistance(const Vector& a, const Vector& b) {
-  DAAKG_CHECK_EQ(a.dim(), b.dim());
-  double acc = 0.0;
-  for (size_t i = 0; i < a.dim(); ++i) {
-    double d = static_cast<double>(a[i]) - b[i];
-    acc += d * d;
-  }
-  return static_cast<float>(acc);
+  return (a - b).Norm();
 }
 
 Vector Concat(const Vector& a, const Vector& b) {

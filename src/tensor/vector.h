@@ -51,13 +51,14 @@ class Vector {
   // Elementwise product: this[i] *= other[i].
   void Hadamard(const Vector& other);
 
+  // simd::Ops::dot of the two vectors.
   float Dot(const Vector& other) const;
 
-  // Euclidean norm and its square.
+  // Euclidean norm (daakg::Norm) and its square dot(x, x).
   float Norm() const;
   float SquaredNorm() const;
 
-  // Scales to unit Euclidean norm; leaves a zero vector untouched.
+  // daakg::Normalize() of the vector: unit norm; a zero vector stays zero.
   void Normalize();
 
   // Fills with U(-scale, scale).
@@ -81,18 +82,33 @@ Vector operator*(float s, const Vector& a);
 
 float Dot(const Vector& a, const Vector& b);
 
-// Cosine similarity in [-1, 1]; returns 0 if either vector is zero.
-float Cosine(const Vector& a, const Vector& b);
+// The one cosine similarity of the library (DESIGN.md §6). With the norm
+// |x| = sqrt(dot(x, x)) and n(x) = |x| + kCosineEps,
+//
+//   cos(a, b) = clamp(dot(a, b) / (n(a) n(b)), -1, 1),
+//
+// every dot product taken by simd::Ops::dot, so the value is bit-identical
+// on every backend. The clamp lets NaN through: a diverged input scores NaN,
+// never a bounded value.
+inline constexpr float kCosineEps = 1e-12f;
 
-// Cosine similarity plus its gradients with respect to both inputs
-// (d sim / d a into *da, d sim / d b into *db). Zero vectors yield zero
-// similarity and zero gradients.
-float CosineWithGradients(const Vector& a, const Vector& b, Vector* da,
-                          Vector* db);
+// |x| of the n floats at x.
+float Norm(const float* x, size_t n);
 
-// Euclidean distance ||a - b||.
+// The cosine of two vectors whose dot product and norms (Norm()) are known.
+float CosineFromDot(float dot, float norm_a, float norm_b);
+
+// Scales the n floats at x by 1 / n(x): the dot product of two rows so
+// scaled is their cosine, up to the clamp. A zero row stays zero.
+void Normalize(float* x, size_t n);
+
+// cos(a, b). A non-null `da` / `db` (sized to the input, or resized) takes
+// the gradient with respect to a / b; a zero input gives zero gradients.
+float Cosine(const Vector& a, const Vector& b, Vector* da = nullptr,
+             Vector* db = nullptr);
+
+// Euclidean distance |a - b|.
 float EuclideanDistance(const Vector& a, const Vector& b);
-float SquaredDistance(const Vector& a, const Vector& b);
 
 // Concatenates a and b.
 Vector Concat(const Vector& a, const Vector& b);

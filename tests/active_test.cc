@@ -405,10 +405,8 @@ TEST_F(ActiveTest, PartitionSelectionKeepsMostInferencePower) {
 
 // Pins the groups and the batch PartitionSelect reaches at several rho. The
 // splitting loop picks the label of the most intra-group edges; a tie goes
-// to the label first in the iteration order of an unordered_map that gets
-// the distinct labels in first-seen (member then edge) order. Counting or
-// inserting in another order changes these pins: filling the tie-break map
-// in reverse first-seen order fails this test and
+// to the lowest label. Breaking ties toward the highest label instead
+// changes these pins and fails
 // PartitionSelectTest.MatchesReferenceImplementation.
 TEST_F(ActiveTest, PartitionSplitsArePinned) {
   uint64_t h = 0xCBF29CE484222325ULL;
@@ -431,7 +429,7 @@ TEST_F(ActiveTest, PartitionSplitsArePinned) {
     mix(bits);
   }
   EXPECT_GT(max_groups, 1u);  // some rho splits
-  EXPECT_EQ(h, 0x33047938F3EDC5A4ULL)
+  EXPECT_EQ(h, 0x3F496ACC0C89ACD7ULL)
       << std::hex << "0x" << h << " on " << simd::ActiveOps().name;
 }
 
@@ -644,7 +642,8 @@ SelectionResult ReferencePartitionSelect(const SelectionContext& ctx,
       uint32_t best_label = AlignmentGraph::kTypeLabel;
       size_t best_count = 0;
       for (const auto& [label, count] : label_count) {
-        if (count > best_count) {
+        if (count > best_count ||
+            (count == best_count && label < best_label)) {
           best_count = count;
           best_label = label;
         }
@@ -842,6 +841,56 @@ TEST(PartitionSelectTest, MatchesReferenceImplementation) {
     }
   }
   EXPECT_GT(split_cases, 96u);  // most of the 192 cases split
+}
+
+// Two relation pairs tie on the first split, four intra-group edges each.
+// Splitting on r (edges e0-e1 and e3-e2) would move every entity pair, so
+// the group freezes whole; splitting on s (edges e2-e3 and e3-e0) moves all
+// but (e1, e1) and makes two entity groups. The tie goes to the lower label,
+// the relation pair listed first in the pool, in either pool order.
+TEST(PartitionSelectTest, TiedLabelsSplitOnTheLowest) {
+  AlignmentTask task;
+  task.name = "tied-labels";
+  for (KnowledgeGraph* kg : {&task.kg1, &task.kg2}) {
+    const RelationId r = kg->AddRelation("r");
+    const RelationId s = kg->AddRelation("s");
+    std::vector<EntityId> e;
+    for (int i = 0; i < 4; ++i) {
+      e.push_back(kg->AddEntity("e" + std::to_string(i)));
+    }
+    kg->AddTriplet(e[0], r, e[1]);
+    kg->AddTriplet(e[3], r, e[2]);
+    kg->AddTriplet(e[2], s, e[3]);
+    kg->AddTriplet(e[3], s, e[0]);
+    ASSERT_TRUE(kg->Finalize().ok());
+  }
+  for (uint32_t e = 0; e < 4; ++e) task.gold_entities.emplace_back(e, e);
+  for (uint32_t r = 0; r < 2; ++r) task.gold_relations.emplace_back(r, r);
+  task.BuildGoldIndex();
+  TrainedJointStack stack(task);
+
+  for (const RelationId first : {0u, 1u}) {
+    SCOPED_TRACE(testing::Message() << "relation pair " << first << " first");
+    std::vector<ElementPair> pool;
+    for (EntityId e = 0; e < 4; ++e) {
+      pool.push_back({ElementKind::kEntity, e, e});
+    }
+    pool.push_back({ElementKind::kRelation, first, first});
+    pool.push_back({ElementKind::kRelation, 1 - first, 1 - first});
+    const AlignmentGraph graph(&task, pool);
+    InferenceEngine engine(&graph, stack.joint.get(), InferenceConfig{});
+    engine.PrecomputeEdgeCosts();
+    // All eight edges count only if each has a positive one-hop power.
+    ASSERT_EQ(engine.OneHopPowers().target.size(), 8u);
+    const std::vector<bool> labeled(pool.size(), false);
+    const SelectionContext ctx{&engine, stack.joint.get(), &labeled};
+    SelectionConfig cfg;
+    cfg.batch_size = 2;
+    const SelectionResult got = PartitionSelect(ctx, cfg);
+    // Entity groups plus the two relation-pair singletons.
+    EXPECT_EQ(got.num_groups, (first == 0 ? 1u : 2u) + 2u);
+    ExpectSameSelection(got, ReferencePartitionSelect(ctx, cfg));
+  }
 }
 
 // One trained model on the D-Y analogue (scale 0.2, seed 17) and its

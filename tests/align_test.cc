@@ -524,14 +524,23 @@ void ExpectSameCaches(const JointAlignmentModel& got,
   }
 }
 
+// Every similarity Cosine() makes lies in [-1, 1] exactly: fresh entity
+// cells and every cell of both schema similarity matrices.
 TEST_F(JointModelTest, SimilaritiesBounded) {
   joint_->RefreshCaches();
   for (int i = 0; i < 20; ++i) {
-    EXPECT_GE(joint_->EntitySim(i, i), -1.0f - 1e-5f);
-    EXPECT_LE(joint_->EntitySim(i, i), 1.0f + 1e-5f);
+    EXPECT_GE(joint_->EntitySim(i, i), -1.0f);
+    EXPECT_LE(joint_->EntitySim(i, i), 1.0f);
   }
-  EXPECT_LE(joint_->relation_sim()(0, 0), 1.0f + 1e-5f);
-  EXPECT_LE(joint_->class_sim()(0, 0), 1.0f + 1e-5f);
+  for (const Matrix* sim : {&joint_->relation_sim(), &joint_->class_sim()}) {
+    ASSERT_GT(sim->rows() * sim->cols(), 0u);
+    for (size_t r = 0; r < sim->rows(); ++r) {
+      for (size_t c = 0; c < sim->cols(); ++c) {
+        EXPECT_GE((*sim)(r, c), -1.0f) << r << ", " << c;
+        EXPECT_LE((*sim)(r, c), 1.0f) << r << ", " << c;
+      }
+    }
+  }
 }
 
 TEST_F(JointModelTest, CachedEntitySimMatchesFreshComputation) {

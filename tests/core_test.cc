@@ -568,14 +568,14 @@ TEST_P(TrainingGoldenTest, TrainedParametersArePinned) {
 INSTANTIATE_TEST_SUITE_P(
     Models, TrainingGoldenTest,
     ::testing::Values(
-        GoldenCase{"transe", "transe", true, 0x7B03F7E293479D77ULL,
+        GoldenCase{"transe", "transe", true, 0x99690F3FFD82869BULL,
                    0x91FDEA968E674F29ULL},
-        GoldenCase{"rotate", "rotate", true, 0x85BB8F840988F194ULL,
+        GoldenCase{"rotate", "rotate", true, 0xE838D2233FDFEB52ULL,
                    0x9C44709069A55033ULL},
-        GoldenCase{"compgcn", "compgcn", true, 0xC767D03A2E037854ULL,
+        GoldenCase{"compgcn", "compgcn", true, 0x247A371CF5F6EB7DULL,
                    0x283ABFBAF80D7762ULL},
         GoldenCase{"transe_no_classes", "transe", false,
-                   0x9FC0C6F52C293A87ULL, 0x85633E086F42231FULL}),
+                   0xF9D392331DEFE746ULL, 0x85633E086F42231FULL}),
     [](const auto& info) { return std::string(info.param.name); });
 
 // Pins what both selection algorithms choose over three planning rounds on
@@ -658,7 +658,7 @@ TEST(SelectionGoldenTest, PlanningRoundsArePinned) {
     }
   }
 
-  EXPECT_EQ(h, 0xFFBBD3AB06731992ULL)
+  EXPECT_EQ(h, 0x2E365BF7EEC85551ULL)
       << std::hex << "0x" << h << " on " << simd::ActiveOps().name;
 }
 
@@ -733,12 +733,12 @@ TEST(ActiveLoopTest, RoundsReuseCachesLeftReadyByTraining) {
   ASSERT_EQ(reports.size(), 2u);
   EXPECT_EQ(summary(reports[0]),
             (std::vector<double>{56, 12, 0.073170731707317069,
-                                 0.18780346655080504, 0.061068702290076333,
+                                 0.18505445943103649, 0.061538461538461535,
                                  0.66666666666666663, 0.22222222222222221,
                                  0.66666666666666663, 0.66666666666666663}));
   EXPECT_EQ(summary(reports[1]),
-            (std::vector<double>{106, 25, 0.19718309859154928,
-                                 0.31908398685914352, 0.1702127659574468, 0.0,
+            (std::vector<double>{106, 24, 0.1388888888888889,
+                                 0.29891400364495418, 0.17777777777777778, 0.0,
                                  0.25, 0.66666666666666663,
                                  0.57142857142857151}));
 }

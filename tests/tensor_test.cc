@@ -101,14 +101,16 @@ TEST(VectorTest, Concat) {
   EXPECT_EQ(ab, (Vector{1, 2, 3}));
 }
 
+// Both gradients of the one Cosine() against central differences of its
+// value; the value is the same with and without gradient buffers.
 TEST(VectorTest, CosineGradientsMatchFiniteDifferences) {
   Rng rng(5);
   for (int trial = 0; trial < 5; ++trial) {
     Vector a(6), b(6);
     a.InitGaussian(&rng, 1.0f);
     b.InitGaussian(&rng, 1.0f);
-    Vector da, db;
-    CosineWithGradients(a, b, &da, &db);
+    Vector da(6), db(6);
+    EXPECT_EQ(Cosine(a, b, &da, &db), Cosine(a, b));
     Vector num_da = NumericalGradient(
         [&b](const Vector& x) { return Cosine(x, b); }, a);
     Vector num_db = NumericalGradient(
@@ -116,6 +118,54 @@ TEST(VectorTest, CosineGradientsMatchFiniteDifferences) {
     EXPECT_LT(MaxRelativeError(da, num_da), 5e-2f);
     EXPECT_LT(MaxRelativeError(db, num_db), 5e-2f);
   }
+}
+
+// Parallel and antiparallel inputs, whose quotient can round past 1 in
+// magnitude, stay inside [-1, 1] exactly; the clamp bounds any quotient.
+TEST(VectorTest, CosineStaysInsideUnitInterval) {
+  Rng rng(6);
+  for (int trial = 0; trial < 200; ++trial) {
+    Vector a(1 + trial % 67);
+    a.InitGaussian(&rng, 1.0f);
+    const float scale = static_cast<float>(rng.NextDouble(0.01, 100.0));
+    for (const Vector& b : {a, a * scale, a * -scale}) {
+      const float c = Cosine(a, b);
+      EXPECT_LE(c, 1.0f);
+      EXPECT_GE(c, -1.0f);
+    }
+  }
+  EXPECT_EQ(CosineFromDot(1.5f, 1.0f, 1.0f), 1.0f);
+  EXPECT_EQ(CosineFromDot(-1.5f, 1.0f, 1.0f), -1.0f);
+}
+
+// A zero input has cosine 0 and zero gradients on both sides, whatever
+// the other input; the other input's gradient is not left stale.
+TEST(VectorTest, CosineOfZeroVectorIsZeroWithZeroGradients) {
+  const Vector zero(3);
+  const Vector b{1.0f, -2.0f, 0.5f};
+  Vector da(3, 7.0f), db(3, 7.0f);
+  EXPECT_EQ(Cosine(zero, b, &da, &db), 0.0f);
+  EXPECT_EQ(da, Vector(3));
+  EXPECT_EQ(db, Vector(3));
+  da.Fill(7.0f);
+  db.Fill(7.0f);
+  EXPECT_EQ(Cosine(b, zero, &da, &db), 0.0f);
+  EXPECT_EQ(da, Vector(3));
+  EXPECT_EQ(db, Vector(3));
+  EXPECT_EQ(Cosine(zero, zero), 0.0f);
+}
+
+// A NaN input gives a NaN cosine: the clamp does not turn a diverged
+// representation into a bounded score.
+TEST(VectorTest, CosineOfNaNIsNaN) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Vector a{1.0f, nan, 2.0f};
+  const Vector b{0.5f, 1.0f, -1.0f};
+  EXPECT_TRUE(std::isnan(Cosine(a, b)));
+  EXPECT_TRUE(std::isnan(Cosine(b, a)));
+  Vector da, db;
+  EXPECT_TRUE(std::isnan(Cosine(a, b, &da, &db)));
+  EXPECT_TRUE(std::isnan(CosineFromDot(nan, 1.0f, 1.0f)));
 }
 
 // ---------------------------------------------------------------------------
